@@ -26,7 +26,6 @@ from repro.bench.scaling import (
     strong_scaling_curve,
 )
 from repro.bench.autotune import format_autotune_report, run_autotune_bench
-from repro.bench.graph_bench import format_graph_report, run_graph_bench
 from repro.bench.hotpath import format_hotpath_report, run_hotpath_bench
 from repro.bench.qeq_bench import format_qeq_report, run_qeq_bench
 from repro.bench.replica_bench import format_replica_report, run_replica_bench
@@ -63,8 +62,6 @@ __all__ = [
     "format_series",
     "run_hotpath_bench",
     "format_hotpath_report",
-    "run_graph_bench",
-    "format_graph_report",
     "run_autotune_bench",
     "format_autotune_report",
     "run_neighbor_bench",

@@ -38,17 +38,13 @@ from repro.bench.stats import (
     validate_bench,
 )
 from repro.core import Lammps
-from repro.graph import ON, force_graph_mode
+from repro.graph.pairwise import run_stages
 from repro.kokkos.segment import ATOMIC, SEGMENTED, force_scatter_mode
 from repro.workloads.melt import setup_melt
 from repro.workloads.tantalum import setup_tantalum
 
 #: default output file (repo-root relative when run from the checkout)
 DEFAULT_OUT = "BENCH_hotpath.json"
-
-#: step-mode key for the kernel-graph fused replay (segmented scatter +
-#: captured/fused plan); sits alongside the scatter-mode keys
-GRAPH = "graph"
 
 
 def _build_melt(cells: int) -> Lammps:
@@ -68,21 +64,18 @@ def _build_tantalum(cells: int, twojmax: int) -> Lammps:
 def _melt_scatter_closure(lmp: Lammps):
     """The melt force step's scatter hot path, on frozen pair data.
 
-    Reproduces exactly what :meth:`Pair.scatter_pair_forces` does for the
-    in-cutoff pairs of the current neighbor list — the ten converted
-    ``np.add.at`` sites distilled to their common shape.
+    Replays exactly the scatter calls the pairwise pass's half-list
+    ``force_scatter`` stage issues for the in-cutoff pairs of the current
+    neighbor list — the ten converted ``np.add.at`` sites distilled to
+    their common shape.
     """
     from repro.kokkos.segment import scatter_add, scatter_sub
 
-    atom, pair, nlist = lmp.atom, lmp.pair, lmp.neigh_list
-    i, j, itype, jtype, cutsq = pair.pair_table(nlist, atom, "all")
-    x = atom.x[: atom.nall]
-    dx = x[i] - x[j]
-    rsq = np.einsum("ij,ij->i", dx, dx)
-    mask = rsq < cutsq
-    i, j, dx, rsq = i[mask], j[mask], dx[mask], rsq[mask]
-    fpair, _ = pair.pair_eval(rsq, itype[mask], jtype[mask])
-    fvec = fpair[:, None] * dx
+    atom = lmp.atom
+    env, stages, _ = lmp.pair.pair_kernel("all")
+    env.update(x=atom.x[: atom.nall], f=np.zeros_like(atom.f))
+    run_stages(stages, env)
+    i, j, fvec = env["i_n"].copy(), env["j_n"].copy(), env["fvec_n"].copy()
     f = np.zeros_like(atom.f)
 
     def run() -> None:
@@ -125,11 +118,6 @@ def bench_melt(cells: int = 8, repeats: int = 10) -> dict:
         with force_scatter_mode(mode):
             _record(out, "scatter", mode, collect_samples(scatter, repeats))
             _record(out, "step", mode, _step_samples(lmp, repeats))
-    # kernel-graph fused replay on top of the segmented winner: the first
-    # (warmup) step captures and fuses the dispatch DAG, the timed steps
-    # replay the cached plan
-    with force_scatter_mode(SEGMENTED), force_graph_mode(ON):
-        _record(out, "step", GRAPH, _step_samples(lmp, repeats))
     _finish(out)
     return out
 
@@ -161,8 +149,6 @@ def _finish(row: dict) -> None:
         m: row["natoms"] / s for m, s in step.items()
     }
     row["step_speedup"] = step[ATOMIC] / step[SEGMENTED]
-    if GRAPH in step:
-        row["graph_speedup"] = step[SEGMENTED] / step[GRAPH]
     if "scatter_seconds" in row:
         sc = row["scatter_seconds"]
         row["scatter_speedup"] = sc[ATOMIC] / sc[SEGMENTED]
@@ -211,12 +197,5 @@ def format_hotpath_report(results: dict) -> str:
                 f"{row['scatter_seconds'][ATOMIC] * 1e3:8.3f} -> "
                 f"{row['scatter_seconds'][SEGMENTED] * 1e3:8.3f} ms  "
                 f"({row['scatter_speedup']:.2f}x)"
-            )
-        if "graph_speedup" in row:
-            lines.append(
-                f"  {'':<9} fused graph step "
-                f"{row['step_seconds'][SEGMENTED] * 1e3:8.3f} -> "
-                f"{row['step_seconds'][GRAPH] * 1e3:8.3f} ms  "
-                f"({row['graph_speedup']:.2f}x)"
             )
     return "\n".join(lines)

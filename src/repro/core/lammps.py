@@ -38,6 +38,7 @@ from repro.core.thermo import Thermo
 from repro.core.timer import CATEGORIES, PhaseTimer
 from repro.core.update import Update
 from repro.core.velocity import maxwell_table
+from repro.graph.pairwise import ARENA
 from repro.core.comm_md import CommBrick
 from repro.parallel.comm import SimComm, SimWorld
 from repro.parallel.decomp import BrickDecomposition
@@ -350,6 +351,11 @@ class Lammps:
         perm = spatial_sort_order(atom.x[: atom.nlocal], size)
         if np.array_equal(perm, np.arange(atom.nlocal)):
             return False
+        # the permutation rewrites the host copy of every field: bring home
+        # whatever a Kokkos style left newer on the device first (EAM's
+        # rho/fp scratch) — a host write on top would be the
+        # modify-both-spaces hazard
+        self.sync_host_fields(*AtomVec.FIELD_DTYPES)
         atom.reorder_local(perm)
         self.mark_host_writes(*AtomVec.FIELD_DTYPES)
         return True
@@ -370,6 +376,9 @@ class Lammps:
         with self.timer.phase("Comm"):
             yield from self.comm_brick.borders(atom, self.domain.periodic)
         with self.timer.phase("Neigh"):
+            # the pairwise scratch is dead between force calls: drop it so
+            # the build's own transients do not stack on top of it
+            ARENA.release()
             # One bin grid per rebuild, at the largest requested cutoff: the
             # pair list below and any multi-cutoff consumer this step (ReaxFF
             # bond list, species analysis) share it instead of re-binning.

@@ -25,6 +25,7 @@ section 4.1's data-layout discussion.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count
@@ -242,15 +243,32 @@ class PairCache:
     """
 
     def __init__(self, nlist: "NeighborList") -> None:
-        self.nlist = nlist
+        # weak: the list owns this cache, and a strong back-reference would
+        # park every retired list (and the constants cached here) in a
+        # reference cycle until some later full garbage collection
+        self.nlist = weakref.proxy(nlist)
         self._types: tuple[np.ndarray, np.ndarray] | None = None
         self._cutsq: dict[int, np.ndarray] = {}
         self._j_order: np.ndarray | None = None
         self._phase_sel: dict[str, np.ndarray | None] = {}
+        self._memo: dict = {}
 
     def ij(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat ``(i, j)`` over stored pairs (shared with ``ij_pairs``)."""
         return self.nlist.ij_pairs()
+
+    def memo(self, key, build):
+        """``build()`` once per rebuild, keyed by ``key``.
+
+        Where pair styles park their per-rebuild constants (bound pairwise
+        kernels, pre-gathered coefficient vectors): the value lives exactly
+        as long as this list does.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     def type_pairs(self, types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-stored-pair ``(itype, jtype)``.

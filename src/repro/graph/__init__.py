@@ -19,8 +19,9 @@ Lifecycle (see README "Kernel graphs"):
 Import discipline: this package initialises from ``repro.kokkos.parallel``
 and ``repro.kokkos.view``, so nothing imported here (``capture`` is
 stdlib-only; ``fuse``/``plan`` reach only ``repro.hardware.cost`` and
-``repro.tools``) may import ``repro.kokkos`` at module level.  The staged
-force-path helpers live in :mod:`repro.graph.pairwise`, which imports
+``repro.tools``) may import ``repro.kokkos`` at module level.  The Stage
+list of the pairwise force pass and its executors (of which graph
+capture/replay is one) live in :mod:`repro.graph.pairwise`, which imports
 ``repro.kokkos`` freely and is therefore *not* re-exported here.
 """
 

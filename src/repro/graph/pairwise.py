@@ -1,18 +1,33 @@
-"""Staged force-path pipelines for kernel-graph capture and replay.
+"""The cutoff-masked pairwise force pass: one Stage list, four executors.
 
-This is the force-path side of the graph subsystem: the LJ/EAM/SNAP
-computes declare their work as :class:`Stage` lists — fine-grained
-elementwise passes plus explicit scatter/tally barriers — and the
-helpers here capture them into a fused :class:`~repro.graph.plan.GraphPlan`
-on a plan-cache miss, or replay the cached plan on a hit.
+Paper section 4.1's ``pair_kokkos`` contract is that a two-body style
+supplies only its pair formula and the base does everything else.  This
+module is that "everything else", written once as stage functions over an
+``env`` dict:
 
-Bitwise discipline: every stage body reproduces the eager path's exact
-floating-point operation sequence (gathers via ``np.take`` instead of
-boolean masks, ufuncs with ``out=`` into preallocated scratch, pair
-coefficients pre-gathered once per plan) — transformations verified to
-be bitwise-identical to the eager expressions.  The differential matrix
-test (:mod:`tests.test_graph_matrix`) holds fused == eager to the last
-ulp for forces, energies, and the virial.
+``delta -> rsq -> cutmask -> gather`` (the geometry prologue), the style's
+``eval`` hook (:meth:`repro.potentials.pair.Pair.eval_setup`), ``fvec``,
+``force_scatter`` (half/host, full-sorted, ScatterView half +- newton) and
+``tally`` (the style's energy half + ``ev_tally``).
+
+The executors differ only in how they drive the list:
+
+* **eager host** runs the stage bodies in order (:func:`run_stages`);
+* **eager kk** runs them inside one charged whole-kernel dispatch
+  (:class:`~repro.potentials.pair_kokkos.PairKokkos`);
+* **graph** captures the same Stage objects into a fused
+  :class:`~repro.graph.plan.GraphPlan` and replays it (:func:`run_graph`);
+* **replica** runs the same stage functions over the stacked
+  ``i/j/cutsq/coefficient`` vectors of a whole batch
+  (:mod:`repro.replica.batch`).
+
+Workspace contract: per-rebuild *constants* (pair indices, squared
+cutoffs, pre-gathered coefficient vectors, ``j < nlocal``) live in the
+``env`` memoized on the list's :class:`~repro.core.neighbor.PairCache`, so
+a rebuild invalidates them by construction.  Per-step *scratch* comes from
+the process-wide :data:`ARENA`: ranks, replicas and overlap phases execute
+sequentially in one process, so one grow-only set of buffers serves them
+all, and :meth:`Arena.release` drops it before each neighbor build.
 
 Unlike the rest of :mod:`repro.graph`, this module imports
 ``repro.kokkos`` freely: it is only imported from the potentials layer,
@@ -22,16 +37,15 @@ after the kokkos package has fully initialised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
 import repro.kokkos as kk
 from repro.graph.capture import GraphCapture, KernelNode
 from repro.graph.plan import GRAPH, GraphPlan, build_plan
-from repro.kokkos.core import Host
 from repro.kokkos.scatter_view import ScatterView
-from repro.kokkos.segment import scatter_add, scatter_mode
+from repro.kokkos.segment import scatter_add, scatter_mode, scatter_sub
 
 #: Default vectorization efficiency for staged host passes (matches the
 #: irregular-gather penalty of :class:`~repro.potentials.pair_kokkos.PairKokkos`).
@@ -63,7 +77,7 @@ class Stage:
     policy: Any = None
 
 
-def _stage_profile(
+def stage_profile(
     name: str, size: int, flops_per_item: float, bytes_per_item: float
 ) -> kk.KernelProfile:
     return kk.KernelProfile(
@@ -73,6 +87,239 @@ def _stage_profile(
         parallel_items=float(max(size, 1)),
         cpu_efficiency=STAGE_CPU_EFFICIENCY,
     )
+
+
+# ======================================================================= arena
+class Arena:
+    """Grow-only named scratch buffers shared by every pairwise pass.
+
+    A buffer is handed out as ``buf[:n]`` and stays valid until the next
+    ``take`` of the same name, so a pass may only rely on a buffer across
+    calls that cannot run another pass in between — which is why outputs
+    that must survive a generator ``yield`` (EAM's geometry across its
+    ``fp`` exchange) are allocated by the caller instead (``env["keep"]``).
+    """
+
+    def __init__(self) -> None:
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, n: int, cols: int = 0, dtype: Any = np.float64) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None or buf.shape[0] < n or buf.dtype != dtype:
+            buf = self._bufs[name] = np.empty((n, cols) if cols else n, dtype)
+        return buf[:n]
+
+    def release(self) -> None:
+        """Drop every buffer (the next pass re-grows what it needs)."""
+        self._bufs.clear()
+
+    @property
+    def nbytes(self) -> int:
+        return sum(b.nbytes for b in self._bufs.values())
+
+
+#: The process-wide scratch arena.
+ARENA = Arena()
+
+
+# ================================================================ stage bodies
+# Bitwise discipline: ``np.take`` gathers and ``out=`` ufuncs reproduce the
+# plain ``x[i] - x[j]`` / boolean-mask expressions bit for bit (held against
+# the formula oracle in tests/test_pairwise_oracle.py).
+def _delta_fn(env: dict) -> None:
+    x, n = env["x"], len(env["i0"])
+    xi = np.take(x, env["i0"], axis=0, out=ARENA.take("xi", n, 3))
+    xj = np.take(x, env["j0"], axis=0, out=ARENA.take("xj", n, 3))
+    env["dx0"] = np.subtract(xi, xj, out=xi)
+
+
+def _rsq_fn(env: dict) -> None:
+    dx0 = env["dx0"]
+    env["rsq0"] = np.einsum("ij,ij->i", dx0, dx0, out=ARENA.take("rsq0", len(dx0)))
+
+
+def _cutmask_fn(env: dict) -> None:
+    rsq0 = env["rsq0"]
+    mask = np.less(rsq0, env["cutsq0"], out=ARENA.take("mask", len(rsq0), dtype=bool))
+    env["idx"] = np.flatnonzero(mask)
+
+
+def _gather_fn(env: dict) -> None:
+    idx = env["idx"]
+    n = idx.size
+    keep = env.get("keep")
+
+    def out(name: str, cols: int = 0, dtype: Any = np.float64):
+        return None if keep else ARENA.take(name, n, cols, dtype)
+
+    i0, j0 = env["i0"], env["j0"]
+    # xj is dead once delta has subtracted it: the compressed rows reuse it
+    env["dx_n"] = np.take(env["dx0"], idx, axis=0, out=out("xj", 3))
+    env["rsq_n"] = np.take(env["rsq0"], idx, out=out("rsq_n"))
+    env["i_n"] = np.take(i0, idx, out=out("i_n", dtype=i0.dtype))
+    env["j_n"] = np.take(j0, idx, out=out("j_n", dtype=j0.dtype))
+    jl0 = env.get("jl0")
+    env["jl_n"] = None if jl0 is None else np.take(jl0, idx)
+
+
+#: The geometry prologue, for callers that run it outside a Stage list.
+#: Over ``env["x"]``, ``i0``, ``j0``, ``cutsq0`` it leaves ``idx`` and the
+#: cut-pair arrays ``i_n/j_n/dx_n/rsq_n`` (``dx_n = x[i_n] - x[j_n]``);
+#: ``env["keep"]`` makes those fresh allocations instead of arena loans.
+PROLOGUE = (_delta_fn, _rsq_fn, _cutmask_fn, _gather_fn)
+
+
+def _fvec_fn(env: dict) -> None:
+    dx = env["dx_n"]
+    env["fvec_n"] = np.multiply(
+        env["fpair_n"][:, None], dx, out=ARENA.take("fvec", len(dx), 3)
+    )
+
+
+def _scatter_fn(env: dict) -> None:
+    """``+fvec`` on i (and ``-fvec`` on j for half lists), per list style."""
+    i, j, fvec = env["i_n"], env["j_n"], env["fvec_n"]
+    if env["full"]:
+        # One thread per atom sums its own row: conflict-free, so this is a
+        # per-row segmented reduction regardless of the execution space
+        # (the row-major list keeps i sorted unless phases were merged).
+        scatter_add(
+            env["f"], i, fvec, mode=scatter_mode(), assume_sorted=env["sorted_i"]
+        )
+    elif env["f_view"] is None:
+        # Host half list.  The i side is a sorted segmented reduction; the
+        # j side is unsorted, where for 3-wide rows the per-column bincount
+        # beats replaying the pair cache's j-sort.
+        mode = scatter_mode()
+        scatter_add(env["f"], i, fvec, mode=mode, assume_sorted=True)
+        if env["newton"]:
+            # x - y == x + (-y) bitwise; xi is dead after the gather, so the
+            # negation lands there instead of in a fresh temporary
+            nfv = np.negative(fvec, out=ARENA.take("xi", len(fvec), 3))
+            scatter_add(env["f"], j, nfv, mode=mode)
+        else:
+            jl = env["jl_n"]
+            scatter_sub(env["f"], j[jl], fvec[jl], mode=mode)
+    else:
+        sv = ScatterView(env["f_view"])
+        acc = sv.access()
+        acc.add(i, fvec)
+        if env["newton"]:
+            acc.add(j, -fvec)
+        else:
+            jl = env["jl_n"]
+            acc.add(j[jl], -fvec[jl])
+        sv.contribute()
+        env["atomic_adds"] = sv.atomic_adds
+        env["duplicated_bytes"] = float(sv.duplicated_bytes)
+
+
+def _tally_fn(env: dict) -> None:
+    """The style's energy half, then ``ev_tally`` over the cut pairs."""
+    energy_fn = env["energy_fn"]
+    if energy_fn is not None:
+        energy_fn(env)
+    env["pair"].tally_pairs(
+        env["evdwl_n"],
+        env["dx_n"],
+        env["fvec_n"],
+        env["jl_n"],
+        full_list=env["full"],
+        newton=env["newton"],
+        ecoul=env.get("ecoul_n"),
+    )
+
+
+# ============================================================ stage declarations
+def prologue_stages(
+    space, stored: int, prefix: str = "", gather_bytes: float = 100.0
+) -> list[Stage]:
+    """Stage declarations of the geometry prologue over ``stored`` pairs."""
+    policy = kk.RangePolicy(space, 0, stored)
+    p = prefix
+    outs = tuple(f"{p}pair_{k}_n" for k in ("dx", "rsq", "i", "j", "jl"))
+    return [
+        Stage(
+            f"{p}delta", _delta_fn, "stored-pairs",
+            reads=("x",), writes=(f"{p}pair_xi", f"{p}pair_xj", f"{p}pair_dx"),
+            item_bytes={f"{p}pair_xi": 24.0, f"{p}pair_xj": 24.0, f"{p}pair_dx": 24.0},
+            profile=stage_profile(f"graph:{p}delta", stored, 3.0, 72.0),
+            policy=policy,
+        ),
+        Stage(
+            f"{p}rsq", _rsq_fn, "stored-pairs",
+            writes=(f"{p}pair_rsq",), item_bytes={f"{p}pair_rsq": 8.0},
+            profile=stage_profile(f"graph:{p}rsq", stored, 5.0, 32.0),
+            policy=policy,
+        ),
+        Stage(
+            f"{p}cutmask", _cutmask_fn, "stored-pairs",
+            writes=(f"{p}pair_mask", f"{p}pair_idx"),
+            item_bytes={f"{p}pair_mask": 1.0, f"{p}pair_idx": 8.0},
+            profile=stage_profile(f"graph:{p}cutmask", stored, 1.0, 17.0),
+            policy=policy,
+        ),
+        Stage(
+            f"{p}gather", _gather_fn, "stored-pairs",
+            writes=outs, outputs=outs,
+            profile=stage_profile(f"graph:{p}gather", stored, 1.0, gather_bytes),
+            policy=policy,
+        ),
+    ]
+
+
+def force_chain_stages(
+    space, size: int, nlocal: int, cut_policy, prefix: str = "",
+    tally_flops: float = 9.0,
+) -> tuple[list[Stage], Stage]:
+    """``fvec -> force_scatter`` declarations plus the ``tally`` stage."""
+    p = prefix
+    chain = [
+        Stage(
+            f"{p}fvec", _fvec_fn, "cut-pairs",
+            writes=(f"{p}pair_fvec",), outputs=(f"{p}pair_fvec",),
+            profile=stage_profile(f"graph:{p}fvec", size, 3.0, 48.0),
+            policy=cut_policy,
+        ),
+        Stage(
+            f"{p}force_scatter", _scatter_fn, "atoms", elementwise=False,
+            profile=stage_profile(f"graph:{p}force_scatter", nlocal, 3.0, 48.0),
+            policy=kk.RangePolicy(space, 0, nlocal),
+        ),
+    ]
+    tally = Stage(
+        f"{p}tally", _tally_fn, "pairs-reduction",
+        elementwise=False, kind="reduce",
+        profile=stage_profile(f"graph:{p}tally", size, tally_flops, 40.0),
+        policy=cut_policy,
+    )
+    return chain, tally
+
+
+def pairwise_stages(
+    space, stored: int, nlocal: int, force_fn: Callable[[dict], None]
+) -> tuple[list[Stage], Stage]:
+    """The whole two-body pass: ``(force stages, tally stage)``."""
+    cut_policy = lambda env: kk.RangePolicy(space, 0, int(env["idx"].size))  # noqa: E731
+    chain, tally = force_chain_stages(space, stored, nlocal, cut_policy)
+    stages = prologue_stages(space, stored) + [
+        Stage(
+            "eval", force_fn, "cut-pairs",
+            writes=("pair_fpair", "pair_evdwl"),
+            outputs=("pair_fpair", "pair_evdwl"),
+            profile=stage_profile("graph:eval", stored, 10.0, 64.0),
+            policy=cut_policy,
+        ),
+        *chain,
+    ]
+    return stages, tally
+
+
+# =================================================================== executors
+def run_stages(stages: list[Stage], env: dict) -> None:
+    """The eager executor: the stage bodies, in order."""
+    for st in stages:
+        st.fn(env)
 
 
 def capture_stages(label: str, stages: list[Stage], env: dict) -> GraphPlan:
@@ -117,473 +364,20 @@ def capture_stages(label: str, stages: list[Stage], env: dict) -> GraphPlan:
     return build_plan(label, cap.nodes, env)
 
 
-# ===================================================================== pairwise
-# Generic half/full-list pairwise pipeline: the graph form of
-# PairLJCut._compute_pairs / PairKokkos._compute_pairs.
+def run_graph(
+    base_key: Hashable, variant_key: Hashable, label: str,
+    stages: list[Stage], env: dict,
+) -> None:
+    """The graph executor: replay the cached plan, or capture one.
 
-def _delta_fn(env: dict) -> None:
-    x = env["x"]
-    np.take(x, env["i0"], axis=0, out=env["xi_s"])
-    np.take(x, env["j0"], axis=0, out=env["xj_s"])
-    np.subtract(env["xi_s"], env["xj_s"], out=env["dx0"])
-
-
-def _rsq_fn(env: dict) -> None:
-    np.einsum("ij,ij->i", env["dx0"], env["dx0"], out=env["rsq0"])
-
-
-def _cutmask_fn(env: dict) -> None:
-    np.less(env["rsq0"], env["cutsq0"], out=env["mask0"])
-    env["idx"] = np.flatnonzero(env["mask0"])
-
-
-def _gather_fn(env: dict) -> None:
-    idx = env["idx"]
-    n = idx.size
-    env["dx_n"] = np.take(env["dx0"], idx, axis=0, out=env["dx_s"][:n])
-    env["rsq_n"] = np.take(env["rsq0"], idx, out=env["rsq_s"][:n])
-    env["i_n"] = np.take(env["i0"], idx, out=env["i_s"][:n])
-    env["j_n"] = np.take(env["j0"], idx, out=env["j_s"][:n])
-    env["jl_n"] = np.take(env["jl0"], idx, out=env["jl_s"][:n])
-
-
-def _fvec_fn(env: dict) -> None:
-    n = env["idx"].size
-    env["fvec_n"] = np.multiply(
-        env["fpair_n"][:, None], env["dx_n"], out=env["fvec_s"][:n]
-    )
-
-
-def graph_pair_compute(pair, phase: str, eflag: bool, vflag: bool) -> bool:
-    """Route a pairwise compute through the kernel graph.
-
-    Returns True when the step was handled (cached replay or fresh
-    capture); False hands control back to the eager path (graph off,
-    unstaged configuration, or a style without ``pair_eval``).
+    ``graph on`` changes the *dispatch granularity* the cost model sees
+    (one charged dispatch per fused group instead of one whole-kernel
+    dispatch); the stage bodies, and therefore the numbers, are the eager
+    executor's.
     """
-    if not GRAPH or phase != "all":
-        return False
-    lmp = pair.lmp
-    nlist = lmp.neigh_list
-    atom = lmp.atom
-    kokkos = pair.kokkos_style
-    if kokkos:
-        if pair.team_mode:
-            return False  # hierarchical policies are not staged
-        full = pair.neigh_mode == "full"
-        newton = pair.newton_mode
-        space = pair.execution_space
-    else:
-        full = False
-        newton = lmp.newton_pair
-        space = Host
-    if not hasattr(pair, "pair_eval"):
-        return False
-
     cache = GRAPH[0]
-    base_key = (id(pair), phase)
-    variant_key = (
-        space.name,
-        full,
-        newton,
-        scatter_mode(),
-        bool(eflag),
-        bool(vflag),
-        nlist.generation,
-    )
-
-    if kokkos:
-        atom_kk = lmp.atom_kk
-        atom_kk.sync(space, ("x", "type", "f"))
-        x = atom_kk.view("x", space).data
-        f_view = atom_kk.view("f", space)
-    else:
-        atom_kk = None
-        x = atom.x[: atom.nall]
-        f_view = None
-
     plan = cache.lookup(base_key, variant_key)
     if plan is not None:
-        plan.replay({"x": x, "f_view": f_view})
+        plan.replay()
     else:
-        plan = _capture_pairwise_plan(
-            pair,
-            phase,
-            full=full,
-            newton=newton,
-            eflag=eflag,
-            vflag=vflag,
-            space=space,
-            x=x,
-            f_view=f_view,
-        )
-        if plan is None:
-            return False
-        cache.store(base_key, variant_key, plan)
-    if kokkos:
-        atom_kk.modified(space, ("f",))
-    return True
-
-
-def _capture_pairwise_plan(
-    pair,
-    phase: str,
-    *,
-    full: bool,
-    newton: bool,
-    eflag: bool,
-    vflag: bool,
-    space,
-    x,
-    f_view,
-) -> GraphPlan | None:
-    lmp = pair.lmp
-    atom = lmp.atom
-    nlist = lmp.neigh_list
-    i0, j0, it0, jt0, cutsq0 = pair.pair_table(nlist, atom, phase)
-    stored = len(i0)
-    if stored == 0:
-        return None
-
-    env: dict[str, Any] = {
-        "x": x,
-        "f_view": f_view,
-        "i0": i0,
-        "j0": j0,
-        "cutsq0": cutsq0,
-        "jl0": j0 < atom.nlocal,
-        # stored-pairs scratch (full index space)
-        "xi_s": np.empty((stored, 3)),
-        "xj_s": np.empty((stored, 3)),
-        "dx0": np.empty((stored, 3)),
-        "rsq0": np.empty(stored),
-        "mask0": np.empty(stored, bool),
-        # cut-pairs scratch (capacity = stored; sliced to n each step)
-        "dx_s": np.empty((stored, 3)),
-        "rsq_s": np.empty(stored),
-        "i_s": np.empty(stored, i0.dtype),
-        "j_s": np.empty(stored, j0.dtype),
-        "jl_s": np.empty(stored, bool),
-        "fvec_s": np.empty((stored, 3)),
-    }
-    eval_fn = pair.graph_eval_setup(env, it0, jt0)
-    if eval_fn is None:
-        return None
-
-    pairs_policy = kk.RangePolicy(space, 0, stored)
-    cut_policy = lambda env: kk.RangePolicy(space, 0, int(env["idx"].size))  # noqa: E731
-
-    def scatter_fn(env: dict) -> None:
-        if not full and f_view is None:
-            # host half-list path: the base-class i/j scatter
-            pair.scatter_pair_forces(
-                atom, env["i_n"], env["j_n"], env["fvec_n"], env["jl_n"], newton
-            )
-        elif full:
-            scatter_add(
-                env["f_view"].data,
-                env["i_n"],
-                env["fvec_n"],
-                mode=scatter_mode(),
-                assume_sorted=True,
-            )
-        else:
-            sv = ScatterView(env["f_view"])
-            acc = sv.access()
-            acc.add(env["i_n"], env["fvec_n"])
-            if newton:
-                acc.add(env["j_n"], -env["fvec_n"])
-            else:
-                jl = env["jl_n"]
-                acc.add(env["j_n"][jl], -env["fvec_n"][jl])
-            sv.contribute()
-
-    def tally_fn(env: dict) -> None:
-        pair.tally_pairs(
-            env["evdwl_n"],
-            env["dx_n"],
-            env["fpair_n"],
-            env["jl_n"],
-            full_list=full,
-            newton=newton,
-            w=env["fvec_n"],
-        )
-
-    stages = [
-        Stage(
-            "delta", _delta_fn, "stored-pairs",
-            reads=("x",), writes=("pair_xi", "pair_xj", "pair_dx"),
-            item_bytes={"pair_xi": 24.0, "pair_xj": 24.0, "pair_dx": 24.0},
-            profile=_stage_profile("graph:delta", stored, 3.0, 72.0),
-            policy=pairs_policy,
-        ),
-        Stage(
-            "rsq", _rsq_fn, "stored-pairs",
-            writes=("pair_rsq",), item_bytes={"pair_rsq": 8.0},
-            profile=_stage_profile("graph:rsq", stored, 5.0, 32.0),
-            policy=pairs_policy,
-        ),
-        Stage(
-            "cutmask", _cutmask_fn, "stored-pairs",
-            writes=("pair_mask", "pair_idx"),
-            item_bytes={"pair_mask": 1.0, "pair_idx": 8.0},
-            profile=_stage_profile("graph:cutmask", stored, 1.0, 17.0),
-            policy=pairs_policy,
-        ),
-        Stage(
-            "gather", _gather_fn, "stored-pairs",
-            writes=("pair_dx_n", "pair_rsq_n", "pair_i_n", "pair_j_n", "pair_jl_n"),
-            outputs=("pair_dx_n", "pair_rsq_n", "pair_i_n", "pair_j_n", "pair_jl_n"),
-            profile=_stage_profile("graph:gather", stored, 1.0, 100.0),
-            policy=pairs_policy,
-        ),
-        Stage(
-            "eval", eval_fn, "cut-pairs",
-            writes=("pair_fpair", "pair_evdwl"),
-            outputs=("pair_fpair", "pair_evdwl"),
-            profile=_stage_profile("graph:eval", stored, 10.0, 64.0),
-            policy=cut_policy,
-        ),
-        Stage(
-            "fvec", _fvec_fn, "cut-pairs",
-            writes=("pair_fvec",), outputs=("pair_fvec",),
-            profile=_stage_profile("graph:fvec", stored, 3.0, 48.0),
-            policy=cut_policy,
-        ),
-        Stage(
-            "force_scatter", scatter_fn, "atoms", elementwise=False,
-            profile=_stage_profile("graph:force_scatter", atom.nlocal, 3.0, 48.0),
-            policy=kk.RangePolicy(space, 0, atom.nlocal),
-        ),
-    ]
-    if eflag or vflag:
-        stages.append(
-            Stage(
-                "tally", tally_fn, "pairs-reduction",
-                elementwise=False, kind="reduce",
-                profile=_stage_profile("graph:tally", stored, 9.0, 40.0),
-                policy=cut_policy,
-            )
-        )
-    label = f"{type(pair).__name__}/{phase}"
-    return capture_stages(label, stages, env)
-
-
-# ========================================================================= EAM
-def eam_force_graph(
-    pair, i, j, dx, r, itype, jtype, stored, fp_view, f_view, eflag, vflag,
-    *, sorted_i: bool,
-) -> bool:
-    """Graph form of the EAM force chain (fp_sum -> fpair -> fvec).
-
-    The pair geometry is recomputed eagerly each step (it feeds the
-    density kernel too); the chain re-binds it through the environment
-    on every call, so the fused plan itself is geometry-free and only
-    invalidates on rebuild/mode drift.
-    """
-    if not GRAPH:
-        return False
-    cache = GRAPH[0]
-    nlist = pair.lmp.neigh_list
-    base_key = (id(pair), "eam-force")
-    variant_key = (
-        pair.execution_space.name,
-        scatter_mode(),
-        bool(eflag),
-        bool(vflag),
-        sorted_i,
-        nlist.generation,
-    )
-    updates = {
-        "i": i, "j": j, "dx": dx, "r": r,
-        "it": itype, "jt": jtype,
-        "fp": fp_view.data, "f_view": f_view,
-    }
-    plan = cache.lookup(base_key, variant_key)
-    if plan is not None:
-        if len(i) > plan.env["capacity"]:  # pragma: no cover - defensive
-            cache.plans.pop(base_key, None)
-        else:
-            plan.replay(updates)
-            return True
-
-    atom = pair.lmp.atom
-    cap = stored
-    env: dict[str, Any] = dict(updates)
-    env["capacity"] = cap
-    env["fps_s"] = np.empty(cap)
-    env["fpair_s"] = np.empty(cap)
-    env["fvec_s"] = np.empty((cap, 3))
-
-    def fp_sum_fn(env: dict) -> None:
-        n = len(env["i"])
-        fp = env["fp"]
-        fpi = np.take(fp, env["i"])
-        fpj = np.take(fp, env["j"])
-        env["fps_n"] = np.add(fpi, fpj, out=env["fps_s"][:n])
-
-    def fpair_fn(env: dict) -> None:
-        n = len(env["i"])
-        r = env["r"]
-        d = pair.dphi(r, env["it"], env["jt"])
-        t = env["fps_n"] * pair.ddens(r)
-        num = np.add(d, t, out=env["fpair_s"][:n])
-        np.negative(num, out=num)
-        env["fpair_n"] = np.divide(num, r, out=num)
-
-    def fvec_fn(env: dict) -> None:
-        n = len(env["i"])
-        env["fvec_n"] = np.multiply(
-            env["fpair_n"][:, None], env["dx"], out=env["fvec_s"][:n]
-        )
-
-    def scatter_fn(env: dict) -> None:
-        scatter_add(
-            env["f_view"].data, env["i"], env["fvec_n"], assume_sorted=sorted_i
-        )
-
-    def tally_fn(env: dict) -> None:
-        evdwl = pair.phi(env["r"], env["it"], env["jt"])
-        pair.tally_pairs(
-            evdwl,
-            env["dx"],
-            env["fpair_n"],
-            env["j"] < atom.nlocal,
-            full_list=True,
-            newton=False,
-            w=env["fvec_n"],
-        )
-
-    space = pair.execution_space
-    cut_policy = lambda env: kk.RangePolicy(space, 0, len(env["i"]))  # noqa: E731
-    stages = [
-        Stage(
-            "eam_fp_sum", fp_sum_fn, "cut-pairs",
-            writes=("eam_fps",), profile=_stage_profile("graph:eam_fp_sum", cap, 1.0, 24.0),
-            policy=cut_policy,
-        ),
-        Stage(
-            "eam_fpair", fpair_fn, "cut-pairs",
-            writes=("eam_fpair",), outputs=("eam_fpair",),
-            profile=_stage_profile("graph:eam_fpair", cap, 12.0, 48.0),
-            policy=cut_policy,
-        ),
-        Stage(
-            "eam_fvec", fvec_fn, "cut-pairs",
-            writes=("eam_fvec",), outputs=("eam_fvec",),
-            profile=_stage_profile("graph:eam_fvec", cap, 3.0, 48.0),
-            policy=cut_policy,
-        ),
-        Stage(
-            "eam_force_scatter", scatter_fn, "atoms", elementwise=False,
-            profile=_stage_profile(
-                "graph:eam_force_scatter", atom.nlocal, 3.0, 48.0
-            ),
-            policy=kk.RangePolicy(space, 0, atom.nlocal),
-        ),
-    ]
-    if eflag or vflag:
-        stages.append(
-            Stage(
-                "eam_tally", tally_fn, "pairs-reduction",
-                elementwise=False, kind="reduce",
-                profile=_stage_profile("graph:eam_tally", cap, 14.0, 40.0),
-                policy=cut_policy,
-            )
-        )
-    plan = capture_stages(f"{type(pair).__name__}/force", stages, env)
-    cache.store(base_key, variant_key, plan)
-    return True
-
-
-# ======================================================================== SNAP
-def snap_geometry_graph(pair, nlist, x):
-    """Cached fused geometry prologue for SNAP: rij/rsq/mask/compress.
-
-    The heavy bispectrum kernels stay eager (they are already fused at
-    the algorithm level, section 4.3); only the elementwise pair-setup
-    chain is captured and fused.  Returns ``(i, j, rij)`` compressed to
-    in-cutoff pairs, bitwise-identical to the eager mask expressions, or
-    None when graph execution is off.
-    """
-    if not GRAPH:
-        return None
-    cache = GRAPH[0]
-    base_key = (id(pair), "snap-geometry")
-    variant_key = (nlist.generation,)
-    plan = cache.lookup(base_key, variant_key)
-    if plan is not None:
-        env = plan.replay({"x": x})
-        return env["i_n"], env["j_n"], env["rij_n"]
-
-    i0, j0 = nlist.ij_pairs()
-    stored = len(i0)
-    if stored == 0:
-        return None
-    cutsq = pair.rcut**2
-    env: dict[str, Any] = {
-        "x": x,
-        "i0": i0,
-        "j0": j0,
-        "xi_s": np.empty((stored, 3)),
-        "xj_s": np.empty((stored, 3)),
-        "rij0": np.empty((stored, 3)),
-        "rsq0": np.empty(stored),
-        "mask0": np.empty(stored, bool),
-        "rij_s": np.empty((stored, 3)),
-        "i_s": np.empty(stored, i0.dtype),
-        "j_s": np.empty(stored, j0.dtype),
-    }
-
-    def rij_fn(env: dict) -> None:
-        x = env["x"]
-        np.take(x, env["j0"], axis=0, out=env["xj_s"])
-        np.take(x, env["i0"], axis=0, out=env["xi_s"])
-        np.subtract(env["xj_s"], env["xi_s"], out=env["rij0"])
-
-    def rsq_fn(env: dict) -> None:
-        np.einsum("ij,ij->i", env["rij0"], env["rij0"], out=env["rsq0"])
-
-    def mask_fn(env: dict) -> None:
-        np.less(env["rsq0"], cutsq, out=env["mask0"])
-        env["idx"] = np.flatnonzero(env["mask0"])
-
-    def compress_fn(env: dict) -> None:
-        idx = env["idx"]
-        n = idx.size
-        env["i_n"] = np.take(env["i0"], idx, out=env["i_s"][:n])
-        env["j_n"] = np.take(env["j0"], idx, out=env["j_s"][:n])
-        env["rij_n"] = np.take(env["rij0"], idx, axis=0, out=env["rij_s"][:n])
-
-    policy = kk.RangePolicy(Host, 0, stored)
-    stages = [
-        Stage(
-            "snap_rij", rij_fn, "stored-pairs",
-            reads=("x",), writes=("snap_rij",), item_bytes={"snap_rij": 24.0},
-            profile=_stage_profile("graph:snap_rij", stored, 3.0, 72.0),
-            policy=policy,
-        ),
-        Stage(
-            "snap_rsq", rsq_fn, "stored-pairs",
-            writes=("snap_rsq",), item_bytes={"snap_rsq": 8.0},
-            profile=_stage_profile("graph:snap_rsq", stored, 5.0, 32.0),
-            policy=policy,
-        ),
-        Stage(
-            "snap_cutmask", mask_fn, "stored-pairs",
-            writes=("snap_mask", "snap_idx"),
-            item_bytes={"snap_mask": 1.0, "snap_idx": 8.0},
-            profile=_stage_profile("graph:snap_cutmask", stored, 1.0, 17.0),
-            policy=policy,
-        ),
-        Stage(
-            "snap_compress", compress_fn, "stored-pairs",
-            writes=("snap_i_n", "snap_j_n", "snap_rij_n"),
-            outputs=("snap_i_n", "snap_j_n", "snap_rij_n"),
-            profile=_stage_profile("graph:snap_compress", stored, 1.0, 80.0),
-            policy=policy,
-        ),
-    ]
-    plan = capture_stages(f"{type(pair).__name__}/geometry", stages, env)
-    cache.store(base_key, variant_key, plan)
-    return env["i_n"], env["j_n"], env["rij_n"]
+        cache.store(base_key, variant_key, capture_stages(label, stages, env))

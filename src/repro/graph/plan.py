@@ -2,9 +2,9 @@
 
 A :class:`GraphPlan` is the product of capture + fusion: an ordered list
 of :class:`~repro.graph.fuse.FusedGroup` dispatches plus the environment
-dict the stage bodies read and write.  Replaying a plan runs each
-group's stage bodies back-to-back and issues **one** charged dispatch
-per group — the fused composite profile for elementwise chains, the
+dict the stage bodies read and write.  Replaying a plan issues **one**
+charged dispatch per group, whose functor runs the group's stage bodies
+back-to-back — the fused composite profile for elementwise chains, the
 captured profile for barriers — so the cost model, the tools registry,
 and the chrome trace all see the fused kernel stream.
 
@@ -47,10 +47,6 @@ _MODES = (ON, OFF)
 _forced_mode: str | None = None
 
 
-def _noop(idx) -> None:
-    return None
-
-
 @dataclass
 class GraphPlan:
     """A fused, replayable kernel stream for one force path + phase."""
@@ -79,21 +75,25 @@ class GraphPlan:
         return sum(g.saved_intermediate_bytes for g in self.groups)
 
     def replay(self, updates: dict[str, Any] | None = None) -> dict[str, Any]:
-        """Run the plan: stage bodies eagerly, one dispatch per group."""
+        """Run the plan: one dispatch per group, whose functor runs the
+        group's stage bodies back-to-back."""
         import repro.kokkos as kk  # lazy: avoids an import cycle
 
         env = self.env
         if updates:
             env.update(updates)
         for group in self.groups:
-            for node in group.nodes:
-                if node.fn is not None:
-                    node.fn(env)
-            head = group.nodes[0]
-            if head.policy is not None:
-                kk.parallel_for(
-                    group.name, head.policy, _noop, profile=group.profile
-                )
+
+            def body(idx=None, nodes=group.nodes) -> None:
+                for node in nodes:
+                    if node.fn is not None:
+                        node.fn(env)
+
+            policy = group.nodes[0].policy
+            if policy is None:
+                body()
+            else:
+                kk.parallel_for(group.name, policy, body, profile=group.profile)
         return env
 
 

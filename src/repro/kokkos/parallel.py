@@ -29,6 +29,10 @@ from repro.kokkos.policies import MDRangePolicy, RangePolicy, TeamPolicy
 from repro.tools import registry as kp
 
 Policy = RangePolicy | MDRangePolicy | TeamPolicy
+#: A dispatch's cost profile, or a zero-argument callable resolved *after*
+#: the functor ran (the functor is the computation; its measured workload
+#: is what gets priced).
+ProfileArg = KernelProfile | Callable[[], KernelProfile] | None
 
 
 def _graph_note(
@@ -47,10 +51,16 @@ def _graph_note(
 
 
 def _charge(
-    name: str, policy: Policy, profile: KernelProfile | None
+    name: str, policy: Policy, profile: ProfileArg
 ) -> tuple[float, KernelProfile]:
-    """Charge the dispatch to the timeline; returns (seconds, profile)."""
+    """Charge the dispatch to the timeline; returns (seconds, profile).
+
+    Runs after the functor, so a callable ``profile`` can price the work
+    the functor actually measured (cut pairs, atomic adds).
+    """
     ctx = device_context()
+    if callable(profile):
+        profile = profile()
     if profile is None:
         profile = KernelProfile(name=name)
     if not profile.name:
@@ -88,7 +98,7 @@ def parallel_for(
     policy: Policy,
     functor: Callable,
     *,
-    profile: KernelProfile | None = None,
+    profile: ProfileArg = None,
 ) -> None:
     """Execute ``functor`` over the policy's iteration space for effect."""
     kid = (
@@ -111,7 +121,7 @@ def parallel_reduce(
     policy: Policy,
     functor: Callable,
     *,
-    profile: KernelProfile | None = None,
+    profile: ProfileArg = None,
     reducer: Callable = np.sum,
 ):
     """Execute and combine contributions.
@@ -147,7 +157,7 @@ def parallel_scan(
     policy: RangePolicy,
     functor: Callable,
     *,
-    profile: KernelProfile | None = None,
+    profile: ProfileArg = None,
     exclusive: bool = True,
 ) -> tuple[np.ndarray, Any]:
     """Prefix-sum over per-item values.

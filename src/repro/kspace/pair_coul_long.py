@@ -14,84 +14,48 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erfc
 
-from repro.core.errors import InputError, LammpsError
+from repro.core.errors import LammpsError
 from repro.core.styles import register_pair
-from repro.potentials.lj import LJMixin
+from repro.potentials.lj_coul import LJCoulMixin, mask_lj_force
 from repro.potentials.pair import Pair
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 
 @register_pair("lj/cut/coul/long")
-class PairLJCutCoulLong(LJMixin, Pair):
+class PairLJCutCoulLong(LJCoulMixin, Pair):
     """Host LJ + real-space Ewald Coulomb, half neighbor list."""
 
-    def settings(self, args: list[str]) -> None:
-        if len(args) < 1:
-            raise InputError("pair_style lj/cut/coul/long <cut_lj> [cut_coul]")
-        super().settings(args[:1])
-        self.cut_coul = float(args[1]) if len(args) > 1 else self.cut_global
-        if self.cut_coul <= 0:
-            raise InputError("coulomb cutoff must be positive")
-
     def init(self) -> None:
-        super().init()
         if self.lmp.kspace is None:
             raise LammpsError(
                 "pair_style lj/cut/coul/long requires kspace_style ewald"
             )
-        self.cut_lj = self.cut.copy()
-        grown = np.maximum(self.cut, self.cut_coul)
-        self.cut = np.where(self.setflag, grown, self.cut)
+        super().init()
 
     def compute(self, eflag: bool = True, vflag: bool = True) -> None:
-        lmp = self.lmp
-        atom = lmp.atom
-        nlist = lmp.neigh_list
-        self.reset_tallies()
-        if nlist is None or nlist.total_pairs == 0:
-            return
-        g = lmp.kspace.g_ewald
-        if g <= 0.0:
-            lmp.kspace.init()
-            g = lmp.kspace.g_ewald
-        qqr2e = lmp.update.units.qqr2e
+        if self.lmp.kspace.g_ewald <= 0.0:
+            self.lmp.kspace.init()
+        super().compute(eflag, vflag)
 
-        i, j, itype, jtype, cutsq = self.pair_table(nlist, atom)
-        x = atom.x[: atom.nall]
-        q = atom.q[: atom.nall]
-        dx = x[i] - x[j]
-        rsq = np.einsum("ij,ij->i", dx, dx)
-        mask = rsq < cutsq
-        i, j, dx, rsq = i[mask], j[mask], dx[mask], rsq[mask]
-        itype, jtype = itype[mask], jtype[mask]
+    def _force_q(self, env: dict) -> None:
+        """LJ within its own cutoff plus the screened Coulomb term.
 
-        # LJ part within its own cutoff
-        lj_mask = rsq < self.cut_lj[itype, jtype] ** 2
-        fpair, evdwl = LJMixin.pair_eval(self, rsq, itype, jtype)
-        fpair = np.where(lj_mask, fpair, 0.0)
-        evdwl = np.where(lj_mask, evdwl, 0.0)
-
-        # screened Coulomb within cut_coul:
-        # E = C q q erfc(g r)/r ;  -dE/dr / r = E/r^2 + C qq 2g/sqrt(pi)
-        #                                        exp(-g^2 r^2) / r^2
+        ``E = C q q erfc(g r)/r``;
+        ``-dE/dr / r = E/r^2 + C qq 2g/sqrt(pi) exp(-g^2 r^2) / r^2``.
+        """
+        mask_lj_force(env)
+        rsq = env["rsq_n"]
+        g = self.lmp.kspace.g_ewald
+        q = self.lmp.atom.q
+        qq = self.lmp.update.units.qqr2e * q[env["i_n"]] * q[env["j_n"]]
         r = np.sqrt(rsq)
         coul_mask = rsq < self.cut_coul**2
-        qq = qqr2e * q[i] * q[j]
         e_coul = np.where(coul_mask, qq * erfc(g * r) / r, 0.0)
         f_coul = np.where(
             coul_mask,
             (e_coul + qq * _TWO_OVER_SQRT_PI * g * np.exp(-(g * r) ** 2)) / rsq,
             0.0,
         )
-        fpair = fpair + f_coul
-
-        fvec = fpair[:, None] * dx
-        jlocal = j < atom.nlocal
-        newton = lmp.newton_pair
-        self.scatter_pair_forces(atom, i, j, fvec, jlocal, newton)
-        if eflag or vflag:
-            self.tally_pairs(
-                evdwl, dx, fpair, jlocal, full_list=False, newton=newton,
-                ecoul=e_coul,
-            )
+        env["ecoul_n"] = e_coul
+        env["fpair_n"] = env["fpair_n"] + f_coul

@@ -25,8 +25,17 @@ from typing import Iterator
 
 import numpy as np
 
+import repro.kokkos as kk
 from repro.core.errors import InputError
 from repro.core.styles import register_pair
+from repro.graph.pairwise import (
+    ARENA,
+    PROLOGUE,
+    Stage,
+    force_chain_stages,
+    run_stages,
+    stage_profile,
+)
 from repro.kokkos.segment import scatter_add
 from repro.potentials.pair import Pair
 
@@ -60,25 +69,147 @@ class EAMMixin:
                 self.cut[i, j] = self.cut[j, i] = self.cut_global
                 self.setflag[i, j] = self.setflag[j, i] = True
 
-    # analytic pieces -------------------------------------------------------
-    def dens(self, r: np.ndarray) -> np.ndarray:
-        return (self.cut_global - r) ** 2
+    # analytic pieces, as functions of per-pair / per-atom coefficient
+    # vectors (``rc`` the cutoff, ``cp`` the pair strength, ``A`` the
+    # embedding strength) so stacked replicas with different coefficients
+    # run the same expressions ---------------------------------------------
+    def pair_coeffs(self, itype0: np.ndarray, jtype0: np.ndarray) -> dict:
+        """Per-stored-pair coefficient vectors (constant between rebuilds)."""
+        return {
+            "cp0": self.pair_c[itype0, jtype0],
+            "rc0": np.full(len(itype0), self.cut_global),
+        }
 
-    def ddens(self, r: np.ndarray) -> np.ndarray:
-        return -2.0 * (self.cut_global - r)
+    def dens(self, r: np.ndarray, rc: np.ndarray) -> np.ndarray:
+        return (rc - r) ** 2
 
-    def embed(self, rho: np.ndarray, types: np.ndarray) -> np.ndarray:
-        return -self.embed_A[types] * np.sqrt(np.maximum(rho, 0.0))
+    def ddens(self, r: np.ndarray, rc: np.ndarray) -> np.ndarray:
+        return -2.0 * (rc - r)
 
-    def dembed(self, rho: np.ndarray, types: np.ndarray) -> np.ndarray:
+    def embed(self, rho: np.ndarray, A: np.ndarray) -> np.ndarray:
+        return -A * np.sqrt(np.maximum(rho, 0.0))
+
+    def dembed(self, rho: np.ndarray, A: np.ndarray) -> np.ndarray:
         safe = np.maximum(rho, 1e-30)
-        return -0.5 * self.embed_A[types] / np.sqrt(safe)
+        return -0.5 * A / np.sqrt(safe)
 
-    def phi(self, r: np.ndarray, it: np.ndarray, jt: np.ndarray) -> np.ndarray:
-        return self.pair_c[it, jt] * (self.cut_global - r) ** 2
+    def phi(self, r: np.ndarray, cp: np.ndarray, rc: np.ndarray) -> np.ndarray:
+        return cp * (rc - r) ** 2
 
-    def dphi(self, r: np.ndarray, it: np.ndarray, jt: np.ndarray) -> np.ndarray:
-        return -2.0 * self.pair_c[it, jt] * (self.cut_global - r)
+    def dphi(self, r: np.ndarray, cp: np.ndarray, rc: np.ndarray) -> np.ndarray:
+        return -2.0 * cp * (rc - r)
+
+
+# ---------------------------------------------------------------- stage bodies
+# The EAM force chain over cut pairs: fp_sum -> fpair -> (shared) fvec ->
+# force_scatter -> tally.  ``env`` holds the cut geometry (``i_n``, ``j_n``,
+# ``dx_n``, ``r_n``), the gathered coefficients (``cp_n``, ``rc_n``), the
+# ``fp`` array and the pair style.
+def eam_geometry(pair, x: np.ndarray, phase: str = "all") -> dict:
+    """Cut geometry + gathered coefficient vectors for one overlap phase."""
+    nlist = pair.lmp.neigh_list
+
+    def bind():
+        i0, j0, itype0, jtype0, cutsq0 = pair.pair_table(nlist, pair.lmp.atom, phase)
+        return i0, j0, cutsq0, pair.pair_coeffs(itype0, jtype0)
+
+    i0, j0, cutsq0, coeffs = nlist.pair_cache().memo(("eam", id(pair), phase), bind)
+    # kept, not lent from the arena: the geometry outlives the fp exchange's
+    # yield, across which another rank's pass reuses the arena
+    geo = {"x": x, "i0": i0, "j0": j0, "cutsq0": cutsq0, "keep": True}
+    for fn in PROLOGUE:
+        fn(geo)
+    gather_eam_coeffs(geo, coeffs)
+    return geo
+
+
+def gather_eam_coeffs(geo: dict, coeffs: dict) -> None:
+    idx = geo["idx"]
+    geo["r_n"] = np.sqrt(geo["rsq_n"])
+    geo["cp_n"] = np.take(coeffs["cp0"], idx)
+    geo["rc_n"] = np.take(coeffs["rc0"], idx)
+
+
+#: what the force chain reads of a geometry env
+_GEOMETRY_KEYS = ("i_n", "j_n", "dx_n", "r_n", "cp_n", "rc_n")
+
+
+def merge_geometry(parts: list[dict]) -> dict:
+    """Concatenate phase geometries (interior then boundary)."""
+    return {k: np.concatenate([p[k] for p in parts]) for k in _GEOMETRY_KEYS}
+
+
+def _eam_fp_sum(env: dict) -> None:
+    fp, i = env["fp"], env["i_n"]
+    env["fps_n"] = np.add(
+        np.take(fp, i), np.take(fp, env["j_n"]), out=ARENA.take("eam_fps", len(i))
+    )
+
+
+def _eam_fpair(env: dict) -> None:
+    # dE/dr for the (i, j) bond as seen from atom i (full list: each bond
+    # is visited from both ends, so no factor 2): -(phi' + fp_sum rho')/r
+    pair, r, rc = env["pair"], env["r_n"], env["rc_n"]
+    d = pair.dphi(r, env["cp_n"], rc)
+    t = env["fps_n"] * pair.ddens(r, rc)
+    num = np.add(d, t, out=ARENA.take("fpair", len(r)))
+    np.negative(num, out=num)
+    env["fpair_n"] = np.divide(num, r, out=num)
+
+
+def eam_energy(env: dict) -> None:
+    env["evdwl_n"] = env["pair"].phi(env["r_n"], env["cp_n"], env["rc_n"])
+
+
+def eam_force_stages(space, size: int, nlocal: int) -> tuple[list[Stage], Stage]:
+    """Stage declarations of the force chain over ``size`` stored pairs."""
+    cut_policy = lambda env: kk.RangePolicy(space, 0, len(env["i_n"]))  # noqa: E731
+    chain, tally = force_chain_stages(
+        space, size, nlocal, cut_policy, prefix="eam_", tally_flops=14.0
+    )
+    stages = [
+        Stage(
+            "eam_fp_sum", _eam_fp_sum, "cut-pairs",
+            writes=("eam_fps",),
+            profile=stage_profile("graph:eam_fp_sum", size, 1.0, 24.0),
+            policy=cut_policy,
+        ),
+        Stage(
+            "eam_fpair", _eam_fpair, "cut-pairs",
+            writes=("eam_fpair",), outputs=("eam_fpair",),
+            profile=stage_profile("graph:eam_fpair", size, 12.0, 48.0),
+            policy=cut_policy,
+        ),
+        *chain,
+    ]
+    return stages, tally
+
+
+def eam_force_kernel(pair, geo: dict, fp: np.ndarray, f: np.ndarray, *, sorted_i: bool):
+    """``(env, stages, tally)`` of the force chain over a cut geometry.
+
+    Full list, one-sided updates.  The env and the Stage objects are bound
+    once per rebuild (memoized on the pair cache, so a graph plan can hold
+    them); only the per-step geometry, ``fp`` and ``f`` are rebound.
+    """
+    nlist = pair.lmp.neigh_list
+
+    def bind():
+        env = {
+            "pair": pair, "f_view": None, "jl_n": None,
+            "full": True, "newton": False, "energy_fn": eam_energy,
+        }
+        return (
+            env,
+            *eam_force_stages(
+                pair.execution_space, nlist.total_pairs, pair.lmp.atom.nlocal
+            ),
+        )
+
+    env, stages, tally = nlist.pair_cache().memo(("eam-force", id(pair)), bind)
+    env.update({k: geo[k] for k in _GEOMETRY_KEYS})
+    env.update(fp=fp, f=f, sorted_i=sorted_i)
+    return env, stages, tally
 
 
 @register_pair("eam/fs")
@@ -93,47 +224,20 @@ class PairEAM(EAMMixin, Pair):
         return "full", False
 
     # ------------------------------------------------------------- helpers
-    def _pair_geometry(self, phase: str = "all"):
-        """Cutoff-masked geometry ``(i, j, dx, r, itype, jtype)`` for pairs.
-
-        Types and squared cutoffs come from the per-rebuild pair cache; only
-        the geometry is recomputed each step.
-        """
-        atom = self.lmp.atom
-        nlist = self.lmp.neigh_list
-        i, j, itype, jtype, cutsq = self.pair_table(nlist, atom, phase)
-        x = atom.x[: atom.nall]
-        dx = x[i] - x[j]
-        rsq = np.einsum("ij,ij->i", dx, dx)
-        mask = rsq < cutsq
-        i, j, dx = i[mask], j[mask], dx[mask]
-        return i, j, dx, np.sqrt(rsq[mask]), itype[mask], jtype[mask]
-
     def _embed_locals(self) -> None:
         """Embedding energy and its derivative fp for owned atoms."""
         atom = self.lmp.atom
         rho_local = atom.rho[: atom.nlocal]
-        types_local = atom.type[: atom.nlocal]
-        self.eng_vdwl += float(self.embed(rho_local, types_local).sum())
-        atom.fp[: atom.nlocal] = self.dembed(rho_local, types_local)
+        A = self.embed_A[atom.type[: atom.nlocal]]
+        self.eng_vdwl += float(self.embed(rho_local, A).sum())
+        atom.fp[: atom.nlocal] = self.dembed(rho_local, A)
 
-    def _force_pass(
-        self, i, j, dx, r, itype, jtype, eflag, vflag, *, sorted_i: bool = True
-    ) -> None:
+    def _force_pass(self, geo: dict, eflag, vflag, *, sorted_i: bool = True) -> None:
         atom = self.lmp.atom
-        fp_sum = atom.fp[i] + atom.fp[j]
-        dphi = self.dphi(r, itype, jtype)
-        ddens = self.ddens(r)
-        # dE/dr for the (i, j) bond as seen from atom i (full list: each
-        # bond visited from both ends, so no factor 2).
-        fpair = -(dphi + fp_sum * ddens) / r
-        fvec = fpair[:, None] * dx
-        scatter_add(atom.f, i, fvec, assume_sorted=sorted_i)
-        if eflag or vflag:
-            evdwl = self.phi(r, itype, jtype)
-            self.tally_pairs(
-                evdwl, dx, fpair, j < atom.nlocal, full_list=True, newton=False
-            )
+        env, stages, tally = eam_force_kernel(
+            self, geo, atom.fp, atom.f, sorted_i=sorted_i
+        )
+        run_stages(stages + [tally] if eflag or vflag else stages, env)
 
     # ------------------------------------------------------------- compute
     def compute_gen(self, eflag: bool = True, vflag: bool = True) -> Iterator[None]:
@@ -146,10 +250,12 @@ class PairEAM(EAMMixin, Pair):
         if nlist is None or nlist.total_pairs == 0:
             return
 
-        i, j, dx, r, itype, jtype = self._pair_geometry()
+        geo = eam_geometry(self, atom.x[: atom.nall])
 
         # Loop 1: electron density of owned atoms.
-        scatter_add(atom.rho, i, self.dens(r), assume_sorted=True)
+        scatter_add(
+            atom.rho, geo["i_n"], self.dens(geo["r_n"], geo["rc_n"]), assume_sorted=True
+        )
         self._embed_locals()
 
         # Figure 1's "additional communication": ghosts need fp before the
@@ -157,7 +263,7 @@ class PairEAM(EAMMixin, Pair):
         yield from lmp.comm_brick.forward_comm_field(atom, "fp")
 
         # Loop 2: forces and pair energy.
-        self._force_pass(i, j, dx, r, itype, jtype, eflag, vflag)
+        self._force_pass(geo, eflag, vflag)
 
     def compute_overlap_gen(
         self, inflight, eflag: bool = True, vflag: bool = True
@@ -180,28 +286,22 @@ class PairEAM(EAMMixin, Pair):
             return
 
         # Interior density: both atoms owned, positions already final.
-        ii, ji, dxi, ri, iti, jti = self._pair_geometry("interior")
-        scatter_add(atom.rho, ii, self.dens(ri), assume_sorted=True)
+        gi = eam_geometry(self, atom.x[: atom.nall], "interior")
+        scatter_add(
+            atom.rho, gi["i_n"], self.dens(gi["r_n"], gi["rc_n"]), assume_sorted=True
+        )
 
         # Synchronize the position halo, then fold in ghost-pair density.
         yield from inflight.finish()
         lmp.mark_host_writes("x")
-        ib, jb, dxb, rb, itb, jtb = self._pair_geometry("boundary")
-        scatter_add(atom.rho, ib, self.dens(rb), assume_sorted=True)
+        gb = eam_geometry(self, atom.x[: atom.nall], "boundary")
+        scatter_add(
+            atom.rho, gb["i_n"], self.dens(gb["r_n"], gb["rc_n"]), assume_sorted=True
+        )
         self._embed_locals()
 
         yield from lmp.comm_brick.forward_comm_field(atom, "fp")
 
         # the interior+boundary concatenation interleaves the i ordering, so
         # the force scatter cannot assume sorted segments here
-        self._force_pass(
-            np.concatenate([ii, ib]),
-            np.concatenate([ji, jb]),
-            np.concatenate([dxi, dxb]),
-            np.concatenate([ri, rb]),
-            np.concatenate([iti, itb]),
-            np.concatenate([jti, jtb]),
-            eflag,
-            vflag,
-            sorted_i=False,
-        )
+        self._force_pass(merge_geometry([gi, gb]), eflag, vflag, sorted_i=False)

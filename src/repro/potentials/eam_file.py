@@ -117,6 +117,10 @@ class PairEAMFile(PairEAM):
         if self.cut.shape[0] != 2:
             raise InputError("pair eam (funcfl) supports a single atom type")
         self.table: FuncflTable | None = None
+        # the splines carry everything: the analytic model's per-type
+        # coefficient tables exist only to feed the shared EAM chain
+        self.embed_A = np.zeros(2)
+        self.pair_c = np.zeros((2, 2))
 
     def coeff(self, args: list[str]) -> None:
         if len(args) != 3 or args[0] != "*" or args[1] != "*":
@@ -143,21 +147,21 @@ class PairEAMFile(PairEAM):
             raise InputError("pair eam: no funcfl file loaded")
 
     # analytic pieces are replaced by spline evaluations -------------------
-    def dens(self, r: np.ndarray) -> np.ndarray:
+    def dens(self, r: np.ndarray, rc: np.ndarray) -> np.ndarray:
         return self._rho(r)
 
-    def ddens(self, r: np.ndarray) -> np.ndarray:
+    def ddens(self, r: np.ndarray, rc: np.ndarray) -> np.ndarray:
         return self._drho(r)
 
-    def embed(self, rho: np.ndarray, types: np.ndarray) -> np.ndarray:
+    def embed(self, rho: np.ndarray, A: np.ndarray) -> np.ndarray:
         return self._F(rho)
 
-    def dembed(self, rho: np.ndarray, types: np.ndarray) -> np.ndarray:
+    def dembed(self, rho: np.ndarray, A: np.ndarray) -> np.ndarray:
         return self._dF(rho)
 
-    def phi(self, r: np.ndarray, it: np.ndarray, jt: np.ndarray) -> np.ndarray:
+    def phi(self, r: np.ndarray, cp: np.ndarray, rc: np.ndarray) -> np.ndarray:
         return self._rphi(r) / r
 
-    def dphi(self, r: np.ndarray, it: np.ndarray, jt: np.ndarray) -> np.ndarray:
+    def dphi(self, r: np.ndarray, cp: np.ndarray, rc: np.ndarray) -> np.ndarray:
         # d(phi)/dr = (d(r phi)/dr - phi) / r
         return (self._drphi(r) - self._rphi(r) / r) / r

@@ -21,11 +21,16 @@ import numpy as np
 
 import repro.kokkos as kk
 from repro.core.styles import register_pair
-from repro.graph import plan as graph_plan
+from repro.graph.pairwise import GRAPH, run_graph, run_stages
 from repro.kokkos.core import Device, Host
 from repro.kokkos.scatter_view import ScatterView
-from repro.kokkos.segment import scatter_add
-from repro.potentials.eam import PairEAM
+from repro.kokkos.segment import scatter_mode
+from repro.potentials.eam import (
+    PairEAM,
+    eam_force_kernel,
+    eam_geometry,
+    merge_geometry,
+)
 
 
 @register_pair("eam/fs/kk")
@@ -38,35 +43,27 @@ class PairEAMKokkos(PairEAM):
         self.execution_space = Device if execution_space == "device" else Host
         super().__init__(lmp, args)
 
-    # ------------------------------------------------------------- helpers
-    def _device_geometry(self, phase: str, x):
-        """Cutoff-masked pair geometry against the execution-space views.
+    # ------------------------------------------------------------- kernels
+    def _density_kernel(self, x, phase: str, rho_view, suffix: str = "") -> dict:
+        """Cut geometry of ``phase`` + ScatterView density accumulation.
 
-        Pair indices, gathered types and squared cutoffs come from the
-        per-rebuild pair cache; only the distances are recomputed.
+        The functor is the computation; the profile is resolved after it
+        ran, from the stored pairs and atomics it measured.
         """
-        nlist = self.lmp.neigh_list
-        i, j, itype, jtype, cutsq = self.pair_table(nlist, self.lmp.atom, phase)
-        dx = x[i] - x[j]
-        rsq = np.einsum("ij,ij->i", dx, dx)
-        mask = rsq < cutsq
-        stored = len(i)
-        i, j, dx = i[mask], j[mask], dx[mask]
-        return i, j, dx, np.sqrt(rsq[mask]), itype[mask], jtype[mask], stored
-
-    def _density_kernel(
-        self, i: np.ndarray, r: np.ndarray, stored: int, rho_view, suffix: str = ""
-    ) -> None:
         atom = self.lmp.atom
         nlist = self.lmp.neigh_list
-        sv = ScatterView(rho_view)
-        sv.access().add(i, self.dens(r))
-        sv.contribute()
-        kk.parallel_for(
-            "PairEAMKernelDensity" + suffix,
-            kk.RangePolicy(self.execution_space, 0, atom.nlocal),
-            lambda idx: None,
-            profile=kk.KernelProfile(
+        out: dict = {}
+
+        def density_kernel(idx: np.ndarray) -> None:
+            geo = eam_geometry(self, x, phase)
+            sv = ScatterView(rho_view)
+            sv.access().add(geo["i_n"], self.dens(geo["r_n"], geo["rc_n"]))
+            sv.contribute()
+            out.update(geo, sv=sv)
+
+        def profile() -> kk.KernelProfile:
+            stored, sv = len(out["i0"]), out["sv"]
+            return kk.KernelProfile(
                 name="PairEAMKernelDensity" + suffix,
                 flops=8.0 * stored,
                 bytes_streamed=4.0 * stored + 32.0 * atom.nlocal,
@@ -76,17 +73,24 @@ class PairEAMKokkos(PairEAM):
                 atomic_ops=float(sv.atomic_adds),
                 duplicated_bytes=float(sv.duplicated_bytes),
                 parallel_items=float(atom.nlocal),
-            ),
+            )
+
+        kk.parallel_for(
+            "PairEAMKernelDensity" + suffix,
+            kk.RangePolicy(self.execution_space, 0, atom.nlocal),
+            density_kernel,
+            profile=profile,
         )
+        return out
 
     def _embed_kernel(self, rho_view, fp_view, types) -> None:
         atom = self.lmp.atom
 
         def embed_kernel(idx: np.ndarray) -> None:
             rho_l = rho_view.data[idx]
-            t_l = types[idx]
-            self.eng_vdwl += float(self.embed(rho_l, t_l).sum())
-            fp_view.data[idx] = self.dembed(rho_l, t_l)
+            A = self.embed_A[types[idx]]
+            self.eng_vdwl += float(self.embed(rho_l, A).sum())
+            fp_view.data[idx] = self.dembed(rho_l, A)
 
         kk.parallel_for(
             "PairEAMKernelEmbed",
@@ -101,45 +105,39 @@ class PairEAMKokkos(PairEAM):
         )
 
     def _force_kernel(
-        self, i, j, dx, r, itype, jtype, stored, fp_view, f_view, eflag, vflag,
-        *, sorted_i: bool = True,
+        self, geo: dict, fp_view, f_view, eflag, vflag, *, sorted_i: bool = True
     ) -> None:
         atom = self.lmp.atom
         nlist = self.lmp.neigh_list
-        if graph_plan.GRAPH:
-            from repro.graph.pairwise import eam_force_graph
-
-            if eam_force_graph(
-                self, i, j, dx, r, itype, jtype, stored, fp_view, f_view,
-                eflag, vflag, sorted_i=sorted_i,
-            ):
-                self.lmp.atom_kk.modified(self.execution_space, ("f",))
-                return
-        fp = fp_view.data
-        fp_sum = fp[i] + fp[j]
-        fpair = -(self.dphi(r, itype, jtype) + fp_sum * self.ddens(r)) / r
-        fvec = fpair[:, None] * dx
-        scatter_add(f_view.data, i, fvec, assume_sorted=sorted_i)
-        self.lmp.atom_kk.modified(self.execution_space, ("f",))
-        kk.parallel_for(
-            "PairEAMKernelForce",
-            kk.RangePolicy(self.execution_space, 0, atom.nlocal),
-            lambda idx: None,
-            profile=kk.KernelProfile(
-                name="PairEAMKernelForce",
-                flops=20.0 * stored,
-                bytes_streamed=4.0 * stored + 48.0 * atom.nlocal,
-                bytes_reusable=32.0 * stored,
-                l1_working_set_kb=14.0 * max(nlist.mean_neighbors, 1.0),
-                l2_working_set_mb=32.0 * atom.nlocal / 1e6,
-                parallel_items=float(atom.nlocal),
-            ),
+        space = self.execution_space
+        stored = nlist.total_pairs
+        env, stages, tally = eam_force_kernel(
+            self, geo, fp_view.data, f_view.data, sorted_i=sorted_i
         )
         if eflag or vflag:
-            evdwl = self.phi(r, itype, jtype)
-            self.tally_pairs(
-                evdwl, dx, fpair, j < atom.nlocal, full_list=True, newton=False
+            stages = stages + [tally]
+        if GRAPH:
+            variant_key = (
+                scatter_mode(), bool(eflag), bool(vflag), sorted_i, nlist.generation
             )
+            label = f"{type(self).__name__}/force"
+            run_graph((id(self), "eam-force"), variant_key, label, stages, env)
+        else:
+            kk.parallel_for(
+                "PairEAMKernelForce",
+                kk.RangePolicy(space, 0, atom.nlocal),
+                lambda idx: run_stages(stages, env),
+                profile=kk.KernelProfile(
+                    name="PairEAMKernelForce",
+                    flops=20.0 * stored,
+                    bytes_streamed=4.0 * stored + 48.0 * atom.nlocal,
+                    bytes_reusable=32.0 * stored,
+                    l1_working_set_kb=14.0 * max(nlist.mean_neighbors, 1.0),
+                    l2_working_set_mb=32.0 * atom.nlocal / 1e6,
+                    parallel_items=float(atom.nlocal),
+                ),
+            )
+        self.lmp.atom_kk.modified(space, ("f",))
 
     def _sync_views(self):
         atom = self.lmp.atom
@@ -170,29 +168,23 @@ class PairEAMKokkos(PairEAM):
     # ------------------------------------------------------------- compute
     def compute_gen(self, eflag: bool = True, vflag: bool = True) -> Iterator[None]:
         lmp = self.lmp
-        atom = lmp.atom
         nlist = lmp.neigh_list
         self.reset_tallies()
         if nlist is None or nlist.total_pairs == 0:
             return
 
         x, types, rho_view, fp_view, f_view = self._sync_views()
-        i, j, dx, r, itype, jtype, stored = self._device_geometry("all", x)
-
-        self._density_kernel(i, r, stored, rho_view)
+        geo = self._density_kernel(x, "all", rho_view)
         self._embed_kernel(rho_view, fp_view, types)
         lmp.atom_kk.modified(self.execution_space, ("rho", "fp"))
         yield from self._fp_comm_gen()
-        self._force_kernel(
-            i, j, dx, r, itype, jtype, stored, fp_view, f_view, eflag, vflag
-        )
+        self._force_kernel(geo, fp_view, f_view, eflag, vflag)
 
     def compute_overlap_gen(
         self, inflight, eflag: bool = True, vflag: bool = True
     ) -> Iterator[None]:
         """Density split into interior (halo-hidden) and boundary kernels."""
         lmp = self.lmp
-        atom = lmp.atom
         atom_kk = lmp.atom_kk
         nlist = lmp.neigh_list
         space = self.execution_space
@@ -204,8 +196,7 @@ class PairEAMKokkos(PairEAM):
         x, types, rho_view, fp_view, f_view = self._sync_views()
 
         # Interior density runs against positions already final on this rank.
-        ii, ji, dxi, ri, iti, jti, stored_i = self._device_geometry("interior", x)
-        self._density_kernel(ii, ri, stored_i, rho_view, suffix="/interior")
+        gi = self._density_kernel(x, "interior", rho_view, suffix="/interior")
 
         # Synchronize the halo, refresh the device positions, then fold in
         # the ghost-touching remainder.
@@ -213,23 +204,11 @@ class PairEAMKokkos(PairEAM):
         lmp.mark_host_writes("x")
         atom_kk.sync(space, ("x",))
         x = atom_kk.view("x", space).data
-        ib, jb, dxb, rb, itb, jtb, stored_b = self._device_geometry("boundary", x)
-        self._density_kernel(ib, rb, stored_b, rho_view, suffix="/boundary")
+        gb = self._density_kernel(x, "boundary", rho_view, suffix="/boundary")
 
         self._embed_kernel(rho_view, fp_view, types)
         atom_kk.modified(space, ("rho", "fp"))
         yield from self._fp_comm_gen()
         self._force_kernel(
-            np.concatenate([ii, ib]),
-            np.concatenate([ji, jb]),
-            np.concatenate([dxi, dxb]),
-            np.concatenate([ri, rb]),
-            np.concatenate([iti, itb]),
-            np.concatenate([jti, jtb]),
-            stored_i + stored_b,
-            fp_view,
-            f_view,
-            eflag,
-            vflag,
-            sorted_i=False,
+            merge_geometry([gi, gb]), fp_view, f_view, eflag, vflag, sorted_i=False
         )

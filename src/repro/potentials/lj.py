@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.errors import InputError
 from repro.core.styles import register_pair
-from repro.graph import plan as graph_plan
+from repro.graph.pairwise import ARENA
 from repro.potentials.pair import Pair
 
 
@@ -84,61 +84,50 @@ class LJMixin:
                 rc6 = np.where(self.cut > 0, self.cut, np.inf) ** -6
             self.offset = self.lj3 * rc6 * rc6 - self.lj4 * rc6
 
-    def pair_eval(
-        self, rsq: np.ndarray, itype: np.ndarray, jtype: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(fpair, evdwl)`` for pair distances^2 and type pairs."""
-        r2inv = 1.0 / rsq
-        r6inv = r2inv * r2inv * r2inv
-        lj1 = self.lj1[itype, jtype]
-        lj2 = self.lj2[itype, jtype]
-        forcelj = r6inv * (lj1 * r6inv - lj2)
-        fpair = forcelj * r2inv
-        evdwl = r6inv * (self.lj3[itype, jtype] * r6inv - self.lj4[itype, jtype])
-        evdwl -= self.offset[itype, jtype]
-        return fpair, evdwl
+    def eval_setup(self, env: dict, itype0: np.ndarray, jtype0: np.ndarray):
+        """Pre-gather the per-stored-pair coefficient vectors, once per rebuild.
 
-    def graph_eval_setup(self, env: dict, itype0, jtype0):
-        """Staged LJ eval: coefficient tables pre-gathered per plan.
-
-        The 2-D fancy-indexed coefficient lookups of :meth:`pair_eval`
-        become 1-D ``np.take`` gathers against per-stored-pair vectors
-        computed once at capture, and every ufunc lands in preallocated
-        scratch.  The floating-point operation sequence is identical to
-        :meth:`pair_eval` op for op, so the results are bitwise-equal
-        (held by the fused-vs-eager matrix test).
+        The 2-D ``lj1[itype, jtype]`` lookups become 1-D ``np.take`` gathers
+        against these vectors inside :func:`lj_force` / :func:`lj_energy`.
         """
-        cap = len(itype0)
         env["lj1p"] = self.lj1[itype0, jtype0]
         env["lj2p"] = self.lj2[itype0, jtype0]
         env["lj3p"] = self.lj3[itype0, jtype0]
         env["lj4p"] = self.lj4[itype0, jtype0]
         env["offp"] = self.offset[itype0, jtype0]
-        for key in ("lj_ca", "lj_cb", "lj_r2", "lj_r6", "lj_t", "fpair_s", "evdwl_s"):
-            env[key] = np.empty(cap)
+        return lj_force, lj_energy
 
-        def eval_fn(env: dict) -> None:
-            idx = env["idx"]
-            n = idx.size
-            rsq = env["rsq_n"]
-            ca = np.take(env["lj1p"], idx, out=env["lj_ca"][:n])
-            cb = np.take(env["lj2p"], idx, out=env["lj_cb"][:n])
-            r2 = np.divide(1.0, rsq, out=env["lj_r2"][:n])
-            r6 = np.multiply(r2, r2, out=env["lj_r6"][:n])
-            np.multiply(r6, r2, out=r6)
-            t = np.multiply(ca, r6, out=env["lj_t"][:n])
-            np.subtract(t, cb, out=t)
-            forcelj = np.multiply(r6, t, out=t)
-            env["fpair_n"] = np.multiply(forcelj, r2, out=env["fpair_s"][:n])
-            ca = np.take(env["lj3p"], idx, out=ca)
-            cb = np.take(env["lj4p"], idx, out=cb)
-            e = np.multiply(ca, r6, out=env["evdwl_s"][:n])
-            np.subtract(e, cb, out=e)
-            np.multiply(r6, e, out=e)
-            off = np.take(env["offp"], idx, out=ca)
-            env["evdwl_n"] = np.subtract(e, off, out=e)
 
-        return eval_fn
+def lj_force(env: dict) -> None:
+    """LJ 12-6 force half over the cut pairs: ``fpair_n`` (and ``r2inv_n``,
+    ``r6inv_n`` for the energy half and the charged styles).
+
+    ``r6inv = r2inv^3; fpair = r6inv * (lj1 * r6inv - lj2) * r2inv``, every
+    ufunc landing in arena scratch.
+    """
+    idx = env["idx"]
+    n = idx.size
+    r2 = env["r2inv_n"] = np.divide(1.0, env["rsq_n"], out=ARENA.take("lj_r2", n))
+    r6 = np.multiply(r2, r2, out=ARENA.take("lj_r6", n))
+    env["r6inv_n"] = np.multiply(r6, r2, out=r6)
+    t = np.take(env["lj1p"], idx, out=ARENA.take("fpair", n))
+    np.multiply(t, r6, out=t)
+    np.subtract(t, np.take(env["lj2p"], idx, out=ARENA.take("lj_c", n)), out=t)
+    np.multiply(r6, t, out=t)
+    env["fpair_n"] = np.multiply(t, r2, out=t)
+
+
+def lj_energy(env: dict) -> None:
+    """LJ 12-6 energy half: ``evdwl_n = r6inv * (lj3 * r6inv - lj4) - offset``."""
+    idx = env["idx"]
+    n = idx.size
+    r6 = env["r6inv_n"]
+    c = ARENA.take("lj_c", n)
+    e = np.take(env["lj3p"], idx, out=ARENA.take("evdwl", n))
+    np.multiply(e, r6, out=e)
+    np.subtract(e, np.take(env["lj4p"], idx, out=c), out=e)
+    np.multiply(r6, e, out=e)
+    env["evdwl_n"] = np.subtract(e, np.take(env["offp"], idx, out=c), out=e)
 
 
 @register_pair("lj/cut")
@@ -146,48 +135,3 @@ class PairLJCut(LJMixin, Pair):
     """Host LJ with a half neighbor list (the classic CPU path)."""
 
     supports_overlap = True
-
-    def compute(self, eflag: bool = True, vflag: bool = True) -> None:
-        self.reset_tallies()
-        nlist = self.lmp.neigh_list
-        if nlist is None or nlist.total_pairs == 0:
-            return
-        if graph_plan.GRAPH:
-            from repro.graph.pairwise import graph_pair_compute
-
-            if graph_pair_compute(self, "all", eflag, vflag):
-                return
-        self._compute_pairs("all", eflag, vflag)
-
-    def compute_phase(
-        self, phase: str, eflag: bool = True, vflag: bool = True
-    ) -> None:
-        if phase in ("all", "interior"):
-            self.reset_tallies()
-        nlist = self.lmp.neigh_list
-        if nlist is None or nlist.total_pairs == 0:
-            return
-        self._compute_pairs(phase, eflag, vflag)
-
-    def _compute_pairs(self, phase: str, eflag: bool, vflag: bool) -> None:
-        atom = self.lmp.atom
-        nlist = self.lmp.neigh_list
-        x = atom.x[: atom.nall]
-        i, j, itype, jtype, cutsq = self.pair_table(nlist, atom, phase)
-        if not i.size:
-            return
-        dx = x[i] - x[j]
-        rsq = np.einsum("ij,ij->i", dx, dx)
-        mask = rsq < cutsq
-        i, j, dx, rsq = i[mask], j[mask], dx[mask], rsq[mask]
-        itype, jtype = itype[mask], jtype[mask]
-        fpair, evdwl = self.pair_eval(rsq, itype, jtype)
-
-        newton = self.lmp.newton_pair
-        fvec = fpair[:, None] * dx
-        jlocal = j < atom.nlocal
-        self.scatter_pair_forces(atom, i, j, fvec, jlocal, newton)
-        if eflag or vflag:
-            self.tally_pairs(
-                evdwl, dx, fpair, jlocal, full_list=False, newton=newton
-            )

@@ -5,9 +5,10 @@ potential as well."  LJ dispersion plus a cut-off Coulomb term
 
     E = 4 eps [(s/r)^12 - (s/r)^6]  +  C q_i q_j / r
 
-with independent LJ and Coulomb cutoffs, LAMMPS-style.  The Kokkos variant
-again reuses the whole pair_kokkos execution machinery; the only addition
-is that ``pair_eval_q`` consumes the charge array.
+with independent LJ and Coulomb cutoffs, LAMMPS-style.  Both variants ride
+the shared pairwise pass; the only addition is an eval hook that reads the
+charges of the cut pairs (``i_n``/``j_n`` in the env) and tallies ``ecoul``
+on its own channel.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from repro.core.errors import InputError
 from repro.core.styles import register_pair
-from repro.potentials.lj import LJMixin
+from repro.potentials.lj import LJMixin, lj_energy, lj_force
 from repro.potentials.pair import Pair
 from repro.potentials.pair_kokkos import PairKokkos
 
@@ -26,7 +27,7 @@ class LJCoulMixin(LJMixin):
 
     def settings(self, args: list[str]) -> None:
         if len(args) < 1:
-            raise InputError("pair_style lj/cut/coul/cut <cut_lj> [cut_coul]")
+            raise InputError("pair_style lj/cut/coul/* <cut_lj> [cut_coul]")
         super().settings(args[:1])
         self.cut_coul = float(args[1]) if len(args) > 1 else self.cut_global
         if self.cut_coul <= 0:
@@ -40,101 +41,45 @@ class LJCoulMixin(LJMixin):
         grown = np.maximum(self.cut, self.cut_coul)
         self.cut = np.where(self.setflag, grown, self.cut)
 
-    def pair_eval_q(
-        self,
-        rsq: np.ndarray,
-        itype: np.ndarray,
-        jtype: np.ndarray,
-        qi: np.ndarray,
-        qj: np.ndarray,
-        qqr2e: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(fpair, evdwl, ecoul)`` with each term masked by its own cutoff."""
-        r2inv = 1.0 / rsq
-        lj_mask = rsq < self.cut_lj[itype, jtype] ** 2
-        # call the LJ expression explicitly: the Kokkos subclass overrides
-        # pair_eval to route through this method (avoid the cycle)
-        fpair, evdwl = LJMixin.pair_eval(self, rsq, itype, jtype)
-        fpair = np.where(lj_mask, fpair, 0.0)
-        evdwl = np.where(lj_mask, evdwl, 0.0)
+    def eval_setup(self, env: dict, itype0: np.ndarray, jtype0: np.ndarray):
+        super().eval_setup(env, itype0, jtype0)
+        env["cutsq_lj0"] = self.cut_lj[itype0, jtype0] ** 2
+        return self._force_q, _masked_lj_energy
 
-        coul_mask = rsq < self.cut_coul**2
-        rinv = np.sqrt(r2inv)
-        ecoul = np.where(coul_mask, qqr2e * qi * qj * rinv, 0.0)
-        fpair = fpair + ecoul * r2inv  # d/dr of C q q / r, over r
-        return fpair, evdwl, ecoul
+    def _force_q(self, env: dict) -> None:
+        """LJ within its own cutoff plus ``C q_i q_j / r`` within cut_coul."""
+        mask_lj_force(env)
+        rsq, r2inv = env["rsq_n"], env["r2inv_n"]
+        q = self.lmp.atom.q
+        qq = self.lmp.update.units.qqr2e * q[env["i_n"]] * q[env["j_n"]]
+        ecoul = np.where(rsq < self.cut_coul**2, qq * np.sqrt(r2inv), 0.0)
+        env["ecoul_n"] = ecoul
+        # d/dr of C q q / r, over r
+        env["fpair_n"] = env["fpair_n"] + ecoul * r2inv
+
+
+def mask_lj_force(env: dict) -> None:
+    """:func:`lj_force` with pairs beyond the style's own LJ cutoff zeroed
+    (the neighbor cutoff is the larger of the LJ and Coulomb ones)."""
+    lj_force(env)
+    env["lj_mask_n"] = env["rsq_n"] < np.take(env["cutsq_lj0"], env["idx"])
+    env["fpair_n"] = np.where(env["lj_mask_n"], env["fpair_n"], 0.0)
+
+
+def _masked_lj_energy(env: dict) -> None:
+    lj_energy(env)
+    env["evdwl_n"] = np.where(env["lj_mask_n"], env["evdwl_n"], 0.0)
 
 
 @register_pair("lj/cut/coul/cut")
 class PairLJCutCoulCut(LJCoulMixin, Pair):
     """Host charged LJ with a half neighbor list."""
 
-    def compute(self, eflag: bool = True, vflag: bool = True) -> None:
-        lmp = self.lmp
-        atom = lmp.atom
-        nlist = lmp.neigh_list
-        self.reset_tallies()
-        if nlist is None or nlist.total_pairs == 0:
-            return
-        i, j, itype, jtype, cutsq = self.pair_table(nlist, atom)
-        x = atom.x[: atom.nall]
-        q = atom.q[: atom.nall]
-        dx = x[i] - x[j]
-        rsq = np.einsum("ij,ij->i", dx, dx)
-        mask = rsq < cutsq
-        i, j, dx, rsq = i[mask], j[mask], dx[mask], rsq[mask]
-        itype, jtype = itype[mask], jtype[mask]
-        fpair, evdwl, ecoul = self.pair_eval_q(
-            rsq, itype, jtype, q[i], q[j], lmp.update.units.qqr2e
-        )
-        fvec = fpair[:, None] * dx
-        jlocal = j < atom.nlocal
-        self.scatter_pair_forces(atom, i, j, fvec, jlocal, lmp.newton_pair)
-        if eflag or vflag:
-            self.tally_pairs(
-                evdwl, dx, fpair, jlocal,
-                full_list=False, newton=lmp.newton_pair, ecoul=ecoul,
-            )
-
 
 @register_pair("lj/cut/coul/cut/kk")
 class PairLJCutCoulCutKokkos(LJCoulMixin, PairKokkos):
-    """Charged LJ on the shared Kokkos machinery.
-
-    Overrides the generic evaluation hook to thread charges through;
-    everything else — list styles, ScatterView, team variant, profiles —
-    is inherited.
-    """
-
-    # pair_eval reconstructs the charge pairing from whole-list order, which
-    # a phase-restricted pair batch would break.
-    supports_overlap = False
+    """Charged LJ on the shared Kokkos machinery: list styles, ScatterView,
+    team variant, overlap phases and profiles are all inherited."""
 
     def kernel_name(self) -> str:
         return "PairComputeLJCutCoulCut"
-
-    def compute(self, eflag: bool = True, vflag: bool = True) -> None:
-        # stash charge context for pair_eval (the generic kernel calls
-        # pair_eval(rsq, itype, jtype) per masked pair batch)
-        atom = self.lmp.atom
-        self._q = atom.q[: atom.nall]
-        self._nlist = self.lmp.neigh_list
-        super().compute(eflag, vflag)
-
-    def pair_eval(self, rsq, itype, jtype):
-        # reconstruct the (i, j) charge pairing from the masked pair batch:
-        # the base class evaluates pairs in list order after the cutoff mask
-        i, j = self._nlist.ij_pairs()
-        x = self.lmp.atom_kk.view("x", self.execution_space).data
-        dx = x[i] - x[j]
-        full_rsq = np.einsum("ij,ij->i", dx, dx)
-        cutsq = self.cut[self.lmp.atom.type[i], self.lmp.atom.type[j]] ** 2
-        mask = full_rsq < cutsq
-        qi = self._q[i[mask]]
-        qj = self._q[j[mask]]
-        fpair, evdwl, ecoul = self.pair_eval_q(
-            rsq, itype, jtype, qi, qj, self.lmp.update.units.qqr2e
-        )
-        # fold coulomb into the vdW tally (the generic base tallies one
-        # energy channel; the host style splits them)
-        return fpair, evdwl + ecoul

@@ -75,30 +75,7 @@ class MorseMixin:
 
 @register_pair("morse")
 class PairMorse(MorseMixin, Pair):
-    """Host Morse with a half neighbor list."""
-
-    def compute(self, eflag: bool = True, vflag: bool = True) -> None:
-        lmp = self.lmp
-        atom = lmp.atom
-        nlist = lmp.neigh_list
-        self.reset_tallies()
-        if nlist is None or nlist.total_pairs == 0:
-            return
-        i, j, itype, jtype, cutsq = self.pair_table(nlist, atom)
-        x = atom.x[: atom.nall]
-        dx = x[i] - x[j]
-        rsq = np.einsum("ij,ij->i", dx, dx)
-        mask = rsq < cutsq
-        i, j, dx, rsq = i[mask], j[mask], dx[mask], rsq[mask]
-        itype, jtype = itype[mask], jtype[mask]
-        fpair, evdwl = self.pair_eval(rsq, itype, jtype)
-        fvec = fpair[:, None] * dx
-        jlocal = j < atom.nlocal
-        self.scatter_pair_forces(atom, i, j, fvec, jlocal, lmp.newton_pair)
-        if eflag or vflag:
-            self.tally_pairs(
-                evdwl, dx, fpair, jlocal, full_list=False, newton=lmp.newton_pair
-            )
+    """Host Morse with a half neighbor list — likewise the whole class."""
 
 
 @register_pair("morse/kk")

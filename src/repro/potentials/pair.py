@@ -17,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import InputError, StyleError
-from repro.kokkos.segment import scatter_add, scatter_mode, scatter_sub
+from repro.graph.pairwise import GRAPH, pairwise_stages, run_graph, run_stages
+from repro.kokkos.core import Host
+from repro.kokkos.segment import scatter_mode
 
 
 class Pair:
@@ -31,6 +33,8 @@ class Pair:
     #: leave this False fall back to the serial exchange-then-compute path
     #: even when comm/compute overlap is requested.
     supports_overlap = False
+    #: Where the style's kernels run; Kokkos styles pick per instance.
+    execution_space = Host
 
     def __init__(self, lmp, args: list[str]) -> None:
         self.lmp = lmp
@@ -102,45 +106,47 @@ class Pair:
         self.eng_coul = 0.0
         self.virial[:] = 0.0
 
+    @staticmethod
+    def tally_factor(
+        n: int, jlocal: np.ndarray | None, *, full_list: bool, newton: bool
+    ) -> np.ndarray:
+        """Per-pair tally weight of the three list styles (module docstring)."""
+        if full_list:
+            return np.full(n, 0.5)
+        if newton:
+            return np.ones(n)
+        return np.where(jlocal, 1.0, 0.5)
+
     def tally_pairs(
         self,
         evdwl: np.ndarray,
         dx: np.ndarray,
-        fpair: np.ndarray,
-        jlocal: np.ndarray,
+        fvec: np.ndarray,
+        jlocal: np.ndarray | None,
         *,
         full_list: bool,
         newton: bool,
         ecoul: np.ndarray | None = None,
-        w: np.ndarray | None = None,
     ) -> None:
         """ev_tally for a batch of pairs.
 
-        ``fpair`` is the scalar force magnitude over r (force vector is
-        ``fpair[:, None] * dx``); ``jlocal`` marks pairs whose j atom is
-        owned by this rank.  Callers that already hold the force vectors
-        may pass them as ``w`` to skip recomputing the product (the
-        kernel-graph replay path reuses its fused ``fvec`` stage output;
-        the product is bitwise-identical either way).
+        ``fvec`` holds the per-pair force vectors (``fpair[:, None] * dx``);
+        ``jlocal`` marks pairs whose j atom is owned by this rank and is
+        only read on the half-list newton-off path.
         """
-        if full_list:
-            factor = np.full(len(evdwl), 0.5)
-        elif newton:
-            factor = np.ones(len(evdwl))
-        else:
-            factor = np.where(jlocal, 1.0, 0.5)
+        factor = self.tally_factor(
+            len(evdwl), jlocal, full_list=full_list, newton=newton
+        )
         self.eng_vdwl += float(np.dot(factor, evdwl))
         if ecoul is not None:
             self.eng_coul += float(np.dot(factor, ecoul))
-        if w is None:
-            w = fpair[:, None] * dx
         # virial components xx, yy, zz, xy, xz, yz
-        self.virial[0] += float(np.dot(factor, dx[:, 0] * w[:, 0]))
-        self.virial[1] += float(np.dot(factor, dx[:, 1] * w[:, 1]))
-        self.virial[2] += float(np.dot(factor, dx[:, 2] * w[:, 2]))
-        self.virial[3] += float(np.dot(factor, dx[:, 0] * w[:, 1]))
-        self.virial[4] += float(np.dot(factor, dx[:, 0] * w[:, 2]))
-        self.virial[5] += float(np.dot(factor, dx[:, 1] * w[:, 2]))
+        self.virial[0] += float(np.dot(factor, dx[:, 0] * fvec[:, 0]))
+        self.virial[1] += float(np.dot(factor, dx[:, 1] * fvec[:, 1]))
+        self.virial[2] += float(np.dot(factor, dx[:, 2] * fvec[:, 2]))
+        self.virial[3] += float(np.dot(factor, dx[:, 0] * fvec[:, 1]))
+        self.virial[4] += float(np.dot(factor, dx[:, 0] * fvec[:, 2]))
+        self.virial[5] += float(np.dot(factor, dx[:, 1] * fvec[:, 2]))
 
     # ----------------------------------------------------- pair-table cache
     def pair_table(
@@ -153,6 +159,8 @@ class Pair:
         ``phase`` restricts to the interior/boundary split of the overlap
         driver (itself cached).
         """
+        if phase not in ("all", "interior", "boundary"):
+            raise StyleError(f"unknown compute phase {phase!r}")
         cache = nlist.pair_cache()
         i, j = cache.ij()
         itype, jtype = cache.type_pairs(atom.type)
@@ -162,83 +170,121 @@ class Pair:
             return i, j, itype, jtype, cutsq
         return i[sel], j[sel], itype[sel], jtype[sel], cutsq[sel]
 
-    def scatter_pair_forces(
-        self,
-        atom,
-        i: np.ndarray,
-        j: np.ndarray,
-        fvec: np.ndarray,
-        jlocal: np.ndarray,
-        newton: bool,
-    ) -> None:
-        """Accumulate ``+fvec`` on i and ``-fvec`` on j (half-list styles).
+    # ------------------------------------------------------ the pairwise pass
+    def eval_setup(self, env: dict, itype0: np.ndarray, jtype0: np.ndarray):
+        """Bind per-rebuild eval constants into ``env``; return the eval halves.
 
-        The i side is a sorted segmented reduction (stored pairs are
-        row-major, and cutoff masks preserve that order).  The j side is
-        unsorted; for 3-wide force rows the per-column bincount inside
-        :func:`~repro.kokkos.segment.scatter_sub` beats replaying the pair
-        cache's j-sort, which would have to gather the value rows into
-        sorted order every step (wide per-pair rows are where
-        ``PairCache.j_order`` pays off instead).
-        """
-        mode = scatter_mode()
-        scatter_add(atom.f, i, fvec, mode=mode, assume_sorted=True)
-        if newton:
-            scatter_sub(atom.f, j, fvec, mode=mode)
-        else:
-            scatter_sub(atom.f, j[jlocal], fvec[jlocal], mode=mode)
+        ``(force_fn, energy_fn)``: ``force_fn(env)`` runs every force call
+        and leaves ``fpair_n``; ``energy_fn(env)`` runs only when a tally is
+        due and leaves ``evdwl_n`` (and ``ecoul_n``), or is None when the
+        force half already produced them.  Both read the cut-pair arrays
+        the prologue left in ``env`` (``rsq_n``, ``i_n``, ``j_n``, ``idx``).
 
-    # ------------------------------------------------- interior/boundary
-    @staticmethod
-    def phase_pairs(nlist, phase: str) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``(i, j)`` pair arrays restricted to an overlap phase.
-
-        ``"all"`` is the whole list; ``"interior"`` keeps pairs whose j atom
-        is owned (safe to evaluate while the halo exchange is in flight);
-        ``"boundary"`` keeps pairs whose j atom is a ghost.  The selection
-        indices are memoized on the list's pair cache.
-        """
-        i, j = nlist.ij_pairs()
-        if phase == "all":
-            return i, j
-        if phase not in ("interior", "boundary"):
-            raise StyleError(f"unknown compute phase {phase!r}")
-        sel = nlist.pair_cache().phase_sel(phase)
-        return i[sel], j[sel]
-
-    def compute_phase(
-        self, phase: str, eflag: bool = True, vflag: bool = True
-    ) -> None:
-        """Run one overlap phase.  Styles with ``supports_overlap`` override."""
-        raise StyleError(
-            f"{type(self).__name__} does not support phased (overlapped) compute"
-        )
-
-    # --------------------------------------------------------- kernel graph
-    def graph_eval_setup(self, env: dict, itype0, jtype0):
-        """Bind per-plan eval state into ``env``; return the staged eval fn.
-
-        The generic form gathers the compressed type pairs and defers to
-        :meth:`pair_eval` — the same call the eager kernel makes, so any
-        style with ``pair_eval`` stages for free.  Styles override this
-        to pre-gather coefficient tables once per plan (see ``LJMixin``).
-        Returns None when the style cannot be staged.
+        This generic form is for formula styles: it gathers the compressed
+        type pairs and calls ``pair_eval(rsq, itype, jtype) -> (fpair,
+        evdwl)``, which computes both halves at once.  Styles with
+        separable halves override it and pre-gather coefficient vectors
+        (see ``LJMixin``).  Returns None for styles with no two-body form.
         """
         if not hasattr(self, "pair_eval"):
             return None
         env["it0"] = itype0
         env["jt0"] = jtype0
 
-        def eval_fn(env: dict, pair=self) -> None:
+        def force_fn(env: dict, pair=self) -> None:
             idx = env["idx"]
             it_n = np.take(env["it0"], idx)
             jt_n = np.take(env["jt0"], idx)
-            fpair, evdwl = pair.pair_eval(env["rsq_n"], it_n, jt_n)
-            env["fpair_n"] = fpair
-            env["evdwl_n"] = evdwl
+            env["fpair_n"], env["evdwl_n"] = pair.pair_eval(env["rsq_n"], it_n, jt_n)
 
-        return eval_fn
+        return force_fn, None
 
-    # --------------------------------------------------------------- hooks
+    def pair_kernel(self, phase: str):
+        """This style's bound pairwise pass for an overlap phase.
+
+        ``(env, stages, tally_stage)`` memoized on the list's
+        :class:`~repro.core.neighbor.PairCache`, so every per-rebuild
+        constant in ``env`` dies with the list.
+        """
+        lmp = self.lmp
+        nlist = lmp.neigh_list
+        style, newton = self.neighbor_request()
+        full = style == "full"
+        return nlist.pair_cache().memo(
+            ("pairwise", id(self), phase, full, newton),
+            lambda: self._bind_kernel(phase, full, newton),
+        )
+
+    def _bind_kernel(self, phase: str, full: bool, newton: bool):
+        atom = self.lmp.atom
+        i0, j0, itype0, jtype0, cutsq0 = self.pair_table(
+            self.lmp.neigh_list, atom, phase
+        )
+        env: dict = {
+            "pair": self,
+            "i0": i0,
+            "j0": j0,
+            "cutsq0": cutsq0,
+            # only the half-list newton-off path asks "is j owned"
+            "jl0": None if full or newton else j0 < atom.nlocal,
+            "full": full,
+            "newton": newton,
+            "sorted_i": True,
+            "f_view": None,
+        }
+        halves = self.eval_setup(env, itype0, jtype0)
+        if halves is None:
+            raise StyleError(f"{type(self).__name__} has no two-body pairwise form")
+        force_fn, env["energy_fn"] = halves
+        stages, tally = pairwise_stages(
+            self.execution_space, len(i0), atom.nlocal, force_fn
+        )
+        return env, stages, tally
+
     def compute(self, eflag: bool = True, vflag: bool = True) -> None:
-        raise NotImplementedError
+        self.compute_phase("all", eflag, vflag)
+
+    def compute_phase(
+        self, phase: str, eflag: bool = True, vflag: bool = True
+    ) -> None:
+        """Run one overlap phase (``"all"`` is the whole list).
+
+        ``"interior"`` keeps pairs whose j atom is owned (safe to evaluate
+        while the halo exchange is in flight); ``"boundary"`` keeps pairs
+        whose j atom is a ghost.
+        """
+        if phase != "all" and not self.supports_overlap:
+            raise StyleError(
+                f"{type(self).__name__} does not support phased (overlapped) compute"
+            )
+        if phase in ("all", "interior"):
+            self.reset_tallies()
+        nlist = self.lmp.neigh_list
+        if nlist is None or nlist.total_pairs == 0:
+            return
+        self._compute_pairs(phase, eflag, vflag)
+
+    def _compute_pairs(self, phase: str, eflag: bool, vflag: bool) -> None:
+        """Host executors: eager in order, or graph capture/replay."""
+        env, stages, tally = self.pair_kernel(phase)
+        atom = self.lmp.atom
+        env["x"] = atom.x[: atom.nall]
+        env["f"] = atom.f
+        if eflag or vflag:
+            stages = stages + [tally]
+        if GRAPH and phase == "all":
+            self._run_graph(phase, eflag, vflag, stages, env)
+        else:
+            run_stages(stages, env)
+
+    def _run_graph(self, phase: str, eflag: bool, vflag: bool, stages, env) -> None:
+        variant_key = (
+            env["full"],
+            env["newton"],
+            scatter_mode(),
+            bool(eflag),
+            bool(vflag),
+            self.lmp.neigh_list.generation,
+        )
+        label = f"{type(self).__name__}/{phase}"
+        run_graph((id(self), phase), variant_key, label, stages, env)

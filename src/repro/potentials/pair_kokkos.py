@@ -8,9 +8,11 @@ potential form.  The base class handles all other details: neighbor list
 style, managing ScatterView objects, radial cutoff calculations,
 accumulating forces and energies."
 
-The base implemented here is exactly that: derived styles supply
-``pair_eval(rsq, itype, jtype) -> (fpair, evdwl)`` and the base runs the
-generic pairwise kernel in any of the section 4.1 configurations:
+The base implemented here is exactly that: derived styles supply their
+formula (``pair_eval(rsq, itype, jtype) -> (fpair, evdwl)``, or the
+``eval_setup`` hook when the force and energy halves separate) and the base
+runs the shared pairwise pass (:mod:`repro.graph.pairwise`) inside one
+charged dispatch, in any of the section 4.1 configurations:
 
 * ``neigh full`` (default on Device) — duplicated work, no write conflicts;
 * ``neigh half`` — ScatterView-deconflicted accumulation (atomics on
@@ -25,14 +27,10 @@ figure 2 benchmarks read model time grounded in functional runs.
 
 from __future__ import annotations
 
-import numpy as np
-
 import repro.kokkos as kk
 from repro.core.errors import InputError
-from repro.graph import plan as graph_plan
+from repro.graph.pairwise import GRAPH, run_stages
 from repro.kokkos.core import Device, Host
-from repro.kokkos.scatter_view import ScatterView
-from repro.kokkos.segment import scatter_add, scatter_mode
 from repro.potentials.pair import Pair
 
 #: FP64 operations per attempted pair in a generic cheap pair kernel
@@ -106,36 +104,9 @@ class PairKokkos(Pair):
     def kernel_name(self) -> str:
         return f"PairCompute{type(self).__name__.removeprefix('Pair')}"
 
-    def compute(self, eflag: bool = True, vflag: bool = True) -> None:
-        self.reset_tallies()
-        if self.lmp.neigh_list is None or self.lmp.neigh_list.total_pairs == 0:
-            return
-        if graph_plan.GRAPH:
-            from repro.graph.pairwise import graph_pair_compute
-
-            if graph_pair_compute(self, "all", eflag, vflag):
-                return
-        self._compute_pairs("all", eflag, vflag, name_suffix="")
-
-    def compute_phase(
-        self, phase: str, eflag: bool = True, vflag: bool = True
-    ) -> None:
-        if phase in ("all", "interior"):
-            self.reset_tallies()
-        nlist = self.lmp.neigh_list
-        if nlist is None or nlist.total_pairs == 0:
-            return
-        suffix = "" if phase == "all" else f"/{phase}"
-        self._compute_pairs(phase, eflag, vflag, name_suffix=suffix)
-
-    def _compute_pairs(
-        self,
-        phase: str,
-        eflag: bool,
-        vflag: bool,
-        *,
-        name_suffix: str,
-    ) -> None:
+    def _compute_pairs(self, phase: str, eflag: bool, vflag: bool) -> None:
+        """Kokkos executors: one charged whole-kernel dispatch whose functor
+        runs the stages, or graph capture/replay (one dispatch per group)."""
         lmp = self.lmp
         atom = lmp.atom
         atom_kk = lmp.atom_kk
@@ -145,61 +116,37 @@ class PairKokkos(Pair):
         # Datamask protocol (section 3.2): sync reads, then compute on the
         # space's views, then mark writes.
         atom_kk.sync(space, ("x", "type", "f"))
-        x_view = atom_kk.view("x", space)
-        f_view = atom_kk.view("f", space)
-
-        i, j, itype, jtype, cutsq = self.pair_table(nlist, atom, phase)
-        x = x_view.data
-        dx = x[i] - x[j]
-        rsq = np.einsum("ij,ij->i", dx, dx)
-        mask = rsq < cutsq
-        stored_pairs = len(i)
-        i, j, dx, rsq = i[mask], j[mask], dx[mask], rsq[mask]
-        itype, jtype = itype[mask], jtype[mask]
-        fpair, evdwl = self.pair_eval(rsq, itype, jtype)
-        fvec = fpair[:, None] * dx
-
-        full = self.neigh_mode == "full"
-        jlocal = j < atom.nlocal
-        atomic_adds = 0
-        duplicated_bytes = 0.0
-        if full:
-            # One thread per atom sums its own row: conflict-free, so this
-            # is a per-row segmented reduction regardless of the execution
-            # space (the row-major list keeps i sorted).
-            scatter_add(
-                f_view.data, i, fvec, mode=scatter_mode(), assume_sorted=True
-            )
-        else:
-            sv = ScatterView(f_view)
-            acc = sv.access()
-            acc.add(i, fvec)
-            if self.newton_mode:
-                acc.add(j, -fvec)
-            else:
-                acc.add(j[jlocal], -fvec[jlocal])
-            sv.contribute()
-            atomic_adds = sv.atomic_adds
-            duplicated_bytes = float(sv.duplicated_bytes)
-        atom_kk.modified(space, ("f",))
-
+        env, stages, tally = self.pair_kernel(phase)
+        # the half list deconflicts through a ScatterView over the f View
+        f_view = env["f_view"] = atom_kk.view("f", space)
+        env["x"] = atom_kk.view("x", space).data
+        env["f"] = f_view.data
+        env["atomic_adds"] = 0
+        env["duplicated_bytes"] = 0.0
         if eflag or vflag:
-            self.tally_pairs(
-                evdwl, dx, fpair, jlocal, full_list=full, newton=self.newton_mode
-            )
+            stages = stages + [tally]
 
-        profile = self.kernel_profile(
-            natoms=atom.nlocal,
-            stored_pairs=stored_pairs,
-            cut_pairs=len(rsq),
-            mean_neighbors=nlist.mean_neighbors,
-            atomic_adds=atomic_adds,
-            duplicated_bytes=duplicated_bytes,
-        )
-        policy = self._policy(atom.nlocal, nlist.mean_neighbors)
-        kk.parallel_for(
-            self.kernel_name() + name_suffix, policy, lambda idx: None, profile=profile
-        )
+        if GRAPH and phase == "all" and not self.team_mode:
+            # hierarchical policies are not staged
+            self._run_graph(phase, eflag, vflag, stages, env)
+        else:
+            suffix = "" if phase == "all" else f"/{phase}"
+            kk.parallel_for(
+                self.kernel_name() + suffix,
+                self._policy(atom.nlocal, nlist.mean_neighbors),
+                lambda idx: run_stages(stages, env),
+                # resolved after the functor ran: the cost profile is
+                # assembled from the *measured* cut pairs and atomics
+                profile=lambda: self.kernel_profile(
+                    natoms=atom.nlocal,
+                    stored_pairs=len(env["i0"]),
+                    cut_pairs=int(env["idx"].size),
+                    mean_neighbors=nlist.mean_neighbors,
+                    atomic_adds=env["atomic_adds"],
+                    duplicated_bytes=env["duplicated_bytes"],
+                ),
+            )
+        atom_kk.modified(space, ("f",))
 
     def _policy(self, natoms: int, mean_neighbors: float):
         if self.team_mode:

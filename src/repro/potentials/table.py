@@ -92,30 +92,14 @@ class PairTable(Pair):
         hi = table[it, jt, pos + 1]
         return lo + frac * (hi - lo)
 
-    def compute(self, eflag: bool = True, vflag: bool = True) -> None:
-        lmp = self.lmp
-        atom = lmp.atom
-        nlist = lmp.neigh_list
-        self.reset_tallies()
-        if nlist is None or nlist.total_pairs == 0:
-            return
-        i, j, itype, jtype, cutsq = self.pair_table(nlist, atom)
-        x = atom.x[: atom.nall]
-        dx = x[i] - x[j]
-        rsq = np.einsum("ij,ij->i", dx, dx)
-        inner = self.rsq_grid[0]
-        mask = (rsq < cutsq) & (rsq >= inner)
-        if np.any(rsq < inner):
+    def pair_eval(
+        self, rsq: np.ndarray, itype: np.ndarray, jtype: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if rsq.size and rsq.min() < self.rsq_grid[0]:
             raise InputError(
                 "pair distance below the table's inner bound; atoms overlapping"
             )
-        i, j, dx, rsq = i[mask], j[mask], dx[mask], rsq[mask]
-        itype, jtype = itype[mask], jtype[mask]
-        fpair = self._interp(self.f_table, rsq, itype, jtype)
-        evdwl = self._interp(self.e_table, rsq, itype, jtype)
-        fvec = fpair[:, None] * dx
-        jlocal = j < atom.nlocal
-        newton = lmp.newton_pair
-        self.scatter_pair_forces(atom, i, j, fvec, jlocal, newton)
-        if eflag or vflag:
-            self.tally_pairs(evdwl, dx, fpair, jlocal, full_list=False, newton=newton)
+        return (
+            self._interp(self.f_table, rsq, itype, jtype),
+            self._interp(self.e_table, rsq, itype, jtype),
+        )

@@ -21,8 +21,11 @@ the stacked index space.
 identical to solo runs, enforced by ``tests/test_replica_batch.py``.  The
 engine earns this by construction:
 
-* elementwise kernels (LJ/EAM pair math, NVE kicks) are replicated op for
-  op, so each replica's rows see exactly the solo operation sequence;
+* the pair math is not replicated at all: the batch is one more executor
+  of the solo stage functions (:mod:`repro.graph.pairwise`), run over the
+  stacked ``i/j/cutsq/coefficient`` vectors, and the NVE kicks are
+  elementwise, so each replica's rows see exactly the solo operation
+  sequence;
 * scatter adds accumulate per destination in input order in both
   ``atomic`` and ``segmented`` modes, and replica segments are disjoint, so
   concatenating streams never reorders any single destination's sum;
@@ -37,8 +40,8 @@ engine earns this by construction:
 **Epochs.**  Between neighbor rebuilds the stacked arrays are the truth.
 Each rebuild epoch re-hoists: stale members get their owned state synced
 back, run their own solo ``rebuild_gen`` (exchange/sort/borders/build), and
-the stacked arrays, pair plans, and comm-replay stages are rebuilt from all
-members.  Per-replica neighbor staleness is tracked individually — one hot
+the stacked arrays, the pairwise env, and comm-replay stages are rebuilt from
+all members.  Per-replica neighbor staleness is tracked individually — one hot
 replica rebuilding does not force the rest to.  The same hoisting implements
 mid-flight join (``add_replica`` while running) and early termination
 (``remove_replica`` compacts the stacked arrays via
@@ -60,14 +63,13 @@ import numpy as np
 
 from repro.core.atom import AtomVec
 from repro.core.errors import LammpsError, unknown_choice
-from repro.kokkos.segment import (
-    scatter_add,
-    scatter_mode,
-    scatter_sub,
-    segment_dot,
-    segment_slice_sums,
-)
+from repro.graph.pairwise import PROLOGUE, pairwise_stages, run_stages
+from repro.kokkos.core import Host
+from repro.kokkos.segment import scatter_add, segment_dot, segment_slice_sums
 from repro.parallel.driver import drain
+from repro.potentials.eam import eam_energy, eam_force_stages, gather_eam_coeffs
+from repro.potentials.lj import lj_energy, lj_force
+from repro.potentials.pair import Pair
 from repro.tools import metrics
 from repro.tools import registry as kp
 
@@ -87,9 +89,6 @@ class _Member:
     nlocal: int = 0
     ghost_off: int = 0
     nghost: int = 0
-    #: this member's slice of the stored (unmasked) pair stream
-    pair_lo: int = 0
-    pair_hi: int = 0
     #: last force pass's tallies (only computed on this member's thermo steps)
     eng_now: float = 0.0
     virial_now: np.ndarray = field(default_factory=lambda: np.zeros(6))
@@ -104,119 +103,40 @@ class _Stage:
     shift: np.ndarray  #: per-row periodic shift, (n, 3)
 
 
-@dataclass
-class _PairPlan:
-    """The stored pair stream of the whole batch, hoisted once per epoch."""
-
-    i: np.ndarray  #: stacked i (owned, globally ascending)
-    j: np.ndarray  #: stacked j (owned or ghost)
-    cutsq: np.ndarray
-    off: np.ndarray  #: member pair offsets, shape (R + 1,)
-    coeffs: dict[str, np.ndarray]  #: per-pair coefficient vectors (by style)
-    #: preallocated per-step scratch (keyed by shape role).  The stacked
-    #: force pass works on multi-MB temporaries; reusing plan-lifetime
-    #: buffers via ufunc ``out=`` keeps the per-step allocation footprint
-    #: flat (same ops, same bits — only the destination storage changes).
-    scratch: dict = field(default_factory=dict)
-
-    def buffers(self) -> dict:
-        if not self.scratch:
-            n = self.i.shape[0]
-            self.scratch = {
-                "xi": np.empty((n, 3)),
-                "xj": np.empty((n, 3)),
-                "fv": np.empty((n, 3)),
-                "nfv": np.empty((n, 3)),
-                "rsq": np.empty(n),
-                "s1": np.empty(n),
-                "s2": np.empty(n),
-                "s3": np.empty(n),
-                "ii": np.empty(n, dtype=self.i.dtype),
-                "jj": np.empty(n, dtype=self.j.dtype),
-            }
-        return self.scratch
-
-
 # ----------------------------------------------------------- force handlers
+# The stacked executor of the pairwise pass: the stage functions of
+# :mod:`repro.graph.pairwise` run over the whole batch's concatenated
+# ``i/j/cutsq/coefficient`` vectors.  A handler only says which per-pair
+# constants to stack and in which order the stages and the batch's own
+# comm replays interleave; the pair arithmetic stays in ``potentials/``.
 class _LJHandler:
     """Stacked ``lj/cut``: half list, newton per the global setting."""
 
     style = "lj/cut"
 
     @staticmethod
-    def gather(pair, itype: np.ndarray, jtype: np.ndarray) -> dict:
-        # the same pre-gather the kernel-graph capture performs: 2-D fancy
-        # indexing becomes per-stored-pair vectors, values unchanged
-        return {
-            "lj1": pair.lj1[itype, jtype],
-            "lj2": pair.lj2[itype, jtype],
-            "lj3": pair.lj3[itype, jtype],
-            "lj4": pair.lj4[itype, jtype],
-            "off": pair.offset[itype, jtype],
-        }
+    def constants(pair, itype: np.ndarray, jtype: np.ndarray) -> dict:
+        consts: dict = {}
+        pair.eval_setup(consts, itype, jtype)
+        return consts
 
     @staticmethod
-    def atom_coeffs(batch) -> dict:
-        return {}
+    def bind(batch: "ReplicaBatch", env: dict) -> list:
+        env["energy_fn"] = lj_energy
+        stages, _ = pairwise_stages(Host, len(env["i0"]), batch.atom.nlocal, lj_force)
+        return stages
 
     @staticmethod
     def force(batch: "ReplicaBatch", due: list[_Member]) -> None:
         atom = batch.atom
-        plan = batch._plan
+        env = batch._env
         atom.zero_forces()
-        if plan.i.size == 0:
-            for m in due:
-                m.eng_now = 0.0
-                m.virial_now = np.zeros(6)
-            return
-        x = atom.x
-        sc = plan.buffers()
-        # np.take row-gathers are ~2x faster than x[plan.i] fancy indexing
-        # and produce identical bits (same gather, faster inner loop);
-        # plan-lifetime out= buffers keep the big temporaries allocation-free
-        xi = np.take(x, plan.i, axis=0, out=sc["xi"])
-        xj = np.take(x, plan.j, axis=0, out=sc["xj"])
-        dxf = np.subtract(xi, xj, out=xi)
-        rsqf = np.einsum("ij,ij->i", dxf, dxf, out=sc["rsq"])
-        mask = rsqf < plan.cutsq
-        # select via flatnonzero + take: same rows as boolean indexing
-        # (bit-identical) at a fraction of the cost
-        idx = np.flatnonzero(mask)
-        k = idx.shape[0]
-        i = np.take(plan.i, idx, out=sc["ii"][:k])
-        j = np.take(plan.j, idx, out=sc["jj"][:k])
-        dx = np.take(dxf, idx, axis=0, out=sc["xj"][:k])
-        rsq = np.take(rsqf, idx, out=sc["s1"][:k])
-        c = plan.coeffs
-        # PairLJCut.pair_eval, op for op, with masked pre-gathered coeffs:
-        # r2inv = 1/rsq; r6inv = r2inv*r2inv*r2inv;
-        # forcelj = r6inv*(lj1*r6inv - lj2); fpair = forcelj*r2inv
-        r2inv = np.divide(1.0, rsq, out=sc["s2"][:k])
-        r4inv = np.multiply(r2inv, r2inv, out=sc["s1"][:k])
-        r6inv = np.multiply(r4inv, r2inv, out=r4inv)
-        t = np.take(c["lj1"], idx, out=sc["s3"][:k])
-        np.multiply(t, r6inv, out=t)
-        t -= np.take(c["lj2"], idx)
-        forcelj = np.multiply(r6inv, t, out=t)
-        fpair = np.multiply(forcelj, r2inv, out=forcelj)
-        fvec = np.multiply(fpair[:, None], dx, out=sc["fv"][:k])
-        newton = batch._newton
-        jlocal = None if newton else j < atom.nlocal
-        mode = scatter_mode()
-        scatter_add(atom.f, i, fvec, mode=mode, assume_sorted=True)
-        if newton:
-            # x - y == x + (-y) bitwise, so a preallocated negation feeds
-            # scatter_add instead of letting scatter_sub allocate one
-            nfv = np.negative(fvec, out=sc["nfv"][:k])
-            scatter_add(atom.f, j, nfv, mode=mode)
-        else:
-            scatter_sub(atom.f, j[jlocal], fvec[jlocal], mode=mode)
+        env.update(x=atom.x, f=atom.f)
+        run_stages(batch._pair_stages, env)
         if due:
-            evdwl = r6inv * (np.take(c["lj3"], idx) * r6inv - np.take(c["lj4"], idx))
-            evdwl -= np.take(c["off"], idx)
-            factor = np.ones(len(evdwl)) if newton else np.where(jlocal, 1.0, 0.5)
-            batch._tally(due, mask, factor, evdwl, dx, fvec, base_eng=None)
-        if newton:
+            env["energy_fn"](env)
+            batch._tally(due, base_eng=None)
+        if env["newton"]:
             batch._reverse_f()
 
 
@@ -226,79 +146,55 @@ class _EAMHandler:
     style = "eam/fs"
 
     @staticmethod
-    def gather(pair, itype: np.ndarray, jtype: np.ndarray) -> dict:
-        n = itype.shape[0]
-        return {
-            "cp": pair.pair_c[itype, jtype],
-            # the member's scalar cutoff as a per-pair vector: scalar-vs-r
-            # broadcasts become elementwise ops on identical values
-            "rc": np.full(n, pair.cut_global),
-        }
+    def constants(pair, itype: np.ndarray, jtype: np.ndarray) -> dict:
+        return pair.pair_coeffs(itype, jtype)
 
     @staticmethod
-    def atom_coeffs(batch) -> dict:
-        parts = [
-            m.lmp.pair.embed_A[
-                batch.atom.type[m.own_off : m.own_off + m.nlocal]
+    def bind(batch: "ReplicaBatch", env: dict) -> list:
+        atom = batch.atom
+        env["energy_fn"] = eam_energy
+        # per-owned-atom embedding strengths, each member's own table
+        env["A_own"] = np.concatenate(
+            [
+                m.lmp.pair.embed_A[atom.type[m.own_off : m.own_off + m.nlocal]]
+                for m in batch.members
             ]
-            for m in batch.members
-        ]
-        return {"A_own": np.concatenate(parts) if parts else np.zeros(0)}
+        )
+        stages, _ = eam_force_stages(Host, len(env["i0"]), atom.nlocal)
+        return stages
 
     @staticmethod
     def force(batch: "ReplicaBatch", due: list[_Member]) -> None:
         atom = batch.atom
-        plan = batch._plan
+        env = batch._env
+        pair = env["pair"]
         atom.zero_forces()
         nall = atom.nall
         atom.rho[:nall] = 0.0
         atom.fp[:nall] = 0.0
-        if plan.i.size == 0:
-            for m in due:
-                m.eng_now = 0.0
-                m.virial_now = np.zeros(6)
-            return
-        x = atom.x
-        sc = plan.buffers()
-        xi = np.take(x, plan.i, axis=0, out=sc["xi"])
-        xj = np.take(x, plan.j, axis=0, out=sc["xj"])
-        dxf = np.subtract(xi, xj, out=xi)
-        rsqf = np.einsum("ij,ij->i", dxf, dxf, out=sc["rsq"])
-        mask = rsqf < plan.cutsq
-        idx = np.flatnonzero(mask)
-        k = idx.shape[0]
-        i = np.take(plan.i, idx, out=sc["ii"][:k])
-        j = np.take(plan.j, idx, out=sc["jj"][:k])
-        dx = np.take(dxf, idx, axis=0, out=sc["xj"][:k])
-        r = np.sqrt(np.take(rsqf, idx, out=sc["s1"][:k]), out=sc["s1"][:k])
-        rc = np.take(plan.coeffs["rc"], idx, out=sc["s2"][:k])
-        # loop 1: electron density of owned atoms (PairEAM.dens)
-        scatter_add(atom.rho, i, (rc - r) ** 2, assume_sorted=True)
+        env.update(x=atom.x, f=atom.f, fp=atom.fp)
+        for fn in PROLOGUE:
+            fn(env)
+        gather_eam_coeffs(env, env)
+        # loop 1: electron density of owned atoms
+        scatter_add(
+            atom.rho, env["i_n"], pair.dens(env["r_n"], env["rc_n"]), assume_sorted=True
+        )
         nown = atom.nlocal
         rho_own = atom.rho[:nown]
-        A = batch._atom_coeffs["A_own"]
+        A = env["A_own"]
         base_eng = None
         if due:
-            embed_vals = -A * np.sqrt(np.maximum(rho_own, 0.0))
             starts = np.array([m.own_off for m in due])
             ends = np.array([m.own_off + m.nlocal for m in due])
-            base_eng = segment_slice_sums(embed_vals, starts, ends)
-        safe = np.maximum(rho_own, 1e-30)
-        atom.fp[:nown] = -0.5 * A / np.sqrt(safe)
+            base_eng = segment_slice_sums(pair.embed(rho_own, A), starts, ends)
+        atom.fp[:nown] = pair.dembed(rho_own, A)
         # figure 1's "additional communication": ghost fp before the force loop
         batch._forward_field("fp")
-        fp = atom.fp
-        fp_sum = np.take(fp, i) + np.take(fp, j)
-        cp = np.take(plan.coeffs["cp"], idx)
-        dphi = -2.0 * cp * (rc - r)
-        ddens = -2.0 * (rc - r)
-        fpair = -(dphi + fp_sum * ddens) / r
-        fvec = np.multiply(fpair[:, None], dx, out=sc["fv"][:k])
-        scatter_add(atom.f, i, fvec, assume_sorted=True)
+        run_stages(batch._pair_stages, env)
         if due:
-            evdwl = cp * (rc - r) ** 2
-            factor = np.full(len(evdwl), 0.5)  # full list: every pair twice
-            batch._tally(due, mask, factor, evdwl, dx, fvec, base_eng=base_eng)
+            env["energy_fn"](env)
+            batch._tally(due, base_eng=base_eng)
 
 
 HANDLERS = {h.style: h for h in (_LJHandler, _EAMHandler)}
@@ -336,8 +232,8 @@ class ReplicaBatch:
         self._handler = None
         self._newton = False
         self._stages: list[_Stage] = []
-        self._plan: _PairPlan | None = None
-        self._atom_coeffs: dict[str, np.ndarray] = {}
+        self._env: dict = {}  #: stacked pairwise env, rebuilt every epoch
+        self._pair_stages: list = []  #: the handler's pairwise stage list
         self._m_own = np.zeros(0)
         self._dt_col = np.zeros(0)
         self._dtf_col = np.zeros(0)
@@ -465,8 +361,8 @@ class ReplicaBatch:
     def _reset_empty(self) -> None:
         self.atom = None
         self._stages = []
-        self._plan = None
-        self._atom_coeffs = {}
+        self._env = {}
+        self._pair_stages = []
         self._m_own = self._dt_col = self._dtf_col = np.zeros(0)
         if metrics.SINKS and self.capacity:
             metrics.set_gauge(
@@ -603,8 +499,7 @@ class ReplicaBatch:
         )
 
         self._build_stages()
-        self._build_pair_plan()
-        self._atom_coeffs = self._handler.atom_coeffs(self)
+        self._build_pair_env()
         # refresh every member's ghost positions from the stacked owned rows
         # (idempotent for just-rebuilt members: ghosts are pure functions of
         # owned x + shift, so the replay reproduces their current bits)
@@ -654,38 +549,41 @@ class ReplicaBatch:
                 )
             )
 
-    def _build_pair_plan(self) -> None:
+    def _build_pair_env(self) -> None:
+        """Stack every member's stored pairs and per-pair constants into the
+        env the pairwise stage functions run over (one per epoch)."""
         handler = self._handler
-        i_parts, j_parts, cut_parts = [], [], []
-        coeff_parts: dict[str, list[np.ndarray]] = {}
+        i_parts, j_parts, cut_parts, const_parts = [], [], [], []
         off = [0]
-        total = 0
         for m in self.members:
             lmp = m.lmp
-            nlist = lmp.neigh_list
             i_l, j_l, itype, jtype, cutsq = lmp.pair.pair_table(
-                nlist, lmp.atom, "all"
+                lmp.neigh_list, lmp.atom, "all"
             )
-            m.pair_lo = total
-            total += i_l.shape[0]
-            m.pair_hi = total
-            off.append(total)
+            off.append(off[-1] + i_l.shape[0])
             i_parts.append(m.own_off + i_l.astype(np.int64))
             j_parts.append(self._map_local(m, j_l.astype(np.int64)))
             cut_parts.append(cutsq)
-            for name, vec in handler.gather(lmp.pair, itype, jtype).items():
-                coeff_parts.setdefault(name, []).append(vec)
-        empty = np.zeros(0, dtype=np.int64)
-        self._plan = _PairPlan(
-            i=np.concatenate(i_parts) if i_parts else empty,
-            j=np.concatenate(j_parts) if j_parts else empty,
-            cutsq=np.concatenate(cut_parts) if cut_parts else np.zeros(0),
-            off=np.asarray(off, dtype=np.int64),
-            coeffs={
-                name: np.concatenate(parts)
-                for name, parts in coeff_parts.items()
-            },
-        )
+            const_parts.append(handler.constants(lmp.pair, itype, jtype))
+        _, list_style, newton = self._sig
+        full = list_style == "full"
+        j0 = np.concatenate(j_parts)
+        env = self._env = {
+            # formula methods only: member coefficients travel as vectors
+            "pair": self.members[0].lmp.pair,
+            "i0": np.concatenate(i_parts),  # owned, globally ascending
+            "j0": j0,  # owned or ghost
+            "cutsq0": np.concatenate(cut_parts),
+            "jl0": None if full or newton else j0 < self.atom.nlocal,
+            "off": np.asarray(off, dtype=np.int64),  # member pair offsets
+            "full": full,
+            "newton": newton,
+            "sorted_i": True,
+            "f_view": None,
+        }
+        for name in const_parts[0]:
+            env[name] = np.concatenate([c[name] for c in const_parts])
+        self._pair_stages = handler.bind(self, env)
 
     # --------------------------------------------------------- comm replays
     def _forward_x(self) -> None:
@@ -761,7 +659,7 @@ class ReplicaBatch:
             for m in self.members
             if m.lmp.thermo.should_output(m.lmp.update.ntimestep)
         ]
-        with self._kernel("pair_force", self._plan.i.shape[0]):
+        with self._kernel("pair_force", len(self._env["i0"])):
             self._handler.force(self, due)
         with self._kernel("final_integrate", atom.nlocal):
             self._nve_final()
@@ -865,31 +763,25 @@ class ReplicaBatch:
                 thermo._print_row(lmp.update.ntimestep, values)
 
     # -------------------------------------------------------------- tallies
-    def _tally(
-        self,
-        due: list[_Member],
-        mask: np.ndarray,
-        factor: np.ndarray,
-        evdwl: np.ndarray,
-        dx: np.ndarray,
-        fvec: np.ndarray,
-        *,
-        base_eng: np.ndarray | None,
-    ) -> None:
-        """Per-due-member ev_tally over the masked pair stream.
+    def _tally(self, due: list[_Member], *, base_eng: np.ndarray | None) -> None:
+        """Per-due-member ev_tally over the cut pair stream.
 
         The solo code tallies every step but only thermo reads the result,
         so the batch computes tallies only for members due this step — the
         big win over running R full solo epilogues.  Each member's slice of
-        the masked stream is contiguous, so the 7 ``segment_dot`` reductions
+        the cut stream is contiguous, so the 7 ``segment_dot`` reductions
         are bitwise the solo ``np.dot`` calls.
         """
-        # member boundaries of the *masked* stream from the stored offsets
-        keep = np.concatenate([[0], np.cumsum(mask)])
-        idx = np.array([m.index for m in due])
-        starts = keep[self._plan.off[idx]]
-        ends = keep[self._plan.off[idx + 1]]
-        eng = segment_dot(factor, evdwl, starts, ends)
+        env = self._env
+        idx, dx, fvec = env["idx"], env["dx_n"], env["fvec_n"]
+        factor = Pair.tally_factor(
+            idx.size, env["jl_n"], full_list=env["full"], newton=env["newton"]
+        )
+        # member boundaries of the *cut* stream from the stored offsets
+        bounds = np.searchsorted(idx, env["off"])
+        which = np.array([m.index for m in due])
+        starts, ends = bounds[which], bounds[which + 1]
+        eng = segment_dot(factor, env["evdwl_n"], starts, ends)
         vir = np.empty((6, len(due)))
         for c, (a, b) in enumerate(
             ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))

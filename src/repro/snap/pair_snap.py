@@ -23,7 +23,7 @@ import numpy as np
 import repro.kokkos as kk
 from repro.core.errors import InputError
 from repro.core.styles import register_pair
-from repro.graph import plan as graph_plan
+from repro.graph.pairwise import GRAPH, prologue_stages, run_graph, run_stages
 from repro.kokkos.core import Device, Host
 from repro.kokkos.segment import scatter_add, scatter_sub
 from repro.potentials.pair import Pair
@@ -97,19 +97,20 @@ class PairSNAP(Pair):
         nlocal = atom.nlocal
         x = atom.x[: atom.nall]
 
-        geom = None
-        if graph_plan.GRAPH:
-            from repro.graph.pairwise import snap_geometry_graph
-
-            geom = snap_geometry_graph(self, nlist, x)
-        if geom is not None:
-            i, j, rij = geom
+        # SNAP's convention is rij = x[j] - x[i]: the shared prologue runs
+        # with the roles swapped, so its ``i_n`` holds j and vice versa
+        env, stages = nlist.pair_cache().memo(
+            ("snap-geometry", id(self)), lambda: self._bind_geometry(nlist)
+        )
+        env["x"] = x
+        if GRAPH:
+            run_graph(
+                (id(self), "snap-geometry"), (nlist.generation,),
+                f"{type(self).__name__}/geometry", stages, env,
+            )
         else:
-            i, j = nlist.ij_pairs()
-            rij = x[j] - x[i]
-            rsq = np.einsum("ij,ij->i", rij, rij)
-            mask = rsq < self.rcut**2
-            i, j, rij = i[mask], j[mask], rij[mask]
+            run_stages(stages, env)
+        i, j, rij = env["j_n"], env["i_n"], env["dx_n"]
         stats["npairs"] = len(i)
         stats["natoms"] = nlocal
 
@@ -137,6 +138,11 @@ class PairSNAP(Pair):
             self.virial[4] += float(np.dot(rij[:, 0], w[:, 2]))
             self.virial[5] += float(np.dot(rij[:, 1], w[:, 2]))
         self._charge_kernels(stats)
+
+    def _bind_geometry(self, nlist):
+        i0, j0 = nlist.ij_pairs()
+        env = {"i0": j0, "j0": i0, "cutsq0": self.rcut**2}
+        return env, prologue_stages(Host, len(i0), "snap_", gather_bytes=80.0)
 
     def _charge_kernels(self, stats: dict) -> None:
         """Hook for the Kokkos style."""

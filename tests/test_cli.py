@@ -117,8 +117,4 @@ class TestBenchEntry:
         assert [w["workload"] for w in data["workloads"]] == ["melt", "tantalum"]
         for row in results["workloads"]:
             assert row["step_speedup"] > 0.0
-            # melt also times the kernel-graph fused replay on top of segmented
-            modes = {"atomic", "segmented"}
-            if row["workload"] == "melt":
-                modes.add("graph")
-            assert set(row["step_seconds"]) == modes
+            assert set(row["step_seconds"]) == {"atomic", "segmented"}

@@ -203,3 +203,32 @@ def test_plan_invalidated_on_scatter_mode_change_mid_run():
         # mode-matrix sweep in test_tune_matrix)
         np.testing.assert_allclose(f, ref_f, rtol=1e-9, atol=1e-10)
         assert e == pytest.approx(ref_e, rel=1e-9)
+
+
+def test_graph_replays_the_eager_stage_objects_at_full_hit_rate():
+    """Graph mode is an executor, not a second kernel: the plan's nodes run
+    the very functions of the pair cache's Stage list, every steady-state
+    step is a plan hit, and a rebuild costs exactly one re-capture."""
+    lmp = make_melt(suffix="kk")
+    lmp.run(0)
+    cache = plan_cache()
+    with force_graph_mode(ON):
+        step_forces(lmp)  # miss: capture
+        _, stages, tally = lmp.pair.pair_kernel("all")
+        _, plan = cache.plans[(id(lmp.pair), "all")]
+        replayed = [n.fn for g in plan.groups for n in g.nodes]
+        assert len(replayed) == len(stages) + 1
+        for fn, stage in zip(replayed, stages + [tally]):
+            assert fn is stage.fn
+        before = cache.stats()
+        for _ in range(32):
+            step_forces(lmp)
+        steady = cache.stats()
+        assert steady["hits"] == before["hits"] + 32
+        assert steady["misses"] == before["misses"]
+        drain(lmp.rebuild_gen())
+        for _ in range(4):
+            step_forces(lmp)
+        after = cache.stats()
+        assert after["misses"] == steady["misses"] + 1
+        assert after["hits"] == steady["hits"] + 3

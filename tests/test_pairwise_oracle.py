@@ -1,0 +1,337 @@
+"""The pairwise pass against an oracle that is not one of its executors.
+
+Every cutoff-masked two-body style runs through one Stage list
+(:mod:`repro.graph.pairwise`) driven by four executors.  Agreement between
+executors proves nothing if they share a mistake, so this module keeps the
+simple formula path the executors replaced: a plain-NumPy oracle — brute
+force pairs, textbook LJ / Morse / Coulomb / EAM-FS, no caches, no
+``out=``, no stages.
+
+One parametrised differential test: every two-body style x {eager host,
+eager kk (half/full x newton), graph on, overlap phases where supported,
+replica R=3}.  Executors that accumulate in the same order (graph vs eager
+on one list flavour, stacked replicas vs solo) agree **bitwise**; every
+cell agrees with eager host and with the oracle to 1e-12.  The workspace
+tests at the end hold the arena contract.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy.special import erfc
+
+from repro.core import Lammps
+from repro.core.neighbor import brute_force_pairs
+from repro.graph import ON, force_graph_mode, set_graph_mode
+from repro.graph.pairwise import ARENA
+from repro.kokkos.segment import set_scatter_mode
+from repro.parallel.driver import drain
+from repro.replica import ReplicaBatch
+
+from conftest import make_melt
+
+
+@pytest.fixture(autouse=True)
+def _reset_modes():
+    yield
+    set_scatter_mode(None)
+    set_graph_mode(None)
+
+
+# ---------------------------------------------------------------- the systems
+#: style key -> (units, lattice, pair commands, has a /kk variant)
+STYLES = {
+    "lj/cut": (
+        "lj", "fcc 0.8442",
+        "pair_style lj/cut 2.5\npair_coeff 1 1 1.0 1.0\npair_coeff 2 2 0.8 1.1",
+        True,
+    ),
+    "morse": (
+        "lj", "fcc 0.8442",
+        "pair_style morse 2.5\npair_coeff 1 1 1.0 5.0 1.1\n"
+        "pair_coeff 2 2 0.8 4.0 1.2\npair_coeff 1 2 0.9 4.5 1.15",
+        True,
+    ),
+    "table": (
+        "lj", "fcc 0.8442",
+        "pair_style table 4000 2.5\npair_coeff 1 1 lj 1.0 1.0\n"
+        "pair_coeff 2 2 lj 0.8 1.1\npair_coeff 1 2 morse 0.9 4.5 1.15",
+        False,
+    ),
+    "lj/cut/coul/cut": (
+        "lj", "fcc 0.8442",
+        "pair_style lj/cut/coul/cut 2.2 2.6\npair_coeff * * 1.0 1.0\n"
+        "set type 1 charge 0.5\nset type 2 charge -0.5",
+        True,
+    ),
+    "lj/cut/coul/long": (
+        "lj", "fcc 0.8442",
+        "kspace_style ewald 1e-4\npair_style lj/cut/coul/long 2.2 2.6\n"
+        "pair_coeff * * 1.0 1.0\nset type 1 charge 0.5\nset type 2 charge -0.5",
+        False,
+    ),
+    "eam/fs": (
+        "metal", "fcc 3.52",
+        "pair_style eam/fs 4.5\npair_coeff 1 1 2.0 0.3\npair_coeff 2 2 1.5 0.2\n"
+        "pair_coeff 1 2 2.0 0.25",
+        True,
+    ),
+}
+#: list flavours of the section 4.1 study; full+newton is invalid
+LIST_CELLS = (("half", True), ("half", False), ("full", False))
+
+
+def build(style: str, *, kk: bool = False, cells: int = 3) -> Lammps:
+    """A jiggled two-type fcc crystal under ``style``, set up by ``run 0``.
+
+    Every executor's instance is built from the same bytes, so after the
+    identical ``run 0`` prologue (sort, borders, list build) they hold the
+    same configuration bit for bit.
+    """
+    units, lattice, pair_cmds, _ = STYLES[style]
+    lmp = Lammps(device="H100" if kk else None, suffix="kk" if kk else None)
+    lmp.commands_string(
+        f"units {units}\nlattice {lattice}\n"
+        f"region box block 0 {cells} 0 {cells} 0 {cells}\ncreate_box 2 box\n"
+        "create_atoms 1 box\nmass * 1.0\n"
+    )
+    atom = lmp.atom
+    n = atom.nlocal
+    spacing = lmp.domain.lengths[0] / cells
+    rng = np.random.default_rng(7)
+    atom.x[:n] += rng.uniform(-0.04, 0.04, (n, 3)) * spacing
+    atom.type[:n:2] = 2
+    lmp.commands_string(
+        f"{pair_cmds}\nneighbor 0.3 bin\nfix 1 all nve\nthermo 1"
+    )
+    lmp.thermo.quiet = True
+    lmp.run(0)
+    return lmp
+
+
+# ----------------------------------------------------------------- the oracle
+def textbook_pair(style: str, lmp, r, ti, tj, qi, qj):
+    """``(E_vdwl, E_coul, -dE/dr)`` per pair from the defining formulas,
+    read off the style's *input* coefficients (never its kernel tables)."""
+    p = lmp.pair
+    zero = np.zeros_like(r)
+    if style in ("lj/cut", "lj/cut/coul/cut", "lj/cut/coul/long"):
+        eps, sig = p.epsilon[ti, tj], p.sigma[ti, tj]
+        sr6 = (sig / r) ** 6
+        inside = r < (p.cut_lj if style != "lj/cut" else p.cut)[ti, tj]
+        e = np.where(inside, 4.0 * eps * (sr6 * sr6 - sr6), 0.0)
+        f = np.where(inside, 24.0 * eps * (2.0 * sr6 * sr6 - sr6) / r, 0.0)
+        if style == "lj/cut":
+            return e, zero, f
+        qq = lmp.update.units.qqr2e * qi * qj
+        coul = r < p.cut_coul
+        if style == "lj/cut/coul/cut":
+            return e, np.where(coul, qq / r, 0.0), f + np.where(coul, qq / r**2, 0.0)
+        g = lmp.kspace.g_ewald
+        ec = np.where(coul, qq * erfc(g * r) / r, 0.0)
+        fc = np.where(
+            coul,
+            qq * (erfc(g * r) / r**2
+                  + 2.0 * g / np.sqrt(np.pi) * np.exp(-(g * r) ** 2) / r),
+            0.0,
+        )
+        return e, ec, f + fc
+    if style == "morse":
+        d0, a, r0 = p.d0[ti, tj], p.alpha[ti, tj], p.r0[ti, tj]
+        ex = np.exp(-a * (r - r0))
+        return d0 * (ex * ex - 2.0 * ex), zero, 2.0 * d0 * a * (ex * ex - ex)
+    raise AssertionError(style)
+
+
+def oracle(style: str, lmp):
+    """``(forces on owned atoms, E_vdwl, E_coul, virial[6])`` from brute-force
+    pairs over the owned + ghost coordinates."""
+    atom = lmp.atom
+    nlocal, nall = atom.nlocal, atom.nall
+    x = atom.x[:nall].copy()
+    types, q = atom.type[:nall], atom.q[:nall]
+    pairs = np.array(sorted(brute_force_pairs(x, nlocal, lmp.pair.max_cutoff())))
+    i, j = pairs[:, 0], pairs[:, 1]
+    dx = x[i] - x[j]
+    r = np.sqrt((dx * dx).sum(axis=1))
+    f = np.zeros((nlocal, 3))
+    if style == "eam/fs":
+        p = lmp.pair
+        rc = p.cut_global
+        rho = np.zeros(nlocal)
+        np.add.at(rho, i, (rc - r) ** 2)
+        A = p.embed_A[types[:nlocal]]
+        e_embed = float((-A * np.sqrt(rho)).sum())
+        dF = -0.5 * A / np.sqrt(rho)
+        # a ghost carries its owner's embedding derivative
+        owner = np.empty(atom.tag[:nlocal].max() + 1, dtype=int)
+        owner[atom.tag[:nlocal]] = np.arange(nlocal)
+        dF_all = dF[owner[atom.tag[:nall]]]
+        c = p.pair_c[types[i], types[j]]
+        e_pair = c * (rc - r) ** 2
+        dEdr = -2.0 * c * (rc - r) + (dF_all[i] + dF_all[j]) * (-2.0 * (rc - r))
+        fvec = (-dEdr / r)[:, None] * dx
+        e_vdwl, e_coul = e_embed + 0.5 * float(e_pair.sum()), 0.0
+    else:
+        e, ec, fr = textbook_pair(style, lmp, r, types[i], types[j], q[i], q[j])
+        fvec = (fr / r)[:, None] * dx
+        # every pair appears from both ends in the brute-force (full) set
+        e_vdwl, e_coul = 0.5 * float(e.sum()), 0.5 * float(ec.sum())
+    np.add.at(f, i, fvec)
+    virial = np.array(
+        [0.5 * float((dx[:, a] * fvec[:, b]).sum())
+         for a, b in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+    )
+    return f, e_vdwl, e_coul, virial
+
+
+# --------------------------------------------------------------- the executors
+def evaluate(lmp, phases=("all",)):
+    """Zero the forces, run the pair style, fold ghost forces home."""
+    atom, pair = lmp.atom, lmp.pair
+    atom.f[: atom.nall] = 0.0
+    lmp.mark_host_writes("f")
+    if hasattr(pair, "compute_gen"):  # EAM communicates mid-compute
+        drain(pair.compute_gen(True, True))
+    else:
+        for phase in phases:
+            pair.compute_phase(phase, True, True)
+    lmp.sync_host_fields("f")
+    if pair.needs_reverse_comm:
+        drain(lmp.comm_brick.reverse_comm(atom, "f"))
+    return (
+        atom.f[: atom.nlocal].copy(), float(pair.eng_vdwl), float(pair.eng_coul),
+        np.array(pair.virial),
+    )
+
+
+def assert_bitwise(got, ref, label):
+    for name, a, b in zip(("forces", "evdwl", "ecoul", "virial"), got, ref):
+        assert np.array_equal(a, b), f"{label}: {name} differ from eager"
+
+
+def assert_oracle(got, ref, label):
+    for name, a, b in zip(("forces", "evdwl", "ecoul", "virial"), got, ref):
+        scale = max(float(np.abs(b).max()), 1.0)
+        np.testing.assert_allclose(
+            a, b, rtol=1e-12, atol=1e-12 * scale, err_msg=f"{label}: {name}"
+        )
+
+
+@pytest.mark.parametrize("style", sorted(STYLES))
+def test_every_executor_matches_eager_host_and_the_oracle(style):
+    has_kk = STYLES[style][3]
+    host = build(style)
+    ref = evaluate(host)
+    if style != "table":  # interpolated: held against analytic forms elsewhere
+        assert_oracle(ref, oracle(style, host), f"{style} eager host")
+
+    # graph on: capture step, then replay step, same Stage objects
+    with force_graph_mode(ON):
+        assert_bitwise(evaluate(host), ref, f"{style} graph capture")
+        assert_bitwise(evaluate(host), ref, f"{style} graph replay")
+
+    # overlap phases: interior + boundary cover the list
+    if host.pair.supports_overlap and not hasattr(host.pair, "compute_gen"):
+        assert_oracle(
+            evaluate(host, ("interior", "boundary")), ref, f"{style} host phases"
+        )
+
+    if has_kk and style != "eam/fs":
+        kkr = build(style, kk=True)
+        for neigh, newton in LIST_CELLS:
+            kkr.pair.set_options(neigh=neigh, newton=newton)
+            kkr.newton_pair = newton
+            drain(kkr.rebuild_gen())
+            label = f"{style}/kk {neigh} newton={newton}"
+            # another list flavour / scatter path sums in another order:
+            # host agreement is to round-off, graph agreement is bitwise
+            eager = evaluate(kkr)
+            assert_oracle(eager, ref, label)
+            assert_oracle(
+                evaluate(kkr, ("interior", "boundary")), ref, label + " phases"
+            )
+            with force_graph_mode(ON):
+                assert_bitwise(evaluate(kkr), eager, label + " graph capture")
+                assert_bitwise(evaluate(kkr), eager, label + " graph replay")
+    elif has_kk:  # eam/fs/kk: full list only, three charged kernels; its
+        # ScatterView density sums in another order than the host's sorted
+        # segments, so host agreement is to round-off
+        kkr = build(style, kk=True)
+        eager = evaluate(kkr)
+        assert_oracle(eager, ref, f"{style}/kk")
+        with force_graph_mode(ON):
+            assert_bitwise(evaluate(kkr), eager, f"{style}/kk graph capture")
+            assert_bitwise(evaluate(kkr), eager, f"{style}/kk graph replay")
+
+
+@pytest.mark.parametrize("style", ["lj/cut", "eam/fs"])
+def test_replica_executor_matches_eager_host(style):
+    """R=3 stacked copies step exactly like the solo eager-host run."""
+    solo = build(style)
+    solo.run(2)
+    batch = ReplicaBatch()
+    members = [build(style) for _ in range(3)]
+    for m in members:
+        batch.add_replica(m)
+    batch.step(2)
+    batch.finish()
+    rows = [(r.step, r.values) for r in solo.thermo.history]
+    for k, m in enumerate(members):
+        n = m.atom.nlocal
+        for field in ("x", "v", "f"):
+            assert np.array_equal(
+                getattr(m.atom, field)[:n], getattr(solo.atom, field)[:n]
+            ), f"{style} replica {k}: {field}"
+        assert [(r.step, r.values) for r in m.thermo.history] == rows
+
+
+# ------------------------------------------------------------------ workspace
+#: arena budget: 2 gathered coordinate rows + rsq + mask (stored pairs) and
+#: rsq/i/j/fvec/4 LJ temporaries (cut pairs, capacity = stored)
+ARENA_BYTES_PER_STORED_PAIR = 160
+
+
+def test_arena_bytes_per_stored_pair_within_budget():
+    lmp = make_melt(cells=4)
+    lmp.run(1)
+    stored = lmp.neigh_list.total_pairs
+    assert 0 < ARENA.nbytes <= ARENA_BYTES_PER_STORED_PAIR * stored
+
+
+def test_rebuilds_do_not_double_hold_the_workspace():
+    """tracemalloc peak across three more epochs <= 1.1x one epoch's."""
+    tracemalloc.start()  # before anything is built: every holder is traced
+    try:
+        lmp = make_melt(cells=4)
+        lmp.run(0)
+
+        def epoch():
+            drain(lmp.rebuild_gen())
+            for _ in range(3):
+                lmp.atom.f[: lmp.atom.nall] = 0.0
+                lmp.pair.compute(True, True)
+
+        epoch()  # warm: list, pair cache and arena exist once
+        tracemalloc.reset_peak()
+        epoch()
+        _, one = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for _ in range(3):
+            epoch()
+        _, three = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert three <= 1.1 * one
+
+
+def test_four_rank_ensemble_shares_one_arena():
+    ens = make_melt(cells=4, nranks=4)
+    ens.commands_string("run 1")
+    per_rank = [r.neigh_list.total_pairs for r in ens.ranks]
+    # sized by the largest rank, not by the sum over ranks
+    assert ARENA.nbytes <= ARENA_BYTES_PER_STORED_PAIR * max(per_rank)
+    assert max(per_rank) < sum(per_rank)

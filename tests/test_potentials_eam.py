@@ -138,3 +138,42 @@ class TestEAMValidation:
         lmp.commands_string("units metal\nregion b block 0 9 0 9 0 9\ncreate_box 1 b")
         with pytest.raises(InputError, match="cutoff"):
             lmp.command("pair_style eam/fs")
+
+
+RESORT_SCRIPT = """\
+units metal
+lattice fcc 3.52
+region box block 0 4 0 4 0 4
+create_box 1 box
+create_atoms 1 box
+mass 1 58.7
+velocity all create 3000 48611
+pair_style eam/fs 4.5
+pair_coeff * * 2.0 0.3
+neighbor 0.3 bin
+neigh_modify every 1 delay 0 check yes
+fix 1 all nve
+thermo 20
+"""
+
+
+class TestEAMKokkosResort:
+    """Regression: a mid-run re-sort permutes host copies of every per-atom
+    field, including rho/fp that the kk kernels left newer on the device."""
+
+    @pytest.mark.parametrize("nranks", [1, 2])
+    def test_hot_kk_run_survives_resorts(self, nranks):
+        def run(device, suffix):
+            if nranks > 1:
+                sim = Ensemble(nranks, device=device, suffix=suffix)
+            else:
+                sim = Lammps(device=device, suffix=suffix)
+            sim.commands_string(RESORT_SCRIPT)
+            sim.commands_string("run 60")
+            ranks = sim.ranks if nranks > 1 else [sim]
+            assert all(r.neighbor.builds > 2 for r in ranks)  # re-sorted mid-run
+            return gather_by_tag(sim, "x")
+
+        np.testing.assert_allclose(
+            run("H100", "kk"), run(None, None), rtol=0, atol=1e-9
+        )

@@ -149,6 +149,18 @@ class TestReconciliation:
         totals = sts.category_totals()
         assert totals["Pair"] == max(totals.values())
 
+    def test_pair_kernel_wall_is_the_pair_region_wall(self):
+        """The dispatch functor *is* the computation (DESIGN.md section 3):
+        the pair kernel's wall span holds the force pass, it does not wrap
+        a no-op charged after the work ran outside it."""
+        lmp = make_melt(device="H100", suffix="kk", cells=6)
+        sts = SpaceTimeStack()
+        with kp.attached(sts):
+            lmp.run(10)
+        pair = sts.roots[0].children[("Pair", "region")]
+        kernel = pair.children[("PairComputeLJCut", "kernel")]
+        assert kernel.wall_seconds >= 0.8 * pair.wall_seconds
+
     def test_finalize_report_mentions_kernels(self):
         _, sts, _ = self._run_with_sts(nsteps=5)
         report = sts.finalize()
