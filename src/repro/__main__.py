@@ -31,6 +31,7 @@ analyzer (:mod:`repro.tools.analyze`) over a recorded chrome trace;
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import repro.kspace  # noqa: F401  (register all packages' styles)
@@ -41,6 +42,20 @@ from repro.bench import bench_names, run_bench
 from repro.core import Ensemble, Lammps, ReplicaSet
 from repro.tools import create_tools, tool_names
 from repro.tools import registry as kp
+
+
+def workload_key(script: str) -> str:
+    """The tuned-plan / profile key of an input script.
+
+    Both LAMMPS naming conventions map to the bare workload name —
+    ``in.melt``, ``melt.in`` and ``melt.lmp`` are all ``melt`` — and any
+    other file name is its own key.
+    """
+    name = os.path.basename(script)
+    if name.startswith("in.") and len(name) > 3:
+        return name[3:]
+    stem, ext = os.path.splitext(name)
+    return stem if stem and ext in (".in", ".lmp") else name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,13 +187,12 @@ def main(argv: list[str] | None = None) -> int:
         for tool in tools:
             kp.attach(tool)
     if args.metrics_out is not None:
-        import os
-
         from repro.tools.metrics import MetricsTool
 
         os.makedirs(args.metrics_out or ".", exist_ok=True)
-        workload = os.path.splitext(os.path.basename(args.script))[0]
-        tool = MetricsTool(args.metrics_out or ".", workload=workload)
+        tool = MetricsTool(
+            args.metrics_out or ".", workload=workload_key(args.script)
+        )
         kp.attach(tool)
         tools.append(tool)
 
@@ -202,17 +216,14 @@ def main(argv: list[str] | None = None) -> int:
             target = Lammps(device=device, suffix=args.suffix, quiet=args.quiet)
 
         if args.autotune is not None:
-            import os
-
             from repro.tune import Autotuner
 
-            workload = os.path.splitext(os.path.basename(args.script))[0]
             target.autotuner = Autotuner(
                 measure=args.autotune,
                 repeats=args.tune_repeats,
                 seed=args.tune_seed,
                 plan_path=None if args.tune_plan == "none" else args.tune_plan,
-                workload=workload,
+                workload=workload_key(args.script),
                 quiet=args.quiet,
             )
 

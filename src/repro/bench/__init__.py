@@ -29,11 +29,6 @@ from repro.bench.autotune import format_autotune_report, run_autotune_bench
 from repro.bench.hotpath import format_hotpath_report, run_hotpath_bench
 from repro.bench.qeq_bench import format_qeq_report, run_qeq_bench
 from repro.bench.replica_bench import format_replica_report, run_replica_bench
-from repro.bench.neighbor import (
-    format_neighbor_report,
-    run_neighbor_bench,
-    validate_neighbor_bench,
-)
 from repro.bench.reporting import format_table, format_series
 from repro.bench.sentinel import compare, format_verdict, run_sentinel
 from repro.bench.stats import (
@@ -64,13 +59,10 @@ __all__ = [
     "format_hotpath_report",
     "run_autotune_bench",
     "format_autotune_report",
-    "run_neighbor_bench",
-    "format_neighbor_report",
     "run_qeq_bench",
     "format_qeq_report",
     "run_replica_bench",
     "format_replica_report",
-    "validate_neighbor_bench",
     "SCHEMA_VERSION",
     "summarize",
     "collect_samples",

@@ -24,7 +24,6 @@ from repro.bench.registry import register_bench
 from repro.bench.hotpath import _record, _step_samples
 from repro.bench.stats import SCHEMA_VERSION, validate_bench
 from repro.core import Lammps
-from repro.core.neighbor import set_stencil_mode
 from repro.graph import set_graph_mode
 from repro.kokkos.segment import ATOMIC, SEGMENTED, force_scatter_mode, set_scatter_mode
 from repro.workloads.melt import setup_melt
@@ -72,7 +71,6 @@ def bench_melt_autotuned(
     finally:
         # the tuner locks modes via process-global overrides: clear them
         set_scatter_mode(None)
-        set_stencil_mode(None)
         set_graph_mode(None)
     step = out["step_seconds"]
     out["steps_per_second"] = {m: 1.0 / s for m, s in step.items()}

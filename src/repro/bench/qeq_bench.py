@@ -1,14 +1,10 @@
-"""Wall-clock QEq solver benchmark: fusion, preconditioning, extrapolation.
+"""Wall-clock QEq solver benchmark: preconditioning and extrapolation.
 
-The QEq charge solve dominates ReaxFF step time at scale, and this PR's
-three stacked optimizations each attack a different term of its cost:
+The QEq charge solve dominates ReaxFF step time at scale; two solver
+features attack its iteration count:
 
-* **fused dual-RHS SpMV** — one traversal of the matrix values/columns
-  feeds both CG systems, halving the bytes streamed per iteration versus
-  the double-traversal baseline (kept available as the ``dual`` mode);
-* **preconditioning** — Jacobi (free, from the stored diagonal) and SSOR
-  (a triangular sweep per application) shrink the CG iteration count at
-  identical convergence tolerance;
+* **preconditioning** — Jacobi (free, from the stored diagonal) shrinks
+  the CG iteration count at identical convergence tolerance;
 * **charge-history extrapolation** — a polynomial seed from the last few
   steps' solutions starts CG near the answer, so warm steps converge in a
   fraction of the cold-start iterations.
@@ -35,22 +31,18 @@ from repro.bench.hotpath import _record
 from repro.bench.registry import register_bench
 from repro.bench.stats import SCHEMA_VERSION, validate_bench
 from repro.core import Lammps
-from repro.reaxff.qeq import DUAL, FUSED, force_qeq_spmv_mode
 from repro.workloads.hns import setup_hns
 
 #: default output file (repo-root relative when run from the checkout)
 DEFAULT_OUT = "BENCH_qeq.json"
 
-#: configuration cells: label -> (qeq_precond, qeq_extrap, spmv mode).
-#: ``cold`` is the historical solver (no preconditioner, cold start, fused
-#: traversal); ``dual`` isolates the fusion win by re-running ``cold`` with
-#: the double-traversal SpMV; the rest stack the new solver features.
+#: configuration cells: label -> (qeq_precond, qeq_extrap).  ``cold`` is
+#: the default solver (no preconditioner, cold start); the rest stack the
+#: solver features.
 MODES = (
-    ("cold", "none", "none", FUSED),
-    ("dual", "none", "none", DUAL),
-    ("jacobi", "jacobi", "none", FUSED),
-    ("jacobi+x2", "jacobi", "2", FUSED),
-    ("ssor+x2", "ssor", "2", FUSED),
+    ("cold", "none", "none"),
+    ("jacobi", "jacobi", "none"),
+    ("jacobi+x2", "jacobi", "2"),
 )
 
 #: solves excluded from ``mean_iterations``: the extrapolation ring needs
@@ -79,17 +71,16 @@ def bench_hns_qeq(steps: int = 12, repeats: int = 3) -> dict:
         "warmup_solves": WARMUP_SOLVES,
         "iterations": {},
         "mean_iterations": {},
-        "spmv_bytes_per_iteration": {},
+        "spmv_bytes_per_iteration": None,
     }
-    for label, precond, extrap, mode in MODES:
+    for label, precond, extrap in MODES:
         samples: list[float] = []
         paths: set[tuple[int, ...]] = set()
         for _ in range(repeats):
-            with force_qeq_spmv_mode(mode):
-                lmp = _build(precond, extrap)
-                t0 = time.perf_counter()
-                lmp.run(steps)
-                samples.append(time.perf_counter() - t0)
+            lmp = _build(precond, extrap)
+            t0 = time.perf_counter()
+            lmp.run(steps)
+            samples.append(time.perf_counter() - t0)
             paths.add(tuple(lmp.pair.qeq_iters_history))
         if len(paths) != 1:
             raise ValueError(
@@ -104,13 +95,12 @@ def bench_hns_qeq(steps: int = 12, repeats: int = 3) -> dict:
         row["mean_iterations"][label] = statistics.mean(
             history[WARMUP_SOLVES:]
         )
-        row["spmv_bytes_per_iteration"][label] = lmp.pair.last_stats[
+        # a property of the matrix, identical in every cell
+        row["spmv_bytes_per_iteration"] = lmp.pair.last_stats[
             "qeq_spmv_bytes_per_iteration"
         ]
     mean = row["mean_iterations"]
-    bpi = row["spmv_bytes_per_iteration"]
     row["iteration_speedup"] = mean["cold"] / mean["jacobi+x2"]
-    row["fused_bytes_ratio"] = bpi["cold"] / bpi["dual"]
     return row
 
 
@@ -145,18 +135,17 @@ def format_qeq_report(results: dict) -> str:
         lines.append(
             f"  {row['workload']} natoms={row['natoms']} "
             f"tol={row['qeq_tol']:g} steps={row['steps']} "
+            f"{row['spmv_bytes_per_iteration']} matrix B/iter "
             f"(means over solves {row['warmup_solves']}..)"
         )
-        for label, _, _, _ in MODES:
+        for label, _, _ in MODES:
             lines.append(
                 f"    {label:<10} {row['mean_iterations'][label]:6.2f} "
                 f"iters/solve  "
-                f"{row['spmv_bytes_per_iteration'][label]:>8d} B/iter  "
                 f"{row['run_seconds'][label] * 1e3:8.2f} ms/run"
             )
         lines.append(
             f"    iteration speedup (cold vs jacobi+x2): "
-            f"{row['iteration_speedup']:.2f}x; fused traversal streams "
-            f"{row['fused_bytes_ratio']:.2f}x the dual-pass bytes"
+            f"{row['iteration_speedup']:.2f}x"
         )
     return "\n".join(lines)

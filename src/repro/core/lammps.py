@@ -27,12 +27,7 @@ from repro.core.errors import InputError, LammpsError
 from repro.core.integrate import Verlet
 from repro.core.modify import Modify
 from repro.core.bin_grid import BinGrid, spatial_sort_order
-from repro.core.neighbor import (
-    SHARED,
-    Neighbor,
-    build_neighbor_list,
-    stencil_mode,
-)
+from repro.core.neighbor import Neighbor, build_neighbor_list
 from repro.core.styles import resolve_style
 from repro.core.thermo import Thermo
 from repro.core.timer import CATEGORIES, PhaseTimer
@@ -342,7 +337,6 @@ class Lammps:
         atom = self.require_box()
         if (
             self.sort_every <= 0
-            or stencil_mode() != SHARED
             or atom.nlocal == 0
             or self.neighbor.builds % self.sort_every
         ):
@@ -382,14 +376,9 @@ class Lammps:
             # One bin grid per rebuild, at the largest requested cutoff: the
             # pair list below and any multi-cutoff consumer this step (ReaxFF
             # bond list, species analysis) share it instead of re-binning.
-            if stencil_mode() == SHARED:
-                # half-cutoff bins (LAMMPS's choice): shorter-cutoff consumers
-                # get proportionally tighter stencils from the same grid
-                self.bin_grid = BinGrid(
-                    atom.x[: atom.nall], atom.nlocal, 0.5 * cutghost
-                )
-            else:
-                self.bin_grid = None
+            # Half-cutoff bins (LAMMPS's choice): shorter-cutoff consumers
+            # get proportionally tighter stencils from the same grid.
+            self.bin_grid = BinGrid(atom.x[: atom.nall], atom.nlocal, 0.5 * cutghost)
             style, newton = self.pair.neighbor_request()
             self.neigh_list = build_neighbor_list(
                 atom.x[: atom.nall],
@@ -410,7 +399,6 @@ class Lammps:
                     pairs=self.neigh_list.total_pairs,
                     nall=atom.nall,
                     nlocal=atom.nlocal,
-                    binned=self.bin_grid is not None or stencil_mode() != SHARED,
                     sorted_atoms=sorted_atoms,
                 ):
                     kk.parallel_for(

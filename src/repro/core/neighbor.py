@@ -26,10 +26,8 @@ section 4.1's data-layout discussion.
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterator
 
 import numpy as np
 
@@ -43,51 +41,8 @@ _CHUNK_ATOMS = 65536
 #: Shared-builder candidate budget per filter pass (see ``_build_shared``).
 _CHUNK_CANDIDATES = 4_000_000
 
-#: Stencil modes.  ``shared`` is the production builder: a reusable
-#: :class:`~repro.core.bin_grid.BinGrid` plus a half stencil that generates
-#: each same-rank pair once.  ``legacy`` is the pre-overhaul build (global
-#: argsort, 27-cell full scan, filter-after for half lists), kept intact so
-#: ``--bench neighbor`` can time the new path against the old one in-repo.
-SHARED = "shared"
-LEGACY = "legacy"
-_STENCIL_MODES = (SHARED, LEGACY)
-
-_forced_stencil: str | None = None
-
 #: Process-wide rebuild stamp source for :attr:`NeighborList.generation`.
 _GENERATION = count(1)
-
-
-def stencil_mode() -> str:
-    """The active build mode (``shared`` unless a benchmark pins legacy)."""
-    return _forced_stencil if _forced_stencil is not None else SHARED
-
-
-def set_stencil_mode(mode: str | None) -> str | None:
-    """Install (or clear, with None) the global build-mode override.
-
-    Returns the previous override.  Unknown names fail here with a
-    did-you-mean hint instead of surfacing later in the build; the autotuner
-    uses this non-scoped form to lock in a winner for the rest of a run.
-    """
-    global _forced_stencil
-    if mode is not None and mode not in _STENCIL_MODES:
-        from repro.core.errors import unknown_choice
-
-        raise NeighborError(unknown_choice("stencil mode", mode, _STENCIL_MODES))
-    prev = _forced_stencil
-    _forced_stencil = mode
-    return prev
-
-
-@contextmanager
-def force_stencil_mode(mode: str | None) -> Iterator[None]:
-    """Pin the neighbor build mode globally (None restores the default)."""
-    prev = set_stencil_mode(mode)
-    try:
-        yield
-    finally:
-        set_stencil_mode(prev)
 
 
 @dataclass
@@ -330,12 +285,6 @@ class PairCache:
         return self._phase_sel[phase]
 
 
-def _bin_index(x: np.ndarray, origin: np.ndarray, nbins: np.ndarray, inv_size: np.ndarray) -> np.ndarray:
-    cell = ((x - origin) * inv_size).astype(np.int64)
-    np.clip(cell, 0, nbins - 1, out=cell)
-    return cell[:, 0] + nbins[0] * (cell[:, 1] + nbins[1] * cell[:, 2])
-
-
 def build_neighbor_list(
     x: np.ndarray,
     nlocal: int,
@@ -374,10 +323,8 @@ def build_neighbor_list(
         nlist = NeighborList(
             style, newton, cutoff, 0, np.zeros(1, np.int64), np.zeros(0, np.int32)
         )
-    elif stencil_mode() == SHARED:
-        nlist = _build_shared(x, nlocal, cutoff, style, newton, chunk, grid)
     else:
-        nlist = _build_legacy(x, nlocal, cutoff, style, newton, chunk)
+        nlist = _build_shared(x, nlocal, cutoff, style, newton, chunk, grid)
     nlist.generation = next(_GENERATION)
     return nlist
 
@@ -404,8 +351,8 @@ def _build_shared(
 
     Chunks partition the row range, so each chunk owns a contiguous CSR
     segment: its kept pairs need only a (small) per-chunk stable sort by
-    row before sliding straight into the flat neighbor array — the global
-    argsort over all candidates is gone.
+    row before sliding straight into the flat neighbor array — no global
+    argsort over all candidates.
     """
     nall = x.shape[0]
     grid_builds = 0
@@ -484,8 +431,10 @@ def _build_shared(
             nz = ib != jb
             ib, jb = ib[nz], jb[nz]
         elif newton:
-            # ghost pairs: LAMMPS's coordinate tie-break, exactly as in the
-            # legacy path — one of the two images survives globally.
+            # ghost pairs: LAMMPS's coordinate tie-break — exactly one of
+            # the two images (across ranks or across the periodic wrap)
+            # survives globally; the ghost side's force is
+            # reverse-communicated to its owner.
             gsel = np.flatnonzero(jb >= nlocal)
             if len(gsel):
                 ig, jg = ib[gsel], jb[gsel]
@@ -514,130 +463,7 @@ def _build_shared(
     )
 
     nl = NeighborList(style, newton, cutoff, nlocal, first, neighbors)
-    nl.build_stats = {
-        "mode": SHARED,
-        "candidates": candidates,
-        "grid_builds": grid_builds,
-    }
-    return nl
-
-
-def _build_legacy(
-    x: np.ndarray,
-    nlocal: int,
-    cutoff: float,
-    style: str,
-    newton: bool,
-    chunk: int,
-) -> NeighborList:
-    """The pre-overhaul builder: global argsort binning, 27-cell full scan,
-    half lists derived by filtering the full candidate set.  Benchmark
-    baseline for ``--bench neighbor``; produces the same pair sets."""
-    nall = x.shape[0]
-    origin = x.min(axis=0) - 1e-9
-    top = x.max(axis=0) + 1e-9
-    span = np.maximum(top - origin, cutoff)
-    nbins = np.maximum((span / cutoff).astype(np.int64), 1)
-    size = span / nbins
-    inv_size = 1.0 / size
-    nbins_total = int(np.prod(nbins))
-
-    binid = _bin_index(x, origin, nbins, inv_size)
-    order = np.argsort(binid, kind="stable")
-    sorted_bins = binid[order]
-    counts = np.bincount(sorted_bins, minlength=nbins_total)
-    starts = np.zeros(nbins_total + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-
-    # 27-cell stencil offsets in linear bin space, guarded at grid edges by
-    # working in 3-D coordinates.
-    cell3 = ((x - origin) * inv_size).astype(np.int64)
-    np.clip(cell3, 0, nbins - 1, out=cell3)
-    offsets = np.array(
-        [(dx, dy, dz) for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)],
-        dtype=np.int64,
-    )
-
-    cutsq = cutoff * cutoff
-    candidates = 0
-    rows_i: list[np.ndarray] = []
-    rows_j: list[np.ndarray] = []
-
-    for lo in range(0, nlocal, chunk):
-        hi = min(lo + chunk, nlocal)
-        ilocal = np.arange(lo, hi)
-        ci = cell3[ilocal]  # (m, 3)
-        chunk_i: list[np.ndarray] = []
-        chunk_j: list[np.ndarray] = []
-        for off in offsets:
-            nb3 = ci + off
-            valid = np.all((nb3 >= 0) & (nb3 < nbins), axis=1)
-            if not valid.any():
-                continue
-            iv = ilocal[valid]
-            nb = nb3[valid]
-            nbin = nb[:, 0] + nbins[0] * (nb[:, 1] + nbins[1] * nb[:, 2])
-            cnt = counts[nbin]
-            nz = cnt > 0
-            if not nz.any():
-                continue
-            iv, nbin, cnt = iv[nz], nbin[nz], cnt[nz]
-            total = int(cnt.sum())
-            csum = np.zeros(len(cnt), dtype=np.int64)
-            np.cumsum(cnt[:-1], out=csum[1:])
-            within = np.arange(total, dtype=np.int64) - np.repeat(csum, cnt)
-            j = order[np.repeat(starts[nbin], cnt) + within]
-            i = np.repeat(iv, cnt)
-            candidates += len(i)
-            dx = x[i] - x[j]
-            rsq = np.einsum("ij,ij->i", dx, dx)
-            keep = (rsq < cutsq) & (i != j)
-            chunk_i.append(i[keep])
-            chunk_j.append(j[keep])
-        if chunk_i:
-            rows_i.append(np.concatenate(chunk_i))
-            rows_j.append(np.concatenate(chunk_j))
-
-    if rows_i:
-        ii = np.concatenate(rows_i)
-        jj = np.concatenate(rows_j)
-    else:
-        ii = np.zeros(0, dtype=np.int64)
-        jj = np.zeros(0, dtype=np.int64)
-
-    if style == "half":
-        local_j = jj < nlocal
-        keep_local = local_j & (jj > ii)
-        gj = ~local_j
-        if newton:
-            # Newton on: each physical pair once globally.  Ghost pairs use
-            # LAMMPS's coordinate tie-break so exactly one of the two images
-            # (across ranks or across the periodic wrap) survives; the ghost
-            # side's force is reverse-communicated to the owner.
-            xi, xj = x[ii[gj]], x[jj[gj]]
-            zgt = xj[:, 2] > xi[:, 2]
-            zeq = xj[:, 2] == xi[:, 2]
-            ygt = xj[:, 1] > xi[:, 1]
-            yeq = xj[:, 1] == xi[:, 1]
-            xgt = xj[:, 0] > xi[:, 0]
-            keep_ghost = zgt | (zeq & (ygt | (yeq & xgt)))
-        else:
-            # Newton off: every rank keeps its side of a ghost pair — each
-            # atom's force is accumulated entirely locally and the pair
-            # energy is tallied at half weight on each side.
-            keep_ghost = np.ones(int(gj.sum()), dtype=bool)
-        keep = np.zeros(len(ii), dtype=bool)
-        keep[np.flatnonzero(local_j)[keep_local[local_j]]] = True
-        keep[np.flatnonzero(gj)[keep_ghost]] = True
-        ii, jj = ii[keep], jj[keep]
-
-    sorter = np.argsort(ii, kind="stable")
-    ii, jj = ii[sorter], jj[sorter]
-    numneigh = np.bincount(ii, minlength=nlocal)
-    first = np.zeros(nlocal + 1, dtype=np.int64)
-    np.cumsum(numneigh, out=first[1:])
-    nl = NeighborList(style, newton, cutoff, nlocal, first, jj.astype(np.int32))
-    nl.build_stats = {"mode": LEGACY, "candidates": candidates, "grid_builds": 0}
+    nl.build_stats = {"candidates": candidates, "grid_builds": grid_builds}
     return nl
 
 

@@ -280,7 +280,6 @@ def neighbor_build_profiles(
     pairs: int,
     nall: int,
     nlocal: int,
-    binned: bool = True,
     sorted_atoms: bool = False,
 ) -> list[KernelProfile]:
     """Priced kernels of one neighbor rebuild (paper section 4.1).
@@ -289,10 +288,9 @@ def neighbor_build_profiles(
 
     * ``NeighborBinAssembly`` — the counting-sort bin pass: stream the
       coordinates once, scatter-count into bin counters (the atomic term),
-      then write the bin-major permutation and its inverse.  Emitted only
-      when a fresh grid was assembled — a list served by the shared
-      per-rebuild grid skips it, which is exactly the saving the shared
-      :class:`~repro.core.bin_grid.BinGrid` buys.
+      then write the bin-major permutation and its inverse.  Charged once
+      per rebuild: every list of the rebuild is served by the one shared
+      :class:`~repro.core.bin_grid.BinGrid`.
     * ``NeighborBuild`` — the stencil scan + distance filter.  The formula
       is deliberately kept from the pre-overhaul model (it conservatively
       folds the bin counters in), so figure projections are comparable
@@ -314,16 +312,15 @@ def neighbor_build_profiles(
                 parallel_items=float(max(nlocal, 1)),
             )
         )
-    if binned:
-        profiles.append(
-            KernelProfile(
-                name="NeighborBinAssembly",
-                # coordinates in (24 B) + key/order/inverse passes (3 x 8 B)
-                bytes_streamed=48.0 * nall,
-                atomic_ops=float(nall),  # scatter-count into bin counters
-                parallel_items=float(max(nall, 1)),
-            )
+    profiles.append(
+        KernelProfile(
+            name="NeighborBinAssembly",
+            # coordinates in (24 B) + key/order/inverse passes (3 x 8 B)
+            bytes_streamed=48.0 * nall,
+            atomic_ops=float(nall),  # scatter-count into bin counters
+            parallel_items=float(max(nall, 1)),
         )
+    )
     profiles.append(
         KernelProfile(
             name="NeighborBuild",

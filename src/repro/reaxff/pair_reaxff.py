@@ -25,7 +25,7 @@ import numpy as np
 
 import repro.kokkos as kk
 from repro.core.errors import InputError
-from repro.core.neighbor import SHARED, build_neighbor_list, stencil_mode
+from repro.core.neighbor import build_neighbor_list
 from repro.core.styles import register_pair
 from repro.kokkos.core import Device, Host
 from repro.potentials.pair import Pair
@@ -37,13 +37,11 @@ from repro.reaxff.params import ReaxParams, default_chno
 from repro.reaxff.qeq import (
     EXTRAP_NONE,
     EXTRAPS,
-    FUSED,
     PRECONDS,
     QEqHistory,
     build_qeq_matrix,
     equilibrate_charges_gen,
     make_preconditioner,
-    qeq_spmv_mode,
 )
 from repro.reaxff.torsions import build_quads, compute_torsions
 
@@ -55,7 +53,7 @@ class PairReaxFF(Pair):
     def settings(self, args: list[str]) -> None:
         self.params: ReaxParams = default_chno()
         self.qeq_tol = 1e-8
-        #: preconditioner for the dual CG (none/jacobi/ssor)
+        #: preconditioner for the dual CG (none/jacobi)
         self.qeq_precond = "none"
         #: charge-history extrapolation order ("none" = cold start, "0".."3")
         self.qeq_extrap = EXTRAP_NONE
@@ -164,16 +162,12 @@ class PairReaxFF(Pair):
         rebuild policy produces a fresh pair list — the skin-amortized
         multi-cutoff request.  The downstream bond-order build re-filters
         candidates at the exact ``rcut_bond`` every call, so reusing the
-        padded list is bit-identical to rebuilding it each step.  In legacy
-        stencil mode this falls back to the pre-overhaul behavior (a fresh
-        exact-cutoff list every force call) so benchmarks compare honestly.
+        padded list is bit-identical to rebuilding it each step.
         """
         lmp = self.lmp
         atom = lmp.atom
         nall = atom.nall
         x = atom.x[:nall]
-        if stencil_mode() != SHARED:
-            return build_neighbor_list(x, nall, self.params.rcut_bond, style="full")
         if self._bond_nlist is None or self._bond_nlist_key is not lmp.neigh_list:
             self._bond_nlist = build_neighbor_list(
                 x,
@@ -352,16 +346,14 @@ class PairReaxFFKokkos(PairReaxFF):
             parallel_items=2.0 * nlocal,
         )
         # fused dual spmv: one matrix stream per iteration feeds both solves
-        # (the forced "dual" benchmark baseline streams the matrix twice)
         iters = max(stats["qeq_iterations"], 1)
-        streams = 1.0 if qeq_spmv_mode() == FUSED else 2.0
         charge(
             "ReaxQEqSparseMatVec",
             flops=4.0 * stats["qeq_nnz"] * iters,
             # the matrix stream is compulsory; vector gathers are pointer-
             # indirected and latency-limited rather than cache-limited
             # (appendix C.2), so carveout sensitivity stays under 10%
-            bytes_streamed=24.0 * stats["qeq_nnz"] * iters * streams,
+            bytes_streamed=24.0 * stats["qeq_nnz"] * iters,
             bytes_reusable=4.0 * stats["qeq_nnz"] * iters,
             l1_working_set_kb=64.0,
             l2_working_set_mb=12.0 * stats["qeq_nnz"] / 1e6,
@@ -369,7 +361,7 @@ class PairReaxFFKokkos(PairReaxFF):
             # a row retire together), so effective concurrency tracks the
             # atom count — LJ and ReaxFF saturate at similar sizes (fig. 4)
             parallel_items=2.0 * nlocal,
-            launches=int(iters * streams),
+            launches=iters,
         )
         charge(
             "ReaxNonbondedForce",

@@ -13,18 +13,19 @@ Paper sections 4.2.2-4.2.3 in full:
   row lengths stay int32 — and :func:`build_qeq_matrix` *enforces* that
   split rather than documenting it.
 
-* The two Krylov solves (``A s = -chi``, ``A t = -1``) are **truly fused**:
-  the direction vectors stack into one ``(nall, 2)`` operand so a single
-  load of the ``vals``/``cols`` stream feeds both products
-  (:meth:`QEqMatrix.spmv2`) — the optimization AMD contributed to the
-  Kokkos version.  The historical double-traversal path is kept behind
-  :func:`force_qeq_spmv_mode` as a benchmark baseline.  The equilibrated
+* The two Krylov solves (``A s = -chi``, ``A t = -1``) are **fused**: the
+  direction vectors stack into one ``(nall, 2)`` operand and one dual-RHS
+  product (:meth:`QEqMatrix.spmv2`) serves both recurrences — the
+  optimization AMD contributed to the Kokkos version.  The *modeled* device
+  kernel loads the ``vals``/``cols`` stream once for both products; the
+  NumPy body runs two 1-D column passes over the shared row plan, which is
+  the faster host form and bitwise equal.  The equilibrated
   charges are ``q = s - t * (sum s / sum t)``, which enforces charge
   neutrality.
 
 * Iterations-to-tolerance is attacked from two more sides: a pluggable
-  **preconditioner** (:func:`make_preconditioner`: ``none``/``jacobi``/
-  ``ssor``) applied inside the dual CG recurrence, and **charge-history
+  **preconditioner** (:func:`make_preconditioner`: ``none``/``jacobi``)
+  applied inside the dual CG recurrence, and **charge-history
   extrapolation** (:class:`QEqHistory`): a ring buffer of the last few
   steps' ``s``/``t`` solutions rides on the atom arrays (so it survives
   spatial sorting and rank migration) and seeds the CG from a polynomial
@@ -40,7 +41,6 @@ identical tolerance — the property the iteration-count benchmarks rely on.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -51,45 +51,6 @@ from repro.kokkos.segment import ATOMIC, scatter_mode
 from repro.reaxff.nonbonded import shielded_kernel, taper
 from repro.reaxff.params import ReaxParams
 from repro.tools import metrics
-
-# --------------------------------------------------------------- spmv mode
-#: one matrix traversal feeds both right-hand sides (the paper's fusion)
-FUSED = "fused"
-#: two sequential traversals — the pre-fusion benchmark baseline
-DUAL = "dual"
-
-_SPMV_MODES = (FUSED, DUAL)
-
-_spmv_mode: str = FUSED
-
-
-def qeq_spmv_mode() -> str:
-    """The active dual-RHS traversal mode (``fused`` unless forced)."""
-    return _spmv_mode
-
-
-def set_qeq_spmv_mode(mode: str | None) -> str | None:
-    """Install the traversal mode (None restores ``fused``); return the old.
-
-    Unknown names fail here, at the setter, with a did-you-mean hint — the
-    same contract as the scatter/stencil mode setters.
-    """
-    global _spmv_mode
-    if mode is not None and mode not in _SPMV_MODES:
-        raise ValueError(unknown_choice("qeq spmv mode", mode, _SPMV_MODES))
-    prev = _spmv_mode
-    _spmv_mode = FUSED if mode is None else mode
-    return prev
-
-
-@contextmanager
-def force_qeq_spmv_mode(mode: str | None) -> Iterator[None]:
-    """Pin the dual-RHS traversal mode for a benchmark scope."""
-    prev = set_qeq_spmv_mode(mode)
-    try:
-        yield
-    finally:
-        set_qeq_spmv_mode(prev)
 
 
 @dataclass
@@ -138,8 +99,8 @@ class QEqMatrix:
             self._seg_rows = nonempty
         return self._rows_flat, self._cols_flat, self._vals_flat
 
-    def spmv(self, vec_all: np.ndarray) -> np.ndarray:
-        """``A @ vec``: local rows against local+ghost columns.
+    def _row_product(self, vec_all: np.ndarray) -> np.ndarray:
+        """``A @ vec`` for one 1-D right-hand side.
 
         Row-major storage makes this a true CSR product: one ``reduceat``
         over the per-rebuild row segments replaces the scalar ``np.add.at``
@@ -154,37 +115,36 @@ class QEqMatrix:
             out[self._seg_rows] += np.add.reduceat(prod, self._seg_starts)
         return out
 
-    def spmv2(self, vec2_all: np.ndarray) -> np.ndarray:
-        """``A @ [u, v]``: both right-hand sides off ONE matrix traversal.
+    def spmv(self, vec_all: np.ndarray) -> np.ndarray:
+        """``A @ vec``: local rows against local+ghost columns."""
+        return self._row_product(vec_all)
 
-        ``vec2_all`` is ``(nall, 2)``; one load of ``vals``/``cols`` feeds
-        both products (``vals[:, None] * vec2_all[cols]``), and the same
-        per-rebuild row-segment plan reduces both columns in one
-        ``reduceat(..., axis=0)``.  Each column accumulates in exactly the
-        order :meth:`spmv` uses, so the fused result is bitwise identical
-        to two single-RHS traversals — the equivalence the dual-mode tests
-        and the golden baselines rely on.
+    def spmv2(self, vec2_all: np.ndarray) -> np.ndarray:
+        """``A @ [u, v]``: the dual-RHS product of the fused CG.
+
+        ``vec2_all`` is ``(nall, 2)``; the result is ``(nlocal, 2)``.  The
+        device kernel this stands for loads ``vals``/``cols`` once for both
+        right-hand sides, and that one-traversal stream is what the cost
+        model and :meth:`traversal_bytes` charge.  The NumPy body is two 1-D
+        column passes over the shared per-rebuild row plan: a 2-column fancy
+        gather plus ``reduceat(axis=0)`` over an ``(nnz, 2)`` block is
+        slower than two 1-D passes.  Each column accumulates exactly
+        as :meth:`spmv` does, so the result is bitwise ``(spmv(u), spmv(v))``.
         """
-        rows, cols, vals = self._compact()
-        out = self.diag[:, None] * vec2_all[: self.nlocal]
-        prod = vals[:, None] * vec2_all[cols]
-        if scatter_mode() == ATOMIC:
-            np.add.at(out, rows, prod)
-        elif len(prod):
-            out[self._seg_rows] += np.add.reduceat(prod, self._seg_starts, axis=0)
+        out = np.empty((self.nlocal, 2))
+        out[:, 0] = self._row_product(vec2_all[:, 0])
+        out[:, 1] = self._row_product(vec2_all[:, 1])
         return out
 
-    def traversal_bytes(self, mode: str | None = None) -> int:
-        """Matrix-stream bytes loaded per dual-RHS product.
+    def traversal_bytes(self) -> int:
+        """Matrix-stream bytes the modeled kernel loads per dual-RHS product.
 
-        Counts the compacted value/column arrays actually traversed: the
-        fused mode streams them once for both right-hand sides, the dual
-        baseline twice.  Vector gathers are excluded — they are identical
-        in both modes, and the point of the fusion is the matrix stream.
+        One pass over the compacted value/column arrays feeds both
+        right-hand sides.  Vector gathers are excluded — the point of the
+        fusion is the matrix stream.
         """
         self._compact()
-        per_pass = self._vals_flat.nbytes + self._cols_flat.nbytes
-        return per_pass if (mode or qeq_spmv_mode()) == FUSED else 2 * per_pass
+        return self._vals_flat.nbytes + self._cols_flat.nbytes
 
     @property
     def stored_slots(self) -> int:
@@ -268,8 +228,7 @@ def build_qeq_matrix(
 #: preconditioner choices for the dual CG recurrence
 PRECOND_NONE = "none"
 PRECOND_JACOBI = "jacobi"
-PRECOND_SSOR = "ssor"
-PRECONDS = (PRECOND_NONE, PRECOND_JACOBI, PRECOND_SSOR)
+PRECONDS = (PRECOND_NONE, PRECOND_JACOBI)
 
 
 class JacobiPreconditioner:
@@ -285,49 +244,6 @@ class JacobiPreconditioner:
         return r2 / self._diag[:, None]
 
 
-class SSORPreconditioner:
-    """Symmetric SOR (omega = 1): ``M = (D+L) D^-1 (D+U)``.
-
-    Built per matrix build from the compacted COO's *local* block (columns
-    under ``nlocal``): under domain decomposition each rank preconditions
-    with its own diagonal block, which keeps ``M`` symmetric positive
-    definite (``D > 0``) and the converged charges decomposition-invariant
-    — only the iteration count may differ with the rank layout.
-    """
-
-    name = PRECOND_SSOR
-
-    def __init__(self, matrix: QEqMatrix) -> None:
-        import scipy.sparse as sp
-
-        rows, cols, vals = matrix._compact()
-        n = matrix.nlocal
-        self._n = n
-        if n == 0:
-            return
-        local = cols < n
-        r, c, v = rows[local], cols[local], vals[local]
-        diag = sp.diags(matrix.diag)
-        low = r > c
-        up = r < c
-        self._lower = (
-            sp.coo_matrix((v[low], (r[low], c[low])), shape=(n, n)) + diag
-        ).tocsr()
-        self._upper = (
-            sp.coo_matrix((v[up], (r[up], c[up])), shape=(n, n)) + diag
-        ).tocsr()
-        self._diag = matrix.diag
-
-    def apply(self, r2: np.ndarray) -> np.ndarray:
-        from scipy.sparse.linalg import spsolve_triangular
-
-        if self._n == 0:
-            return r2.copy()
-        y = spsolve_triangular(self._lower, r2, lower=True)
-        y *= self._diag[:, None]
-        return spsolve_triangular(self._upper, y, lower=False)
-
-
 def make_preconditioner(name: str, matrix: QEqMatrix):
     """Preconditioner instance for the dual CG, or None for ``none``.
 
@@ -338,8 +254,6 @@ def make_preconditioner(name: str, matrix: QEqMatrix):
         return None
     if name == PRECOND_JACOBI:
         return JacobiPreconditioner(matrix)
-    if name == PRECOND_SSOR:
-        return SSORPreconditioner(matrix)
     raise LammpsError(unknown_choice("qeq_precond", name, PRECONDS))
 
 
@@ -442,7 +356,7 @@ def fused_cg_gen(
     One generator drives both recurrences so each iteration traverses the
     matrix once (section 4.2.3's kernel fusion / work batching: the two
     right-hand-side streams hide behind the single matrix-element stream —
-    :meth:`QEqMatrix.spmv2`, unless the ``dual`` baseline mode is forced).
+    :meth:`QEqMatrix.spmv2`).
 
     ``precond`` (from :func:`make_preconditioner`) turns the recurrence into
     preconditioned CG; ``x0 = (s0, t0)`` seeds the iterates (one extra
@@ -474,13 +388,7 @@ def fused_cg_gen(
         yield from lmp.comm_brick.forward_comm_fields(atom, ("rho", "fp"))
 
     def _dual_spmv() -> np.ndarray:
-        if qeq_spmv_mode() == DUAL:
-            # benchmark baseline: two full matrix traversals
-            return np.column_stack(
-                (matrix.spmv(atom.rho[:nall]), matrix.spmv(atom.fp[:nall]))
-            )
-        vec2 = np.column_stack((atom.rho[:nall], atom.fp[:nall]))
-        return matrix.spmv2(vec2)
+        return matrix.spmv2(np.column_stack((atom.rho[:nall], atom.fp[:nall])))
 
     traversals = 0
     if x0 is None:
@@ -570,9 +478,7 @@ def fused_cg_gen(
         seeded = "yes" if x0 is not None else "no"
         metrics.inc("qeq_solves_total", precond=pname, seeded=seeded)
         metrics.inc("qeq_iterations_total", it, precond=pname, seeded=seeded)
-        metrics.inc(
-            "qeq_spmv_bytes_total", out["spmv_bytes"], mode=qeq_spmv_mode()
-        )
+        metrics.inc("qeq_spmv_bytes_total", out["spmv_bytes"])
 
 
 def equilibrate_charges_gen(

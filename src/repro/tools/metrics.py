@@ -284,7 +284,6 @@ def mode_config() -> dict[str, str]:
     Imported lazily — this is the one place the metrics core reaches into
     the rest of ``repro``, and only when a sink actually asks.
     """
-    from repro.core.neighbor import stencil_mode
     from repro.graph.plan import graph_mode
     from repro.kokkos.core import device_context, is_initialized
     from repro.kokkos.segment import scatter_mode
@@ -296,7 +295,6 @@ def mode_config() -> dict[str, str]:
     return {
         "device": device,
         "scatter": scatter_mode(),
-        "stencil": stencil_mode(),
         "graph": graph_mode(),
     }
 

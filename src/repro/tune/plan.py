@@ -15,7 +15,9 @@ import json
 import os
 import warnings
 
-SCHEMA_VERSION = 1
+#: Bumped whenever a config dimension or value is retired: an older plan may
+#: still name it, so it re-searches through the fail-open path below.
+SCHEMA_VERSION = 2
 
 
 class TunePlanStore:

@@ -5,8 +5,6 @@ Every global or per-rank switch the codebase exposes is described here as a
 
 * ``scatter``  — ScatterView contribution mode (``atomic``/``segmented``),
   the global override in :mod:`repro.kokkos.segment`.
-* ``stencil``  — neighbor build mode (``shared``/``legacy``),
-  the global override in :mod:`repro.core.neighbor`.
 * ``neigh`` + ``newton`` — list style and Newton's-third-law handling, the
   ``package kokkos neigh/newton`` axes of the paper's section 4.1 study.
   These are a *joint* dimension because full lists require newton off.
@@ -25,7 +23,6 @@ than the noise band.
 
 from __future__ import annotations
 
-from repro.core.neighbor import LEGACY, SHARED, set_stencil_mode, stencil_mode
 from repro.graph.plan import OFF as GRAPH_OFF
 from repro.graph.plan import ON as GRAPH_ON
 from repro.graph.plan import graph_mode, set_graph_mode
@@ -39,13 +36,12 @@ from repro.kokkos.segment import (
 
 #: Dimension names (the keys of a tune-config dict).
 SCATTER = "scatter"
-STENCIL = "stencil"
 NEIGH = "neigh"
 NEWTON = "newton"
 SORT = "sort"
 OVERLAP = "overlap"
 GRAPH = "graph"
-ALL_KEYS = (SCATTER, STENCIL, NEIGH, NEWTON, SORT, OVERLAP, GRAPH)
+ALL_KEYS = (SCATTER, NEIGH, NEWTON, SORT, OVERLAP, GRAPH)
 
 #: QEq solver dimensions — present only when the workload's pair style is
 #: ReaxFF (it exposes ``set_qeq_options``); other styles never see them.
@@ -64,7 +60,7 @@ PAIR_KERNEL = "pair_force"
 NEIGHBOR_KERNEL = "neighbor_build"
 KERNELS = (PAIR_KERNEL, NEIGHBOR_KERNEL)
 
-_ABBREV = {ATOMIC: "at", SEGMENTED: "sg", SHARED: "sh", LEGACY: "lg"}
+_ABBREV = {ATOMIC: "at", SEGMENTED: "sg"}
 
 
 def ranks_of(target) -> list:
@@ -141,17 +137,13 @@ def enumerate_pair_configs(target) -> list[dict]:
 
 
 def enumerate_neighbor_configs(target) -> list[dict]:
-    """Candidate cells for the neighbor-build kernel (stencil x sort)."""
+    """Candidate cells for the neighbor-build kernel (the sort interval)."""
     root = ranks_of(target)[0]
     sorts = []
     for value in (str(max(root.sort_every, 0)), "1", "0"):
         if value not in sorts:
             sorts.append(value)
-    return [
-        {STENCIL: stencil, SORT: sort}
-        for stencil in (SHARED, LEGACY)
-        for sort in sorts
-    ]
+    return [{SORT: sort} for sort in sorts]
 
 
 def snapshot_config(target, keys=None) -> dict:
@@ -166,7 +158,6 @@ def snapshot_config(target, keys=None) -> dict:
     full = {
         SCATTER: forced_scatter_mode()
         or scatter_mode(getattr(root.pair, "execution_space", None)),
-        STENCIL: stencil_mode(),
         NEIGH: style,
         NEWTON: "on" if newton else "off",
         SORT: str(max(root.sort_every, 0)),
@@ -189,12 +180,10 @@ def apply_config(target, config: dict) -> None:
     Only the dimensions present in ``config`` are touched, so a pair-kernel
     winner and a neighbor-kernel winner compose without clobbering each
     other.  The neighbor list is *not* rebuilt here — callers rebuild when
-    the list-shaping dimensions (neigh/newton/stencil/sort) changed.
+    the list-shaping dimensions (neigh/newton/sort) changed.
     """
     if SCATTER in config:
         set_scatter_mode(config[SCATTER])
-    if STENCIL in config:
-        set_stencil_mode(config[STENCIL])
     if GRAPH in config:
         set_graph_mode(config[GRAPH])
     for lmp in ranks_of(target):
@@ -235,8 +224,6 @@ def short_label(config: dict) -> str:
         if NEWTON in config:
             cell += "+" + config[NEWTON]
         parts.append(cell)
-    if STENCIL in config:
-        parts.append(_ABBREV.get(config[STENCIL], config[STENCIL]))
     if SORT in config:
         parts.append("s" + config[SORT])
     if config.get(OVERLAP) == "on":

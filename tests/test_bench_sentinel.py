@@ -106,7 +106,7 @@ class TestStats:
         from pathlib import Path
 
         root = Path(__file__).resolve().parent.parent
-        for name in ("BENCH_hotpath.json", "BENCH_neighbor.json"):
+        for name in ("BENCH_hotpath.json", "BENCH_qeq.json"):
             with open(root / name) as fh:
                 validate_bench(json.load(fh))
 

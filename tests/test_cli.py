@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.__main__ import build_parser, main, resolve_device
+from repro.__main__ import build_parser, main, resolve_device, workload_key
 
 SCRIPT = """\
 units lj
@@ -81,6 +81,29 @@ class TestRuns:
         assert args.bench == "hotpath" and args.script is None
 
 
+class TestWorkloadKey:
+    def test_lammps_script_names_map_to_the_bare_workload(self):
+        for name in ("in.melt", "melt.in", "melt.lmp", "some/dir/in.melt"):
+            assert workload_key(name) == "melt"
+        assert workload_key("in.eam.quench") == "eam.quench"
+        assert workload_key("run.txt") == "run.txt"
+        assert workload_key("in.") == "in."
+
+    def test_in_scripts_land_under_different_plan_keys(self, tmp_path):
+        import json
+
+        plan = tmp_path / "tuned_plan.json"
+        for name in ("in.melt", "in.eam"):
+            path = tmp_path / name
+            path.write_text(SCRIPT)
+            assert main([
+                "-in", str(path), "-var", "cells", "2", "--quiet",
+                "--autotune", "model", "--tune-plan", str(plan),
+                "--tune-repeats", "1",
+            ]) == 0
+        assert set(json.loads(plan.read_text())["plans"]) == {"melt", "eam"}
+
+
 class TestBenchEntry:
     def test_main_dispatches_to_hotpath_bench(self, monkeypatch):
         from repro.bench import registry
@@ -90,16 +113,6 @@ class TestBenchEntry:
             registry._BENCHES, "hotpath", lambda **kw: calls.append(kw) or {}
         )
         assert main(["--bench", "hotpath", "--quiet"]) == 0
-        assert calls == [{"quiet": True}]
-
-    def test_main_dispatches_to_neighbor_bench(self, monkeypatch):
-        from repro.bench import registry
-
-        calls = []
-        monkeypatch.setitem(
-            registry._BENCHES, "neighbor", lambda **kw: calls.append(kw) or {}
-        )
-        assert main(["--bench", "neighbor", "--quiet"]) == 0
         assert calls == [{"quiet": True}]
 
     def test_hotpath_bench_writes_json(self, tmp_path):

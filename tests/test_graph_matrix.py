@@ -5,22 +5,19 @@ from a stream of eager dispatches into a captured, fused, cached plan.
 That is only legal because the fused composition computes *bitwise*
 identical forces and energies — the stage bodies run the same ufunc
 sequence on the same operands, only the dispatch accounting changes.
-This module is that safety net, swept over the melt LJ matrix (kokkos,
-scatter x stencil), host LJ, EAM/kk, SNAP, and the HNS ReaxFF snapshot,
+This module is that safety net, swept over melt LJ (kokkos, both
+scatter modes), host LJ, EAM/kk, SNAP, and the HNS ReaxFF snapshot,
 plus the PairCache-style plan lifetime rules: invalidation on neighbor
 rebuild and on a ``set_scatter_mode`` flip mid-run.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
 from conftest import gather_by_tag, make_melt
 from repro.core import Lammps
-from repro.core.neighbor import LEGACY, SHARED, force_stencil_mode
 from repro.graph import ON, force_graph_mode, plan_cache, set_graph_mode
 from repro.kokkos.segment import (
     ATOMIC,
@@ -83,15 +80,13 @@ def assert_fused_matches_eager(lmp, tag=""):
 
 
 # ----------------------------------------------------------- melt lj matrix
-def test_melt_kk_fused_bitwise_across_scatter_stencil_matrix():
+def test_melt_kk_fused_bitwise_across_scatter_modes():
     lmp = make_melt(device="H100", suffix="kk")
     lmp.run(0)
-    for scatter, stencil in itertools.product(
-        (ATOMIC, SEGMENTED), (SHARED, LEGACY)
-    ):
-        with force_scatter_mode(scatter), force_stencil_mode(stencil):
+    for scatter in (ATOMIC, SEGMENTED):
+        with force_scatter_mode(scatter):
             drain(lmp.rebuild_gen())
-            assert_fused_matches_eager(lmp, f"melt-kk {scatter}/{stencil}")
+            assert_fused_matches_eager(lmp, f"melt-kk {scatter}")
 
 
 def test_melt_kk_full_list_fused_bitwise():

@@ -1,8 +1,8 @@
 """QEq solver acceleration: fusion, preconditioning, history extrapolation.
 
 Covers the rebuilt charge solve end to end: the enforced appendix-B
-overflow guards in the matrix build, bitwise fused-vs-double-traversal
-equivalence across scatter modes, preconditioned convergence at identical
+overflow guards in the matrix build, bitwise dual-RHS-vs-two-single-RHS
+equivalence across scatter modes and rank counts, preconditioned convergence at identical
 tolerance, the permutation/migration safety of the charge-history ring
 (custom per-atom fields), the packed two-vector forward exchange, golden
 iteration counts on HNS, and 1-vs-N-rank decomposition invariance of the
@@ -25,27 +25,12 @@ from conftest import gather_by_tag
 from repro.core import Ensemble, Lammps
 from repro.core.errors import InputError, LammpsError, OverflowGuardError
 from repro.kokkos.segment import ATOMIC, SEGMENTED, force_scatter_mode
-from repro.reaxff.qeq import (
-    DUAL,
-    FUSED,
-    HISTORY_DEPTH,
-    build_qeq_matrix,
-    force_qeq_spmv_mode,
-    make_preconditioner,
-    qeq_spmv_mode,
-    set_qeq_spmv_mode,
-)
+from repro.reaxff.qeq import HISTORY_DEPTH, build_qeq_matrix, make_preconditioner
 from repro.tools import metrics
 from repro.tools.metrics import MetricsRegistry
 from repro.workloads.hns import setup_hns
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-@pytest.fixture(autouse=True)
-def _reset_spmv_mode():
-    yield
-    set_qeq_spmv_mode(None)
 
 
 def make_hns(nranks=1, precond="none", extrap="none", cells=(1, 2, 2), tol=None):
@@ -93,52 +78,54 @@ class TestOverflowGuards:
 
 
 # --------------------------------------------------------- spmv fusion
-class TestFusedSpmv:
-    @pytest.mark.parametrize("scatter", [ATOMIC, SEGMENTED])
-    def test_fused_bitwise_equals_double_traversal(self, scatter):
-        """One traversal for both RHS must reproduce two traversals exactly,
-        in both scatter modes — so the fused default never shifts goldens."""
-        results = {}
-        for mode in (FUSED, DUAL):
-            with force_scatter_mode(scatter), force_qeq_spmv_mode(mode):
-                lmp = make_hns()
-                lmp.run(2)
-            results[mode] = (
-                gather_by_tag(lmp, "q"),
-                list(lmp.pair.qeq_iters_history),
-            )
-        q_fused, it_fused = results[FUSED]
-        q_dual, it_dual = results[DUAL]
-        assert np.array_equal(q_fused, q_dual)  # bitwise
-        assert it_fused == it_dual
-
-    def test_spmv2_matches_two_spmv_calls_bitwise(self):
-        lmp = make_hns()
-        lmp.run(0)
+def rank_matrices(nranks=1):
+    """``(matrix, lmp)`` per rank of an HNS system after setup."""
+    target = make_hns(nranks)
+    target.run(0)
+    out = []
+    for lmp in target.ranks if nranks > 1 else [target]:
         atom, pair = lmp.atom, lmp.pair
         species = pair.type_map[atom.type[: atom.nall]]
         m = build_qeq_matrix(
             atom.x[: atom.nall], species, lmp.neigh_list, pair.params,
             lmp.update.units.qqr2e,
         )
+        out.append((m, lmp))
+    return out
+
+
+class TestFusedSpmv:
+    @pytest.mark.parametrize("scatter", [ATOMIC, SEGMENTED])
+    def test_fused_bitwise_equals_double_traversal(self, scatter):
+        """The dual-RHS product must reproduce two single-RHS products
+        exactly, in both scatter modes, with and without ghost columns — so
+        its body may change without shifting goldens."""
         rng = np.random.default_rng(7)
-        vec2 = rng.normal(size=(atom.nall, 2))
+        for nranks in (1, 2):
+            for m, lmp in rank_matrices(nranks):
+                nall = lmp.atom.nall
+                assert nall > m.nlocal  # ghost columns present
+                u, v = rng.normal(size=(2, nall))
+                with force_scatter_mode(scatter):
+                    both = m.spmv2(np.column_stack((u, v)))
+                    assert np.array_equal(both[:, 0], m.spmv(u))
+                    assert np.array_equal(both[:, 1], m.spmv(v))
+
+    def test_spmv2_matches_two_spmv_calls_bitwise(self):
+        ((m, lmp),) = rank_matrices()
+        vec2 = np.random.default_rng(7).normal(size=(lmp.atom.nall, 2))
         fused = m.spmv2(vec2)
         assert np.array_equal(fused[:, 0], m.spmv(vec2[:, 0]))
         assert np.array_equal(fused[:, 1], m.spmv(vec2[:, 1]))
 
     def test_traversal_bytes_mode_accounting(self):
-        lmp = make_hns()
-        lmp.run(0)
-        atom, pair = lmp.atom, lmp.pair
-        species = pair.type_map[atom.type[: atom.nall]]
-        m = build_qeq_matrix(
-            atom.x[: atom.nall], species, lmp.neigh_list, pair.params,
-            lmp.update.units.qqr2e,
-        )
-        assert m.traversal_bytes(DUAL) == 2 * m.traversal_bytes(FUSED)
-        assert qeq_spmv_mode() == FUSED
-        assert m.traversal_bytes() == m.traversal_bytes(FUSED)
+        """The charged stream is ONE pass over values + columns per dual-RHS
+        product, whatever the NumPy body does."""
+        ((m, lmp),) = rank_matrices()
+        stats = lmp.pair.last_stats
+        assert m.traversal_bytes() == m._vals_flat.nbytes + m._cols_flat.nbytes
+        assert stats["qeq_spmv_bytes_per_iteration"] == m.traversal_bytes()
+        assert stats["qeq_spmv_bytes"] == m.traversal_bytes() * stats["qeq_iterations"]
 
 
 # ------------------------------------------------------ preconditioning
@@ -147,22 +134,10 @@ class TestPreconditioning:
         cold = make_hns()
         cold.run(3)
         q_cold = gather_by_tag(cold, "q")
-        for precond in ("jacobi", "ssor"):
-            lmp = make_hns(precond=precond)
-            lmp.run(3)
-            np.testing.assert_allclose(
-                gather_by_tag(lmp, "q"), q_cold, atol=1e-6
-            )
-            assert sum(lmp.pair.qeq_iters_history) <= sum(
-                cold.pair.qeq_iters_history
-            ), precond
-
-    def test_ssor_converges_in_fewer_iterations(self):
-        cold = make_hns()
-        cold.run(2)
-        ssor = make_hns(precond="ssor")
-        ssor.run(2)
-        assert sum(ssor.pair.qeq_iters_history) < sum(cold.pair.qeq_iters_history)
+        lmp = make_hns(precond="jacobi")
+        lmp.run(3)
+        np.testing.assert_allclose(gather_by_tag(lmp, "q"), q_cold, atol=1e-6)
+        assert sum(lmp.pair.qeq_iters_history) <= sum(cold.pair.qeq_iters_history)
 
     def test_unknown_precond_rejected_at_setter(self):
         lmp = make_hns()
@@ -177,10 +152,6 @@ class TestPreconditioning:
         lmp = make_hns()
         with pytest.raises(InputError, match="qeq_extrap"):
             lmp.pair.set_qeq_options(extrap="5")
-
-    def test_unknown_spmv_mode_rejected_at_setter(self):
-        with pytest.raises(ValueError, match="fused"):
-            set_qeq_spmv_mode("fussed")
 
     def test_pair_style_args_parse_qeq_knobs(self):
         lmp = Lammps()
@@ -310,7 +281,7 @@ class TestPackedForwardComm:
         total = sum(lmp.pair.qeq_iters_history)
         assert sum(iters.values.values()) == total
         spmv = sink.families["qeq_spmv_bytes_total"]
-        assert spmv.get(mode=FUSED) > 0
+        assert spmv.get() > 0
 
 
 # ---------------------------------------------------------------- golden
@@ -361,7 +332,7 @@ class TestDistributed:
     def test_ranks_stay_in_lockstep(self):
         """Every rank must make the identical seed/iterate decisions — the
         collective gate on the solve counter."""
-        multi = make_hns(nranks=2, precond="ssor", extrap="2", cells=(2, 2, 2))
+        multi = make_hns(nranks=2, precond="jacobi", extrap="2", cells=(2, 2, 2))
         multi.command("run 12")
         histories = [r.pair.qeq_iters_history for r in multi.ranks]
         assert histories[0] == histories[1]

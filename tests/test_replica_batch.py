@@ -4,25 +4,17 @@ The whole premise of :mod:`repro.replica` is that folding R replicas into
 one stacked AtomVec and running one set of vectorized kernels changes the
 wall clock and *nothing else*.  These tests enforce that premise at the
 strictest level available — ``np.array_equal`` on positions, velocities,
-and thermo rows against fresh solo runs — across the scatter x stencil
-mode matrix, mid-flight joins, staggered early termination, and the
-custom-field compaction the retirement path depends on.
+and thermo rows against fresh solo runs — under both scatter modes,
+mid-flight joins, staggered early termination, and the custom-field
+compaction the retirement path depends on.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 import pytest
 
 from repro.core.errors import LammpsError
-from repro.core.neighbor import (
-    LEGACY,
-    SHARED,
-    force_stencil_mode,
-    set_stencil_mode,
-)
 from repro.kokkos.segment import (
     ATOMIC,
     SEGMENTED,
@@ -34,14 +26,12 @@ from repro.replica.batch import REPLICA_FIELD
 from repro.workloads import ReplicaSpec
 
 SCATTERS = (ATOMIC, SEGMENTED)
-STENCILS = (SHARED, LEGACY)
 
 
 @pytest.fixture(autouse=True)
 def _reset_modes():
     yield
     set_scatter_mode(None)
-    set_stencil_mode(None)
 
 
 def _specs(family: str, n: int, thermo: int = 10) -> list[ReplicaSpec]:
@@ -76,22 +66,20 @@ def _assert_bitwise(solo, member, label: str, thermo: bool = True) -> None:
 
 
 # ------------------------------------------------------ mode-matrix sweep
-@pytest.mark.parametrize(
-    "scatter,stencil", list(itertools.product(SCATTERS, STENCILS))
-)
-def test_melt_batch_bitwise_across_mode_matrix(scatter, stencil):
+@pytest.mark.parametrize("scatter", SCATTERS)
+def test_melt_batch_bitwise_across_mode_matrix(scatter):
     """16 LJ replicas, batch vs solo, bit-for-bit in every mode cell."""
-    with force_scatter_mode(scatter), force_stencil_mode(stencil):
+    with force_scatter_mode(scatter):
         specs = _specs("melt", 16)
         solos = [_solo(s, 40) for s in specs]
-        batch = ReplicaBatch(label=f"{scatter}-{stencil}")
+        batch = ReplicaBatch(label=scatter)
         members = [s.build() for s in specs]
         for m in members:
             batch.add_replica(m)
         batch.step(40)
         batch.finish()
     for i, (a, b) in enumerate(zip(solos, members)):
-        _assert_bitwise(a, b, f"{scatter}/{stencil} replica {i}")
+        _assert_bitwise(a, b, f"{scatter} replica {i}")
     assert not batch.failures
 
 

@@ -184,7 +184,7 @@ class TestProfileStore:
     def test_update_save_reload(self, tmp_path):
         path = str(tmp_path / "profiles.json")
         store = ProfileStore(path)
-        cfg = {"device": "H100", "scatter": "segmented", "stencil": "shared"}
+        cfg = {"device": "H100", "scatter": "segmented", "graph": "off"}
         store.update("melt", cfg, self.KERNELS)
         store.update("melt", cfg, self.KERNELS)
         store.save()
@@ -195,8 +195,8 @@ class TestProfileStore:
 
     def test_best_config_picks_fastest(self, tmp_path):
         store = ProfileStore(str(tmp_path / "p.json"))
-        slow = {"device": "host", "scatter": "atomic", "stencil": "legacy"}
-        fast = {"device": "H100", "scatter": "segmented", "stencil": "shared"}
+        slow = {"device": "host", "scatter": "atomic", "graph": "off"}
+        fast = {"device": "H100", "scatter": "segmented", "graph": "on"}
         store.update("melt", slow, {"K": {"wall_seconds": 1.0, "count": 1}})
         store.update("melt", fast, {"K": {"wall_seconds": 0.2, "count": 1}})
         ckey, mean = store.best_config("melt", "K")
@@ -214,11 +214,11 @@ class TestProfileStore:
 
         kk.initialize("H100")
         cfg = mode_config()
-        assert set(cfg) == {"device", "scatter", "stencil", "graph"}
+        assert set(cfg) == {"device", "scatter", "graph"}
         assert "H100" in cfg["device"]
         key = config_key(cfg)
         assert key.startswith("device=")
-        assert "scatter=" in key and "stencil=" in key and "graph=" in key
+        assert "scatter=" in key and "graph=" in key
 
 
 # ------------------------------------------------------------------ the tool

@@ -336,7 +336,7 @@ class TestBenchRegistry:
         from repro.bench import bench_names
 
         names = bench_names()
-        assert "hotpath" in names and "neighbor" in names
+        assert "hotpath" in names and "qeq" in names
 
     def test_cli_choices_come_from_registry(self):
         from repro.__main__ import build_parser

@@ -17,7 +17,6 @@ import pytest
 from conftest import MELT_SCRIPT, make_melt
 from repro.core import Lammps
 from repro.core.errors import InputError
-from repro.core.neighbor import set_stencil_mode
 from repro.graph import set_graph_mode
 from repro.kokkos.segment import set_scatter_mode
 from repro.tune import Autotuner
@@ -28,11 +27,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 @pytest.fixture(autouse=True)
 def _reset_modes():
     set_scatter_mode(None)
-    set_stencil_mode(None)
     set_graph_mode(None)
     yield
     set_scatter_mode(None)
-    set_stencil_mode(None)
     set_graph_mode(None)
 
 
@@ -62,7 +59,6 @@ def test_autotune_deterministic_and_matches_golden(update_golden):
     config1 = lmp1.autotuner.result["config"]
 
     set_scatter_mode(None)
-    set_stencil_mode(None)
     lmp2, trace2 = _run_autotuned()
 
     # same seed + model measure: identical winners, bit-identical thermo
@@ -180,5 +176,5 @@ def test_cli_autotune_writes_plan(tmp_path):
     ])
     assert rc == 0
     data = json.loads(plan.read_text())
-    kernels = data["plans"]["in"]["host"]
+    kernels = data["plans"]["melt"]["host"]
     assert set(kernels) == {"pair_force", "neighbor_build"}

@@ -1,11 +1,10 @@
 """Differential mode-matrix sweep: physics is invariant under every cell.
 
-The autotuner (:mod:`repro.tune`) switches scatter mode, stencil mode, list
-style, and newton handling at run start.  That is only legal because every
-cell of the config product computes identical forces and energies — this
-module is that safety net, swept explicitly over melt (kokkos LJ, full
-scatter x stencil x list x newton product) and an HNS snapshot (ReaxFF,
-scatter x stencil).
+The autotuner (:mod:`repro.tune`) switches scatter mode, list style, and
+newton handling at run start.  That is only legal because every cell of the
+config product computes identical forces and energies — this module is that
+safety net, swept explicitly over melt (kokkos LJ, full scatter x list x
+newton product) and an HNS snapshot (ReaxFF, both scatter modes).
 
 Also here: the regression tests for the mode setters' did-you-mean
 validation (unknown names used to surface as errors deep in dispatch).
@@ -20,14 +19,6 @@ import pytest
 
 from conftest import gather_by_tag, make_melt
 from repro.core import Lammps
-from repro.core.errors import NeighborError
-from repro.core.neighbor import (
-    LEGACY,
-    SHARED,
-    force_stencil_mode,
-    set_stencil_mode,
-    stencil_mode,
-)
 from repro.graph import set_graph_mode
 from repro.kokkos.segment import (
     ATOMIC,
@@ -37,12 +28,10 @@ from repro.kokkos.segment import (
     set_scatter_mode,
 )
 from repro.parallel.driver import drain
-from repro.reaxff.qeq import set_qeq_spmv_mode
 from repro.tune import space as tspace
 from repro.workloads.hns import setup_hns
 
 SCATTERS = (ATOMIC, SEGMENTED)
-STENCILS = (SHARED, LEGACY)
 #: (neigh, newton) cells of the section 4.1 study; full+newton is invalid.
 LIST_CELLS = (("half", True), ("half", False), ("full", False))
 
@@ -52,14 +41,12 @@ def _reset_modes():
     """The setters mutate process globals; never leak across tests."""
     yield
     set_scatter_mode(None)
-    set_stencil_mode(None)
     set_graph_mode(None)
-    set_qeq_spmv_mode(None)
 
 
 # ------------------------------------------------------------- melt matrix
-def _melt_forces(lmp, scatter, stencil, neigh, newton):
-    with force_scatter_mode(scatter), force_stencil_mode(stencil):
+def _melt_forces(lmp, scatter, neigh, newton):
+    with force_scatter_mode(scatter):
         lmp.pair.set_options(neigh=neigh, newton=newton)
         lmp.newton_pair = newton
         drain(lmp.rebuild_gen())
@@ -74,10 +61,9 @@ def test_melt_mode_matrix_forces_and_energy_agree():
     lmp = make_melt(suffix="kk")
     lmp.run(0)
     ref_f = ref_e = None
-    cells = itertools.product(SCATTERS, STENCILS, LIST_CELLS)
-    for scatter, stencil, (neigh, newton) in cells:
-        f, e = _melt_forces(lmp, scatter, stencil, neigh, newton)
-        tag = f"{scatter}/{stencil}/{neigh}/newton={newton}"
+    for scatter, (neigh, newton) in itertools.product(SCATTERS, LIST_CELLS):
+        f, e = _melt_forces(lmp, scatter, neigh, newton)
+        tag = f"{scatter}/{neigh}/newton={newton}"
         if ref_f is None:
             ref_f, ref_e = f, e
             continue
@@ -92,21 +78,20 @@ def test_hns_mode_matrix_forces_and_energy_agree():
     lmp = Lammps(device=None)
     setup_hns(lmp, 1, 2, 2, pair_style="reaxff cutoff 5.0")
     ref_f = ref_e = None
-    for scatter, stencil in itertools.product(SCATTERS, STENCILS):
-        with force_scatter_mode(scatter), force_stencil_mode(stencil):
+    for scatter in SCATTERS:
+        with force_scatter_mode(scatter):
             drain(lmp.verlet.run_gen(0))
         f = gather_by_tag(lmp, "f")
         e = float(lmp.pair.eng_vdwl + lmp.pair.eng_coul)
-        tag = f"{scatter}/{stencil}"
         if ref_f is None:
             ref_f, ref_e = f, e
             continue
         # the QEq CG solve stops at a tolerance, so charge round-off gives
         # the cells a slightly wider band than the bit-exact LJ matrix
         np.testing.assert_allclose(
-            f, ref_f, rtol=1e-6, atol=1e-8, err_msg=f"forces differ in {tag}"
+            f, ref_f, rtol=1e-6, atol=1e-8, err_msg=f"forces differ in {scatter}"
         )
-        assert e == pytest.approx(ref_e, rel=1e-7), f"energy differs in {tag}"
+        assert e == pytest.approx(ref_e, rel=1e-7), f"energy differs in {scatter}"
 
 
 # ---------------------------------------------------------- qeq dimensions
@@ -120,9 +105,7 @@ def test_hns_qeq_matrix_precond_extrap_cells_agree():
     """The tuner may switch preconditioner/extrapolation mid-run: every
     qeq cell must land on the same trajectory within solver round-off."""
     ref_q = ref_f = None
-    for precond, extrap in itertools.product(
-        ("none", "jacobi", "ssor"), ("none", "2")
-    ):
+    for precond, extrap in itertools.product(("none", "jacobi"), ("none", "2")):
         lmp = _hns_lmp()
         lmp.pair.set_qeq_options(precond=precond, extrap=extrap)
         lmp.run(4)
@@ -143,8 +126,8 @@ def test_qeq_dimensions_enumerated_only_for_reaxff():
     lmp = _hns_lmp()
     assert tspace.qeq_capable(lmp)
     configs = tspace.enumerate_pair_configs(lmp)
-    # 3 preconds x 2 extraps multiply the reaxff product
-    assert len({cfg[tspace.QEQ_PRECOND] for cfg in configs}) == 3
+    # 2 preconds x 2 extraps multiply the reaxff product
+    assert {cfg[tspace.QEQ_PRECOND] for cfg in configs} == {"none", "jacobi"}
     assert {cfg[tspace.QEQ_EXTRAP] for cfg in configs} == {"none", "2"}
     assert all(cfg[tspace.QEQ_TOL] == "1e-08" for cfg in configs)
 
@@ -198,21 +181,9 @@ def test_unknown_scatter_mode_names_fail_at_setter_with_hint():
     assert forced_scatter_mode() is None  # nothing was installed
 
 
-def test_unknown_stencil_mode_names_fail_at_setter_with_hint():
-    with pytest.raises(NeighborError) as err:
-        set_stencil_mode("legcy")
-    msg = str(err.value)
-    assert "did you mean 'legacy'" in msg
-    assert "shared" in msg
-    assert stencil_mode() == SHARED  # nothing was installed
-
-
 def test_context_managers_validate_before_entry():
     with pytest.raises(ValueError, match="unknown scatter mode"):
         with force_scatter_mode("bogus"):
-            pass
-    with pytest.raises(NeighborError, match="unknown stencil mode"):
-        with force_stencil_mode("bogus"):
             pass
 
 
@@ -220,5 +191,3 @@ def test_setters_return_previous_mode_for_restore():
     assert set_scatter_mode(ATOMIC) is None
     assert set_scatter_mode(SEGMENTED) == ATOMIC
     assert set_scatter_mode(None) == SEGMENTED
-    assert set_stencil_mode(LEGACY) is None
-    assert set_stencil_mode(None) == LEGACY

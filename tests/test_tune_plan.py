@@ -13,7 +13,6 @@ import json
 import pytest
 
 from conftest import make_melt
-from repro.core.neighbor import set_stencil_mode
 from repro.graph import set_graph_mode
 from repro.kokkos.segment import set_scatter_mode
 from repro.tune import Autotuner
@@ -24,7 +23,6 @@ from repro.tune.plan import SCHEMA_VERSION, TunePlanStore
 def _reset_modes():
     yield
     set_scatter_mode(None)
-    set_stencil_mode(None)
     set_graph_mode(None)
 
 
@@ -54,7 +52,6 @@ def test_plan_round_trip_skips_search(tmp_path):
 
     # fresh tuner + fresh Lammps: only the file carries the winners over
     set_scatter_mode(None)
-    set_stencil_mode(None)
     second = _tune_melt(plan)
     assert second.probes == 0
     assert all(
@@ -74,13 +71,35 @@ def test_corrupt_plan_falls_back_to_search_with_warning(tmp_path):
     assert json.loads(plan.read_text())["schema_version"] == SCHEMA_VERSION
 
 
+def _v1_plan(kernel, config):
+    entry = {"config": config, "score": 1.0, "measure": "model", "repeats": 2}
+    return {"schema_version": 1, "plans": {"melt": {"host": {kernel: entry}}}}
+
+
 def test_stale_schema_plan_falls_back_to_search(tmp_path):
+    """Unknown versions and version-1 plans naming a retired dimension or
+    value are never applied: warn, re-search, overwrite."""
     plan = tmp_path / "tuned_plan.json"
-    plan.write_text(json.dumps({"schema_version": 999, "plans": {}}) + "\n")
-    with pytest.warns(RuntimeWarning, match="schema_version"):
-        tuner = _tune_melt(plan)
-    assert tuner.probes > 0
-    assert json.loads(plan.read_text())["schema_version"] == SCHEMA_VERSION
+    for stale in (
+        {"schema_version": 999, "plans": {}},
+        _v1_plan("neighbor_build", {"stencil": "legacy", "sort": "1"}),
+        _v1_plan(
+            "pair_force",
+            {"scatter": "segmented", "neigh": "half", "newton": "on",
+             "graph": "off", "qeq_precond": "ssor"},
+        ),
+    ):
+        plan.write_text(json.dumps(stale) + "\n")
+        with pytest.warns(RuntimeWarning, match="schema_version"):
+            tuner = _tune_melt(plan)
+        assert all(
+            entry["source"] == "search" for entry in tuner.result["kernels"].values()
+        )
+        saved = json.loads(plan.read_text())
+        assert saved["schema_version"] == SCHEMA_VERSION
+        for entry in saved["plans"]["melt"]["host"].values():
+            assert "stencil" not in entry["config"]
+            assert entry["config"].get("qeq_precond") != "ssor"
 
 
 def test_malformed_plan_entry_is_ignored(tmp_path):

@@ -16,7 +16,6 @@ import json
 import pytest
 
 from conftest import make_melt
-from repro.core.neighbor import set_stencil_mode
 from repro.graph import set_graph_mode
 from repro.kokkos.segment import set_scatter_mode
 from repro.tools import metrics
@@ -28,7 +27,6 @@ from repro.tune import space as tspace
 def _reset_modes():
     yield
     set_scatter_mode(None)
-    set_stencil_mode(None)
     set_graph_mode(None)
 
 
@@ -101,7 +99,7 @@ def test_seed_from_prior_moves_winner_to_front_and_prunes():
             return self._means.get(metrics.config_key(config))
 
     tuner = Autotuner(measure="model", plan_path=None, quiet=True)
-    base_full = {tspace.STENCIL: "shared", tspace.SORT: "1"}
+    base_full = {tspace.GRAPH: "off", tspace.SORT: "1"}
     candidates = [
         {tspace.SCATTER: "atomic"},     # baseline: slow but protected
         {tspace.SCATTER: "segmented"},  # the recorded prior
