@@ -25,13 +25,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.errors import NeighborError
+
 
 def _geometry(
-    x: np.ndarray, bin_size: float
+    x: np.ndarray, bin_size: float, nlocal: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(origin, nbins, size)`` of the grid covering ``x``."""
     origin = x.min(axis=0) - 1e-9
     top = x.max(axis=0) + 1e-9
+    if not np.isfinite((origin, top)).all():
+        # a NaN/inf coordinate would otherwise be clipped into some bin
+        # and the atom silently lose its neighbors
+        bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+        who = "" if nlocal is None else "ghost " if bad >= nlocal else "owned "
+        raise NeighborError(
+            f"non-finite coordinates {x[bad].tolist()} on {who}atom {bad}: "
+            "cannot bin atoms for the neighbor build"
+        )
     span = np.maximum(top - origin, bin_size)
     nbins = np.maximum((span / bin_size).astype(np.int64), 1)
     return origin, nbins, span / nbins
@@ -77,6 +88,7 @@ class BinGrid:
         self.nall = nall
         self.nlocal = nlocal
         self.bin_size = float(bin_size)
+        self._runs: dict = {}  # (kind, reach) -> slot bounds, see runs()
         if nall == 0:
             self.origin = np.zeros(3)
             self.nbins = np.ones(3, dtype=np.int64)
@@ -88,7 +100,7 @@ class BinGrid:
             self.islot = np.zeros(0, dtype=np.int64)
             self.starts2 = np.zeros(3, dtype=np.int64)
             return
-        self.origin, self.nbins, self.size = _geometry(x, self.bin_size)
+        self.origin, self.nbins, self.size = _geometry(x, self.bin_size, nlocal)
         self.strides = np.array(
             [1, self.nbins[0], self.nbins[0] * self.nbins[1]], dtype=np.int64
         )
@@ -153,63 +165,100 @@ class BinGrid:
             np.ceil(cutoff / self.size - 1e-12).astype(np.int64), 1
         )
 
-    def stencil_offsets(self, cutoff: float) -> np.ndarray:
-        """Full stencil: every cell offset within reach, self cell included."""
-        kx, ky, kz = self.reach(cutoff)
+    def lower_offsets(self, cutoff: float, same_z_only: bool) -> np.ndarray:
+        """Cell offsets lexicographically negative in ``(dz, dy, dx)``.
+
+        The half of the stencil that :meth:`runs` ``"upper"`` leaves out.  A
+        half list needs these cells only for their *ghost* members, whose
+        pairs are kept by the grid-independent coordinate tie-break rather
+        than cell order; ghost tails are not contiguous across cells, so
+        :meth:`scan` visits them one cell at a time.  ``same_z_only`` drops
+        the ``dz < 0`` layers (newton on: a strictly lower z-bin can never
+        win the z-first tie-break).
+        """
+        kx, ky, kz = (int(k) for k in self.reach(cutoff))
         return np.array(
             [
                 (dx, dy, dz)
-                for dz in range(-kz, kz + 1)
+                for dz in range(0 if same_z_only else -kz, 1)
                 for dy in range(-ky, ky + 1)
                 for dx in range(-kx, kx + 1)
+                if (dz, dy, dx) < (0, 0, 0)
             ],
             dtype=np.int64,
         )
 
-    def half_offsets(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(upper, lower)`` split of the stencil, self cell excluded.
+    def runs(self, cutoff: float, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """Slot bounds ``(lo, hi)``, each ``(ncells, nruns)``, of every cell's x-runs.
 
-        "Upper" cells are lexicographically positive in ``(dz, dy, dx)``;
-        scanning only those (plus the in-cell tail) generates each
-        same-rank pair exactly once — the cell whose offset is negative
-        from one side is positive from the other.  The "lower" cells are
-        needed only for *ghost* neighbors, whose pairs are kept by the
-        grid-independent coordinate tie-break rather than cell order.
+        Cells are stored x-fastest with contiguous per-cell segments, so the
+        cells ``(x0..kx, dy, dz)`` around a cell are *one* slot range — the
+        unit of the all-members scan.  A cell's runs are listed in
+        stencil-offset order (``dz``, then ``dy`` ascending): ``"full"`` is
+        every ``(-kx..kx, dy, dz)``, self cell included; ``"upper"`` is the
+        lexicographically positive half, ``(1..kx, 0, 0)`` first.  Runs are
+        clipped at the grid's x edges; a run whose ``(dy, dz)`` row leaves
+        the grid is empty.  Memoized per ``(kind, reach)``: built once per
+        grid with one broadcast, shared by every row of every list.
         """
-        off = self.stencil_offsets(cutoff)
-        dx, dy, dz = off[:, 0], off[:, 1], off[:, 2]
-        upper = (dz > 0) | ((dz == 0) & ((dy > 0) | ((dy == 0) & (dx > 0))))
-        self_cell = (dx == 0) & (dy == 0) & (dz == 0)
-        return off[upper], off[~upper & ~self_cell]
+        kx, ky, kz = (int(k) for k in self.reach(cutoff))
+        key = (kind, kx, ky, kz)
+        if key not in self._runs:
+            full = kind == "full"
+            x0, dy, dz = np.array(
+                [
+                    (-kx if full or (z, y) > (0, 0) else 1, y, z)
+                    for z in range(-kz if full else 0, kz + 1)
+                    for y in range(-ky, ky + 1)
+                    if full or (z, y) >= (0, 0)
+                ],
+                dtype=np.int64,
+            ).T
+            nx, ny, nz = (int(n) for n in self.nbins)
+            # per (yz row, run): first cell of the target row; per (cx, run):
+            # the clipped x range as cell numbers [xa, xb) — xa == xb at the
+            # edge is an empty slot range by itself, out-of-grid rows are masked
+            yz = np.arange(ny * nz, dtype=np.int64)[:, None]
+            ty, tz = yz % ny + dy, yz // ny + dz
+            ok = ((ty >= 0) & (ty < ny) & (tz >= 0) & (tz < nz))[:, None, :]
+            row = np.where(ok, nx * (ty + ny * tz)[:, None, :], 0)
+            cx = np.arange(nx, dtype=np.int64)[:, None]
+            xa, xb = np.clip(cx + x0, 0, nx), np.minimum(cx + kx + 1, nx)
+            start = self.starts2[::2]  # cell c occupies [start[c], start[c + 1])
+            lo = start[row + xa]
+            hi = np.where(ok, start[row + xb], lo)
+            self._runs[key] = lo.reshape(-1, len(x0)), hi.reshape(-1, len(x0))
+        return self._runs[key]
 
     # ---------------------------------------------------------------- scans
-    def scan(self, rows: np.ndarray, offsets: np.ndarray, members: str = "all"):
-        """Candidate batches ``(i, jslot)``: each row against each stencil cell.
+    def scan_runs(self, rows: np.ndarray, cutoff: float, kind: str):
+        """``(i, jslot)``: each row against every member of its cell's x-runs.
 
-        ``members`` picks the per-cell segment: ``"all"`` atoms or only the
-        ``"ghost"`` tail (the counting-sort key stores owned atoms first).
-        The j side is emitted in *slot* space (positions in :attr:`order`,
-        contiguous per cell — pair with :meth:`slot_columns`); map survivors
-        back with ``order[jslot]``.  Entries are ordered offset-major, rows
-        ascending within each offset: after the builder's stable per-chunk
-        sort by row, a row's neighbors appear in stencil-offset order.
+        The j side is in *slot* space (positions in :attr:`order` — pair with
+        :meth:`slot_columns`; map survivors back with ``order[jslot]``).
+        Entries are ordered rows ascending, a row's runs in stencil-offset
+        order, slots ascending within a run — consecutive runs are ascending
+        cells, so a row's candidates are ascending in slot throughout.
         """
-        if len(rows) == 0 or len(offsets) == 0:
-            return
-        # all (offset, row) cell visits in one vectorized pass: the
-        # per-offset Python overhead is measurable at small atom counts
+        lo, hi = self.runs(cutoff, kind)
+        cells = self.binid[rows]
+        return self._expand(
+            np.repeat(rows, lo.shape[1]), lo[cells].ravel(), hi[cells].ravel()
+        )
+
+    def scan(self, rows: np.ndarray, offsets: np.ndarray):
+        """``(i, jslot)``: each row against the *ghost tail* of each offset cell.
+
+        The counting-sort key stores a cell's owned atoms first, so its
+        ghosts are the tail of its segment.  Slot-space j side as in
+        :meth:`scan_runs`; entries are offset-major, rows ascending.
+        """
         ci = self.cell3[rows]  # (m, 3)
         nb3 = ci[None, :, :] + offsets[:, None, :]  # (k, m, 3)
         ok = np.all((nb3 >= 0) & (nb3 < self.nbins), axis=2)
         ko, mo = np.nonzero(ok)
-        if not len(mo):
-            return
-        iv = rows[mo]
         seg = 2 * (nb3[ko, mo] @ self.strides)
-        lo = self.starts2[seg] if members == "all" else self.starts2[seg + 1]
-        batch = self._expand(iv, lo, self.starts2[seg + 2])
-        if batch is not None:
-            yield batch
+        return self._expand(rows[mo], self.starts2[seg + 1], self.starts2[seg + 2])
 
     def self_tail(self, rows: np.ndarray):
         """``(i, jslot)`` over atoms stored *after* each row in its own cell.
@@ -222,20 +271,17 @@ class BinGrid:
         return self._expand(rows, self.islot[rows] + 1, self.starts2[seg + 2])
 
     def _expand(self, iv: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        """Flatten (row, segment) pairs into ``(i, jslot)`` candidate arrays.
+        """Flatten (row, slot range) pairs into ``(i, jslot)`` candidate arrays.
 
         The j side stays in slot space: the distance filter runs against
         :meth:`slot_columns` and only the (much smaller) surviving set pays
         the ``order`` gather back to atom indices.
         """
         cnt = hi - lo
-        nz = cnt > 0
-        if not nz.any():
-            return None
-        iv, lo, cnt = iv[nz], lo[nz], cnt[nz]
         total = int(cnt.sum())
-        csum = np.zeros(len(cnt), dtype=np.int64)
-        np.cumsum(cnt[:-1], out=csum[1:])
-        within = np.arange(total, dtype=np.int64) - np.repeat(csum, cnt)
-        jslot = np.repeat(lo, cnt) + within
+        if not total:
+            return None
+        # range k holds slots lo[k] .. hi[k]-1 at flat positions csum[k] ..
+        jslot = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        jslot += np.arange(total, dtype=np.int64)
         return np.repeat(iv, cnt), jslot

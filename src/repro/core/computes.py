@@ -85,6 +85,7 @@ class ComputePE(Compute):
         pair = self.lmp.pair
         if pair is None:
             return np.zeros(1)
+        pair.require_tally()
         total = pair.eng_vdwl + pair.eng_coul
         if self.lmp.kspace is not None:
             total += getattr(self.lmp.kspace, "energy_local", 0.0)
@@ -107,7 +108,10 @@ class ComputePressure(Compute):
         v = atom.v[: atom.nlocal]
         msq = units.mvv2e * float(np.dot(m, np.einsum("ij,ij->i", v, v)))
         pair = self.lmp.pair
-        w = float(pair.virial[:3].sum()) if pair is not None else 0.0
+        w = 0.0
+        if pair is not None:
+            pair.require_tally()
+            w = float(pair.virial[:3].sum())
         if self.lmp.kspace is not None:
             w += float(self.lmp.kspace.virial[:3].sum())
         return np.array([msq, w])

@@ -12,6 +12,9 @@ LAMMPS's:
 5. ``final_integrate`` fixes (second half-kick), ``end_of_step`` fixes;
 6. thermo output on its interval.
 
+Energy and virial are tallied only on steps where something reads them
+(:meth:`Verlet.ev_set`, LAMMPS's ``ev_set``); forces never depend on it.
+
 Each stage runs under the matching :class:`repro.core.timer.PhaseTimer`
 category (Pair/Kspace/Neigh/Comm/Modify/Output), which both feeds the
 thermo timing breakdown and opens an observability region on the rank's
@@ -24,6 +27,7 @@ from __future__ import annotations
 import time
 from typing import Iterator
 
+from repro.core.computes import ComputePE, ComputePressure
 from repro.core.errors import LammpsError
 from repro.tools import metrics
 from repro.tools import registry as kp
@@ -50,7 +54,25 @@ class Verlet:
             lmp.write_dumps(force=True)
 
     # -------------------------------------------------------------- force
-    def force_cycle(self) -> Iterator[None]:
+    def ev_set(self, step: int, last_step: int) -> bool:
+        """Whether ``step`` of a run ending at ``last_step`` tallies energy/virial.
+
+        True iff a consumer exists: thermo prints a row on it, it is the
+        run's last step (callers read ``pair.eng_vdwl`` after ``run``), or
+        the user defined a ``compute pe``/``pressure`` — those may be read
+        at any time, so conservatively every step.
+        """
+        lmp = self.lmp
+        return (
+            step == last_step
+            or lmp.thermo.should_output(step)
+            or any(
+                isinstance(c, (ComputePE, ComputePressure))
+                for c in lmp.modify.computes.values()
+            )
+        )
+
+    def force_cycle(self, ev: bool = True) -> Iterator[None]:
         lmp = self.lmp
         with lmp.timer.phase("Pair"):
             lmp.atom.zero_forces()
@@ -59,17 +81,17 @@ class Verlet:
                 # Styles with mid-compute communication (EAM's fp exchange,
                 # ReaxFF's QEq) run as generators.  Their embedded comm is
                 # credited to Pair, as LAMMPS does for in-style exchanges.
-                yield from lmp.pair.compute_gen(eflag=True, vflag=True)
+                yield from lmp.pair.compute_gen(eflag=ev, vflag=ev)
             else:
-                lmp.pair.compute(eflag=True, vflag=True)
-        yield from self._force_epilogue()
+                lmp.pair.compute(eflag=ev, vflag=ev)
+        yield from self._force_epilogue(ev)
 
-    def _force_epilogue(self) -> Iterator[None]:
+    def _force_epilogue(self, ev: bool) -> Iterator[None]:
         lmp = self.lmp
         if lmp.kspace is not None:
             # reciprocal-space contribution (KSPACE package)
             with lmp.timer.phase("Kspace"):
-                yield from lmp.kspace.compute_gen(eflag=True, vflag=True)
+                yield from lmp.kspace.compute_gen(eflag=ev, vflag=ev)
         with lmp.timer.phase("Comm"):
             lmp.sync_host_fields("f")
             # LAMMPS order: ghost forces return to their owners *before*
@@ -91,7 +113,7 @@ class Verlet:
             and lmp.comm_brick is not None
         )
 
-    def force_cycle_overlap(self) -> Iterator[None]:
+    def force_cycle_overlap(self, ev: bool = True) -> Iterator[None]:
         """Halo exchange hidden behind the interior force pass.
 
         The position halo is started asynchronously; the interior pass
@@ -110,19 +132,19 @@ class Verlet:
             with lmp.timer.phase("Pair"):
                 lmp.atom.zero_forces()
                 lmp.mark_host_writes("f")
-                yield from lmp.pair.compute_overlap_gen(inflight, eflag=True, vflag=True)
+                yield from lmp.pair.compute_overlap_gen(inflight, eflag=ev, vflag=ev)
         else:
             with lmp.timer.phase("Pair"), kp.region("interior"):
                 lmp.atom.zero_forces()
                 lmp.mark_host_writes("f")
-                lmp.pair.compute_phase("interior", eflag=True, vflag=True)
+                lmp.pair.compute_phase("interior", eflag=ev, vflag=ev)
             with lmp.timer.phase("Comm"):
                 yield from inflight.finish()
                 lmp.mark_host_writes("x")
             with lmp.timer.phase("Pair"), kp.region("boundary"):
-                lmp.pair.compute_phase("boundary", eflag=True, vflag=True)
+                lmp.pair.compute_phase("boundary", eflag=ev, vflag=ev)
         lmp.overlap_steps += 1
-        yield from self._force_epilogue()
+        yield from self._force_epilogue(ev)
 
     # ---------------------------------------------------------------- run
     def run_gen(self, nsteps: int) -> Iterator[None]:
@@ -130,12 +152,14 @@ class Verlet:
         if nsteps < 0:
             raise LammpsError("negative step count")
         yield from self.setup_gen()
+        last_step = lmp.update.ntimestep + nsteps
         for _ in range(nsteps):
             # Per-step wall timer: in multi-rank lockstep runs the yields
             # interleave ranks, so this measures the process-wide step, not
             # one rank's share — label it by rank so that is explicit.
             step_t0 = time.perf_counter() if metrics.SINKS else 0.0
             lmp.update.ntimestep += 1
+            ev = self.ev_set(lmp.update.ntimestep, last_step)
             with lmp.timer.phase("Modify"):
                 lmp.modify.initial_integrate()
                 lmp.mark_host_writes("x", "v")
@@ -153,14 +177,14 @@ class Verlet:
             if rebuild:
                 yield from lmp.rebuild_gen()
                 lmp.mark_host_writes("x")
-                yield from self.force_cycle()
+                yield from self.force_cycle(ev)
             elif self.overlap_active():
-                yield from self.force_cycle_overlap()
+                yield from self.force_cycle_overlap(ev)
             else:
                 with lmp.timer.phase("Comm"):
                     yield from lmp.comm_brick.forward_comm(lmp.atom)
                     lmp.mark_host_writes("x")
-                yield from self.force_cycle()
+                yield from self.force_cycle(ev)
             with lmp.timer.phase("Modify"):
                 lmp.modify.final_integrate()
                 lmp.modify.end_of_step()

@@ -36,10 +36,8 @@ from repro.core.errors import NeighborError, OverflowGuardError
 from repro.kokkos.core import ExecutionSpace, Host
 from repro.kokkos.view import View
 
-#: Expansion chunk: bounds peak memory of the candidate-pair blow-up.
-_CHUNK_ATOMS = 65536
-#: Shared-builder candidate budget per filter pass (see ``_build_shared``).
-_CHUNK_CANDIDATES = 4_000_000
+#: Candidate budget per filter pass; sizes the row chunk (``_build_shared``).
+_CHUNK_CANDIDATES = 131_072
 
 #: Process-wide rebuild stamp source for :attr:`NeighborList.generation`.
 _GENERATION = count(1)
@@ -292,7 +290,7 @@ def build_neighbor_list(
     *,
     style: str = "full",
     newton: bool = False,
-    chunk: int = _CHUNK_ATOMS,
+    chunk: int | None = None,
     grid: BinGrid | None = None,
 ) -> NeighborList:
     """Build a neighbor list over ``x`` (owned atoms first, then ghosts).
@@ -335,24 +333,29 @@ def _build_shared(
     cutoff: float,
     style: str,
     newton: bool,
-    chunk: int,
+    chunk: int | None,
     grid: BinGrid | None,
 ) -> NeighborList:
-    """Shared-grid builder: half stencil + counting-merge CSR assembly.
+    """Shared-grid builder: x-run stencil scan + counting-merge CSR assembly.
+
+    The unit of the all-members scan is a stencil x-run — one contiguous
+    slot range per ``(dy, dz)`` row of the stencil (:meth:`BinGrid.runs`):
+    25 ranges per row for a full list at reach 2, not 125 cell visits.
 
     Half lists scan the in-cell tail (slot order plays ``j > i``) plus the
-    13 lexicographically "upper" cells for *all* members, generating each
+    lexicographically "upper" runs for *all* members, generating each
     same-rank pair exactly once — no build-full-then-filter.  Ghost pairs
     are decided by the coordinate tie-break (grid-independent, so both
-    ranks agree), which forces one extra ghost-only sweep of lower cells;
-    with newton on only the same-z-layer lower cells can win the tie-break
-    (a strictly lower z-bin implies a strictly smaller z coordinate), so
-    that sweep shrinks from 13 cells to 4.
+    ranks agree), which forces one extra ghost-only sweep of the lower
+    cells, cell by cell (ghost tails are not contiguous across cells); with
+    newton on only the same-z-layer lower cells can win the tie-break.
 
     Chunks partition the row range, so each chunk owns a contiguous CSR
     segment: its kept pairs need only a (small) per-chunk stable sort by
     row before sliding straight into the flat neighbor array — no global
-    argsort over all candidates.
+    argsort over all candidates.  The sort is what fixes a row's order
+    (tail, then runs in stencil-offset order with slots ascending, then
+    lower-cell ghosts in offset order), whatever the chunk size.
     """
     nall = x.shape[0]
     grid_builds = 0
@@ -376,38 +379,32 @@ def _build_shared(
     xs0, xs1, xs2 = grid.columns()
     so0, so1, so2 = grid.slot_columns()
 
-    if style == "full":
-        scans = [(grid.stencil_offsets(cutoff), "all")]
-    else:
-        upper, lower = grid.half_offsets(cutoff)
-        if newton:
-            # a strictly lower z-bin means a strictly smaller z coordinate,
-            # which can never win the z-first tie-break: only the same-z
-            # lower cells can contribute surviving ghost pairs.
-            lower = lower[lower[:, 2] == 0]
-        scans = [(upper, "all"), (lower, "ghost")]
+    half = style == "half"
+    kind = "upper" if half else "full"
+    # newton on: a strictly lower z-bin means a strictly smaller z
+    # coordinate, which can never win the z-first tie-break
+    lower = grid.lower_offsets(cutoff, same_z_only=newton) if half else ()
 
-    # Adapt the row chunk to a candidate budget: one concatenated filter
-    # pass per chunk is fastest when its temporaries stay cache-resident,
-    # and catastrophically slower when tens of millions of candidates spill
-    # to main memory.  Estimated candidates per row = atoms/bin x cells.
-    if chunk == _CHUNK_ATOMS:  # explicit chunk requests are honored as-is
-        ncells = sum(len(offs) for offs, _ in scans) + (1 if style == "half" else 0)
-        per_row = max(nall / max(float(np.prod(grid.nbins)), 1.0), 1.0) * max(ncells, 1)
-        chunk = max(min(chunk, int(_CHUNK_CANDIDATES / per_row)), 1024)
+    # Size the row chunk to the candidate budget: one concatenated filter
+    # pass per chunk is fastest when its temporaries stay cache-resident.
+    # Estimated candidates per row = atoms/bin x stencil cells, and every
+    # (row, run) / (row, lower cell) bound is charged like a candidate.
+    if chunk is None:
+        stencil = int(np.prod(2 * grid.reach(cutoff) + 1))
+        cells = stencil // 2 + 1 + len(lower) if half else stencil
+        bounds = grid.runs(cutoff, kind)[0].shape[1] + len(lower)
+        density = max(nall / float(np.prod(grid.nbins)), 1.0)
+        chunk = max(int(_CHUNK_CANDIDATES / (density * cells + bounds)), 32)
 
     numneigh = np.zeros(nlocal, dtype=np.int64)
     chunk_rows: list[np.ndarray] = []
     for lo in range(0, nlocal, chunk):
         hi = min(lo + chunk, nlocal)
         rows = np.arange(lo, hi, dtype=np.int64)
-        batches = []
-        if style == "half":
-            tail = grid.self_tail(rows)
-            if tail is not None:
-                batches.append(tail)
-        for offsets, members in scans:
-            batches.extend(grid.scan(rows, offsets, members))
+        batches = [grid.scan_runs(rows, cutoff, kind)]
+        if half:
+            batches = [grid.self_tail(rows), *batches, grid.scan(rows, lower)]
+        batches = [b for b in batches if b is not None]
         if not batches:
             chunk_rows.append(np.zeros(0, dtype=np.int64))
             continue

@@ -12,7 +12,6 @@ requires ``kspace_style ewald`` to be active before a run.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc
 
 from repro.core.errors import LammpsError
 from repro.core.styles import register_pair
@@ -44,6 +43,9 @@ class PairLJCutCoulLong(LJCoulMixin, Pair):
         ``E = C q q erfc(g r)/r``;
         ``-dE/dr / r = E/r^2 + C qq 2g/sqrt(pi) exp(-g^2 r^2) / r^2``.
         """
+        # scipy costs ~0.5 s to import; only scripts naming this style pay
+        from scipy.special import erfc
+
         mask_lj_force(env)
         rsq = env["rsq_n"]
         g = self.lmp.kspace.g_ewald

@@ -244,7 +244,7 @@ class PairEAM(EAMMixin, Pair):
         lmp = self.lmp
         atom = lmp.atom
         nlist = lmp.neigh_list
-        self.reset_tallies()
+        self.reset_tallies(eflag or vflag)
         atom.rho[: atom.nall] = 0.0
         atom.fp[: atom.nall] = 0.0
         if nlist is None or nlist.total_pairs == 0:
@@ -278,7 +278,7 @@ class PairEAM(EAMMixin, Pair):
         lmp = self.lmp
         atom = lmp.atom
         nlist = lmp.neigh_list
-        self.reset_tallies()
+        self.reset_tallies(eflag or vflag)
         atom.rho[: atom.nall] = 0.0
         atom.fp[: atom.nall] = 0.0
         if nlist is None or nlist.total_pairs == 0:

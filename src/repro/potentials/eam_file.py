@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from repro.core.errors import InputError
 from repro.core.styles import register_pair
@@ -125,6 +124,9 @@ class PairEAMFile(PairEAM):
     def coeff(self, args: list[str]) -> None:
         if len(args) != 3 or args[0] != "*" or args[1] != "*":
             raise InputError("usage: pair_coeff * * <file.funcfl>")
+        # scipy costs ~0.5 s to import; only scripts that load a funcfl pay
+        from scipy.interpolate import CubicSpline
+
         t = parse_funcfl(args[2])
         self.table = t
         self.cut_global = t.cutoff

@@ -169,7 +169,7 @@ class PairEAMKokkos(PairEAM):
     def compute_gen(self, eflag: bool = True, vflag: bool = True) -> Iterator[None]:
         lmp = self.lmp
         nlist = lmp.neigh_list
-        self.reset_tallies()
+        self.reset_tallies(eflag or vflag)
         if nlist is None or nlist.total_pairs == 0:
             return
 
@@ -188,7 +188,7 @@ class PairEAMKokkos(PairEAM):
         atom_kk = lmp.atom_kk
         nlist = lmp.neigh_list
         space = self.execution_space
-        self.reset_tallies()
+        self.reset_tallies(eflag or vflag)
         if nlist is None or nlist.total_pairs == 0:
             yield from inflight.finish()
             return

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.errors import InputError, StyleError
+from repro.core.errors import InputError, LammpsError, StyleError
 from repro.graph.pairwise import GRAPH, pairwise_stages, run_graph, run_stages
 from repro.kokkos.core import Host
 from repro.kokkos.segment import scatter_mode
@@ -41,6 +41,8 @@ class Pair:
         self.eng_vdwl = 0.0
         self.eng_coul = 0.0
         self.virial = np.zeros(6)
+        #: timestep of the last compute that tallied energy/virial
+        self.tallied_step = -1
         atom = lmp.require_box()
         n = atom.ntypes + 1
         self.cut = np.zeros((n, n))
@@ -101,10 +103,20 @@ class Pair:
         return style == "half" and newton
 
     # -------------------------------------------------------------- tallies
-    def reset_tallies(self) -> None:
+    def reset_tallies(self, ev: bool = True) -> None:
+        """Zero the accumulators; ``ev`` says this compute will fill them."""
         self.eng_vdwl = 0.0
         self.eng_coul = 0.0
         self.virial[:] = 0.0
+        if ev:
+            self.tallied_step = self.lmp.update.ntimestep
+
+    def require_tally(self) -> None:
+        """Guard for readers of ``eng_*``/``virial``: LAMMPS's own error
+        when the current step's compute ran without eflag/vflag."""
+        step = self.lmp.update.ntimestep
+        if self.tallied_step != step:
+            raise LammpsError(f"energy/virial was not tallied on timestep {step}")
 
     @staticmethod
     def tally_factor(
@@ -258,7 +270,7 @@ class Pair:
                 f"{type(self).__name__} does not support phased (overlapped) compute"
             )
         if phase in ("all", "interior"):
-            self.reset_tallies()
+            self.reset_tallies(eflag or vflag)
         nlist = self.lmp.neigh_list
         if nlist is None or nlist.total_pairs == 0:
             return

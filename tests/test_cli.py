@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.__main__ import build_parser, main, resolve_device, workload_key
 
 SCRIPT = """\
@@ -131,3 +136,56 @@ class TestBenchEntry:
         for row in results["workloads"]:
             assert row["step_speedup"] > 0.0
             assert set(row["step_seconds"]) == {"atomic", "segmented"}
+
+
+class TestLazyScipy:
+    """scipy (~0.5 s to import) loads only for the two styles that use it."""
+
+    @staticmethod
+    def _python(code: str) -> str:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_importing_the_cli_does_not_import_scipy(self):
+        out = self._python(
+            "import sys, repro.__main__\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert out.strip() == "[]"
+
+    #: run in a fresh interpreter: ``lj/cut/coul/long``, then funcfl ``eam``
+    USERS = r"""
+import sys
+import numpy as np
+import repro.__main__
+from repro.core import Lammps
+from repro.potentials.eam_file import write_funcfl
+
+assert "scipy" not in sys.modules
+BOX = ("units metal\natom_style charge\nlattice fcc 3.52\n"
+       "region b block 0 3 0 3 0 3\ncreate_box 1 b\ncreate_atoms 1 box\n"
+       "mass 1 58.7\nvelocity all create 300 1\nfix 1 all nve\n")
+write_funcfl(FUNCFL, element="Ni", mass=58.7, cutoff=4.5,
+             f_of_rho=lambda rho: -2.0 * np.sqrt(rho),
+             z_of_r=lambda r: 0.1 * (4.5 - r),
+             rho_of_r=lambda r: (4.5 - r) ** 2, nrho=200, rho_max=60.0, nr=200)
+coul = Lammps(quiet=True)
+coul.commands_string(BOX + "set type 1 charge 0.0\nkspace_style ewald 1e-4\n"
+                     "pair_style lj/cut/coul/long 3.0\npair_coeff 1 1 0.01 2.2\nrun 2")
+assert "scipy.special" in sys.modules and "scipy.interpolate" not in sys.modules
+eam = Lammps(quiet=True)
+eam.commands_string(BOX + "pair_style eam\npair_coeff * * " + FUNCFL + "\nrun 2")
+assert "scipy.interpolate" in sys.modules
+print(np.isfinite(eam.pair.eng_vdwl), np.isfinite(coul.pair.eng_vdwl))
+"""
+
+    def test_the_styles_that_need_it_still_load_it(self, tmp_path):
+        funcfl = str(tmp_path / "ni.funcfl")
+        out = self._python(f"FUNCFL = {funcfl!r}\n" + self.USERS)
+        assert out.split() == ["True", "True"]
