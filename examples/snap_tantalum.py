@@ -43,7 +43,7 @@ def main() -> None:
     x = atom.x[: atom.nall]
     rij = x[j] - x[i]
     mask = np.einsum("ij,ij->i", rij, rij) < lmp.pair.rcut**2
-    U, _, _ = compute_ui(rij[mask], i[mask], atom.nlocal, lmp.pair.rcut, TWOJMAX)
+    U = compute_ui(rij[mask], i[mask], atom.nlocal, lmp.pair.rcut, TWOJMAX)
     B = compute_bispectrum(U, TWOJMAX)
     print("Per-atom bispectrum descriptors (first atom, first 6 components):")
     print(" ", np.array2string(B[0, :6], precision=4))
@@ -51,11 +51,11 @@ def main() -> None:
     # rotation invariance: rotate the whole neighborhood of atom 0
     sel = i[mask] == 0
     R = Rotation.random(random_state=42).as_matrix()
-    U_rot, _, _ = compute_ui(
+    U_rot = compute_ui(
         rij[mask][sel] @ R.T, np.zeros(int(sel.sum()), dtype=int), 1,
         lmp.pair.rcut, TWOJMAX,
     )
-    U_raw, _, _ = compute_ui(
+    U_raw = compute_ui(
         rij[mask][sel], np.zeros(int(sel.sum()), dtype=int), 1,
         lmp.pair.rcut, TWOJMAX,
     )

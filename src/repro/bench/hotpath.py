@@ -123,8 +123,9 @@ def bench_melt(cells: int = 8, repeats: int = 10) -> dict:
 
 
 def bench_tantalum(cells: int = 3, twojmax: int = 8, repeats: int = 3) -> dict:
-    """SNAP/Ta rows: full force step both modes (the scatters are embedded
-    in the U/Y/bispectrum contraction kernels, not separable)."""
+    """SNAP/Ta rows: full force step both modes (only the per-pair force
+    scatter is mode-dependent; the U/Y/B contractions are plan-driven
+    reductions, so the two cells tie and the row tracks the step itself)."""
     lmp = _build_tantalum(cells, twojmax)
     out: dict = {
         "workload": "tantalum",

@@ -170,7 +170,7 @@ class LinearSNAPModel:
         from repro.snap.bispectrum import compute_bispectrum
         from repro.snap.compute_ui import compute_ui
 
-        U, _, _ = compute_ui(rij, pair_i, nlocal, self.cutoff, self.twojmax)
+        U = compute_ui(rij, pair_i, nlocal, self.cutoff, self.twojmax)
         return compute_bispectrum(U, self.twojmax)
 
     def compute(self, rij, pair_i, nlocal):
@@ -179,10 +179,8 @@ class LinearSNAPModel:
         from repro.snap.compute_ui import compute_ui
         from repro.snap.compute_yi import compute_yi
 
-        U, _, _ = compute_ui(rij, pair_i, nlocal, self.cutoff, self.twojmax)
+        U = compute_ui(rij, pair_i, nlocal, self.cutoff, self.twojmax)
         ei = compute_bispectrum(U, self.twojmax) @ self.beta
-        Y12, Y3 = compute_yi(U, self.beta, self.twojmax)
-        dedr = compute_fused_deidrj(
-            rij, pair_i, Y12, Y3, self.cutoff, self.twojmax
-        )
+        Y = compute_yi(U, self.beta, self.twojmax)
+        dedr = compute_fused_deidrj(rij, pair_i, Y, self.cutoff, self.twojmax)
         return ei, dedr

@@ -8,20 +8,25 @@ and the energy is their learned linear combination (equation 4).  Forces
 contract the adjoint of the energy against the recursion derivatives
 (equation 5).
 
-The module layout mirrors the paper's four-kernel decomposition:
+The module layout mirrors the paper's four-kernel decomposition, and every
+array its section 4.3.1 layout — one flattened quantum-number index (j
+slowest, m' fastest) first, the atom or pair index fastest:
 
 * :mod:`repro.snap.cg` — exact Clebsch-Gordan coefficients on the
   half-integer (doubled-index) lattice;
-* :mod:`repro.snap.indexing` — quantum-number flattening (j slowest, m'
-  fastest; section 4.3.1) and the precomputed sparse contraction tensor;
+* :mod:`repro.snap.indexing` — the flattening, its half range under the
+  mirror symmetry, the sparse contraction tensor and the folded,
+  dest-sorted term plans built from it once per ``twojmax``;
 * :mod:`repro.snap.wigner` — the Cayley-Klein/Wigner recursion for u and
-  du/dr, vectorized over (atom, neighbor) pairs;
-* :mod:`repro.snap.compute_ui` — ComputeUi: accumulate per-pair u into
-  per-atom U (with the work-batching knob of section 4.3.4);
-* :mod:`repro.snap.bispectrum` — B components (energy / training targets);
-* :mod:`repro.snap.compute_yi` — ComputeYi: the adjoint arrays;
-* :mod:`repro.snap.compute_deidrj` — ComputeFusedDeidrj: per-pair force
-  contraction fused over the three directions;
+  du/dr, one whole-level update per J over all (atom, neighbor) pairs;
+* :mod:`repro.snap.compute_ui` — ComputeUi: per-pair u into per-atom
+  ``U (idxu_max, natoms)``;
+* :mod:`repro.snap.bispectrum` — B components (energy / training targets;
+  ``pair snap`` evaluates them on tallied steps only);
+* :mod:`repro.snap.compute_yi` — ComputeYi: the single half-range adjoint
+  ``Y (len(half), natoms)``;
+* :mod:`repro.snap.compute_deidrj` — ComputeFusedDeidrj: ``Y`` contracted
+  against u and du level by level, three directions in one pass;
 * :mod:`repro.snap.pair_snap` — ``pair_style snap`` / ``snap/kk``.
 
 Coefficients are synthetic (seeded pseudo-random; DESIGN.md substitution

@@ -1,46 +1,25 @@
 """Bispectrum components: the Clebsch-Gordan triple products (equation 3).
 
 ``B_{j1,j2,j} = Z_{j1,j2}^j : U_j^*`` evaluated through the precomputed
-sparse contraction tensor.  The result is real (group theory guarantees it;
-the tests assert the imaginary residue is numerically zero) and invariant
-under rotations of the neighborhood — the property that makes SNAP a valid
-descriptor.
+sparse contraction tensor.  The result is real (only the real part is summed;
+the tests hold the un-folded complex sum's imaginary residue to zero) and
+invariant under rotations of the neighborhood — the property that makes SNAP
+a valid descriptor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kokkos.segment import scatter_add_columns, scatter_mode
 from repro.snap.indexing import SnapIndex
-
-#: chunk of contraction terms evaluated per vector op (memory bound)
-_TERM_CHUNK = 16384
 
 
 def compute_bispectrum(U: np.ndarray, twojmax: int) -> np.ndarray:
     """(natoms, nbispectrum) real bispectrum from per-atom U totals."""
     idx = SnapIndex(twojmax)
-    t = idx.tensor
-    natoms = U.shape[0]
-    B = np.zeros((natoms, idx.nbispectrum), dtype=np.complex128)
-    mode = scatter_mode()
-    for lo in range(0, t.nterms, _TERM_CHUNK):
-        hi = min(lo + _TERM_CHUNK, t.nterms)
-        sl = slice(lo, hi)
-        vals = (
-            t.coeff[sl]
-            * U[:, t.in1[sl]]
-            * U[:, t.in2[sl]]
-            * np.conj(U[:, t.out[sl]])
-        )
-        scatter_add_columns(
-            B, vals, t.column_plan("ib", lo, hi), mode=mode, cols=t.ib[sl]
-        )
-    imag = float(np.abs(B.imag).max()) if B.size else 0.0
-    if imag > 1e-8 * max(float(np.abs(B.real).max()), 1.0):
-        raise FloatingPointError(
-            f"bispectrum imaginary residue {imag:.3e}: U totals are not a "
-            "valid SU(2) expansion (indexing bug)"
-        )
-    return B.real
+    plan, zout, ibstarts = idx.bi_plan
+    Z = plan.contract(U, plan.weights(), len(zout))
+    Uz = U[zout]
+    return np.add.reduceat(
+        Z.real * Uz.real + Z.imag * Uz.imag, ibstarts, axis=0
+    ).T.copy()

@@ -6,17 +6,17 @@ into the per-atom total ``U_j``; the central atom contributes the identity
 (``wself`` on the diagonal).  On GPUs this accumulation is the
 atomic-addition-limited kernel whose work batching (each thread summing
 ``batch`` neighbors locally before one atomic add) gives the 2.23x H100
-uplift of Table 2 — the ``batch`` argument reproduces that reduction in
-atomic traffic for the cost model while leaving results bit-identical.
+uplift of Table 2 (priced by ``snap/kk``'s ComputeUi profile).  Arrays
+follow section 4.3.1: quantum number first, atom (or pair) index fastest.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kokkos.segment import scatter_add
+from repro.kokkos.segment import _sorted_segments
 from repro.snap.indexing import SnapIndex
-from repro.snap.wigner import compute_u_blocks, switching
+from repro.snap.wigner import switching, wigner_levels
 
 
 def compute_ui(
@@ -28,33 +28,24 @@ def compute_ui(
     *,
     rmin0: float = 0.0,
     wself: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-atom totals.
+) -> np.ndarray:
+    """Per-atom totals ``U`` (idxu_max, natoms) complex, atom axis fastest.
 
-    Returns ``(U, u_pairs, sfac)``: ``U`` is (natoms, idxu_max) complex,
-    ``u_pairs`` the bare per-pair matrices (reused by the force pass), and
-    ``sfac`` the per-pair switching weights.
+    ``pair_i`` must be sorted (the row-major list ordering), so each atom's
+    neighbors are one contiguous run of the pair axis and the per-atom sum
+    is one ``reduceat`` along it instead of atomic adds.
     """
     idx = SnapIndex(twojmax)
-    u_pairs, _ = compute_u_blocks(rij, rcut, rmin0=rmin0, twojmax=twojmax)
-    r = np.sqrt(np.einsum("ij,ij->i", rij, rij))
-    sfac, _ = switching(r, rcut, rmin0)
+    U = np.zeros((idx.idxu_max, natoms), dtype=np.complex128)
+    if len(pair_i):
+        r = np.sqrt(np.einsum("ij,ij->i", rij, rij))
+        sfac, _ = switching(r, rcut, rmin0)
+        starts, targets = _sorted_segments(pair_i)
+        for J, u, _ in wigner_levels(rij, rcut, rmin0=rmin0, twojmax=twojmax):
+            lo, hi = idx.idxu_block[J], idx.idxu_block[J + 1]
+            U[lo:hi, targets] = np.add.reduceat(
+                sfac * u.reshape(hi - lo, -1), starts, axis=1
+            )
+    U[idx.diag_indices()] += wself
+    return U
 
-    U = np.zeros((natoms, idx.idxu_max), dtype=np.complex128)
-    # pair_i follows the row-major list ordering, so the per-atom totals are
-    # one reduceat over contiguous segments instead of atomic adds
-    scatter_add(U, pair_i, sfac[:, None] * u_pairs, assume_sorted=True)
-    U[:, idx.diag_indices()] += wself
-    return U, u_pairs, sfac
-
-
-def ui_atomic_adds(npairs: int, idxu_max: int, batch: int = 1) -> float:
-    """Atomic FP64 additions ComputeUi issues (cost-profile helper).
-
-    Each pair contributes ``2 * idxu_max`` scalar adds (complex); local
-    pre-summing over ``batch`` neighbors divides the atomic traffic
-    (section 4.3.4's ComputeUi optimization).
-    """
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    return 2.0 * idxu_max * npairs / batch

@@ -1,78 +1,36 @@
-"""ComputeYi: the adjoint arrays (step 2 of the SNAP evaluation).
+"""ComputeYi: the adjoint array (step 2 of the SNAP evaluation).
 
 The energy is trilinear in the U totals,
 
     E_i = sum_b beta_b sum_t C_t U[in1] U[in2] conj(U[out]),
 
-so its gradient with respect to U splits into an unconjugated adjoint
-``Y12`` (terms where U appears bare) and a conjugated adjoint ``Y3`` (terms
-where U appears conjugated):
-
-    dE_i = Re( sum_m Y12[m] dU[m] + Y3[m] conj(dU[m]) ).
-
-LAMMPS folds these into a single Y via U-matrix symmetries; we keep the
-two-slot form, which has identical computational structure (one sparse
-contraction pass over the same tensor, memory-bound on U loads — the L1
-story of figure 3) and is transparently finite-difference verifiable.
-
-The ``batch`` knob models section 4.3.4's ComputeYi work batching: threads
-handling several atoms share the Clebsch-Gordan look-up table traffic,
-reducing L1 transactions (Table 2's 1.54x on H100).
+so ``dE_i = Re(sum_m Y[m] dU[m])`` with ``Y[m]`` the gradient terms where
+``U[m]`` appears bare plus the conjugate of those where it appears
+conjugated.  ``U[j, J-mb, J-ma] = (-1)^(mb+ma) conj U[j, mb, ma]`` carries
+over to ``Y`` (every term holds a product of two CG factors), so an entry
+and its mirror image contribute complex-conjugate amounts: the half range
+``idx.half``, weighted ``idx.fold``, is the whole sum (section 4.3's
+folding into a single Y).  The contraction itself is
+:class:`~repro.snap.indexing.ContractionPlan` — memory-bound on U loads,
+the L1 story of figure 3.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kokkos.segment import scatter_add_columns, scatter_mode
 from repro.snap.indexing import SnapIndex
 
-_TERM_CHUNK = 16384
 
-
-def compute_yi(
-    U: np.ndarray, beta: np.ndarray, twojmax: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(Y12, Y3)``: adjoints of the energy with respect to U / conj(U)."""
+def compute_yi(U: np.ndarray, beta: np.ndarray, twojmax: int) -> np.ndarray:
+    """Folded adjoint ``Y`` (len(idx.half), natoms); row ``k`` pairs with
+    the flat quantum number ``idx.half[k]``.  ``U`` is (idxu_max, natoms)."""
     idx = SnapIndex(twojmax)
-    t = idx.tensor
     if beta.shape != (idx.nbispectrum,):
         raise ValueError(
             f"beta has {beta.shape}, expected ({idx.nbispectrum},)"
         )
-    y12 = np.zeros_like(U)
-    y3 = np.zeros_like(U)
-    mode = scatter_mode()
-    for lo in range(0, t.nterms, _TERM_CHUNK):
-        hi = min(lo + _TERM_CHUNK, t.nterms)
-        sl = slice(lo, hi)
-        w = beta[t.ib[sl]] * t.coeff[sl]
-        u1 = U[:, t.in1[sl]]
-        u2 = U[:, t.in2[sl]]
-        cu3 = np.conj(U[:, t.out[sl]])
-        # column scatters over the memoized per-chunk term sort (natoms is
-        # only a batch axis — the reduction runs along the term axis)
-        scatter_add_columns(
-            y12, w * u2 * cu3, t.column_plan("in1", lo, hi),
-            mode=mode, cols=t.in1[sl],
-        )
-        scatter_add_columns(
-            y12, w * u1 * cu3, t.column_plan("in2", lo, hi),
-            mode=mode, cols=t.in2[sl],
-        )
-        scatter_add_columns(
-            y3, w * u1 * u2, t.column_plan("out", lo, hi),
-            mode=mode, cols=t.out[sl],
-        )
-    return y12, y3
-
-
-def yi_l1_transactions(natoms: int, nterms: int, batch: int = 1) -> float:
-    """L1 look-up-table transactions (cost-profile helper).
-
-    The CG coefficient stream is shared across atoms; batching ``batch``
-    atoms per thread amortizes it (section 4.3.4).
-    """
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    return nterms * (natoms / batch + natoms)
+    plan = idx.yi_plan
+    return plan.contract(
+        np.concatenate((U, np.conj(U))), plan.weights(beta), len(idx.half)
+    )

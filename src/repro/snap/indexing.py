@@ -2,31 +2,44 @@
 
 The U/Y data structures have four degrees of freedom (atom, j, m, m'); the
 (j, m, m') triplets flatten into one "quantum number" index with j slowest
-and m' fastest, "so rows and columns of matrices stay together".  This
-module owns that flattening, the bispectrum triple list (``0 <= j2 <= j1 <=
-j <= J`` after the group-theoretic reductions), and the precomputed sparse
-contraction tensor through which ComputeYi/ComputeBi evaluate the
-Clebsch-Gordan triple products.
+and m' fastest, "so rows and columns of matrices stay together", and the
+atom index runs fastest of all: ``U`` is (idxu_max, natoms).  This module
+owns that flattening, its half range under the mirror symmetry, the
+bispectrum triple list (``0 <= j2 <= j1 <= j <= J`` after the
+group-theoretic reductions), the sparse Clebsch-Gordan contraction tensor,
+and the folded term plans ComputeYi/ComputeBi execute.
 
 All angular momenta use the doubled (``2j``) integer convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
-from repro.kokkos.segment import column_scatter_plan
-from repro.snap.cg import clebsch_gordan, triangle_ok
+from repro.kokkos.segment import _sorted_segments
+from repro.snap.cg import clebsch_gordan
+
+#: bytes of the largest array one chunk of work materialises; every chunk
+#: length (terms x atoms in a contraction, pairs in the derivative
+#: recursion) derives from it, so peak RSS follows neither natoms nor npairs
+CHUNK_BYTES = 1 << 20
+
+
+def chunk_len(item_bytes: int) -> int:
+    """Items per chunk under :data:`CHUNK_BYTES` (at least one)."""
+    return max(CHUNK_BYTES // max(item_bytes, 1), 1)
 
 
 @dataclass
 class ContractionTensor:
     """Sparse COO tensor for ``B_b = sum C * U[in1] * U[in2] * conj(U[out])``.
 
-    One row per non-zero Clebsch-Gordan product pair; the same arrays drive
-    the bispectrum (energy) and the adjoint (force) contractions.
+    One row per non-zero Clebsch-Gordan product pair, every symmetry image
+    enumerated; the folded :class:`ContractionPlan` s are derived from it.
     """
 
     ib: np.ndarray  # bispectrum-component index per term
@@ -34,25 +47,71 @@ class ContractionTensor:
     in1: np.ndarray  # flat index into U_j1
     in2: np.ndarray  # flat index into U_j2
     coeff: np.ndarray  # real coefficient (product of two CG values)
-    #: memoized column-scatter plans keyed by (index field, term range) —
-    #: the destination columns are a property of the quantum-number tensor,
-    #: so the sort is paid once per twojmax, not once per force call
-    _column_plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def nterms(self) -> int:
         return len(self.coeff)
 
-    def column_plan(
-        self, name: str, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Segmented-scatter plan for ``<name>[lo:hi]`` destination columns."""
-        key = (name, lo, hi)
-        plan = self._column_plans.get(key)
-        if plan is None:
-            plan = column_scatter_plan(getattr(self, name)[lo:hi])
-            self._column_plans[key] = plan
-        return plan
+
+class ContractionPlan:
+    """Dest-sorted bilinear term list ``out[dest] += w * T[a] * T[b]``.
+
+    Built once per :class:`SnapIndex` from raw ``(dest, a, b, ib, coeff)``
+    terms: ``a``/``b`` are ordered (the product commutes), terms sorted by
+    ``(dest, a, b)`` and duplicates merged, so only the merged weights
+    depend on the coefficients (:meth:`weights`).  ``T`` holds one row per
+    quantum number with the atom axis fastest; every chunk is two row
+    gathers, two in-place multiplies and one ``reduceat`` down the term
+    axis, cut on ``dest`` boundaries so a sum never depends on the chunking.
+    """
+
+    def __init__(self, dest, a, b, ib, coeff) -> None:
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((b, a, dest))
+        key = np.stack((dest, a, b))[:, order]
+        first = np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)]
+        dest, self.a, self.b = key[:, first]
+        self.group = np.empty(len(order), dtype=np.int64)
+        self.group[order] = np.cumsum(first) - 1
+        self.ib, self.coeff = ib, coeff
+        #: segment starts / destination row of each run of equal ``dest``
+        self.starts, self.rows = _sorted_segments(dest)
+        self.nterms = len(self.a)
+
+    def weights(self, beta: np.ndarray | None = None) -> np.ndarray:
+        """Merged per-term weights: ``coeff`` (times ``beta[ib]`` if given)."""
+        raw = self.coeff if beta is None else beta[self.ib] * self.coeff
+        return np.bincount(self.group, weights=raw, minlength=self.nterms)
+
+    def contract(self, T: np.ndarray, w: np.ndarray, nrows: int) -> np.ndarray:
+        """``out (nrows, natoms)`` of the weighted bilinear contraction."""
+        out = np.zeros((nrows, T.shape[1]), dtype=np.complex128)
+        max_terms = chunk_len(16 * T.shape[1])  # the complex product rows
+        ends = np.r_[self.starts[1:], self.nterms]
+        s = 0
+        while s < len(self.starts):
+            lo = self.starts[s]
+            e = max(int(np.searchsorted(ends, lo + max_terms, side="right")), s + 1)
+            hi = ends[e - 1]
+            p = T[self.a[lo:hi]]
+            p *= T[self.b[lo:hi]]
+            p *= w[lo:hi, None]
+            out[self.rows[s:e]] = np.add.reduceat(p, self.starts[s:e] - lo, axis=0)
+            s = e
+        return out
+
+
+def _cg_terms(j1: int, j2: int, j: int, mb: int) -> list[tuple[int, int, float]]:
+    """``[(mb1, mb2, C)]``: the non-zero ``<j1 m1 j2 m2 | j m>``, m1 + m2 = m."""
+    mx2 = 2 * mb - j
+    terms = []
+    for mb1 in range(j1 + 1):
+        m2x2 = mx2 - (2 * mb1 - j1)
+        if abs(m2x2) <= j2:
+            c = clebsch_gordan(j1, 2 * mb1 - j1, j2, m2x2, j, mx2)
+            if c != 0.0:
+                terms.append((mb1, (m2x2 + j2) // 2, c))
+    return terms
 
 
 class SnapIndex:
@@ -72,10 +131,9 @@ class SnapIndex:
             raise ValueError("twojmax must be >= 0")
         self.twojmax = twojmax
         # idxu_block[j2x] = offset of the (j+1)^2 block for doubled-j j2x
-        self.idxu_block = np.zeros(twojmax + 2, dtype=np.int64)
-        for j2x in range(twojmax + 1):
-            self.idxu_block[j2x + 1] = self.idxu_block[j2x] + (j2x + 1) ** 2
-        self.idxu_max = int(self.idxu_block[twojmax + 1])
+        sizes = (np.arange(twojmax + 1) + 1) ** 2
+        self.idxu_block = np.r_[0, np.cumsum(sizes)]
+        self.idxu_max = int(self.idxu_block[-1])
 
         #: bispectrum triples (j1x2, j2x2, jx2) with j2 <= j1 <= j
         self.idxb: list[tuple[int, int, int]] = []
@@ -85,7 +143,21 @@ class SnapIndex:
                     if j >= j1:
                         self.idxb.append((j1, j2, j))
         self.nbispectrum = len(self.idxb)
-        self._tensor: ContractionTensor | None = None
+
+        # Half range (section 4.3's symmetry folding).  ``u[J-mb, J-ma] =
+        # (-1)^(mb+ma) conj(u[mb, ma])`` makes the rows ``mb < J/2`` plus
+        # ``ma <= J/2`` of the self-conjugate middle row sufficient; in flat
+        # order that is a prefix of each level block.
+        nhalf = (sizes + 1) // 2
+        self.half_block = np.r_[0, np.cumsum(nhalf)]
+        self.half = np.concatenate(
+            [lo + np.arange(k) for lo, k in zip(self.idxu_block, nhalf)]
+        )
+        #: per flat index: 2 where a kept entry stands for itself and its
+        #: mirror image, 1 on the self-conjugate (J/2, J/2), 0 if dropped
+        self.fold = np.zeros(self.idxu_max)
+        self.fold[self.half] = 2.0
+        self.fold[self.half[self.half_block[1::2] - 1]] = 1.0
 
     # ------------------------------------------------------------- flatten
     def flat(self, j2x: int, mb: int, ma: int) -> int:
@@ -94,69 +166,54 @@ class SnapIndex:
 
     def diag_indices(self) -> np.ndarray:
         """Flat indices of all (j, m, m) diagonal entries (wself slots)."""
-        out = []
-        for j2x in range(self.twojmax + 1):
-            for m in range(j2x + 1):
-                out.append(self.flat(j2x, m, m))
-        return np.asarray(out, dtype=np.int64)
+        return np.asarray(
+            [self.flat(j, m, m) for j in range(self.twojmax + 1) for m in range(j + 1)]
+        )
 
-    # -------------------------------------------------------------- tensor
-    @property
+    # --------------------------------------------------------------- plans
+    @cached_property
+    def yi_plan(self) -> ContractionPlan:
+        """Folded adjoint over ``T = [U; conj U]``: the gradient of every
+        term with respect to each of its three slots, half-range dests only
+        (row ``k`` of the result is flat index ``half[k]``)."""
+        t, n = self.tensor, self.idxu_max
+        dest = np.concatenate((t.in1, t.in2, t.out))
+        keep = self.fold[dest] > 0
+        a = np.concatenate((t.in2, t.in1, n + t.in1))[keep]
+        b = np.concatenate((n + t.out, n + t.out, n + t.in2))[keep]
+        dest = dest[keep]
+        return ContractionPlan(
+            np.searchsorted(self.half, dest), a, b, np.tile(t.ib, 3)[keep],
+            np.tile(t.coeff, 3)[keep] * self.fold[dest],
+        )
+
+    @cached_property
+    def bi_plan(self) -> tuple[ContractionPlan, np.ndarray, np.ndarray]:
+        """``(plan, zout, ibstarts)``: ``Z[(ib, out)] = sum C U[in1] U[in2]``
+        on half-range ``out``; ``B[ib] = sum_out Re(Z conj U[zout])`` over
+        the run of ``Z`` rows starting at ``ibstarts[ib]``."""
+        t, n = self.tensor, self.idxu_max
+        keep = self.fold[t.out] > 0
+        zkey, dest = np.unique(t.ib[keep] * n + t.out[keep], return_inverse=True)
+        plan = ContractionPlan(
+            dest, t.in1[keep], t.in2[keep], t.ib[keep],
+            t.coeff[keep] * self.fold[t.out[keep]],
+        )
+        return plan, zkey % n, np.searchsorted(zkey // n, np.arange(self.nbispectrum))
+
+    @cached_property
     def tensor(self) -> ContractionTensor:
         """The CG contraction tensor, built lazily (exact, cached)."""
-        if self._tensor is None:
-            self._tensor = self._build_tensor()
-        return self._tensor
-
-    def _build_tensor(self) -> ContractionTensor:
-        ib_l: list[int] = []
-        out_l: list[int] = []
-        in1_l: list[int] = []
-        in2_l: list[int] = []
-        co_l: list[float] = []
+        rows = []
         for ib, (j1, j2, j) in enumerate(self.idxb):
-            assert triangle_ok(j1, j2, j)
-            for mb in range(j + 1):
-                mx2 = 2 * mb - j
-                # row CG factors: m = m1 + m2
-                row_terms = []
-                for mb1 in range(j1 + 1):
-                    m1x2 = 2 * mb1 - j1
-                    m2x2 = mx2 - m1x2
-                    if abs(m2x2) > j2:
-                        continue
-                    mb2 = (m2x2 + j2) // 2
-                    c = clebsch_gordan(j1, m1x2, j2, m2x2, j, mx2)
-                    if c != 0.0:
-                        row_terms.append((mb1, mb2, c))
-                if not row_terms:
-                    continue
-                for ma in range(j + 1):
-                    max2 = 2 * ma - j
-                    col_terms = []
-                    for ma1 in range(j1 + 1):
-                        m1px2 = 2 * ma1 - j1
-                        m2px2 = max2 - m1px2
-                        if abs(m2px2) > j2:
-                            continue
-                        ma2 = (m2px2 + j2) // 2
-                        c = clebsch_gordan(j1, m1px2, j2, m2px2, j, max2)
-                        if c != 0.0:
-                            col_terms.append((ma1, ma2, c))
-                    if not col_terms:
-                        continue
-                    out_idx = self.flat(j, mb, ma)
-                    for mb1, mb2, cr in row_terms:
-                        for ma1, ma2, cc in col_terms:
-                            ib_l.append(ib)
-                            out_l.append(out_idx)
-                            in1_l.append(self.flat(j1, mb1, ma1))
-                            in2_l.append(self.flat(j2, mb2, ma2))
-                            co_l.append(cr * cc)
+            cg = [_cg_terms(j1, j2, j, m) for m in range(j + 1)]
+            for mb, ma in product(range(j + 1), repeat=2):
+                for (mb1, mb2, cr), (ma1, ma2, cc) in product(cg[mb], cg[ma]):
+                    rows.append((
+                        ib, self.flat(j, mb, ma), self.flat(j1, mb1, ma1),
+                        self.flat(j2, mb2, ma2), cr * cc,
+                    ))
+        *index, coeff = zip(*rows)
         return ContractionTensor(
-            ib=np.asarray(ib_l, dtype=np.int64),
-            out=np.asarray(out_l, dtype=np.int64),
-            in1=np.asarray(in1_l, dtype=np.int64),
-            in2=np.asarray(in2_l, dtype=np.int64),
-            coeff=np.asarray(co_l),
+            *(np.asarray(c, dtype=np.int64) for c in index), np.asarray(coeff)
         )

@@ -15,9 +15,10 @@ when requested, mirroring the hybrid evaluation of section 4.3.3.
 
 from __future__ import annotations
 
-import numpy as np
+from functools import lru_cache
+from typing import Iterator
 
-from repro.snap.indexing import SnapIndex
+import numpy as np
 
 #: angle scale factor (LAMMPS default rfac0)
 RFAC0 = 0.99363
@@ -40,9 +41,10 @@ def _cayley_klein(
 
     Returns ``(r, ca, cb, dca, dcb)`` where ``ca = conj(a)``, ``cb =
     conj(b)`` enter the recursion directly, and ``dca``/``dcb`` have shape
-    (npairs, 3).
+    (3, npairs).
     """
-    x, y, z = rij[:, 0], rij[:, 1], rij[:, 2]
+    rt = np.ascontiguousarray(rij.T)
+    x, y, z = rt
     r = np.sqrt(np.einsum("ij,ij->i", rij, rij))
     theta0 = RFAC0 * np.pi * (r - rmin0) / (rcut - rmin0)
     dtheta_dr = RFAC0 * np.pi / (rcut - rmin0)
@@ -50,100 +52,78 @@ def _cayley_klein(
     z0 = r * cot
     # dz0/dr = cot - r * (1 + cot^2) * dtheta/dr
     dz0_dr = cot - r * (1.0 + cot * cot) * dtheta_dr
-
-    rhat = rij / r[:, None]
-    dz0 = dz0_dr[:, None] * rhat  # (n, 3)
+    dz0 = dz0_dr * (rt / r)  # (3, n)
 
     r0sq = r * r + z0 * z0
     r0inv = 1.0 / np.sqrt(r0sq)
     # dr0inv = -r0inv^3 (r dr + z0 dz0)
-    dr0inv = -(r0inv**3)[:, None] * (rij + z0[:, None] * dz0)
+    dr0inv = -(r0inv**3) * (rt + z0 * dz0)
 
     a = r0inv * (z0 - 1j * z)
     b = r0inv * (y - 1j * x)
-    da = dr0inv * (z0 - 1j * z)[:, None] + r0inv[:, None] * dz0.astype(complex)
-    da[:, 2] += r0inv * (-1j)
-    db = dr0inv * (y - 1j * x)[:, None]
-    db[:, 1] += r0inv
-    db[:, 0] += r0inv * (-1j)
+    da = dr0inv * (z0 - 1j * z) + r0inv * dz0.astype(complex)
+    da[2] += r0inv * (-1j)
+    db = dr0inv * (y - 1j * x)
+    db[1] += r0inv
+    db[0] += r0inv * (-1j)
     return r, np.conj(a), np.conj(b), np.conj(da), np.conj(db)
 
 
-def _apply_symmetry(cur: np.ndarray, J: int, deriv: bool) -> None:
-    """Fill rows ``mb > J/2`` from the inversion symmetry.
+@lru_cache(maxsize=None)
+def _level_tables(J: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Static ``(mb, ma)`` coefficients of level ``J``'s computed rows
+    ``mb <= J/2``: the two recursion factors (J columns) and the mirror
+    sign ``(-1)^(mb + ma)`` (J + 1 columns), each with a trailing pair axis."""
+    mb = np.arange(J // 2 + 1)[:, None]
+    ma = np.arange(J)[None, :]
+    rpq_a = np.sqrt((J - ma) / (J - mb).astype(float))
+    rpq_b = np.sqrt((ma + 1) / (J - mb).astype(float))
+    sign = (-1.0) ** (J + mb) * (-1.0) ** np.arange(J + 1)
+    return rpq_a[..., None], -rpq_b[..., None], sign[..., None]
 
-    ``u[J - mb][J - ma] = (-1)^(ma + mb) conj(u[mb][ma])`` (VMK 4.4).
-    ``cur`` has the (mb, ma) block in its trailing two axes.
-    """
-    half = np.array([(-1.0) ** (J + mb) for mb in range(J // 2 + 1)])
-    sign_c = (-1.0) ** np.arange(J + 1)
-    for mb in range(J // 2 + 1):
-        src = cur[..., mb, ::-1].copy()
-        cur[..., J - mb, :] = (half[mb] * sign_c) * np.conj(src)
 
-
-def compute_u_blocks(
+def wigner_levels(
     rij: np.ndarray,
     rcut: float,
     *,
     rmin0: float = 0.0,
     twojmax: int = 8,
     derivatives: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-pair Wigner coefficients.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+    """Yield ``(J, u_J, du_J)`` for ``J = 0..twojmax``.
 
-    Returns ``(u, du)``: ``u`` is (npairs, idxu_max) complex; ``du`` is
-    (npairs, 3, idxu_max) when ``derivatives`` else None.  Values are the
-    *bare* matrices — the caller applies the switching-function weight.
+    ``u_J`` is (J+1, J+1, npairs) indexed ``[mb, ma, pair]``.  Each level is
+    one update of all rows ``mb <= J/2`` from the previous level, then one
+    mirror fill ``u[J-mb, J-ma] = (-1)^(mb+ma) conj(u[mb, ma])`` (VMK 4.4).
+    ``du_J`` (None unless ``derivatives``) is (rows, J+1, 3, npairs) and
+    stops at the rows ``mb <= (J+1)/2`` the next level and the half-range
+    force contraction read; the rest of its mirror image is never built.
+    Values are the *bare* matrices — the caller applies the switching
+    weight.
     """
-    idx = SnapIndex(twojmax)
     n = rij.shape[0]
-    u_flat = np.zeros((n, idx.idxu_max), dtype=np.complex128)
-    du_flat = (
-        np.zeros((n, 3, idx.idxu_max), dtype=np.complex128) if derivatives else None
-    )
-    if n == 0:
-        return u_flat, du_flat
-
-    r, ca, cb, dca, dcb = _cayley_klein(rij, rcut, rmin0)
-
-    prev = np.ones((n, 1, 1), dtype=np.complex128)
-    dprev = np.zeros((n, 3, 1, 1), dtype=np.complex128) if derivatives else None
-    u_flat[:, 0] = 1.0
-
+    cur = np.ones((1, 1, n), dtype=np.complex128)
+    dcur = np.zeros((1, 1, 3, n), dtype=np.complex128) if derivatives else None
+    yield 0, cur, dcur
+    _, ca, cb, dca, dcb = _cayley_klein(rij, rcut, rmin0)
     for J in range(1, twojmax + 1):
-        cur = np.zeros((n, J + 1, J + 1), dtype=np.complex128)
-        dcur = (
-            np.zeros((n, 3, J + 1, J + 1), dtype=np.complex128)
-            if derivatives
-            else None
-        )
-        for mb in range(J // 2 + 1):
-            if mb > J - 1:
-                # (possible only for J = 0; loop starts at J = 1)
-                continue
-            denom = np.sqrt(float(J - mb))
-            ma = np.arange(J)
-            rpq_a = np.sqrt((J - ma) / float(J - mb))
-            rpq_b = np.sqrt((ma + 1) / float(J - mb))
-            p = prev[:, mb, :]  # (n, J)
-            cur[:, mb, :J] += rpq_a * (ca[:, None] * p)
-            cur[:, mb, 1:] += -rpq_b * (cb[:, None] * p)
-            if derivatives:
-                dp = dprev[:, :, mb, :]  # (n, 3, J)
-                dcur[:, :, mb, :J] += rpq_a * (
-                    dca[:, :, None] * p[:, None, :] + ca[:, None, None] * dp
-                )
-                dcur[:, :, mb, 1:] += -rpq_b * (
-                    dcb[:, :, None] * p[:, None, :] + cb[:, None, None] * dp
-                )
-        _apply_symmetry(cur, J, deriv=False)
+        rpq_a, rpq_b, sign = _level_tables(J)
+        h = J // 2 + 1
+        p = cur[:h]  # (h, J, n): rows of level J - 1 feeding rows mb <= J/2
+        nxt = np.empty((J + 1, J + 1, n), dtype=np.complex128)
+        nxt[:h, :J] = rpq_a * (ca * p)
+        nxt[:h, J] = 0.0
+        nxt[:h, 1:] += rpq_b * (cb * p)
+        nxt[J : J - h : -1] = sign * np.conj(nxt[:h, ::-1])
         if derivatives:
-            _apply_symmetry(dcur, J, deriv=True)
-        lo, hi = idx.idxu_block[J], idx.idxu_block[J + 1]
-        u_flat[:, lo:hi] = cur.reshape(n, -1)
-        if derivatives:
-            du_flat[:, :, lo:hi] = dcur.reshape(n, 3, -1)
-        prev = cur
-        dprev = dcur
-    return u_flat, du_flat
+            dp, pe = dcur[:h], p[:, :, None]
+            dnxt = np.empty((h + J % 2, J + 1, 3, n), dtype=np.complex128)
+            dnxt[:h, :J] = rpq_a[..., None] * (dca * pe + ca * dp)
+            dnxt[:h, J] = 0.0
+            dnxt[:h, 1:] += rpq_b[..., None] * (dcb * pe + cb * dp)
+            if J % 2:  # the one mirrored row that level J + 1 reads
+                dnxt[h] = sign[h - 1, :, None] * np.conj(dnxt[h - 1, ::-1])
+            dcur = dnxt
+        cur = nxt
+        yield J, cur, dcur
+

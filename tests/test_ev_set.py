@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_melt
+from test_snap_pair import make_ta
 from repro.core.errors import LammpsError
 from repro.core.integrate import Verlet
 from repro.potentials.pair import Pair
@@ -65,6 +66,46 @@ class TestTallyCadence:
         lmp.command("compute mype all pe")
         lmp.command("run 10")
         assert [step for _, step in tally_log] == list(range(11))
+
+
+class TestSNAP:
+    """``pair snap`` honours eflag: the bispectrum (its energy pass) runs
+    on tallied steps only, and an untallied step cannot be read."""
+
+    def _ta(self):
+        lmp = make_ta(twojmax=2)
+        lmp.command("thermo 5")
+        return lmp
+
+    def test_bispectrum_runs_on_tallied_steps_only(self, monkeypatch):
+        import repro.snap.pair_snap as ps
+
+        steps = []
+        lmp = self._ta()
+        original = ps.compute_bispectrum
+
+        def spy(U, twojmax):
+            steps.append(lmp.update.ntimestep)
+            return original(U, twojmax)
+
+        monkeypatch.setattr(ps, "compute_bispectrum", spy)
+        lmp.command("run 10")
+        assert steps == [0, 5, 10]
+        sparse = [r.values for r in lmp.thermo.history]
+        monkeypatch.setattr(Verlet, "ev_set", lambda self, step, last: True)
+        dense = self._ta()
+        dense.command("run 10")
+        assert [r.values for r in dense.thermo.history] == sparse
+        assert np.array_equal(dense.atom.x, lmp.atom.x)
+
+    def test_reading_an_untallied_step_raises(self):
+        lmp = self._ta()
+        steps = lmp.verlet.run_gen(4)
+        while lmp.update.ntimestep < 2:
+            next(steps)
+        with pytest.raises(LammpsError, match="not tallied on timestep 2"):
+            lmp.internal_compute("pe").local_partials()
+        steps.close()
 
 
 class TestTalliedValues:

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_melt
+from test_snap_pair import make_ta
 from repro.core import Lammps
-from repro.core.errors import CommError, NeighborError, OverflowGuardError
+from repro.core.errors import (
+    CommError, LammpsError, NeighborError, OverflowGuardError,
+)
 
 
 class TestLostAndCorruptState:
@@ -64,8 +67,10 @@ class TestSNAPAdjointConsistency:
     @given(seed=st.integers(0, 500))
     @settings(max_examples=8, deadline=None)
     def test_y_adjoints_are_energy_gradients_in_u(self, seed):
-        """Y12/Y3 must be the exact partials of E = beta . B w.r.t. U/U*."""
-        from repro.snap.bispectrum import compute_bispectrum
+        """The folded Y must be the exact gradient of E = beta . B along
+        the symmetry manifold: perturbing ``U[m]`` by ``d`` drags ``U[mbar]``
+        by ``s conj(d)``, and ``dE = Re(Y[m] d)``."""
+        from snap_oracle import coo_energy, mirror
         from repro.snap.compute_ui import compute_ui
         from repro.snap.compute_yi import compute_yi
         from repro.snap.indexing import SnapIndex
@@ -77,36 +82,50 @@ class TestSNAPAdjointConsistency:
         rng = np.random.default_rng(seed)
         rij = rng.normal(size=(6, 3))
         rij *= 3.0 / np.linalg.norm(rij, axis=1, keepdims=True)
-        U, _, _ = compute_ui(rij, np.zeros(6, dtype=int), 1, 4.7, tj)
-        Y12, Y3 = compute_yi(U, beta, tj)
+        U = compute_ui(rij, np.zeros(6, dtype=int), 1, 4.7, tj)
+        Y = compute_yi(U, beta, tj)
+        mbar, sign = mirror(tj)
 
-        # evaluate E = Re(sum beta C u1 u2 conj(u3)) directly from the
-        # contraction tensor, so arbitrary (off-manifold) perturbations of
-        # U are well defined
-        t = idx.tensor
-        w = beta[t.ib] * t.coeff
-
+        # the energy comes straight from the un-folded contraction tensor,
+        # so it is defined for any U and knows nothing about the fold
         def energy(u):
-            return float(
-                np.real((w * u[0, t.in1] * u[0, t.in2] * np.conj(u[0, t.out])).sum())
-            )
+            return float(coo_energy(u, beta, tj)[0])
 
         eps = 1e-7
-        for m in rng.integers(0, idx.idxu_max, size=4):
-            # dE/d(Re u_m) = Re(Y12 + Y3); dE/d(Im u_m) = Re(i (Y12 - Y3))
-            for part, expect in (
-                (1.0, np.real(Y12[0, m] + Y3[0, m])),
-                (1j, np.real(1j * (Y12[0, m] - Y3[0, m]))),
-            ):
-                up = U.copy()
-                up[0, m] += part * eps
-                um = U.copy()
-                um[0, m] -= part * eps
-                fd = (energy(up) - energy(um)) / (2 * eps)
+        for k in rng.integers(0, len(idx.half), size=4):
+            m = idx.half[k]
+            # the self-conjugate entry can only move along the real axis
+            for d in (1.0,) if mbar[m] == m else (1.0, 1j):
+                dU = np.zeros_like(U)
+                dU[m, 0] = d * eps
+                dU[mbar[m], 0] = sign[m] * np.conj(d * eps)
+                fd = (energy(U + dU) - energy(U - dU)) / (2 * eps)
                 # abs floor: central-difference round-off is ~ulp(E)/eps,
                 # which for |E| ~ 10 exceeds 1e-8 when the derivative itself
                 # is small (near-cancelling Y components)
-                assert fd == pytest.approx(expect, rel=1e-4, abs=5e-8)
+                assert fd == pytest.approx(np.real(Y[k, 0] * d), rel=1e-4, abs=5e-8)
+
+
+class TestSNAPGuards:
+    """``pair snap`` names the step and the pair instead of writing NaN."""
+
+    def test_coincident_atoms_raise(self):
+        lmp = make_ta(twojmax=2)
+        lmp.atom.x[1] = lmp.atom.x[0]
+        with pytest.raises(
+            LammpsError, match=r"pair \(\d+, \d+\) has zero separation on timestep 0"
+        ):
+            lmp.command("run 0")
+
+    def test_non_finite_gradient_raises(self):
+        lmp = make_ta(twojmax=2)
+        lmp.command("run 1")
+        lmp.pair.beta[0] = np.nan
+        with pytest.raises(
+            LammpsError, match=r"pair \(\d+, \d+\) has a non-finite dE/dr on timestep 1"
+        ):
+            lmp.command("run 1")
+        assert np.isfinite(lmp.atom.f[: lmp.atom.nlocal]).all()  # f untouched
 
 
 class TestEwaldAccounting:

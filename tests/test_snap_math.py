@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from snap_oracle import coo_bispectrum
 from repro.snap.bispectrum import compute_bispectrum
 from repro.snap.cg import clebsch_gordan, triangle_ok
 from repro.snap.compute_ui import compute_ui
 from repro.snap.indexing import SnapIndex
-from repro.snap.wigner import compute_u_blocks, switching
+from repro.snap.wigner import switching, wigner_levels
 
 
 def random_neighborhood(seed: int, n: int = 10, rcut: float = 4.7):
@@ -126,12 +127,10 @@ class TestIndexing:
 class TestWignerRecursion:
     def test_unitarity_every_layer(self):
         rij = random_neighborhood(0, n=4)
-        u, _ = compute_u_blocks(rij, 4.7, twojmax=8)
-        idx = SnapIndex(8)
-        for J in range(9):
-            lo, hi = idx.idxu_block[J], idx.idxu_block[J + 1]
+        for J, u, _ in wigner_levels(rij, 4.7, twojmax=8):
+            assert u.shape == (J + 1, J + 1, 4)  # [mb, ma, pair]
             for p in range(4):
-                blk = u[p, lo:hi].reshape(J + 1, J + 1)
+                blk = u[:, :, p]
                 np.testing.assert_allclose(
                     blk @ blk.conj().T, np.eye(J + 1), atol=1e-12
                 )
@@ -140,17 +139,20 @@ class TestWignerRecursion:
     @settings(max_examples=15, deadline=None)
     def test_derivative_matches_fd(self, seed):
         rij = random_neighborhood(seed, n=3)
-        _, du = compute_u_blocks(rij, 4.7, twojmax=6, derivatives=True)
+        du = [d for _, _, d in wigner_levels(rij, 4.7, twojmax=6, derivatives=True)]
         eps = 1e-6
         for d in range(3):
             rp, rm = rij.copy(), rij.copy()
             rp[:, d] += eps
             rm[:, d] -= eps
-            up, _ = compute_u_blocks(rp, 4.7, twojmax=6)
-            um, _ = compute_u_blocks(rm, 4.7, twojmax=6)
-            np.testing.assert_allclose(
-                (up - um) / (2 * eps), du[:, d, :], atol=5e-7
-            )
+            for (J, up, _), (_, um, _) in zip(
+                wigner_levels(rp, 4.7, twojmax=6), wigner_levels(rm, 4.7, twojmax=6)
+            ):
+                rows = (J + 1) // 2 + 1  # all the derivative recursion keeps
+                assert du[J].shape == (rows, J + 1, 3, 3)
+                np.testing.assert_allclose(
+                    ((up - um) / (2 * eps))[:rows], du[J][:, :, d], atol=5e-7
+                )
 
     def test_switching_function(self):
         sfac, dsfac = switching(np.array([0.0, 2.35, 4.7, 5.0]), 4.7, 0.0)
@@ -161,8 +163,11 @@ class TestWignerRecursion:
         assert dsfac[1] < 0
 
     def test_empty_input(self):
-        u, du = compute_u_blocks(np.zeros((0, 3)), 4.7, twojmax=4, derivatives=True)
-        assert u.shape[0] == 0 and du.shape[0] == 0
+        levels = list(wigner_levels(np.zeros((0, 3)), 4.7, twojmax=4, derivatives=True))
+        assert [u.shape for _, u, _ in levels] == [(k, k, 0) for k in range(1, 6)]
+        assert [du.shape for _, _, du in levels] == [
+            (k // 2 + 1, k, 3, 0) for k in range(1, 6)
+        ]
 
 
 class TestBispectrumInvariance:
@@ -173,18 +178,18 @@ class TestBispectrumInvariance:
         property that makes the triple products valid descriptors (eq. 3)."""
         rij = random_neighborhood(seed)
         pair_i = np.zeros(len(rij), dtype=int)
-        U1, _, _ = compute_ui(rij, pair_i, 1, 4.7, 6)
+        U1 = compute_ui(rij, pair_i, 1, 4.7, 6)
         B1 = compute_bispectrum(U1, 6)
         R = Rotation.random(random_state=rot_seed).as_matrix()
-        U2, _, _ = compute_ui(rij @ R.T, pair_i, 1, 4.7, 6)
+        U2 = compute_ui(rij @ R.T, pair_i, 1, 4.7, 6)
         B2 = compute_bispectrum(U2, 6)
         np.testing.assert_allclose(B1, B2, rtol=1e-9, atol=1e-9)
 
     def test_permutation_invariance(self):
         rij = random_neighborhood(5)
         pair_i = np.zeros(len(rij), dtype=int)
-        U1, _, _ = compute_ui(rij, pair_i, 1, 4.7, 6)
-        U2, _, _ = compute_ui(rij[::-1], pair_i, 1, 4.7, 6)
+        U1 = compute_ui(rij, pair_i, 1, 4.7, 6)
+        U2 = compute_ui(rij[::-1], pair_i, 1, 4.7, 6)
         np.testing.assert_allclose(
             compute_bispectrum(U1, 6), compute_bispectrum(U2, 6), atol=1e-10
         )
@@ -193,8 +198,8 @@ class TestBispectrumInvariance:
         rij = random_neighborhood(6)
         far = np.array([[10.0, 0, 0]])
         pair_i = np.zeros(len(rij), dtype=int)
-        U1, _, _ = compute_ui(rij, pair_i, 1, 4.7, 4)
-        U2, _, _ = compute_ui(
+        U1 = compute_ui(rij, pair_i, 1, 4.7, 4)
+        U2 = compute_ui(
             np.vstack([rij, far]), np.zeros(len(rij) + 1, dtype=int), 1, 4.7, 4
         )
         np.testing.assert_allclose(
@@ -203,6 +208,10 @@ class TestBispectrumInvariance:
 
     def test_bispectrum_real(self):
         rij = random_neighborhood(7)
-        U, _, _ = compute_ui(rij, np.zeros(len(rij), dtype=int), 1, 4.7, 8)
-        B = compute_bispectrum(U, 8)  # raises internally if imag residue
-        assert B.dtype == np.float64
+        U = compute_ui(rij, np.zeros(len(rij), dtype=int), 1, 4.7, 8)
+        full = coo_bispectrum(U, 8)  # every image, complex
+        assert np.abs(full.imag).max() < 1e-12 * np.abs(full).max()
+        np.testing.assert_allclose(
+            compute_bispectrum(U, 8), full.real, rtol=0,
+            atol=1e-12 * np.abs(full).max(),
+        )
