@@ -18,7 +18,10 @@ Top-level packages:
 * :mod:`repro.reaxff`     — the reactive force field package
 * :mod:`repro.snap`       — the SNAP machine-learning potential package
 * :mod:`repro.workloads`  — benchmark workload generators
-* :mod:`repro.bench`      — the figure/table reproduction harness
+* :mod:`repro.bench`      — the paper-figure harness (never imported by the
+  CLI; wall-clock numbers come from ``bench_e2e/`` only)
+* :mod:`repro.replica`    — the stacked replica engine, loaded by ``-r R``
+* :mod:`repro.tune`       — the autotuner, loaded by ``--autotune``
 """
 
 __version__ = "1.0.0"

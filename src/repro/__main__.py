@@ -8,24 +8,21 @@ Mirrors the LAMMPS binary's common flags::
     python -m repro -in melt.in -np 4                # 4 simulated MPI ranks
     python -m repro -in melt.in -r 16                # 16 batched replicas
     python -m repro -in melt.in -var cells 6 -var temp 1.2
-    python -m repro --bench hotpath                  # refresh BENCH_hotpath.json
     python -m repro -in melt.in --tools space-time-stack,chrome-trace --tool-out out/
     python -m repro -in melt.in --metrics-out out/   # Prometheus + JSONL metrics
     python -m repro -in melt.in --autotune           # tune mode switches at run start
     python -m repro --analyze-trace out/trace.json   # offline trace analytics
-    python -m repro --sentinel BENCH_hotpath.json baselines/BENCH_hotpath.json
 
 ``-var`` values are injected as equal-style variables (usable as ``${name}``
 in the script), ``-k on [gpu <name>]`` selects the simulated device, ``-sf``
 sets the global accelerator suffix, ``-np`` runs the script across simulated
 MPI ranks in lockstep, and ``--tools`` attaches KokkosP-style observability
-tools (:mod:`repro.tools`) for the duration of the run.  ``--bench`` choices
-come from the bench registry (:mod:`repro.bench.registry`).
+tools (:mod:`repro.tools`) for the duration of the run.
 
-Offline modes (no input script): ``--analyze-trace`` runs the trace
-analyzer (:mod:`repro.tools.analyze`) over a recorded chrome trace;
-``--sentinel FRESH BASELINE`` runs the perf-regression sentinel
-(:mod:`repro.bench.sentinel`) and exits 1 on a confirmed regression.
+The one offline mode (no input script): ``--analyze-trace`` runs the trace
+analyzer (:mod:`repro.tools.analyze`) over a recorded chrome trace.
+Wall-clock benchmarking is not a CLI job: ``python3 bench_e2e/run.py`` drives
+this entry point from outside.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ import repro.kspace  # noqa: F401  (register all packages' styles)
 import repro.potentials  # noqa: F401
 import repro.reaxff  # noqa: F401
 import repro.snap  # noqa: F401
-from repro.bench import bench_names, run_bench
 from repro.core import Ensemble, Lammps, ReplicaSet
 from repro.tools import create_tools, tool_names
 from repro.tools import registry as kp
@@ -66,10 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-in", "--input", dest="script",
                    help="input script file")
-    p.add_argument("--bench", default=None, metavar="NAME",
-                   help="run a wall-clock benchmark instead of a script "
-                   "(writes BENCH_<name>.json in the working directory): "
-                   + ", ".join(bench_names()))
     p.add_argument("--tools", default=None, metavar="NAME[,NAME...]",
                    help="attach observability tools for the run: "
                    + ", ".join(tool_names()))
@@ -85,14 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the trace analysis as JSON to FILE")
     p.add_argument("--top", type=int, default=10,
                    help="top-N kernels in the trace analysis (default 10)")
-    p.add_argument("--sentinel", nargs=2, default=None,
-                   metavar=("FRESH", "BASELINE"),
-                   help="compare a fresh BENCH_*.json against a committed "
-                   "baseline; exit 1 on a beyond-noise-band regression")
-    p.add_argument("--sentinel-out", default=None, metavar="FILE",
-                   help="write the sentinel verdict JSON to FILE")
-    p.add_argument("--rel-floor", type=float, default=None,
-                   help="sentinel relative noise floor (default 0.35)")
     p.add_argument("--autotune", nargs="?", const="wall", default=None,
                    choices=("wall", "model"), metavar="MEASURE",
                    help="autotune mode switches before the first run "
@@ -142,17 +126,6 @@ def resolve_device(kokkos_args: list[str] | None) -> str | None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.sentinel is not None:
-        from repro.bench.sentinel import REL_FLOOR, run_sentinel
-
-        fresh, baseline = args.sentinel
-        verdict = run_sentinel(
-            fresh, baseline,
-            out_path=args.sentinel_out,
-            rel_floor=args.rel_floor if args.rel_floor is not None else REL_FLOOR,
-            quiet=args.quiet,
-        )
-        return 1 if verdict["verdict"] == "fail" else 0
     if args.analyze_trace is not None:
         import json
 
@@ -166,16 +139,8 @@ def main(argv: list[str] | None = None) -> int:
         if not args.quiet:
             print(format_report(analysis))
         return 0
-    if args.bench is not None:
-        try:
-            run_bench(args.bench, quiet=args.quiet)
-        except KeyError as err:
-            # unknown bench names carry the registry's did-you-mean hint
-            parser.error(str(err.args[0]) if err.args else str(err))
-        return 0
     if args.script is None:
-        parser.error("an input script (-in FILE), --bench, --analyze-trace, "
-                     "or --sentinel is required")
+        parser.error("an input script (-in FILE) or --analyze-trace is required")
     device = resolve_device(args.kokkos)
 
     tools = []

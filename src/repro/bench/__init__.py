@@ -1,4 +1,9 @@
-"""Benchmark harness: functional reference runs -> cost-model projections.
+"""The paper-figure harness: functional reference runs -> cost-model projections.
+
+This package is exactly what ``benchmarks/test_fig*|table*|ablation*|appb*``
+and ``examples/exascale_projection.py`` import (``runner``, ``scaling``,
+``reporting``); the CLI never imports it.  Wall-clock numbers come from one
+place only, ``python3 bench_e2e/run.py``.
 
 The pattern behind every figure reproduction (DESIGN.md section 3): run the
 *functional* simulation at a reference size with kernel-profile capture on,
@@ -9,7 +14,6 @@ atom, QEq iterations, quad sparsity) therefore come from real runs, not
 hand-waving; only the silicon is analytic.
 """
 
-from repro.bench.registry import bench_names, register_bench, run_bench
 from repro.bench.runner import (
     LJBenchmark,
     ReaxFFBenchmark,
@@ -25,23 +29,9 @@ from repro.bench.scaling import (
     interior_fraction,
     strong_scaling_curve,
 )
-from repro.bench.autotune import format_autotune_report, run_autotune_bench
-from repro.bench.hotpath import format_hotpath_report, run_hotpath_bench
-from repro.bench.qeq_bench import format_qeq_report, run_qeq_bench
-from repro.bench.replica_bench import format_replica_report, run_replica_bench
 from repro.bench.reporting import format_table, format_series
-from repro.bench.sentinel import compare, format_verdict, run_sentinel
-from repro.bench.stats import (
-    SCHEMA_VERSION,
-    collect_samples,
-    summarize,
-    validate_bench,
-)
 
 __all__ = [
-    "bench_names",
-    "register_bench",
-    "run_bench",
     "ReferenceRun",
     "LJBenchmark",
     "ReaxFFBenchmark",
@@ -55,19 +45,4 @@ __all__ = [
     "format_overlap_report",
     "format_table",
     "format_series",
-    "run_hotpath_bench",
-    "format_hotpath_report",
-    "run_autotune_bench",
-    "format_autotune_report",
-    "run_qeq_bench",
-    "format_qeq_report",
-    "run_replica_bench",
-    "format_replica_report",
-    "SCHEMA_VERSION",
-    "summarize",
-    "collect_samples",
-    "validate_bench",
-    "compare",
-    "format_verdict",
-    "run_sentinel",
 ]

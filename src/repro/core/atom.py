@@ -213,38 +213,6 @@ class AtomVec:
         self.reorder_generation += 1
         self.last_reorder_perm = perm
 
-    def delete_local(self, keep: np.ndarray) -> int:
-        """Compact the owned atoms down to ``keep`` (bool mask or indices).
-
-        Survivors keep their relative order; every per-atom field — built-in
-        *and* registered custom — is compacted together, so custom rows stay
-        attached to their atoms (the replica engine retires completed
-        replicas this way).  Must run while no ghosts exist, like
-        :meth:`reorder_local`, and bumps ``reorder_generation`` for the same
-        reason: cached indices into the owned range went stale.  Returns the
-        new ``nlocal``.
-        """
-        if self.nghost:
-            raise LammpsError("cannot delete local atoms while ghosts exist")
-        n = self.nlocal
-        keep = np.asarray(keep)
-        if keep.dtype == bool:
-            if keep.shape != (n,):
-                raise LammpsError(f"delete mask shape {keep.shape} != ({n},)")
-            idx = np.flatnonzero(keep)
-        else:
-            idx = keep
-        nkeep = idx.shape[0]
-        for name in self.FIELD_DTYPES:
-            arr = getattr(self, name)
-            arr[:nkeep] = arr[:n][idx]
-        for arr in self.custom.values():
-            arr[:nkeep] = arr[:n][idx]
-        self.nlocal = nkeep
-        self.reorder_generation += 1
-        self.last_reorder_perm = None
-        return nkeep
-
     # -------------------------------------------------------------- ghosts
     def clear_ghosts(self) -> None:
         self.nghost = 0

@@ -10,8 +10,7 @@ half-kick/drift, one staged ghost-comm replay — over arrays R times longer.
 
 **Layout.**  The stacked array holds every replica's owned atoms first
 (``[own_0 | own_1 | ...]``, so the "is j owned" predicate ``j < nlocal``
-keeps its solo meaning), then every replica's ghosts.  Each atom carries its
-``replica_id`` in a registered custom per-atom field, and each member keeps
+keeps its solo meaning), then every replica's ghosts.  Each member keeps
 ``(own_off, nlocal, ghost_off, nghost)`` segment offsets.  Cross-replica
 pairs cannot exist *structurally*: neighbor lists are built per replica (by
 the member's own unchanged rebuild machinery) and only then translated into
@@ -42,10 +41,10 @@ Each rebuild epoch re-hoists: stale members get their owned state synced
 back, run their own solo ``rebuild_gen`` (exchange/sort/borders/build), and
 the stacked arrays, the pairwise env, and comm-replay stages are rebuilt from
 all members.  Per-replica neighbor staleness is tracked individually — one hot
-replica rebuilding does not force the rest to.  The same hoisting implements
-mid-flight join (``add_replica`` while running) and early termination
-(``remove_replica`` compacts the stacked arrays via
-:meth:`~repro.core.atom.AtomVec.delete_local`).
+replica rebuilding does not force the rest to.  Membership is fixed by the
+caller (:meth:`repro.core.ReplicaSet.run`: ``add_replica`` × R, ``step``,
+``finish``); the only way a member leaves early is a failed rebuild
+(:attr:`ReplicaBatch.failures`).
 
 Pair-style coverage is the closed set in ``HANDLERS`` (host ``lj/cut`` and
 ``eam/fs``); batchability violations raise with the shared
@@ -72,9 +71,6 @@ from repro.potentials.lj import lj_energy, lj_force
 from repro.potentials.pair import Pair
 from repro.tools import metrics
 from repro.tools import registry as kp
-
-#: The registered custom per-atom field carrying each atom's replica id.
-REPLICA_FIELD = "replica_id"
 
 
 # ------------------------------------------------------------------ members
@@ -209,7 +205,7 @@ class ReplicaBatch:
         batch = ReplicaBatch()
         rid = batch.add_replica(lmp)    # lmp fully set up (pair, fix nve...)
         batch.step(100)                  # all replicas advance together
-        lmp = batch.remove_replica(rid)  # final state synced back to lmp
+        batch.finish()                   # final state synced back to each lmp
 
     Members may be at different timesteps, sizes, dt, thermo intervals, and
     neighbor policies; they must share one pair style (and newton setting).
@@ -223,10 +219,8 @@ class ReplicaBatch:
         self.atom: AtomVec | None = None
         #: ``(rid, exception)`` pairs from members dropped by a failed
         #: rebuild — the fail-open path: the batch keeps stepping the rest,
-        #: and the session manager routes each failure to its owning session.
+        #: and :meth:`repro.core.ReplicaSet.run` raises the first one.
         self.failures: list[tuple[int, Exception]] = []
-        #: peak member count, the occupancy denominator
-        self.capacity = 0
         self._next_rid = 0
         self._sig: tuple | None = None
         self._handler = None
@@ -237,27 +231,10 @@ class ReplicaBatch:
         self._m_own = np.zeros(0)
         self._dt_col = np.zeros(0)
         self._dtf_col = np.zeros(0)
-        self._epoch_t: float | None = None
 
     # ------------------------------------------------------------- queries
     def __len__(self) -> int:
         return len(self.members)
-
-    @property
-    def rids(self) -> list[int]:
-        return [m.rid for m in self.members]
-
-    def member(self, rid: int) -> "object":
-        """The solo Lammps instance behind a live replica id."""
-        return self._find(rid).lmp
-
-    def _find(self, rid: int) -> _Member:
-        for m in self.members:
-            if m.rid == rid:
-                return m
-        raise LammpsError(
-            f"unknown replica id {rid}; live ids: {self.rids}"
-        )
 
     # ------------------------------------------------------------ admission
     def add_replica(self, lmp) -> int:
@@ -286,7 +263,6 @@ class ReplicaBatch:
         self._sig = sig
         self._handler = HANDLERS[sig[0]]
         self._newton = sig[2]
-        self.capacity = max(self.capacity, len(self.members))
         self._hoist()
         return m.rid
 
@@ -335,39 +311,12 @@ class ReplicaBatch:
         style_req, newton = pair.neighbor_request()
         return (style, style_req, newton)
 
-    # ----------------------------------------------------------- retirement
-    def remove_replica(self, rid: int) -> "object":
-        """Retire one replica: sync its final state back, compact the rest.
-
-        The stacked arrays shrink in place
-        (:meth:`~repro.core.atom.AtomVec.delete_local` keyed on the
-        ``replica_id`` custom field), surviving replicas keep their relative
-        order, and the epoch plans are rebuilt over the compacted layout.
-        Returns the member's solo Lammps instance, holding its final state.
-        """
-        m = self._find(rid)
-        self._sync_member(m)
-        self.members.remove(m)
-        if not self.members:
-            self._reset_empty()
-            return m.lmp
-        assert self.atom is not None
-        self.atom.clear_ghosts()
-        ridcol = self.atom.custom[REPLICA_FIELD][: self.atom.nlocal, 0]
-        self.atom.delete_local(ridcol != rid)
-        self._hoist(reuse_owned=True)
-        return m.lmp
-
     def _reset_empty(self) -> None:
         self.atom = None
         self._stages = []
         self._env = {}
         self._pair_stages = []
         self._m_own = self._dt_col = self._dtf_col = np.zeros(0)
-        if metrics.SINKS and self.capacity:
-            metrics.set_gauge(
-                "replica_batch_occupancy", 0.0, batch=self.label
-            )
 
     # ------------------------------------------------------------- syncing
     def _sync_member(self, m: _Member) -> None:
@@ -389,25 +338,10 @@ class ReplicaBatch:
                 self._sync_member(m)
 
     # -------------------------------------------------------------- hoisting
-    def _hoist(self, *, reuse_owned: bool = False) -> None:
-        """Rebuild the stacked epoch state from the members' solo truth.
-
-        ``reuse_owned`` skips restacking the owned rows (the compaction path
-        already holds them, in order); everything derived — ghosts, comm
-        stages, pair plans, per-atom integration constants — is rebuilt.
-        """
-        now = time.perf_counter()
-        if metrics.SINKS:
-            if self._epoch_t is not None:
-                metrics.observe(
-                    "replica_epoch_seconds", now - self._epoch_t, batch=self.label
-                )
-            metrics.set_gauge(
-                "replica_batch_occupancy",
-                len(self.members) / max(self.capacity, 1),
-                batch=self.label,
-            )
-        self._epoch_t = now
+    def _hoist(self) -> None:
+        """Rebuild the stacked epoch state from the members' solo truth:
+        owned rows, ghosts, comm stages, pair plans and the per-atom
+        integration constants."""
         members = self.members
         nown = 0
         for idx, m in enumerate(members):
@@ -422,51 +356,43 @@ class ReplicaBatch:
             m.ghost_off = ghost_off
             ghost_off += m.nghost
 
-        if reuse_owned:
-            atom = self.atom
-            assert atom is not None and atom.nlocal == nown
-            atom.clear_ghosts()
-        else:
-            atom = AtomVec(ntypes=max(m.lmp.atom.ntypes for m in members))
-            specs: dict[str, tuple[int, np.dtype]] = {}
-            for m in members:
-                for name, arr in m.lmp.atom.custom.items():
-                    spec = (arr.shape[1], arr.dtype)
-                    if specs.setdefault(name, spec) != spec:
-                        raise LammpsError(
-                            f"custom field {name!r} has mismatched shape/dtype "
-                            "across replicas"
-                        )
-            custom = {
-                name: np.concatenate(
-                    [
-                        m.lmp.atom.custom[name][: m.nlocal]
-                        if name in m.lmp.atom.custom
-                        else np.zeros((m.nlocal, w), dtype=dt)
-                        for m in members
-                    ]
-                )
-                for name, (w, dt) in specs.items()
-            }
-            custom[REPLICA_FIELD] = np.concatenate(
-                [np.full((m.nlocal, 1), m.rid, dtype=np.int64) for m in members]
+        atom = AtomVec(ntypes=max(m.lmp.atom.ntypes for m in members))
+        specs: dict[str, tuple[int, np.dtype]] = {}
+        for m in members:
+            for name, arr in m.lmp.atom.custom.items():
+                spec = (arr.shape[1], arr.dtype)
+                if specs.setdefault(name, spec) != spec:
+                    raise LammpsError(
+                        f"custom field {name!r} has mismatched shape/dtype "
+                        "across replicas"
+                    )
+        custom = {
+            name: np.concatenate(
+                [
+                    m.lmp.atom.custom[name][: m.nlocal]
+                    if name in m.lmp.atom.custom
+                    else np.zeros((m.nlocal, w), dtype=dt)
+                    for m in members
+                ]
             )
-            atom.replace_local(
-                x=np.concatenate([m.lmp.atom.x[: m.nlocal] for m in members]),
-                v=np.concatenate([m.lmp.atom.v[: m.nlocal] for m in members]),
-                types=np.concatenate(
-                    [m.lmp.atom.type[: m.nlocal] for m in members]
-                ),
-                tags=np.concatenate([m.lmp.atom.tag[: m.nlocal] for m in members]),
-                q=np.concatenate([m.lmp.atom.q[: m.nlocal] for m in members]),
-                custom=custom,
-            )
-            # carry the members' current forces: the very next initial
-            # half-kick reads them (replace_local does not take f)
-            atom.f[:nown] = np.concatenate(
-                [m.lmp.atom.f[: m.nlocal] for m in members]
-            )
-            self.atom = atom
+            for name, (w, dt) in specs.items()
+        }
+        atom.replace_local(
+            x=np.concatenate([m.lmp.atom.x[: m.nlocal] for m in members]),
+            v=np.concatenate([m.lmp.atom.v[: m.nlocal] for m in members]),
+            types=np.concatenate(
+                [m.lmp.atom.type[: m.nlocal] for m in members]
+            ),
+            tags=np.concatenate([m.lmp.atom.tag[: m.nlocal] for m in members]),
+            q=np.concatenate([m.lmp.atom.q[: m.nlocal] for m in members]),
+            custom=custom,
+        )
+        # carry the members' current forces: the very next initial
+        # half-kick reads them (replace_local does not take f)
+        atom.f[:nown] = np.concatenate(
+            [m.lmp.atom.f[: m.nlocal] for m in members]
+        )
+        self.atom = atom
 
         for m in members:
             a = m.lmp.atom
@@ -803,6 +729,6 @@ class ReplicaBatch:
         """Sync every member's stacked state back to its solo instance.
 
         Call after stepping when the members will be read (or run further)
-        outside the batch; ``remove_replica`` does this per member.
+        outside the batch.
         """
         self._sync_all_owned()

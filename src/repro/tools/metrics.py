@@ -1,9 +1,8 @@
 """Measured-performance metrics core: counters, gauges, histograms, timers.
 
 The KokkosP-style registry (:mod:`repro.tools.registry`) charges *modeled*
-simulated-clock time to every dispatch; the ROADMAP's autotuner and
-kernel-fusion items need *measured* wall-clock data keyed by
-(kernel, workload, mode-config).  This module is that substrate:
+simulated-clock time to every dispatch; this module records *measured*
+wall-clock data keyed by (kernel, workload, mode-config):
 
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` — labelled metric
   families collected in a :class:`MetricsRegistry`, exported as Prometheus
@@ -21,8 +20,8 @@ kernel-fusion items need *measured* wall-clock data keyed by
   dispatch, fence, deep copy, and comm instant records both modeled and
   real ``perf_counter`` time.
 * :class:`ProfileStore` — persists per-(kernel, workload, mode-config)
-  wall-clock profiles across runs (``profiles.json``), the data the
-  runtime autotuner will consume.
+  wall-clock profiles across runs (``profiles.json``, written by
+  ``--metrics-out``).
 
 Like the registry, this module imports nothing from the rest of ``repro``
 at import time so any runtime layer can import it without cycles.
@@ -279,8 +278,7 @@ def observe(name: str, value: float, *, help: str = "", **labels) -> None:
 def mode_config() -> dict[str, str]:
     """The active mode-registry switches, as a flat string dict.
 
-    This is the config axis of the (kernel, workload, config) profile key:
-    the explicit mode switches the ROADMAP's autotuner will search over.
+    This is the config axis of the (kernel, workload, config) profile key.
     Imported lazily — this is the one place the metrics core reaches into
     the rest of ``repro``, and only when a sink actually asks.
     """
@@ -316,9 +314,8 @@ class ProfileStore:
              "wall_seconds": total, "sim_seconds": total,
              "count": dispatches, "runs": merge_count}}}}}
 
-    ``update`` merges a run's totals in (accumulating counts, keeping the
-    best observed mean); the autotuner reads ``best_config`` to pick the
-    fastest recorded mode config for a (workload, kernel).
+    ``update`` merges a run's totals in (accumulating wall, modeled seconds
+    and counts); ``kernels`` reads one (workload, config) slot back.
     """
 
     SCHEMA_VERSION = 1
@@ -369,24 +366,6 @@ class ProfileStore:
     # ------------------------------------------------------------- queries
     def kernels(self, workload: str, config: dict[str, str] | None = None) -> dict:
         return self.data["profiles"].get(workload, {}).get(config_key(config), {})
-
-    def mean_wall(self, workload: str, kernel: str, config=None) -> float | None:
-        row = self.kernels(workload, config).get(kernel)
-        if not row or not row["count"]:
-            return None
-        return row["wall_seconds"] / row["count"]
-
-    def best_config(self, workload: str, kernel: str) -> tuple[str, float] | None:
-        """(config_key, mean wall seconds) of the fastest recorded config."""
-        best: tuple[str, float] | None = None
-        for ckey, kernels in self.data["profiles"].get(workload, {}).items():
-            row = kernels.get(kernel)
-            if not row or not row["count"]:
-                continue
-            mean = row["wall_seconds"] / row["count"]
-            if best is None or mean < best[1]:
-                best = (ckey, mean)
-        return best
 
 
 # ----------------------------------------------------------------- the tool
@@ -470,22 +449,7 @@ class MetricsTool(Tool):
         )
         self.qeq_spmv_bytes = r.counter(
             "qeq_spmv_bytes_total",
-            "QEq matrix-stream bytes traversed, by spmv mode (fused/dual)",
-        )
-        # Replica batching/session accounting.  The ReplicaBatch and
-        # SessionManager emit through metrics.set_gauge/observe into every
-        # attached sink; registering up-front keeps the families visible
-        # (at zero) in --metrics-out exports for non-batched runs too.
-        self.replica_occupancy = r.gauge(
-            "replica_batch_occupancy",
-            "live replicas / peak capacity per batch (1.0 = full)",
-        )
-        self.replica_jobs = r.gauge(
-            "replica_jobs_active", "jobs admitted and not yet finished"
-        )
-        self.replica_epoch = r.histogram(
-            "replica_epoch_seconds",
-            "wall seconds between batch re-hoists (epoch length)",
+            "QEq matrix-stream bytes traversed (one pass per dual-RHS product)",
         )
 
     # ------------------------------------------------------------- kernels

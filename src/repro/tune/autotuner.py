@@ -20,28 +20,25 @@ Two measures are supported:
   noise — the deterministic path CI and the golden tests use.
 
 A challenger only dethrones the currently-active config when it wins by
-more than the sentinel-style noise band ``max(rel_floor, z * cv)``
-(:mod:`repro.bench.sentinel`), so a tuned run is never slower than the
-hand-picked baseline beyond noise.  Winners persist to a
-:class:`~repro.tune.plan.TunePlanStore` keyed (workload, arch, kernel) —
-repeat runs skip the search — and every probed cell's per-kernel wall
-profile is merged into the :class:`~repro.tools.metrics.ProfileStore`, the
-``best_config`` hook this subsystem was seeded with.
+more than the noise band ``max(rel_floor, Z_SCORE * cv)`` — ``REL_FLOOR``
+under the ``wall`` measure, zero under the noise-free ``model`` measure — so
+a tuned run is never slower than the hand-picked baseline beyond noise.
+Winners persist to a :class:`~repro.tune.plan.TunePlanStore` keyed
+(workload, arch, kernel); repeat runs skip the search.  Nothing else is
+recorded: probes run with no tool attached, and whether tuning pays is read
+off ``bench_e2e``'s ``melt_autotune`` workload against ``melt``.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
 import repro.kokkos as kk
-from repro.bench.sentinel import REL_FLOOR, Z_SCORE
-from repro.bench.stats import summarize
 from repro.core.errors import LammpsError, unknown_choice
 from repro.parallel.driver import drain, lockstep
 from repro.tools import metrics
-from repro.tools import registry as kp
-from repro.tools.metrics import MetricsTool, ProfileStore, detach_sink
 from repro.tune import space as tspace
 from repro.tune.plan import TunePlanStore
 
@@ -49,6 +46,21 @@ from repro.tune.plan import TunePlanStore
 WALL = "wall"
 MODEL = "model"
 MEASURES = (WALL, MODEL)
+
+#: relative noise floor of the ``wall`` measure (35%): a challenger inside it
+#: never dethrones the active config (the ``model`` measure is exact: 0)
+REL_FLOOR = 0.35
+#: stdev multiplier for the measured-noise part of the band
+Z_SCORE = 3.0
+
+
+def summarize(samples: list[float]) -> dict:
+    """min/median/stdev of one candidate's repeat samples."""
+    return {
+        "min": min(samples),
+        "median": statistics.median(samples),
+        "stdev": statistics.stdev(samples) if len(samples) > 1 else 0.0,
+    }
 
 
 class Autotuner:
@@ -66,10 +78,7 @@ class Autotuner:
         repeats: int = 3,
         seed: int = 0,
         plan_path: str | None = "tuned_plan.json",
-        profile_path: str | None = None,
         workload: str = "run",
-        rel_floor: float | None = None,
-        z: float = Z_SCORE,
         quiet: bool = True,
     ) -> None:
         if measure not in MEASURES:
@@ -81,13 +90,9 @@ class Autotuner:
         self.seed = int(seed)
         self.workload = workload
         # the model measure is noise-free, so any strict win counts there
-        if rel_floor is None:
-            rel_floor = REL_FLOOR if measure == WALL else 0.0
-        self.rel_floor = rel_floor
-        self.z = z
+        self.rel_floor = REL_FLOOR if measure == WALL else 0.0
         self.quiet = quiet
         self.plan_store = TunePlanStore(plan_path) if plan_path else None
-        self.profile_store = ProfileStore(profile_path) if profile_path else None
         self.tuned = False
         self.probes = 0
         self.result: dict | None = None
@@ -120,7 +125,7 @@ class Autotuner:
                          "candidates": len(candidates)}
             else:
                 winner, entry = self._search(
-                    kernel, target, ranks, candidates, probe, base_full, arch
+                    kernel, target, ranks, candidates, probe
                 )
                 if self.plan_store is not None:
                     self.plan_store.record(
@@ -154,8 +159,6 @@ class Autotuner:
         )
         if self.plan_store is not None:
             self.plan_store.save()
-        if self.profile_store is not None:
-            self.profile_store.save()
         self.result = {
             "workload": self.workload, "arch": arch, "measure": self.measure,
             "config": merged, "label": label, "kernels": kernels,
@@ -167,88 +170,37 @@ class Autotuner:
         return self.result
 
     # ------------------------------------------------------------- search
-    def _search(self, kernel, target, ranks, candidates, probe, base_full, arch):
+    def _search(self, kernel, target, ranks, candidates, probe):
         baseline = tspace.snapshot_config(target, candidates[0].keys())
         try:
             base_idx = candidates.index(baseline)
         except ValueError:
             candidates = [baseline] + list(candidates)
             base_idx = 0
-        candidates, base_idx, prior_key, pruned = self._seed_from_prior(
-            kernel, candidates, base_idx, base_full, arch
-        )
         rng = random.Random((self.seed, kernel).__repr__())
         samples: list[list[float]] = [[] for _ in candidates]
-        totals = [{"wall": 0.0, "sim": 0.0, "n": 0} for _ in candidates]
-        tools: list[MetricsTool | None] = [None] * len(candidates)
         for rnd in range(self.repeats + 1):  # round 0 is the warmup
             order = list(range(len(candidates)))
             if rnd:
                 rng.shuffle(order)
-            # the warmup round keeps list order, so a ProfileStore prior
-            # placed at the front of the candidate list really probes first
             for idx in order:
                 cfg = candidates[idx]
                 tspace.apply_config(target, cfg)
                 if kernel == tspace.PAIR_KERNEL:
                     self._rebuild_if_needed(ranks, cfg)
-                wall, sim = self._probe_once(ranks, probe, self._tool(tools, idx))
+                wall, sim = self._probe_once(ranks, probe)
                 if rnd:
                     samples[idx].append(sim if self.measure == MODEL else wall)
-                    totals[idx]["wall"] += wall
-                    totals[idx]["sim"] += sim
-                    totals[idx]["n"] += 1
                     self.probes += 1
         stats = [summarize(s) for s in samples]
         scores = [st["min"] for st in stats]
         win_idx = self._pick(base_idx, scores, stats)
-        self._record_profiles(candidates, tools, totals, kernel, base_full, arch)
         entry = {
             "score": scores[win_idx], "source": "search",
             "baseline": candidates[base_idx], "baseline_score": scores[base_idx],
             "candidates": len(candidates),
         }
-        if prior_key is not None:
-            entry["prior"] = prior_key
-            entry["pruned"] = pruned
         return candidates[win_idx], entry
-
-    def _seed_from_prior(self, kernel, candidates, base_idx, base_full, arch):
-        """Reorder/prune the candidate list from recorded ProfileStore means.
-
-        When a ``best_config`` prior exists for this (workload, kernel), the
-        recorded winner moves to the front of the probe order, and any
-        candidate whose recorded mean wall already trails the prior by more
-        than the noise floor is dropped without spending probes on it.  The
-        baseline and the prior itself are never pruned, so the tuned run
-        keeps its never-slower-than-baseline guarantee.
-        """
-        if self.profile_store is None:
-            return candidates, base_idx, None, 0
-        prior = self.profile_store.best_config(self.workload, kernel)
-        if prior is None:
-            return candidates, base_idx, None, 0
-        prior_key, prior_mean = prior
-        cutoff = prior_mean * (1.0 + self.rel_floor)
-        baseline = candidates[base_idx]
-        keep: list[dict] = []
-        prior_cfg: dict | None = None
-        pruned = 0
-        for idx, cfg in enumerate(candidates):
-            full = {"device": arch, **base_full, **cfg}
-            if metrics.config_key(full) == prior_key:
-                prior_cfg = cfg
-                keep.append(cfg)
-                continue
-            mean = self.profile_store.mean_wall(self.workload, kernel, full)
-            if idx != base_idx and mean is not None and mean > cutoff:
-                pruned += 1
-                continue
-            keep.append(cfg)
-        if prior_cfg is not None and keep[0] is not prior_cfg:
-            keep.remove(prior_cfg)
-            keep.insert(0, prior_cfg)
-        return keep, keep.index(baseline), prior_key, pruned
 
     def _pick(self, base_idx: int, scores: list[float], stats: list[dict]) -> int:
         """Index of the winner: baseline unless a challenger beats the band."""
@@ -265,22 +217,18 @@ class Autotuner:
             # the model measure can charge exactly zero (pure-host styles
             # dispatch no kernels): keep the baseline on an all-zero tie
             return win if base > 0.0 else base_idx
-        band = max(self.rel_floor, self.z * max(cv(stats[base_idx]), cv(stats[win])))
+        band = max(self.rel_floor, Z_SCORE * max(cv(stats[base_idx]), cv(stats[win])))
         return win if base / best > 1.0 + band else base_idx
 
     # ------------------------------------------------------------- probes
-    def _probe_once(self, ranks, probe, tool):
+    def _probe_once(self, ranks, probe):
         ctx = kk.device_context()
         ledger = ranks[0].world.ledger
-        kp.attach(tool)
-        try:
-            sim0 = ctx.timeline.total() + ledger.total()
-            t0 = time.perf_counter()
-            probe(ranks)
-            wall = time.perf_counter() - t0
-            sim = ctx.timeline.total() + ledger.total() - sim0
-        finally:
-            kp.detach(tool)
+        sim0 = ctx.timeline.total() + ledger.total()
+        t0 = time.perf_counter()
+        probe(ranks)
+        wall = time.perf_counter() - t0
+        sim = ctx.timeline.total() + ledger.total() - sim0
         return wall, sim
 
     def _pair_probe(self, ranks) -> None:
@@ -324,31 +272,6 @@ class Autotuner:
         self._rebuild(ranks)
 
     # ------------------------------------------------------------ plumbing
-    def _tool(self, tools, idx: int) -> MetricsTool:
-        tool = tools[idx]
-        if tool is None:
-            tool = tools[idx] = MetricsTool(None, workload=self.workload)
-            # only the kp event stream during this candidate's probes should
-            # feed the registry, not the module-level metrics sink traffic
-            detach_sink(tool.registry)
-        return tool
-
-    def _record_profiles(self, candidates, tools, totals, kernel, base_full, arch):
-        if self.profile_store is None:
-            return
-        for cfg, tool, total in zip(candidates, tools, totals):
-            if tool is None or not total["n"]:
-                continue
-            rows = tool.kernel_totals()
-            rows[kernel] = {
-                "wall_seconds": total["wall"],
-                "sim_seconds": total["sim"],
-                "count": total["n"],
-            }
-            self.profile_store.update(
-                self.workload, {"device": arch, **base_full, **cfg}, rows
-            )
-
     def _arch(self) -> str:
         ctx = kk.device_context()
         return "host" if ctx.host_only else ctx.gpu.name

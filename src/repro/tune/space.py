@@ -104,9 +104,9 @@ def enumerate_pair_configs(target) -> list[dict]:
         overlaps = ("off", "on")
     # QEq knobs multiply the product only for ReaxFF workloads: every
     # preconditioner crossed with cold start vs the order-2 extrapolation
-    # that the qeq bench showed pays off.  Tolerance is snapshot-only (it
-    # changes accuracy, not just speed) but keys every candidate so the
-    # ProfileStore priors never mix tolerances.
+    # that pays off on hns (EXPERIMENTS.md "Mode verdicts").  Tolerance is
+    # snapshot-only (it changes accuracy, not just speed) but keys every
+    # candidate so a stored plan never applies across tolerances.
     qeq_cells: tuple[dict, ...] = ({},)
     if qeq_capable(root):
         from repro.reaxff.qeq import EXTRAP_NONE, PRECONDS

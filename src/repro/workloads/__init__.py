@@ -12,7 +12,7 @@ ready-to-run state, plus size helpers used by the benchmark sweeps.
 
 from repro.workloads.melt import setup_melt, melt_cells_for_atoms
 from repro.workloads.hns import hns_configuration, setup_hns
-from repro.workloads.replica import REPLICA_FAMILIES, ReplicaSpec, build_replica
+from repro.workloads.replica import REPLICA_FAMILIES, ReplicaSpec
 from repro.workloads.tantalum import setup_tantalum
 
 __all__ = [
@@ -23,5 +23,4 @@ __all__ = [
     "setup_tantalum",
     "REPLICA_FAMILIES",
     "ReplicaSpec",
-    "build_replica",
 ]

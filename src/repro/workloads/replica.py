@@ -1,13 +1,12 @@
-"""Replica job catalog: small parameterized workloads for the session layer.
+"""Replica spec builder: small parameterized members for batch tests.
 
-The replica engine batches *many small jobs* — parameter sweeps, seed
-ensembles, short equilibrations — so this module gives the
-:class:`~repro.replica.session.SessionManager` a catalog of buildable job
-specs.  A :class:`ReplicaSpec` names a workload family from
-:data:`REPLICA_FAMILIES`, the size (fcc cells), the step budget, and an
-optional per-replica velocity seed; ``build()`` returns a fresh, fully
+The replica engine batches *many small systems* — parameter sweeps, seed
+ensembles, short equilibrations.  A :class:`ReplicaSpec` names a workload
+family from :data:`REPLICA_FAMILIES`, the size (fcc cells) and an optional
+per-replica velocity seed; ``build()`` returns a fresh, fully
 configured single-rank :class:`~repro.core.Lammps` ready for
-``ReplicaBatch.add_replica``.
+``ReplicaBatch.add_replica``.  ``tests/test_replica_batch.py`` builds its
+batched members and their solo references from it.
 
 Families are a closed set (each maps to a batchable pair style), so unknown
 names fail with the shared did-you-mean hint from
@@ -30,17 +29,15 @@ REPLICA_FAMILIES = {
 
 @dataclass
 class ReplicaSpec:
-    """One submittable replica job.
+    """One buildable replica member.
 
     ``seed`` (when given) re-draws the initial velocities after the
     template's default, decorrelating replicas of the same family and size;
-    ``thermo`` sets the output interval (the session streams one event per
-    row, so small jobs usually want a small interval).
+    ``thermo`` sets the output interval.
     """
 
     family: str = "melt"
     cells: int = 3
-    steps: int = 100
     thermo: int = 100
     seed: int | None = None
 
@@ -53,16 +50,10 @@ class ReplicaSpec:
             )
         if self.cells < 1:
             raise LammpsError("replica spec needs cells >= 1")
-        if self.steps < 0:
-            raise LammpsError("replica spec needs steps >= 0")
 
     @property
     def pair_style(self) -> str:
         return REPLICA_FAMILIES[self.family]
-
-    @property
-    def natoms(self) -> int:
-        return 4 * self.cells**3  # fcc
 
     def build(self):
         """A fresh single-rank Lammps at this spec's ready-to-run state."""
@@ -78,7 +69,3 @@ class ReplicaSpec:
         lmp.thermo.quiet = True
         return lmp
 
-
-def build_replica(family: str = "melt", **kwargs):
-    """Catalog shortcut: validate, build, return the Lammps instance."""
-    return ReplicaSpec(family=family, **kwargs).build()

@@ -77,13 +77,11 @@ class TestRuns:
         with pytest.raises(InputError, match="undefined variable"):
             main(["-in", script, "--quiet"])  # ${cells} never defined
 
-    def test_missing_script_and_bench_flags(self):
+    def test_missing_script_and_bench_flags(self, capsys):
         with pytest.raises(SystemExit):
             main([])
-
-    def test_bench_flag_needs_no_script(self):
-        args = build_parser().parse_args(["--bench", "hotpath"])
-        assert args.bench == "hotpath" and args.script is None
+        assert "(-in FILE) or --analyze-trace is required" in capsys.readouterr().err
+        assert "--bench" not in build_parser().format_help()
 
 
 class TestWorkloadKey:
@@ -109,37 +107,9 @@ class TestWorkloadKey:
         assert set(json.loads(plan.read_text())["plans"]) == {"melt", "eam"}
 
 
-class TestBenchEntry:
-    def test_main_dispatches_to_hotpath_bench(self, monkeypatch):
-        from repro.bench import registry
-
-        calls = []
-        monkeypatch.setitem(
-            registry._BENCHES, "hotpath", lambda **kw: calls.append(kw) or {}
-        )
-        assert main(["--bench", "hotpath", "--quiet"]) == 0
-        assert calls == [{"quiet": True}]
-
-    def test_hotpath_bench_writes_json(self, tmp_path):
-        import json
-
-        from repro.bench.hotpath import run_hotpath_bench
-
-        out = tmp_path / "BENCH_hotpath.json"
-        # one repeat: the plumbing is under test here, not the timings
-        results = run_hotpath_bench(
-            melt_repeats=1, snap_repeats=1, quiet=True, out_path=str(out)
-        )
-        data = json.loads(out.read_text())
-        assert data["benchmark"] == "hotpath"
-        assert [w["workload"] for w in data["workloads"]] == ["melt", "tantalum"]
-        for row in results["workloads"]:
-            assert row["step_speedup"] > 0.0
-            assert set(row["step_seconds"]) == {"atomic", "segmented"}
-
-
 class TestLazyScipy:
-    """scipy (~0.5 s to import) loads only for the two styles that use it."""
+    """scipy (~0.5 s to import) loads only for the two styles that use it,
+    and the subsystems behind ``-r`` / ``--autotune`` only under those flags."""
 
     @staticmethod
     def _python(code: str) -> str:
@@ -155,9 +125,21 @@ class TestLazyScipy:
     def test_importing_the_cli_does_not_import_scipy(self):
         out = self._python(
             "import sys, repro.__main__\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "heavy = ('scipy', 'asyncio', 'ssl', 'subprocess')\n"
+            "lazy = ('repro.bench', 'repro.tune', 'repro.replica')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in heavy\n"
+            "             or m.startswith(lazy)))"
         )
         assert out.strip() == "[]"
+
+    def test_a_replica_run_never_loads_asyncio(self, script):
+        out = self._python(
+            "import sys, repro.__main__\n"
+            f"repro.__main__.main(['-in', {script!r}, '-var', 'cells', '2',\n"
+            "                     '-r', '2', '--quiet'])\n"
+            "print('repro.replica' in sys.modules, 'asyncio' in sys.modules)"
+        )
+        assert out.split() == ["True", "False"]
 
     #: run in a fresh interpreter: ``lj/cut/coul/long``, then funcfl ``eam``
     USERS = r"""

@@ -330,29 +330,3 @@ class TestDualViewHazard:
         dv.sync_host()
         dv.modify_host()  # after sync the write is legal
 
-
-class TestBenchRegistry:
-    def test_registered_names(self):
-        from repro.bench import bench_names
-
-        names = bench_names()
-        assert "hotpath" in names and "qeq" in names
-
-    def test_cli_choices_come_from_registry(self):
-        from repro.__main__ import build_parser
-        from repro.bench import bench_names
-
-        # validation happens in the registry (did-you-mean KeyError), not
-        # via argparse choices — but the help text still lists every name
-        bench_action = next(
-            a for a in build_parser()._actions if a.dest == "bench"
-        )
-        assert bench_action.choices is None
-        for name in bench_names():
-            assert name in bench_action.help
-
-    def test_run_bench_unknown_name(self):
-        from repro.bench import run_bench
-
-        with pytest.raises(KeyError):
-            run_bench("nope")

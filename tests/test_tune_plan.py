@@ -1,4 +1,4 @@
-"""Tuned-plan persistence: round trips, fail-open loads, ProfileStore feed.
+"""Tuned-plan persistence: round trips and fail-open loads.
 
 The plan file is a cache: a fresh tuner (standing in for a fresh process —
 nothing carries over but the file) must apply a stored winner without
@@ -26,12 +26,11 @@ def _reset_modes():
     set_graph_mode(None)
 
 
-def _tune_melt(plan_path, profile_path=None, seed=7):
+def _tune_melt(plan_path, seed=7):
     lmp = make_melt(cells=2, suffix="kk")
     tuner = Autotuner(
         measure="model", repeats=2, seed=seed,
         plan_path=str(plan_path) if plan_path else None,
-        profile_path=str(profile_path) if profile_path else None,
         workload="melt", quiet=True,
     )
     tuner.tune(lmp)
@@ -128,16 +127,3 @@ def test_unsupported_planned_config_triggers_research(tmp_path):
     cfg = tuner.result["kernels"]["pair_force"]["config"]
     assert (cfg["neigh"], cfg["newton"]) != ("full", "on")
 
-
-def test_profile_store_records_probed_cells(tmp_path):
-    profiles = tmp_path / "profiles.json"
-    tuner = _tune_melt(None, profile_path=profiles)
-    tuner.profile_store.save()
-    data = json.loads(profiles.read_text())
-    melt = data["profiles"]["melt"]
-    # one slot per probed cell, each carrying the tuner's pseudo-kernel row
-    assert len(melt) >= 6
-    assert any("pair_force" in kernels for kernels in melt.values())
-    assert any("neighbor_build" in kernels for kernels in melt.values())
-    best = tuner.profile_store.best_config("melt", "pair_force")
-    assert best is not None and best[1] > 0.0
