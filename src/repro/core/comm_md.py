@@ -51,6 +51,14 @@ class Swap:
     firstrecv: int
     nrecv: int
 
+    def __post_init__(self) -> None:
+        # reverse comm's ``arr[sendlist] += ...`` is exact on unique indices only
+        if np.any(np.diff(self.sendlist) <= 0):
+            raise CommError(
+                f"swap (dim {self.dim}, dirn {self.dirn}, to rank {self.send_to}): "
+                "sendlist is not strictly increasing"
+            )
+
 
 @dataclass
 class InFlightComm:
@@ -305,8 +313,7 @@ class CommBrick:
             self.comm.send(swap.recv_from, buf, ("rev", name, k))
             yield
             incoming = self.comm.recv(swap.send_to, ("rev", name, k))
-            if swap.sendlist.size:
-                np.add.at(arr, swap.sendlist, incoming)
+            arr[swap.sendlist] += incoming  # unique indices (Swap)
 
     # ------------------------------------------------------------ migration
     def exchange(self, atom: AtomVec, wrap) -> Iterator[None]:

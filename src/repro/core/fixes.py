@@ -46,6 +46,11 @@ class Fix:
         """Boolean mask of owned atoms in this fix's group."""
         return self.lmp.group_mask(self.group)
 
+    def group_sel(self) -> np.ndarray | slice:
+        """Group as an index: ``slice(None)`` for ``all`` (no gather), else the mask."""
+        is_all = self.lmp.groups[self.group][0] == "all"
+        return slice(None) if is_all else self.group_mask()
+
 
 @register_fix("nve")
 class FixNVE(Fix):
@@ -58,18 +63,16 @@ class FixNVE(Fix):
 
     def _half_kick(self) -> None:
         atom = self.lmp.atom
-        mask = self.group_mask()
+        sel = self.group_sel()
         dtf = 0.5 * self.lmp.update.dt * self.lmp.update.units.ftm2v
         m = atom.masses_of()
-        atom.v[: atom.nlocal][mask] += (
-            dtf * atom.f[: atom.nlocal][mask] / m[mask, None]
-        )
+        atom.v[: atom.nlocal][sel] += dtf * atom.f[: atom.nlocal][sel] / m[sel, None]
 
     def initial_integrate(self) -> None:
         atom = self.lmp.atom
-        mask = self.group_mask()
+        sel = self.group_sel()
         self._half_kick()
-        atom.x[: atom.nlocal][mask] += self.lmp.update.dt * atom.v[: atom.nlocal][mask]
+        atom.x[: atom.nlocal][sel] += self.lmp.update.dt * atom.v[: atom.nlocal][sel]
 
     def final_integrate(self) -> None:
         self._half_kick()
@@ -89,12 +92,12 @@ class FixNVELimit(FixNVE):
 
     def initial_integrate(self) -> None:
         atom = self.lmp.atom
-        mask = self.group_mask()
+        sel = self.group_sel()
         self._half_kick()
-        dx = self.lmp.update.dt * atom.v[: atom.nlocal][mask]
+        dx = self.lmp.update.dt * atom.v[: atom.nlocal][sel]
         norm = np.linalg.norm(dx, axis=1)
         scale = np.minimum(1.0, self.xmax / np.maximum(norm, 1e-300))
-        atom.x[: atom.nlocal][mask] += dx * scale[:, None]
+        atom.x[: atom.nlocal][sel] += dx * scale[:, None]
 
 
 @register_fix("langevin")

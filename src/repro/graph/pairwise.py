@@ -126,10 +126,34 @@ ARENA = Arena()
 # Bitwise discipline: ``np.take`` gathers and ``out=`` ufuncs reproduce the
 # plain ``x[i] - x[j]`` / boolean-mask expressions bit for bit (held against
 # the formula oracle in tests/test_pairwise_oracle.py).
+def gather(a: np.ndarray, idx: np.ndarray, out: np.ndarray | None, axis: int | None = None):
+    """``np.take(a, idx, axis, out=out)`` without ``mode="raise"``, which gathers
+    into a private copy of ``out`` and copies it back (twice the gather).  The
+    indices are in range already: ``i0``/``j0`` per list (:func:`index_bounds`,
+    checked in :func:`_delta_fn`); ``idx`` by construction, ``flatnonzero`` of a
+    ``len(i0)`` mask indexing only ``len(i0)`` vectors (asserted at bind)."""
+    return np.take(a, idx, axis=axis, out=out, mode="clip")
+
+
+def index_bounds(env: dict) -> tuple[int, int]:
+    """``(min(0, i0, j0), max(i0, j0))`` of ``env``, kept there until either
+    array object is replaced (a rebuilt list binds new ones)."""
+    i0, j0 = env["i0"], env["j0"]
+    b = env.get("ij_bounds")
+    if b is None or b[0] is not i0 or b[1] is not j0:
+        lo = min(i0.min(initial=0), j0.min(initial=0))
+        hi = max(i0.max(initial=-1), j0.max(initial=-1))
+        b = env["ij_bounds"] = (i0, j0, int(lo), int(hi))
+    return b[2], b[3]
+
+
 def _delta_fn(env: dict) -> None:
     x, n = env["x"], len(env["i0"])
-    xi = np.take(x, env["i0"], axis=0, out=ARENA.take("xi", n, 3))
-    xj = np.take(x, env["j0"], axis=0, out=ARENA.take("xj", n, 3))
+    lo, hi = index_bounds(env)
+    if lo < 0 or hi >= len(x):
+        raise IndexError(f"pair indices span [{lo}, {hi}] but x has {len(x)} rows")
+    xi = gather(x, env["i0"], ARENA.take("xi", n, 3), axis=0)
+    xj = gather(x, env["j0"], ARENA.take("xj", n, 3), axis=0)
     env["dx0"] = np.subtract(xi, xj, out=xi)
 
 
@@ -154,10 +178,10 @@ def _gather_fn(env: dict) -> None:
 
     i0, j0 = env["i0"], env["j0"]
     # xj is dead once delta has subtracted it: the compressed rows reuse it
-    env["dx_n"] = np.take(env["dx0"], idx, axis=0, out=out("xj", 3))
-    env["rsq_n"] = np.take(env["rsq0"], idx, out=out("rsq_n"))
-    env["i_n"] = np.take(i0, idx, out=out("i_n", dtype=i0.dtype))
-    env["j_n"] = np.take(j0, idx, out=out("j_n", dtype=j0.dtype))
+    env["dx_n"] = gather(env["dx0"], idx, out("xj", 3), axis=0)
+    env["rsq_n"] = gather(env["rsq0"], idx, out("rsq_n"))
+    env["i_n"] = gather(i0, idx, out("i_n", dtype=i0.dtype))
+    env["j_n"] = gather(j0, idx, out("j_n", dtype=j0.dtype))
     jl0 = env.get("jl0")
     env["jl_n"] = None if jl0 is None else np.take(jl0, idx)
 

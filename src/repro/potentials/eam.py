@@ -33,6 +33,7 @@ from repro.graph.pairwise import (
     PROLOGUE,
     Stage,
     force_chain_stages,
+    index_bounds,
     run_stages,
     stage_profile,
 )
@@ -111,12 +112,14 @@ def eam_geometry(pair, x: np.ndarray, phase: str = "all") -> dict:
 
     def bind():
         i0, j0, itype0, jtype0, cutsq0 = pair.pair_table(nlist, pair.lmp.atom, phase)
-        return i0, j0, cutsq0, pair.pair_coeffs(itype0, jtype0)
+        # kept, not lent from the arena: the geometry outlives the fp
+        # exchange's yield, across which another rank's pass reuses the arena
+        base = {"i0": i0, "j0": j0, "cutsq0": cutsq0, "keep": True}
+        index_bounds(base)  # once per list; each step's geometry copies it
+        return base, pair.pair_coeffs(itype0, jtype0)
 
-    i0, j0, cutsq0, coeffs = nlist.pair_cache().memo(("eam", id(pair), phase), bind)
-    # kept, not lent from the arena: the geometry outlives the fp exchange's
-    # yield, across which another rank's pass reuses the arena
-    geo = {"x": x, "i0": i0, "j0": j0, "cutsq0": cutsq0, "keep": True}
+    base, coeffs = nlist.pair_cache().memo(("eam", id(pair), phase), bind)
+    geo = dict(base, x=x)
     for fn in PROLOGUE:
         fn(geo)
     gather_eam_coeffs(geo, coeffs)

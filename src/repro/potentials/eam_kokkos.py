@@ -144,7 +144,7 @@ class PairEAMKokkos(PairEAM):
         atom_kk = self.lmp.atom_kk
         space = self.execution_space
         atom_kk.sync(space, ("x", "type", "f", "rho", "fp"))
-        x = atom_kk.view("x", space).data
+        x = atom_kk.view("x", space).data[: atom.nall]
         types = atom_kk.view("type", space).data
         rho_view = atom_kk.view("rho", space)
         fp_view = atom_kk.view("fp", space)
@@ -203,7 +203,7 @@ class PairEAMKokkos(PairEAM):
         yield from inflight.finish()
         lmp.mark_host_writes("x")
         atom_kk.sync(space, ("x",))
-        x = atom_kk.view("x", space).data
+        x = atom_kk.view("x", space).data[: lmp.atom.nall]
         gb = self._density_kernel(x, "boundary", rho_view, suffix="/boundary")
 
         self._embed_kernel(rho_view, fp_view, types)

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.errors import InputError
 from repro.core.styles import register_pair
-from repro.graph.pairwise import ARENA
+from repro.graph.pairwise import ARENA, gather
 from repro.potentials.pair import Pair
 
 
@@ -87,7 +87,7 @@ class LJMixin:
     def eval_setup(self, env: dict, itype0: np.ndarray, jtype0: np.ndarray):
         """Pre-gather the per-stored-pair coefficient vectors, once per rebuild.
 
-        The 2-D ``lj1[itype, jtype]`` lookups become 1-D ``np.take`` gathers
+        The 2-D ``lj1[itype, jtype]`` lookups become 1-D ``gather`` calls
         against these vectors inside :func:`lj_force` / :func:`lj_energy`.
         """
         env["lj1p"] = self.lj1[itype0, jtype0]
@@ -110,9 +110,9 @@ def lj_force(env: dict) -> None:
     r2 = env["r2inv_n"] = np.divide(1.0, env["rsq_n"], out=ARENA.take("lj_r2", n))
     r6 = np.multiply(r2, r2, out=ARENA.take("lj_r6", n))
     env["r6inv_n"] = np.multiply(r6, r2, out=r6)
-    t = np.take(env["lj1p"], idx, out=ARENA.take("fpair", n))
+    t = gather(env["lj1p"], idx, ARENA.take("fpair", n))
     np.multiply(t, r6, out=t)
-    np.subtract(t, np.take(env["lj2p"], idx, out=ARENA.take("lj_c", n)), out=t)
+    np.subtract(t, gather(env["lj2p"], idx, ARENA.take("lj_c", n)), out=t)
     np.multiply(r6, t, out=t)
     env["fpair_n"] = np.multiply(t, r2, out=t)
 
@@ -123,11 +123,11 @@ def lj_energy(env: dict) -> None:
     n = idx.size
     r6 = env["r6inv_n"]
     c = ARENA.take("lj_c", n)
-    e = np.take(env["lj3p"], idx, out=ARENA.take("evdwl", n))
+    e = gather(env["lj3p"], idx, ARENA.take("evdwl", n))
     np.multiply(e, r6, out=e)
-    np.subtract(e, np.take(env["lj4p"], idx, out=c), out=e)
+    np.subtract(e, gather(env["lj4p"], idx, c), out=e)
     np.multiply(r6, e, out=e)
-    env["evdwl_n"] = np.subtract(e, np.take(env["offp"], idx, out=c), out=e)
+    env["evdwl_n"] = np.subtract(e, gather(env["offp"], idx, c), out=e)
 
 
 @register_pair("lj/cut")

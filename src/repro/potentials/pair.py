@@ -247,6 +247,8 @@ class Pair:
         halves = self.eval_setup(env, itype0, jtype0)
         if halves is None:
             raise StyleError(f"{type(self).__name__} has no two-body pairwise form")
+        # cut-pair indices (< len(i0)) gather every per-pair vector unchecked
+        assert all(len(v) == len(i0) for v in env.values() if isinstance(v, np.ndarray))
         force_fn, env["energy_fn"] = halves
         stages, tally = pairwise_stages(
             self.execution_space, len(i0), atom.nlocal, force_fn

@@ -119,7 +119,7 @@ class PairKokkos(Pair):
         env, stages, tally = self.pair_kernel(phase)
         # the half list deconflicts through a ScatterView over the f View
         f_view = env["f_view"] = atom_kk.view("f", space)
-        env["x"] = atom_kk.view("x", space).data
+        env["x"] = atom_kk.view("x", space).data[: atom.nall]
         env["f"] = f_view.data
         env["atomic_adds"] = 0
         env["duplicated_bytes"] = 0.0

@@ -127,7 +127,7 @@ class _LJHandler:
         atom = batch.atom
         env = batch._env
         atom.zero_forces()
-        env.update(x=atom.x, f=atom.f)
+        env.update(x=atom.x[: atom.nall], f=atom.f)
         run_stages(batch._pair_stages, env)
         if due:
             env["energy_fn"](env)
@@ -168,7 +168,7 @@ class _EAMHandler:
         nall = atom.nall
         atom.rho[:nall] = 0.0
         atom.fp[:nall] = 0.0
-        env.update(x=atom.x, f=atom.f, fp=atom.fp)
+        env.update(x=atom.x[:nall], f=atom.f, fp=atom.fp)
         for fn in PROLOGUE:
             fn(env)
         gather_eam_coeffs(env, env)
@@ -509,6 +509,7 @@ class ReplicaBatch:
         }
         for name in const_parts[0]:
             env[name] = np.concatenate([c[name] for c in const_parts])
+            assert len(env[name]) == len(j0), name  # gathered unchecked by idx
         self._pair_stages = handler.bind(self, env)
 
     # --------------------------------------------------------- comm replays

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import gather_by_tag, make_melt
 from repro.core import Ensemble, Lammps
+from repro.core.comm_md import Swap
 from repro.core.errors import CommError
 from repro.parallel.driver import drain, lockstep
 
@@ -75,6 +76,69 @@ class TestSingleRankGhosts:
         )
         with pytest.raises(CommError, match="exceeds a box length"):
             lmp.command("run 0")
+
+
+class TestReverseCommFold:
+    """Reverse comm folds ghosts with ``arr[sendlist] += incoming``, exact
+    because every recorded sendlist is strictly increasing."""
+
+    def test_four_rank_fold_equals_add_at_replay(self):
+        ens = make_melt(cells=3, nranks=4)
+        ens.command("run 0")
+        ranks = ens.ranks
+        rng = np.random.default_rng(11)
+        for lmp in ranks:
+            lmp.atom.f[: lmp.atom.nall] = rng.standard_normal((lmp.atom.nall, 3))
+        start = [lmp.atom.f[: lmp.atom.nall].copy() for lmp in ranks]
+        lockstep([lmp.comm_brick.reverse_comm(lmp.atom, "f") for lmp in ranks])
+
+        # the same swaps replayed with np.add.at: rank r's swap k receives
+        # the ghost rows its send_to peer recorded under swap k
+        replay = [f.copy() for f in start]
+        nswaps = len(ranks[0].comm_brick.swaps)
+        assert nswaps and all(len(l.comm_brick.swaps) == nswaps for l in ranks)
+        for k in reversed(range(nswaps)):
+            bufs = []
+            for r, lmp in enumerate(ranks):
+                sw = lmp.comm_brick.swaps[k]
+                bufs.append(replay[r][sw.firstrecv : sw.firstrecv + sw.nrecv].copy())
+            for r, lmp in enumerate(ranks):
+                sw = lmp.comm_brick.swaps[k]
+                np.add.at(replay[r], sw.sendlist, bufs[sw.send_to])
+        for lmp, f in zip(ranks, replay):
+            assert np.array_equal(lmp.atom.f[: lmp.atom.nall], f)
+
+    @pytest.mark.parametrize("sendlist", [[3, 1, 2], [1, 2, 2]])
+    def test_non_increasing_sendlist_is_refused(self, sendlist):
+        with pytest.raises(CommError, match=r"dim 0, dirn 1.*not strictly increasing"):
+            Swap(
+                dim=0, dirn=1, send_to=0, recv_from=0,
+                sendlist=np.array(sendlist), shift=np.zeros(3),
+                firstrecv=10, nrecv=3,
+            )
+
+
+class TestFixNVEGroups:
+    def test_type_group_nve_moves_only_its_atoms(self):
+        """``fix nve`` on ``all`` integrates over slices; a subset group must
+        keep its boolean-mask path."""
+        lmp = Lammps(device=None)
+        lmp.commands_string(
+            "units lj\nlattice fcc 0.8442\nregion b block 0 3 0 3 0 3\n"
+            "create_box 2 b\ncreate_atoms 1 box\nmass * 1.0\n"
+            "pair_style lj/cut 2.5\npair_coeff * * 1.0 1.0\n"
+            "velocity all create 1.0 1\nneighbor 0.3 bin\n"
+        )
+        lmp.atom.type[: lmp.atom.nlocal : 2] = 2
+        lmp.command("group moving type 1")
+        lmp.command("fix 1 moving nve")
+        x0, v0 = gather_by_tag(lmp, "x"), gather_by_tag(lmp, "v")
+        frozen = gather_by_tag(lmp, "type") == 2
+        lmp.command("run 30")  # through rebuilds and sorts
+        x, v = gather_by_tag(lmp, "x"), gather_by_tag(lmp, "v")
+        assert np.array_equal(x[frozen], x0[frozen])
+        assert np.array_equal(v[frozen], v0[frozen])
+        assert (x[~frozen] != x0[~frozen]).any(axis=1).all()
 
 
 class TestMigration:

@@ -11,8 +11,8 @@ One parametrised differential test: every two-body style x {eager host,
 eager kk (half/full x newton), graph on, overlap phases where supported,
 replica R=3}.  Executors that accumulate in the same order (graph vs eager
 on one list flavour, stacked replicas vs solo) agree **bitwise**; every
-cell agrees with eager host and with the oracle to 1e-12.  The workspace
-tests at the end hold the arena contract.
+cell agrees with eager host and with the oracle to 1e-12.  The tests at
+the end hold the once-per-list index bound and the arena contract.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from scipy.special import erfc
 from repro.core import Lammps
 from repro.core.neighbor import brute_force_pairs
 from repro.graph import ON, force_graph_mode, set_graph_mode
-from repro.graph.pairwise import ARENA
+from repro.graph.pairwise import ARENA, index_bounds, run_stages
 from repro.kokkos.segment import set_scatter_mode
 from repro.parallel.driver import drain
+from repro.potentials.eam import eam_geometry
 from repro.replica import ReplicaBatch
 
 from conftest import make_melt
@@ -287,6 +288,83 @@ def test_replica_executor_matches_eager_host(style):
                 getattr(m.atom, field)[:n], getattr(solo.atom, field)[:n]
             ), f"{style} replica {k}: {field}"
         assert [(r.step, r.values) for r in m.thermo.history] == rows
+
+
+# --------------------------------------------------------------- index bounds
+# The pair indices are range-checked once per list (``index_bounds``) and
+# the per-step gathers skip NumPy's per-element check; these hold that the
+# hoisted check still refuses every list that does not fit ``x``.
+def _bound_case(path: str):
+    """``(atom, env, f, run)`` for one executor whose env is already bound:
+    ``run()`` drives that executor's prologue over ``env``; ``f`` is the
+    force array its pass would write."""
+    if path == "replica":
+        batch = ReplicaBatch()
+        for m in [build("lj/cut") for _ in range(2)]:
+            batch.add_replica(m)
+        batch.step(1)
+        env, atom = batch._env, batch.atom
+
+        def run():
+            env["x"] = atom.x[: atom.nall]  # what each stacked force call binds
+            run_stages(batch._pair_stages, env)
+
+        return atom, env, atom.f, run
+    lmp = build("eam/fs" if path == "eam geometry" else "lj/cut", kk=path == "kk")
+    atom, pair = lmp.atom, lmp.pair
+    if path == "eam geometry":
+        base, _ = lmp.neigh_list.pair_cache().memo(("eam", id(pair), "all"), None)
+        return atom, base, atom.f, lambda: eam_geometry(pair, atom.x[: atom.nall])
+    env = pair.pair_kernel("all")[0]
+    return atom, env, env["f"], lambda: pair.compute(True, True)
+
+
+BOUND_PATHS = ("eager host", "kk", "replica", "eam geometry")
+
+
+@pytest.mark.parametrize("path", BOUND_PATHS)
+def test_dropped_ghosts_raise_before_forces_change(path):
+    atom, env, f, run = _bound_case(path)
+    assert "ij_bounds" in env  # bound by the build's own force call
+    f0 = f.copy()
+    atom.clear_ghosts()  # x shrinks to nlocal rows; j0 still names ghosts
+    with pytest.raises(IndexError, match=r"pair indices span \[0, \d+\] but x has"):
+        run()
+    assert np.array_equal(f, f0)
+
+
+@pytest.mark.parametrize("path", BOUND_PATHS)
+def test_negative_pair_index_raises_before_forces_change(path):
+    atom, env, f, run = _bound_case(path)
+    f0 = f.copy()
+    j0 = env["j0"].copy()
+    j0[len(j0) // 2] = -1  # a new object: the bound is recomputed
+    env["j0"] = j0
+    with pytest.raises(IndexError, match=r"pair indices span \[-1, "):
+        run()
+    assert np.array_equal(f, f0)
+
+
+def test_rebound_env_recomputes_the_bound():
+    lmp = build("lj/cut")
+    env = lmp.pair.pair_kernel("all")[0]
+    nall = lmp.atom.nall
+    lo, hi = index_bounds(env)
+    assert (lo, hi) == (0, int(max(env["i0"].max(), env["j0"].max())))
+    # same env, new index objects: the old (in-range) bound is not reused
+    j0 = env["j0"].copy()
+    j0[0] = nall
+    env["j0"] = j0
+    with pytest.raises(IndexError, match=f"x has {nall} rows"):
+        lmp.pair.compute(True, True)
+    # a rebuilt list binds a fresh env whose bound is its own list's
+    drain(lmp.rebuild_gen())
+    lmp.pair.compute(True, True)
+    env2 = lmp.pair.pair_kernel("all")[0]
+    assert env2 is not env
+    i0, j0 = env2["i0"], env2["j0"]
+    assert env2["ij_bounds"][0] is i0 and env2["ij_bounds"][1] is j0
+    assert index_bounds(env2) == (0, int(max(i0.max(), j0.max())))
 
 
 # ------------------------------------------------------------------ workspace
