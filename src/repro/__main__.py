@@ -10,7 +10,7 @@ Mirrors the LAMMPS binary's common flags::
     python -m repro -in melt.in -var cells 6 -var temp 1.2
     python -m repro -in melt.in --tools space-time-stack,chrome-trace --tool-out out/
     python -m repro -in melt.in --metrics-out out/   # Prometheus + JSONL metrics
-    python -m repro -in melt.in --autotune           # tune mode switches at run start
+    python -m repro -in melt.in --autotune           # pick list/newton/scatter at run start
     python -m repro --analyze-trace out/trace.json   # offline trace analytics
 
 ``-var`` values are injected as equal-style variables (usable as ``${name}``
@@ -41,7 +41,7 @@ from repro.tools import registry as kp
 
 
 def workload_key(script: str) -> str:
-    """The tuned-plan / profile key of an input script.
+    """The tuned-plan key of an input script.
 
     Both LAMMPS naming conventions map to the bare workload name —
     ``in.melt``, ``melt.in`` and ``melt.lmp`` are all ``melt`` — and any
@@ -68,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tool-out", default=".", metavar="DIR",
                    help="directory for tool output files (default: cwd)")
     p.add_argument("--metrics-out", default=None, metavar="DIR",
-                   help="attach the metrics tool and write metrics.prom, "
-                   "metrics.jsonl, and profiles.json under DIR")
+                   help="attach the metrics tool and write metrics.prom "
+                   "and metrics.jsonl under DIR")
     p.add_argument("--analyze-trace", default=None, metavar="TRACE.json",
                    help="analyze a recorded chrome trace instead of running "
                    "a script (critical path, imbalance, overlap, top kernels)")
@@ -77,20 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the trace analysis as JSON to FILE")
     p.add_argument("--top", type=int, default=10,
                    help="top-N kernels in the trace analysis (default 10)")
-    p.add_argument("--autotune", nargs="?", const="wall", default=None,
-                   choices=("wall", "model"), metavar="MEASURE",
-                   help="autotune mode switches before the first run "
-                   "(wall-clock micro-benchmarks, or the deterministic "
-                   "hardware cost model); winners persist to --tune-plan")
+    p.add_argument("--autotune", nargs="?", const="model", default=None,
+                   choices=("model",), metavar="MEASURE",
+                   help="before the first run, pick list x newton x scatter "
+                   "by the hardware cost model's charged seconds (the one "
+                   "measure, 'model'); winners persist to --tune-plan")
     p.add_argument("--tune-plan", default="tuned_plan.json", metavar="FILE",
-                   help="tuned-plan file keyed (workload, arch, kernel); "
+                   help="tuned-plan file keyed (workload, arch); "
                    "'none' disables persistence (default: tuned_plan.json)")
-    p.add_argument("--tune-repeats", type=int, default=3, metavar="N",
-                   help="interleaved measurement rounds per candidate "
-                   "config (default 3)")
-    p.add_argument("--tune-seed", type=int, default=0, metavar="N",
-                   help="seed for the interleaving order of the autotune "
-                   "search (default 0)")
     p.add_argument("-k", "--kokkos", nargs="*", default=None, metavar="ARG",
                    help="'on [gpu <name>]' enables the simulated device "
                    "(default H100); 'off' forces a pure-host build")
@@ -155,9 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.tools.metrics import MetricsTool
 
         os.makedirs(args.metrics_out or ".", exist_ok=True)
-        tool = MetricsTool(
-            args.metrics_out or ".", workload=workload_key(args.script)
-        )
+        tool = MetricsTool(args.metrics_out or ".")
         kp.attach(tool)
         tools.append(tool)
 
@@ -184,9 +176,6 @@ def main(argv: list[str] | None = None) -> int:
             from repro.tune import Autotuner
 
             target.autotuner = Autotuner(
-                measure=args.autotune,
-                repeats=args.tune_repeats,
-                seed=args.tune_seed,
                 plan_path=None if args.tune_plan == "none" else args.tune_plan,
                 workload=workload_key(args.script),
                 quiet=args.quiet,

@@ -167,10 +167,9 @@ class Input:
     def _package_autotune(self, args: list[str]) -> None:
         """``package autotune on|off [options]`` (the runtime autotuner).
 
-        Options after ``on``: ``measure <wall|model>``, ``plan <FILE>``
-        (``none`` disables persistence), ``repeats <N>``, ``seed <N>``,
-        ``workload <NAME>``.  The search itself runs at the next ``run``
-        command, before any timestep (:mod:`repro.tune`).
+        Options after ``on``: ``plan <FILE>`` (``none`` disables
+        persistence), ``workload <NAME>``.  The search itself runs at the
+        next ``run`` command, before any timestep (:mod:`repro.tune`).
         """
         if not args or args[0] not in ("on", "off"):
             raise InputError("usage: package autotune <on|off> [options]")
@@ -184,27 +183,12 @@ class Input:
             val = next(it, None)
             if val is None:
                 raise InputError(f"package autotune: {key} needs a value")
-            if key == "measure":
-                request["measure"] = val
-            elif key == "plan":
+            if key == "plan":
                 request["plan_path"] = None if val == "none" else val
-            elif key == "repeats":
-                request["repeats"] = int(val)
-            elif key == "seed":
-                request["seed"] = int(val)
             elif key == "workload":
                 request["workload"] = val
             else:
                 raise InputError(f"package autotune: unknown option {key!r}")
-        # validate the measure now, at parse time, with the did-you-mean text
-        if "measure" in request:
-            from repro.core.errors import unknown_choice
-            from repro.tune.autotuner import MEASURES
-
-            if request["measure"] not in MEASURES:
-                raise InputError(
-                    unknown_choice("autotune measure", request["measure"], MEASURES)
-                )
         self.lmp.autotune_request = request
 
     def cmd_timestep(self, args: list[str]) -> None:
@@ -261,12 +245,11 @@ class Input:
             kp.attach(tool)
 
     def cmd_metrics(self, args: list[str]) -> None:
-        """``metrics on [out <dir>] [workload <name>]`` attaches the metrics
-        tool (:mod:`repro.tools.metrics`); ``metrics off`` finalizes and
+        """``metrics on [out <dir>]`` attaches the metrics tool
+        (:mod:`repro.tools.metrics`); ``metrics off`` finalizes and
         detaches only metrics tools, printing their reports.  Like
         ``tools``, the chain is process-global: root rank only."""
-        self._need(args, 1, "metrics on [out <dir>] [workload <name>] | "
-                            "metrics off")
+        self._need(args, 1, "metrics on [out <dir>] | metrics off")
         if self.lmp.comm_rank != 0:
             return
         from repro.tools import registry as kp
@@ -281,19 +264,10 @@ class Input:
             return
         if args[0] != "on":
             raise InputError("metrics expects 'on' or 'off'")
-        out = None
-        workload = "run"
         rest = args[1:]
-        while rest:
-            if rest[0] == "out" and len(rest) >= 2:
-                out = rest[1]
-                rest = rest[2:]
-            elif rest[0] == "workload" and len(rest) >= 2:
-                workload = rest[1]
-                rest = rest[2:]
-            else:
-                raise InputError(f"metrics: unknown option {rest[0]!r}")
-        kp.attach(MetricsTool(out, workload=workload))
+        if rest and (rest[0] != "out" or len(rest) != 2):
+            raise InputError(f"metrics: unknown option {rest[0]!r}")
+        kp.attach(MetricsTool(rest[1] if rest else None))
 
     # ---------------------------------------------------------- geometry
     def cmd_lattice(self, args: list[str]) -> None:

@@ -101,9 +101,8 @@ class PairReaxFF(Pair):
     def set_qeq_options(
         self, *, precond=None, extrap=None, tol=None
     ) -> None:
-        """Validated QEq-knob setter, shared by ``pair_style`` args and the
-        autotuner's ``apply_config`` (unknown names fail with the standard
-        did-you-mean hint)."""
+        """Validated QEq-knob setter behind the ``pair_style`` args (unknown
+        names fail with the standard did-you-mean hint)."""
         from repro.core.errors import unknown_choice
 
         if precond is not None:

@@ -467,9 +467,15 @@ class ReplicaBatch:
                 )
             if not src_parts:
                 continue
+            src = np.concatenate(src_parts)
+            # _reverse_f's ``f[src] += buf`` is exact on unique indices only:
+            # each sendlist is strictly increasing (Swap) and _map_local maps
+            # the members into disjoint ranges
+            if np.any(np.diff(np.sort(src)) == 0):
+                raise LammpsError(f"replica comm stage {k}: repeated source index")
             self._stages.append(
                 _Stage(
-                    src=np.concatenate(src_parts),
+                    src=src,
                     dst=np.concatenate(dst_parts),
                     shift=np.concatenate(shift_parts),
                 )
@@ -532,7 +538,7 @@ class ReplicaBatch:
         for st in reversed(self._stages):
             # gather first: the solo recv-buffer copy
             buf = np.take(f, st.dst, axis=0)
-            np.add.at(f, st.src, buf)
+            f[st.src] += buf
 
     # ------------------------------------------------------------- stepping
     @contextmanager

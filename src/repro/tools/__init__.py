@@ -49,7 +49,7 @@ TOOL_CATALOG: dict[str, tuple[str, str, bool]] = {
 
 #: default output filename per tool (within ``--tool-out``); an empty string
 #: means the tool takes the output *directory* itself (it writes several
-#: files, e.g. metrics.prom + metrics.jsonl + profiles.json)
+#: files, e.g. metrics.prom + metrics.jsonl)
 _DEFAULT_OUT = {
     "kernel-logger": "kernel_log.txt",
     "memory-events": "memory_events.txt",

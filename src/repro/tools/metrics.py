@@ -2,7 +2,7 @@
 
 The KokkosP-style registry (:mod:`repro.tools.registry`) charges *modeled*
 simulated-clock time to every dispatch; this module records *measured*
-wall-clock data keyed by (kernel, workload, mode-config):
+wall-clock data keyed by kernel:
 
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` — labelled metric
   families collected in a :class:`MetricsRegistry`, exported as Prometheus
@@ -19,12 +19,9 @@ wall-clock data keyed by (kernel, workload, mode-config):
   modeled-seconds counters, and **wall-clock** histograms, so every
   dispatch, fence, deep copy, and comm instant records both modeled and
   real ``perf_counter`` time.
-* :class:`ProfileStore` — persists per-(kernel, workload, mode-config)
-  wall-clock profiles across runs (``profiles.json``, written by
-  ``--metrics-out``).
 
 Like the registry, this module imports nothing from the rest of ``repro``
-at import time so any runtime layer can import it without cycles.
+so any runtime layer can import it without cycles.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterator
 
 from repro.tools.registry import (
     DeepCopyEvent,
@@ -274,100 +270,6 @@ def observe(name: str, value: float, *, help: str = "", **labels) -> None:
         sink.histogram(name, help).observe(value, **labels)
 
 
-# -------------------------------------------------------------- mode config
-def mode_config() -> dict[str, str]:
-    """The active mode-registry switches, as a flat string dict.
-
-    This is the config axis of the (kernel, workload, config) profile key.
-    Imported lazily — this is the one place the metrics core reaches into
-    the rest of ``repro``, and only when a sink actually asks.
-    """
-    from repro.graph.plan import graph_mode
-    from repro.kokkos.core import device_context, is_initialized
-    from repro.kokkos.segment import scatter_mode
-
-    device = "uninitialized"
-    if is_initialized():
-        ctx = device_context()
-        device = "host" if ctx.host_only else ctx.gpu.name
-    return {
-        "device": device,
-        "scatter": scatter_mode(),
-        "graph": graph_mode(),
-    }
-
-
-def config_key(config: dict[str, str] | None = None) -> str:
-    """Canonical string form of a mode config (stable dict-key ordering)."""
-    config = mode_config() if config is None else config
-    return ",".join(f"{k}={v}" for k, v in sorted(config.items()))
-
-
-# ------------------------------------------------------------ profile store
-class ProfileStore:
-    """Reusable per-(kernel, workload, mode-config) wall-clock profiles.
-
-    File layout (``profiles.json``)::
-
-        {"schema_version": 1,
-         "profiles": {workload: {config_key: {kernel: {
-             "wall_seconds": total, "sim_seconds": total,
-             "count": dispatches, "runs": merge_count}}}}}
-
-    ``update`` merges a run's totals in (accumulating wall, modeled seconds
-    and counts); ``kernels`` reads one (workload, config) slot back.
-    """
-
-    SCHEMA_VERSION = 1
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.data: dict[str, Any] = {
-            "schema_version": self.SCHEMA_VERSION,
-            "profiles": {},
-        }
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    loaded = json.load(fh)
-                if loaded.get("schema_version") == self.SCHEMA_VERSION:
-                    self.data = loaded
-            except (OSError, json.JSONDecodeError):
-                pass  # corrupt store: start fresh rather than crash the run
-
-    # ------------------------------------------------------------- updates
-    def update(
-        self,
-        workload: str,
-        config: dict[str, str],
-        kernels: dict[str, dict[str, float]],
-    ) -> None:
-        """Merge one run's per-kernel totals under (workload, config)."""
-        slot = (
-            self.data["profiles"]
-            .setdefault(workload, {})
-            .setdefault(config_key(config), {})
-        )
-        for kernel, row in kernels.items():
-            cur = slot.get(kernel)
-            if cur is None:
-                slot[kernel] = dict(row, runs=1)
-            else:
-                cur["wall_seconds"] += row["wall_seconds"]
-                cur["sim_seconds"] += row.get("sim_seconds", 0.0)
-                cur["count"] += row["count"]
-                cur["runs"] += 1
-
-    def save(self) -> None:
-        with open(self.path, "w") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    # ------------------------------------------------------------- queries
-    def kernels(self, workload: str, config: dict[str, str] | None = None) -> dict:
-        return self.data["profiles"].get(workload, {}).get(config_key(config), {})
-
-
 # ----------------------------------------------------------------- the tool
 class MetricsTool(Tool):
     """Bridge the KokkosP event stream into a :class:`MetricsRegistry`.
@@ -377,8 +279,7 @@ class MetricsTool(Tool):
     ``kernel_wall_seconds`` wall-clock histogram — both clocks, per kernel.
     Deep copies, fences, allocations, and charged comm instants land in
     their own families.  At finalize the registry is written as
-    ``metrics.prom`` + ``metrics.jsonl`` under ``out`` (when given) and the
-    per-kernel wall totals are merged into the :class:`ProfileStore`.
+    ``metrics.prom`` + ``metrics.jsonl`` under ``out`` (when given).
     """
 
     name = "metrics"
@@ -386,20 +287,15 @@ class MetricsTool(Tool):
     #: filenames written under the output directory
     PROM_FILE = "metrics.prom"
     JSONL_FILE = "metrics.jsonl"
-    PROFILES_FILE = "profiles.json"
 
     def __init__(
         self,
         out: str | None = None,
         *,
-        workload: str = "run",
         registry: MetricsRegistry | None = None,
-        store: ProfileStore | None = None,
     ) -> None:
         self.out = out
-        self.workload = workload
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.store = store
         attach_sink(self.registry)
         r = self.registry
         self.dispatches = r.counter(
@@ -533,7 +429,6 @@ class MetricsTool(Tool):
                 f"  {name:<32} {row['wall_seconds']:10.6f} s wall "
                 f"({int(row['count'])}x, {mean * 1e6:9.1f} us/dispatch)"
             )
-        store = self.store
         if self.out is not None:
             os.makedirs(self.out, exist_ok=True)
             prom = os.path.join(self.out, self.PROM_FILE)
@@ -544,10 +439,4 @@ class MetricsTool(Tool):
                 fh.write(self.registry.to_jsonl())
             lines.append(f"  prometheus: {prom}")
             lines.append(f"  jsonl:      {jsonl}")
-            if store is None:
-                store = ProfileStore(os.path.join(self.out, self.PROFILES_FILE))
-        if store is not None and totals:
-            store.update(self.workload, mode_config(), totals)
-            store.save()
-            lines.append(f"  profiles:   {store.path} (workload {self.workload!r})")
         return "\n".join(lines)

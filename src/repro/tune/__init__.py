@@ -1,39 +1,15 @@
-"""Runtime autotuning over the mode registry (paper sections 3.3/4.1).
+"""Runtime autotuning of the paper's section 4.1 cells (list × newton × scatter).
 
 Public surface:
 
 * :class:`~repro.tune.autotuner.Autotuner` — the search/lock-in engine.
-* :class:`~repro.tune.plan.TunePlanStore` — persisted (workload, arch,
-  kernel) winners so repeat runs skip the search.
-* :mod:`repro.tune.space` — the config-space enumeration and the
-  apply/snapshot helpers over every mode switch in the codebase.
+* :class:`~repro.tune.plan.TunePlanStore` — persisted (workload, arch)
+  winners so repeat runs skip the search.
+* :mod:`repro.tune.space` — the cell enumeration and the apply/snapshot
+  helpers.
 """
 
-from repro.tune.autotuner import MEASURES, MODEL, WALL, Autotuner
+from repro.tune.autotuner import Autotuner
 from repro.tune.plan import TunePlanStore
-from repro.tune.space import (
-    KERNELS,
-    NEIGHBOR_KERNEL,
-    PAIR_KERNEL,
-    apply_config,
-    enumerate_neighbor_configs,
-    enumerate_pair_configs,
-    short_label,
-    snapshot_config,
-)
 
-__all__ = [
-    "Autotuner",
-    "TunePlanStore",
-    "MEASURES",
-    "MODEL",
-    "WALL",
-    "KERNELS",
-    "PAIR_KERNEL",
-    "NEIGHBOR_KERNEL",
-    "apply_config",
-    "snapshot_config",
-    "enumerate_pair_configs",
-    "enumerate_neighbor_configs",
-    "short_label",
-]
+__all__ = ["Autotuner", "TunePlanStore"]

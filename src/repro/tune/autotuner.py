@@ -1,70 +1,38 @@
-"""Runtime autotuner over the mode registry.
+"""Runtime autotuner: the paper's section 4.1 question, asked per architecture.
 
-The paper's performance story is that the right ``package kokkos`` defaults
-differ per backend — half vs full lists, atomic vs duplicated scatter,
-newton on/off — and picking them wrong costs 2x+.  This module automates the
-choice at run start, the way the TestSNAP paper automates its strategy
-exploration: enumerate the candidate cells of the mode space
-(:mod:`repro.tune.space`), micro-benchmark each one per kernel with the
-bench-stats discipline (one warmup round, then seeded *interleaved* repeat
-rounds so drift hits every candidate equally), and lock in winners for the
-rest of the run.
+Half vs full lists, newton on/off and atomic vs duplicated scatter have
+different winners on different backends (the paper's Fig. 2), and picking
+them wrong costs 2x+.  This module answers that question at run start: it
+enumerates the ``list × newton × scatter`` cells (:mod:`repro.tune.space`),
+probes each one **once** with one force cycle under the calibrated hardware
+cost model, and locks the winner in for the rest of the run.
 
-Two measures are supported:
+The score is the modeled seconds (device timeline + comm ledger) the probe
+charged.  Each probe charges scratch ledgers that start from zero and are
+discarded afterwards, so a score depends only on the probed cell — never on
+what was charged before it — and re-probing a cell returns the same bits.
+That exactness is why one probe per cell suffices: no repeats, no seed, no
+noise band.  The winner is the lowest score; the baseline (the active cell,
+probed first) wins ties, so a pure-host run whose styles charge nothing
+scores every cell 0.0 and keeps its baseline.
 
-* ``wall``  — measured wall-clock seconds per probe (the default; what you
-  want on real silicon).
-* ``model`` — the calibrated hardware cost model's charged seconds (device
-  timeline + comm ledger delta), which is exactly reproducible and lets the
-  tuner rank configs per *simulated* Table-1 architecture without timing
-  noise — the deterministic path CI and the golden tests use.
-
-A challenger only dethrones the currently-active config when it wins by
-more than the noise band ``max(rel_floor, Z_SCORE * cv)`` — ``REL_FLOOR``
-under the ``wall`` measure, zero under the noise-free ``model`` measure — so
-a tuned run is never slower than the hand-picked baseline beyond noise.
 Winners persist to a :class:`~repro.tune.plan.TunePlanStore` keyed
-(workload, arch, kernel); repeat runs skip the search.  Nothing else is
-recorded: probes run with no tool attached, and whether tuning pays is read
-off ``bench_e2e``'s ``melt_autotune`` workload against ``melt``.
+(workload, arch); repeat runs skip the search.
 """
 
 from __future__ import annotations
 
-import random
-import statistics
-import time
-
 import repro.kokkos as kk
-from repro.core.errors import LammpsError, unknown_choice
+from repro.core.errors import LammpsError
+from repro.hardware.cost import DeviceTimeline
+from repro.parallel.comm import CommLedger
 from repro.parallel.driver import drain, lockstep
-from repro.tools import metrics
 from repro.tune import space as tspace
 from repro.tune.plan import TunePlanStore
 
-#: Measurement backends.
-WALL = "wall"
-MODEL = "model"
-MEASURES = (WALL, MODEL)
-
-#: relative noise floor of the ``wall`` measure (35%): a challenger inside it
-#: never dethrones the active config (the ``model`` measure is exact: 0)
-REL_FLOOR = 0.35
-#: stdev multiplier for the measured-noise part of the band
-Z_SCORE = 3.0
-
-
-def summarize(samples: list[float]) -> dict:
-    """min/median/stdev of one candidate's repeat samples."""
-    return {
-        "min": min(samples),
-        "median": statistics.median(samples),
-        "stdev": statistics.stdev(samples) if len(samples) > 1 else 0.0,
-    }
-
 
 class Autotuner:
-    """Searches the mode space once, then locks the winners into the run.
+    """Searches the cells once, then locks the winner into the run.
 
     Attach one to ``lmp.autotuner`` (or pass ``--autotune`` / ``package
     autotune on``); the first ``run`` command triggers :meth:`tune` before
@@ -74,23 +42,11 @@ class Autotuner:
     def __init__(
         self,
         *,
-        measure: str = WALL,
-        repeats: int = 3,
-        seed: int = 0,
         plan_path: str | None = "tuned_plan.json",
         workload: str = "run",
         quiet: bool = True,
     ) -> None:
-        if measure not in MEASURES:
-            raise ValueError(unknown_choice("autotune measure", measure, MEASURES))
-        if repeats < 1:
-            raise ValueError("autotune repeats must be >= 1")
-        self.measure = measure
-        self.repeats = int(repeats)
-        self.seed = int(seed)
         self.workload = workload
-        # the model measure is noise-free, so any strict win counts there
-        self.rel_floor = REL_FLOOR if measure == WALL else 0.0
         self.quiet = quiet
         self.plan_store = TunePlanStore(plan_path) if plan_path else None
         self.tuned = False
@@ -100,156 +56,76 @@ class Autotuner:
 
     # --------------------------------------------------------------- tune
     def tune(self, target) -> dict:
-        """Search (or load) winners for every kernel and lock them in."""
+        """Search (or load) the winning cell and lock it in."""
         ranks = tspace.ranks_of(target)
         self._setup(ranks)
         arch = self._arch()
-        base_full = tspace.snapshot_config(target)
-        self._list_sig = (base_full[tspace.NEIGH], base_full[tspace.NEWTON])
-        kernels: dict[str, dict] = {}
-        merged: dict[str, str] = {}
-        for kernel, enumerate_fn, probe in (
-            (tspace.PAIR_KERNEL, tspace.enumerate_pair_configs, self._pair_probe),
-            (tspace.NEIGHBOR_KERNEL, tspace.enumerate_neighbor_configs,
-             self._neighbor_probe),
-        ):
-            candidates = enumerate_fn(target)
-            planned = (
-                self.plan_store.lookup(self.workload, arch, kernel)
-                if self.plan_store is not None
-                else None
-            )
-            if planned is not None and planned["config"] in candidates:
-                winner = planned["config"]
-                entry = {"score": planned.get("score"), "source": "plan",
-                         "candidates": len(candidates)}
-            else:
-                winner, entry = self._search(
-                    kernel, target, ranks, candidates, probe
-                )
-                if self.plan_store is not None:
-                    self.plan_store.record(
-                        self.workload, arch, kernel,
-                        config=winner, score=entry["score"],
-                        measure=self.measure, repeats=self.repeats,
-                    )
-            # lock this kernel's winner in before the next kernel searches,
-            # so e.g. the neighbor search runs under the winning list style
-            tspace.apply_config(target, winner)
-            kernels[kernel] = dict(entry, config=winner)
-            merged.update(winner)
-            metrics.set_gauge(
-                "autotune_locked", 1.0,
-                help="winning mode config per tuned kernel",
-                kernel=kernel, workload=self.workload,
-                config=metrics.config_key(winner),
-            )
-        # the searches leave the last-probed list behind: rebuild once under
-        # the final merged config before the run proper starts
-        self._rebuild(ranks)
-        label = tspace.short_label(merged)
+        baseline = tspace.snapshot_config(target)
+        self._list_sig = (baseline[tspace.NEIGH], baseline[tspace.NEWTON])
+        candidates = [baseline] + [
+            cfg for cfg in tspace.enumerate_configs(target) if cfg != baseline
+        ]
+        planned = (
+            self.plan_store.lookup(self.workload, arch)
+            if self.plan_store is not None
+            else None
+        )
+        scores: dict[str, float] = {}
+        if planned is not None and planned["config"] in candidates:
+            config, score, source = planned["config"], planned.get("score"), "plan"
+        else:
+            for cfg in candidates:
+                tspace.apply_config(target, cfg)
+                self._rebuild_if_needed(ranks, cfg)
+                scores[tspace.short_label(cfg)] = self._probe(ranks)
+            # min() keeps the first of equal scores: the baseline wins ties
+            config = min(candidates, key=lambda c: scores[tspace.short_label(c)])
+            score, source = scores[tspace.short_label(config)], "search"
+            if self.plan_store is not None:
+                self.plan_store.record(self.workload, arch, config=config, score=score)
+                self.plan_store.save()
+        tspace.apply_config(target, config)
+        self._rebuild_if_needed(ranks, config)
+        label = tspace.short_label(config)
         for lmp in ranks:
             lmp.tune_label = label
             if "tune" not in lmp.thermo.columns:
                 lmp.thermo.columns = tuple(lmp.thermo.columns) + ("tune",)
-        metrics.inc(
-            "autotune_probes_total", float(self.probes),
-            help="micro-benchmark probes spent searching",
-            workload=self.workload,
-        )
-        if self.plan_store is not None:
-            self.plan_store.save()
         self.result = {
-            "workload": self.workload, "arch": arch, "measure": self.measure,
-            "config": merged, "label": label, "kernels": kernels,
-            "probes": self.probes,
+            "workload": self.workload, "arch": arch, "config": config,
+            "label": label, "score": score, "source": source,
+            "scores": scores, "probes": self.probes,
         }
         self.tuned = True
         if not self.quiet:
             print(self.format_report())
         return self.result
 
-    # ------------------------------------------------------------- search
-    def _search(self, kernel, target, ranks, candidates, probe):
-        baseline = tspace.snapshot_config(target, candidates[0].keys())
-        try:
-            base_idx = candidates.index(baseline)
-        except ValueError:
-            candidates = [baseline] + list(candidates)
-            base_idx = 0
-        rng = random.Random((self.seed, kernel).__repr__())
-        samples: list[list[float]] = [[] for _ in candidates]
-        for rnd in range(self.repeats + 1):  # round 0 is the warmup
-            order = list(range(len(candidates)))
-            if rnd:
-                rng.shuffle(order)
-            for idx in order:
-                cfg = candidates[idx]
-                tspace.apply_config(target, cfg)
-                if kernel == tspace.PAIR_KERNEL:
-                    self._rebuild_if_needed(ranks, cfg)
-                wall, sim = self._probe_once(ranks, probe)
-                if rnd:
-                    samples[idx].append(sim if self.measure == MODEL else wall)
-                    self.probes += 1
-        stats = [summarize(s) for s in samples]
-        scores = [st["min"] for st in stats]
-        win_idx = self._pick(base_idx, scores, stats)
-        entry = {
-            "score": scores[win_idx], "source": "search",
-            "baseline": candidates[base_idx], "baseline_score": scores[base_idx],
-            "candidates": len(candidates),
-        }
-        return candidates[win_idx], entry
-
-    def _pick(self, base_idx: int, scores: list[float], stats: list[dict]) -> int:
-        """Index of the winner: baseline unless a challenger beats the band."""
-
-        def cv(st):
-            median = st.get("median") or 0.0
-            return st.get("stdev", 0.0) / median if median > 0.0 else 0.0
-
-        win = min(range(len(scores)), key=lambda i: (scores[i], i))
-        if win == base_idx:
-            return base_idx
-        base, best = scores[base_idx], scores[win]
-        if best <= 0.0:
-            # the model measure can charge exactly zero (pure-host styles
-            # dispatch no kernels): keep the baseline on an all-zero tie
-            return win if base > 0.0 else base_idx
-        band = max(self.rel_floor, Z_SCORE * max(cv(stats[base_idx]), cv(stats[win])))
-        return win if base / best > 1.0 + band else base_idx
-
     # ------------------------------------------------------------- probes
-    def _probe_once(self, ranks, probe):
+    def _probe(self, ranks) -> float:
+        """Modeled seconds of one force cycle, charged to scratch ledgers."""
         ctx = kk.device_context()
-        ledger = ranks[0].world.ledger
-        sim0 = ctx.timeline.total() + ledger.total()
-        t0 = time.perf_counter()
-        probe(ranks)
-        wall = time.perf_counter() - t0
-        sim = ctx.timeline.total() + ledger.total() - sim0
-        return wall, sim
-
-    def _pair_probe(self, ranks) -> None:
-        gens = []
-        for lmp in ranks:
-            verlet = lmp.verlet
-            gens.append(
-                verlet.force_cycle_overlap()
-                if verlet.overlap_active()
-                else verlet.force_cycle()
-            )
-        self._drive(gens)
-
-    def _neighbor_probe(self, ranks) -> None:
-        self._rebuild(ranks)
+        world = ranks[0].world
+        saved = ctx.timeline, world.ledger
+        ctx.timeline, world.ledger = DeviceTimeline(), CommLedger()
+        try:
+            self._drive([
+                lmp.verlet.force_cycle_overlap()
+                if lmp.verlet.overlap_active()
+                else lmp.verlet.force_cycle()
+                for lmp in ranks
+            ])
+            score = ctx.timeline.total() + world.ledger.total()
+        finally:
+            ctx.timeline, world.ledger = saved
+        self.probes += 1
+        return score
 
     def _rebuild(self, ranks) -> None:
         self._drive([lmp.rebuild_gen() for lmp in ranks])
 
     def _rebuild_if_needed(self, ranks, cfg: dict) -> None:
-        sig = (cfg.get(tspace.NEIGH), cfg.get(tspace.NEWTON))
+        sig = (cfg[tspace.NEIGH], cfg[tspace.NEWTON])
         if sig != self._list_sig:
             self._rebuild(ranks)
             self._list_sig = sig
@@ -281,15 +157,9 @@ class Autotuner:
         assert self.result is not None, "tune() has not run"
         res = self.result
         lines = [
-            f"autotune[{res['workload']}@{res['arch']}] "
-            f"measure={res['measure']} probes={res['probes']} -> {res['label']}"
+            f"autotune[{res['workload']}@{res['arch']}] probes={res['probes']} "
+            f"-> {res['label']} ({res['source']})"
         ]
-        for kernel, entry in res["kernels"].items():
-            score = entry.get("score")
-            score_txt = f"{score:.3e} s" if score is not None else "-"
-            lines.append(
-                f"  {kernel:<14} {tspace.short_label(entry['config']):<16} "
-                f"score {score_txt:<12} ({entry['source']}, "
-                f"{entry['candidates']} candidates)"
-            )
+        for label, score in res["scores"].items():
+            lines.append(f"  {label:<16} {score:.3e} s")
         return "\n".join(lines)

@@ -1,8 +1,8 @@
-"""Persisted tuned plans: (workload, arch, kernel) -> winning mode config.
+"""Persisted tuned plans: (workload, arch) -> winning tune config.
 
 The plan file is the autotuner's repeat-traffic fast path: the first run of
 a workload on an architecture pays for the search, every later run loads
-the winner and applies it without re-measuring.  Loading is strictly
+the winner and applies it without re-probing.  Loading is strictly
 *fail-open* — a corrupt, truncated, or stale-schema plan file downgrades to
 a warning and an empty store, never an exception, because a bad cache must
 not be able to kill a production run.  The next ``save()`` overwrites the
@@ -15,13 +15,15 @@ import json
 import os
 import warnings
 
-#: Bumped whenever a config dimension or value is retired: an older plan may
-#: still name it, so it re-searches through the fail-open path below.
-SCHEMA_VERSION = 2
+#: Bumped whenever a config dimension or value is retired, or the entry
+#: shape changes: an older plan may still name it, so it re-searches through
+#: the fail-open path below.  Version 2 plans held one entry per kernel and
+#: could name ``graph``/``sort``/``overlap``/``qeq_*``.
+SCHEMA_VERSION = 3
 
 
 class TunePlanStore:
-    """JSON-backed store of tuned winners keyed (workload, arch, kernel)."""
+    """JSON-backed store of tuned winners keyed (workload, arch)."""
 
     def __init__(self, path: str | None) -> None:
         self.path = path
@@ -54,32 +56,17 @@ class TunePlanStore:
             )
 
     # ------------------------------------------------------------- access
-    def lookup(self, workload: str, arch: str, kernel: str) -> dict | None:
-        """The stored entry for a kernel, or None (also on malformed entries)."""
-        entry = (
-            self.data["plans"].get(workload, {}).get(arch, {}).get(kernel)
-        )
+    def lookup(self, workload: str, arch: str) -> dict | None:
+        """The stored entry, or None (also on a malformed entry)."""
+        entry = self.data["plans"].get(workload, {}).get(arch)
         if not isinstance(entry, dict) or not isinstance(entry.get("config"), dict):
             return None
         return entry
 
-    def record(
-        self,
-        workload: str,
-        arch: str,
-        kernel: str,
-        *,
-        config: dict,
-        score: float,
-        measure: str,
-        repeats: int,
-    ) -> None:
-        plans = self.data["plans"]
-        plans.setdefault(workload, {}).setdefault(arch, {})[kernel] = {
+    def record(self, workload: str, arch: str, *, config: dict, score: float) -> None:
+        self.data["plans"].setdefault(workload, {})[arch] = {
             "config": dict(config),
             "score": score,
-            "measure": measure,
-            "repeats": repeats,
         }
 
     def save(self) -> None:

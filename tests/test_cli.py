@@ -102,7 +102,6 @@ class TestWorkloadKey:
             assert main([
                 "-in", str(path), "-var", "cells", "2", "--quiet",
                 "--autotune", "model", "--tune-plan", str(plan),
-                "--tune-repeats", "1",
             ]) == 0
         assert set(json.loads(plan.read_text())["plans"]) == {"melt", "eam"}
 

@@ -25,7 +25,6 @@ from repro.graph import (
 )
 from repro.graph.plan import PlanCache
 from repro.hardware.cost import KernelProfile, fuse_profiles
-from repro.tools import metrics
 from repro.tools.metrics import MetricsRegistry, attach_sink, detach_sink
 
 
@@ -206,9 +205,3 @@ def test_turning_graph_off_drops_cached_plans():
         cache.store("k", 1, build_plan("p", [node("a")]))
         assert cache.stats()["plans"] == 1
     assert plan_cache().stats()["plans"] == 0
-
-
-def test_mode_config_reports_graph_dimension():
-    assert metrics.mode_config()["graph"] == OFF
-    with force_graph_mode(ON):
-        assert metrics.mode_config()["graph"] == ON

@@ -7,8 +7,9 @@
   :func:`repro.graph.pairwise.gather` (``mode="clip"``); no other call may
   pass ``out=`` to ``np.take``.
 * ``np.add.at`` is NumPy's unbuffered, per-element scatter.  Reverse comm
-  folds ghosts over sendlists that ``Swap`` proves unique, so
-  ``core/comm_md.py`` needs none.
+  folds ghosts over sendlists that ``Swap`` proves unique, and the replica
+  engine's replay over stage sources ``_build_stages`` proves unique, so
+  ``core/comm_md.py`` and ``replica/batch.py`` need none.
 """
 
 from __future__ import annotations
@@ -76,16 +77,28 @@ def test_no_buffered_take_outside_the_helper():
     assert [getattr(m, "value", None) for m in modes] == ["clip"]
 
 
-def test_no_add_at_in_comm_md():
-    path = SRC / "core" / "comm_md.py"
+def _assert_no_add_at(rel: str, why: str) -> None:
     bad = [
-        f"src/repro/core/comm_md.py:{call.lineno}: np.add.at in {func}(): "
-        "unbuffered per-element scatter on the per-step comm path; sendlists "
-        "are unique (Swap), so fold with arr[sendlist] += incoming"
-        for call, func in _calls(path)
+        f"src/repro/{rel}:{call.lineno}: np.add.at in {func}(): unbuffered "
+        f"per-element scatter on the per-step comm path; {why}"
+        for call, func in _calls(SRC / rel)
         if _is_np_attr(call.func, "add", "at")
     ]
     assert not bad, "\n".join(bad)
+
+
+def test_no_add_at_in_comm_md():
+    _assert_no_add_at(
+        "core/comm_md.py",
+        "sendlists are unique (Swap), so fold with arr[sendlist] += incoming",
+    )
+
+
+def test_no_add_at_in_replica_batch():
+    _assert_no_add_at(
+        "replica/batch.py",
+        "stage sources are unique (_build_stages), so fold with f[src] += buf",
+    )
 
 
 def test_the_guard_sees_what_it_forbids(tmp_path):

@@ -112,6 +112,28 @@ def test_mid_flight_join():
         _assert_bitwise(_solo(specs[i], 35), members[i], f"late member {i}")
 
 
+# ------------------------------------------------------ reverse comm fold
+def test_reverse_fold_matches_add_at_and_rejects_repeated_sources():
+    """``_reverse_f`` folds with ``f[src] += buf``: bitwise the
+    ``np.add.at`` replay on unique sources, refused at stage build else."""
+    batch = ReplicaBatch(label="fold")
+    for m in [s.build() for s in _specs("melt", 4)]:
+        batch.add_replica(m)
+    batch.step(5)
+    f = batch.atom.f
+    f[:] = np.random.default_rng(0).standard_normal(f.shape)
+    want = f.copy()
+    for st in reversed(batch._stages):
+        np.add.at(want, st.src, want[st.dst])
+    batch._reverse_f()
+    assert np.array_equal(f, want)
+
+    swap = batch.members[1].lmp.comm_brick.swaps[2]
+    swap.sendlist = np.array([0, 0])  # bypasses Swap's own check
+    with pytest.raises(LammpsError, match="replica comm stage 2"):
+        batch._build_stages()
+
+
 # ----------------------------------------------------------- admission gate
 def test_unknown_pair_style_rejected_with_choices():
     from repro.core import Lammps

@@ -2,10 +2,10 @@
 
 Covers the metric families and exporters, the ``SINKS`` falsy-guard
 contract (zero recording when nothing is attached), the named wiring sites
-(step timer, comm ledger, halo exchanges, DualView syncs), the
-ProfileStore, and the reconciliation guarantee: the MetricsTool's
-per-kernel wall-clock totals cover exactly the kernel set the
-space-time-stack sees, with dispatch counts matching exactly.
+(step timer, comm ledger, halo exchanges, DualView syncs), and the
+reconciliation guarantee: the MetricsTool's per-kernel wall-clock totals
+cover exactly the kernel set the space-time-stack sees, with dispatch
+counts matching exactly.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ import pytest
 
 from repro.tools import metrics
 from repro.tools import registry as kp
-from repro.tools.metrics import (
-    MetricsRegistry,
-    MetricsTool,
-    ProfileStore,
-    config_key,
-    mode_config,
-)
+from repro.tools.metrics import MetricsRegistry, MetricsTool
 from repro.tools.space_time_stack import SpaceTimeStack
 
 from conftest import make_melt
@@ -177,40 +171,6 @@ class TestRuntimeWiring:
         assert sum(skipped.values.values()) >= 1
 
 
-# ------------------------------------------------------------ profile store
-class TestProfileStore:
-    KERNELS = {"K": {"wall_seconds": 0.4, "sim_seconds": 0.1, "count": 4}}
-
-    def test_update_save_reload(self, tmp_path):
-        path = str(tmp_path / "profiles.json")
-        store = ProfileStore(path)
-        cfg = {"device": "H100", "scatter": "segmented", "graph": "off"}
-        store.update("melt", cfg, self.KERNELS)
-        store.update("melt", cfg, self.KERNELS)
-        store.save()
-        again = ProfileStore(path)
-        row = again.kernels("melt", cfg)["K"]
-        assert row["count"] == 8 and row["runs"] == 2
-        assert row["wall_seconds"] == pytest.approx(0.8)
-
-    def test_corrupt_store_starts_fresh(self, tmp_path):
-        path = tmp_path / "profiles.json"
-        path.write_text("{not json")
-        store = ProfileStore(str(path))
-        assert store.data["profiles"] == {}
-
-    def test_mode_config_reflects_switches(self):
-        import repro.kokkos as kk
-
-        kk.initialize("H100")
-        cfg = mode_config()
-        assert set(cfg) == {"device", "scatter", "graph"}
-        assert "H100" in cfg["device"]
-        key = config_key(cfg)
-        assert key.startswith("device=")
-        assert "scatter=" in key and "graph=" in key
-
-
 # ------------------------------------------------------------------ the tool
 class TestMetricsTool:
     def test_reconciles_with_space_time_stack(self):
@@ -242,7 +202,7 @@ class TestMetricsTool:
             assert totals[name]["wall_seconds"] >= 0.0
 
     def test_finalize_writes_exports_and_profiles(self, tmp_path):
-        tool = MetricsTool(str(tmp_path), workload="melt")
+        tool = MetricsTool(str(tmp_path))
         with kp.attached(tool):
             lmp = make_melt(device="H100", suffix="kk", cells=3)
             lmp.run(3)
@@ -257,10 +217,9 @@ class TestMetricsTool:
             json.loads(line)["name"] == "kernel_wall_seconds"
             for line in jsonl.splitlines()
         )
-        profiles = json.loads((tmp_path / "profiles.json").read_text())
-        slot = profiles["profiles"]["melt"]
-        (ckey,) = slot.keys()
-        assert "PairComputeLJCut" in slot[ckey]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "metrics.jsonl", "metrics.prom",
+        ]  # no profiles.json
 
     def test_memory_gauge_tracks_allocations(self):
         tool = MetricsTool()
@@ -302,9 +261,7 @@ class TestCLIAndInputScript:
         assert rc == 0
         assert (out / "metrics.prom").exists()
         assert (out / "metrics.jsonl").exists()
-        assert (out / "profiles.json").exists()
-        profiles = json.loads((out / "profiles.json").read_text())
-        assert "melt" in profiles["profiles"]  # workload = script stem
+        assert not (out / "profiles.json").exists()
         assert "metrics" in capsys.readouterr().out
         assert not metrics.SINKS and not kp.TOOLS
 
@@ -312,14 +269,14 @@ class TestCLIAndInputScript:
         from repro.core import Lammps
 
         lmp = Lammps(device="H100", suffix="kk", quiet=True)
-        lmp.command(f"metrics on out {tmp_path} workload mymelt")
+        lmp.command(f"metrics on out {tmp_path}")
         assert len(kp.TOOLS) == 1 and len(metrics.SINKS) == 1
         lmp.commands_string(SCRIPT)
         lmp.command("metrics off")
         assert not kp.TOOLS and not metrics.SINKS
         assert "metrics" in capsys.readouterr().out
-        profiles = json.loads((tmp_path / "profiles.json").read_text())
-        assert "mymelt" in profiles["profiles"]
+        assert (tmp_path / "metrics.prom").exists()
+        assert not (tmp_path / "profiles.json").exists()
 
     def test_input_script_metrics_bad_option(self):
         from repro.core import Lammps
@@ -330,6 +287,8 @@ class TestCLIAndInputScript:
             lmp.command("metrics sideways")
         with pytest.raises(InputError):
             lmp.command("metrics on bogus x")
+        with pytest.raises(InputError, match="unknown option 'workload'"):
+            lmp.command("metrics on workload melt")
 
     def test_tools_all_includes_metrics(self, tmp_path):
         from repro.tools import create_tools

@@ -1,10 +1,11 @@
-"""Autotuner behavior: determinism, surfaces (CLI / input script / thermo).
+"""Autotuner behavior: exact probes, determinism, surfaces (CLI / input script
+/ thermo).
 
-The determinism contract is the one CI leans on: with the ``model`` measure
-(the calibrated cost model charges exact seconds, no timing noise) and a
-fixed seed, two autotuned runs pick identical winners and produce identical
-thermo — pinned against a golden trace under ``tests/golden/`` with the
-standard ``--update-golden`` rebless path.
+The ``model`` measure is exact — a probe charges scratch ledgers, so its
+score depends only on the probed cell — which is why the search probes each
+cell once.  Two autotuned runs therefore pick identical winners and produce
+identical thermo, pinned against a golden trace under ``tests/golden/`` with
+the standard ``--update-golden`` rebless path.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import pytest
 from conftest import MELT_SCRIPT, make_melt
 from repro.core import Lammps
 from repro.core.errors import InputError
-from repro.graph import set_graph_mode
 from repro.kokkos.segment import set_scatter_mode
 from repro.tune import Autotuner
+from repro.tune import space as tspace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -27,18 +28,13 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 @pytest.fixture(autouse=True)
 def _reset_modes():
     set_scatter_mode(None)
-    set_graph_mode(None)
     yield
     set_scatter_mode(None)
-    set_graph_mode(None)
 
 
 def _run_autotuned(steps=15):
     lmp = make_melt(cells=2, suffix="kk", thermo=5)
-    lmp.autotuner = Autotuner(
-        measure="model", repeats=2, seed=11, plan_path=None,
-        workload="melt", quiet=True,
-    )
+    lmp.autotuner = Autotuner(plan_path=None, workload="melt", quiet=True)
     lmp.run(steps)
     trace = [
         {
@@ -53,6 +49,35 @@ def _run_autotuned(steps=15):
     return lmp, trace
 
 
+# ------------------------------------------------------------ exact probes
+@pytest.mark.parametrize("device", [None, "H100"])
+def test_probe_scores_are_exact(device):
+    """One probe per cell, baseline first; re-probing any cell, with or
+    without a rebuild in between, returns the search's score bit for bit."""
+    lmp = make_melt(device=device, cells=2, suffix="kk")
+    baseline = tspace.short_label(tspace.snapshot_config(lmp))
+    tuner = Autotuner(plan_path=None)
+    scores = tuner.tune(lmp)["scores"]
+    assert list(scores)[0] == baseline
+    assert tuner.probes == len(scores) == 6
+    assert any(score > 0.0 for score in scores.values())
+    for cfg in tspace.enumerate_configs(lmp):
+        tspace.apply_config(lmp, cfg)
+        tuner._rebuild([lmp])
+        after_rebuild = tuner._probe([lmp])
+        again = tuner._probe([lmp])
+        want = scores[tspace.short_label(cfg)]
+        assert after_rebuild.hex() == again.hex() == want.hex(), cfg
+
+
+def test_all_zero_host_scores_keep_the_baseline():
+    lmp = make_melt(cells=2)  # plain lj/cut on a pure host charges nothing
+    baseline = tspace.snapshot_config(lmp)
+    result = Autotuner(plan_path=None).tune(lmp)
+    assert set(result["scores"].values()) == {0.0}
+    assert result["config"] == baseline
+
+
 # -------------------------------------------------------------- determinism
 def test_autotune_deterministic_and_matches_golden(update_golden):
     lmp1, trace1 = _run_autotuned()
@@ -61,7 +86,7 @@ def test_autotune_deterministic_and_matches_golden(update_golden):
     set_scatter_mode(None)
     lmp2, trace2 = _run_autotuned()
 
-    # same seed + model measure: identical winners, bit-identical thermo
+    # exact probes: identical winners, bit-identical thermo
     assert lmp2.autotuner.result["config"] == config1
     assert trace2 == trace1
 
@@ -91,9 +116,7 @@ def test_thermo_gains_tune_column(capsys):
     lmp.commands_string(
         MELT_SCRIPT.format(cells=2, pair_style="lj/cut", thermo=5)
     )
-    lmp.autotuner = Autotuner(
-        measure="model", repeats=1, seed=0, plan_path=None, quiet=True
-    )
+    lmp.autotuner = Autotuner(plan_path=None, quiet=True)
     lmp.run(0)
     label = lmp.autotuner.result["label"]
     assert lmp.tune_label == label
@@ -116,48 +139,56 @@ def test_untuned_runs_have_no_tune_column():
 def test_package_autotune_command(tmp_path):
     plan = tmp_path / "plan.json"
     lmp = make_melt(cells=2, suffix="kk")
-    lmp.command(
-        f"package autotune on measure model repeats 1 seed 3 plan {plan}"
-        " workload melt"
-    )
+    lmp.command(f"package autotune on plan {plan} workload melt")
     assert lmp.autotune_request is not None
     lmp.run(3)
     assert lmp.autotuner is not None and lmp.autotuner.tuned
     assert lmp.autotune_request is None
-    assert json.loads(plan.read_text())["plans"]["melt"]
+    assert json.loads(plan.read_text())["plans"]["melt"]["host"]["config"]
 
 
 def test_package_autotune_off_clears_request():
     lmp = make_melt(cells=2, suffix="kk")
-    lmp.command("package autotune on measure model plan none")
+    lmp.command("package autotune on plan none")
     lmp.command("package autotune off")
     lmp.run(0)
     assert lmp.autotuner is None
 
 
 def test_package_autotune_rejects_unknown_measure():
+    """``measure``/``repeats``/``seed`` are retired options, not values."""
     lmp = make_melt(cells=2, suffix="kk")
-    with pytest.raises(InputError, match="did you mean 'model'"):
-        lmp.command("package autotune on measure modle")
+    for option in ("measure model", "repeats 1", "seed 3"):
+        name = option.split()[0]
+        with pytest.raises(InputError, match=f"unknown option '{name}'"):
+            lmp.command(f"package autotune on {option}")
     with pytest.raises(InputError, match="usage: package autotune"):
         lmp.command("package autotune maybe")
 
 
-def test_autotuner_rejects_unknown_measure():
-    with pytest.raises(ValueError, match="did you mean 'wall'"):
-        Autotuner(measure="wal")
+def test_autotuner_rejects_unknown_measure(capsys):
+    """``model`` is the only measure; the retired CLI knobs fail to parse."""
+    from repro.__main__ import main
+
+    for argv, message in (
+        (["--autotune", "wall"], "invalid choice: 'wall'"),
+        (["--tune-repeats", "1"], "unrecognized arguments: --tune-repeats"),
+        (["--tune-seed", "2"], "unrecognized arguments: --tune-seed"),
+    ):
+        with pytest.raises(SystemExit):
+            main(["-in", "in.melt", *argv])
+        assert message in capsys.readouterr().err
 
 
-def test_ensemble_autotune_covers_overlap_dimension():
+def test_ensemble_autotune_labels_every_rank_alike():
     ens = make_melt(cells=2, nranks=2)
-    ens.autotuner = Autotuner(
-        measure="model", repeats=1, seed=0, plan_path=None, quiet=True
-    )
+    ens.autotuner = Autotuner(plan_path=None, quiet=True)
     ens.run(3)
-    pair = ens.autotuner.result["kernels"]["pair_force"]
-    assert "overlap" in pair["config"]
+    result = ens.autotuner.result
+    assert set(result["config"]) == {"scatter", "neigh", "newton"}
+    assert result["label"] == "at/half+off"
     for lmp in ens.ranks:
-        assert lmp.tune_label == ens.autotuner.result["label"]
+        assert lmp.tune_label == result["label"]
 
 
 # -------------------------------------------------------------------- CLI
@@ -172,9 +203,7 @@ def test_cli_autotune_writes_plan(tmp_path):
     rc = main([
         "-in", str(script), "-sf", "kk", "--quiet",
         "--autotune", "model", "--tune-plan", str(plan),
-        "--tune-repeats", "1", "--tune-seed", "2",
     ])
     assert rc == 0
-    data = json.loads(plan.read_text())
-    kernels = data["plans"]["melt"]["host"]
-    assert set(kernels) == {"pair_force", "neighbor_build"}
+    entry = json.loads(plan.read_text())["plans"]["melt"]["host"]
+    assert set(entry["config"]) == {"scatter", "neigh", "newton"}

@@ -19,7 +19,6 @@ import pytest
 
 from conftest import gather_by_tag, make_melt
 from repro.core import Lammps
-from repro.graph import set_graph_mode
 from repro.kokkos.segment import (
     ATOMIC,
     SEGMENTED,
@@ -41,7 +40,6 @@ def _reset_modes():
     """The setters mutate process globals; never leak across tests."""
     yield
     set_scatter_mode(None)
-    set_graph_mode(None)
 
 
 # ------------------------------------------------------------- melt matrix
@@ -102,8 +100,8 @@ def _hns_lmp(pair_style="reaxff cutoff 5.0"):
 
 
 def test_hns_qeq_matrix_precond_extrap_cells_agree():
-    """The tuner may switch preconditioner/extrapolation mid-run: every
-    qeq cell must land on the same trajectory within solver round-off."""
+    """Every user-selectable preconditioner/extrapolation cell lands on
+    the same trajectory within solver round-off."""
     ref_q = ref_f = None
     for precond, extrap in itertools.product(("none", "jacobi"), ("none", "2")):
         lmp = _hns_lmp()
@@ -122,53 +120,32 @@ def test_hns_qeq_matrix_precond_extrap_cells_agree():
         )
 
 
-def test_qeq_dimensions_enumerated_only_for_reaxff():
-    lmp = _hns_lmp()
-    assert tspace.qeq_capable(lmp)
-    configs = tspace.enumerate_pair_configs(lmp)
-    # 2 preconds x 2 extraps multiply the reaxff product
-    assert {cfg[tspace.QEQ_PRECOND] for cfg in configs} == {"none", "jacobi"}
-    assert {cfg[tspace.QEQ_EXTRAP] for cfg in configs} == {"none", "2"}
-    assert all(cfg[tspace.QEQ_TOL] == "1e-08" for cfg in configs)
-
+def test_tune_space_is_list_cells_times_scatter():
+    """The tuner searches only the section 4.1 cells: a fixed-list style
+    (ReaxFF) gets its one list cell x both scatter modes, a /kk style the
+    three list cells x both."""
+    hns = _hns_lmp()
+    assert tspace.enumerate_configs(hns) == [
+        {"scatter": scatter, "neigh": "full", "newton": "off"}
+        for scatter in SCATTERS
+    ]
     melt = make_melt(suffix="kk")
-    assert not tspace.qeq_capable(melt)
-    for cfg in tspace.enumerate_pair_configs(melt):
-        assert tspace.QEQ_PRECOND not in cfg
+    configs = tspace.enumerate_configs(melt)
+    assert len(configs) == 6
+    assert all(set(cfg) == {"scatter", "neigh", "newton"} for cfg in configs)
 
 
 def test_qeq_snapshot_and_apply_roundtrip():
+    """The QEq knobs stay user-settable: a tuner snapshot/apply round trip
+    neither reads nor resets them."""
     lmp = _hns_lmp()
+    lmp.pair.set_qeq_options(precond="jacobi", extrap="2", tol=1e-09)
     snap = tspace.snapshot_config(lmp)
-    assert snap[tspace.QEQ_PRECOND] == "none"
-    assert snap[tspace.QEQ_EXTRAP] == "none"
-    tspace.apply_config(
-        lmp,
-        {
-            tspace.QEQ_PRECOND: "jacobi",
-            tspace.QEQ_EXTRAP: "2",
-            tspace.QEQ_TOL: "1e-09",
-        },
+    assert set(snap) == {"scatter", "neigh", "newton"}
+    tspace.apply_config(lmp, snap)
+    assert (lmp.pair.qeq_precond, lmp.pair.qeq_extrap, lmp.pair.qeq_tol) == (
+        "jacobi", "2", 1e-09,
     )
-    assert lmp.pair.qeq_precond == "jacobi"
-    assert lmp.pair.qeq_extrap == "2"
-    assert lmp.pair.qeq_tol == 1e-09
-    snap = tspace.snapshot_config(lmp)
-    assert snap[tspace.QEQ_PRECOND] == "jacobi"
-    # restoring the baseline snapshot undoes the challenger's knobs
-    tspace.apply_config(lmp, {tspace.QEQ_PRECOND: "none"})
-    assert lmp.pair.qeq_precond == "none"
-
-    melt = make_melt(suffix="kk")
-    assert tspace.QEQ_PRECOND not in tspace.snapshot_config(melt)
-
-
-def test_qeq_short_label():
-    label = tspace.short_label(
-        {tspace.QEQ_PRECOND: "jacobi", tspace.QEQ_EXTRAP: "2"}
-    )
-    assert "pj" in label and "x2" in label
-    assert tspace.short_label({tspace.QEQ_PRECOND: "none"}) == "-"
 
 
 # --------------------------------------------------- setter validation fix

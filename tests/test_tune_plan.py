@@ -13,23 +13,22 @@ import json
 import pytest
 
 from conftest import make_melt
-from repro.graph import set_graph_mode
 from repro.kokkos.segment import set_scatter_mode
 from repro.tune import Autotuner
 from repro.tune.plan import SCHEMA_VERSION, TunePlanStore
+
+KEYS = {"scatter", "neigh", "newton"}
 
 
 @pytest.fixture(autouse=True)
 def _reset_modes():
     yield
     set_scatter_mode(None)
-    set_graph_mode(None)
 
 
-def _tune_melt(plan_path, seed=7):
+def _tune_melt(plan_path):
     lmp = make_melt(cells=2, suffix="kk")
     tuner = Autotuner(
-        measure="model", repeats=2, seed=seed,
         plan_path=str(plan_path) if plan_path else None,
         workload="melt", quiet=True,
     )
@@ -45,17 +44,15 @@ def test_plan_round_trip_skips_search(tmp_path):
 
     data = json.loads(plan.read_text())
     assert data["schema_version"] == SCHEMA_VERSION
-    entry = data["plans"]["melt"]["host"]["pair_force"]
-    assert entry["config"] == first.result["kernels"]["pair_force"]["config"]
-    assert entry["measure"] == "model"
+    entry = data["plans"]["melt"]["host"]
+    assert entry["config"] == first.result["config"]
+    assert entry["score"] == first.result["score"]
 
-    # fresh tuner + fresh Lammps: only the file carries the winners over
+    # fresh tuner + fresh Lammps: only the file carries the winner over
     set_scatter_mode(None)
     second = _tune_melt(plan)
     assert second.probes == 0
-    assert all(
-        entry["source"] == "plan" for entry in second.result["kernels"].values()
-    )
+    assert second.result["source"] == "plan"
     assert second.result["config"] == first.result["config"]
 
 
@@ -70,42 +67,36 @@ def test_corrupt_plan_falls_back_to_search_with_warning(tmp_path):
     assert json.loads(plan.read_text())["schema_version"] == SCHEMA_VERSION
 
 
-def _v1_plan(kernel, config):
-    entry = {"config": config, "score": 1.0, "measure": "model", "repeats": 2}
-    return {"schema_version": 1, "plans": {"melt": {"host": {kernel: entry}}}}
+def _v2_plan():
+    """A version-2 plan: one entry per kernel, naming retired dimensions."""
+    entry = {"score": 1.0, "measure": "model", "repeats": 2}
+    return {"schema_version": 2, "plans": {"melt": {"host": {
+        "pair_force": dict(entry, config={
+            "scatter": "segmented", "neigh": "half", "newton": "on",
+            "graph": "on"}),
+        "neighbor_build": dict(entry, config={"sort": "0"}),
+    }}}}
 
 
 def test_stale_schema_plan_falls_back_to_search(tmp_path):
-    """Unknown versions and version-1 plans naming a retired dimension or
-    value are never applied: warn, re-search, overwrite."""
+    """Unknown versions and version-2 plans (per-kernel entries naming
+    ``graph``/``sort``) are never applied: warn, re-search, overwrite."""
     plan = tmp_path / "tuned_plan.json"
-    for stale in (
-        {"schema_version": 999, "plans": {}},
-        _v1_plan("neighbor_build", {"stencil": "legacy", "sort": "1"}),
-        _v1_plan(
-            "pair_force",
-            {"scatter": "segmented", "neigh": "half", "newton": "on",
-             "graph": "off", "qeq_precond": "ssor"},
-        ),
-    ):
+    for stale in ({"schema_version": 999, "plans": {}}, _v2_plan()):
         plan.write_text(json.dumps(stale) + "\n")
         with pytest.warns(RuntimeWarning, match="schema_version"):
             tuner = _tune_melt(plan)
-        assert all(
-            entry["source"] == "search" for entry in tuner.result["kernels"].values()
-        )
+        assert tuner.result["source"] == "search"
         saved = json.loads(plan.read_text())
-        assert saved["schema_version"] == SCHEMA_VERSION
-        for entry in saved["plans"]["melt"]["host"].values():
-            assert "stencil" not in entry["config"]
-            assert entry["config"].get("qeq_precond") != "ssor"
+        assert saved["schema_version"] == SCHEMA_VERSION == 3
+        assert set(saved["plans"]["melt"]["host"]["config"]) == KEYS
 
 
 def test_malformed_plan_entry_is_ignored(tmp_path):
     plan = tmp_path / "tuned_plan.json"
     plan.write_text(json.dumps({
         "schema_version": SCHEMA_VERSION,
-        "plans": {"melt": {"host": {"pair_force": {"config": "not-a-dict"}}}},
+        "plans": {"melt": {"host": {"config": "not-a-dict"}}},
     }) + "\n")
     tuner = _tune_melt(plan)  # no warning: the file itself is valid
     assert tuner.probes > 0  # but the bad entry forced a search
@@ -115,15 +106,14 @@ def test_unsupported_planned_config_triggers_research(tmp_path):
     plan = tmp_path / "tuned_plan.json"
     store = TunePlanStore(str(plan))
     store.record(
-        "melt", "host", "pair_force",
+        "melt", "host",
         config={"scatter": "atomic", "neigh": "full", "newton": "on"},
-        score=1.0, measure="model", repeats=2,
+        score=1.0,
     )
     store.save()
     # full+newton-on is not an enumerable cell: the plan entry cannot be
     # applied, so the tuner searches instead of crashing
     tuner = _tune_melt(plan)
     assert tuner.probes > 0
-    cfg = tuner.result["kernels"]["pair_force"]["config"]
+    cfg = tuner.result["config"]
     assert (cfg["neigh"], cfg["newton"]) != ("full", "on")
-
