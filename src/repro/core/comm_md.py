@@ -4,8 +4,7 @@ This is LAMMPS's ``CommBrick`` in generator form.  Each communication
 routine is a generator that yields exactly where real MPI would block on a
 receive; the lockstep driver (:func:`repro.parallel.driver.lockstep`)
 advances every rank to the yield, so by the time a rank resumes, its peers'
-sends are in the mailbox.  On one rank the generators simply run to
-completion (every send is a self-send, posted before its receive).
+sends are in the mailbox.
 
 The protocol is the classic 6-swap brick exchange:
 
@@ -18,12 +17,19 @@ The protocol is the classic 6-swap brick exchange:
   accumulate into the owners (``newton on``, section 4.1).
 * **exchange** — migrate owned atoms to their new owners after motion
   (owner-directed, one phase).
+
+On a one-rank world every swap is a self-send, so ``borders`` wraps the
+swaps it just recorded in a :class:`GhostReplay` and the per-step passes
+replay it in place — no message, no yield.  The replica batch builds the same
+replay over its stacked members.  ``borders`` and ``exchange`` always use the
+mailbox: they run once per rebuild and record what the replay is built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,6 +64,98 @@ class Swap:
                 f"swap (dim {self.dim}, dirn {self.dirn}, to rank {self.send_to}): "
                 "sendlist is not strictly increasing"
             )
+
+
+@dataclass
+class GhostReplay:
+    """Recorded self-send swaps as in-place index stages.
+
+    Stage ``k`` holds swap ``k`` of every layout that has one, as
+    ``(src, dst, shift)`` rows: ``dst`` ghosts are copies of ``src`` atoms
+    (plus the periodic ``shift`` for positions).  Replaying the stages
+    forward is each layout's forward comm in its own swap order; replaying
+    them backward is the reverse pass, the bucket-brigade order of
+    :class:`CommBrick`.  Each layout is ``(swaps, to_index)``; ``to_index``
+    maps the layout's local indices into the replayed atoms (``None``: they
+    already are).  Valid only for the ``(reorder_generation, nall)`` the
+    swaps were recorded against; every replay checks both.
+    """
+
+    layouts: Sequence[tuple[list[Swap], Callable[[np.ndarray], np.ndarray] | None]]
+    reorder_generation: int
+    nall: int
+
+    @cached_property
+    def stages(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Built on first replay: a replica member's own replay never is."""
+        layouts = self.layouts
+        stages = []
+        for k in range(max((len(swaps) for swaps, _ in layouts), default=0)):
+            src_parts, dst_parts, shift_parts = [], [], []
+            for swaps, to_index in layouts:
+                if k >= len(swaps):
+                    continue
+                sw = swaps[k]
+                if sw.nrecv == 0:
+                    continue
+                src = sw.sendlist
+                dst = np.arange(sw.firstrecv, sw.firstrecv + sw.nrecv)
+                if to_index is not None:
+                    src, dst = to_index(src), to_index(dst)
+                src_parts.append(src)
+                dst_parts.append(dst)
+                shift_parts.append(np.repeat(sw.shift[None, :], sw.nrecv, axis=0))
+            if not src_parts:
+                continue
+            src = np.concatenate(src_parts)
+            # reverse's ``arr[src] += buf`` is exact on unique indices only:
+            # each sendlist is strictly increasing (Swap), so only several
+            # layouts sharing a stage can collide (they must map disjointly)
+            if len(src_parts) > 1 and np.any(np.diff(np.sort(src)) == 0):
+                raise CommError(f"ghost replay stage {k}: repeated source index")
+            stages.append(
+                (src, np.concatenate(dst_parts), np.concatenate(shift_parts))
+            )
+        return stages
+
+    def _check(self, atom: AtomVec) -> None:
+        if atom.reorder_generation != self.reorder_generation:
+            raise CommError(
+                "ghost replay is stale: atoms were reordered after borders "
+                f"(generation {self.reorder_generation} -> "
+                f"{atom.reorder_generation})"
+            )
+        if atom.nall != self.nall:
+            raise CommError(
+                f"ghost replay size changed mid-run: recorded for nall "
+                f"{self.nall}, atoms now hold {atom.nall}"
+            )
+
+    def forward_x(self, atom: AtomVec) -> None:
+        """Ghost positions from their sources, shifted."""
+        self._check(atom)
+        x = atom.x
+        for src, dst, shift in self.stages:
+            # the add runs even for zero shifts, exactly like the mailbox
+            # path's ``x[sendlist] + swap.shift`` (it can normalize -0.0)
+            x[dst] = np.take(x, src, axis=0) + shift
+
+    def forward_fields(self, atom: AtomVec, names: tuple[str, ...]) -> None:
+        """Ghost copies of per-atom fields (no shift)."""
+        self._check(atom)
+        arrs = [getattr(atom, name) for name in names]
+        for src, dst, _ in self.stages:
+            for arr in arrs:
+                arr[dst] = arr[src]
+
+    def reverse(self, atom: AtomVec, name: str = "f") -> None:
+        """Ghost contributions accumulate back to their sources."""
+        self._check(atom)
+        arr = getattr(atom, name)
+        for src, dst, _ in reversed(self.stages):
+            # gather first: the mailbox path's receive-buffer copy
+            buf = np.take(arr, dst, axis=0)
+            arr[src] += buf
 
 
 @dataclass
@@ -99,6 +197,8 @@ class CommBrick:
     #: ``atom.reorder_generation`` when the swaps were recorded; a spatial
     #: sort after borders would silently invalidate every sendlist index.
     _swap_reorder_gen: int = -1
+    #: One-rank worlds: the last ``borders``' swaps as an in-place replay.
+    replay: GhostReplay | None = None
 
     def __post_init__(self) -> None:
         if self.cutghost <= 0.0:
@@ -167,6 +267,7 @@ class CommBrick:
             metrics.inc("halo_exchanges_total", kind="borders")
         atom.clear_ghosts()
         self.swaps = []
+        self.replay = None
         self._swap_reorder_gen = atom.reorder_generation
         for dim in range(3):
             # Candidates for this dimension's first hop: owned atoms plus
@@ -223,6 +324,10 @@ class CommBrick:
                             nrecv=n,
                         )
                     )
+        if self.comm.size == 1:
+            self.replay = GhostReplay(
+                [(self.swaps, None)], atom.reorder_generation, atom.nall
+            )
 
     # --------------------------------------------------------- forward comm
     def forward_comm(self, atom: AtomVec) -> Iterator[None]:
@@ -230,6 +335,9 @@ class CommBrick:
         if metrics.SINKS:
             metrics.inc("halo_exchanges_total", kind="forward")
         self._check_sendlists(atom)
+        if self.replay is not None:
+            self.replay.forward_x(atom)
+            return
         for k, swap in enumerate(self.swaps):
             buf = atom.x[swap.sendlist] + swap.shift
             self.comm.send(swap.send_to, buf, ("fwd", k))
@@ -268,6 +376,9 @@ class CommBrick:
         if metrics.SINKS:
             metrics.inc("halo_exchanges_total", kind="forward_field")
         self._check_sendlists(atom)
+        if self.replay is not None:
+            self.replay.forward_fields(atom, (name,))
+            return
         arr = getattr(atom, name)
         for k, swap in enumerate(self.swaps):
             self.comm.send(swap.send_to, arr[swap.sendlist].copy(), ("fwdf", name, k))
@@ -288,6 +399,9 @@ class CommBrick:
             metrics.inc("halo_exchanges_total", kind="forward_fields")
         self._check_sendlists(atom)
         names = tuple(names)
+        if self.replay is not None:
+            self.replay.forward_fields(atom, names)
+            return
         arrs = [getattr(atom, name) for name in names]
         for k, swap in enumerate(self.swaps):
             buf = np.column_stack([arr[swap.sendlist] for arr in arrs])
@@ -307,6 +421,9 @@ class CommBrick:
         if metrics.SINKS:
             metrics.inc("halo_exchanges_total", kind="reverse")
         self._check_sendlists(atom)
+        if self.replay is not None:
+            self.replay.reverse(atom, name)
+            return
         arr = getattr(atom, name)
         for k, swap in reversed(list(enumerate(self.swaps))):
             buf = arr[swap.firstrecv : swap.firstrecv + swap.nrecv].copy()

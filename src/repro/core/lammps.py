@@ -632,25 +632,6 @@ class Ensemble:
         gathered.natoms_total = n
         write_data(gathered, path)
 
-    def gather_positions(self) -> np.ndarray:
-        """Global position array ordered by tag (test/diagnostic helper)."""
-        n = self.ranks[0].natoms_total
-        out = np.zeros((n, 3))
-        for lmp in self.ranks:
-            atom = lmp.atom
-            assert atom is not None
-            out[atom.tag[: atom.nlocal] - 1] = atom.x[: atom.nlocal]
-        return out
-
-    def gather_forces(self) -> np.ndarray:
-        n = self.ranks[0].natoms_total
-        out = np.zeros((n, 3))
-        for lmp in self.ranks:
-            atom = lmp.atom
-            assert atom is not None
-            out[atom.tag[: atom.nlocal] - 1] = atom.f[: atom.nlocal]
-        return out
-
 
 class ReplicaSet:
     """R independent copies of one script, advanced through batched kernels.

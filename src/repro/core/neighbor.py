@@ -244,7 +244,8 @@ class PairCache:
         cached = self._cutsq.get(key)
         if cached is None:
             itype, jtype = self.type_pairs_known()
-            cached = self._cutsq[key] = cut[itype, jtype] ** 2
+            flat = cut.ravel().take(itype * cut.shape[1] + jtype)
+            cached = self._cutsq[key] = flat**2
         return cached
 
     def type_pairs_known(self) -> tuple[np.ndarray, np.ndarray]:

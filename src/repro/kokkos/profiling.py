@@ -8,7 +8,7 @@ these helpers to snapshot, diff, and pretty-print the simulated-time ledger
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.kokkos.core import device_context
 
@@ -18,7 +18,6 @@ class TimelineSnapshot:
     """Totals captured at a point in time, for before/after diffs."""
 
     entries: dict[str, float]
-    counts: dict[str, int] = field(default_factory=dict)
 
     def delta(self) -> dict[str, float]:
         """Per-kernel seconds accumulated since this snapshot.
@@ -39,28 +38,9 @@ class TimelineSnapshot:
     def delta_total(self) -> float:
         return sum(self.delta().values())
 
-    def delta_counts(self) -> dict[str, int]:
-        """Per-kernel launch counts since this snapshot (reset-tolerant).
-
-        The counting analogue of :meth:`delta` — e.g. how many
-        ``NeighborBinAssembly`` launches a run performed, the assertion
-        behind "one bin-grid construction per rebuild".
-        """
-        now = device_context().timeline.counts
-        out: dict[str, int] = {}
-        for name, total in now.items():
-            base = self.counts.get(name, 0)
-            d = total - base if total >= base else total
-            if d > 0:
-                out[name] = d
-        return out
-
 
 def snapshot() -> TimelineSnapshot:
-    ctx = device_context()
-    return TimelineSnapshot(
-        dict(ctx.timeline.entries), dict(ctx.timeline.counts)
-    )
+    return TimelineSnapshot(dict(device_context().timeline.entries))
 
 
 @contextlib.contextmanager

@@ -222,43 +222,6 @@ def scatter_sub(
     scatter_add(out, index, -np.asarray(values), mode=mode, assume_sorted=assume_sorted)
 
 
-# ------------------------------------------------------- segment reductions
-def segment_dot(
-    a: np.ndarray, b: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> np.ndarray:
-    """Per-segment inner products: ``out[k] = a[s_k:e_k] . b[s_k:e_k]``.
-
-    The replica batch's per-replica thermo/tally plans are built on this:
-    each replica owns one contiguous run of the stacked arrays, and a dot
-    over that run is *the same reduction* (same length, same values, same
-    contiguity) the solo code performs on its own arrays — so the per-replica
-    results are bit-identical to solo runs, which is the property the
-    differential tests enforce.
-    """
-    starts = np.asarray(starts)
-    ends = np.asarray(ends)
-    out = np.empty(starts.shape[0])
-    for k in range(starts.shape[0]):
-        out[k] = np.dot(a[starts[k] : ends[k]], b[starts[k] : ends[k]])
-    return out
-
-
-def segment_slice_sums(
-    values: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> np.ndarray:
-    """Per-segment sums over contiguous slices: ``out[k] = values[s_k:e_k].sum()``.
-
-    Same bitwise contract as :func:`segment_dot` — each slice goes through
-    NumPy's pairwise summation exactly as a solo run's ``.sum()`` would.
-    """
-    starts = np.asarray(starts)
-    ends = np.asarray(ends)
-    out = np.empty(starts.shape[0])
-    for k in range(starts.shape[0]):
-        out[k] = values[starts[k] : ends[k]].sum()
-    return out
-
-
 # ----------------------------------------------------------- column scatters
 def column_scatter_plan(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Precompute ``(perm, starts, targets)`` for a column-wise scatter.

@@ -100,9 +100,6 @@ class SimWorld:
             raise ValueError(f"rank {rank} out of range [0, {self.size})")
         return SimComm(self, rank)
 
-    def comms(self) -> list["SimComm"]:
-        return [self.comm(r) for r in range(self.size)]
-
     # ----------------------------------------------------------- messaging
     def _message_time(self, src: int, dest: int, nbytes: int) -> float:
         if src == dest:

@@ -90,11 +90,14 @@ class LJMixin:
         The 2-D ``lj1[itype, jtype]`` lookups become 1-D ``gather`` calls
         against these vectors inside :func:`lj_force` / :func:`lj_energy`.
         """
-        env["lj1p"] = self.lj1[itype0, jtype0]
-        env["lj2p"] = self.lj2[itype0, jtype0]
-        env["lj3p"] = self.lj3[itype0, jtype0]
-        env["lj4p"] = self.lj4[itype0, jtype0]
-        env["offp"] = self.offset[itype0, jtype0]
+        # one flat type-pair index, then 1-D takes (2-D fancy indexing is
+        # several times slower, and this runs inside the Pair region)
+        k = itype0 * self.lj1.shape[1] + jtype0
+        env["lj1p"] = self.lj1.ravel().take(k)
+        env["lj2p"] = self.lj2.ravel().take(k)
+        env["lj3p"] = self.lj3.ravel().take(k)
+        env["lj4p"] = self.lj4.ravel().take(k)
+        env["offp"] = self.offset.ravel().take(k)
         return lj_force, lj_energy
 
 

@@ -118,17 +118,6 @@ class Pair:
         if self.tallied_step != step:
             raise LammpsError(f"energy/virial was not tallied on timestep {step}")
 
-    @staticmethod
-    def tally_factor(
-        n: int, jlocal: np.ndarray | None, *, full_list: bool, newton: bool
-    ) -> np.ndarray:
-        """Per-pair tally weight of the three list styles (module docstring)."""
-        if full_list:
-            return np.full(n, 0.5)
-        if newton:
-            return np.ones(n)
-        return np.where(jlocal, 1.0, 0.5)
-
     def tally_pairs(
         self,
         evdwl: np.ndarray,
@@ -146,9 +135,13 @@ class Pair:
         ``jlocal`` marks pairs whose j atom is owned by this rank and is
         only read on the half-list newton-off path.
         """
-        factor = self.tally_factor(
-            len(evdwl), jlocal, full_list=full_list, newton=newton
-        )
+        # per-pair weight of the three list styles (module docstring)
+        if full_list:
+            factor = np.full(len(evdwl), 0.5)
+        elif newton:
+            factor = np.ones(len(evdwl))
+        else:
+            factor = np.where(jlocal, 1.0, 0.5)
         self.eng_vdwl += float(np.dot(factor, evdwl))
         if ecoul is not None:
             self.eng_coul += float(np.dot(factor, ecoul))

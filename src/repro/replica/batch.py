@@ -6,7 +6,7 @@ dispatch overhead.  Below the saturation size, throughput comes from running
 independent single-rank :class:`~repro.core.Lammps` replicas into one
 stacked :class:`~repro.core.atom.AtomVec` and advances them all with one
 vectorized pass per step: one LJ/EAM force evaluation, one NVE
-half-kick/drift, one staged ghost-comm replay — over arrays R times longer.
+half-kick/drift, one ghost-comm replay — over arrays R times longer.
 
 **Layout.**  The stacked array holds every replica's owned atoms first
 (``[own_0 | own_1 | ...]``, so the "is j owned" predicate ``j < nlocal``
@@ -28,18 +28,20 @@ engine earns this by construction:
 * scatter adds accumulate per destination in input order in both
   ``atomic`` and ``segmented`` modes, and replica segments are disjoint, so
   concatenating streams never reorders any single destination's sum;
-* reductions (pair tallies, thermo PE/KE/T/P) run per replica over
-  contiguous slices via :func:`repro.kokkos.segment.segment_dot` /
-  :func:`~repro.kokkos.segment.segment_slice_sums` — the same length, same
-  values, same contiguity as the solo ``np.dot``/``.sum`` calls;
-* ghost communication is replayed as recorded per-member swap *stages*
-  (aligned by swap index, ragged-safe), preserving each member's staged
-  order — including the bucket-brigade multi-hop semantics.
+* reductions are the solo code's own: a member due for ``ev_tally`` (its
+  own :meth:`~repro.core.integrate.Verlet.ev_set`) tallies into its own
+  ``Pair`` over its contiguous slice of the cut pair stream, and a member
+  due for thermo syncs its owned rows home and emits its own
+  ``Thermo.output_gen`` row;
+* ghost communication is the solo one-rank
+  :class:`~repro.core.comm_md.GhostReplay`, built over every member's
+  recorded swaps (aligned by swap index, ragged-safe), preserving each
+  member's staged order — including the bucket-brigade multi-hop semantics.
 
 **Epochs.**  Between neighbor rebuilds the stacked arrays are the truth.
 Each rebuild epoch re-hoists: stale members get their owned state synced
 back, run their own solo ``rebuild_gen`` (exchange/sort/borders/build), and
-the stacked arrays, the pairwise env, and comm-replay stages are rebuilt from
+the stacked arrays, the pairwise env, and the ghost replay are rebuilt from
 all members.  Per-replica neighbor staleness is tracked individually — one hot
 replica rebuilding does not force the rest to.  Membership is fixed by the
 caller (:meth:`repro.core.ReplicaSet.run`: ``add_replica`` × R, ``step``,
@@ -55,20 +57,20 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from repro.core.atom import AtomVec
+from repro.core.comm_md import GhostReplay
 from repro.core.errors import LammpsError, unknown_choice
 from repro.graph.pairwise import PROLOGUE, pairwise_stages, run_stages
 from repro.kokkos.core import Host
-from repro.kokkos.segment import scatter_add, segment_dot, segment_slice_sums
+from repro.kokkos.segment import scatter_add
 from repro.parallel.driver import drain
 from repro.potentials.eam import eam_energy, eam_force_stages, gather_eam_coeffs
 from repro.potentials.lj import lj_energy, lj_force
-from repro.potentials.pair import Pair
 from repro.tools import metrics
 from repro.tools import registry as kp
 
@@ -85,18 +87,8 @@ class _Member:
     nlocal: int = 0
     ghost_off: int = 0
     nghost: int = 0
-    #: last force pass's tallies (only computed on this member's thermo steps)
-    eng_now: float = 0.0
-    virial_now: np.ndarray = field(default_factory=lambda: np.zeros(6))
-
-
-@dataclass
-class _Stage:
-    """One aligned comm-replay stage: swap k of every member that has one."""
-
-    src: np.ndarray  #: stacked indices read (mapped member sendlists)
-    dst: np.ndarray  #: stacked ghost indices written (mapped recv ranges)
-    shift: np.ndarray  #: per-row periodic shift, (n, 3)
+    #: the member's last step of the current ``step(n)`` (``Verlet.ev_set``)
+    last_step: int = 0
 
 
 # ----------------------------------------------------------- force handlers
@@ -131,9 +123,9 @@ class _LJHandler:
         run_stages(batch._pair_stages, env)
         if due:
             env["energy_fn"](env)
-            batch._tally(due, base_eng=None)
+            batch._tally(due)
         if env["newton"]:
-            batch._reverse_f()
+            batch._replay.reverse(atom)
 
 
 class _EAMHandler:
@@ -179,18 +171,13 @@ class _EAMHandler:
         nown = atom.nlocal
         rho_own = atom.rho[:nown]
         A = env["A_own"]
-        base_eng = None
-        if due:
-            starts = np.array([m.own_off for m in due])
-            ends = np.array([m.own_off + m.nlocal for m in due])
-            base_eng = segment_slice_sums(pair.embed(rho_own, A), starts, ends)
         atom.fp[:nown] = pair.dembed(rho_own, A)
         # figure 1's "additional communication": ghost fp before the force loop
-        batch._forward_field("fp")
+        batch._replay.forward_fields(atom, ("fp",))
         run_stages(batch._pair_stages, env)
         if due:
             env["energy_fn"](env)
-            batch._tally(due, base_eng=base_eng)
+            batch._tally(due, embed=(rho_own, A))
 
 
 HANDLERS = {h.style: h for h in (_LJHandler, _EAMHandler)}
@@ -225,7 +212,7 @@ class ReplicaBatch:
         self._sig: tuple | None = None
         self._handler = None
         self._newton = False
-        self._stages: list[_Stage] = []
+        self._replay: GhostReplay | None = None
         self._env: dict = {}  #: stacked pairwise env, rebuilt every epoch
         self._pair_stages: list = []  #: the handler's pairwise stage list
         self._m_own = np.zeros(0)
@@ -313,7 +300,7 @@ class ReplicaBatch:
 
     def _reset_empty(self) -> None:
         self.atom = None
-        self._stages = []
+        self._replay = None
         self._env = {}
         self._pair_stages = []
         self._m_own = self._dt_col = self._dtf_col = np.zeros(0)
@@ -340,7 +327,7 @@ class ReplicaBatch:
     # -------------------------------------------------------------- hoisting
     def _hoist(self) -> None:
         """Rebuild the stacked epoch state from the members' solo truth:
-        owned rows, ghosts, comm stages, pair plans and the per-atom
+        owned rows, ghosts, ghost replay, pair plans and the per-atom
         integration constants."""
         members = self.members
         nown = 0
@@ -424,62 +411,25 @@ class ReplicaBatch:
             ]
         )
 
-        self._build_stages()
+        self._replay = GhostReplay(
+            [
+                (m.lmp.comm_brick.swaps, lambda idx, m=m: self._map_local(m, idx))
+                for m in members
+            ],
+            atom.reorder_generation,
+            atom.nall,
+        )
         self._build_pair_env()
         # refresh every member's ghost positions from the stacked owned rows
         # (idempotent for just-rebuilt members: ghosts are pure functions of
         # owned x + shift, so the replay reproduces their current bits)
-        self._forward_x()
+        self._replay.forward_x(atom)
 
     def _map_local(self, m: _Member, idx: np.ndarray) -> np.ndarray:
         """Member-local indices (owned + ghost) -> stacked indices."""
         return np.where(
             idx < m.nlocal, m.own_off + idx, m.ghost_off + (idx - m.nlocal)
         )
-
-    def _build_stages(self) -> None:
-        """Align every member's recorded swaps by index into replay stages.
-
-        Stage k holds swap k of each member that has one; members with fewer
-        swaps simply stop participating.  Iterating stages forward replays
-        each member's forward comm in its own swap order, and iterating them
-        backward replays the reverse pass — the bucket-brigade ordering the
-        solo CommBrick uses.
-        """
-        self._stages = []
-        nstage = max(
-            (len(m.lmp.comm_brick.swaps) for m in self.members), default=0
-        )
-        for k in range(nstage):
-            src_parts, dst_parts, shift_parts = [], [], []
-            for m in self.members:
-                swaps = m.lmp.comm_brick.swaps
-                if k >= len(swaps):
-                    continue
-                sw = swaps[k]
-                if sw.sendlist.size == 0 and sw.nrecv == 0:
-                    continue
-                src_parts.append(self._map_local(m, sw.sendlist))
-                first = m.ghost_off + (sw.firstrecv - m.nlocal)
-                dst_parts.append(np.arange(first, first + sw.nrecv))
-                shift_parts.append(
-                    np.repeat(sw.shift[None, :], sw.sendlist.size, axis=0)
-                )
-            if not src_parts:
-                continue
-            src = np.concatenate(src_parts)
-            # _reverse_f's ``f[src] += buf`` is exact on unique indices only:
-            # each sendlist is strictly increasing (Swap) and _map_local maps
-            # the members into disjoint ranges
-            if np.any(np.diff(np.sort(src)) == 0):
-                raise LammpsError(f"replica comm stage {k}: repeated source index")
-            self._stages.append(
-                _Stage(
-                    src=src,
-                    dst=np.concatenate(dst_parts),
-                    shift=np.concatenate(shift_parts),
-                )
-            )
 
     def _build_pair_env(self) -> None:
         """Stack every member's stored pairs and per-pair constants into the
@@ -518,28 +468,6 @@ class ReplicaBatch:
             assert len(env[name]) == len(j0), name  # gathered unchecked by idx
         self._pair_stages = handler.bind(self, env)
 
-    # --------------------------------------------------------- comm replays
-    def _forward_x(self) -> None:
-        """Replay forward comm: ghost positions from stacked owned rows."""
-        x = self.atom.x
-        for st in self._stages:
-            # the add runs even for zero shifts, exactly like the solo
-            # ``buf = x[sendlist] + swap.shift`` (it can normalize -0.0)
-            x[st.dst] = np.take(x, st.src, axis=0) + st.shift
-
-    def _forward_field(self, name: str) -> None:
-        arr = getattr(self.atom, name)
-        for st in self._stages:
-            arr[st.dst] = arr[st.src]
-
-    def _reverse_f(self) -> None:
-        """Replay reverse comm: ghost forces accumulate back to owners."""
-        f = self.atom.f
-        for st in reversed(self._stages):
-            # gather first: the solo recv-buffer copy
-            buf = np.take(f, st.dst, axis=0)
-            f[st.src] += buf
-
     # ------------------------------------------------------------- stepping
     @contextmanager
     def _kernel(self, name: str, work: int) -> Iterator[None]:
@@ -558,6 +486,8 @@ class ReplicaBatch:
         """Advance every live replica ``nsteps`` timesteps."""
         if nsteps < 0:
             raise LammpsError("negative step count")
+        for m in self.members:
+            m.last_step = m.lmp.update.ntimestep + nsteps
         for _ in range(nsteps):
             if not self.members:
                 return
@@ -586,18 +516,20 @@ class ReplicaBatch:
             atom = self.atom
         else:
             with self._kernel("forward_comm", atom.nghost):
-                self._forward_x()
+                self._replay.forward_x(atom)
         due = [
             m
             for m in self.members
-            if m.lmp.thermo.should_output(m.lmp.update.ntimestep)
+            if m.lmp.verlet.ev_set(m.lmp.update.ntimestep, m.last_step)
         ]
         with self._kernel("pair_force", len(self._env["i0"])):
             self._handler.force(self, due)
         with self._kernel("final_integrate", atom.nlocal):
             self._nve_final()
-        if due:
-            self._thermo_rows(due)
+        for m in due:
+            if m.lmp.thermo.should_output(m.lmp.update.ntimestep):
+                self._sync_member(m)
+                drain(m.lmp.thermo.output_gen())
         if metrics.SINKS:
             metrics.observe(
                 "step_wall_seconds", time.perf_counter() - t0, rank=self.label
@@ -650,86 +582,33 @@ class ReplicaBatch:
             return
         self._hoist()
 
-    # --------------------------------------------------------------- thermo
-    def _thermo_rows(self, due: list[_Member]) -> None:
-        """Append one solo-identical thermo row per due member.
-
-        PE/KE/T/P are per-replica segment reductions over the stacked
-        arrays (:func:`~repro.kokkos.segment.segment_dot` on each member's
-        contiguous slice) finalized with the exact arithmetic of the
-        internal computes + Thermo.  Single-rank reduction is the identity,
-        so no allreduce detour is needed.
-        """
-        atom = self.atom
-        n = atom.nlocal
-        vsq = np.einsum("ij,ij->i", atom.v[:n], atom.v[:n])
-        starts = np.array([m.own_off for m in due])
-        ends = np.array([m.own_off + m.nlocal for m in due])
-        msq = segment_dot(self._m_own, vsq, starts, ends)
-        for k, m in enumerate(due):
-            lmp = m.lmp
-            units = lmp.update.units
-            msq_k = float(msq[k])
-            count = float(m.nlocal)
-            dof = max(3.0 * count - 3.0, 1.0)
-            temp = units.mvv2e * msq_k / (dof * units.boltz)
-            pe = float(m.eng_now + 0.0)  # eng_vdwl + eng_coul, coul == 0.0
-            ke = 0.5 * units.mvv2e * msq_k
-            natoms = max(lmp.natoms_total, 1)
-            thermo = lmp.thermo
-            values: dict[str, float] = {
-                "temp": temp,
-                "pe": pe / natoms if thermo.normalize else pe,
-                "ke": ke / natoms if thermo.normalize else ke,
-            }
-            values["etotal"] = values["pe"] + values["ke"]
-            if "press" in thermo.columns:
-                p_kin = units.mvv2e * msq_k
-                w = float(m.virial_now[:3].sum())
-                values["press"] = (p_kin + w) / (3.0 * lmp.domain.volume)
-            from repro.core.thermo import ThermoRecord
-
-            thermo.history.append(
-                ThermoRecord(step=lmp.update.ntimestep, values=values)
-            )
-            if not thermo.quiet:
-                thermo._print_row(lmp.update.ntimestep, values)
-
     # -------------------------------------------------------------- tallies
-    def _tally(self, due: list[_Member], *, base_eng: np.ndarray | None) -> None:
-        """Per-due-member ev_tally over the cut pair stream.
+    def _tally(self, due: list[_Member], *, embed: tuple | None = None) -> None:
+        """Solo ``ev_tally`` into each due member's own ``Pair``.
 
-        The solo code tallies every step but only thermo reads the result,
-        so the batch computes tallies only for members due this step — the
-        big win over running R full solo epilogues.  Each member's slice of
-        the cut stream is contiguous, so the 7 ``segment_dot`` reductions
-        are bitwise the solo ``np.dot`` calls.
+        The solo order per member: reset, the EAM embedding sum over its
+        owned rows (``embed = (rho_own, A_own)``), then ``tally_pairs`` over
+        its contiguous slice of the cut pair stream — the same length,
+        values and contiguity as the solo reductions.
         """
         env = self._env
-        idx, dx, fvec = env["idx"], env["dx_n"], env["fvec_n"]
-        factor = Pair.tally_factor(
-            idx.size, env["jl_n"], full_list=env["full"], newton=env["newton"]
-        )
-        # member boundaries of the *cut* stream from the stored offsets
-        bounds = np.searchsorted(idx, env["off"])
-        which = np.array([m.index for m in due])
-        starts, ends = bounds[which], bounds[which + 1]
-        eng = segment_dot(factor, env["evdwl_n"], starts, ends)
-        vir = np.empty((6, len(due)))
-        for c, (a, b) in enumerate(
-            ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-        ):
-            vir[c] = segment_dot(factor, dx[:, a] * fvec[:, b], starts, ends)
-        for k, m in enumerate(due):
-            e = 0.0
-            if base_eng is not None:
-                e += float(base_eng[k])
-            e += float(eng[k])
-            m.eng_now = e
-            v6 = np.zeros(6)
-            for c in range(6):
-                v6[c] += float(vir[c, k])
-            m.virial_now = v6
+        bounds = np.searchsorted(env["idx"], env["off"])
+        jl = env["jl_n"]
+        for m in due:
+            pair = m.lmp.pair
+            pair.reset_tallies(True)
+            if embed is not None:
+                own = slice(m.own_off, m.own_off + m.nlocal)
+                pair.eng_vdwl += float(pair.embed(embed[0][own], embed[1][own]).sum())
+            cut = slice(bounds[m.index], bounds[m.index + 1])
+            pair.tally_pairs(
+                env["evdwl_n"][cut],
+                env["dx_n"][cut],
+                env["fvec_n"][cut],
+                None if jl is None else jl[cut],
+                full_list=env["full"],
+                newton=env["newton"],
+            )
 
     # -------------------------------------------------------------- finish
     def finish(self) -> None:

@@ -260,10 +260,6 @@ def set_rank(rank: int) -> None:
     CHAIN.rank = rank
 
 
-def current_rank() -> int:
-    return CHAIN.rank
-
-
 # ---------------------------------------------------------------- name scope
 #: Active kernel-name scope stack (innermost last).  When non-empty, every
 #: dispatched kernel name is prefixed ``"<scope>/<name>"`` — the replica

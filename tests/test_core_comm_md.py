@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import gather_by_tag, make_melt
-from repro.core import Ensemble, Lammps
+from test_potentials_eam import make_eam
+from test_reaxff_pair import make_hns
+from repro.core import Lammps
 from repro.core.comm_md import Swap
 from repro.core.errors import CommError
 from repro.parallel.driver import drain, lockstep
@@ -78,6 +82,94 @@ class TestSingleRankGhosts:
             lmp.command("run 0")
 
 
+def _spy_messages(world, monkeypatch) -> tuple[Counter, Counter]:
+    """Count posted messages by tag kind and ledger records by category."""
+    kinds, categories = Counter(), Counter()
+    post, record = world.post, world.ledger.record
+
+    def spy_post(src, dest, tag, payload):
+        kinds[tag if isinstance(tag, str) else tag[0]] += 1
+        post(src, dest, tag, payload)
+
+    def spy_record(category, *args):
+        categories[category] += 1
+        record(category, *args)
+
+    monkeypatch.setattr(world, "post", spy_post)
+    monkeypatch.setattr(world.ledger, "record", spy_record)
+    return kinds, categories
+
+
+class TestOneRankReplay:
+    """One rank: forward/reverse comm replay the swaps ``borders`` recorded
+    in place; only ``borders``/``exchange`` still go through the mailbox."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: make_melt(cells=2), lambda: make_eam(cells=2), make_hns],
+        ids=["melt", "eam", "hns"],
+    )
+    def test_run_posts_no_halo_messages(self, make, monkeypatch):
+        lmp = make()
+        lmp.command("run 0")
+        assert lmp.comm_brick.replay is not None
+        kinds, categories = _spy_messages(lmp.world, monkeypatch)
+        before = lmp.world.ledger.messages
+        lmp.command("run 4")
+        # the run's setup rebuild: one exchange message, six border swaps
+        assert set(kinds) == {"border", "exchange"}, kinds
+        assert kinds["border"] == 6 * kinds["exchange"] > 0
+        assert set(categories) == {"allreduce", "intranode"}, categories
+        assert lmp.world.ledger.messages - before == (
+            categories["allreduce"] + kinds["border"] + kinds["exchange"]
+        )
+
+    def test_two_ranks_keep_the_mailbox(self, monkeypatch):
+        ens = make_melt(cells=2, nranks=2)
+        ens.command("run 0")
+        assert all(r.comm_brick.replay is None for r in ens.ranks)
+        kinds, _ = _spy_messages(ens.world, monkeypatch)
+        ens.command("run 2")
+        assert kinds["fwd"] > 0 and kinds["rev"] > 0, kinds
+
+    def test_replay_equals_the_mailbox_formulas_bitwise(self):
+        """x with shift, packed fields and reverse, against a hand replay of
+        the recorded swaps; later swaps forward ghosts received by earlier
+        ones (edge and corner ghosts retrace two or three swaps)."""
+        lmp = make_melt(cells=2)
+        lmp.command("run 0")
+        atom, brick, swaps = lmp.atom, lmp.comm_brick, lmp.comm_brick.swaps
+        nlocal, nall = atom.nlocal, atom.nall
+        assert any(sw.sendlist.size and sw.sendlist.max() >= nlocal for sw in swaps)
+        rng = np.random.default_rng(5)
+        atom.x[:nlocal] += rng.uniform(-0.05, 0.05, (nlocal, 3))
+        atom.rho[:nall], atom.fp[:nall] = rng.standard_normal((2, nall))
+        atom.f[:nall] = rng.standard_normal((nall, 3))
+        x, rho, fp, f = (a[:nall].copy() for a in (atom.x, atom.rho, atom.fp, atom.f))
+        for sw in swaps:
+            recv = slice(sw.firstrecv, sw.firstrecv + sw.nrecv)
+            x[recv] = x[sw.sendlist] + sw.shift
+            buf = np.column_stack([rho[sw.sendlist], fp[sw.sendlist]])
+            rho[recv], fp[recv] = buf[:, 0], buf[:, 1]
+        for sw in reversed(swaps):
+            f[sw.sendlist] += f[sw.firstrecv : sw.firstrecv + sw.nrecv].copy()
+        f_total = atom.f[:nall].sum(axis=0)
+
+        drain(brick.forward_comm(atom))
+        drain(brick.forward_comm_fields(atom, ("rho", "fp")))
+        drain(brick.reverse_comm(atom, "f"))
+        for name, want in (("x", x), ("rho", rho), ("fp", fp), ("f", f)):
+            assert np.array_equal(getattr(atom, name)[:nall], want), name
+        # every ghost is an owned atom shifted by whole box lengths, and the
+        # reverse pass hands every ghost force to an owner
+        owner = np.full(atom.tag[:nall].max() + 1, -1)
+        owner[atom.tag[:nlocal]] = np.arange(nlocal)
+        assert (owner[atom.tag[nlocal:nall]] >= 0).all()
+        images = (x[nlocal:] - x[owner[atom.tag[nlocal:nall]]]) / lmp.domain.lengths
+        np.testing.assert_allclose(images, np.round(images), atol=1e-12)
+        np.testing.assert_allclose(atom.f[:nlocal].sum(axis=0), f_total, atol=1e-9)
+
+
 class TestReverseCommFold:
     """Reverse comm folds ghosts with ``arr[sendlist] += incoming``, exact
     because every recorded sendlist is strictly increasing."""
@@ -98,10 +190,10 @@ class TestReverseCommFold:
         nswaps = len(ranks[0].comm_brick.swaps)
         assert nswaps and all(len(l.comm_brick.swaps) == nswaps for l in ranks)
         for k in reversed(range(nswaps)):
-            bufs = []
-            for r, lmp in enumerate(ranks):
-                sw = lmp.comm_brick.swaps[k]
-                bufs.append(replay[r][sw.firstrecv : sw.firstrecv + sw.nrecv].copy())
+            bufs = [
+                replay[r][sw.firstrecv : sw.firstrecv + sw.nrecv].copy()
+                for r, sw in enumerate(l.comm_brick.swaps[k] for l in ranks)
+            ]
             for r, lmp in enumerate(ranks):
                 sw = lmp.comm_brick.swaps[k]
                 np.add.at(replay[r], sw.sendlist, bufs[sw.send_to])
@@ -148,12 +240,7 @@ class TestMigration:
         # displace everything by a third of the box and migrate
         for lmp in ens.ranks:
             lmp.atom.x[: lmp.atom.nlocal] += lmp.domain.lengths / 3.0
-        lockstep(
-            [
-                lmp.comm_brick.exchange(lmp.atom, lmp.domain.wrap)
-                for lmp in ens.ranks
-            ]
-        )
+        lockstep([l.comm_brick.exchange(l.atom, l.domain.wrap) for l in ens.ranks])
         total = 0
         for lmp in ens.ranks:
             atom = lmp.atom

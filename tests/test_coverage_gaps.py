@@ -8,7 +8,6 @@ import pytest
 from conftest import make_melt
 from repro.bench.reporting import _fmt, format_table
 from repro.core import Lammps
-from repro.core.errors import InputError
 from repro.core.units import UNIT_SYSTEMS, get_units
 
 

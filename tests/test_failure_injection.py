@@ -10,21 +10,28 @@ from hypothesis import strategies as st
 from conftest import make_melt
 from test_snap_pair import make_ta
 from repro.core import Lammps
-from repro.core.errors import (
-    CommError, LammpsError, NeighborError, OverflowGuardError,
-)
+from repro.core.errors import CommError, LammpsError, NeighborError
 
 
 class TestLostAndCorruptState:
     def test_forward_comm_detects_changed_ghost_counts(self):
+        from repro.parallel.driver import drain, lockstep
+
+        # mailbox path (2 ranks): a recorded swap's expectation disagrees
+        # with what its peer sends
+        ens = make_melt(cells=2, nranks=2)
+        ens.command("run 0")
+        ens.ranks[0].comm_brick.swaps[0].nrecv += 1
+        with pytest.raises(CommError, match="size changed"):
+            lockstep([r.comm_brick.forward_comm(r.atom) for r in ens.ranks])
+
+        # one-rank replay: the ghost shell no longer has the compiled size
         lmp = make_melt(cells=2)
         lmp.command("run 0")
-        # sabotage: shrink a recorded swap's expectation
-        lmp.comm_brick.swaps[0].nrecv += 1
-        from repro.parallel.driver import drain
-
+        atom, g = lmp.atom, lmp.atom.nlocal
+        atom.add_ghosts({k: getattr(atom, k)[g : g + 1].copy() for k in ("x", "tag", "type", "q")})
         with pytest.raises(CommError, match="size changed"):
-            drain(lmp.comm_brick.forward_comm(lmp.atom))
+            drain(lmp.comm_brick.forward_comm(atom))
 
     def test_exploding_dynamics_surfaces_as_numbers_not_hangs(self):
         lmp = make_melt(cells=2)

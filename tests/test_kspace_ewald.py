@@ -8,7 +8,6 @@ import pytest
 from conftest import fd_force_check, gather_by_tag
 from repro.core import Ensemble, Lammps
 from repro.core.errors import InputError, LammpsError
-from repro.parallel.driver import drain
 
 #: Madelung constant of rocksalt per ion pair (dimensionless, nearest
 #: neighbor distance 1): E/ion = -alpha/2 in these units.

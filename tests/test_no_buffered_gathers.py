@@ -7,8 +7,8 @@
   :func:`repro.graph.pairwise.gather` (``mode="clip"``); no other call may
   pass ``out=`` to ``np.take``.
 * ``np.add.at`` is NumPy's unbuffered, per-element scatter.  Reverse comm
-  folds ghosts over sendlists that ``Swap`` proves unique, and the replica
-  engine's replay over stage sources ``_build_stages`` proves unique, so
+  folds ghosts over sendlists that ``Swap`` proves unique, and the shared
+  ``GhostReplay`` over stage sources its ``stages`` build proves unique, so
   ``core/comm_md.py`` and ``replica/batch.py`` need none.
 """
 
@@ -97,7 +97,7 @@ def test_no_add_at_in_comm_md():
 def test_no_add_at_in_replica_batch():
     _assert_no_add_at(
         "replica/batch.py",
-        "stage sources are unique (_build_stages), so fold with f[src] += buf",
+        "replay through GhostReplay, whose stage sources are unique",
     )
 
 

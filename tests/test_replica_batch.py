@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.errors import LammpsError
+from repro.core.errors import CommError, LammpsError
 from repro.kokkos.segment import (
     ATOMIC,
     SEGMENTED,
@@ -93,6 +93,24 @@ def test_eam_batch_bitwise():
         _assert_bitwise(a, b, f"eam replica {i}")
 
 
+# --------------------------------------------------- tallies after a run
+@pytest.mark.parametrize("family", ["melt", "eam_melt"])
+def test_member_tallies_after_run_equal_solo(family):
+    """A run's last step tallies into each member's own Pair, as solo does:
+    ``thermo 50`` / ``run 30`` has no thermo row on step 30."""
+    specs = _specs(family, 3, thermo=50)
+    members = [s.build() for s in specs]
+    batch = ReplicaBatch(label="tally")
+    for m in members:
+        batch.add_replica(m)
+    batch.step(30)
+    for k, (spec, b) in enumerate(zip(specs, members)):
+        a = _solo(spec, 30).pair
+        assert b.pair.tallied_step == a.tallied_step == 30, k
+        assert b.pair.eng_vdwl == a.eng_vdwl, k
+        assert np.array_equal(b.pair.virial, a.virial), k
+
+
 # ------------------------------------------------------- mid-flight join
 def test_mid_flight_join():
     """Members joining a running batch never disturb the others."""
@@ -114,7 +132,7 @@ def test_mid_flight_join():
 
 # ------------------------------------------------------ reverse comm fold
 def test_reverse_fold_matches_add_at_and_rejects_repeated_sources():
-    """``_reverse_f`` folds with ``f[src] += buf``: bitwise the
+    """``GhostReplay.reverse`` folds with ``f[src] += buf``: bitwise the
     ``np.add.at`` replay on unique sources, refused at stage build else."""
     batch = ReplicaBatch(label="fold")
     for m in [s.build() for s in _specs("melt", 4)]:
@@ -123,15 +141,15 @@ def test_reverse_fold_matches_add_at_and_rejects_repeated_sources():
     f = batch.atom.f
     f[:] = np.random.default_rng(0).standard_normal(f.shape)
     want = f.copy()
-    for st in reversed(batch._stages):
-        np.add.at(want, st.src, want[st.dst])
-    batch._reverse_f()
+    for src, dst, _ in reversed(batch._replay.stages):
+        np.add.at(want, src, want[dst])
+    batch._replay.reverse(batch.atom)
     assert np.array_equal(f, want)
 
     swap = batch.members[1].lmp.comm_brick.swaps[2]
     swap.sendlist = np.array([0, 0])  # bypasses Swap's own check
-    with pytest.raises(LammpsError, match="replica comm stage 2"):
-        batch._build_stages()
+    with pytest.raises(CommError, match="ghost replay stage 2: repeated"):
+        batch._hoist()
 
 
 # ----------------------------------------------------------- admission gate
