@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "and metrics.jsonl under DIR")
     p.add_argument("--analyze-trace", default=None, metavar="TRACE.json",
                    help="analyze a recorded chrome trace instead of running "
-                   "a script (critical path, imbalance, overlap, top kernels)")
+                   "a script (critical path, imbalance, top kernels)")
     p.add_argument("--analyze-out", default=None, metavar="FILE",
                    help="also write the trace analysis as JSON to FILE")
     p.add_argument("--top", type=int, default=10,

@@ -159,33 +159,6 @@ class GhostReplay:
 
 
 @dataclass
-class InFlightComm:
-    """A started-but-unfinished halo exchange (simulated ``MPI_Waitall``).
-
-    ``forward_comm_start`` has already advanced the underlying generator to
-    its first receive point, which posted the first swap's send to the
-    mailbox.  ``finish()`` is itself a generator: it yields one extra
-    lockstep round *before* resuming the inner generator, guaranteeing every
-    peer's overlapping send has been posted — resuming directly would execute
-    the first receive in the same driver turn the exchange was started,
-    which deadlocks when a peer has not reached its own start yet.
-    """
-
-    gen: Iterator[None]
-    primed: bool
-    done: bool = False
-
-    def finish(self) -> Iterator[None]:
-        if self.done:
-            return
-        self.done = True
-        if not self.primed:
-            return
-        yield  # barrier: let peers post their first sends
-        yield from self.gen
-
-
-@dataclass
 class CommBrick:
     """Per-rank communication engine."""
 
@@ -349,23 +322,6 @@ class CommBrick:
                     f"{swap.nrecv}, got {incoming.shape[0]}"
                 )
             atom.x[swap.firstrecv : swap.firstrecv + swap.nrecv] = incoming
-
-    def forward_comm_start(self, atom: AtomVec) -> "InFlightComm":
-        """Begin an asynchronous ghost-position refresh.
-
-        Posts the first swap's send immediately (the simulated ``MPI_Isend``)
-        and returns an :class:`InFlightComm` handle.  The caller overlaps
-        interior force work, then drives ``handle.finish()`` to completion
-        before any kernel that reads ghost positions.  Mirrors the
-        interior/boundary overlap scheme of Trott et al.'s GPU-cluster work.
-        """
-        gen = self.forward_comm(atom)
-        try:
-            next(gen)
-            primed = True
-        except StopIteration:
-            primed = False  # zero swaps: nothing in flight
-        return InFlightComm(gen=gen, primed=primed)
 
     def forward_comm_field(self, atom: AtomVec, name: str) -> Iterator[None]:
         """Forward-communicate an arbitrary per-atom field (no shift).

@@ -2,8 +2,8 @@
 
 A GPU-resident timestep (the KOKKOS package's design goal, section 1) keeps
 the integration kernels on the device too — otherwise positions and forces
-would ping-pong across the PCIe link every step.  ``fix nve/kk`` performs
-the same velocity-Verlet update as the plain fix and charges the two small
+would ping-pong across the PCIe link every step.  ``fix nve/kk`` runs the
+plain fix's velocity-Verlet update as the functor of the two small
 bandwidth-bound device kernels a real run launches; it is selected
 automatically by the ``/kk`` suffix.
 """
@@ -24,12 +24,13 @@ class FixNVEKokkos(FixNVE):
         super().__init__(lmp, fix_id, group, args)
         self.execution_space = Device if execution_space == "device" else Host
 
-    def _charge(self, name: str) -> None:
+    def _charge(self, name: str, update) -> None:
+        """Dispatch ``update`` (one plain-fix pass) as the charged kernel."""
         n = self.lmp.atom.nlocal
         kk.parallel_for(
             name,
             kk.RangePolicy(self.execution_space, 0, max(n, 1)),
-            lambda idx: None,
+            lambda idx: update(),
             profile=kk.KernelProfile(
                 name=name,
                 flops=9.0 * n,
@@ -39,9 +40,7 @@ class FixNVEKokkos(FixNVE):
         )
 
     def initial_integrate(self) -> None:
-        super().initial_integrate()
-        self._charge("FixNVEInitialIntegrate")
+        self._charge("FixNVEInitialIntegrate", super().initial_integrate)
 
     def final_integrate(self) -> None:
-        super().final_integrate()
-        self._charge("FixNVEFinalIntegrate")
+        self._charge("FixNVEFinalIntegrate", super().final_integrate)

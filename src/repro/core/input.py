@@ -400,20 +400,6 @@ class Input:
         self.lmp.sort_every = every
         self.lmp.sort_binsize = binsize
 
-    def cmd_comm_modify(self, args: list[str]) -> None:
-        """``comm_modify overlap <yes|no>``: comm/compute overlap toggle."""
-        it = iter(args)
-        for key in it:
-            val = next(it, None)
-            if val is None:
-                raise InputError(f"comm_modify: {key} needs a value")
-            if key == "overlap":
-                if val not in ("yes", "no"):
-                    raise InputError("comm_modify overlap expects yes|no")
-                self.lmp.overlap_comm = val == "yes"
-            else:
-                raise InputError(f"comm_modify: unknown keyword {key!r}")
-
     def cmd_neigh_modify(self, args: list[str]) -> None:
         it = iter(args)
         for key in it:

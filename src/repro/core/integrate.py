@@ -30,7 +30,6 @@ from typing import Iterator
 from repro.core.computes import ComputePE, ComputePressure
 from repro.core.errors import LammpsError
 from repro.tools import metrics
-from repro.tools import registry as kp
 
 
 class Verlet:
@@ -84,10 +83,6 @@ class Verlet:
                 yield from lmp.pair.compute_gen(eflag=ev, vflag=ev)
             else:
                 lmp.pair.compute(eflag=ev, vflag=ev)
-        yield from self._force_epilogue(ev)
-
-    def _force_epilogue(self, ev: bool) -> Iterator[None]:
-        lmp = self.lmp
         if lmp.kspace is not None:
             # reciprocal-space contribution (KSPACE package)
             with lmp.timer.phase("Kspace"):
@@ -101,50 +96,6 @@ class Verlet:
         with lmp.timer.phase("Modify"):
             lmp.modify.post_force()
             lmp.mark_host_writes("f")
-
-    # ----------------------------------------------------- overlapped force
-    def overlap_active(self) -> bool:
-        """Overlap requested, and the active pair style can split phases."""
-        lmp = self.lmp
-        return bool(
-            getattr(lmp, "overlap_comm", False)
-            and lmp.pair is not None
-            and getattr(lmp.pair, "supports_overlap", False)
-            and lmp.comm_brick is not None
-        )
-
-    def force_cycle_overlap(self, ev: bool = True) -> Iterator[None]:
-        """Halo exchange hidden behind the interior force pass.
-
-        The position halo is started asynchronously; the interior pass
-        (pairs whose neighbor is an owned atom) runs against it, the
-        exchange is synchronized, then the boundary pass folds in the
-        ghost-dependent pairs — Trott et al.'s GPU-cluster overlap scheme.
-        Only taken on non-rebuild steps: migration/borders reshape the ghost
-        shell and are inherently blocking.
-        """
-        lmp = self.lmp
-        with lmp.timer.phase("Comm"):
-            inflight = lmp.comm_brick.forward_comm_start(lmp.atom)
-        if hasattr(lmp.pair, "compute_overlap_gen"):
-            # Styles with mid-compute communication drive the in-flight
-            # handle themselves (EAM overlaps its interior density loop).
-            with lmp.timer.phase("Pair"):
-                lmp.atom.zero_forces()
-                lmp.mark_host_writes("f")
-                yield from lmp.pair.compute_overlap_gen(inflight, eflag=ev, vflag=ev)
-        else:
-            with lmp.timer.phase("Pair"), kp.region("interior"):
-                lmp.atom.zero_forces()
-                lmp.mark_host_writes("f")
-                lmp.pair.compute_phase("interior", eflag=ev, vflag=ev)
-            with lmp.timer.phase("Comm"):
-                yield from inflight.finish()
-                lmp.mark_host_writes("x")
-            with lmp.timer.phase("Pair"), kp.region("boundary"):
-                lmp.pair.compute_phase("boundary", eflag=ev, vflag=ev)
-        lmp.overlap_steps += 1
-        yield from self._force_epilogue(ev)
 
     # ---------------------------------------------------------------- run
     def run_gen(self, nsteps: int) -> Iterator[None]:
@@ -178,8 +129,6 @@ class Verlet:
                 yield from lmp.rebuild_gen()
                 lmp.mark_host_writes("x")
                 yield from self.force_cycle(ev)
-            elif self.overlap_active():
-                yield from self.force_cycle_overlap(ev)
             else:
                 with lmp.timer.phase("Comm"):
                     yield from lmp.comm_brick.forward_comm(lmp.atom)

@@ -91,12 +91,6 @@ class Lammps:
         self.variables: dict[str, float | str] = {}
         self.dumps: dict[str, "object"] = {}
         self.newton_pair = True
-        #: ``comm_modify overlap yes``: hide the per-step position halo
-        #: behind the interior force pass (pair styles opt in via
-        #: ``supports_overlap``; rebuild steps always run serially).
-        self.overlap_comm = False
-        #: Steps that actually took the overlapped force path this run.
-        self.overlap_steps = 0
         self.min_style = "fire"
         self.last_minimize = None
         #: `package kokkos` tuning knobs (applied at pair init)
@@ -433,7 +427,6 @@ class Lammps:
         sim0 = ctx.timeline.total()
         comm0 = self.world.ledger.total()
         wall0 = time.perf_counter()
-        self.overlap_steps = 0
         self.timer.reset()
         drain(self.verlet.run_gen(nsteps))
         self.world.assert_drained()
@@ -442,7 +435,6 @@ class Lammps:
             "simulated_device": ctx.timeline.total() - sim0,
             "modeled_comm": self.world.ledger.total() - comm0,
             "steps": nsteps,
-            "overlap_steps": self.overlap_steps,
             "neighbor_builds": self.neighbor.builds,
             "ave_neighs": (
                 self.neigh_list.mean_neighbors if self.neigh_list else 0.0
@@ -530,15 +522,12 @@ class Ensemble:
         ranks_per_node: int = 1,
         suffix: str | None = None,
         quiet: bool = True,
-        overlap_comm: bool = False,
     ) -> None:
         self.world = SimWorld(nranks, network=network, ranks_per_node=ranks_per_node)
         self.ranks = [
             Lammps(device, world=self.world, rank=r, suffix=suffix, quiet=quiet)
             for r in range(nranks)
         ]
-        for lmp in self.ranks:
-            lmp.overlap_comm = overlap_comm
         # only the root rank speaks, as in MPI runs
         for lmp in self.ranks[1:]:
             lmp.thermo.quiet = True
@@ -576,7 +565,6 @@ class Ensemble:
     def run(self, nsteps: int) -> None:
         _maybe_autotune(self)
         for lmp in self.ranks:
-            lmp.overlap_steps = 0
             lmp.timer.reset()
         lockstep([lmp.verlet.run_gen(nsteps) for lmp in self.ranks])
         self.world.assert_drained()
@@ -585,7 +573,6 @@ class Ensemble:
             # share the modeled clocks and interleave mid-phase).
             lmp.last_run_stats = {
                 "steps": nsteps,
-                "overlap_steps": lmp.overlap_steps,
                 "breakdown": dict(lmp.timer.timers),
             }
 

@@ -116,46 +116,6 @@ class NeighborList:
             cached = self._pair_cache = PairCache(self)
         return cached
 
-    # ------------------------------------------------- interior/boundary split
-    def boundary_rows(self) -> np.ndarray:
-        """Boolean mask over owned atoms: True where the row has a ghost.
-
-        The comm/compute overlap driver (Trott et al.'s interior/boundary
-        force split) computes rows whose neighbors are all owned atoms while
-        the halo exchange is in flight; rows touching ghosts wait for fresh
-        ghost positions.  Cached per list build.
-        """
-        cached = getattr(self, "_boundary_rows", None)
-        if cached is not None:
-            return cached
-        mask = np.zeros(self.nlocal, dtype=bool)
-        if self.total_pairs:
-            row = np.repeat(np.arange(self.nlocal), self.numneigh)
-            mask[row[self.neighbors >= np.int32(self.nlocal)]] = True
-        self._boundary_rows = mask
-        return mask
-
-    def ghost_pair_mask(self) -> np.ndarray:
-        """Per-stored-pair mask: True where the neighbor is a ghost atom.
-
-        Pair-streaming kernels split at pair granularity: a pair whose j is
-        owned reads only positions already current on this rank, so it can be
-        evaluated before the halo exchange completes.  Cached per build, like
-        :meth:`boundary_rows` — overlapped runs evaluate it every phase.
-        """
-        cached = getattr(self, "_ghost_pair_mask", None)
-        if cached is None:
-            cached = self._ghost_pair_mask = self.neighbors >= np.int32(self.nlocal)
-        return cached
-
-    @property
-    def interior_pairs(self) -> int:
-        return self.total_pairs - self.boundary_pairs
-
-    @property
-    def boundary_pairs(self) -> int:
-        return int(np.count_nonzero(self.ghost_pair_mask()))
-
     def as_padded_view(self, space: ExecutionSpace = Host) -> View:
         """Padded 2-D (nlocal, maxneigh) View in a space's natural layout.
 
@@ -189,10 +149,9 @@ class PairCache:
     Everything here depends only on the neighbor list and on arrays that are
     constant between rebuilds (atom types, pair-style cutoffs), yet the force
     kernels used to re-derive all of it every call — per-pair type gathers,
-    cutoff-matrix rows, the interior/boundary split, the j-side sort.  One
-    instance hangs off each :class:`NeighborList` (see
-    :meth:`NeighborList.pair_cache`); rebuilds create a fresh list and
-    therefore a fresh, empty cache.
+    cutoff-matrix rows, the j-side sort.  One instance hangs off each
+    :class:`NeighborList` (see :meth:`NeighborList.pair_cache`); rebuilds
+    create a fresh list and therefore a fresh, empty cache.
     """
 
     def __init__(self, nlist: "NeighborList") -> None:
@@ -203,7 +162,6 @@ class PairCache:
         self._types: tuple[np.ndarray, np.ndarray] | None = None
         self._cutsq: dict[int, np.ndarray] = {}
         self._j_order: np.ndarray | None = None
-        self._phase_sel: dict[str, np.ndarray | None] = {}
         self._memo: dict = {}
 
     def ij(self) -> tuple[np.ndarray, np.ndarray]:
@@ -267,21 +225,6 @@ class PairCache:
             _, j = self.ij()
             self._j_order = np.argsort(j, kind="stable")
         return self._j_order
-
-    def phase_sel(self, phase: str) -> np.ndarray | None:
-        """Stored-pair index array for an overlap phase (None = all pairs)."""
-        if phase not in self._phase_sel:
-            if phase == "all":
-                self._phase_sel[phase] = None
-            else:
-                ghost = self.nlist.ghost_pair_mask()
-                if phase == "interior":
-                    self._phase_sel[phase] = np.flatnonzero(~ghost)
-                elif phase == "boundary":
-                    self._phase_sel[phase] = np.flatnonzero(ghost)
-                else:
-                    raise NeighborError(f"unknown compute phase {phase!r}")
-        return self._phase_sel[phase]
 
 
 def build_neighbor_list(

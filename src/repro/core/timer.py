@@ -14,8 +14,7 @@ exits it, then enters the next.  That invariant keeps this breakdown in
 exact agreement with the observability layer's space-time-stack, which
 attributes by *top-level* region — the reconciliation test in
 ``tests/test_tools_observability.py`` holds both to it.  Sub-detail inside
-a category (e.g. the interior/boundary split of an overlapped force pass)
-uses plain tool regions, not timer phases.
+a category uses plain tool regions, not timer phases.
 """
 
 from __future__ import annotations

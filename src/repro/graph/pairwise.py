@@ -25,9 +25,9 @@ Workspace contract: per-rebuild *constants* (pair indices, squared
 cutoffs, pre-gathered coefficient vectors, ``j < nlocal``) live in the
 ``env`` memoized on the list's :class:`~repro.core.neighbor.PairCache`, so
 a rebuild invalidates them by construction.  Per-step *scratch* comes from
-the process-wide :data:`ARENA`: ranks, replicas and overlap phases execute
-sequentially in one process, so one grow-only set of buffers serves them
-all, and :meth:`Arena.release` drops it before each neighbor build.
+the process-wide :data:`ARENA`: ranks and replicas execute sequentially in
+one process, so one grow-only set of buffers serves them all, and
+:meth:`Arena.release` drops it before each neighbor build.
 
 Unlike the rest of :mod:`repro.graph`, this module imports
 ``repro.kokkos`` freely: it is only imported from the potentials layer,
@@ -206,10 +206,8 @@ def _scatter_fn(env: dict) -> None:
     if env["full"]:
         # One thread per atom sums its own row: conflict-free, so this is a
         # per-row segmented reduction regardless of the execution space
-        # (the row-major list keeps i sorted unless phases were merged).
-        scatter_add(
-            env["f"], i, fvec, mode=scatter_mode(), assume_sorted=env["sorted_i"]
-        )
+        # (the row-major list keeps i sorted).
+        scatter_add(env["f"], i, fvec, mode=scatter_mode(), assume_sorted=True)
     elif env["f_view"] is None:
         # Host half list.  The i side is a sorted segmented reduction; the
         # j side is unsorted, where for 3-wide rows the per-column bincount

@@ -9,9 +9,9 @@ captured profile for barriers — so the cost model, the tools registry,
 and the chrome trace all see the fused kernel stream.
 
 The :class:`PlanCache` applies the same lifetime discipline as the
-``PairCache``: a plan is keyed by a *base key* (which force object,
-which phase) and a *variant key* (mode-registry switches + the neighbor
-list's :attr:`~repro.core.neighbor.NeighborList.generation` stamp).
+``PairCache``: a plan is keyed by a *base key* (which force path) and a
+*variant key* (mode-registry switches + the neighbor list's
+:attr:`~repro.core.neighbor.NeighborList.generation` stamp).
 Each base slot holds exactly one plan; a variant mismatch — neighbor
 rebuild, ``set_scatter_mode`` flip, stencil change — replaces it, which
 *is* the invalidation (counted as a miss).
@@ -49,7 +49,7 @@ _forced_mode: str | None = None
 
 @dataclass
 class GraphPlan:
-    """A fused, replayable kernel stream for one force path + phase."""
+    """A fused, replayable kernel stream for one force path."""
 
     label: str
     groups: list[FusedGroup]
@@ -105,7 +105,7 @@ def build_plan(
 
 
 class PlanCache:
-    """One plan per (force object, phase) slot, replaced on variant drift."""
+    """One plan per force-path slot, replaced on variant drift."""
 
     def __init__(self) -> None:
         self.plans: dict[Hashable, tuple[Hashable, GraphPlan]] = {}

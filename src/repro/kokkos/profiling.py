@@ -53,39 +53,6 @@ def region(out: dict[str, float], key: str = "seconds"):
         out[key] = out.get(key, 0.0) + snap.delta_total()
 
 
-def overlap_phases(
-    entries: dict[str, float] | None = None,
-) -> dict[str, tuple[float, float]]:
-    """Per-kernel ``(interior, boundary)`` seconds for phase-split kernels.
-
-    Overlapped force passes record under ``<kernel>/interior`` and
-    ``<kernel>/boundary``; this folds the suffixed entries back onto the
-    base kernel name.  Defaults to the active timeline.
-    """
-    if entries is None:
-        entries = device_context().timeline.entries
-    out: dict[str, list[float]] = {}
-    for name, seconds in entries.items():
-        for suffix, slot in (("/interior", 0), ("/boundary", 1)):
-            if name.endswith(suffix):
-                base = name[: -len(suffix)]
-                out.setdefault(base, [0.0, 0.0])[slot] += seconds
-    return {k: (v[0], v[1]) for k, v in out.items()}
-
-
-def overlap_fraction(entries: dict[str, float] | None = None) -> float:
-    """Fraction of phase-split kernel time spent in the interior pass.
-
-    This is the share of force work that ran concurrently with the halo
-    exchange; 0.0 when no kernel recorded phases (overlap off, or no
-    multi-rank steps).
-    """
-    phases = overlap_phases(entries)
-    interior = sum(v[0] for v in phases.values())
-    total = sum(v[0] + v[1] for v in phases.values())
-    return interior / total if total > 0.0 else 0.0
-
-
 def kernel_report(top: int = 20) -> str:
     """Human-readable per-kernel ledger, most expensive first."""
     rows = device_context().timeline.breakdown()[:top]

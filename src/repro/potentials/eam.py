@@ -106,19 +106,19 @@ class EAMMixin:
 # force_scatter -> tally.  ``env`` holds the cut geometry (``i_n``, ``j_n``,
 # ``dx_n``, ``r_n``), the gathered coefficients (``cp_n``, ``rc_n``), the
 # ``fp`` array and the pair style.
-def eam_geometry(pair, x: np.ndarray, phase: str = "all") -> dict:
-    """Cut geometry + gathered coefficient vectors for one overlap phase."""
+def eam_geometry(pair, x: np.ndarray) -> dict:
+    """Cut geometry + gathered coefficient vectors over the whole list."""
     nlist = pair.lmp.neigh_list
 
     def bind():
-        i0, j0, itype0, jtype0, cutsq0 = pair.pair_table(nlist, pair.lmp.atom, phase)
+        i0, j0, itype0, jtype0, cutsq0 = pair.pair_table(nlist, pair.lmp.atom)
         # kept, not lent from the arena: the geometry outlives the fp
         # exchange's yield, across which another rank's pass reuses the arena
         base = {"i0": i0, "j0": j0, "cutsq0": cutsq0, "keep": True}
         index_bounds(base)  # once per list; each step's geometry copies it
         return base, pair.pair_coeffs(itype0, jtype0)
 
-    base, coeffs = nlist.pair_cache().memo(("eam", id(pair), phase), bind)
+    base, coeffs = nlist.pair_cache().memo(("eam", id(pair)), bind)
     geo = dict(base, x=x)
     for fn in PROLOGUE:
         fn(geo)
@@ -135,11 +135,6 @@ def gather_eam_coeffs(geo: dict, coeffs: dict) -> None:
 
 #: what the force chain reads of a geometry env
 _GEOMETRY_KEYS = ("i_n", "j_n", "dx_n", "r_n", "cp_n", "rc_n")
-
-
-def merge_geometry(parts: list[dict]) -> dict:
-    """Concatenate phase geometries (interior then boundary)."""
-    return {k: np.concatenate([p[k] for p in parts]) for k in _GEOMETRY_KEYS}
 
 
 def _eam_fp_sum(env: dict) -> None:
@@ -188,7 +183,7 @@ def eam_force_stages(space, size: int, nlocal: int) -> tuple[list[Stage], Stage]
     return stages, tally
 
 
-def eam_force_kernel(pair, geo: dict, fp: np.ndarray, f: np.ndarray, *, sorted_i: bool):
+def eam_force_kernel(pair, geo: dict, fp: np.ndarray, f: np.ndarray):
     """``(env, stages, tally)`` of the force chain over a cut geometry.
 
     Full list, one-sided updates.  The env and the Stage objects are bound
@@ -211,15 +206,13 @@ def eam_force_kernel(pair, geo: dict, fp: np.ndarray, f: np.ndarray, *, sorted_i
 
     env, stages, tally = nlist.pair_cache().memo(("eam-force", id(pair)), bind)
     env.update({k: geo[k] for k in _GEOMETRY_KEYS})
-    env.update(fp=fp, f=f, sorted_i=sorted_i)
+    env.update(fp=fp, f=f)
     return env, stages, tally
 
 
 @register_pair("eam/fs")
 class PairEAM(EAMMixin, Pair):
     """Host EAM: full neighbor list for the density loop simplicity."""
-
-    supports_overlap = True
 
     def neighbor_request(self) -> tuple[str, bool]:
         # A full list makes both loops one-sided: each atom accumulates its
@@ -235,11 +228,9 @@ class PairEAM(EAMMixin, Pair):
         self.eng_vdwl += float(self.embed(rho_local, A).sum())
         atom.fp[: atom.nlocal] = self.dembed(rho_local, A)
 
-    def _force_pass(self, geo: dict, eflag, vflag, *, sorted_i: bool = True) -> None:
+    def _force_pass(self, geo: dict, eflag, vflag) -> None:
         atom = self.lmp.atom
-        env, stages, tally = eam_force_kernel(
-            self, geo, atom.fp, atom.f, sorted_i=sorted_i
-        )
+        env, stages, tally = eam_force_kernel(self, geo, atom.fp, atom.f)
         run_stages(stages + [tally] if eflag or vflag else stages, env)
 
     # ------------------------------------------------------------- compute
@@ -267,44 +258,3 @@ class PairEAM(EAMMixin, Pair):
 
         # Loop 2: forces and pair energy.
         self._force_pass(geo, eflag, vflag)
-
-    def compute_overlap_gen(
-        self, inflight, eflag: bool = True, vflag: bool = True
-    ) -> Iterator[None]:
-        """Overlapped compute: interior density runs while the halo is in
-        flight; boundary density and everything downstream wait for it.
-
-        The force loop itself cannot start before the fp forward comm, so
-        only the density loop's interior portion hides the position halo —
-        exactly the split available to real EAM.
-        """
-        lmp = self.lmp
-        atom = lmp.atom
-        nlist = lmp.neigh_list
-        self.reset_tallies(eflag or vflag)
-        atom.rho[: atom.nall] = 0.0
-        atom.fp[: atom.nall] = 0.0
-        if nlist is None or nlist.total_pairs == 0:
-            yield from inflight.finish()
-            return
-
-        # Interior density: both atoms owned, positions already final.
-        gi = eam_geometry(self, atom.x[: atom.nall], "interior")
-        scatter_add(
-            atom.rho, gi["i_n"], self.dens(gi["r_n"], gi["rc_n"]), assume_sorted=True
-        )
-
-        # Synchronize the position halo, then fold in ghost-pair density.
-        yield from inflight.finish()
-        lmp.mark_host_writes("x")
-        gb = eam_geometry(self, atom.x[: atom.nall], "boundary")
-        scatter_add(
-            atom.rho, gb["i_n"], self.dens(gb["r_n"], gb["rc_n"]), assume_sorted=True
-        )
-        self._embed_locals()
-
-        yield from lmp.comm_brick.forward_comm_field(atom, "fp")
-
-        # the interior+boundary concatenation interleaves the i ordering, so
-        # the force scatter cannot assume sorted segments here
-        self._force_pass(merge_geometry([gi, gb]), eflag, vflag, sorted_i=False)

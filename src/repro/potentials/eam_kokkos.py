@@ -7,10 +7,6 @@ communication classes exchange it (figure 1's dashed "uses" arrows), and a
 second sync moves it back.  This is the host-side communication choice
 section 3.3 describes; it is also the configuration that makes DualView's
 staleness tracking earn its keep.
-
-With ``comm_modify overlap yes`` the density kernel is split: the interior
-portion (pairs between owned atoms) runs while the position halo is in
-flight, and only the ghost-touching remainder waits for it.
 """
 
 from __future__ import annotations
@@ -25,12 +21,7 @@ from repro.graph.pairwise import GRAPH, run_graph, run_stages
 from repro.kokkos.core import Device, Host
 from repro.kokkos.scatter_view import ScatterView
 from repro.kokkos.segment import scatter_mode
-from repro.potentials.eam import (
-    PairEAM,
-    eam_force_kernel,
-    eam_geometry,
-    merge_geometry,
-)
+from repro.potentials.eam import PairEAM, eam_force_kernel, eam_geometry
 
 
 @register_pair("eam/fs/kk")
@@ -44,8 +35,8 @@ class PairEAMKokkos(PairEAM):
         super().__init__(lmp, args)
 
     # ------------------------------------------------------------- kernels
-    def _density_kernel(self, x, phase: str, rho_view, suffix: str = "") -> dict:
-        """Cut geometry of ``phase`` + ScatterView density accumulation.
+    def _density_kernel(self, x, rho_view) -> dict:
+        """Cut geometry + ScatterView density accumulation.
 
         The functor is the computation; the profile is resolved after it
         ran, from the stored pairs and atomics it measured.
@@ -55,7 +46,7 @@ class PairEAMKokkos(PairEAM):
         out: dict = {}
 
         def density_kernel(idx: np.ndarray) -> None:
-            geo = eam_geometry(self, x, phase)
+            geo = eam_geometry(self, x)
             sv = ScatterView(rho_view)
             sv.access().add(geo["i_n"], self.dens(geo["r_n"], geo["rc_n"]))
             sv.contribute()
@@ -64,7 +55,7 @@ class PairEAMKokkos(PairEAM):
         def profile() -> kk.KernelProfile:
             stored, sv = len(out["i0"]), out["sv"]
             return kk.KernelProfile(
-                name="PairEAMKernelDensity" + suffix,
+                name="PairEAMKernelDensity",
                 flops=8.0 * stored,
                 bytes_streamed=4.0 * stored + 32.0 * atom.nlocal,
                 bytes_reusable=24.0 * stored,
@@ -76,7 +67,7 @@ class PairEAMKokkos(PairEAM):
             )
 
         kk.parallel_for(
-            "PairEAMKernelDensity" + suffix,
+            "PairEAMKernelDensity",
             kk.RangePolicy(self.execution_space, 0, atom.nlocal),
             density_kernel,
             profile=profile,
@@ -104,22 +95,16 @@ class PairEAMKokkos(PairEAM):
             ),
         )
 
-    def _force_kernel(
-        self, geo: dict, fp_view, f_view, eflag, vflag, *, sorted_i: bool = True
-    ) -> None:
+    def _force_kernel(self, geo: dict, fp_view, f_view, eflag, vflag) -> None:
         atom = self.lmp.atom
         nlist = self.lmp.neigh_list
         space = self.execution_space
         stored = nlist.total_pairs
-        env, stages, tally = eam_force_kernel(
-            self, geo, fp_view.data, f_view.data, sorted_i=sorted_i
-        )
+        env, stages, tally = eam_force_kernel(self, geo, fp_view.data, f_view.data)
         if eflag or vflag:
             stages = stages + [tally]
         if GRAPH:
-            variant_key = (
-                scatter_mode(), bool(eflag), bool(vflag), sorted_i, nlist.generation
-            )
+            variant_key = (scatter_mode(), bool(eflag), bool(vflag), nlist.generation)
             label = f"{type(self).__name__}/force"
             run_graph((id(self), "eam-force"), variant_key, label, stages, env)
         else:
@@ -174,41 +159,8 @@ class PairEAMKokkos(PairEAM):
             return
 
         x, types, rho_view, fp_view, f_view = self._sync_views()
-        geo = self._density_kernel(x, "all", rho_view)
+        geo = self._density_kernel(x, rho_view)
         self._embed_kernel(rho_view, fp_view, types)
         lmp.atom_kk.modified(self.execution_space, ("rho", "fp"))
         yield from self._fp_comm_gen()
         self._force_kernel(geo, fp_view, f_view, eflag, vflag)
-
-    def compute_overlap_gen(
-        self, inflight, eflag: bool = True, vflag: bool = True
-    ) -> Iterator[None]:
-        """Density split into interior (halo-hidden) and boundary kernels."""
-        lmp = self.lmp
-        atom_kk = lmp.atom_kk
-        nlist = lmp.neigh_list
-        space = self.execution_space
-        self.reset_tallies(eflag or vflag)
-        if nlist is None or nlist.total_pairs == 0:
-            yield from inflight.finish()
-            return
-
-        x, types, rho_view, fp_view, f_view = self._sync_views()
-
-        # Interior density runs against positions already final on this rank.
-        gi = self._density_kernel(x, "interior", rho_view, suffix="/interior")
-
-        # Synchronize the halo, refresh the device positions, then fold in
-        # the ghost-touching remainder.
-        yield from inflight.finish()
-        lmp.mark_host_writes("x")
-        atom_kk.sync(space, ("x",))
-        x = atom_kk.view("x", space).data[: lmp.atom.nall]
-        gb = self._density_kernel(x, "boundary", rho_view, suffix="/boundary")
-
-        self._embed_kernel(rho_view, fp_view, types)
-        atom_kk.modified(space, ("rho", "fp"))
-        yield from self._fp_comm_gen()
-        self._force_kernel(
-            merge_geometry([gi, gb]), fp_view, f_view, eflag, vflag, sorted_i=False
-        )

@@ -85,10 +85,6 @@ class GPUOffloadMixin:
 class PairLJCutGPU(GPUOffloadMixin, PairLJCut):
     """LJ with force-only GPU offload (the pre-Kokkos strategy)."""
 
-    # the offload path transfers the whole halo up front; splitting it would
-    # double-count the H2D/D2H charges
-    supports_overlap = False
-
     def compute(self, eflag: bool = True, vflag: bool = True) -> None:
         super().compute(eflag, vflag)
         self._charge_offload()

@@ -136,5 +136,3 @@ def lj_energy(env: dict) -> None:
 @register_pair("lj/cut")
 class PairLJCut(LJMixin, Pair):
     """Host LJ with a half neighbor list (the classic CPU path)."""
-
-    supports_overlap = True

@@ -79,7 +79,7 @@ class PairLJCutCoulCut(LJCoulMixin, Pair):
 @register_pair("lj/cut/coul/cut/kk")
 class PairLJCutCoulCutKokkos(LJCoulMixin, PairKokkos):
     """Charged LJ on the shared Kokkos machinery: list styles, ScatterView,
-    team variant, overlap phases and profiles are all inherited."""
+    team variant and profiles are all inherited."""
 
     def kernel_name(self) -> str:
         return "PairComputeLJCutCoulCut"

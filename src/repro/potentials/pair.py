@@ -27,12 +27,6 @@ class Pair:
 
     #: True on Kokkos-accelerated styles (drives DualView datamask syncs).
     kokkos_style = False
-    #: True when the style can split its force work into an interior pass
-    #: (pairs whose neighbor is an owned atom — independent of the halo
-    #: exchange) and a boundary pass (pairs touching ghosts).  Styles that
-    #: leave this False fall back to the serial exchange-then-compute path
-    #: even when comm/compute overlap is requested.
-    supports_overlap = False
     #: Where the style's kernels run; Kokkos styles pick per instance.
     execution_space = Host
 
@@ -155,25 +149,17 @@ class Pair:
 
     # ----------------------------------------------------- pair-table cache
     def pair_table(
-        self, nlist, atom, phase: str = "all"
+        self, nlist, atom
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Neighbor-constant per-pair arrays ``(i, j, itype, jtype, cutsq)``.
 
         All five come from the list's :class:`~repro.core.neighbor.PairCache`
         — computed once per rebuild instead of re-gathered every force call.
-        ``phase`` restricts to the interior/boundary split of the overlap
-        driver (itself cached).
         """
-        if phase not in ("all", "interior", "boundary"):
-            raise StyleError(f"unknown compute phase {phase!r}")
         cache = nlist.pair_cache()
         i, j = cache.ij()
         itype, jtype = cache.type_pairs(atom.type)
-        cutsq = cache.cutsq_pairs(self.cut)
-        sel = cache.phase_sel(phase)
-        if sel is None:
-            return i, j, itype, jtype, cutsq
-        return i[sel], j[sel], itype[sel], jtype[sel], cutsq[sel]
+        return i, j, itype, jtype, cache.cutsq_pairs(self.cut)
 
     # ------------------------------------------------------ the pairwise pass
     def eval_setup(self, env: dict, itype0: np.ndarray, jtype0: np.ndarray):
@@ -204,8 +190,8 @@ class Pair:
 
         return force_fn, None
 
-    def pair_kernel(self, phase: str):
-        """This style's bound pairwise pass for an overlap phase.
+    def pair_kernel(self):
+        """This style's bound pairwise pass.
 
         ``(env, stages, tally_stage)`` memoized on the list's
         :class:`~repro.core.neighbor.PairCache`, so every per-rebuild
@@ -216,15 +202,13 @@ class Pair:
         style, newton = self.neighbor_request()
         full = style == "full"
         return nlist.pair_cache().memo(
-            ("pairwise", id(self), phase, full, newton),
-            lambda: self._bind_kernel(phase, full, newton),
+            ("pairwise", id(self), full, newton),
+            lambda: self._bind_kernel(full, newton),
         )
 
-    def _bind_kernel(self, phase: str, full: bool, newton: bool):
+    def _bind_kernel(self, full: bool, newton: bool):
         atom = self.lmp.atom
-        i0, j0, itype0, jtype0, cutsq0 = self.pair_table(
-            self.lmp.neigh_list, atom, phase
-        )
+        i0, j0, itype0, jtype0, cutsq0 = self.pair_table(self.lmp.neigh_list, atom)
         env: dict = {
             "pair": self,
             "i0": i0,
@@ -234,7 +218,6 @@ class Pair:
             "jl0": None if full or newton else j0 < atom.nlocal,
             "full": full,
             "newton": newton,
-            "sorted_i": True,
             "f_view": None,
         }
         halves = self.eval_setup(env, itype0, jtype0)
@@ -249,42 +232,26 @@ class Pair:
         return env, stages, tally
 
     def compute(self, eflag: bool = True, vflag: bool = True) -> None:
-        self.compute_phase("all", eflag, vflag)
-
-    def compute_phase(
-        self, phase: str, eflag: bool = True, vflag: bool = True
-    ) -> None:
-        """Run one overlap phase (``"all"`` is the whole list).
-
-        ``"interior"`` keeps pairs whose j atom is owned (safe to evaluate
-        while the halo exchange is in flight); ``"boundary"`` keeps pairs
-        whose j atom is a ghost.
-        """
-        if phase != "all" and not self.supports_overlap:
-            raise StyleError(
-                f"{type(self).__name__} does not support phased (overlapped) compute"
-            )
-        if phase in ("all", "interior"):
-            self.reset_tallies(eflag or vflag)
+        self.reset_tallies(eflag or vflag)
         nlist = self.lmp.neigh_list
         if nlist is None or nlist.total_pairs == 0:
             return
-        self._compute_pairs(phase, eflag, vflag)
+        self._compute_pairs(eflag, vflag)
 
-    def _compute_pairs(self, phase: str, eflag: bool, vflag: bool) -> None:
+    def _compute_pairs(self, eflag: bool, vflag: bool) -> None:
         """Host executors: eager in order, or graph capture/replay."""
-        env, stages, tally = self.pair_kernel(phase)
+        env, stages, tally = self.pair_kernel()
         atom = self.lmp.atom
         env["x"] = atom.x[: atom.nall]
         env["f"] = atom.f
         if eflag or vflag:
             stages = stages + [tally]
-        if GRAPH and phase == "all":
-            self._run_graph(phase, eflag, vflag, stages, env)
+        if GRAPH:
+            self._run_graph(eflag, vflag, stages, env)
         else:
             run_stages(stages, env)
 
-    def _run_graph(self, phase: str, eflag: bool, vflag: bool, stages, env) -> None:
+    def _run_graph(self, eflag: bool, vflag: bool, stages, env) -> None:
         variant_key = (
             env["full"],
             env["newton"],
@@ -293,5 +260,4 @@ class Pair:
             bool(vflag),
             self.lmp.neigh_list.generation,
         )
-        label = f"{type(self).__name__}/{phase}"
-        run_graph((id(self), phase), variant_key, label, stages, env)
+        run_graph(id(self), variant_key, type(self).__name__, stages, env)

@@ -99,12 +99,10 @@ class PairKokkos(Pair):
         return self.neigh_mode, self.newton_mode
 
     # ------------------------------------------------------------- kernels
-    supports_overlap = True
-
     def kernel_name(self) -> str:
         return f"PairCompute{type(self).__name__.removeprefix('Pair')}"
 
-    def _compute_pairs(self, phase: str, eflag: bool, vflag: bool) -> None:
+    def _compute_pairs(self, eflag: bool, vflag: bool) -> None:
         """Kokkos executors: one charged whole-kernel dispatch whose functor
         runs the stages, or graph capture/replay (one dispatch per group)."""
         lmp = self.lmp
@@ -116,7 +114,7 @@ class PairKokkos(Pair):
         # Datamask protocol (section 3.2): sync reads, then compute on the
         # space's views, then mark writes.
         atom_kk.sync(space, ("x", "type", "f"))
-        env, stages, tally = self.pair_kernel(phase)
+        env, stages, tally = self.pair_kernel()
         # the half list deconflicts through a ScatterView over the f View
         f_view = env["f_view"] = atom_kk.view("f", space)
         env["x"] = atom_kk.view("x", space).data[: atom.nall]
@@ -126,13 +124,12 @@ class PairKokkos(Pair):
         if eflag or vflag:
             stages = stages + [tally]
 
-        if GRAPH and phase == "all" and not self.team_mode:
+        if GRAPH and not self.team_mode:
             # hierarchical policies are not staged
-            self._run_graph(phase, eflag, vflag, stages, env)
+            self._run_graph(eflag, vflag, stages, env)
         else:
-            suffix = "" if phase == "all" else f"/{phase}"
             kk.parallel_for(
-                self.kernel_name() + suffix,
+                self.kernel_name(),
                 self._policy(atom.nlocal, nlist.mean_neighbors),
                 lambda idx: run_stages(stages, env),
                 # resolved after the functor ran: the cost profile is

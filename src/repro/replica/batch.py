@@ -284,8 +284,6 @@ class ReplicaBatch:
             raise LammpsError("replica members cannot use kspace styles")
         if lmp.dumps:
             raise LammpsError("replica members cannot have dumps attached")
-        if lmp.overlap_comm:
-            raise LammpsError("replica members cannot use overlapped comm")
         if lmp.autotuner is not None or lmp.autotune_request is not None:
             raise LammpsError(
                 "autotune the solo workload first; replica members cannot "
@@ -439,9 +437,7 @@ class ReplicaBatch:
         off = [0]
         for m in self.members:
             lmp = m.lmp
-            i_l, j_l, itype, jtype, cutsq = lmp.pair.pair_table(
-                lmp.neigh_list, lmp.atom, "all"
-            )
+            i_l, j_l, itype, jtype, cutsq = lmp.pair.pair_table(lmp.neigh_list, lmp.atom)
             off.append(off[-1] + i_l.shape[0])
             i_parts.append(m.own_off + i_l.astype(np.int64))
             j_parts.append(self._map_local(m, j_l.astype(np.int64)))
@@ -460,7 +456,6 @@ class ReplicaBatch:
             "off": np.asarray(off, dtype=np.int64),  # member pair offsets
             "full": full,
             "newton": newton,
-            "sorted_i": True,
             "f_view": None,
         }
         for name in const_parts[0]:

@@ -33,7 +33,6 @@ from repro.tools.registry import (  # noqa: F401  (re-exported surface)
     profile_event,
     pop_region,
     push_region,
-    region,
     set_rank,
 )
 

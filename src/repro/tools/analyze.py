@@ -12,10 +12,6 @@ numbers a perf engineer reads a multi-rank timeline for:
   waited for.
 * **per-rank load imbalance** — LAMMPS-style: ``(max/avg - 1) * 100`` over
   the per-rank accounted time (top-level region durations).
-* **comm/compute overlap efficiency** — how much of the communication time
-  the interior force pass could hide: ``min(interior, comm) / comm``,
-  where ``interior`` is the overlap scheme's interior-region time and
-  ``comm`` the top-level Comm-region time.
 * **top-N kernels by exclusive time** — kernels never nest in this
   runtime, so exclusive == inclusive per B/E pair.
 
@@ -35,8 +31,6 @@ from dataclasses import dataclass, field
 COMM_REGIONS = ("Comm",)
 #: the sync-point instant name (every step's collective rebuild check)
 SYNC_EVENT = "comm:allreduce"
-#: the overlap scheme's hidden-compute region name
-INTERIOR_REGION = "interior"
 
 
 @dataclass
@@ -50,8 +44,6 @@ class RankTimeline:
     category_us: dict[str, float] = field(default_factory=dict)
     #: kernel name -> [count, total us]
     kernels: dict[str, list] = field(default_factory=dict)
-    #: total us inside ``interior`` regions (any depth)
-    interior_us: float = 0.0
     #: timestamps of sync-point instants, in order
     sync_ts: list[float] = field(default_factory=list)
 
@@ -114,8 +106,6 @@ def _extract(events: list[dict]) -> dict[int, RankTimeline]:
                     continue
                 if not region_stacks[tid]:  # top-level region closed
                     tl.category_us[name] = tl.category_us.get(name, 0.0) + ts - t0
-                if name == INTERIOR_REGION:
-                    tl.interior_us += ts - t0
         elif ph == "i" and name == SYNC_EVENT:
             tl.sync_ts.append(ts)
     return ranks
@@ -209,23 +199,11 @@ def analyze(events: list[dict], top: int = 10) -> dict:
     ]
     kernel_rows.sort(key=lambda row: -row["total_us"])
 
-    # ---- overlap efficiency
-    comm_us = sum(tl.comm_us for tl in ranks.values())
-    interior_us = sum(tl.interior_us for tl in ranks.values())
-    hidden_us = min(comm_us, interior_us)
-    overlap = {
-        "comm_us": comm_us,
-        "interior_us": interior_us,
-        "hidden_us": hidden_us,
-        "efficiency": hidden_us / comm_us if comm_us > 0 else 0.0,
-    }
-
     return {
         "ranks": per_rank,
         "nranks": len(ranks),
         "load_imbalance_pct": imbalance_pct,
         "critical_path": _critical_path(ranks),
-        "overlap": overlap,
         "top_kernels": kernel_rows[:top],
         "total_kernels": len(kernel_rows),
         "total_dispatches": sum(row[0] for row in merged.values()),
@@ -252,12 +230,6 @@ def format_report(a: dict) -> str:
     if len(dom) > 1:
         parts = ", ".join(f"rank {r}: {n}" for r, n in sorted(dom.items()))
         lines.append(f"  segments dominated by {parts}")
-    ov = a["overlap"]
-    lines.append(
-        f"comm/compute overlap: comm {ov['comm_us']:.3f} us, interior "
-        f"{ov['interior_us']:.3f} us, hidden {ov['hidden_us']:.3f} us "
-        f"-> efficiency {ov['efficiency']:.3f}"
-    )
     lines.append("-" * 72)
     lines.append(
         f"{'kernel':<36} {'count':>7} {'total us':>12} {'mean us':>10}"

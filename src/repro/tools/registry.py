@@ -429,16 +429,6 @@ def pop_region() -> None:
     CHAIN.dispatch("pop_region", ev)
 
 
-@contextlib.contextmanager
-def region(name: str) -> Iterator[None]:
-    """``with registry.region("Pair"):`` — push/pop convenience."""
-    push_region(name)
-    try:
-        yield
-    finally:
-        pop_region()
-
-
 # ------------------------------------------------------------------ instants
 def profile_event(name: str, sim_seconds: float = 0.0, **metadata) -> None:
     """A named instant; ``sim_seconds > 0`` also advances the rank clock.

@@ -109,12 +109,7 @@ class Autotuner:
         saved = ctx.timeline, world.ledger
         ctx.timeline, world.ledger = DeviceTimeline(), CommLedger()
         try:
-            self._drive([
-                lmp.verlet.force_cycle_overlap()
-                if lmp.verlet.overlap_active()
-                else lmp.verlet.force_cycle()
-                for lmp in ranks
-            ])
+            self._drive([lmp.verlet.force_cycle() for lmp in ranks])
             score = ctx.timeline.total() + world.ledger.total()
         finally:
             ctx.timeline, world.ledger = saved

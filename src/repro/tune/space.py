@@ -13,8 +13,8 @@ keys:
 :func:`enumerate_configs` produces the candidate cells;
 :func:`apply_config` installs one on a Lammps instance or Ensemble;
 :func:`snapshot_config` reads the active cell back as the search baseline.
-Every other mode (sort interval, comm overlap, graph, the QEq knobs) stays
-user-settable and is never searched.
+Every other mode (sort interval, graph, the QEq knobs) stays user-settable
+and is never searched.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 import repro.kokkos as kk
 from conftest import make_melt
 from repro.core.atom import AtomVec
+from repro.core import Lammps
 from repro.core.atom_kokkos import AtomKokkos
 from repro.kokkos.core import Device, Host
 from repro.kokkos.profiling import kernel_report, region, snapshot
@@ -82,6 +83,28 @@ class TestFixNVEKokkos:
         np.testing.assert_allclose(
             gather_by_tag(a, "x"), gather_by_tag(b, "x"), atol=1e-12
         )
+
+    def test_functor_is_the_plain_update_bitwise(self):
+        """Same pair style, only the fix differs: ``nve/kk``'s charged
+        kernels run ``FixNVE``'s own update, so the trajectory is bitwise."""
+        from conftest import MELT_SCRIPT
+
+        runs = []
+        for fix in ("nve", "nve/kk"):
+            lmp = Lammps(device="H100")
+            lmp.commands_string(
+                MELT_SCRIPT.format(cells=2, pair_style="lj/cut", thermo=5)
+                .replace("fix 1 all nve", f"fix 1 all {fix}")
+            )
+            lmp.command("run 10")
+            runs.append(lmp)
+        plain, kokkos = runs
+        assert type(kokkos.modify.fixes[0]).__name__ == "FixNVEKokkos"
+        for field in ("x", "v", "f"):
+            assert np.array_equal(getattr(kokkos.atom, field), getattr(plain.atom, field))
+        assert [r.values for r in kokkos.thermo.history] == [
+            r.values for r in plain.thermo.history
+        ]
 
 
 class TestProfilingHelpers:
@@ -176,37 +199,3 @@ class TestSnapshotDeltaAcrossReset:
         snap = snapshot()
         kk.device_context().timeline.record("K", 0.5)
         assert snap.delta()["K"] == pytest.approx(0.5)
-
-
-class TestOverlapPhaseAccounting:
-    def test_phase_folding_and_fraction(self):
-        from repro.kokkos.profiling import overlap_fraction, overlap_phases
-
-        entries = {
-            "PairComputeLJCutKokkos/interior": 3.0,
-            "PairComputeLJCutKokkos/boundary": 1.0,
-            "PairEAMKernelDensity/interior": 1.5,
-            "PairEAMKernelDensity/boundary": 0.5,
-            "FixNVEInitialIntegrate": 4.0,  # unsplit: ignored
-        }
-        phases = overlap_phases(entries)
-        assert phases["PairComputeLJCutKokkos"] == (3.0, 1.0)
-        assert phases["PairEAMKernelDensity"] == (1.5, 0.5)
-        assert "FixNVEInitialIntegrate" not in phases
-        assert overlap_fraction(entries) == pytest.approx(4.5 / 6.0)
-        assert overlap_fraction({}) == 0.0
-        assert overlap_fraction({"X": 1.0}) == 0.0
-
-    def test_overlapped_run_records_phases(self):
-        from repro.core import Ensemble
-        from repro.kokkos.profiling import overlap_fraction, overlap_phases
-        from repro.workloads.melt import setup_melt
-
-        ens = Ensemble(2, device="H100", suffix="kk", overlap_comm=True)
-        setup_melt(ens, cells=3)
-        ens.run(5)
-        phases = overlap_phases()
-        assert any(name.startswith("PairCompute") for name in phases)
-        for interior, boundary in phases.values():
-            assert interior > 0.0 and boundary > 0.0
-        assert 0.0 < overlap_fraction() < 1.0

@@ -50,17 +50,6 @@ class TestTallyCadence:
             (rank, step) for rank in range(nranks) for step in (0, 50, 100)
         )
 
-    def test_overlapped_phases_tally_on_the_same_steps(self, tally_log):
-        target = make_melt(thermo=7, nranks=2)
-        target.command("comm_modify overlap yes")
-        target.command("run 21")
-        assert target.ranks[0].overlap_steps > 10  # the split path really ran
-        assert {step for _, step in tally_log} == {0, 7, 14, 21}
-        # on an overlapped step the interior and boundary phases tally once
-        # each; rebuild steps (step 0 at least) run unsplit
-        per_rank_step = [tally_log.count((0, step)) for step in (0, 7, 14, 21)]
-        assert per_rank_step[0] == 1 and set(per_rank_step) == {1, 2}
-
     def test_user_compute_restores_every_step_tallies(self, tally_log):
         lmp = make_melt(thermo=50)
         lmp.command("compute mype all pe")

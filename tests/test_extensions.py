@@ -159,28 +159,6 @@ class TestLJCoulCut:
         assert kkr.pair.eng_vdwl == pytest.approx(host.pair.eng_vdwl, rel=1e-12)
         assert kkr.pair.eng_coul == pytest.approx(host.pair.eng_coul, rel=1e-12)
 
-    def test_kk_overlap_phases_cover_the_list(self):
-        """interior + boundary == all, per channel (charges come from the
-        phase's own cut pairs, not from whole-list order)."""
-        kkr = self.make(device="H100", suffix="kk")
-        assert kkr.pair.supports_overlap
-        kkr.command("run 0")
-        pair, atom = kkr.pair, kkr.atom
-
-        def forces(phases):
-            atom.f[: atom.nall] = 0.0
-            kkr.mark_host_writes("f")
-            for phase in phases:
-                pair.compute_phase(phase)
-            kkr.sync_host_fields("f")
-            return atom.f[: atom.nall].copy(), pair.eng_vdwl, pair.eng_coul
-
-        f_all, ev_all, ec_all = forces(["all"])
-        f_ph, ev_ph, ec_ph = forces(["interior", "boundary"])
-        np.testing.assert_allclose(f_ph, f_all, rtol=0, atol=1e-11)
-        assert ev_ph == pytest.approx(ev_all, rel=1e-12)
-        assert ec_ph == pytest.approx(ec_all, rel=1e-12)
-
 
 class TestMLIAP:
     class SmoothWellModel:

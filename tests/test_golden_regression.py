@@ -3,9 +3,9 @@
 Each workload's first ~50 steps of thermo output (temp, pe, ke, etotal,
 press) are pinned as JSON under ``tests/golden/``.  Any change to the
 integrator, neighbor lists, comm, or a potential that shifts the
-trajectory beyond round-off shows up here immediately — including a
-botched interior/boundary split in the overlap path, which is exercised
-as a second trace per workload.
+trajectory beyond round-off shows up here immediately.  ``melt-eam-np2``
+runs ``eam/fs`` on two ranks, so the many-body ``fp`` exchange crosses a
+real rank boundary.
 
 To rebless the baselines after an intentional physics change:
 
@@ -34,25 +34,20 @@ WORKLOADS = {
     "hns": dict(steps=20, thermo=5),
 }
 
-#: (workload, overlap) scenarios; overlap runs on 2 ranks so the halo
-#: split is actually exercised (melt uses EAM there to cover the
-#: many-body overlap generator as well as the pairwise one)
-SCENARIOS = [
-    ("melt", False),
-    ("melt", True),
-    ("tantalum", False),
-    ("hns", False),
-]
+#: golden file stem -> (workload, ranks); melt on 2 ranks runs eam/fs
+SCENARIOS = {
+    "melt": ("melt", 1),
+    "melt-eam-np2": ("melt", 2),
+    "tantalum": ("tantalum", 1),
+    "hns": ("hns", 1),
+}
 
 
-def run_trace(name: str, overlap: bool) -> list[dict]:
+def run_trace(name: str, nranks: int) -> list[dict]:
     cfg = WORKLOADS[name]
-    if overlap:
-        target = Ensemble(2, device=None, overlap_comm=True)
-    else:
-        target = Lammps(device=None)
+    target = Ensemble(nranks, device=None) if nranks > 1 else Lammps(device=None)
     if name == "melt":
-        setup_melt(target, cells=3, pair_style="eam/fs" if overlap else "lj/cut")
+        setup_melt(target, cells=3, pair_style="eam/fs" if nranks > 1 else "lj/cut")
     elif name == "tantalum":
         setup_tantalum(target, cells=2, twojmax=4)
     else:
@@ -60,24 +55,21 @@ def run_trace(name: str, overlap: bool) -> list[dict]:
     target.command(f"thermo {cfg['thermo']}")
     target.command(f"run {cfg['steps']}")
     root = target.ranks[0] if hasattr(target, "ranks") else target
-    if overlap:
-        assert root.last_run_stats["overlap_steps"] > 0
     return [
         {"step": rec.step, **{k: float(v) for k, v in rec.values.items()}}
         for rec in root.thermo.history
     ]
 
 
-@pytest.mark.parametrize(
-    "name,overlap", SCENARIOS, ids=[f"{n}-{'on' if o else 'off'}" for n, o in SCENARIOS]
-)
-def test_thermo_trace_matches_golden(name, overlap, update_golden):
-    trace = run_trace(name, overlap)
+@pytest.mark.parametrize("stem", sorted(SCENARIOS))
+def test_thermo_trace_matches_golden(stem, update_golden):
+    name, nranks = SCENARIOS[stem]
+    trace = run_trace(name, nranks)
     assert trace, "workload produced no thermo output"
-    path = GOLDEN_DIR / f"{name}-overlap-{'on' if overlap else 'off'}.json"
+    path = GOLDEN_DIR / f"{stem}.json"
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
-        payload = {"workload": name, "overlap": overlap, "trace": trace}
+        payload = {"workload": name, "trace": trace}
         path.write_text(json.dumps(payload, indent=2) + "\n")
         pytest.skip(f"rewrote {path.name}")
     golden = json.loads(path.read_text())["trace"]
@@ -87,5 +79,5 @@ def test_thermo_trace_matches_golden(name, overlap, update_golden):
             if key == "step":
                 continue
             assert got[key] == pytest.approx(ref, rel=1e-9, abs=1e-10), (
-                name, overlap, got["step"], key,
+                stem, got["step"], key,
             )

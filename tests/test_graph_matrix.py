@@ -209,8 +209,8 @@ def test_graph_replays_the_eager_stage_objects_at_full_hit_rate():
     cache = plan_cache()
     with force_graph_mode(ON):
         step_forces(lmp)  # miss: capture
-        _, stages, tally = lmp.pair.pair_kernel("all")
-        _, plan = cache.plans[(id(lmp.pair), "all")]
+        _, stages, tally = lmp.pair.pair_kernel()
+        _, plan = cache.plans[id(lmp.pair)]
         replayed = [n.fn for g in plan.groups for n in g.nodes]
         assert len(replayed) == len(stages) + 1
         for fn, stage in zip(replayed, stages + [tally]):

@@ -8,8 +8,7 @@ force pairs, textbook LJ / Morse / Coulomb / EAM-FS, no caches, no
 ``out=``, no stages.
 
 One parametrised differential test: every two-body style x {eager host,
-eager kk (half/full x newton), graph on, overlap phases where supported,
-replica R=3}.  Executors that accumulate in the same order (graph vs eager
+eager kk (half/full x newton), graph on, replica R=3}.  Executors that accumulate in the same order (graph vs eager
 on one list flavour, stacked replicas vs solo) agree **bitwise**; every
 cell agrees with eager host and with the oracle to 1e-12.  The tests at
 the end hold the once-per-list index bound and the arena contract.
@@ -190,7 +189,7 @@ def oracle(style: str, lmp):
 
 
 # --------------------------------------------------------------- the executors
-def evaluate(lmp, phases=("all",)):
+def evaluate(lmp):
     """Zero the forces, run the pair style, fold ghost forces home."""
     atom, pair = lmp.atom, lmp.pair
     atom.f[: atom.nall] = 0.0
@@ -198,8 +197,7 @@ def evaluate(lmp, phases=("all",)):
     if hasattr(pair, "compute_gen"):  # EAM communicates mid-compute
         drain(pair.compute_gen(True, True))
     else:
-        for phase in phases:
-            pair.compute_phase(phase, True, True)
+        pair.compute(True, True)
     lmp.sync_host_fields("f")
     if pair.needs_reverse_comm:
         drain(lmp.comm_brick.reverse_comm(atom, "f"))
@@ -235,12 +233,6 @@ def test_every_executor_matches_eager_host_and_the_oracle(style):
         assert_bitwise(evaluate(host), ref, f"{style} graph capture")
         assert_bitwise(evaluate(host), ref, f"{style} graph replay")
 
-    # overlap phases: interior + boundary cover the list
-    if host.pair.supports_overlap and not hasattr(host.pair, "compute_gen"):
-        assert_oracle(
-            evaluate(host, ("interior", "boundary")), ref, f"{style} host phases"
-        )
-
     if has_kk and style != "eam/fs":
         kkr = build(style, kk=True)
         for neigh, newton in LIST_CELLS:
@@ -252,9 +244,6 @@ def test_every_executor_matches_eager_host_and_the_oracle(style):
             # host agreement is to round-off, graph agreement is bitwise
             eager = evaluate(kkr)
             assert_oracle(eager, ref, label)
-            assert_oracle(
-                evaluate(kkr, ("interior", "boundary")), ref, label + " phases"
-            )
             with force_graph_mode(ON):
                 assert_bitwise(evaluate(kkr), eager, label + " graph capture")
                 assert_bitwise(evaluate(kkr), eager, label + " graph replay")
@@ -313,9 +302,9 @@ def _bound_case(path: str):
     lmp = build("eam/fs" if path == "eam geometry" else "lj/cut", kk=path == "kk")
     atom, pair = lmp.atom, lmp.pair
     if path == "eam geometry":
-        base, _ = lmp.neigh_list.pair_cache().memo(("eam", id(pair), "all"), None)
+        base, _ = lmp.neigh_list.pair_cache().memo(("eam", id(pair)), None)
         return atom, base, atom.f, lambda: eam_geometry(pair, atom.x[: atom.nall])
-    env = pair.pair_kernel("all")[0]
+    env = pair.pair_kernel()[0]
     return atom, env, env["f"], lambda: pair.compute(True, True)
 
 
@@ -347,7 +336,7 @@ def test_negative_pair_index_raises_before_forces_change(path):
 
 def test_rebound_env_recomputes_the_bound():
     lmp = build("lj/cut")
-    env = lmp.pair.pair_kernel("all")[0]
+    env = lmp.pair.pair_kernel()[0]
     nall = lmp.atom.nall
     lo, hi = index_bounds(env)
     assert (lo, hi) == (0, int(max(env["i0"].max(), env["j0"].max())))
@@ -360,7 +349,7 @@ def test_rebound_env_recomputes_the_bound():
     # a rebuilt list binds a fresh env whose bound is its own list's
     drain(lmp.rebuild_gen())
     lmp.pair.compute(True, True)
-    env2 = lmp.pair.pair_kernel("all")[0]
+    env2 = lmp.pair.pair_kernel()[0]
     assert env2 is not env
     i0, j0 = env2["i0"], env2["j0"]
     assert env2["ij_bounds"][0] is i0 and env2["ij_bounds"][1] is j0

@@ -1,4 +1,4 @@
-"""Cross-potential physics invariants, in one place per the overlap PR.
+"""Cross-potential physics invariants, in one place.
 
 Every production pair style — LJ, EAM, SNAP, ReaxFF — must satisfy the
 same three properties regardless of its kernel configuration:
@@ -8,10 +8,10 @@ same three properties regardless of its kernel configuration:
 * the answer does not depend on the neighbor-list flavor (half vs full,
   newton on vs off) or on the host-vs-Kokkos implementation.
 
-These invariants are what the overlap differential suite
-(test_comm_overlap) leans on: a split interior/boundary pass can only be
-equivalent to the fused pass if the underlying force field is a clean
-conservative pairwise/many-body sum.
+These invariants are what the 1-vs-N-rank differential suite
+(test_rank_invariance) leans on: a decomposed run can only reproduce the
+serial one if the underlying force field is a clean conservative
+pairwise/many-body sum.
 """
 
 from __future__ import annotations

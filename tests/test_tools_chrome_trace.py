@@ -2,8 +2,8 @@
 
 The contract the viewer needs: the file round-trips ``json.load``, every
 ``B`` has a matching ``E`` on its track in nesting order, and per-track
-timestamps are monotonically non-decreasing — including the 4-rank
-overlap-comm run where rank generators interleave inside one process.
+timestamps are monotonically non-decreasing — including the 4-rank run
+where rank generators interleave inside one process.
 """
 
 from __future__ import annotations
@@ -56,14 +56,11 @@ def validate_trace(path):
     return {"events": events, "tracks": tracks}
 
 
-def run_traced(tmp_path, nranks=1, overlap=False, nsteps=10):
+def run_traced(tmp_path, nranks=1, nsteps=10):
     out = tmp_path / "trace.json"
     trace = ChromeTrace(str(out))
     with kp.attached(trace):
         target = make_melt(device="H100", suffix="kk", cells=3, nranks=nranks)
-        if overlap:
-            for lmp in target.ranks:
-                lmp.overlap_comm = True
         target.run(nsteps)
         trace.finalize()
     return out
@@ -99,9 +96,9 @@ class TestSingleRank:
         assert {e["id"] for e in starts} == {e["id"] for e in finishes}
 
 
-class TestMultiRankOverlap:
-    def test_four_rank_overlap_run(self, tmp_path):
-        out = run_traced(tmp_path, nranks=4, overlap=True, nsteps=10)
+class TestMultiRank:
+    def test_four_rank_lockstep_run(self, tmp_path):
+        out = run_traced(tmp_path, nranks=4, nsteps=10)
         stats = validate_trace(out)
         assert stats["tracks"] == {(0, r) for r in range(4)}
         # every rank's track carries real per-step structure
@@ -112,9 +109,6 @@ class TestMultiRankOverlap:
         for rank in range(4):
             assert "Pair" in by_rank[rank], f"rank {rank} track has no Pair"
             assert "Comm" in by_rank[rank]
-        # the overlap split shows up as interior/boundary sub-regions
-        names = set().union(*by_rank.values())
-        assert "interior" in names and "boundary" in names
 
     def test_rank_clocks_stay_independent(self, tmp_path):
         out = run_traced(tmp_path, nranks=2, nsteps=5)

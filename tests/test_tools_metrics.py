@@ -122,12 +122,9 @@ class TestEmissionGuard:
 
 # ----------------------------------------------------------------- wiring
 class TestRuntimeWiring:
-    def _run_with_sink(self, nranks=1, nsteps=5, overlap=False):
+    def _run_with_sink(self, nranks=1, nsteps=5):
         sink = metrics.attach_sink(MetricsRegistry())
         target = make_melt(device="H100", suffix="kk", cells=3, nranks=nranks)
-        if overlap:
-            for lmp in target.ranks:
-                lmp.overlap_comm = True
         target.run(nsteps)
         metrics.detach_sink(sink)
         return sink

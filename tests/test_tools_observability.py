@@ -201,14 +201,12 @@ class TestMemoryEvents:
         assert ("free", first) in labels
         assert ("alloc", v.nbytes) in labels
 
-    def test_high_water_marks_under_four_rank_overlap(self, tmp_path):
-        """4-rank overlap-comm melt: records carry ranks, HWM covers all."""
+    def test_high_water_marks_under_four_ranks(self, tmp_path):
+        """4-rank melt: records carry ranks, HWM covers all."""
         out = tmp_path / "memory_events.txt"
         mem = MemoryEvents(str(out))
         with kp.attached(mem):
             ens = make_melt(device="H100", suffix="kk", cells=3, nranks=4)
-            for lmp in ens.ranks:
-                lmp.overlap_comm = True
             ens.run(5)
             report = mem.finalize()
         assert mem.high_water("Device") > 0

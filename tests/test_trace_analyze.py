@@ -1,11 +1,10 @@
 """Offline trace analytics (:mod:`repro.tools.analyze`).
 
-Runs traced melt workloads (including the 4-rank overlap-comm ensemble),
-feeds the chrome trace to the analyzer, and checks the invariants each
-reported quantity must satisfy: the critical path is at least the slowest
-rank's span, imbalance is non-negative, overlap efficiency is in [0, 1]
-and only non-zero when interior regions exist, and the top-kernel table
-ranks by exclusive time.  Synthetic traces pin the arithmetic exactly.
+Runs traced melt workloads (including a 4-rank ensemble), feeds the chrome
+trace to the analyzer, and checks the invariants each reported quantity
+must satisfy: the critical path is at least the slowest rank's span,
+imbalance is non-negative, and the top-kernel table ranks by exclusive
+time.  Synthetic traces pin the arithmetic exactly.
 """
 
 from __future__ import annotations
@@ -35,14 +34,11 @@ def clean_chain():
     kp.CHAIN.reset()
 
 
-def run_traced(tmp_path, nranks=1, overlap=False, nsteps=10):
+def run_traced(tmp_path, nranks=1, nsteps=10):
     out = tmp_path / "trace.json"
     trace = ChromeTrace(str(out))
     with kp.attached(trace):
         target = make_melt(device="H100", suffix="kk", cells=3, nranks=nranks)
-        if overlap:
-            for lmp in target.ranks:
-                lmp.overlap_comm = True
         target.run(nsteps)
         trace.finalize()
     return out
@@ -93,16 +89,15 @@ class TestSyntheticCriticalPath:
         assert a["ranks"]["0"]["comm_us"] == pytest.approx(4.0)
         assert a["ranks"]["1"]["comm_us"] == pytest.approx(12.0)
 
-    def test_overlap_efficiency(self):
+    def test_nested_regions_stay_inside_their_category(self):
         events = synthetic_two_rank() + [
-            # rank 0 hides 3 us of compute inside its Comm region
+            # a sub-region inside rank 0's Comm region
             _ev("B", "interior", 10.5, 0), _ev("E", "interior", 13.5, 0),
         ]
         a = analyze(events)
-        ov = a["overlap"]
-        assert ov["comm_us"] == pytest.approx(16.0)
-        assert ov["interior_us"] == pytest.approx(3.0)
-        assert ov["efficiency"] == pytest.approx(3.0 / 16.0)
+        assert a["ranks"]["0"]["categories_us"] == {"Comm": 4.0, "Pair": 10.0}
+        assert a["ranks"]["0"]["comm_us"] == pytest.approx(4.0)
+        assert "overlap" not in a
 
     def test_kernel_table(self):
         events = [
@@ -138,8 +133,8 @@ class TestRealTraces:
         # kernels never nest here: exclusive time is bounded by the span
         assert a["top_kernels"][0]["total_us"] <= a["ranks"]["0"]["span_us"]
 
-    def test_four_rank_overlap_melt(self, tmp_path):
-        out = run_traced(tmp_path, nranks=4, overlap=True)
+    def test_four_rank_melt(self, tmp_path):
+        out = run_traced(tmp_path, nranks=4)
         a = analyze_file(str(out))
         assert a["nranks"] == 4
         cp = a["critical_path"]
@@ -150,12 +145,9 @@ class TestRealTraces:
         assert cp["stretch_vs_slowest_rank"] >= 1.0 - 1e-12
         assert sum(cp["dominant_segments_per_rank"].values()) == cp["segments"]
         assert a["load_imbalance_pct"] >= 0.0
-        ov = a["overlap"]
-        assert ov["interior_us"] > 0  # overlap scheme ran
-        assert 0.0 <= ov["efficiency"] <= 1.0
         report = format_report(a)
         assert "critical path" in report
-        assert "overlap" in report
+        assert "overlap" not in report
 
     def test_load_trace_rejects_non_trace(self, tmp_path):
         bad = tmp_path / "bad.json"
