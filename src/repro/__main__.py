@@ -9,7 +9,7 @@ Mirrors the LAMMPS binary's common flags::
     python -m repro -in melt.in -r 16                # 16 batched replicas
     python -m repro -in melt.in -var cells 6 -var temp 1.2
     python -m repro -in melt.in --tools space-time-stack,chrome-trace --tool-out out/
-    python -m repro -in melt.in --metrics-out out/   # Prometheus + JSONL metrics
+    python -m repro -in melt.in --tools metrics --tool-out out/  # Prometheus + JSONL
     python -m repro -in melt.in --autotune           # pick list/newton/scatter at run start
     python -m repro --analyze-trace out/trace.json   # offline trace analytics
 
@@ -67,9 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                    + ", ".join(tool_names()))
     p.add_argument("--tool-out", default=".", metavar="DIR",
                    help="directory for tool output files (default: cwd)")
-    p.add_argument("--metrics-out", default=None, metavar="DIR",
-                   help="attach the metrics tool and write metrics.prom "
-                   "and metrics.jsonl under DIR")
     p.add_argument("--analyze-trace", default=None, metavar="TRACE.json",
                    help="analyze a recorded chrome trace instead of running "
                    "a script (critical path, imbalance, top kernels)")
@@ -145,13 +142,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(err))
         for tool in tools:
             kp.attach(tool)
-    if args.metrics_out is not None:
-        from repro.tools.metrics import MetricsTool
-
-        os.makedirs(args.metrics_out or ".", exist_ok=True)
-        tool = MetricsTool(args.metrics_out or ".")
-        kp.attach(tool)
-        tools.append(tool)
 
     try:
         if args.replicas > 1:

@@ -37,7 +37,6 @@ from repro.core.atom import BORDER_FIELDS, AtomVec
 from repro.core.errors import CommError
 from repro.parallel.comm import SimComm
 from repro.parallel.decomp import BrickDecomposition
-from repro.tools import metrics
 
 
 @dataclass
@@ -236,8 +235,6 @@ class CommBrick:
     # -------------------------------------------------------------- borders
     def borders(self, atom: AtomVec, periodic: tuple[bool, bool, bool]) -> Iterator[None]:
         """Rebuild the ghost shell (generator; one yield per swap)."""
-        if metrics.SINKS:
-            metrics.inc("halo_exchanges_total", kind="borders")
         atom.clear_ghosts()
         self.swaps = []
         self.replay = None
@@ -305,8 +302,6 @@ class CommBrick:
     # --------------------------------------------------------- forward comm
     def forward_comm(self, atom: AtomVec) -> Iterator[None]:
         """Refresh ghost positions over the recorded swaps (per-step path)."""
-        if metrics.SINKS:
-            metrics.inc("halo_exchanges_total", kind="forward")
         self._check_sendlists(atom)
         if self.replay is not None:
             self.replay.forward_x(atom)
@@ -329,8 +324,6 @@ class CommBrick:
         EAM forward-communicates derivative terms between the density and
         force loops (figure 1's "additional communication").
         """
-        if metrics.SINKS:
-            metrics.inc("halo_exchanges_total", kind="forward_field")
         self._check_sendlists(atom)
         if self.replay is not None:
             self.replay.forward_fields(atom, (name,))
@@ -351,8 +344,6 @@ class CommBrick:
         halves its comm rounds per iteration, and the ledger accounts the
         single wider message automatically (payload ``nbytes``).
         """
-        if metrics.SINKS:
-            metrics.inc("halo_exchanges_total", kind="forward_fields")
         self._check_sendlists(atom)
         names = tuple(names)
         if self.replay is not None:
@@ -374,8 +365,6 @@ class CommBrick:
         Runs the swaps in reverse so contributions that landed on a ghost of
         a ghost retrace both hops (exactly LAMMPS's reverse pass).
         """
-        if metrics.SINKS:
-            metrics.inc("halo_exchanges_total", kind="reverse")
         self._check_sendlists(atom)
         if self.replay is not None:
             self.replay.reverse(atom, name)
@@ -395,8 +384,6 @@ class CommBrick:
         ``wrap`` maps positions into the primary periodic box first, so
         owners are computed on canonical coordinates.
         """
-        if metrics.SINKS:
-            metrics.inc("halo_exchanges_total", kind="exchange")
         atom.clear_ghosts()
         n = atom.nlocal
         atom.x[:n] = wrap(atom.x[:n])

@@ -244,31 +244,6 @@ class Input:
         for tool in tools:
             kp.attach(tool)
 
-    def cmd_metrics(self, args: list[str]) -> None:
-        """``metrics on [out <dir>]`` attaches the metrics tool
-        (:mod:`repro.tools.metrics`); ``metrics off`` finalizes and
-        detaches only metrics tools, printing their reports.  Like
-        ``tools``, the chain is process-global: root rank only."""
-        self._need(args, 1, "metrics on [out <dir>] | metrics off")
-        if self.lmp.comm_rank != 0:
-            return
-        from repro.tools import registry as kp
-        from repro.tools.metrics import MetricsTool
-
-        if args[0] == "off":
-            for tool in [t for t in kp.TOOLS if isinstance(t, MetricsTool)]:
-                report = tool.finalize()
-                kp.detach(tool)
-                if report:
-                    print(report)
-            return
-        if args[0] != "on":
-            raise InputError("metrics expects 'on' or 'off'")
-        rest = args[1:]
-        if rest and (rest[0] != "out" or len(rest) != 2):
-            raise InputError(f"metrics: unknown option {rest[0]!r}")
-        kp.attach(MetricsTool(rest[1] if rest else None))
-
     # ---------------------------------------------------------- geometry
     def cmd_lattice(self, args: list[str]) -> None:
         self._need(args, 2, "lattice <style> <scale>")

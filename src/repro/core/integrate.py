@@ -24,12 +24,10 @@ another — so the breakdown and the space-time-stack agree exactly.
 
 from __future__ import annotations
 
-import time
 from typing import Iterator
 
 from repro.core.computes import ComputePE, ComputePressure
 from repro.core.errors import LammpsError
-from repro.tools import metrics
 
 
 class Verlet:
@@ -105,10 +103,6 @@ class Verlet:
         yield from self.setup_gen()
         last_step = lmp.update.ntimestep + nsteps
         for _ in range(nsteps):
-            # Per-step wall timer: in multi-rank lockstep runs the yields
-            # interleave ranks, so this measures the process-wide step, not
-            # one rank's share — label it by rank so that is explicit.
-            step_t0 = time.perf_counter() if metrics.SINKS else 0.0
             lmp.update.ntimestep += 1
             ev = self.ev_set(lmp.update.ntimestep, last_step)
             with lmp.timer.phase("Modify"):
@@ -140,13 +134,3 @@ class Verlet:
             with lmp.timer.phase("Output"):
                 yield from lmp.thermo.output_gen()
                 lmp.write_dumps()
-            if metrics.SINKS:
-                rank = str(lmp.comm_rank)
-                metrics.observe(
-                    "step_wall_seconds",
-                    time.perf_counter() - step_t0,
-                    rank=rank,
-                )
-                metrics.inc("steps_total", rank=rank)
-                if rebuild:
-                    metrics.inc("neighbor_rebuilds_total", rank=rank)

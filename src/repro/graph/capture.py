@@ -13,7 +13,7 @@ Import discipline: this module must stay stdlib-only.  It is imported by
 ``repro.kokkos.parallel`` and ``repro.kokkos.view`` at module level, so
 any dependency back into ``repro.kokkos`` would cycle.
 
-The hot-path guard mirrors ``kp.TOOLS`` / ``metrics.SINKS``:
+The hot-path guard mirrors ``kp.TOOLS``:
 ``CAPTURING`` is a plain list that is empty unless a capture is armed,
 so uninstrumented dispatches pay a single falsy check.
 """

@@ -31,7 +31,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterator
 
-from repro.tools import metrics
 from repro.tools import registry as kp
 
 from .capture import KernelNode
@@ -117,33 +116,13 @@ class PlanCache:
         entry = self.plans.get(base_key)
         if entry is not None and entry[0] == variant_key:
             self.hits += 1
-            if metrics.SINKS:
-                metrics.inc(
-                    "graph_plan_hits_total",
-                    help="fused-plan cache hits by plan",
-                    plan=entry[1].label,
-                )
             return entry[1]
         self.misses += 1
-        if metrics.SINKS:
-            label = entry[1].label if entry is not None else str(base_key)
-            metrics.inc(
-                "graph_plan_misses_total",
-                help="fused-plan cache misses (capture required) by plan",
-                plan=label,
-            )
         return None
 
     def store(self, base_key: Hashable, variant_key: Hashable, plan: GraphPlan) -> None:
         self.plans[base_key] = (variant_key, plan)
         self.fused_nodes += plan.fused_node_count
-        if metrics.SINKS:
-            metrics.inc(
-                "graph_fused_nodes_total",
-                float(plan.fused_node_count),
-                help="dispatches folded into fused groups, by plan",
-                plan=plan.label,
-            )
         if kp.TOOLS:
             kp.profile_event(
                 "graph:plan_captured",

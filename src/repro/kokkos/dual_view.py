@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.kokkos.core import Device, ExecutionSpace, Host, device_context
 from repro.kokkos.view import View
-from repro.tools import metrics
 from repro.tools import registry as kp
 
 
@@ -122,12 +121,6 @@ class DualView:
         GPU package the paper contrasts against.
         """
         if not self.need_sync(space):
-            if metrics.SINKS:
-                metrics.inc(
-                    "dualview_sync_skipped_total",
-                    label=self.label or "unnamed",
-                    space=space.name,
-                )
             return False
         other = Device if space is Host else Host
         if not self._host_only:
@@ -138,18 +131,6 @@ class DualView:
             ctx.timeline.record(
                 f"dualview_sync::{self.label or 'unnamed'}", seconds
             )
-            if metrics.SINKS:
-                direction = f"{other.name}->{space.name}"
-                label = self.label or "unnamed"
-                metrics.inc(
-                    "dualview_sync_total", label=label, direction=direction
-                )
-                metrics.inc(
-                    "dualview_sync_bytes_total",
-                    dst.nbytes,
-                    label=label,
-                    direction=direction,
-                )
             if kp.TOOLS:
                 kp.deep_copy(
                     space.name,

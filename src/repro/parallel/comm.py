@@ -16,7 +16,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.hardware.network import NETWORKS, NetworkSpec
-from repro.tools import metrics
 from repro.tools import registry as kp
 
 #: Intra-node (NVLink / xGMI / Xe-Link class) message parameters.
@@ -48,11 +47,6 @@ class CommLedger:
         self.messages += 1
         self.bytes_moved += nbytes
         self.cum_seconds += seconds
-        if metrics.SINKS:
-            metrics.inc("comm_messages_total", category=category)
-            metrics.inc("comm_sim_seconds_total", seconds, category=category)
-            if nbytes:
-                metrics.inc("comm_bytes_total", nbytes, category=category)
         if kp.TOOLS:
             # one charged instant per modeled message/collective: the
             # KokkosP analogue of an MPI profiling hook, attributed to the

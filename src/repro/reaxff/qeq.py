@@ -50,7 +50,6 @@ from repro.core.errors import LammpsError, OverflowGuardError, unknown_choice
 from repro.kokkos.segment import ATOMIC, scatter_mode
 from repro.reaxff.nonbonded import shielded_kernel, taper
 from repro.reaxff.params import ReaxParams
-from repro.tools import metrics
 
 
 @dataclass
@@ -473,12 +472,6 @@ def fused_cg_gen(
     out["seeded"] = x0 is not None
     out["spmv_traversals"] = traversals
     out["spmv_bytes"] = matrix.traversal_bytes() * traversals
-    if metrics.SINKS:
-        pname = precond.name if precond is not None else PRECOND_NONE
-        seeded = "yes" if x0 is not None else "no"
-        metrics.inc("qeq_solves_total", precond=pname, seeded=seeded)
-        metrics.inc("qeq_iterations_total", it, precond=pname, seeded=seeded)
-        metrics.inc("qeq_spmv_bytes_total", out["spmv_bytes"])
 
 
 def equilibrate_charges_gen(

@@ -55,7 +55,6 @@ Pair-style coverage is the closed set in ``HANDLERS`` (host ``lj/cut`` and
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -71,7 +70,6 @@ from repro.kokkos.segment import scatter_add
 from repro.parallel.driver import drain
 from repro.potentials.eam import eam_energy, eam_force_stages, gather_eam_coeffs
 from repro.potentials.lj import lj_energy, lj_force
-from repro.tools import metrics
 from repro.tools import registry as kp
 
 
@@ -489,7 +487,6 @@ class ReplicaBatch:
             self._one_step()
 
     def _one_step(self) -> None:
-        t0 = time.perf_counter() if metrics.SINKS else 0.0
         atom = self.atom
         for m in self.members:
             m.lmp.update.ntimestep += 1
@@ -503,7 +500,6 @@ class ReplicaBatch:
                 atom.x[m.own_off : m.own_off + m.nlocal],
             )
         ]
-        rebuilt = bool(stale)
         if stale:
             self._rebuild(stale)
             if not self.members:
@@ -525,13 +521,6 @@ class ReplicaBatch:
             if m.lmp.thermo.should_output(m.lmp.update.ntimestep):
                 self._sync_member(m)
                 drain(m.lmp.thermo.output_gen())
-        if metrics.SINKS:
-            metrics.observe(
-                "step_wall_seconds", time.perf_counter() - t0, rank=self.label
-            )
-            metrics.inc("steps_total", rank=self.label)
-            if rebuilt:
-                metrics.inc("neighbor_rebuilds_total", rank=self.label)
 
     # ------------------------------------------------------------ integrate
     def _nve_initial(self) -> None:

@@ -13,6 +13,7 @@ Built-in tools:
 * ``memory-events``     — per-memory-space allocation log + high-water mark
 * ``chrome-trace``      — chrome://tracing JSON, one track per rank
 * ``roofline``          — %-of-roof per kernel vs the active machine model
+* ``metrics``           — Prometheus + JSONL counters/histograms per kernel
 
 Only :mod:`repro.tools.registry` is imported eagerly here; the tool
 implementations load on first use so instrumented low-level modules
@@ -61,14 +62,20 @@ def tool_names() -> list[str]:
     return sorted(TOOL_CATALOG)
 
 
-def create_tool(name: str, outdir: str | None = None) -> Tool:
-    """Instantiate one built-in tool by its CLI name."""
+def _catalog_key(name: str) -> str:
+    """``name``'s :data:`TOOL_CATALOG` key; ValueError if there is none."""
     key = name.strip().lower().replace("_", "-")
     if key not in TOOL_CATALOG:
         from repro.core.errors import unknown_choice
 
         raise ValueError(unknown_choice(
             "tool", name, tool_names(), extra=" — or 'all' for every one"))
+    return key
+
+
+def create_tool(name: str, outdir: str | None = None) -> Tool:
+    """Instantiate one built-in tool by its CLI name."""
+    key = _catalog_key(name)
     module_name, cls_name, takes_out = TOOL_CATALOG[key]
     import importlib
 
@@ -88,9 +95,12 @@ def create_tools(spec: str, outdir: str | None = None) -> list[Tool]:
 
     ``all`` (alone or in the list) expands to every registered tool, in
     catalog order — derived from :data:`TOOL_CATALOG`, so new tools are
-    covered automatically.
+    covered automatically.  Every name is checked before any tool is
+    built or any output directory made, so a rejected list leaves nothing
+    behind.
     """
     names = [name for name in spec.split(",") if name.strip()]
     if any(n.strip().lower() == "all" for n in names):
         names = tool_names()
-    return [create_tool(name, outdir) for name in names]
+    keys = [_catalog_key(name) for name in names]
+    return [create_tool(key, outdir) for key in keys]

@@ -1,4 +1,4 @@
-"""Measured-performance metrics core: counters, gauges, histograms, timers.
+"""Measured-performance metrics core: counters, gauges, histograms.
 
 The KokkosP-style registry (:mod:`repro.tools.registry`) charges *modeled*
 simulated-clock time to every dispatch; this module records *measured*
@@ -8,17 +8,14 @@ wall-clock data keyed by kernel:
   families collected in a :class:`MetricsRegistry`, exported as Prometheus
   text format (:meth:`MetricsRegistry.to_prometheus`) or JSONL
   (:meth:`MetricsRegistry.to_jsonl`).
-* Module-level emission helpers (:func:`inc`, :func:`observe`,
-  :func:`set_gauge`) — what instrumented runtime sites call
-  (``kokkos/dual_view.py``, ``core/integrate.py``, ``core/comm_md.py``,
-  ``parallel/comm.py``).  Every helper starts with an ``if not SINKS:``
-  guard, the same falsy-list contract as ``registry.TOOLS``, so an
-  uninstrumented run pays one list check per site and nothing else.
 * :class:`MetricsTool` — a registry :class:`~repro.tools.registry.Tool`
   that turns the begin/end event stream into per-kernel dispatch counters,
   modeled-seconds counters, and **wall-clock** histograms, so every
   dispatch, fence, deep copy, and comm instant records both modeled and
   real ``perf_counter`` time.
+
+The registry's event stream is the only input: no runtime module emits
+into this one, and attaching the tool is the only way to record.
 
 Like the registry, this module imports nothing from the rest of ``repro``
 so any runtime layer can import it without cycles.
@@ -39,10 +36,6 @@ from repro.tools.registry import (
     MemoryEvent,
     Tool,
 )
-
-#: Attached metric sinks.  Emission sites guard with ``if metrics.SINKS:`` —
-#: mutated in place so the identity check stays valid everywhere.
-SINKS: list["MetricsRegistry"] = []
 
 #: default wall-clock histogram buckets, seconds (log-spaced 1 us .. 10 s)
 WALL_BUCKETS: tuple[float, ...] = (
@@ -235,41 +228,6 @@ def _prom_labels(key: tuple, **extra) -> str:
     return "{" + body + "}"
 
 
-# -------------------------------------------------------- sink lifecycle
-def attach_sink(sink: MetricsRegistry) -> MetricsRegistry:
-    """Attach a sink; instrumented sites start recording into it."""
-    SINKS.append(sink)
-    return sink
-
-
-def detach_sink(sink: MetricsRegistry) -> None:
-    if sink in SINKS:
-        SINKS.remove(sink)
-
-
-# ---------------------------------------------------------------- emission
-def inc(name: str, value: float = 1.0, *, help: str = "", **labels) -> None:
-    """Increment ``name`` in every attached sink (no-op when none)."""
-    if not SINKS:
-        return
-    for sink in SINKS:
-        sink.counter(name, help).inc(value, **labels)
-
-
-def set_gauge(name: str, value: float, *, help: str = "", **labels) -> None:
-    if not SINKS:
-        return
-    for sink in SINKS:
-        sink.gauge(name, help).set(value, **labels)
-
-
-def observe(name: str, value: float, *, help: str = "", **labels) -> None:
-    if not SINKS:
-        return
-    for sink in SINKS:
-        sink.histogram(name, help).observe(value, **labels)
-
-
 # ----------------------------------------------------------------- the tool
 class MetricsTool(Tool):
     """Bridge the KokkosP event stream into a :class:`MetricsRegistry`.
@@ -296,7 +254,6 @@ class MetricsTool(Tool):
     ) -> None:
         self.out = out
         self.registry = registry if registry is not None else MetricsRegistry()
-        attach_sink(self.registry)
         r = self.registry
         self.dispatches = r.counter(
             "kernel_dispatch_total", "parallel_* dispatches by kernel"
@@ -308,7 +265,7 @@ class MetricsTool(Tool):
             "kernel_wall_seconds", "measured wall seconds per dispatch"
         )
         self.fences = r.counter("fence_total", "fence events by name")
-        self.copies = r.counter("deep_copy_total", "deep copies by route")
+        self.copies = r.counter("deep_copy_total", "deep copies by route and view")
         self.copy_bytes = r.counter("deep_copy_bytes_total", "deep-copied bytes")
         self.mem_current = r.gauge(
             "memory_current_bytes", "live allocation bytes per space"
@@ -319,33 +276,8 @@ class MetricsTool(Tool):
         self.instant_seconds = r.counter(
             "profile_event_sim_seconds_total", "modeled seconds charged by instants"
         )
-        # Kernel-graph plan-cache effectiveness.  The cache itself emits
-        # through metrics.inc into every attached sink; registering the
-        # families up-front keeps them visible (at zero) in --metrics-out
-        # exports even for runs that never enable graph mode.
-        self.graph_plan_hits = r.counter(
-            "graph_plan_hits_total", "fused-plan cache hits by plan"
-        )
-        self.graph_plan_misses = r.counter(
-            "graph_plan_misses_total",
-            "fused-plan cache misses (capture required) by plan",
-        )
-        self.graph_fused_nodes = r.counter(
-            "graph_fused_nodes_total", "dispatches folded into fused groups, by plan"
-        )
-        # QEq solver accounting.  The CG generator emits through metrics.inc
-        # per solve; registering the families up-front keeps them visible
-        # (at zero) in --metrics-out exports for ReaxFF-less runs too.
-        self.qeq_solves = r.counter(
-            "qeq_solves_total", "QEq dual CG solves by preconditioner/seeding"
-        )
-        self.qeq_iterations = r.counter(
-            "qeq_iterations_total",
-            "QEq CG iterations-to-tolerance by preconditioner/seeding",
-        )
-        self.qeq_spmv_bytes = r.counter(
-            "qeq_spmv_bytes_total",
-            "QEq matrix-stream bytes traversed (one pass per dual-RHS product)",
+        self.instant_bytes = r.counter(
+            "profile_event_bytes_total", "bytes carried by instants (comm payloads)"
         )
 
     # ------------------------------------------------------------- kernels
@@ -363,9 +295,9 @@ class MetricsTool(Tool):
         self.fences.inc(name=ev.name)
 
     def end_deep_copy(self, ev: DeepCopyEvent) -> None:
-        route = f"{ev.src_space}->{ev.dst_space}"
-        self.copies.inc(route=route)
-        self.copy_bytes.inc(ev.nbytes, route=route)
+        labels = {"route": f"{ev.src_space}->{ev.dst_space}", "label": ev.dst_label}
+        self.copies.inc(**labels)
+        self.copy_bytes.inc(ev.nbytes, **labels)
 
     # -------------------------------------------------------------- memory
     def allocate_data(self, ev: MemoryEvent) -> None:
@@ -384,6 +316,8 @@ class MetricsTool(Tool):
         self.instants.inc(name=ev.name)
         if ev.sim_seconds:
             self.instant_seconds.inc(ev.sim_seconds, name=ev.name)
+        if ev.metadata.get("bytes"):
+            self.instant_bytes.inc(float(ev.metadata["bytes"]), name=ev.name)
 
     # ------------------------------------------------------------- queries
     def kernel_totals(self) -> dict[str, dict[str, float]]:
@@ -414,7 +348,6 @@ class MetricsTool(Tool):
 
     # -------------------------------------------------------------- output
     def finalize(self) -> str:
-        detach_sink(self.registry)
         lines = ["", "=" * 72, "metrics", "=" * 72]
         totals = self.kernel_totals()
         ndisp = int(sum(row["count"] for row in totals.values()))

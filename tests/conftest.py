@@ -46,6 +46,14 @@ def melt():
     return make_melt()
 
 
+@pytest.fixture
+def melt_script(tmp_path) -> str:
+    """Path of a 5-step LJ melt input script (CLI and ``tools`` tests)."""
+    path = tmp_path / "melt.in"
+    path.write_text(MELT_SCRIPT.format(cells=3, pair_style="lj/cut", thermo=10) + "run 5\n")
+    return str(path)
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden",

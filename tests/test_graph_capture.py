@@ -25,7 +25,8 @@ from repro.graph import (
 )
 from repro.graph.plan import PlanCache
 from repro.hardware.cost import KernelProfile, fuse_profiles
-from repro.tools.metrics import MetricsRegistry, attach_sink, detach_sink
+from repro.tools import registry as kp
+from repro.tools.metrics import MetricsTool
 
 
 @pytest.fixture(autouse=True)
@@ -162,23 +163,21 @@ def test_plan_cache_miss_store_hit_and_invalidate():
     }
 
 
-def test_plan_cache_counters_reach_metrics_sinks():
-    registry = MetricsRegistry()
-    attach_sink(registry)
-    try:
-        cache = PlanCache()
-        plan = build_plan("lj/all", [node("a"), node("b"), node("c")])
+def test_plan_cache_counters_reach_tools():
+    """``plan_cache().stats()`` is the one record of cache traffic; each
+    store also reaches every attached tool as a ``graph:plan_captured``
+    instant."""
+    tool = MetricsTool()
+    cache = plan_cache()
+    before = cache.stats()
+    plan = build_plan("lj/all", [node("a"), node("b"), node("c")])
+    with kp.attached(tool):
         cache.lookup("k", 1)
         cache.store("k", 1, plan)
         cache.lookup("k", 1)
-        hits = registry.counter("graph_plan_hits_total")
-        misses = registry.counter("graph_plan_misses_total")
-        fused = registry.counter("graph_fused_nodes_total")
-        assert hits.get(plan="lj/all") == 1.0
-        assert misses.get(plan="k") == 1.0
-        assert fused.get(plan="lj/all") == 3.0
-    finally:
-        detach_sink(registry)
+    delta = {k: cache.stats()[k] - before[k] for k in ("hits", "misses", "fused_nodes")}
+    assert delta == {"hits": 1, "misses": 1, "fused_nodes": 3}
+    assert tool.instants.get(name="graph:plan_captured") == 1.0
 
 
 # ------------------------------------------------------------ mode registry

@@ -16,6 +16,7 @@ To rebless the golden iteration counts after an intentional solver change:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,10 @@ import pytest
 
 from conftest import gather_by_tag
 from repro.core import Ensemble, Lammps
+from repro.core.comm_md import CommBrick
 from repro.core.errors import InputError, LammpsError, OverflowGuardError
 from repro.kokkos.segment import ATOMIC, SEGMENTED, force_scatter_mode
 from repro.reaxff.qeq import HISTORY_DEPTH, build_qeq_matrix, make_preconditioner
-from repro.tools import metrics
-from repro.tools.metrics import MetricsRegistry
 from repro.workloads.hns import setup_hns
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -236,52 +236,55 @@ class TestChargeHistory:
 
 
 # ------------------------------------------------------- comm accounting
+def _spy_halos(monkeypatch) -> Counter:
+    """Count ``forward_comm_fields``/``forward_comm_field`` calls, all ranks."""
+    calls = Counter()
+    for name in ("forward_comm_fields", "forward_comm_field"):
+
+        def spy(self, *args, _orig=getattr(CommBrick, name), _name=name):
+            calls[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(CommBrick, name, spy)
+    return calls
+
+
 class TestPackedForwardComm:
-    def test_both_vectors_ride_one_exchange_per_iteration(self):
+    def test_both_vectors_ride_one_exchange_per_iteration(self, monkeypatch):
         """QEq comm rounds per CG iteration: exactly one packed exchange
-        (kind=forward_fields), not two single-field exchanges."""
-        sink = metrics.attach_sink(MetricsRegistry())
-        try:
-            ens = make_hns(nranks=2, cells=(2, 2, 2))
-            ens.command("run 2")
-        finally:
-            metrics.detach_sink(sink)
+        (``forward_comm_fields``), not two single-field exchanges."""
+        calls = _spy_halos(monkeypatch)
+        ens = make_hns(nranks=2, cells=(2, 2, 2))
+        ens.command("run 2")
         nranks = 2
         iters = sum(ens.ranks[0].pair.qeq_iters_history)
         nsolves = len(ens.ranks[0].pair.qeq_iters_history)
-        halo = sink.families["halo_exchanges_total"]
-        assert halo.get(kind="forward_fields") == nranks * iters
+        assert calls["forward_comm_fields"] == nranks * iters
         # the only per-solve single-field broadcast left is the converged q
-        assert halo.get(kind="forward_field") == nranks * nsolves
+        assert calls["forward_comm_field"] == nranks * nsolves
 
-    def test_seeded_solve_pays_one_extra_exchange(self):
-        sink = metrics.attach_sink(MetricsRegistry())
-        try:
-            ens = make_hns(nranks=2, cells=(2, 2, 2), extrap="2")
-            ens.command("run 2")
-        finally:
-            metrics.detach_sink(sink)
+    def test_seeded_solve_pays_one_extra_exchange(self, monkeypatch):
+        calls = _spy_halos(monkeypatch)
+        ens = make_hns(nranks=2, cells=(2, 2, 2), extrap="2")
+        ens.command("run 2")
         pair = ens.ranks[0].pair
         iters = sum(pair.qeq_iters_history)
         seeded = pair._qeq_solves - 1  # all but the cold first solve
-        halo = sink.families["halo_exchanges_total"]
-        assert halo.get(kind="forward_fields") == 2 * (iters + seeded)
+        assert calls["forward_comm_fields"] == 2 * (iters + seeded)
 
     def test_qeq_metric_families_recorded(self):
-        sink = metrics.attach_sink(MetricsRegistry())
-        try:
-            lmp = make_hns(precond="jacobi", extrap="2")
-            lmp.run(2)
-        finally:
-            metrics.detach_sink(sink)
-        solves = sink.families["qeq_solves_total"]
-        assert solves.get(precond="jacobi", seeded="no") == 1
-        assert solves.get(precond="jacobi", seeded="yes") == 2
-        iters = sink.families["qeq_iterations_total"]
-        total = sum(lmp.pair.qeq_iters_history)
-        assert sum(iters.values.values()) == total
-        spmv = sink.families["qeq_spmv_bytes_total"]
-        assert spmv.get() > 0
+        """The solver's own records hold its accounting: one history entry
+        per solve, and a seeded solve's stream bytes include the extra
+        seed-residual traversal."""
+        lmp = make_hns(precond="jacobi", extrap="2")
+        lmp.run(2)
+        pair, stats = lmp.pair, lmp.pair.last_stats
+        assert pair._qeq_solves == len(pair.qeq_iters_history) == 3
+        assert stats["qeq_seeded"] is True
+        assert stats["qeq_iterations"] == pair.qeq_iters_history[-1] > 0
+        assert stats["qeq_spmv_bytes"] == (
+            (stats["qeq_iterations"] + 1) * stats["qeq_spmv_bytes_per_iteration"]
+        )
 
 
 # ---------------------------------------------------------------- golden

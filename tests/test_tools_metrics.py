@@ -1,37 +1,44 @@
 """Measured-performance metrics core (:mod:`repro.tools.metrics`).
 
-Covers the metric families and exporters, the ``SINKS`` falsy-guard
-contract (zero recording when nothing is attached), the named wiring sites
-(step timer, comm ledger, halo exchanges, DualView syncs), and the
-reconciliation guarantee: the MetricsTool's per-kernel wall-clock totals
-cover exactly the kernel set the space-time-stack sees, with dispatch
-counts matching exactly.
+Covers the metric families and exporters, the one-channel contract (the
+tool records only the KokkosP events it is attached to, building one
+attaches nothing, and no runtime module emits anywhere but the registry),
+the runtime facts it must carry (every comm-ledger record, every DualView
+transfer), and the reconciliation guarantee: the MetricsTool's per-kernel
+wall-clock totals cover exactly the kernel set the space-time-stack sees,
+with dispatch counts matching exactly.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.tools import metrics
+import repro.kokkos as kk
+from repro.__main__ import main
+from repro.core import Lammps
+from repro.core.errors import InputError
+from repro.kokkos.dual_view import DualView
 from repro.tools import registry as kp
 from repro.tools.metrics import MetricsRegistry, MetricsTool
 from repro.tools.space_time_stack import SpaceTimeStack
 
 from conftest import make_melt
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
 
 @pytest.fixture(autouse=True)
 def clean_chain():
-    """No tools, no sinks, fresh clocks around every test."""
+    """No tools, fresh clocks around every test."""
     kp.TOOLS.clear()
     kp.CHAIN.reset()
-    metrics.SINKS.clear()
     yield
     kp.TOOLS.clear()
     kp.CHAIN.reset()
-    metrics.SINKS.clear()
 
 
 # ------------------------------------------------------------------ families
@@ -95,77 +102,90 @@ class TestFamilies:
 
 
 # ------------------------------------------------------------------ emission
+def _second_channel(path: Path, rel: str) -> list[int]:
+    """Lines opening an emission path beside the registry: a module-level
+    ``SINKS``, or (outside ``tools/``) an import of the metrics module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = [node.lineno for node in tree.body
+           if isinstance(node, (ast.Assign, ast.AnnAssign))
+           and any(getattr(t, "id", None) == "SINKS"
+                   for t in getattr(node, "targets", None) or [node.target])]
+    if not rel.startswith("tools/"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(f"{n}.".startswith("repro.tools.metrics.") for n in names):
+                bad.append(node.lineno)
+    return sorted(bad)
+
+
 class TestEmissionGuard:
-    def test_noop_without_sinks(self):
-        # must not raise and must not create anything anywhere
-        metrics.inc("free_total")
-        metrics.set_gauge("free_gauge", 1.0)
-        metrics.observe("free_seconds", 0.1)
-        assert not metrics.SINKS
-
-    def test_emission_reaches_all_sinks(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        metrics.attach_sink(a)
-        metrics.attach_sink(b)
-        metrics.inc("x_total", 2.0, mode="m")
-        metrics.detach_sink(b)
-        metrics.inc("x_total", 1.0, mode="m")
-        assert a.families["x_total"].get(mode="m") == 3.0
-        assert b.families["x_total"].get(mode="m") == 2.0
-        metrics.detach_sink(a)
-
     def test_run_records_nothing_with_no_sink(self):
-        lmp = make_melt(device="H100", suffix="kk", cells=3)
-        lmp.run(3)
-        assert not metrics.SINKS  # nothing attached, nothing leaked
+        """A MetricsTool records only while attached: building one attaches
+        nothing, and a run beside an unattached tool leaves it empty."""
+        tool = MetricsTool()
+        assert not kp.TOOLS
+        make_melt(device="H100", suffix="kk", cells=3).run(3)
+        assert not any(fam.values for fam in tool.registry.families.values())
+
+    def test_registry_is_the_only_emission_channel(self):
+        rels = [p.relative_to(SRC).as_posix() for p in sorted(SRC.rglob("*.py"))]
+        bad = {rel: _second_channel(SRC / rel, rel) for rel in rels}
+        # a module-level SINKS or a runtime import of repro.tools.metrics
+        # opens a path beside the registry: emit a registry event instead
+        assert not {rel: lines for rel, lines in bad.items() if lines}
+
+    def test_the_guard_sees_what_it_forbids(self, tmp_path):
+        probe = tmp_path / "probe.py"
+        probe.write_text("\n".join([
+            "import repro.tools.metrics", "from repro.tools import registry, metrics",
+            "from repro.tools.metrics import MetricsTool",
+            "from repro.tools import registry", "SINKS = []", "SINKS: list = []",
+            "def f():", "    import repro.tools.metrics as m", "    SINKS = []",
+        ]))
+        assert _second_channel(probe, "core/probe.py") == [1, 2, 3, 5, 6, 8]
+        assert _second_channel(probe, "tools/probe.py") == [5, 6]
 
 
 # ----------------------------------------------------------------- wiring
 class TestRuntimeWiring:
-    def _run_with_sink(self, nranks=1, nsteps=5):
-        sink = metrics.attach_sink(MetricsRegistry())
-        target = make_melt(device="H100", suffix="kk", cells=3, nranks=nranks)
-        target.run(nsteps)
-        metrics.detach_sink(sink)
-        return sink
-
-    def test_step_timer_and_rebuild_counters(self):
-        sink = self._run_with_sink(nsteps=5)
-        steps = sink.families["steps_total"]
-        assert steps.get(rank="0") == 5
-        hist = sink.families["step_wall_seconds"].series(rank="0")
-        assert hist.count == 5
-        assert hist.total > 0
+    def _run(self, nranks):
+        tool = MetricsTool()
+        with kp.attached(tool):
+            target = make_melt(device="H100", suffix="kk", cells=3, nranks=nranks)
+            target.run(5)
+        return tool, target.world.ledger
 
     def test_comm_ledger_counters(self):
-        sink = self._run_with_sink(nranks=2, nsteps=5)
-        msgs = sink.families["comm_messages_total"]
-        assert sum(msgs.values.values()) > 0
-        secs = sink.families["comm_sim_seconds_total"]
-        assert sum(secs.values.values()) > 0
+        """Every CommLedger record reaches the tool as one charged
+        ``comm:<category>`` instant carrying its seconds and bytes."""
+        def comm(counter):
+            return sum(n for k, n in counter.values.items() if dict(k)["name"].startswith("comm:"))
 
-    def test_halo_exchange_counters(self):
-        sink = self._run_with_sink(nranks=2, nsteps=5)
-        halo = sink.families["halo_exchanges_total"]
-        assert halo.get(kind="forward") > 0
-        assert halo.get(kind="borders") > 0
-        assert halo.get(kind="exchange") > 0
+        tool, ledger = self._run(nranks=1)
+        assert comm(tool.instants) == ledger.messages > 0
+        # Two ranks: every rank past the first that reads an allreduce adds
+        # a zero-cost comm:allreduce sync marker to its own track, so the
+        # charged quantities are what match the ledger exactly.
+        tool, ledger = self._run(nranks=2)
+        assert comm(tool.instant_bytes) == ledger.bytes_moved > 0
+        for category, seconds in ledger.entries.items():
+            assert tool.instant_seconds.get(name=f"comm:{category}") == seconds
 
     def test_dualview_sync_counters(self):
-        import repro.kokkos as kk
-        from repro.kokkos.dual_view import DualView
-
         kk.initialize("H100")
-        sink = metrics.attach_sink(MetricsRegistry())
-        dv = DualView(64, label="wired")
-        dv.modify_host()
-        dv.sync_device()
-        dv.sync_device()  # second sync is a no-op: already in sync
-        metrics.detach_sink(sink)
-        syncs = sink.families["dualview_sync_total"]
-        assert sum(syncs.values.values()) >= 1
-        skipped = sink.families["dualview_sync_skipped_total"]
-        assert sum(skipped.values.values()) >= 1
+        tool = MetricsTool()
+        with kp.attached(tool):
+            dv = DualView(64, label="wired")
+            dv.modify_host()
+            dv.sync_device()
+            dv.sync_device()  # second sync is a no-op: already in sync
+        key = (("label", "wired_d"), ("route", "Host->Device"))
+        assert tool.copies.values == {key: 1.0} and tool.copy_bytes.values == {key: 64 * 8}
 
 
 # ------------------------------------------------------------------ the tool
@@ -178,7 +198,6 @@ class TestMetricsTool:
             lmp = make_melt(device="H100", suffix="kk", cells=3)
             lmp.run(10)
         totals = tool.kernel_totals()
-        metrics.detach_sink(tool.registry)
 
         sts_kernels: dict[str, int] = {}
 
@@ -204,11 +223,11 @@ class TestMetricsTool:
             lmp = make_melt(device="H100", suffix="kk", cells=3)
             lmp.run(3)
             report = tool.finalize()
-        assert not metrics.SINKS  # finalize detaches the sink
         assert "metrics" in report
         prom = (tmp_path / "metrics.prom").read_text()
         assert "kernel_dispatch_total" in prom
-        assert "step_wall_seconds" in prom
+        assert 'deep_copy_total{label="' in prom
+        assert 'profile_event_bytes_total{name="comm:' in prom
         jsonl = (tmp_path / "metrics.jsonl").read_text()
         assert any(
             json.loads(line)["name"] == "kernel_wall_seconds"
@@ -224,77 +243,64 @@ class TestMetricsTool:
             kp.allocate_data("Device", "v", 1000)
             kp.allocate_data("Device", "w", 500)
             kp.deallocate_data("Device", "v", 1000)
-        metrics.detach_sink(tool.registry)
         assert tool.mem_current.get(space="Device") == 500.0
 
 
 # ------------------------------------------------------------- CLI / script
-SCRIPT = """\
-units lj
-lattice fcc 0.8442
-region box block 0 3 0 3 0 3
-create_box 1 box
-create_atoms 1 box
-mass 1 1.0
-velocity all create 1.44 87287
-pair_style lj/cut 2.5
-pair_coeff 1 1 1.0 1.0
-fix 1 all nve
-run 5
-"""
-
-
 class TestCLIAndInputScript:
-    def test_cli_metrics_out(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        script = tmp_path / "melt.in"
-        script.write_text(SCRIPT)
+    def test_cli_tools_metrics(self, tmp_path, melt_script, capsys):
         out = tmp_path / "m"
-        rc = main(
-            ["-in", str(script), "-k", "on", "-sf", "kk", "--quiet",
-             "--metrics-out", str(out)]
-        )
+        rc = main(["-in", melt_script, "-k", "on", "-sf", "kk", "--quiet",
+                   "--tools", "metrics", "--tool-out", str(out)])
         assert rc == 0
-        assert (out / "metrics.prom").exists()
-        assert (out / "metrics.jsonl").exists()
-        assert not (out / "profiles.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.jsonl", "metrics.prom"]
         assert "metrics" in capsys.readouterr().out
-        assert not metrics.SINKS and not kp.TOOLS
+        assert not kp.TOOLS
 
-    def test_input_script_metrics_command(self, tmp_path, capsys):
-        from repro.core import Lammps
+    def test_per_tool_out_flags_are_rejected(self, tmp_path, melt_script, capsys):
+        """``--tools NAME --tool-out DIR`` is the one way to pick an output
+        directory; no tool has a flag of its own."""
+        flag = f"--{MetricsTool.name}-out"
+        with pytest.raises(SystemExit) as exc:
+            main(["-in", melt_script, flag, str(tmp_path / "d")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
+    def test_input_script_metrics_command(self, tmp_path, melt_script, capsys):
+        out = tmp_path / "m"
         lmp = Lammps(device="H100", suffix="kk", quiet=True)
-        lmp.command(f"metrics on out {tmp_path}")
-        assert len(kp.TOOLS) == 1 and len(metrics.SINKS) == 1
-        lmp.commands_string(SCRIPT)
-        lmp.command("metrics off")
-        assert not kp.TOOLS and not metrics.SINKS
+        lmp.command(f"tools metrics out {out}")
+        assert [type(t) for t in kp.TOOLS] == [MetricsTool]
+        lmp.file(melt_script)
+        lmp.command("tools off")
+        assert not kp.TOOLS
         assert "metrics" in capsys.readouterr().out
-        assert (tmp_path / "metrics.prom").exists()
-        assert not (tmp_path / "profiles.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.jsonl", "metrics.prom"]
 
     def test_input_script_metrics_bad_option(self):
-        from repro.core import Lammps
-        from repro.core.errors import InputError
-
+        """The metrics-only command is gone; ``tools metrics`` replaces it."""
         lmp = Lammps(device=None, quiet=True)
-        with pytest.raises(InputError):
-            lmp.command("metrics sideways")
-        with pytest.raises(InputError):
-            lmp.command("metrics on bogus x")
-        with pytest.raises(InputError, match="unknown option 'workload'"):
-            lmp.command("metrics on workload melt")
+        for line in ("metrics on", "metrics off", "metrics on out d"):
+            with pytest.raises(InputError, match="unknown command 'metrics'"):
+                lmp.command(line)
+
+    def test_rejected_tool_list_leaves_nothing_behind(self, tmp_path):
+        """Every name is checked before any tool is built: a list with one
+        bad name attaches nothing and makes no output directory."""
+        lmp = Lammps(device=None, quiet=True)
+        out = tmp_path / "never"
+        with pytest.raises(InputError, match="bogus"):
+            lmp.command(f"tools metrics,bogus out {out}")
+        assert kp.TOOLS == []
+        assert not out.exists()
 
     def test_tools_all_includes_metrics(self, tmp_path):
         from repro.tools import create_tools
 
         tools = create_tools("all", str(tmp_path))
         assert any(isinstance(t, MetricsTool) for t in tools)
-        for t in tools:  # clean up the sink MetricsTool.__init__ attached
-            if isinstance(t, MetricsTool):
-                metrics.detach_sink(t.registry)
+        assert not kp.TOOLS  # building tools attaches none of them
 
     def test_unknown_tool_error_lists_registered(self):
         from repro.tools import create_tool, tool_names

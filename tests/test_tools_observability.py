@@ -258,26 +258,10 @@ class TestKernelLoggerAndRoofline:
 
 
 class TestCLIAndInputScript:
-    SCRIPT = """\
-units lj
-lattice fcc 0.8442
-region box block 0 3 0 3 0 3
-create_box 1 box
-create_atoms 1 box
-mass 1 1.0
-velocity all create 1.44 87287
-pair_style lj/cut 2.5
-pair_coeff 1 1 1.0 1.0
-fix 1 all nve
-run 5
-"""
-
-    def test_cli_tools_flag(self, tmp_path, capsys):
-        script = tmp_path / "melt.in"
-        script.write_text(self.SCRIPT)
+    def test_cli_tools_flag(self, tmp_path, melt_script, capsys):
         rc = main(
             [
-                "-in", str(script), "-k", "on", "-sf", "kk", "--quiet",
+                "-in", melt_script, "-k", "on", "-sf", "kk", "--quiet",
                 "--tools", "space-time-stack,chrome-trace",
                 "--tool-out", str(tmp_path),
             ]
@@ -287,19 +271,17 @@ run 5
         assert "space-time-stack" in capsys.readouterr().out
         assert not kp.TOOLS  # CLI finalizes and detaches
 
-    def test_cli_rejects_unknown_tool(self, tmp_path):
-        script = tmp_path / "melt.in"
-        script.write_text(self.SCRIPT)
+    def test_cli_rejects_unknown_tool(self, melt_script):
         with pytest.raises(SystemExit):
-            main(["-in", str(script), "--tools", "definitely-not-a-tool"])
+            main(["-in", melt_script, "--tools", "definitely-not-a-tool"])
 
-    def test_input_script_tools_command(self, tmp_path, capsys):
+    def test_input_script_tools_command(self, tmp_path, melt_script, capsys):
         from repro.core import Lammps
 
         lmp = Lammps(device="H100", suffix="kk")
         lmp.command(f"tools space-time-stack out {tmp_path}")
         assert len(kp.TOOLS) == 1
-        lmp.commands_string(self.SCRIPT)
+        lmp.file(melt_script)
         lmp.command("tools off")
         assert not kp.TOOLS
         assert "space-time-stack" in capsys.readouterr().out
