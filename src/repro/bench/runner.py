@@ -254,7 +254,10 @@ class ReaxFFBenchmark(PotentialBenchmark):
     comm = CommModel(
         forward_halos=2,  # positions + charges
         reverse_halos=1,
-        iterative_rounds=30,  # QEq CG iterations (matches captured runs)
+        # QEq CG iterations of a cold-start plain CG; the captured runs' default
+        # solver (jacobi + qeq_extrap 2) takes ~19 — not re-derived, see
+        # EXPERIMENTS "ReaxFF modeled rows"
+        iterative_rounds=30,
         allreduces=3,
         # bond-order neighboring and the nonbonded force read only pair
         # geometry, so their owned-owned portion can hide the position halo

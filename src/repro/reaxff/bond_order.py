@@ -133,6 +133,13 @@ def build_bond_list(
     accepted bonds per atom, the offsets come from a scan, the (resized)
     table is filled by a second kernel.  All vectorized, and bit-identical
     to the reference build.
+
+    ``nlist`` must hold every pair that has ``BO > bo_cut`` *now*.  A list
+    built at ``params.bond_search_cut + skin`` does, for as long as no
+    pair has closed in by more than the skin since its build — the same
+    skin contract the nonbonded pair list relies on.  Each call re-applies
+    the exact ``rcut_bond`` and ``bo_cut`` masks, so any list meeting the
+    contract yields the same table, entry for entry.
     """
     i, j, dx, r, candidates = _filter_candidates(x, types, nlist, params)
     bo, dbo = bond_order(r, types[i], types[j], params)

@@ -6,13 +6,17 @@ All neighbor pairs within the 10 A cutoff interact through:
 * a shielded Coulomb term ``C q_i q_j (r^3 + 1/gamma_ij^3)^(-1/3)``
 
 both multiplied by ReaxFF's 7th-order taper ``T(r)`` that takes the
-interaction smoothly to zero at the outer cutoff.  The same shielded-tapered
-kernel builds the QEq matrix, so the equilibrated charges minimize exactly
-the Coulomb energy computed here (which is what makes forces at fixed
-charges exact derivatives — the envelope theorem the tests rely on).
+interaction smoothly to zero at the outer cutoff.  The QEq matrix is built
+from the same shielded-tapered kernel over the same per-step geometry pass
+(:func:`nonbonded_geometry`, run once, by the matrix build), so the
+equilibrated charges minimize exactly the Coulomb energy computed here
+(which is what makes forces at fixed charges exact derivatives — the
+envelope theorem the tests rely on).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,23 +55,34 @@ def vdw_morse(
     return e, de
 
 
-def compute_nonbonded(
-    x: np.ndarray,
-    types: np.ndarray,
-    q: np.ndarray,
-    nlocal: int,
-    nlist,
-    params: ReaxParams,
-    qqr2e: float,
-    f: np.ndarray,
-    virial: np.ndarray,
-) -> tuple[float, float, int]:
-    """vdW + Coulomb from a full neighbor list.
+@dataclass
+class NonbondedGeometry:
+    """Per-step geometry of the full-list pairs inside ``rcut_nonb``.
 
-    Returns ``(evdw, ecoul_pairs, pairs_in_cutoff)``; forces are added to
-    owned atoms only (full-list convention: each pair visited from both
-    ends, energies at half weight).
+    One pass computes it for both consumers: the QEq matrix build reads
+    ``g * t`` and the nonbonded force reads everything.  Rows are the
+    list's row-major order (``i`` sorted).
     """
+
+    i: np.ndarray
+    j: np.ndarray
+    #: species of ``i`` and ``j``
+    ti: np.ndarray
+    tj: np.ndarray
+    #: displacement x_i - x_j and distance
+    dx: np.ndarray
+    r: np.ndarray
+    #: taper ``(T, dT/dr)`` and shielded kernel ``(g, dg/dr)``
+    t: np.ndarray
+    dt: np.ndarray
+    g: np.ndarray
+    dg: np.ndarray
+
+
+def nonbonded_geometry(
+    x: np.ndarray, types: np.ndarray, nlist, params: ReaxParams
+) -> NonbondedGeometry:
+    """Cutoff-masked pair geometry, taper and shielding from a full list."""
     i, j = nlist.ij_pairs()
     dx = x[i] - x[j]
     rsq = np.einsum("ij,ij->i", dx, dx)
@@ -75,10 +90,28 @@ def compute_nonbonded(
     i, j, dx = i[mask], j[mask], dx[mask]
     r = np.sqrt(rsq[mask])
     ti, tj = types[i], types[j]
-
     t, dt = taper(r, params.rcut_nonb)
-    ev, dev = vdw_morse(r, params.vdw_d_ij(ti, tj), params.vdw_alpha, params.vdw_r_ij(ti, tj))
     g, dg = shielded_kernel(r, params.gamma_ij(ti, tj))
+    return NonbondedGeometry(i=i, j=j, ti=ti, tj=tj, dx=dx, r=r, t=t, dt=dt, g=g, dg=dg)
+
+
+def compute_nonbonded(
+    geom: NonbondedGeometry,
+    q: np.ndarray,
+    params: ReaxParams,
+    qqr2e: float,
+    f: np.ndarray,
+    virial: np.ndarray,
+) -> tuple[float, float, int]:
+    """vdW + Coulomb over this step's :class:`NonbondedGeometry`.
+
+    Returns ``(evdw, ecoul_pairs, pairs_in_cutoff)``; forces are added to
+    owned atoms only (full-list convention: each pair visited from both
+    ends, energies at half weight).
+    """
+    i, j, ti, tj, dx, r = geom.i, geom.j, geom.ti, geom.tj, geom.dx, geom.r
+    t, dt, g, dg = geom.t, geom.dt, geom.g, geom.dg
+    ev, dev = vdw_morse(r, params.vdw_d_ij(ti, tj), params.vdw_alpha, params.vdw_r_ij(ti, tj))
     qq = qqr2e * q[i] * q[j]
 
     e_vdw_pair = ev * t

@@ -37,6 +37,7 @@ from repro.reaxff.params import ReaxParams, default_chno
 from repro.reaxff.qeq import (
     EXTRAP_NONE,
     EXTRAPS,
+    PRECOND_JACOBI,
     PRECONDS,
     QEqHistory,
     build_qeq_matrix,
@@ -54,9 +55,9 @@ class PairReaxFF(Pair):
         self.params: ReaxParams = default_chno()
         self.qeq_tol = 1e-8
         #: preconditioner for the dual CG (none/jacobi)
-        self.qeq_precond = "none"
+        self.qeq_precond = PRECOND_JACOBI
         #: charge-history extrapolation order ("none" = cold start, "0".."3")
-        self.qeq_extrap = EXTRAP_NONE
+        self.qeq_extrap = "2"
         it = iter(args)
         for key in it:
             if key == "qeq_tol":
@@ -156,12 +157,15 @@ class PairReaxFF(Pair):
     def bond_neighbor_list(self):
         """Bond-search list over ALL atoms (ghosts get their own rows).
 
-        Built at ``rcut_bond + skin`` from the per-rebuild shared
-        :class:`~repro.core.bin_grid.BinGrid` and reused until the engine's
-        rebuild policy produces a fresh pair list — the skin-amortized
-        multi-cutoff request.  The downstream bond-order build re-filters
-        candidates at the exact ``rcut_bond`` every call, so reusing the
-        padded list is bit-identical to rebuilding it each step.
+        Built at ``params.bond_search_cut + skin`` — the bond-order
+        threshold's reach (2.13 A for CHNO), not ``rcut_bond`` — from the
+        per-rebuild shared :class:`~repro.core.bin_grid.BinGrid`, and reused
+        until the engine's rebuild policy produces a fresh pair list.  It
+        relies on the skin contract of that pair list: no pair closes in by
+        more than the skin between rebuilds.  Under it every pair with
+        ``BO > bo_cut`` is a candidate, and the bond-order build re-applies
+        the exact ``rcut_bond``/``bo_cut`` masks each call, so the table is
+        the one a per-step ``rcut_bond`` search would give.
         """
         lmp = self.lmp
         atom = lmp.atom
@@ -171,7 +175,7 @@ class PairReaxFF(Pair):
             self._bond_nlist = build_neighbor_list(
                 x,
                 nall,
-                self.params.rcut_bond + lmp.neighbor.skin,
+                self.params.bond_search_cut + lmp.neighbor.skin,
                 style="full",
                 grid=lmp.bin_grid,
             )
@@ -255,10 +259,9 @@ class PairReaxFF(Pair):
             (params.chi[species[:nlocal]] * ql + params.eta[species[:nlocal]] * ql * ql).sum()
         )
 
-        # 4) nonbonded vdW + Coulomb
+        # 4) nonbonded vdW + Coulomb over the geometry the matrix build made
         evdw, ecoul, nb_pairs = compute_nonbonded(
-            x, species, q, nlocal, lmp.neigh_list, params,
-            lmp.update.units.qqr2e, atom.f, self.virial,
+            matrix.geometry, q, params, lmp.update.units.qqr2e, atom.f, self.virial,
         )
         self.eng_vdwl += evdw
         self.eng_coul += ecoul

@@ -66,8 +66,28 @@ class ReaxParams:
                 raise InputError(f"ReaxParams.{name} must have shape ({n},)")
         if self.bo_cut <= 0 or self.bo_cut >= 1:
             raise InputError("bo_cut must be in (0, 1)")
+        # bond_search_cut assumes BO(r) falls monotonically through bo_cut;
+        # any other sign pair would silently shrink the bond search
+        if not self.pbo1 < 0 < self.pbo2:
+            raise InputError(
+                f"bond order needs pbo1 < 0 < pbo2, got pbo1={self.pbo1}, "
+                f"pbo2={self.pbo2}"
+            )
         if self.rcut_bond >= self.rcut_nonb:
             raise InputError("bond cutoff must be below the nonbonded cutoff")
+
+    @property
+    def bond_search_cut(self) -> float:
+        """Largest distance at which any type pair still has ``BO > bo_cut``.
+
+        ``BO(r) = bo_cut`` at ``r0_ij * (ln bo_cut / pbo1)^(1/pbo2)``; the
+        widest pair is the one with the largest ``r0_ij``, i.e. the largest
+        per-type ``r0``.  Capped at ``rcut_bond`` (2.13 A for the CHNO set).
+        """
+        reach = (np.log(self.bo_cut) / self.pbo1) ** (1.0 / self.pbo2)
+        # one part in 1e9 outward: the closed form rounds to a distance where
+        # BO is a few ulp above bo_cut, and the search must cover that pair
+        return min(float(self.r0[1:].max()) * reach * (1.0 + 1e-9), self.rcut_bond)
 
     # pair combination rules -------------------------------------------------
     def r0_ij(self, ti: np.ndarray, tj: np.ndarray) -> np.ndarray:

@@ -29,7 +29,8 @@ Paper sections 4.2.2-4.2.3 in full:
   extrapolation** (:class:`QEqHistory`): a ring buffer of the last few
   steps' ``s``/``t`` solutions rides on the atom arrays (so it survives
   spatial sorting and rank migration) and seeds the CG from a polynomial
-  extrapolation instead of zero.
+  extrapolation instead of zero.  ``pair_style reaxff`` runs ``jacobi``
+  with order-2 seeding unless told otherwise.
 
 The solver is written as a generator so distributed runs forward-communicate
 the two direction vectors (staged through the ``rho``/``fp`` scratch fields,
@@ -48,7 +49,7 @@ import numpy as np
 
 from repro.core.errors import LammpsError, OverflowGuardError, unknown_choice
 from repro.kokkos.segment import ATOMIC, scatter_mode
-from repro.reaxff.nonbonded import shielded_kernel, taper
+from repro.reaxff.nonbonded import NonbondedGeometry, nonbonded_geometry
 from repro.reaxff.params import ReaxParams
 
 
@@ -67,49 +68,31 @@ class QEqMatrix:
     nnz: np.ndarray
     #: diagonal: 2 * eta_i
     diag: np.ndarray
-    # derived compacted COO for vectorized spmv (simulation-side convenience;
-    # the four structures above are the format of record)
-    _rows_flat: np.ndarray | None = None
-    _cols_flat: np.ndarray | None = None
-    _vals_flat: np.ndarray | None = None
-    # per-rebuild row-segment plan: starts of each non-empty row's run in the
-    # compacted arrays and the owning row indices — the true-CSR reduction
-    _seg_starts: np.ndarray | None = None
-    _seg_rows: np.ndarray | None = None
-
-    def _compact(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._rows_flat is None:
-            nnz = self.nnz.astype(np.int64)
-            total = int(nnz.sum())
-            rows = np.repeat(np.arange(self.nlocal), nnz)
-            # valid slots are the first nnz[i] entries of each row
-            csum = np.zeros(self.nlocal, dtype=np.int64)
-            if self.nlocal:
-                np.cumsum(nnz[:-1], out=csum[1:])
-            within = np.arange(total, dtype=np.int64) - np.repeat(csum, nnz)
-            idx = np.repeat(self.offsets[:-1], nnz) + within
-            self._rows_flat = rows
-            self._cols_flat = self.cols[idx].astype(np.int64)
-            self._vals_flat = self.vals[idx]
-            # rows is sorted by construction: the row-run starts are exactly
-            # the compacted offsets of the non-empty rows
-            nonempty = np.flatnonzero(nnz)
-            self._seg_starts = csum[nonempty]
-            self._seg_rows = nonempty
-        return self._rows_flat, self._cols_flat, self._vals_flat
+    #: the step's nonbonded pair geometry the values came from; the
+    #: nonbonded force pass reads it instead of recomputing it
+    geometry: NonbondedGeometry
+    # compacted COO the spmv runs on (the kept entries, row-sorted, exactly
+    # the valid slots of the four structures above, which stay the format
+    # of record); the build sets it from the arrays it already holds
+    _rows_flat: np.ndarray
+    _cols_flat: np.ndarray
+    _vals_flat: np.ndarray
+    # row-segment plan: starts of each non-empty row's run in the compacted
+    # arrays and the owning row indices — the true-CSR reduction
+    _seg_starts: np.ndarray
+    _seg_rows: np.ndarray
 
     def _row_product(self, vec_all: np.ndarray) -> np.ndarray:
         """``A @ vec`` for one 1-D right-hand side.
 
         Row-major storage makes this a true CSR product: one ``reduceat``
-        over the per-rebuild row segments replaces the scalar ``np.add.at``
-        scatter (the ``atomic`` mode kept for benchmark baselines).
+        over the row segments replaces the scalar ``np.add.at`` scatter (the
+        ``atomic`` mode kept for benchmark baselines).
         """
-        rows, cols, vals = self._compact()
         out = self.diag * vec_all[: self.nlocal]
-        prod = vals * vec_all[cols]
+        prod = self._vals_flat * vec_all[self._cols_flat]
         if scatter_mode() == ATOMIC:
-            np.add.at(out, rows, prod)
+            np.add.at(out, self._rows_flat, prod)
         elif len(prod):
             out[self._seg_rows] += np.add.reduceat(prod, self._seg_starts)
         return out
@@ -142,7 +125,6 @@ class QEqMatrix:
         right-hand sides.  Vector gathers are excluded — the point of the
         fusion is the matrix stream.
         """
-        self._compact()
         return self._vals_flat.nbytes + self._cols_flat.nbytes
 
     @property
@@ -166,7 +148,10 @@ def build_qeq_matrix(
     Pipeline per the paper: (1) parallel scan over full-list neighbor
     counts -> over-allocated row offsets; (2) value kernel computes the
     shielded-tapered interactions, slots them row-contiguously, and records
-    per-row non-zero counts and column offsets.
+    per-row non-zero counts and column offsets.  The value kernel's pair
+    geometry (:func:`~repro.reaxff.nonbonded.nonbonded_geometry`) is the
+    step's one nonbonded geometry pass; it rides on the matrix as
+    ``geometry`` for the nonbonded force.
     """
     nlocal = nlist.nlocal
     numneigh = nlist.numneigh
@@ -196,15 +181,9 @@ def build_qeq_matrix(
     vals = np.zeros(slots)
     nnz = np.zeros(nlocal, dtype=np.int32)
 
-    i, j = nlist.ij_pairs()
-    dx = x[i] - x[j]
-    rsq = np.einsum("ij,ij->i", dx, dx)
-    keep = rsq < params.rcut_nonb**2
-    i, j = i[keep], j[keep]
-    r = np.sqrt(rsq[keep])
-    g, _ = shielded_kernel(r, params.gamma_ij(types[i], types[j]))
-    t, _ = taper(r, params.rcut_nonb)
-    v = qqr2e * g * t
+    geom = nonbonded_geometry(x, types, nlist, params)
+    i, j = geom.i, geom.j
+    v = qqr2e * geom.g * geom.t
 
     # slot the kept entries contiguously at the front of each row
     nnz_counts = np.bincount(i, minlength=nlocal).astype(np.int32)
@@ -217,9 +196,14 @@ def build_qeq_matrix(
     vals[slot] = v
     nnz[:] = nnz_counts
 
+    # (i, j, v) already are the valid slots in row order, so they are the
+    # compacted COO, and the non-empty rows' starts are its row plan
+    nonempty = np.flatnonzero(nnz_counts)
     diag = 2.0 * params.eta[types[:nlocal]]
     return QEqMatrix(
-        nlocal=nlocal, offsets=offsets, cols=cols, vals=vals, nnz=nnz, diag=diag
+        nlocal=nlocal, offsets=offsets, cols=cols, vals=vals, nnz=nnz, diag=diag,
+        geometry=geom, _rows_flat=i, _cols_flat=j.astype(np.int64), _vals_flat=v,
+        _seg_starts=row_start[nonempty], _seg_rows=nonempty,
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import InputError
 from repro.core.neighbor import build_neighbor_list
 from repro.reaxff.angles import build_triplets
 from repro.reaxff.bond_order import (
@@ -41,6 +42,26 @@ class TestBondOrder:
         t = np.ones(50, dtype=int)
         bo, _ = bond_order(r, t, t, PARAMS)
         assert np.all(np.diff(bo) < 0)
+
+    def test_bond_search_cut_bounds_every_pair(self):
+        """No type pair has BO above bo_cut at the derived search cutoff,
+        and the widest (C-C) pair sits right at it."""
+        cut = PARAMS.bond_search_cut
+        assert 2.12 < cut < 2.14 < PARAMS.rcut_bond
+        t = np.arange(1, PARAMS.ntypes + 1)
+        ti, tj = (a.ravel() for a in np.meshgrid(t, t))
+        bo, _ = bond_order(np.full(ti.shape, cut), ti, tj, PARAMS)
+        assert np.all(bo <= PARAMS.bo_cut)
+        assert bo.max() == pytest.approx(PARAMS.bo_cut, rel=1e-6)
+
+    @pytest.mark.parametrize("pbo1, pbo2", [(0.18, 8.0), (-0.18, -8.0), (0.0, 8.0), (-0.18, 0.0)])
+    def test_non_decaying_bond_order_rejected(self, pbo1, pbo2):
+        """The derived cutoff assumes BO falls monotonically; a parameter
+        set where it does not must fail, not silently shrink the search."""
+        from dataclasses import replace
+
+        with pytest.raises(InputError, match="pbo1 < 0 < pbo2"):
+            replace(PARAMS, pbo1=pbo1, pbo2=pbo2)
 
     def test_dbo_matches_fd(self):
         r = np.array([1.3, 1.6, 2.1])
@@ -177,6 +198,21 @@ class TestQEqMatrix:
         assert m.total_nnz <= m.stored_slots
         assert np.all(m.nnz <= nlist.numneigh)
 
+    def test_compacted_coo_is_the_valid_slots(self):
+        """The spmv's COO and row plan, set by the build, are exactly what
+        reading the four-structure CSR's valid slots back gives."""
+        m, *_ = self.make(3)
+        nnz = m.nnz.astype(np.int64)
+        csum = np.concatenate(([0], np.cumsum(nnz)[:-1]))
+        within = np.arange(nnz.sum()) - np.repeat(csum, nnz)
+        idx = np.repeat(m.offsets[:-1], nnz) + within
+        assert np.array_equal(m._rows_flat, np.repeat(np.arange(m.nlocal), nnz))
+        assert np.array_equal(m._cols_flat, m.cols[idx].astype(np.int64))
+        assert m._cols_flat.dtype == np.int64
+        assert np.array_equal(m._vals_flat, m.vals[idx])
+        assert np.array_equal(m._seg_rows, np.flatnonzero(nnz))
+        assert np.array_equal(m._seg_starts, csum[nnz > 0])
+
     def test_appendix_b_dtypes(self):
         m, *_ = self.make()
         assert m.offsets.dtype == np.int64
@@ -187,7 +223,7 @@ class TestQEqMatrix:
         m, x, species, _ = self.make(4)
         n = m.nlocal
         dense = np.zeros((n, len(x)))
-        rows, cols, vals = m._compact()
+        rows, cols, vals = m._rows_flat, m._cols_flat, m._vals_flat
         dense[rows, cols] = vals
         dense[np.arange(n), np.arange(n)] += m.diag
         rng = np.random.default_rng(0)
@@ -197,7 +233,7 @@ class TestQEqMatrix:
     def test_matrix_symmetric_on_local_block(self):
         m, x, species, _ = self.make(5)
         n = m.nlocal
-        rows, cols, vals = m._compact()
+        rows, cols, vals = m._rows_flat, m._cols_flat, m._vals_flat
         dense = np.zeros((n, n))
         local = cols < n
         dense[rows[local], cols[local]] = vals[local]
@@ -206,7 +242,7 @@ class TestQEqMatrix:
     def test_positive_definite_with_hardness(self):
         m, *_ = self.make(6)
         n = m.nlocal
-        rows, cols, vals = m._compact()
+        rows, cols, vals = m._rows_flat, m._cols_flat, m._vals_flat
         dense = np.zeros((n, n))
         local = cols < n
         np.add.at(dense, (rows[local], cols[local]), vals[local])

@@ -112,6 +112,55 @@ class TestDynamics:
         assert stats["quads"] > 0
 
 
+class TestBondSearchCut:
+    @pytest.mark.parametrize("nranks", [1, 2])
+    def test_narrow_search_gives_the_rcut_bond_table(self, monkeypatch, nranks):
+        """Every step of a run crossing rebuilds, the bond table from the
+        ``bond_search_cut + skin`` list equals, array for array and entry for
+        entry, the one from a list built at ``rcut_bond + skin`` on the same
+        grid — and so does the species census read from it.  The run is hot
+        enough (3000 K, 0.25 fs) that pairs cross the bond-order reach
+        between rebuilds: a search list without the skin fails here."""
+        import repro.reaxff.pair_reaxff as pr
+        from repro.core.neighbor import build_neighbor_list
+        from repro.reaxff.species import analyze_lammps, analyze_species
+
+        target = make_hns(nranks=nranks)
+        target.commands_string("velocity all create 3000.0 4928\ntimestep 0.25")
+        ranks = target.ranks if nranks > 1 else [target]
+        build = pr.build_bond_list
+        wide: dict = {}
+        checked = []
+
+        def both_tables(x, species, nlist, params):
+            narrow = build(x, species, nlist, params)
+            (lmp,) = [r for r in ranks if r.pair._bond_nlist is nlist]
+            if wide.get(id(lmp), (None,))[0] is not lmp.neigh_list:
+                wide[id(lmp)] = (lmp.neigh_list, build_neighbor_list(
+                    x, len(x), params.rcut_bond + lmp.neighbor.skin,
+                    style="full", grid=lmp.bin_grid,
+                ))
+            ref = build(x, species, wide[id(lmp)][1], params)
+            for name in ("first", "i", "j", "bo", "dbo", "dx", "r"):
+                assert np.array_equal(getattr(narrow, name), getattr(ref, name)), name
+            assert narrow.candidates < ref.candidates
+            checked.append(ref)
+            return narrow
+
+        monkeypatch.setattr(pr, "build_bond_list", both_tables)
+        target.command("run 30")
+        rebuilds = ranks[0].neighbor.builds
+        assert rebuilds >= 3 and len(checked) == 31 * nranks
+        if nranks == 1:
+            atom = target.atom
+            species = target.pair.type_map[atom.type[: atom.nall]]
+            ref_report = analyze_species(
+                checked[-1], species, atom.tag[: atom.nall], atom.nlocal,
+                target.pair.params.symbols,
+            )
+            assert analyze_lammps(target) == ref_report
+
+
 class TestParallelAndKokkos:
     @pytest.mark.parametrize("nranks", [2, 4])
     def test_decomposition_equivalence(self, nranks):
