@@ -15,12 +15,13 @@ slowest, m' fastest) first, the atom or pair index fastest:
 * :mod:`repro.snap.cg` — exact Clebsch-Gordan coefficients on the
   half-integer (doubled-index) lattice;
 * :mod:`repro.snap.indexing` — the flattening, its half range under the
-  mirror symmetry, the sparse contraction tensor and the folded,
-  dest-sorted term plans built from it once per ``twojmax``;
+  mirror symmetry (and the row maps that unfold or dagger it), the sparse
+  contraction tensor and the folded, dest-sorted term plans built from it
+  once per ``twojmax``;
 * :mod:`repro.snap.wigner` — the Cayley-Klein/Wigner recursion for u and
   du/dr, one whole-level update per J over all (atom, neighbor) pairs;
 * :mod:`repro.snap.compute_ui` — ComputeUi: per-pair u into per-atom
-  ``U (idxu_max, natoms)``;
+  ``U (idxu_max, natoms)``, one recursion per unordered pair;
 * :mod:`repro.snap.bispectrum` — B components (energy / training targets;
   ``pair snap`` evaluates them on tallied steps only);
 * :mod:`repro.snap.compute_yi` — ComputeYi: the single half-range adjoint

@@ -61,8 +61,10 @@ class ContractionPlan:
     ``(dest, a, b)`` and duplicates merged, so only the merged weights
     depend on the coefficients (:meth:`weights`).  ``T`` holds one row per
     quantum number with the atom axis fastest; every chunk is two row
-    gathers, two in-place multiplies and one ``reduceat`` down the term
-    axis, cut on ``dest`` boundaries so a sum never depends on the chunking.
+    gathers and one in-place multiply into the chunk's product rows ``K``,
+    then one real BLAS dot per ``dest`` row, ``w[seg] @ K[seg]`` over the
+    interleaved float view.  Chunks are cut on ``dest`` boundaries, so a sum
+    never depends on the chunking.
     """
 
     def __init__(self, dest, a, b, ib, coeff) -> None:
@@ -77,28 +79,51 @@ class ContractionPlan:
         #: segment starts / destination row of each run of equal ``dest``
         self.starts, self.rows = _sorted_segments(dest)
         self.nterms = len(self.a)
+        #: chunk layouts, keyed by ``(natoms, CHUNK_BYTES)``
+        self._chunks: dict[tuple[int, int], list] = {}
 
     def weights(self, beta: np.ndarray | None = None) -> np.ndarray:
         """Merged per-term weights: ``coeff`` (times ``beta[ib]`` if given)."""
         raw = self.coeff if beta is None else beta[self.ib] * self.coeff
         return np.bincount(self.group, weights=raw, minlength=self.nterms)
 
+    def chunks(self, natoms: int) -> list[tuple[int, int, list]]:
+        """``[(lo, hi, [(row, start, end), ...])]``: term ranges of at most
+        :data:`CHUNK_BYTES` of complex product rows (a longer ``dest``
+        segment goes whole) with the ``dest`` segments inside each."""
+        key = (natoms, CHUNK_BYTES)
+        layout = self._chunks.get(key)
+        if layout is None:
+            max_terms = chunk_len(16 * natoms)
+            ends = np.r_[self.starts[1:], self.nterms]
+            segs = list(zip(self.rows.tolist(), self.starts.tolist(), ends.tolist()))
+            layout, s = [], 0
+            while s < len(segs):
+                lo = segs[s][1]
+                e = max(int(np.searchsorted(ends, lo + max_terms, side="right")), s + 1)
+                layout.append((lo, segs[e - 1][2], segs[s:e]))
+                s = e
+            if len(self._chunks) >= 8:  # per-rank atom counts drift
+                self._chunks.clear()
+            self._chunks[key] = layout
+        return layout
+
     def contract(self, T: np.ndarray, w: np.ndarray, nrows: int) -> np.ndarray:
         """``out (nrows, natoms)`` of the weighted bilinear contraction."""
         out = np.zeros((nrows, T.shape[1]), dtype=np.complex128)
-        max_terms = chunk_len(16 * T.shape[1])  # the complex product rows
-        ends = np.r_[self.starts[1:], self.nterms]
-        s = 0
-        while s < len(self.starts):
-            lo = self.starts[s]
-            e = max(int(np.searchsorted(ends, lo + max_terms, side="right")), s + 1)
-            hi = ends[e - 1]
-            p = T[self.a[lo:hi]]
-            p *= T[self.b[lo:hi]]
-            p *= w[lo:hi, None]
-            out[self.rows[s:e]] = np.add.reduceat(p, self.starts[s:e] - lo, axis=0)
-            s = e
+        of = out.view(np.float64)
+        for lo, hi, segs in self.chunks(T.shape[1]):
+            K = T[self.a[lo:hi]]
+            K *= T[self.b[lo:hi]]
+            Kf = K.view(np.float64)
+            for row, s, e in segs:
+                of[row] = w[s:e] @ Kf[s - lo : e - lo]
         return out
+
+
+def _signed_rows(Xh: np.ndarray, row: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """``sign * [Xh; conj Xh][row]``, one row per entry of ``row``."""
+    return sign[:, None] * np.concatenate((Xh, np.conj(Xh)))[row]
 
 
 def _cg_terms(j1: int, j2: int, j: int, mb: int) -> list[tuple[int, int, float]]:
@@ -159,6 +184,16 @@ class SnapIndex:
         self.fold[self.half] = 2.0
         self.fold[self.half[self.half_block[1::2] - 1]] = 1.0
 
+        # Per flat index (j, mb, ma): its mirror (j, j-mb, j-ma) — the block
+        # read backwards — with the sign (-1)^(mb+ma), and its transpose
+        # (j, ma, mb), the index map of the conjugate-transpose ``u^dagger``.
+        J = np.repeat(np.arange(twojmax + 1), sizes)
+        q = np.arange(self.idxu_max) - self.idxu_block[J]
+        mb, ma = q // (J + 1), q % (J + 1)
+        self.mirror = self.idxu_block[J] + sizes[J] - 1 - q
+        self.mirror_sign = 1.0 - 2.0 * ((mb + ma) % 2)
+        self.dagger = self.idxu_block[J] + ma * (J + 1) + mb
+
     # ------------------------------------------------------------- flatten
     def flat(self, j2x: int, mb: int, ma: int) -> int:
         """Flat quantum-number index (j slowest, ma = m' fastest)."""
@@ -170,21 +205,58 @@ class SnapIndex:
             [self.flat(j, m, m) for j in range(self.twojmax + 1) for m in range(j + 1)]
         )
 
+    @cached_property
+    def canonical_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, sign)`` per row ``r`` of ``[U; conj U]`` (2 idxu_max rows):
+        ``[U; conj U][r] == sign[r] * T[row[r]]`` with ``T = [U[half]; conj
+        U[half]]``, since a dropped ``U[m]`` is ``s conj U[mirror m]``."""
+        nh = len(self.half)
+        pos = np.zeros(self.idxu_max, dtype=np.int64)
+        pos[self.half] = np.arange(nh)
+        kept = self.fold > 0
+        bare = np.where(kept, pos, nh + pos[self.mirror])
+        conj = np.where(kept, nh + pos, pos[self.mirror])
+        sign = np.where(kept, 1.0, self.mirror_sign)
+        return np.r_[bare, conj], np.r_[sign, sign]
+
+    @cached_property
+    def dagger_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, sign)`` for :meth:`dagger_half`: row ``k`` is ``conj X``
+        at the flat index ``dagger[half[k]]``, mirrored into the half range."""
+        row, sign = self.canonical_rows
+        r = self.idxu_max + self.dagger[self.half]
+        return row[r], sign[r]
+
+    def dagger_half(self, Xh: np.ndarray) -> np.ndarray:
+        """The half rows of ``X^dagger`` from the half rows ``Xh`` of a
+        mirror-symmetric ``X`` (the conjugate-transpose of every ``u_j``
+        block, per atom column).  ``fold`` weights carry over: the fold of
+        an entry equals that of its transpose and of its mirror."""
+        return _signed_rows(Xh, *self.dagger_rows)
+
+    def unfold(self, Xh: np.ndarray) -> np.ndarray:
+        """All idxu_max rows of a mirror-symmetric ``X`` from its half rows."""
+        row, sign = self.canonical_rows
+        return _signed_rows(Xh, row[: self.idxu_max], sign[: self.idxu_max])
+
     # --------------------------------------------------------------- plans
     @cached_property
     def yi_plan(self) -> ContractionPlan:
-        """Folded adjoint over ``T = [U; conj U]``: the gradient of every
-        term with respect to each of its three slots, half-range dests only
-        (row ``k`` of the result is flat index ``half[k]``)."""
+        """Folded adjoint over ``T = [U[half]; conj U[half]]``: the gradient
+        of every term with respect to each of its three slots, half-range
+        dests only (row ``k`` of the result is flat index ``half[k]``).  Slot
+        rows of ``[U; conj U]`` map onto ``T`` through :attr:`canonical_rows`,
+        their signs folded into the weights, so mirror-image products merge."""
         t, n = self.tensor, self.idxu_max
         dest = np.concatenate((t.in1, t.in2, t.out))
         keep = self.fold[dest] > 0
         a = np.concatenate((t.in2, t.in1, n + t.in1))[keep]
         b = np.concatenate((n + t.out, n + t.out, n + t.in2))[keep]
         dest = dest[keep]
+        row, sign = self.canonical_rows
         return ContractionPlan(
-            np.searchsorted(self.half, dest), a, b, np.tile(t.ib, 3)[keep],
-            np.tile(t.coeff, 3)[keep] * self.fold[dest],
+            np.searchsorted(self.half, dest), row[a], row[b], np.tile(t.ib, 3)[keep],
+            np.tile(t.coeff, 3)[keep] * self.fold[dest] * sign[a] * sign[b],
         )
 
     @cached_property

@@ -34,10 +34,10 @@ from repro.snap.compute_yi import compute_yi
 from repro.snap.indexing import SnapIndex
 
 
-#: ComputeYi is charged ``tensor.nterms / 36`` terms per atom: 2.4x of it
-#: is the symmetry fold the wall path measures (97 734 -> 40 504 terms at
-#: 2J = 8), the other ~15x calibrates the modeled kernel to Table 2 and is
-#: no term count anything executes (DESIGN.md section 3.5).
+#: ComputeYi is charged ``tensor.nterms / 36`` terms per atom: 3.2x of it
+#: is the symmetry folding the wall path measures (97 734 -> 30 598 terms
+#: at 2J = 8), the other ~11x calibrates the modeled kernel to Table 2 and
+#: is no term count anything executes (DESIGN.md section 3.5).
 YI_CHARGED_TERM_DIVISOR = 36.0
 
 
@@ -45,6 +45,40 @@ def synthetic_beta(ncoeff: int, scale: float, seed: int = 777) -> np.ndarray:
     """Deterministic pseudo-random SNAP coefficients."""
     rng = np.random.default_rng(seed)
     return scale * rng.standard_normal(ncoeff) / np.sqrt(ncoeff)
+
+
+def keep_once(tag_i, tag_j, local, d, step: int) -> np.ndarray:
+    """Which stored pairs ``(i, j)`` to recurse, as a mask.
+
+    ``u(-r) = u(r)^dagger``, so of a pair whose neighbor's owner is local
+    (``local``) only one direction is kept: ``tag_i < tag_j``, or for a
+    self-image (``tag_i == tag_j``) the displacement ``d = x_j - x_i`` whose
+    first non-zero component is positive.  A pair whose neighbor is owned
+    by another rank is kept as is: that rank computes the reverse.
+
+    The halving is valid only if every owner-local pair's reverse is in the
+    list, so the two directions must balance; a half list or an asymmetric
+    build raises :class:`LammpsError` naming ``step``.  Each direction is
+    cut every step by its own ``rsq``, and the two may differ in the last
+    bit; they can disagree only at ``r = rcut``, where ``sfac = dsfac =
+    0``, so which direction is kept changes nothing.
+    """
+    lead = d[np.arange(len(d)), np.argmax(d != 0.0, axis=1)] > 0.0
+    image = tag_i == tag_j
+    up = np.where(image, lead, tag_i < tag_j)
+    for sel, what in (
+        (local & ~image, "owner-local pairs have tag_i < tag_j and {} tag_i > tag_j"),
+        (image, "self-image pairs point forward and {} back"),
+    ):
+        n_up, n_down = int(np.count_nonzero(sel & up)), int(np.count_nonzero(sel & ~up))
+        if n_up != n_down:
+            raise LammpsError(
+                f"pair snap: neighbor list is not symmetric on timestep {step}: "
+                f"{n_up} {what.format(n_down)} (a pair is recursed once, so "
+                "every owner-local pair needs its reverse in the list: a full, "
+                "symmetric build)"
+            )
+    return up | ~local
 
 
 @register_pair("snap")
@@ -107,7 +141,7 @@ class PairSNAP(Pair):
         # SNAP's convention is rij = x[j] - x[i]: the shared prologue runs
         # with the roles swapped, so its ``i_n`` holds j and vice versa
         env, stages = nlist.pair_cache().memo(
-            ("snap-geometry", id(self)), lambda: self._bind_geometry(nlist)
+            ("snap-geometry", id(self)), lambda: self._bind_geometry(nlist, x)
         )
         env["x"] = x
         if GRAPH:
@@ -118,22 +152,31 @@ class PairSNAP(Pair):
         else:
             run_stages(stages, env)
         i, j, rij = env["j_n"], env["i_n"], env["dx_n"]
-        stats["npairs"] = len(i)
+        partner = np.take(env["partner0"], env["idx"])
+        stats["kept"] = len(i)
+        stats["partnered"] = int(np.count_nonzero(partner < nlocal))
+        # directed in-cutoff pairs: each partnered pair stands for two
+        stats["npairs"] = stats["kept"] + stats["partnered"]
         stats["natoms"] = nlocal
 
         self._require(env["rsq_n"] > 0.0, "has zero separation", i, j)
 
-        # (1) ComputeUi: per-pair Wigner sets -> per-atom totals
-        U = compute_ui(rij, i, nlocal, self.rcut, self.twojmax, rmin0=self.rmin0)
+        # (1) ComputeUi: one recursion per kept pair -> per-atom totals
+        U = compute_ui(
+            rij, i, nlocal, self.rcut, self.twojmax, rmin0=self.rmin0,
+            partner=partner,
+        )
         if eflag:
             # bispectrum components dotted with the learned coefficients
             B = compute_bispectrum(U, self.twojmax)
             self.eng_vdwl += float((B @ self.beta).sum())
         # (2) ComputeYi: the folded adjoint
         Y = compute_yi(U, self.beta, self.twojmax)
-        # (3+4) ComputeFusedDeidrj: per-pair force contraction, 3 directions
+        # (3+4) ComputeFusedDeidrj: per-pair force contraction, 3 directions,
+        # against Y[i] + Ytilde[partner]: the derivative of both ends' energy
         dedr = compute_fused_deidrj(
-            rij, i, Y, self.rcut, self.twojmax, rmin0=self.rmin0
+            rij, i, Y, self.rcut, self.twojmax, rmin0=self.rmin0,
+            partner=partner,
         )
         self._require(np.isfinite(dedr).all(axis=1), "has a non-finite dE/dr", i, j)
         scatter_sub(atom.f, j, dedr)
@@ -159,10 +202,27 @@ class PairSNAP(Pair):
             f"on timestep {self.lmp.update.ntimestep}"
         )
 
-    def _bind_geometry(self, nlist):
+    def _bind_geometry(self, nlist, x: np.ndarray):
+        """Per rebuild: the stored pairs to recurse (:func:`keep_once`), and
+        each one's partner — the local owner of its neighbor, found through
+        a tag -> local map, or ``nlocal`` for a neighbor owned elsewhere."""
+        atom = self.lmp.atom
+        nlocal = atom.nlocal
         i0, j0 = nlist.ij_pairs()
-        env = {"i0": j0, "j0": i0, "cutsq0": self.rcut**2}
-        return env, prologue_stages(Host, len(i0), "snap_", gather_bytes=80.0)
+        tj = atom.tag[j0]
+        local_tags = atom.tag[:nlocal]
+        by_tag = np.argsort(local_tags)
+        pos = np.searchsorted(local_tags, tj, sorter=by_tag)
+        owner = by_tag[np.minimum(pos, max(nlocal - 1, 0))]
+        local = local_tags[owner] == tj
+        keep = keep_once(
+            atom.tag[i0], tj, local, x[j0] - x[i0], self.lmp.update.ntimestep
+        )
+        env = {
+            "i0": j0[keep], "j0": i0[keep], "cutsq0": self.rcut**2,
+            "partner0": np.where(local, owner, nlocal)[keep],
+        }
+        return env, prologue_stages(Host, len(env["i0"]), "snap_", gather_bytes=80.0)
 
     def _charge_kernels(self, stats: dict) -> None:
         """Hook for the Kokkos style."""
@@ -214,6 +274,10 @@ class PairSNAPKokkos(PairSNAP):
 
     # ------------------------------------------------------------- profiles
     def _charge_kernels(self, stats: dict) -> None:
+        # ``npairs`` counts *directed* in-cutoff pairs (a partnered pair
+        # twice): the host recurses each pair once, but the device kernels
+        # are charged per directed pair, as LAMMPS-Kokkos SNAP runs the full
+        # list, so the modeled totals do not follow the wall path's halving.
         space = self.execution_space
         n = max(stats.get("natoms", 1), 1)
         npairs = max(stats.get("npairs", 1), 1)

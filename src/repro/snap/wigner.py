@@ -93,8 +93,9 @@ def wigner_levels(
     """Yield ``(J, u_J, du_J)`` for ``J = 0..twojmax``.
 
     ``u_J`` is (J+1, J+1, npairs) indexed ``[mb, ma, pair]``.  Each level is
-    one update of all rows ``mb <= J/2`` from the previous level, then one
-    mirror fill ``u[J-mb, J-ma] = (-1)^(mb+ma) conj(u[mb, ma])`` (VMK 4.4).
+    one update of all rows ``mb <= J/2`` from the previous level, then the
+    mirror fill ``u[J-mb, J-ma] = (-1)^(mb+ma) conj(u[mb, ma])`` (VMK 4.4)
+    of the entries not updated, so the symmetry holds bit for bit.
     ``du_J`` (None unless ``derivatives``) is (rows, J+1, 3, npairs) and
     stops at the rows ``mb <= (J+1)/2`` the next level and the half-range
     force contraction read; the rest of its mirror image is never built.
@@ -114,7 +115,15 @@ def wigner_levels(
         nxt[:h, :J] = rpq_a * (ca * p)
         nxt[:h, J] = 0.0
         nxt[:h, 1:] += rpq_b * (cb * p)
-        nxt[J : J - h : -1] = sign * np.conj(nxt[:h, ::-1])
+        # the mirror writes only what was not computed: the rows below the
+        # middle and the right half of an even level's middle row, so every
+        # mirror pair is exact (ComputeUi and ComputeYi read only the half
+        # range and stand for the rest)
+        k = (J + 1) // 2
+        nxt[J : J - k : -1] = sign[:k] * np.conj(nxt[:k, ::-1])
+        if J % 2 == 0:
+            c = J // 2
+            nxt[c, c + 1 :] = sign[c, c + 1 :] * np.conj(nxt[c, c - 1 :: -1])
         if derivatives:
             dp, pe = dcur[:h], p[:, :, None]
             dnxt = np.empty((h + J % 2, J + 1, 3, n), dtype=np.complex128)

@@ -8,12 +8,17 @@ every symmetry image enumerated, one scatter per slot, no plan — kept here
 
 for *arbitrary* U, on or off the symmetry manifold.  All arrays use the
 engine's layout: quantum number first, atom axis fastest.
+:func:`every_direction_forces` is the pair-level reference for the wall
+path's one-recursion-per-pair forces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.snap.compute_deidrj import compute_fused_deidrj
+from repro.snap.compute_ui import compute_ui
+from repro.snap.compute_yi import compute_yi
 from repro.snap.indexing import SnapIndex
 from repro.snap.wigner import wigner_levels
 
@@ -65,6 +70,24 @@ def coo_adjoints(
     np.add.at(y12, t.in2, w * u1 * cu3)
     np.add.at(y3, t.out, w * u1 * u2)
     return y12, y3
+
+
+def every_direction_forces(lmp) -> np.ndarray:
+    """Forces by tag, (natoms_total, 3), of a one-rank ``pair snap`` state
+    with every directed in-cutoff pair recursed from its own center — no
+    pair kept once, no partner — and ghost forces folded onto owners."""
+    atom, pair = lmp.atom, lmp.pair
+    i, j = lmp.neigh_list.ij_pairs()
+    rij = atom.x[j] - atom.x[i]
+    cut = np.einsum("ij,ij->i", rij, rij) < pair.rcut**2
+    i, j, rij = i[cut], j[cut], rij[cut]
+    U = compute_ui(rij, i, atom.nlocal, pair.rcut, pair.twojmax)
+    Y = compute_yi(U, pair.beta, pair.twojmax)
+    dedr = compute_fused_deidrj(rij, i, Y, pair.rcut, pair.twojmax)
+    f = np.zeros((lmp.natoms_total, 3))
+    np.add.at(f, atom.tag[i] - 1, dedr)
+    np.subtract.at(f, atom.tag[j] - 1, dedr)
+    return f
 
 
 def mirror(twojmax: int) -> tuple[np.ndarray, np.ndarray]:

@@ -100,6 +100,19 @@ class TestKokkos:
         t_tuned = kk.device_context().timeline.kernel_total("ComputeUi")
         assert t_tuned < t_base
 
+    def test_modeled_totals_are_charged_per_directed_pair(self):
+        """The wall path recurses each pair once; the model still charges
+        the directed list, as LAMMPS-Kokkos SNAP runs it — pinned bit for bit
+        (2J = 8, 54 atoms, ``run 3`` on H100)."""
+        import repro.kokkos as kk
+
+        lmp = make_ta(device="H100", suffix="kk", cells=3, twojmax=8)
+        lmp.command("run 3")
+        tl = kk.device_context().timeline
+        assert [
+            tl.kernel_total(k) for k in ("ComputeUi", "ComputeYi", "ComputeFusedDeidrj")
+        ] == [1.0224934256055363e-4, 2.353736619463127e-4, 3.4004122522469867e-4]
+
     def test_unfused_kernel_renamed(self):
         import repro.kokkos as kk
 
