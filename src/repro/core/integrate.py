@@ -75,7 +75,7 @@ class Verlet:
             lmp.atom.zero_forces()
             lmp.mark_host_writes("f")
             if hasattr(lmp.pair, "compute_gen"):
-                # Styles with mid-compute communication (EAM's fp exchange,
+                # Styles with mid-compute communication (EAM's rho/fp exchanges,
                 # ReaxFF's QEq) run as generators.  Their embedded comm is
                 # credited to Pair, as LAMMPS does for in-style exchanges.
                 yield from lmp.pair.compute_gen(eflag=ev, vflag=ev)

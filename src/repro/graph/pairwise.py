@@ -97,7 +97,8 @@ class Arena:
     ``take`` of the same name, so a pass may only rely on a buffer across
     calls that cannot run another pass in between — which is why outputs
     that must survive a generator ``yield`` (EAM's geometry across its
-    ``fp`` exchange) are allocated by the caller instead (``env["keep"]``).
+    ``rho`` and ``fp`` exchanges) are allocated by the caller instead
+    (``env["keep"]``).
     """
 
     def __init__(self) -> None:

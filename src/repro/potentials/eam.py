@@ -6,6 +6,13 @@ communication*: the embedding derivative ``F'(rho_i)`` computed in the
 density loop must be forward-communicated to ghost atoms before the force
 loop can run.
 
+The host style runs LAMMPS's ``pair_eam`` shape: a half list with newton
+on, so each bond is evaluated once.  The density loop adds ``f(r_ij)`` to
+both ends, a reverse communication of ``rho`` completes the owned
+densities, and the force loop puts ``+F_ij`` on ``i`` and ``-F_ij`` on
+``j`` (ghost forces go home in the integrator's reverse comm).
+``eam/fs/kk`` keeps the full list with newton off, the GPU default.
+
 The functional form here is a compact Finnis-Sinclair flavor with smooth
 cutoffs (no potential files needed offline):
 
@@ -111,9 +118,10 @@ def eam_geometry(pair, x: np.ndarray) -> dict:
     nlist = pair.lmp.neigh_list
 
     def bind():
+        pair.bind_list(nlist)
         i0, j0, itype0, jtype0, cutsq0 = pair.pair_table(nlist, pair.lmp.atom)
-        # kept, not lent from the arena: the geometry outlives the fp
-        # exchange's yield, across which another rank's pass reuses the arena
+        # kept, not lent from the arena: the geometry outlives the rho and fp
+        # exchanges' yields, across which another rank's pass reuses the arena
         base = {"i0": i0, "j0": j0, "cutsq0": cutsq0, "keep": True}
         index_bounds(base)  # once per list; each step's geometry copies it
         return base, pair.pair_coeffs(itype0, jtype0)
@@ -145,8 +153,9 @@ def _eam_fp_sum(env: dict) -> None:
 
 
 def _eam_fpair(env: dict) -> None:
-    # dE/dr for the (i, j) bond as seen from atom i (full list: each bond
-    # is visited from both ends, so no factor 2): -(phi' + fp_sum rho')/r
+    # the (i, j) bond's force over r, -(phi' + (fp_i + fp_j) rho')/r, the same
+    # in both list styles: a full list visits the bond from each end and
+    # updates only i, a half list visits it once and updates both ends
     pair, r, rc = env["pair"], env["r_n"], env["rc_n"]
     d = pair.dphi(r, env["cp_n"], rc)
     t = env["fps_n"] * pair.ddens(r, rc)
@@ -186,16 +195,19 @@ def eam_force_stages(space, size: int, nlocal: int) -> tuple[list[Stage], Stage]
 def eam_force_kernel(pair, geo: dict, fp: np.ndarray, f: np.ndarray):
     """``(env, stages, tally)`` of the force chain over a cut geometry.
 
-    Full list, one-sided updates.  The env and the Stage objects are bound
-    once per rebuild (memoized on the pair cache, so a graph plan can hold
-    them); only the per-step geometry, ``fp`` and ``f`` are rebound.
+    The scatter and tally follow the bound list: a full list (newton off)
+    updates ``i`` only, a half list with newton on updates both ends.  The
+    env and the Stage objects are bound once per rebuild (memoized on the
+    pair cache, so a graph plan can hold them); only the per-step geometry,
+    ``fp`` and ``f`` are rebound.
     """
     nlist = pair.lmp.neigh_list
 
     def bind():
+        full, newton = pair.bind_list(nlist)
         env = {
             "pair": pair, "f_view": None, "jl_n": None,
-            "full": True, "newton": False, "energy_fn": eam_energy,
+            "full": full, "newton": newton, "energy_fn": eam_energy,
         }
         return (
             env,
@@ -212,12 +224,12 @@ def eam_force_kernel(pair, geo: dict, fp: np.ndarray, f: np.ndarray):
 
 @register_pair("eam/fs")
 class PairEAM(EAMMixin, Pair):
-    """Host EAM: full neighbor list for the density loop simplicity."""
+    """Host EAM on a half list with newton on, as LAMMPS's ``pair_eam``."""
 
     def neighbor_request(self) -> tuple[str, bool]:
-        # A full list makes both loops one-sided: each atom accumulates its
-        # own density and its own force; no reverse communication needed.
-        return "full", False
+        # Each bond stored once: both loops update both ends, and the ghost
+        # halves of rho and f are reverse-communicated to their owners.
+        return "half", True
 
     # ------------------------------------------------------------- helpers
     def _embed_locals(self) -> None:
@@ -241,20 +253,24 @@ class PairEAM(EAMMixin, Pair):
         self.reset_tallies(eflag or vflag)
         atom.rho[: atom.nall] = 0.0
         atom.fp[: atom.nall] = 0.0
-        if nlist is None or nlist.total_pairs == 0:
+        # a rank without pairs still joins the rho and fp exchanges below
+        if nlist is None:
             return
 
         geo = eam_geometry(self, atom.x[: atom.nall])
 
-        # Loop 1: electron density of owned atoms.
-        scatter_add(
-            atom.rho, geo["i_n"], self.dens(geo["r_n"], geo["rc_n"]), assume_sorted=True
-        )
+        # Loop 1: electron density, each bond to both ends; the ghost ends
+        # go home, so every owned rho is complete before the embedding.
+        d = self.dens(geo["r_n"], geo["rc_n"])
+        scatter_add(atom.rho, geo["i_n"], d, assume_sorted=True)
+        scatter_add(atom.rho, geo["j_n"], d)
+        yield from lmp.comm_brick.reverse_comm(atom, "rho")
         self._embed_locals()
 
         # Figure 1's "additional communication": ghosts need fp before the
         # force loop can evaluate (fp_i + fp_j).
         yield from lmp.comm_brick.forward_comm_field(atom, "fp")
 
-        # Loop 2: forces and pair energy.
+        # Loop 2: forces and pair energy; ghost forces return in the
+        # integrator's reverse comm (needs_reverse_comm).
         self._force_pass(geo, eflag, vflag)

@@ -34,6 +34,9 @@ class PairEAMKokkos(PairEAM):
         self.execution_space = Device if execution_space == "device" else Host
         super().__init__(lmp, args)
 
+    def neighbor_request(self) -> tuple[str, bool]:
+        return "full", False  # the LAMMPS-KOKKOS GPU default: no write conflicts
+
     # ------------------------------------------------------------- kernels
     def _density_kernel(self, x, rho_view) -> dict:
         """Cut geometry + ScatterView density accumulation.
@@ -155,7 +158,8 @@ class PairEAMKokkos(PairEAM):
         lmp = self.lmp
         nlist = lmp.neigh_list
         self.reset_tallies(eflag or vflag)
-        if nlist is None or nlist.total_pairs == 0:
+        # a rank without pairs still joins the fp exchange below
+        if nlist is None:
             return
 
         x, types, rho_view, fp_view, f_view = self._sync_views()

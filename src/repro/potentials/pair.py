@@ -96,6 +96,20 @@ class Pair:
         style, newton = self.neighbor_request()
         return style == "half" and newton
 
+    def bind_list(self, nlist) -> tuple[bool, bool]:
+        """``(full, newton)`` of ``nlist``, refused unless it is the list this
+        style requested: a full list run through a half-list scatter would
+        count every bond twice, silently.  Kernels call it where they bind to
+        a list (once per rebuild, in the list's ``PairCache`` memo)."""
+        want, got = self.neighbor_request(), (nlist.style, nlist.newton)
+        if got != want:
+            name = getattr(self, "style_name", type(self).__name__)
+            say = lambda style, newton: (  # noqa: E731
+                f"a {style} neighbor list with newton {'on' if newton else 'off'}"
+            )
+            raise LammpsError(f"pair {name} requested {say(*want)} but is bound to {say(*got)}")
+        return nlist.style == "full", nlist.newton
+
     # -------------------------------------------------------------- tallies
     def reset_tallies(self, ev: bool = True) -> None:
         """Zero the accumulators; ``ev`` says this compute will fill them."""
@@ -197,18 +211,17 @@ class Pair:
         :class:`~repro.core.neighbor.PairCache`, so every per-rebuild
         constant in ``env`` dies with the list.
         """
-        lmp = self.lmp
-        nlist = lmp.neigh_list
+        nlist = self.lmp.neigh_list
         style, newton = self.neighbor_request()
-        full = style == "full"
         return nlist.pair_cache().memo(
-            ("pairwise", id(self), full, newton),
-            lambda: self._bind_kernel(full, newton),
+            ("pairwise", id(self), style == "full", newton), self._bind_kernel
         )
 
-    def _bind_kernel(self, full: bool, newton: bool):
+    def _bind_kernel(self):
         atom = self.lmp.atom
-        i0, j0, itype0, jtype0, cutsq0 = self.pair_table(self.lmp.neigh_list, atom)
+        nlist = self.lmp.neigh_list
+        full, newton = self.bind_list(nlist)
+        i0, j0, itype0, jtype0, cutsq0 = self.pair_table(nlist, atom)
         env: dict = {
             "pair": self,
             "i0": i0,

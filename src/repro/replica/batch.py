@@ -127,7 +127,8 @@ class _LJHandler:
 
 
 class _EAMHandler:
-    """Stacked ``eam/fs``: full list, density + embed + fp comm + force."""
+    """Stacked ``eam/fs``: the solo half list with newton on — two-sided
+    density, rho reverse, embed, fp forward, force, f reverse."""
 
     style = "eam/fs"
 
@@ -162,10 +163,11 @@ class _EAMHandler:
         for fn in PROLOGUE:
             fn(env)
         gather_eam_coeffs(env, env)
-        # loop 1: electron density of owned atoms
-        scatter_add(
-            atom.rho, env["i_n"], pair.dens(env["r_n"], env["rc_n"]), assume_sorted=True
-        )
+        # loop 1: electron density, each bond to both ends, ghost ends home
+        d = pair.dens(env["r_n"], env["rc_n"])
+        scatter_add(atom.rho, env["i_n"], d, assume_sorted=True)
+        scatter_add(atom.rho, env["j_n"], d)
+        batch._replay.reverse(atom, "rho")
         nown = atom.nlocal
         rho_own = atom.rho[:nown]
         A = env["A_own"]
@@ -176,6 +178,7 @@ class _EAMHandler:
         if due:
             env["energy_fn"](env)
             batch._tally(due, embed=(rho_own, A))
+        batch._replay.reverse(atom)
 
 
 HANDLERS = {h.style: h for h in (_LJHandler, _EAMHandler)}

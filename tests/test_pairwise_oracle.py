@@ -10,7 +10,9 @@ force pairs, textbook LJ / Morse / Coulomb / EAM-FS, no caches, no
 One parametrised differential test: every two-body style x {eager host,
 eager kk (half/full x newton), graph on, replica R=3}.  Executors that accumulate in the same order (graph vs eager
 on one list flavour, stacked replicas vs solo) agree **bitwise**; every
-cell agrees with eager host and with the oracle to 1e-12.  The tests at
+cell agrees with eager host and with the oracle to 1e-12.  Host
+``eam/fs``, on a half list with newton on, is held against the one-sided
+EAM oracle at 1, 2 and 4 ranks.  The tests at
 the end hold the once-per-list index bound and the arena contract.
 """
 
@@ -31,7 +33,8 @@ from repro.parallel.driver import drain
 from repro.potentials.eam import eam_geometry
 from repro.replica import ReplicaBatch
 
-from conftest import make_melt
+from conftest import gather_by_tag, make_melt
+from test_potentials_eam import make_eam
 
 
 @pytest.fixture(autouse=True)
@@ -146,45 +149,67 @@ def textbook_pair(style: str, lmp, r, ti, tj, qi, qj):
     raise AssertionError(style)
 
 
+VIRIAL_AXES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def full_pairs(lmp):
+    """``(i, j, dx, r)`` of the brute-force full pair set: every owned ``i``
+    against every owned or ghost ``j`` within the style's cutoff."""
+    atom = lmp.atom
+    x = atom.x[: atom.nall].copy()
+    found = brute_force_pairs(x, atom.nlocal, lmp.pair.max_cutoff())
+    pairs = np.array(sorted(found), dtype=int).reshape(-1, 2)
+    i, j = pairs[:, 0], pairs[:, 1]
+    dx = x[i] - x[j]
+    return i, j, dx, np.sqrt((dx * dx).sum(axis=1))
+
+
+def eam_oracle(ranks):
+    """``(rho, forces, E_vdwl, virial[6])`` of textbook EAM-FS over one or
+    more ranks' owned + ghost coordinates: ``rho`` and ``forces`` indexed by
+    ``tag - 1``, energy and virial summed over ranks.  Every bond is seen
+    from both ends, so the density is one-sided and needs no reverse; a
+    ghost carries its owner's embedding derivative, looked up by tag."""
+    p = ranks[0].pair
+    rc = p.cut_global
+    natoms = ranks[0].natoms_total
+    rho, A = np.zeros(natoms), np.zeros(natoms)
+    bonds = []
+    for lmp in ranks:
+        atom = lmp.atom
+        tag, types = atom.tag[: atom.nall] - 1, atom.type[: atom.nall]
+        i, j, dx, r = full_pairs(lmp)
+        np.add.at(rho, tag[i], (rc - r) ** 2)
+        A[tag[: atom.nlocal]] = p.embed_A[types[: atom.nlocal]]
+        bonds.append((tag[i], tag[j], dx, r, p.pair_c[types[i], types[j]]))
+    dF = -0.5 * A / np.sqrt(rho)
+    f, virial = np.zeros((natoms, 3)), np.zeros(6)
+    e_vdwl = float((-A * np.sqrt(rho)).sum())
+    for ti, tj, dx, r, c in bonds:
+        dEdr = -2.0 * c * (rc - r) + (dF[ti] + dF[tj]) * (-2.0 * (rc - r))
+        fvec = (-dEdr / r)[:, None] * dx
+        np.add.at(f, ti, fvec)
+        e_vdwl += 0.5 * float((c * (rc - r) ** 2).sum())
+        virial += [0.5 * float((dx[:, a] * fvec[:, b]).sum()) for a, b in VIRIAL_AXES]
+    return rho, f, e_vdwl, virial
+
+
 def oracle(style: str, lmp):
     """``(forces on owned atoms, E_vdwl, E_coul, virial[6])`` from brute-force
     pairs over the owned + ghost coordinates."""
     atom = lmp.atom
-    nlocal, nall = atom.nlocal, atom.nall
-    x = atom.x[:nall].copy()
-    types, q = atom.type[:nall], atom.q[:nall]
-    pairs = np.array(sorted(brute_force_pairs(x, nlocal, lmp.pair.max_cutoff())))
-    i, j = pairs[:, 0], pairs[:, 1]
-    dx = x[i] - x[j]
-    r = np.sqrt((dx * dx).sum(axis=1))
-    f = np.zeros((nlocal, 3))
     if style == "eam/fs":
-        p = lmp.pair
-        rc = p.cut_global
-        rho = np.zeros(nlocal)
-        np.add.at(rho, i, (rc - r) ** 2)
-        A = p.embed_A[types[:nlocal]]
-        e_embed = float((-A * np.sqrt(rho)).sum())
-        dF = -0.5 * A / np.sqrt(rho)
-        # a ghost carries its owner's embedding derivative
-        owner = np.empty(atom.tag[:nlocal].max() + 1, dtype=int)
-        owner[atom.tag[:nlocal]] = np.arange(nlocal)
-        dF_all = dF[owner[atom.tag[:nall]]]
-        c = p.pair_c[types[i], types[j]]
-        e_pair = c * (rc - r) ** 2
-        dEdr = -2.0 * c * (rc - r) + (dF_all[i] + dF_all[j]) * (-2.0 * (rc - r))
-        fvec = (-dEdr / r)[:, None] * dx
-        e_vdwl, e_coul = e_embed + 0.5 * float(e_pair.sum()), 0.0
-    else:
-        e, ec, fr = textbook_pair(style, lmp, r, types[i], types[j], q[i], q[j])
-        fvec = (fr / r)[:, None] * dx
-        # every pair appears from both ends in the brute-force (full) set
-        e_vdwl, e_coul = 0.5 * float(e.sum()), 0.5 * float(ec.sum())
+        _, f, e_vdwl, virial = eam_oracle([lmp])
+        return f[atom.tag[: atom.nlocal] - 1], e_vdwl, 0.0, virial
+    types, q = atom.type[: atom.nall], atom.q[: atom.nall]
+    i, j, dx, r = full_pairs(lmp)
+    e, ec, fr = textbook_pair(style, lmp, r, types[i], types[j], q[i], q[j])
+    fvec = (fr / r)[:, None] * dx
+    f = np.zeros((atom.nlocal, 3))
     np.add.at(f, i, fvec)
-    virial = np.array(
-        [0.5 * float((dx[:, a] * fvec[:, b]).sum())
-         for a, b in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
-    )
+    # every pair appears from both ends in the brute-force (full) set
+    e_vdwl, e_coul = 0.5 * float(e.sum()), 0.5 * float(ec.sum())
+    virial = np.array([0.5 * float((dx[:, a] * fvec[:, b]).sum()) for a, b in VIRIAL_AXES])
     return f, e_vdwl, e_coul, virial
 
 
@@ -277,6 +302,26 @@ def test_replica_executor_matches_eager_host(style):
                 getattr(m.atom, field)[:n], getattr(solo.atom, field)[:n]
             ), f"{style} replica {k}: {field}"
         assert [(r.step, r.values) for r in m.thermo.history] == rows
+
+
+@pytest.mark.parametrize("cells,nranks", [(2, 1), (3, 1), (3, 2), (3, 4)])
+def test_eam_half_list_matches_the_oracle(cells, nranks):
+    """Host ``eam/fs`` on a half list with newton on (two-sided density, rho
+    reverse, f reverse) equals the one-sided oracle on a hot snapshot, in
+    owned rho, forces, energy and virial, at any rank count."""
+    # cells=2: the 5.5 A list cutoff exceeds L/2, so two atoms meet through
+    # several periodic images
+    sim = make_eam(cells=cells, nranks=nranks)
+    sim.commands_string("velocity all create 3000 4928\nrun 15")
+    ranks = sim.ranks if nranks > 1 else [sim]
+    assert all((r.neigh_list.style, r.neigh_list.newton) == ("half", True) for r in ranks)
+    rho, f, e_vdwl, virial = eam_oracle(ranks)
+    np.testing.assert_allclose(gather_by_tag(sim, "rho"), rho, rtol=1e-12)
+    got = (
+        gather_by_tag(sim, "f"), sum(r.pair.eng_vdwl for r in ranks), 0.0,
+        sum(np.array(r.pair.virial) for r in ranks),
+    )
+    assert_oracle(got, (f, e_vdwl, 0.0, virial), f"eam/fs half cells={cells} np={nranks}")
 
 
 # --------------------------------------------------------------- index bounds

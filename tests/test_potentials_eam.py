@@ -7,7 +7,9 @@ import pytest
 
 from conftest import fd_force_check, gather_by_tag
 from repro.core import Ensemble, Lammps
-from repro.core.errors import InputError
+from repro.core.errors import InputError, LammpsError
+from repro.core.neighbor import build_neighbor_list
+from repro.parallel.driver import drain
 
 EAM_SCRIPT = """\
 units metal
@@ -100,6 +102,60 @@ class TestEAMParallel:
         )
 
 
+class TestEAMHalfList:
+    """Host ``eam/fs`` binds only the half list with newton on it requested
+    (its match against the one-sided oracle is in ``test_pairwise_oracle``)."""
+
+    def test_a_full_list_is_refused(self):
+        """A full list through the half-list scatter would double-count every
+        bond silently; binding it raises before any force changes."""
+        lmp = make_eam(cells=2)
+        lmp.command("run 0")
+        atom = lmp.atom
+        lmp.neigh_list = build_neighbor_list(
+            atom.x[: atom.nall], atom.nlocal, lmp.neigh_list.cutoff, style="full"
+        )
+        f0 = atom.f.copy()
+        with pytest.raises(LammpsError, match="eam/fs requested a half neighbor list"):
+            drain(lmp.pair.compute_gen())
+        assert np.array_equal(atom.f, f0)
+
+
+EMPTY_RANK_SCRIPT = """\
+units metal
+lattice fcc 3.52
+region box block 0 6 0 6 0 6
+create_box 1 box
+region left block 0 2 0 2 0 2
+create_atoms 1 region left
+mass 1 58.7
+velocity all create 600 12345
+pair_style {pair_style} 4.5
+pair_coeff * * 2.0 0.3
+neighbor 1.0 bin
+fix 1 all nve
+"""
+
+
+@pytest.mark.parametrize("pair_style", ["eam/fs", "eam/fs/kk"])
+def test_a_rank_without_atoms_joins_the_exchanges(pair_style):
+    """A rank with no pairs still runs the collective rho/fp exchanges, so
+    the other rank is not left waiting; forces match one rank by tag."""
+    kw = dict(device="H100", suffix="kk") if pair_style.endswith("/kk") else {}
+    script = EMPTY_RANK_SCRIPT.format(pair_style=pair_style.removesuffix("/kk"))
+
+    def run(nranks):
+        sim = Ensemble(nranks, **kw) if nranks > 1 else Lammps(**kw)
+        sim.commands_string(script + "run 0")
+        return sim
+
+    single, multi = run(1), run(2)
+    assert sorted(lmp.atom.nlocal for lmp in multi.ranks) == [0, 32]
+    np.testing.assert_allclose(
+        gather_by_tag(multi, "f"), gather_by_tag(single, "f"), rtol=0, atol=1e-12
+    )
+
+
 class TestEAMKokkos:
     def test_kk_matches_plain(self):
         plain = make_eam(cells=3)
@@ -119,6 +175,21 @@ class TestEAMKokkos:
         tl = kk.device_context().timeline
         for name in ("PairEAMKernelDensity", "PairEAMKernelEmbed", "PairEAMKernelForce"):
             assert tl.kernel_total(name) > 0, name
+
+    def test_modeled_totals_stay_on_the_full_list(self):
+        """``eam/fs/kk`` keeps the full list with newton off while the host
+        style runs half + newton on: its charges are pinned bit for bit
+        (108 atoms, ``run 3`` on H100, recorded on the full-list host)."""
+        import repro.kokkos as kk
+
+        kkr = make_eam(device="H100", cells=3, suffix="kk")
+        kkr.command("run 3")
+        assert (kkr.neigh_list.style, kkr.neigh_list.newton) == ("full", False)
+        tl = kk.device_context().timeline
+        assert [
+            tl.kernel_total(k)
+            for k in ("PairEAMKernelDensity", "PairEAMKernelEmbed", "PairEAMKernelForce")
+        ] == [5.001094361212121e-05, 1.462458181818182e-05, 6.240862668224721e-05]
 
 
 class TestEAMValidation:
