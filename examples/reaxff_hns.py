@@ -62,16 +62,6 @@ def main() -> None:
     print(f"  QEq matrix            : {stats['qeq_nnz']} non-zeros in "
           f"{stats['qeq_slots']} over-allocated slots")
 
-    # emergent chemistry: molecules are connected components of the
-    # bond-order network (LAMMPS's fix reaxff/species)
-    from repro.reaxff.species import analyze_lammps
-
-    report = analyze_lammps(lmp)
-    print("\nSpecies census (bond-order network):")
-    print(f"  {report.nmolecules} molecules: {report.formula_string()}")
-    print(f"  largest fragment: {report.largest} atoms, "
-          f"{report.nbonds} chemical bonds")
-
     h = lmp.thermo.history
     drift = abs(h[-1]["etotal"] - h[0]["etotal"]) / abs(h[0]["etotal"])
     print(f"\nNVE energy drift over {h[-1].step} steps: {drift:.2e}")

@@ -16,7 +16,6 @@ Run:  python examples/snap_tantalum.py
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 import repro.kokkos as kk
 import repro.snap  # noqa: F401  (registers the pair styles)
@@ -50,7 +49,9 @@ def main() -> None:
 
     # rotation invariance: rotate the whole neighborhood of atom 0
     sel = i[mask] == 0
-    R = Rotation.random(random_state=42).as_matrix()
+    q, r = np.linalg.qr(np.random.default_rng(42).standard_normal((3, 3)))
+    R = q * np.sign(np.diag(r))
+    R *= np.linalg.det(R)  # a proper rotation
     U_rot = compute_ui(
         rij[mask][sel] @ R.T, np.zeros(int(sel.sum()), dtype=int), 1,
         lmp.pair.rcut, TWOJMAX,

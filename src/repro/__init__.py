@@ -13,8 +13,7 @@ Top-level packages:
 * :mod:`repro.kokkos`     — the performance-portability layer
 * :mod:`repro.hardware`   — simulated GPUs, CPUs, and interconnects
 * :mod:`repro.parallel`   — simulated MPI + domain decomposition
-* :mod:`repro.potentials` — pairwise/EAM/ML-IAP pair styles
-* :mod:`repro.kspace`     — Ewald long-range electrostatics
+* :mod:`repro.potentials` — LJ and EAM pair styles (+ the GPU-package baseline)
 * :mod:`repro.reaxff`     — the reactive force field package
 * :mod:`repro.snap`       — the SNAP machine-learning potential package
 * :mod:`repro.workloads`  — benchmark workload generators

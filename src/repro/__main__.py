@@ -31,8 +31,7 @@ import argparse
 import os
 import sys
 
-import repro.kspace  # noqa: F401  (register all packages' styles)
-import repro.potentials  # noqa: F401
+import repro.potentials  # noqa: F401  (register all packages' styles)
 import repro.reaxff  # noqa: F401
 import repro.snap  # noqa: F401
 from repro.core import Ensemble, Lammps, ReplicaSet

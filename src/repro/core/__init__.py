@@ -8,7 +8,5 @@ exists only if its package was compiled in.
 
 from repro.core.lammps import Ensemble, Lammps, ReplicaSet
 from repro.core import fixes_kokkos as _fkk  # noqa: F401  (registers /kk fixes)
-from repro.core import fixes_extra as _fx  # noqa: F401  (thermostats etc.)
-from repro.core import computes_extra as _cx  # noqa: F401  (msd, rdf)
 
 __all__ = ["Lammps", "Ensemble", "ReplicaSet"]

@@ -61,12 +61,9 @@ class AtomVec:
         #: bumped on every reallocation so aliases (AtomKokkos) can refresh.
         self.generation = 0
         #: bumped on every spatial reorder of the owned atoms; index-keyed
-        #: consumers (comm sendlists, minimizer velocity state) compare this
-        #: to detect that their cached indices went stale.
+        #: consumers (comm sendlists, ghost replays) compare this to detect
+        #: that their cached indices went stale.
         self.reorder_generation = 0
-        #: the permutation applied by the most recent :meth:`reorder_local`
-        #: (``new[k] = old[perm[k]]``), for consumers that can remap.
-        self.last_reorder_perm: np.ndarray | None = None
         #: registered custom per-atom fields (name -> ``(capacity, width)``
         #: array).  Custom fields are owned-atom state that participates in
         #: :meth:`grow`, :meth:`reorder_local`, and :meth:`replace_local`
@@ -211,7 +208,6 @@ class AtomVec:
         for arr in self.custom.values():
             arr[:n] = arr[:n][perm]
         self.reorder_generation += 1
-        self.last_reorder_perm = perm
 
     # -------------------------------------------------------------- ghosts
     def clear_ghosts(self) -> None:

@@ -2,8 +2,8 @@
 
 One :class:`BinGrid` is assembled per neighbor rebuild, at the largest
 requested cutoff (the ghost cutoff), and shared by every list built that
-step — the pair list, the ReaxFF bond-search list, the species-analysis
-list.  Multi-cutoff consumers filter one candidate set instead of
+step — the pair list and the ReaxFF bond-search list.  Multi-cutoff
+consumers filter one candidate set instead of
 re-binning, which is how LAMMPS's ``NBin``/``NStencil`` split works.
 
 The assembly is a counting sort, not a global comparison sort: atoms are

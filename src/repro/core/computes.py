@@ -86,10 +86,7 @@ class ComputePE(Compute):
         if pair is None:
             return np.zeros(1)
         pair.require_tally()
-        total = pair.eng_vdwl + pair.eng_coul
-        if self.lmp.kspace is not None:
-            total += getattr(self.lmp.kspace, "energy_local", 0.0)
-        return np.array([total])
+        return np.array([pair.eng_vdwl + pair.eng_coul])
 
     def finalize(self, parts: np.ndarray) -> float:
         return float(parts[0])
@@ -112,8 +109,6 @@ class ComputePressure(Compute):
         if pair is not None:
             pair.require_tally()
             w = float(pair.virial[:3].sum())
-        if self.lmp.kspace is not None:
-            w += float(self.lmp.kspace.virial[:3].sum())
         return np.array([msq, w])
 
     def finalize(self, parts: np.ndarray) -> float:

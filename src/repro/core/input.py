@@ -20,6 +20,7 @@ import re
 
 from repro.core.domain import BlockRegion, Lattice
 from repro.core.errors import InputError
+from repro.core.styles import check_suffix
 
 _BINOPS = {
     ast.Add: operator.add,
@@ -126,8 +127,8 @@ class Input:
         self.lmp.newton_pair = args[0] == "on"
 
     def cmd_suffix(self, args: list[str]) -> None:
-        self._need(args, 1, "suffix <kk|kk/host|off>")
-        self.lmp.suffix = None if args[0] == "off" else args[0]
+        self._need(args, 1, "suffix <kk|kk/host|kk/device|gpu|off>")
+        self.lmp.suffix = None if args[0] == "off" else check_suffix(args[0])
 
     def cmd_package(self, args: list[str]) -> None:
         """``package kokkos`` tuning knobs (section 3.3 / appendix C.1).
@@ -297,18 +298,6 @@ class Input:
             raise InputError("only 'velocity all create T seed' is supported")
         self.lmp.velocity_create(float(args[2]), int(args[3]))
 
-    def cmd_kspace_style(self, args: list[str]) -> None:
-        self._need(args, 1, "kspace_style <ewald <accuracy>|none>")
-        if args[0] == "none":
-            self.lmp.kspace = None
-            return
-        if args[0] != "ewald":
-            raise InputError("only 'kspace_style ewald <accuracy>' is supported")
-        self._need(args, 2, "kspace_style ewald <accuracy>")
-        from repro.kspace import Ewald
-
-        self.lmp.kspace = Ewald(self.lmp, float(args[1]))
-
     def cmd_pair_style(self, args: list[str]) -> None:
         self._need(args, 1, "pair_style <style> [args]")
         self.lmp.set_pair_style(args[0], args[1:])
@@ -394,40 +383,6 @@ class Input:
 
         read_data(self.lmp, args[0])
 
-    def cmd_write_data(self, args: list[str]) -> None:
-        self._need(args, 1, "write_data <file>")
-        from repro.core.io import write_data
-
-        write_data(self.lmp, args[0])
-
-    def cmd_set(self, args: list[str]) -> None:
-        self._need(args, 4, "set type <t> charge <q>")
-        if args[0] != "type" or args[2] != "charge":
-            raise InputError("only 'set type <t> charge <q>' is supported")
-        self.lmp.set_charge(int(args[1]), float(args[3]))
-
-    def cmd_dump(self, args: list[str]) -> None:
-        self._need(args, 5, "dump <id> <group> custom <N> <file> <cols...>")
-        if args[2] != "custom":
-            raise InputError("only 'dump custom' is supported")
-        if args[0] in self.lmp.dumps:
-            raise InputError(f"duplicate dump id {args[0]!r} (use undump first)")
-        if args[1] not in self.lmp.groups:
-            raise InputError(f"dump: unknown group {args[1]!r}")
-        from repro.core.io import Dump
-
-        cols = tuple(args[5:]) or ("id", "type", "x", "y", "z")
-        self.lmp.dumps[args[0]] = Dump(
-            self.lmp, args[0], args[1], int(args[3]), args[4], cols
-        )
-
-    def cmd_undump(self, args: list[str]) -> None:
-        self._need(args, 1, "undump <id>")
-        dump = self.lmp.dumps.pop(args[0], None)
-        if dump is None:
-            raise InputError(f"undump of unknown dump id {args[0]!r}")
-        dump.close()
-
     # --------------------------------------------------------------- output
     def cmd_thermo(self, args: list[str]) -> None:
         self._need(args, 1, "thermo <N>")
@@ -443,20 +398,3 @@ class Input:
     def cmd_run(self, args: list[str]) -> None:
         self._need(args, 1, "run <N>")
         self.lmp.run(int(args[0]))
-
-    def cmd_min_style(self, args: list[str]) -> None:
-        self._need(args, 1, "min_style <fire|sd>")
-        if args[0] not in ("fire", "sd"):
-            raise InputError(f"unknown min_style {args[0]!r}")
-        self.lmp.min_style = args[0]
-
-    def cmd_minimize(self, args: list[str]) -> None:
-        self._need(args, 3, "minimize <etol> <ftol> <maxiter> [maxeval]")
-        result = self.lmp.minimize(float(args[0]), float(args[1]), int(args[2]))
-        if self.lmp.comm_rank == 0 and not self.lmp.thermo.quiet:
-            print(
-                f"Minimization ({self.lmp.min_style}): "
-                f"E {result.initial_energy:.6g} -> {result.final_energy:.6g} "
-                f"in {result.iterations} iterations "
-                f"(stop: {result.criterion}, fmax {result.final_fmax:.3g})"
-            )

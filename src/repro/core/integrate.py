@@ -16,7 +16,7 @@ Energy and virial are tallied only on steps where something reads them
 (:meth:`Verlet.ev_set`, LAMMPS's ``ev_set``); forces never depend on it.
 
 Each stage runs under the matching :class:`repro.core.timer.PhaseTimer`
-category (Pair/Kspace/Neigh/Comm/Modify/Output), which both feeds the
+category (Pair/Neigh/Comm/Modify/Output), which both feeds the
 thermo timing breakdown and opens an observability region on the rank's
 track.  Categories are strictly sequential — never nested inside one
 another — so the breakdown and the space-time-stack agree exactly.
@@ -48,7 +48,6 @@ class Verlet:
         yield from self.force_cycle()
         with lmp.timer.phase("Output"):
             yield from lmp.thermo.output_gen(force=True)
-            lmp.write_dumps(force=True)
 
     # -------------------------------------------------------------- force
     def ev_set(self, step: int, last_step: int) -> bool:
@@ -81,10 +80,6 @@ class Verlet:
                 yield from lmp.pair.compute_gen(eflag=ev, vflag=ev)
             else:
                 lmp.pair.compute(eflag=ev, vflag=ev)
-        if lmp.kspace is not None:
-            # reciprocal-space contribution (KSPACE package)
-            with lmp.timer.phase("Kspace"):
-                yield from lmp.kspace.compute_gen(eflag=ev, vflag=ev)
         with lmp.timer.phase("Comm"):
             lmp.sync_host_fields("f")
             # LAMMPS order: ghost forces return to their owners *before*
@@ -133,4 +128,3 @@ class Verlet:
                 lmp.modify.end_of_step()
             with lmp.timer.phase("Output"):
                 yield from lmp.thermo.output_gen()
-                lmp.write_dumps()

@@ -1,59 +1,19 @@
-"""Data files and trajectory dumps (``read_data`` / ``write_data`` / ``dump``).
+"""Data files (``read_data``).
 
 Paper section 2.1 names ``read_data`` as the canonical immediate command —
 "reading an atomic structure from a file".  The format here is the LAMMPS
 data-file dialect restricted to what the engine models: header counts,
 orthogonal box bounds, ``Masses``, ``Atoms`` (``atomic`` or ``charge``
 style), and ``Velocities``.
-
-Trajectory output follows ``dump custom``: a LAMMPS-format dump file with a
-selectable column list, written every N steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.errors import InputError
-
-
-# --------------------------------------------------------------- data files
-def write_data(lmp, path: str) -> None:
-    """Write the current (single-rank) state as a LAMMPS data file."""
-    if lmp.comm_size != 1:
-        raise InputError(
-            "write_data gathers global state; use Ensemble.write_data for "
-            "multi-rank runs"
-        )
-    atom = lmp.require_box()
-    n = atom.nlocal
-    order = np.argsort(atom.tag[:n])
-    lo, hi = lmp.domain.boxlo, lmp.domain.boxhi
-    has_charge = bool(np.any(atom.q[:n] != 0.0))
-    style = "charge" if has_charge else "atomic"
-    with open(path, "w") as fh:
-        fh.write(f"LAMMPS data file via repro, units {lmp.update.units.name}\n\n")
-        fh.write(f"{n} atoms\n{atom.ntypes} atom types\n\n")
-        fh.write(f"{lo[0]:.10g} {hi[0]:.10g} xlo xhi\n")
-        fh.write(f"{lo[1]:.10g} {hi[1]:.10g} ylo yhi\n")
-        fh.write(f"{lo[2]:.10g} {hi[2]:.10g} zlo zhi\n\n")
-        fh.write("Masses\n\n")
-        for t in range(1, atom.ntypes + 1):
-            fh.write(f"{t} {atom.mass[t]:.10g}\n")
-        fh.write(f"\nAtoms # {style}\n\n")
-        for k in order:
-            tag, typ = atom.tag[k], atom.type[k]
-            x, y, z = atom.x[k]
-            if has_charge:
-                fh.write(f"{tag} {typ} {atom.q[k]:.10g} {x:.10g} {y:.10g} {z:.10g}\n")
-            else:
-                fh.write(f"{tag} {typ} {x:.10g} {y:.10g} {z:.10g}\n")
-        fh.write("\nVelocities\n\n")
-        for k in order:
-            vx, vy, vz = atom.v[k]
-            fh.write(f"{atom.tag[k]} {vx:.10g} {vy:.10g} {vz:.10g}\n")
 
 
 @dataclass
@@ -169,83 +129,3 @@ def read_data(lmp, path: str) -> None:
     atom.q[: atom.nlocal] = data.q[order][sel]
     atom.v[: atom.nlocal] = data.v[order][sel]
     lmp.natoms_total += data.natoms
-
-
-# --------------------------------------------------------------------- dumps
-#: supported dump custom columns -> extractor(atom, mask)
-_DUMP_COLUMNS = {
-    "id": lambda a, m: a.tag[: a.nlocal][m],
-    "type": lambda a, m: a.type[: a.nlocal][m],
-    "x": lambda a, m: a.x[: a.nlocal, 0][m],
-    "y": lambda a, m: a.x[: a.nlocal, 1][m],
-    "z": lambda a, m: a.x[: a.nlocal, 2][m],
-    "vx": lambda a, m: a.v[: a.nlocal, 0][m],
-    "vy": lambda a, m: a.v[: a.nlocal, 1][m],
-    "vz": lambda a, m: a.v[: a.nlocal, 2][m],
-    "fx": lambda a, m: a.f[: a.nlocal, 0][m],
-    "fy": lambda a, m: a.f[: a.nlocal, 1][m],
-    "fz": lambda a, m: a.f[: a.nlocal, 2][m],
-    "q": lambda a, m: a.q[: a.nlocal][m],
-}
-
-
-@dataclass
-class Dump:
-    """A ``dump ID group custom N file cols...`` writer."""
-
-    lmp: object
-    dump_id: str
-    group: str
-    every: int
-    path: str
-    columns: tuple[str, ...]
-    frames_written: int = 0
-    _fh: object = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.every < 1:
-            raise InputError(f"dump {self.dump_id}: N must be >= 1")
-        bad = [c for c in self.columns if c not in _DUMP_COLUMNS]
-        if bad:
-            raise InputError(
-                f"dump {self.dump_id}: unknown columns {bad}; "
-                f"known: {sorted(_DUMP_COLUMNS)}"
-            )
-        path = self.path
-        if self.lmp.comm_size > 1:
-            path = f"{path}.rank{self.lmp.comm_rank}"
-        self._fh = open(path, "w")
-
-    def maybe_write(self, force: bool = False) -> None:
-        step = self.lmp.update.ntimestep
-        if not force and step % self.every:
-            return
-        atom = self.lmp.atom
-        mask = self.lmp.group_mask(self.group)
-        n = int(mask.sum())
-        lo, hi = self.lmp.domain.boxlo, self.lmp.domain.boxhi
-        fh = self._fh
-        fh.write("ITEM: TIMESTEP\n")
-        fh.write(f"{step}\n")
-        fh.write("ITEM: NUMBER OF ATOMS\n")
-        fh.write(f"{n}\n")
-        fh.write("ITEM: BOX BOUNDS pp pp pp\n")
-        for d in range(3):
-            fh.write(f"{lo[d]:.10g} {hi[d]:.10g}\n")
-        fh.write("ITEM: ATOMS " + " ".join(self.columns) + "\n")
-        cols = [_DUMP_COLUMNS[c](atom, mask) for c in self.columns]
-        for row in zip(*cols):
-            fh.write(
-                " ".join(
-                    str(int(v)) if np.issubdtype(type(v), np.integer) else f"{v:.8g}"
-                    for v in row
-                )
-                + "\n"
-            )
-        fh.flush()
-        self.frames_written += 1
-
-    def close(self) -> None:
-        if self._fh:
-            self._fh.close()
-            self._fh = None

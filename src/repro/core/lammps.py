@@ -28,7 +28,7 @@ from repro.core.integrate import Verlet
 from repro.core.modify import Modify
 from repro.core.bin_grid import BinGrid, spatial_sort_order
 from repro.core.neighbor import Neighbor, build_neighbor_list
-from repro.core.styles import resolve_style
+from repro.core.styles import check_suffix, resolve_style
 from repro.core.thermo import Thermo
 from repro.core.timer import CATEGORIES, PhaseTimer
 from repro.core.update import Update
@@ -60,7 +60,7 @@ class Lammps:
         if world is None or rank == 0:
             # The Kokkos runtime is process-global; first rank configures it.
             kk.initialize(device)
-        self.suffix: str | None = suffix
+        self.suffix: str | None = check_suffix(suffix)
         self.update = Update.create("lj")
         self.domain = Domain()
         self.atom: AtomVec | None = None
@@ -78,7 +78,6 @@ class Lammps:
         self.sort_every = 1
         self.sort_binsize = 0.0  # 0 -> use the ghost cutoff
         self.pair = None
-        self.kspace = None
         self.modify = Modify()
         self.thermo = Thermo(self, quiet=quiet)
         #: Per-category modeled-time breakdown (the thermo "MPI task timing
@@ -89,10 +88,7 @@ class Lammps:
         self.regions: dict[str, BlockRegion] = {}
         self.groups: dict[str, tuple[str, tuple]] = {"all": ("all", ())}
         self.variables: dict[str, float | str] = {}
-        self.dumps: dict[str, "object"] = {}
         self.newton_pair = True
-        self.min_style = "fire"
-        self.last_minimize = None
         #: `package kokkos` tuning knobs (applied at pair init)
         self.package_kokkos: dict = {}
         #: Runtime autotuner (``package autotune on`` / ``--autotune``):
@@ -244,19 +240,6 @@ class Lammps:
         self._apply_velocity_table(temp, seed, mass_by_tag)
         del self._pending_velocity
 
-    # ----------------------------------------------------------------- I/O
-    def write_dumps(self, force: bool = False) -> None:
-        for dump in self.dumps.values():
-            dump.maybe_write(force=force)
-
-    def set_charge(self, atom_type: int, q: float) -> None:
-        """``set type <t> charge <q>`` (needed by charged pair styles)."""
-        atom = self.require_box()
-        if not 1 <= atom_type <= atom.ntypes:
-            raise InputError(f"set: atom type {atom_type} out of range")
-        sel = atom.type[: atom.nlocal] == atom_type
-        atom.q[: atom.nlocal][sel] = q
-
     # -------------------------------------------------------------- groups
     def define_group(self, name: str, style: str, args: tuple) -> None:
         if style not in ("type", "region", "all"):
@@ -368,8 +351,8 @@ class Lammps:
             # the build's own transients do not stack on top of it
             ARENA.release()
             # One bin grid per rebuild, at the largest requested cutoff: the
-            # pair list below and any multi-cutoff consumer this step (ReaxFF
-            # bond list, species analysis) share it instead of re-binning.
+            # pair list below and any multi-cutoff consumer this step (the
+            # ReaxFF bond-search list) share it instead of re-binning.
             # Half-cutoff bins (LAMMPS's choice): shorter-cutoff consumers
             # get proportionally tighter stencils from the same grid.
             self.bin_grid = BinGrid(atom.x[: atom.nall], atom.nlocal, 0.5 * cutghost)
@@ -479,16 +462,6 @@ class Lammps:
             )
             print(f"Neighbor list builds = {s['neighbor_builds']}")
 
-    def minimize(self, etol: float, ftol: float, maxiter: int) -> "object":
-        """Relax the configuration; returns a MinimizeResult."""
-        if self.comm_size != 1:
-            raise LammpsError("multi-rank minimization goes through Ensemble")
-        from repro.core.minimize import Minimizer
-
-        drain(Minimizer(self, self.min_style).minimize_gen(etol, ftol, maxiter))
-        self.world.assert_drained()
-        return self.last_minimize
-
 
 def _maybe_autotune(target) -> None:
     """Run the attached autotuner once, before the first timestep.
@@ -541,9 +514,6 @@ class Ensemble:
             # Runs must be driven in lockstep across ranks, not per rank.
             self.run(int(tokens[1]))
             return
-        if tokens and tokens[0] == "minimize":
-            self.minimize(float(tokens[1]), float(tokens[2]), int(tokens[3]))
-            return
         for lmp in self.ranks:
             if kp.TOOLS:
                 kp.set_rank(lmp.comm_rank)
@@ -576,49 +546,6 @@ class Ensemble:
                 "breakdown": dict(lmp.timer.timers),
             }
 
-    def minimize(self, etol: float, ftol: float, maxiter: int) -> "object":
-        from repro.core.minimize import Minimizer
-
-        lockstep(
-            [
-                Minimizer(lmp, lmp.min_style).minimize_gen(etol, ftol, maxiter)
-                for lmp in self.ranks
-            ]
-        )
-        self.world.assert_drained()
-        return self.ranks[0].last_minimize
-
-    def write_data(self, path: str) -> None:
-        """Gather all ranks' atoms and write one data file."""
-        from repro.core.io import write_data
-
-        gathered = Lammps(device=None)
-        first = self.ranks[0]
-        from repro.core.domain import BlockRegion
-
-        gathered.create_box(
-            first.atom.ntypes,
-            BlockRegion.create(first.domain.boxlo, first.domain.boxhi),
-        )
-        gathered.atom.mass[:] = first.atom.mass
-        n = first.natoms_total
-        x = np.zeros((n, 3))
-        v = np.zeros((n, 3))
-        q = np.zeros(n)
-        types = np.ones(n, dtype=np.int32)
-        for lmp in self.ranks:
-            atom = lmp.atom
-            sel = atom.tag[: atom.nlocal] - 1
-            x[sel] = atom.x[: atom.nlocal]
-            v[sel] = atom.v[: atom.nlocal]
-            q[sel] = atom.q[: atom.nlocal]
-            types[sel] = atom.type[: atom.nlocal]
-        gathered.atom.add_local(x, types=types, tags=np.arange(1, n + 1))
-        gathered.atom.v[:n] = v
-        gathered.atom.q[:n] = q
-        gathered.natoms_total = n
-        write_data(gathered, path)
-
 
 class ReplicaSet:
     """R independent copies of one script, advanced through batched kernels.
@@ -637,7 +564,7 @@ class ReplicaSet:
         velocity all create 1.44 8728${replica}
 
     Only single-rank batchable workloads qualify (host ``lj/cut``/``eam/fs``,
-    ``fix all nve``, no dumps/kspace); ``run`` raises otherwise.  Use
+    ``fix all nve``); ``run`` raises otherwise.  Use
     :class:`Ensemble` to scale one simulation across ranks; use a ReplicaSet
     to scale *many small simulations* onto one set of kernels.
     """
@@ -672,10 +599,6 @@ class ReplicaSet:
         if tokens and tokens[0] == "run":
             self.run(int(tokens[1]))
             return
-        if tokens and tokens[0] == "minimize":
-            raise LammpsError(
-                "replica sets cannot minimize; minimize solo, then batch the runs"
-            )
         for lmp in self.replicas:
             lmp.command(line)
         for lmp in self.replicas:

@@ -10,13 +10,15 @@ have no accelerated variant (section 3.1).
 
 ``/kk`` is an alias of ``/kk/device``; ``/kk/host`` requests the host
 instantiation of the same Kokkos style (section 3.3's dual-instantiation).
+A suffix no registered style carries is refused where it is set
+(:func:`check_suffix`), never fallen back from in silence.
 """
 
 from __future__ import annotations
 
 from typing import Callable, TypeVar
 
-from repro.core.errors import StyleError
+from repro.core.errors import StyleError, unknown_choice
 
 T = TypeVar("T", bound=type)
 
@@ -55,6 +57,31 @@ def register_compute(name: str) -> Callable[[T], T]:
     return _register(COMPUTE_STYLES, name)
 
 
+def known_suffixes() -> list[str]:
+    """The accelerator suffixes the registries carry.
+
+    A suffix is the last component of a style registered as
+    ``<registered style>/<suffix>`` (``lj/cut/gpu``, ``nve/kk``); ``kk``
+    brings its two instantiations, ``kk/host`` and ``kk/device``.
+    """
+    found = {
+        name.rpartition("/")[2]
+        for registry in _REGISTRIES.values()
+        for name in registry
+        if name.rpartition("/")[0] in registry
+    }
+    if "kk" in found:
+        found |= {"kk/host", "kk/device"}
+    return sorted(found)
+
+
+def check_suffix(suffix: str | None) -> str | None:
+    """``suffix`` if a registered style carries it (None: no suffix)."""
+    if suffix is not None and suffix not in known_suffixes():
+        raise StyleError(unknown_choice("suffix", suffix, known_suffixes()))
+    return suffix
+
+
 def resolve_style(
     category: str, name: str, suffix: str | None
 ) -> tuple[type, dict]:
@@ -77,7 +104,7 @@ def resolve_style(
         if suffix == "kk/host":
             candidates.append((f"{name}/kk", {"execution_space": "host"}))
         else:
-            candidates.append((f"{name}/{suffix}", {}))
+            candidates.append((f"{name}/{suffix.removesuffix('/device')}", {}))
     candidates.append((name, {}))
 
     for candidate, extra in candidates:

@@ -1,7 +1,7 @@
 """Per-category phase timer for the thermo timing breakdown.
 
 Real LAMMPS prints a post-loop "MPI task timing breakdown" crediting
-simulated work to Pair / Kspace / Neigh / Comm / Modify / Output.  Here the
+simulated work to Pair / Neigh / Comm / Modify / Output.  Here the
 "time" a phase consumes is modeled time: the kernel seconds in the device
 timeline (:class:`repro.hardware.cost.DeviceTimeline`) plus the modeled
 communication seconds in the world ledger
@@ -25,7 +25,7 @@ from typing import Iterator
 from repro.tools import registry as kp
 
 #: The thermo breakdown categories, in LAMMPS's print order.
-CATEGORIES = ("Pair", "Kspace", "Neigh", "Comm", "Modify", "Output")
+CATEGORIES = ("Pair", "Neigh", "Comm", "Modify", "Output")
 
 
 class PhaseTimer:

@@ -249,7 +249,6 @@ def _tally_fn(env: dict) -> None:
         env["jl_n"],
         full_list=env["full"],
         newton=env["newton"],
-        ecoul=env.get("ecoul_n"),
     )
 
 

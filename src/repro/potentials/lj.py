@@ -102,15 +102,15 @@ class LJMixin:
 
 
 def lj_force(env: dict) -> None:
-    """LJ 12-6 force half over the cut pairs: ``fpair_n`` (and ``r2inv_n``,
-    ``r6inv_n`` for the energy half and the charged styles).
+    """LJ 12-6 force half over the cut pairs: ``fpair_n`` (and ``r6inv_n``
+    for the energy half).
 
     ``r6inv = r2inv^3; fpair = r6inv * (lj1 * r6inv - lj2) * r2inv``, every
     ufunc landing in arena scratch.
     """
     idx = env["idx"]
     n = idx.size
-    r2 = env["r2inv_n"] = np.divide(1.0, env["rsq_n"], out=ARENA.take("lj_r2", n))
+    r2 = np.divide(1.0, env["rsq_n"], out=ARENA.take("lj_r2", n))
     r6 = np.multiply(r2, r2, out=ARENA.take("lj_r6", n))
     env["r6inv_n"] = np.multiply(r6, r2, out=r6)
     t = gather(env["lj1p"], idx, ARENA.take("fpair", n))

@@ -1,7 +1,7 @@
 """Kokkos-accelerated Lennard-Jones: ``pair_style lj/cut/kk``.
 
 The derived class supplies only the LJ force/energy expression
-(:meth:`LJMixin.pair_eval`); the generic pairwise machinery — list style,
+(:meth:`LJMixin.eval_setup`); the generic pairwise machinery — list style,
 ScatterView deconfliction, cutoff checks, tallies, hierarchical-parallelism
 variant — lives in :class:`~repro.potentials.pair_kokkos.PairKokkos`,
 "a unified source for the logic and implementation of the multiple

@@ -135,7 +135,6 @@ class Pair:
         *,
         full_list: bool,
         newton: bool,
-        ecoul: np.ndarray | None = None,
     ) -> None:
         """ev_tally for a batch of pairs.
 
@@ -151,8 +150,6 @@ class Pair:
         else:
             factor = np.where(jlocal, 1.0, 0.5)
         self.eng_vdwl += float(np.dot(factor, evdwl))
-        if ecoul is not None:
-            self.eng_coul += float(np.dot(factor, ecoul))
         # virial components xx, yy, zz, xy, xz, yz
         self.virial[0] += float(np.dot(factor, dx[:, 0] * fvec[:, 0]))
         self.virial[1] += float(np.dot(factor, dx[:, 1] * fvec[:, 1]))
@@ -181,18 +178,18 @@ class Pair:
 
         ``(force_fn, energy_fn)``: ``force_fn(env)`` runs every force call
         and leaves ``fpair_n``; ``energy_fn(env)`` runs only when a tally is
-        due and leaves ``evdwl_n`` (and ``ecoul_n``), or is None when the
-        force half already produced them.  Both read the cut-pair arrays
-        the prologue left in ``env`` (``rsq_n``, ``i_n``, ``j_n``, ``idx``).
+        due and leaves ``evdwl_n``, or is None when the force half already
+        produced it.  Both read the cut-pair arrays the prologue left in
+        ``env`` (``rsq_n``, ``i_n``, ``j_n``, ``idx``).
 
-        This generic form is for formula styles: it gathers the compressed
-        type pairs and calls ``pair_eval(rsq, itype, jtype) -> (fpair,
-        evdwl)``, which computes both halves at once.  Styles with
-        separable halves override it and pre-gather coefficient vectors
-        (see ``LJMixin``).  Returns None for styles with no two-body form.
+        This generic form is for formula styles (``morse``, ``table``): it
+        gathers the compressed type pairs and calls ``pair_eval(rsq, itype,
+        jtype) -> (fpair, evdwl)``, which computes both halves at once.
+        Styles with separable halves override it and pre-gather coefficient
+        vectors (see ``LJMixin``).  The rest have no two-body form.
         """
         if not hasattr(self, "pair_eval"):
-            return None
+            raise StyleError(f"{type(self).__name__} has no two-body pairwise form")
         env["it0"] = itype0
         env["jt0"] = jtype0
 
@@ -233,12 +230,9 @@ class Pair:
             "newton": newton,
             "f_view": None,
         }
-        halves = self.eval_setup(env, itype0, jtype0)
-        if halves is None:
-            raise StyleError(f"{type(self).__name__} has no two-body pairwise form")
+        force_fn, env["energy_fn"] = self.eval_setup(env, itype0, jtype0)
         # cut-pair indices (< len(i0)) gather every per-pair vector unchecked
         assert all(len(v) == len(i0) for v in env.values() if isinstance(v, np.ndarray))
-        force_fn, env["energy_fn"] = halves
         stages, tally = pairwise_stages(
             self.execution_space, len(i0), atom.nlocal, force_fn
         )

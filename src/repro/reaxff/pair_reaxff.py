@@ -94,10 +94,6 @@ class PairReaxFF(Pair):
         # id() collisions impossible).
         self._bond_nlist = None
         self._bond_nlist_key = None
-        # Last bond-order table, reusable within one configuration (same
-        # timestep + same pair list) by the species analysis.
-        self._last_bonds = None
-        self._last_bonds_key = None
 
     def set_qeq_options(
         self, *, precond=None, extrap=None, tol=None
@@ -182,26 +178,6 @@ class PairReaxFF(Pair):
             self._bond_nlist_key = lmp.neigh_list
         return self._bond_nlist
 
-    def bonds_for_analysis(self):
-        """The current configuration's bond-order table (species analysis).
-
-        Returns the table the force pipeline just built when one exists for
-        this exact configuration; otherwise builds one through the shared
-        bond-search list — never a second full build for the same step.
-        """
-        lmp = self.lmp
-        key = (lmp.update.ntimestep, lmp.neigh_list)
-        if self._last_bonds is None or self._last_bonds_key != key:
-            atom = lmp.atom
-            nall = atom.nall
-            x = atom.x[:nall]
-            species = self.type_map[atom.type[:nall]]
-            self._last_bonds = build_bond_list(
-                x, species, self.bond_neighbor_list(), self.params
-            )
-            self._last_bonds_key = key
-        return self._last_bonds
-
     # --------------------------------------------------------------- compute
     def compute_gen(self, eflag: bool = True, vflag: bool = True) -> Iterator[None]:
         lmp = self.lmp
@@ -222,8 +198,6 @@ class PairReaxFF(Pair):
         bond_nlist = self.bond_neighbor_list()
         # 2) bond-order table (count -> scan -> fill pipeline)
         bonds = build_bond_list(x, species, bond_nlist, params)
-        self._last_bonds = bonds
-        self._last_bonds_key = (lmp.update.ntimestep, lmp.neigh_list)
         stats["bond_candidates"] = bonds.candidates
         stats["nbonds"] = bonds.nbonds
 

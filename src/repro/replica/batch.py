@@ -281,10 +281,6 @@ class ReplicaBatch:
                 "replica members must integrate with exactly 'fix all nve'; "
                 f"got {', '.join(got)}"
             )
-        if lmp.kspace is not None:
-            raise LammpsError("replica members cannot use kspace styles")
-        if lmp.dumps:
-            raise LammpsError("replica members cannot have dumps attached")
         if lmp.autotuner is not None or lmp.autotune_request is not None:
             raise LammpsError(
                 "autotune the solo workload first; replica members cannot "

@@ -8,11 +8,8 @@ built-in tool catalogue and a name -> instance factory used by the CLI
 
 Built-in tools:
 
-* ``kernel-logger``     — streaming line-per-event log
 * ``space-time-stack``  — hierarchical region/kernel time tree
-* ``memory-events``     — per-memory-space allocation log + high-water mark
 * ``chrome-trace``      — chrome://tracing JSON, one track per rank
-* ``roofline``          — %-of-roof per kernel vs the active machine model
 * ``metrics``           — Prometheus + JSONL counters/histograms per kernel
 
 Only :mod:`repro.tools.registry` is imported eagerly here; the tool
@@ -37,24 +34,13 @@ from repro.tools.registry import (  # noqa: F401  (re-exported surface)
     set_rank,
 )
 
-#: name -> (module, class, needs_output_path)
-TOOL_CATALOG: dict[str, tuple[str, str, bool]] = {
-    "kernel-logger": ("repro.tools.kernel_logger", "KernelLogger", True),
-    "space-time-stack": ("repro.tools.space_time_stack", "SpaceTimeStack", False),
-    "memory-events": ("repro.tools.memory_events", "MemoryEvents", True),
-    "chrome-trace": ("repro.tools.chrome_trace", "ChromeTrace", True),
-    "roofline": ("repro.tools.roofline", "Roofline", False),
-    "metrics": ("repro.tools.metrics", "MetricsTool", True),
-}
-
-#: default output filename per tool (within ``--tool-out``); an empty string
-#: means the tool takes the output *directory* itself (it writes several
-#: files, e.g. metrics.prom + metrics.jsonl)
-_DEFAULT_OUT = {
-    "kernel-logger": "kernel_log.txt",
-    "memory-events": "memory_events.txt",
-    "chrome-trace": "trace.json",
-    "metrics": "",
+#: name -> (module, class, output): ``output`` is the file the tool writes
+#: within ``--tool-out``, ``""`` the directory itself (it writes several
+#: files, e.g. metrics.prom + metrics.jsonl), None no output at all
+TOOL_CATALOG: dict[str, tuple[str, str, str | None]] = {
+    "space-time-stack": ("repro.tools.space_time_stack", "SpaceTimeStack", None),
+    "chrome-trace": ("repro.tools.chrome_trace", "ChromeTrace", "trace.json"),
+    "metrics": ("repro.tools.metrics", "MetricsTool", ""),
 }
 
 
@@ -76,18 +62,15 @@ def _catalog_key(name: str) -> str:
 def create_tool(name: str, outdir: str | None = None) -> Tool:
     """Instantiate one built-in tool by its CLI name."""
     key = _catalog_key(name)
-    module_name, cls_name, takes_out = TOOL_CATALOG[key]
+    module_name, cls_name, out = TOOL_CATALOG[key]
     import importlib
 
     cls = getattr(importlib.import_module(module_name), cls_name)
-    if not takes_out:
+    if out is None:
         return cls()
-    out = None
-    if key in _DEFAULT_OUT:
-        base = outdir or "."
-        os.makedirs(base, exist_ok=True)
-        out = os.path.join(base, _DEFAULT_OUT[key]) if _DEFAULT_OUT[key] else base
-    return cls(out) if out is not None else cls()
+    base = outdir or "."
+    os.makedirs(base, exist_ok=True)
+    return cls(os.path.join(base, out) if out else base)
 
 
 def create_tools(spec: str, outdir: str | None = None) -> list[Tool]:

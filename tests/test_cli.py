@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -107,8 +108,9 @@ class TestWorkloadKey:
 
 
 class TestLazyScipy:
-    """scipy (~0.5 s to import) loads only for the two styles that use it,
-    and the subsystems behind ``-r`` / ``--autotune`` only under those flags."""
+    """numpy is the one runtime dependency: no module imports scipy or
+    networkx, and the subsystems behind ``-r`` / ``--autotune`` load only
+    under those flags."""
 
     @staticmethod
     def _python(code: str) -> str:
@@ -140,33 +142,19 @@ class TestLazyScipy:
         )
         assert out.split() == ["True", "False"]
 
-    #: run in a fresh interpreter: ``lj/cut/coul/long``, then funcfl ``eam``
-    USERS = r"""
-import sys
-import numpy as np
-import repro.__main__
-from repro.core import Lammps
-from repro.potentials.eam_file import write_funcfl
-
-assert "scipy" not in sys.modules
-BOX = ("units metal\natom_style charge\nlattice fcc 3.52\n"
-       "region b block 0 3 0 3 0 3\ncreate_box 1 b\ncreate_atoms 1 box\n"
-       "mass 1 58.7\nvelocity all create 300 1\nfix 1 all nve\n")
-write_funcfl(FUNCFL, element="Ni", mass=58.7, cutoff=4.5,
-             f_of_rho=lambda rho: -2.0 * np.sqrt(rho),
-             z_of_r=lambda r: 0.1 * (4.5 - r),
-             rho_of_r=lambda r: (4.5 - r) ** 2, nrho=200, rho_max=60.0, nr=200)
-coul = Lammps(quiet=True)
-coul.commands_string(BOX + "set type 1 charge 0.0\nkspace_style ewald 1e-4\n"
-                     "pair_style lj/cut/coul/long 3.0\npair_coeff 1 1 0.01 2.2\nrun 2")
-assert "scipy.special" in sys.modules and "scipy.interpolate" not in sys.modules
-eam = Lammps(quiet=True)
-eam.commands_string(BOX + "pair_style eam\npair_coeff * * " + FUNCFL + "\nrun 2")
-assert "scipy.interpolate" in sys.modules
-print(np.isfinite(eam.pair.eng_vdwl), np.isfinite(coul.pair.eng_vdwl))
-"""
-
-    def test_the_styles_that_need_it_still_load_it(self, tmp_path):
-        funcfl = str(tmp_path / "ni.funcfl")
-        out = self._python(f"FUNCFL = {funcfl!r}\n" + self.USERS)
-        assert out.split() == ["True", "True"]
+    def test_no_module_imports_scipy_or_networkx(self):
+        root = os.path.dirname(os.path.abspath(repro.__file__))
+        found = []
+        for dirpath, _, names in os.walk(root):
+            for name in (n for n in names if n.endswith(".py")):
+                path = os.path.join(dirpath, name)
+                for node in ast.walk(ast.parse(open(path).read(), path)):
+                    if isinstance(node, ast.Import):
+                        mods = [a.name for a in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        mods = [node.module or ""]
+                    else:
+                        continue
+                    found += [(path, m) for m in mods
+                              if m.split(".")[0] in ("scipy", "networkx")]
+        assert not found

@@ -1,0 +1,92 @@
+"""Every registered unit names a consumer; a retired unit fails loudly.
+
+DESIGN.md section 3.2 keeps one row per registered pair/fix/compute style,
+input command and kokkos-tools tool, naming what runs it (a ``bench_e2e``
+workload, a probe, a figure benchmark, a CI step) or why it stays.  The
+guard below holds those rows equal to the registries, so a unit cannot land
+without naming its consumer.  The units retired for having none leave an
+error where a script names them, never a silent fallback.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+
+import pytest
+
+from conftest import make_melt
+from repro.core.errors import InputError, StyleError
+from repro.core.input import Input
+from repro.core.styles import COMPUTE_STYLES, FIX_STYLES, PAIR_STYLES
+from repro.tools import TOOL_CATALOG, create_tools
+
+DESIGN = os.path.join(os.path.dirname(__file__), os.pardir, "DESIGN.md")
+
+#: (kind, what a script says) of every retired unit
+RETIRED = [
+    ("pair", "lj/cut/coul/cut 2.5"),
+    ("pair", "lj/cut/coul/cut/kk 2.5"),
+    ("pair", "lj/cut/coul/long 2.5"),
+    ("pair", "mliap"),
+    ("pair", "eam"),
+    ("fix", "nve/limit 0.1"),
+    ("fix", "langevin 1.0 1.0 0.5 1"),
+    ("fix", "setforce 0.0 0.0 0.0"),
+    ("fix", "momentum 1"),
+    ("fix", "nvt temp 1.0 1.0 0.1"),
+    ("fix", "temp/rescale 1 1.0 1.0 0.1 1.0"),
+    ("fix", "addforce 0.0 0.0 1.0"),
+    ("fix", "viscous 0.1"),
+    ("fix", "spring/self 10.0"),
+    ("compute", "msd"),
+    ("compute", "rdf 50"),
+    ("command", "kspace_style ewald 1e-4"),
+    ("command", "min_style fire"),
+    ("command", "minimize 0.0 1e-6 100"),
+    ("command", "write_data out.data"),
+    ("command", "dump d1 all custom 1 out.dump id"),
+    ("command", "undump d1"),
+    ("command", "set type 1 charge 0.5"),
+    ("tool", "kernel-logger"),
+    ("tool", "memory-events"),
+    ("tool", "roofline"),
+]
+
+
+@pytest.mark.parametrize("kind,line", RETIRED, ids=[line.split()[0] for _, line in RETIRED])
+def test_retired_unit_fails_loudly(kind, line):
+    name = line.split()[0]
+    if kind == "tool":
+        with pytest.raises(ValueError, match=f"unknown tool '{name}'.*expected one of"):
+            create_tools(name)
+        return
+    lmp = make_melt(cells=2)
+    if kind == "command":
+        with pytest.raises(InputError, match=f"unknown command '{name}'"):
+            lmp.command(line)
+        return
+    command = {"pair": "pair_style", "fix": "fix 2 all", "compute": "compute c1 all"}[kind]
+    with pytest.raises(StyleError, match=f"unknown {kind} style '{name}'"):
+        lmp.command(f"{command} {line}")
+
+
+def design_rows() -> set[tuple[str, str]]:
+    """``(kind, name)`` of every registered-unit row of DESIGN's table."""
+    with open(DESIGN) as fh:
+        text = fh.read()
+    row = re.compile(r"^\| (pair|fix|compute|command|tool) \| `([^`]+)` \|", re.M)
+    return set(row.findall(text))
+
+
+def test_design_table_names_every_registered_unit():
+    registered = (
+        {("pair", n) for n in PAIR_STYLES}
+        | {("fix", n) for n in FIX_STYLES}
+        | {("compute", n) for n in COMPUTE_STYLES}
+        | {("command", a[len("cmd_"):]) for a in dir(Input) if a.startswith("cmd_")}
+        | {("tool", n) for n in TOOL_CATALOG}
+    )
+    rows = design_rows()
+    assert not registered - rows, f"registered without a DESIGN row: {sorted(registered - rows)}"
+    assert not rows - registered, f"DESIGN rows for no registered unit: {sorted(rows - registered)}"

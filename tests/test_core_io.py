@@ -1,4 +1,4 @@
-"""Data files (read_data/write_data), dumps, and set charge."""
+"""Data files: ``read_data`` and the data-file parser."""
 
 from __future__ import annotations
 
@@ -6,9 +6,28 @@ import numpy as np
 import pytest
 
 from conftest import make_melt
-from repro.core import Lammps
+from repro.core import Ensemble, Lammps
 from repro.core.errors import InputError
 from repro.core.io import parse_data
+
+
+def write_data_file(lmp, path: str) -> None:
+    """A LAMMPS data file of one rank's owned atoms (``Atoms # charge``)."""
+    atom = lmp.atom
+    n = atom.nlocal
+    lo, hi = lmp.domain.boxlo.tolist(), lmp.domain.boxhi.tolist()
+    tags, types, q = atom.tag[:n].tolist(), atom.type[:n].tolist(), atom.q[:n].tolist()
+    lines = ["state", "", f"{n} atoms", f"{atom.ntypes} atom types", ""]
+    lines += [f"{lo[d]!r} {hi[d]!r} {a}lo {a}hi" for d, a in enumerate("xyz")]
+    lines += ["", "Masses", ""]
+    lines += [f"{t} {m!r}" for t, m in enumerate(atom.mass.tolist()) if t]
+    lines += ["", "Atoms # charge", ""]
+    lines += [f"{t} {ty} {qk!r} {x!r} {y!r} {z!r}"
+              for t, ty, qk, (x, y, z) in zip(tags, types, q, atom.x[:n].tolist())]
+    lines += ["", "Velocities", ""]
+    lines += [f"{t} {x!r} {y!r} {z!r}" for t, (x, y, z) in zip(tags, atom.v[:n].tolist())]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 class TestDataRoundtrip:
@@ -16,7 +35,7 @@ class TestDataRoundtrip:
         src = make_melt(cells=2)
         src.command("run 5")
         path = str(tmp_path / "state.data")
-        src.command(f"write_data {path}")
+        write_data_file(src, path)
 
         dst = Lammps(device=None)
         dst.commands_string(
@@ -46,17 +65,16 @@ class TestDataRoundtrip:
 
     def test_charge_style_roundtrip(self, tmp_path):
         src = make_melt(cells=2)
-        src.command("set type 1 charge 0.25")
+        src.atom.q[: src.atom.nlocal] = 0.25
         path = str(tmp_path / "charged.data")
-        src.command(f"write_data {path}")
+        write_data_file(src, path)
         data = parse_data(path)
         assert np.all(data.q == 0.25)
 
     def test_multirank_read_partitions_atoms(self, tmp_path):
         src = make_melt(cells=2)
         path = str(tmp_path / "m.data")
-        src.command(f"write_data {path}")
-        from repro.core import Ensemble
+        write_data_file(src, path)
 
         ens = Ensemble(2, device=None)
         ens.commands_string(
@@ -66,21 +84,6 @@ class TestDataRoundtrip:
         )
         assert sum(l.atom.nlocal for l in ens.ranks) == src.natoms_total
         ens.command("run 1")  # integrates cleanly
-
-    def test_ensemble_write_data(self, tmp_path):
-        from repro.core import Ensemble
-
-        ens = make_melt(cells=2, nranks=2)
-        ens.command("run 2")
-        path = str(tmp_path / "ens.data")
-        ens.write_data(path)
-        data = parse_data(path)
-        assert data.natoms == ens.ranks[0].natoms_total
-
-    def test_write_data_multirank_direct_rejected(self):
-        ens = make_melt(cells=2, nranks=2)
-        with pytest.raises(InputError, match="Ensemble.write_data"):
-            ens.ranks[0].command("write_data /tmp/should_fail.data")
 
 
 class TestParseErrors:
@@ -116,63 +119,3 @@ class TestParseErrors:
         path = self.write(tmp_path, "t\n\nhello world\n")
         with pytest.raises(InputError, match="unrecognized"):
             parse_data(path)
-
-
-class TestDump:
-    def test_dump_frames_and_columns(self, tmp_path):
-        lmp = make_melt(cells=2)
-        path = str(tmp_path / "traj.dump")
-        lmp.command(f"dump d1 all custom 5 {path} id type x y z vx")
-        lmp.command("run 10")
-        text = open(path).read()
-        frames = text.count("ITEM: TIMESTEP")
-        assert frames == 3  # steps 0, 5, 10
-        assert "ITEM: ATOMS id type x y z vx" in text
-        first_atoms = text.split("ITEM: ATOMS id type x y z vx\n")[1].splitlines()
-        assert len(first_atoms[0].split()) == 6
-
-    def test_dump_group_filter(self, tmp_path):
-        lmp = make_melt(cells=2)
-        lmp.command("region half block 0 1 0 2 0 2")
-        lmp.command("group left region half")
-        path = str(tmp_path / "left.dump")
-        lmp.command(f"dump d1 left custom 100 {path} id x")
-        lmp.command("run 0")
-        text = open(path).read()
-        n = int(text.splitlines()[3])
-        assert 0 < n < lmp.atom.nlocal
-
-    def test_undump_stops_writing(self, tmp_path):
-        lmp = make_melt(cells=2)
-        path = str(tmp_path / "t.dump")
-        lmp.command(f"dump d1 all custom 1 {path}")
-        lmp.command("run 2")
-        lmp.command("undump d1")
-        size = len(open(path).read())
-        lmp.command("run 2")
-        assert len(open(path).read()) == size
-        with pytest.raises(InputError, match="unknown dump"):
-            lmp.command("undump d1")
-
-    def test_bad_columns(self, tmp_path):
-        lmp = make_melt(cells=2)
-        with pytest.raises(InputError, match="unknown columns"):
-            lmp.command(f"dump d1 all custom 5 {tmp_path}/x.dump id spin")
-
-    def test_duplicate_dump_id(self, tmp_path):
-        lmp = make_melt(cells=2)
-        lmp.command(f"dump d1 all custom 5 {tmp_path}/a.dump id")
-        with pytest.raises(InputError, match="duplicate dump"):
-            lmp.command(f"dump d1 all custom 5 {tmp_path}/b.dump id")
-
-
-class TestSetCharge:
-    def test_set_charge_by_type(self):
-        lmp = make_melt(cells=2)
-        lmp.command("set type 1 charge -0.5")
-        assert np.all(lmp.atom.q[: lmp.atom.nlocal] == -0.5)
-
-    def test_set_rejects_bad_type(self):
-        lmp = make_melt(cells=2)
-        with pytest.raises(InputError, match="out of range"):
-            lmp.command("set type 9 charge 1.0")

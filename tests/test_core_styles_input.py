@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import make_melt
+from repro.__main__ import main
 from repro.core import Lammps
 from repro.core.errors import InputError, StyleError
 from repro.core.input import safe_eval
-from repro.core.styles import PAIR_STYLES, register_pair, resolve_style
+from repro.core.styles import PAIR_STYLES, known_suffixes, register_pair, resolve_style
 from repro.potentials.lj import PairLJCut
 from repro.potentials.lj_kokkos import PairLJCutKokkos
 
@@ -38,10 +39,24 @@ class TestSuffixResolution:
         assert extra == {"execution_space": "host"}
 
     def test_suffix_falls_back_when_no_accelerated_variant(self):
-        # table has no /kk registration: the suffix silently falls back,
+        # eam/fs has no /gpu registration: the suffix falls back,
         # "without losing access" (section 3.1)
-        cls, _ = resolve_style("pair", "table", "kk")
-        assert cls.style_name == "table"
+        cls, _ = resolve_style("pair", "eam/fs", "gpu")
+        assert cls.style_name == "eam/fs"
+
+    def test_known_suffixes_come_from_the_registries(self):
+        assert known_suffixes() == ["gpu", "kk", "kk/device", "kk/host"]
+        cls, extra = resolve_style("pair", "lj/cut", "kk/device")
+        assert cls is PairLJCutKokkos and extra == {}
+
+    @pytest.mark.parametrize("suffix", ["bogus", "kk/hst", "kokkos"])
+    def test_unknown_suffix_is_refused_where_it_is_set(self, suffix, melt_script):
+        with pytest.raises(StyleError, match=f"unknown suffix '{suffix}'.*expected one of: gpu"):
+            main(["-in", melt_script, "-sf", suffix, "--quiet"])
+        lmp = Lammps(device=None)
+        with pytest.raises(StyleError, match="did you mean 'kk/host'" if suffix == "kk/hst" else "expected"):
+            lmp.command(f"suffix {suffix}")
+        assert lmp.suffix is None
 
     def test_unknown_style(self):
         with pytest.raises(StyleError, match="unknown pair style"):
@@ -57,7 +72,7 @@ class TestSuffixResolution:
 
     def test_registry_has_paper_styles(self):
         for name in ("lj/cut", "lj/cut/kk", "eam/fs", "eam/fs/kk",
-                     "reaxff", "reaxff/kk", "snap", "snap/kk", "table"):
+                     "reaxff", "reaxff/kk", "snap", "snap/kk"):
             assert name in PAIR_STYLES
 
 

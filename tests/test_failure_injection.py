@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import make_melt
 from test_snap_pair import make_ta
-from repro.core import Lammps
 from repro.core.errors import CommError, LammpsError, NeighborError
 
 
@@ -133,48 +132,3 @@ class TestSNAPGuards:
         ):
             lmp.command("run 1")
         assert np.isfinite(lmp.atom.f[: lmp.atom.nlocal]).all()  # f untouched
-
-
-class TestEwaldAccounting:
-    def test_kernels_charged_with_kokkos_pair(self):
-        import repro.kokkos as kk
-
-        lmp = Lammps(device="H100", suffix="kk")
-        lmp.commands_string(
-            "units lj\nregion b block 0 4 0 4 0 4\ncreate_box 2 b"
-        )
-        pts, types = [], []
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    pts.append([i, j, k])
-                    types.append(1 + (i + j + k) % 2)
-        lmp.create_atoms_from_arrays(np.array(pts, float), np.array(types))
-        # lj/cut/coul/cut/kk is kokkos-active; attach ewald on top of the
-        # short-range style (physically double-counted Coulomb, but this
-        # test only checks the accounting plumbing)
-        lmp.commands_string(
-            "mass * 1.0\nkspace_style ewald 1e-3\n"
-            "pair_style lj/cut/coul/long 0.9 1.9\npair_coeff * * 0.0 1.0\n"
-            "set type 1 charge 1.0\nset type 2 charge -1.0\n"
-            "neighbor 0.1 bin\nfix 1 all nve"
-        )
-        lmp.command("run 1")
-        # the plain long style is not kokkos; ewald charges only when a
-        # kokkos style is active -> no device kernels is the correct outcome
-        tl = kk.device_context().timeline
-        assert "EwaldStructureFactor" not in tl.entries
-
-    def test_reduce_protocol_single_vs_two_rank_energy(self):
-        import sys
-
-        sys.path.insert(0, "tests")
-        from test_kspace_ewald import rocksalt, total_coulomb
-
-        single = rocksalt(jiggle=0.03, seed=7)
-        single.command("run 0")
-        multi = rocksalt(jiggle=0.03, seed=7, nranks=2)
-        multi.command("run 0")
-        e1 = total_coulomb(single)
-        e2 = sum(l.pair.eng_coul + l.kspace.energy_local for l in multi.ranks)
-        assert e2 == pytest.approx(e1, rel=1e-10)

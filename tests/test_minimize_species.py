@@ -1,4 +1,4 @@
-"""Energy minimization and ReaxFF species analysis."""
+"""``package kokkos`` knobs and the post-run summary."""
 
 from __future__ import annotations
 
@@ -6,155 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import make_melt
-from repro.core import Ensemble, Lammps
-from repro.core.errors import LammpsError
-from repro.reaxff.species import analyze_lammps, molecular_formula
-from repro.workloads.hns import setup_hns
-
-
-def jittered_melt(seed=4, cells=3, nranks=1, **kw):
-    lmp = make_melt(cells=cells, nranks=nranks, **kw)
-    rng = np.random.default_rng(seed)
-    ranks = lmp.ranks if hasattr(lmp, "ranks") else [lmp]
-    for r in ranks:
-        r.atom.x[: r.atom.nlocal] += rng.uniform(-0.15, 0.15, (r.atom.nlocal, 3))
-    return lmp
-
-
-class TestMinimize:
-    def test_fire_recovers_fcc_ground_state(self):
-        lmp = jittered_melt()
-        result = lmp.minimize(0.0, 1e-8, 3000)
-        assert result.converged and result.criterion == "ftol"
-        # the perfect 3x3x3 fcc cell at rho*=0.8442 with rc=2.5
-        perfect = make_melt(cells=3)
-        perfect.command("run 0")
-        assert result.final_energy == pytest.approx(perfect.pair.eng_vdwl, abs=1e-6)
-
-    def test_sd_descends_monotonically(self):
-        lmp = jittered_melt()
-        lmp.command("min_style sd")
-        e0 = None
-        lmp.command("run 0")
-        e0 = lmp.pair.eng_vdwl
-        result = lmp.minimize(1e-10, 1e-4, 500)
-        assert result.final_energy < e0
-        assert result.iterations > 0
-
-    def test_minimize_via_input_script(self):
-        lmp = jittered_melt()
-        lmp.command("minimize 0.0 1e-6 1000")
-        assert lmp.last_minimize.converged
-
-    def test_minimize_forces_vanish(self):
-        lmp = jittered_melt()
-        lmp.minimize(0.0, 1e-8, 3000)
-        from repro.parallel.driver import drain
-
-        drain(lmp.verlet.run_gen(0))
-        assert np.abs(lmp.atom.f[: lmp.atom.nlocal]).max() < 1e-6
-
-    def test_multirank_minimize_matches_single(self):
-        single = jittered_melt(seed=9)
-        r1 = single.minimize(0.0, 1e-8, 2000)
-        # ensembles share the rng-jitter per rank; rebuild deterministically
-        multi = make_melt(cells=3, nranks=2)
-        rng = np.random.default_rng(9)
-        # regenerate the same global jitter by tag
-        base = make_melt(cells=3)
-        jit = rng.uniform(-0.15, 0.15, (base.natoms_total, 3))
-        for r in multi.ranks:
-            sel = r.atom.tag[: r.atom.nlocal] - 1
-            r.atom.x[: r.atom.nlocal] += jit[sel]
-        # and apply the identical jitter to a fresh single-rank reference
-        ref = make_melt(cells=3)
-        ref.atom.x[: ref.atom.nlocal] += jit[ref.atom.tag[: ref.atom.nlocal] - 1]
-        r_ref = ref.minimize(0.0, 1e-8, 2000)
-        r2 = multi.minimize(0.0, 1e-8, 2000)
-        assert r2.final_energy == pytest.approx(r_ref.final_energy, abs=1e-8)
-
-    def test_requires_pair_style(self):
-        lmp = Lammps(device=None)
-        lmp.commands_string(
-            "units lj\nlattice fcc 1.0\nregion b block 0 2 0 2 0 2\n"
-            "create_box 1 b\ncreate_atoms 1 box\nmass 1 1.0"
-        )
-        with pytest.raises(LammpsError, match="pair style"):
-            lmp.minimize(0.0, 1e-6, 10)
-
-    def test_unknown_style_rejected(self):
-        lmp = jittered_melt()
-        from repro.core.errors import InputError
-
-        with pytest.raises(InputError):
-            lmp.command("min_style cg9")
-
-
-class TestSpeciesAnalysis:
-    def test_formula_ordering(self):
-        assert molecular_formula(["O", "C", "H", "C", "O"]) == "C2HO2"
-        assert molecular_formula(["N"]) == "N"
-        assert molecular_formula([]) == ""
-
-    def test_hns_molecules_detected(self):
-        lmp = Lammps(device=None)
-        setup_hns(lmp, 2, 2, 2, pair_style="reaxff cutoff 5.0")
-        lmp.command("neighbor 0.5 bin")
-        lmp.command("run 0")
-        report = analyze_lammps(lmp)
-        # 8 molecules of C2HNO2 chains (possibly cross-linked end to end)
-        assert report.nmolecules >= 1
-        assert sum(
-            n * (f.count("C") and 1) for f, n in report.formulas.items()
-        ) >= 1
-        total_atoms = 0
-        from collections import Counter
-        import re
-
-        for formula, count in report.formulas.items():
-            atoms = 0
-            for sym, num in re.findall(r"([A-Z][a-z]?)(\d*)", formula):
-                if sym:
-                    atoms += int(num) if num else 1
-            total_atoms += atoms * count
-        assert total_atoms == lmp.natoms_total  # every atom in some molecule
-        assert report.largest >= 6  # at least one intact chain
-
-    def test_isolated_chain_formula(self):
-        """One 6-atom chain in vacuum: exactly one C2HNO2 molecule."""
-        from repro.workloads.hns import hns_configuration
-
-        x, types, _ = hns_configuration(1, 1, 1, jitter=0.0)
-        lmp = Lammps(device=None)
-        lmp.commands_string(
-            "units real\nboundary p p p\n"
-            "region box block 0 30 0 30 0 30\ncreate_box 4 box"
-        )
-        lmp.create_atoms_from_arrays(x + 10.0, types)
-        lmp.commands_string(
-            "mass 1 12.011\nmass 2 1.008\nmass 3 14.007\nmass 4 15.999\n"
-            "pair_style reaxff cutoff 5.0\npair_coeff * * chno C H N O\n"
-            "neighbor 0.5 bin\nfix 1 all nve"
-        )
-        lmp.command("run 0")
-        report = analyze_lammps(lmp)
-        assert report.formulas == {"C2HNO2": 1}
-        assert report.nmolecules == 1
-        assert report.nbonds == 5
-
-    def test_threshold_validation(self):
-        lmp = Lammps(device=None)
-        setup_hns(lmp, 2, 2, 2, pair_style="reaxff cutoff 5.0")
-        lmp.command("neighbor 0.5 bin")
-        lmp.command("run 0")
-        with pytest.raises(LammpsError):
-            analyze_lammps(lmp, bo_threshold=1.5)
-
-    def test_requires_reaxff(self):
-        lmp = make_melt(cells=2)
-        lmp.command("run 0")
-        with pytest.raises(LammpsError, match="reaxff"):
-            analyze_lammps(lmp)
 
 
 class TestPackageKokkos:

@@ -4,7 +4,7 @@ Every cutoff-masked two-body style runs through one Stage list
 (:mod:`repro.graph.pairwise`) driven by four executors.  Agreement between
 executors proves nothing if they share a mistake, so this module keeps the
 simple formula path the executors replaced: a plain-NumPy oracle — brute
-force pairs, textbook LJ / Morse / Coulomb / EAM-FS, no caches, no
+force pairs, textbook LJ / Morse / EAM-FS, no caches, no
 ``out=``, no stages.
 
 One parametrised differential test: every two-body style x {eager host,
@@ -22,7 +22,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import erfc
 
 from repro.core import Lammps
 from repro.core.neighbor import brute_force_pairs
@@ -62,18 +61,6 @@ STYLES = {
         "lj", "fcc 0.8442",
         "pair_style table 4000 2.5\npair_coeff 1 1 lj 1.0 1.0\n"
         "pair_coeff 2 2 lj 0.8 1.1\npair_coeff 1 2 morse 0.9 4.5 1.15",
-        False,
-    ),
-    "lj/cut/coul/cut": (
-        "lj", "fcc 0.8442",
-        "pair_style lj/cut/coul/cut 2.2 2.6\npair_coeff * * 1.0 1.0\n"
-        "set type 1 charge 0.5\nset type 2 charge -0.5",
-        True,
-    ),
-    "lj/cut/coul/long": (
-        "lj", "fcc 0.8442",
-        "kspace_style ewald 1e-4\npair_style lj/cut/coul/long 2.2 2.6\n"
-        "pair_coeff * * 1.0 1.0\nset type 1 charge 0.5\nset type 2 charge -0.5",
         False,
     ),
     "eam/fs": (
@@ -116,36 +103,20 @@ def build(style: str, *, kk: bool = False, cells: int = 3) -> Lammps:
 
 
 # ----------------------------------------------------------------- the oracle
-def textbook_pair(style: str, lmp, r, ti, tj, qi, qj):
-    """``(E_vdwl, E_coul, -dE/dr)`` per pair from the defining formulas,
-    read off the style's *input* coefficients (never its kernel tables)."""
+def textbook_pair(style: str, lmp, r, ti, tj):
+    """``(E, -dE/dr)`` per pair from the defining formulas, read off the
+    style's *input* coefficients (never its kernel tables)."""
     p = lmp.pair
-    zero = np.zeros_like(r)
-    if style in ("lj/cut", "lj/cut/coul/cut", "lj/cut/coul/long"):
+    if style == "lj/cut":
         eps, sig = p.epsilon[ti, tj], p.sigma[ti, tj]
         sr6 = (sig / r) ** 6
-        inside = r < (p.cut_lj if style != "lj/cut" else p.cut)[ti, tj]
+        inside = r < p.cut[ti, tj]
         e = np.where(inside, 4.0 * eps * (sr6 * sr6 - sr6), 0.0)
-        f = np.where(inside, 24.0 * eps * (2.0 * sr6 * sr6 - sr6) / r, 0.0)
-        if style == "lj/cut":
-            return e, zero, f
-        qq = lmp.update.units.qqr2e * qi * qj
-        coul = r < p.cut_coul
-        if style == "lj/cut/coul/cut":
-            return e, np.where(coul, qq / r, 0.0), f + np.where(coul, qq / r**2, 0.0)
-        g = lmp.kspace.g_ewald
-        ec = np.where(coul, qq * erfc(g * r) / r, 0.0)
-        fc = np.where(
-            coul,
-            qq * (erfc(g * r) / r**2
-                  + 2.0 * g / np.sqrt(np.pi) * np.exp(-(g * r) ** 2) / r),
-            0.0,
-        )
-        return e, ec, f + fc
+        return e, np.where(inside, 24.0 * eps * (2.0 * sr6 * sr6 - sr6) / r, 0.0)
     if style == "morse":
         d0, a, r0 = p.d0[ti, tj], p.alpha[ti, tj], p.r0[ti, tj]
         ex = np.exp(-a * (r - r0))
-        return d0 * (ex * ex - 2.0 * ex), zero, 2.0 * d0 * a * (ex * ex - ex)
+        return d0 * (ex * ex - 2.0 * ex), 2.0 * d0 * a * (ex * ex - ex)
     raise AssertionError(style)
 
 
@@ -201,16 +172,15 @@ def oracle(style: str, lmp):
     if style == "eam/fs":
         _, f, e_vdwl, virial = eam_oracle([lmp])
         return f[atom.tag[: atom.nlocal] - 1], e_vdwl, 0.0, virial
-    types, q = atom.type[: atom.nall], atom.q[: atom.nall]
+    types = atom.type[: atom.nall]
     i, j, dx, r = full_pairs(lmp)
-    e, ec, fr = textbook_pair(style, lmp, r, types[i], types[j], q[i], q[j])
+    e, fr = textbook_pair(style, lmp, r, types[i], types[j])
     fvec = (fr / r)[:, None] * dx
     f = np.zeros((atom.nlocal, 3))
     np.add.at(f, i, fvec)
     # every pair appears from both ends in the brute-force (full) set
-    e_vdwl, e_coul = 0.5 * float(e.sum()), 0.5 * float(ec.sum())
     virial = np.array([0.5 * float((dx[:, a] * fvec[:, b]).sum()) for a, b in VIRIAL_AXES])
-    return f, e_vdwl, e_coul, virial
+    return f, 0.5 * float(e.sum()), 0.0, virial
 
 
 # --------------------------------------------------------------- the executors

@@ -165,13 +165,13 @@ def test_unknown_pair_style_rejected_with_choices():
         create_box 1 box
         create_atoms 1 box
         mass 1 1.0
-        pair_style morse 2.5
-        pair_coeff 1 1 1.0 2.0 1.5
+        pair_style lj/cut/gpu 2.5
+        pair_coeff 1 1 1.0 1.0
         fix 1 all nve
         """
     )
     batch = ReplicaBatch(label="gate")
-    with pytest.raises(LammpsError, match="morse"):
+    with pytest.raises(LammpsError, match="'lj/cut/gpu'.*expected one of: eam/fs, lj/cut"):
         batch.add_replica(lmp)
     assert len(batch) == 0
 
@@ -179,9 +179,9 @@ def test_unknown_pair_style_rejected_with_choices():
 def test_non_nve_fix_rejected():
     spec = ReplicaSpec(family="melt", cells=2)
     lmp = spec.build()
-    lmp.commands_string("unfix 1\nfix 1 all nvt temp 1.0 1.0 0.1")
+    lmp.commands_string("unfix 1\nfix 1 all nve/kk")
     batch = ReplicaBatch(label="gate")
-    with pytest.raises(LammpsError):
+    with pytest.raises(LammpsError, match=r"exactly 'fix all nve'; got nve/kk\(all\)"):
         batch.add_replica(lmp)
 
 

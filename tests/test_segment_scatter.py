@@ -228,28 +228,6 @@ neighbor 1.0 bin
 fix 1 all nve
 """
 
-COUL_SCRIPT = """\
-units lj
-lattice fcc 0.8442
-region b block 0 3 0 3 0 3
-create_box 2 b
-create_atoms 1 box
-mass * 1.0
-"""
-
-
-def _make_coul():
-    lmp = Lammps()
-    lmp.commands_string(COUL_SCRIPT)
-    lmp.atom.type[: lmp.atom.nlocal : 2] = 2
-    lmp.commands_string(
-        "pair_style lj/cut/coul/cut 2.5 3.0\npair_coeff * * 1.0 1.0\n"
-        "set type 1 charge 0.5\nset type 2 charge -0.5\n"
-        "velocity all create 1.0 321\nfix 1 all nve"
-    )
-    return lmp
-
-
 def _make_morse():
     lmp = Lammps()
     lmp.commands_string(
@@ -316,7 +294,6 @@ CASES = {
     "lj-newton-off": _make_newton_off,
     "lj-two-rank": _make_two_rank,
     "lj-kokkos": _make_kokkos,
-    "lj-coul-cut": _make_coul,
     "morse": _make_morse,
     "table": _make_table,
     "eam-fs": _make_eam,

@@ -1,8 +1,7 @@
 """The KokkosP-style observability subsystem (:mod:`repro.tools`).
 
 Covers the event registry contract (near-zero cost detached, per-rank
-clocks), the built-in tools (space-time-stack, memory events, kernel
-logger, roofline), the reconciliation guarantee — the space-time-stack's
+clocks), the reconciliation guarantee — the space-time-stack's
 per-category totals match the thermo timing breakdown and the hardware
 ledgers on the same run — and the CLI/input-script attachment surface.
 """
@@ -16,14 +15,11 @@ from repro.__main__ import main
 from repro.kokkos.core import device_context
 from repro.tools import create_tool, create_tools, tool_names
 from repro.tools import registry as kp
-from repro.tools.kernel_logger import KernelLogger
-from repro.tools.memory_events import MemoryEvents
-from repro.tools.roofline import Roofline
 from repro.tools.space_time_stack import SpaceTimeStack
 
 from conftest import make_melt
 
-#: categories the melt workload exercises (no kspace style -> no Kspace)
+#: the timer categories, all of which the melt workload exercises
 ACTIVE_CATEGORIES = ("Pair", "Neigh", "Comm", "Modify", "Output")
 
 
@@ -93,19 +89,12 @@ class TestRegistry:
 
     def test_catalog_and_factory(self):
         names = tool_names()
-        for expected in (
-            "chrome-trace",
-            "kernel-logger",
-            "memory-events",
-            "roofline",
-            "space-time-stack",
-        ):
-            assert expected in names
+        assert names == ["chrome-trace", "metrics", "space-time-stack"]
         with pytest.raises(ValueError):
             create_tool("no-such-tool", ".")
 
     def test_create_tools_parses_comma_list(self, tmp_path):
-        tools = create_tools("space-time-stack,memory_events", str(tmp_path))
+        tools = create_tools("space-time-stack,chrome_trace", str(tmp_path))
         assert len(tools) == 2
 
 
@@ -169,92 +158,27 @@ class TestReconciliation:
 
 
 class TestMemoryEvents:
-    def test_high_water_mark_on_melt(self):
-        mem = MemoryEvents()
-        with kp.attached(mem):
-            lmp = make_melt(device="H100", suffix="kk", cells=3)
-            lmp.run(5)
-        assert mem.high_water("Device") > 0
-        assert mem.log, "no allocation events recorded"
-        report = mem.finalize()
-        assert "Device" in report
-
-    def test_dealloc_clamps_at_zero(self):
-        mem = MemoryEvents()
-        with kp.attached(mem):
-            # deallocation of a view allocated before the tool attached
-            kp.deallocate_data("Host", "preexisting", 4096)
-            kp.allocate_data("Host", "v", 1024)
-        assert mem.current["Host"] == 1024
-        assert mem.high_water("Host") == 1024
-
     def test_view_resize_tracks_both_sizes(self):
         from repro.kokkos.view import View
 
-        mem = MemoryEvents()
-        with kp.attached(mem):
+        class Recorder(kp.Tool):
+            def __init__(self):
+                self.log = []
+
+            def allocate_data(self, ev):
+                self.log.append(("alloc", ev.label, ev.nbytes))
+
+            def deallocate_data(self, ev):
+                self.log.append(("free", ev.label, ev.nbytes))
+
+        rec = Recorder()
+        with kp.attached(rec):
             v = View(100, label="grow")
             first = v.nbytes
             v.resize(300)
-        labels = [(r.op, r.nbytes) for r in mem.log if r.label == "grow"]
-        assert ("alloc", first) in labels
-        assert ("free", first) in labels
-        assert ("alloc", v.nbytes) in labels
-
-    def test_high_water_marks_under_four_ranks(self, tmp_path):
-        """4-rank melt: records carry ranks, HWM covers all."""
-        out = tmp_path / "memory_events.txt"
-        mem = MemoryEvents(str(out))
-        with kp.attached(mem):
-            ens = make_melt(device="H100", suffix="kk", cells=3, nranks=4)
-            ens.run(5)
-            report = mem.finalize()
-        assert mem.high_water("Device") > 0
-        # the high-water mark is the peak of the running footprint the
-        # log records — recompute it from the stream and compare
-        peak = {}
-        running = {}
-        for r in mem.log:
-            delta = r.nbytes if r.op == "alloc" else -r.nbytes
-            cur = max(running.get(r.space, 0) + delta, 0)
-            running[r.space] = cur
-            peak[r.space] = max(peak.get(r.space, 0), cur)
-        assert mem.high_water("Device") == peak["Device"]
-        # allocations happened on more than one simulated rank
-        ranks_seen = {r.rank for r in mem.log}
-        assert len(ranks_seen) > 1, f"all events on ranks {ranks_seen}"
-        # the on-disk log carries the rank column
-        lines = out.read_text().splitlines()
-        assert lines[0].endswith("rank")
-        assert any(line.split()[-1] != "0" for line in lines[1:])
-        assert "Device" in report
-
-
-class TestKernelLoggerAndRoofline:
-    def test_kernel_logger_writes_lines(self, tmp_path):
-        out = tmp_path / "kernels.txt"
-        logger = KernelLogger(str(out))
-        with kp.attached(logger):
-            lmp = make_melt(device="H100", suffix="kk", cells=3)
-            lmp.run(2)
-        logger.finalize()
-        text = out.read_text()
-        assert "PairComputeLJCut" in text
-        assert "Pair" in text  # region markers
-
-    def test_roofline_scores_against_machine_model(self):
-        roof = Roofline()
-        with kp.attached(roof):
-            lmp = make_melt(device="H100", suffix="kk", cells=3)
-            lmp.run(5)
-        report = roof.finalize()
-        assert "PairComputeLJCut" in report
-        rows = {name: row for (name, _), row in roof.rows.items()}
-        pair = rows["PairComputeLJCut"]
-        assert pair.flops > 0 and pair.bytes > 0 and pair.sim_seconds > 0
-        pct, limiter = roof.percent_of_roof(pair)
-        assert 0 < pct <= 100
-        assert limiter in ("memory", "compute")
+        assert rec.log == [
+            ("alloc", "grow", first), ("free", "grow", first), ("alloc", "grow", v.nbytes),
+        ]
 
 
 class TestCLIAndInputScript:
