@@ -9,7 +9,6 @@ Mirrors the LAMMPS binary's common flags::
     python -m repro -in melt.in -r 16                # 16 batched replicas
     python -m repro -in melt.in -var cells 6 -var temp 1.2
     python -m repro -in melt.in --tools space-time-stack,chrome-trace --tool-out out/
-    python -m repro -in melt.in --tools metrics --tool-out out/  # Prometheus + JSONL
     python -m repro -in melt.in --autotune           # pick list/newton/scatter at run start
     python -m repro --analyze-trace out/trace.json   # offline trace analytics
 

@@ -2,15 +2,14 @@
 
 Computes report *local partial sums*; the thermo machinery performs the
 global reduction, because in a multi-rank run reductions must pass through
-the lockstep allreduce protocol.  Each compute declares how its partials
-combine and how the combined value is normalized.
+the lockstep allreduce protocol.  Each compute's ``finalize`` normalizes
+the summed partials.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.errors import InputError
 from repro.core.styles import register_compute
 
 
@@ -23,8 +22,6 @@ class Compute:
     """
 
     style_name = "compute"
-    #: Partial vector length.
-    nparts = 1
 
     def __init__(self, lmp, compute_id: str, group: str, args: list[str]) -> None:
         self.lmp = lmp
@@ -41,8 +38,6 @@ class Compute:
 @register_compute("temp")
 class ComputeTemp(Compute):
     """Kinetic temperature: ``sum(m v^2) / (dof * kB)`` with dof = 3N - 3."""
-
-    nparts = 2  # [sum m v^2, count]
 
     def local_partials(self) -> np.ndarray:
         atom = self.lmp.atom
@@ -96,8 +91,6 @@ class ComputePE(Compute):
 class ComputePressure(Compute):
     """Virial pressure: ``(sum m v^2 + sum(r . f)) / (3 V)``."""
 
-    nparts = 2  # [sum m v^2, trace of virial]
-
     def local_partials(self) -> np.ndarray:
         atom = self.lmp.atom
         units = self.lmp.update.units
@@ -114,28 +107,3 @@ class ComputePressure(Compute):
     def finalize(self, parts: np.ndarray) -> float:
         vol = self.lmp.domain.volume
         return (parts[0] + parts[1]) / (3.0 * vol)
-
-
-@register_compute("com")
-class ComputeCOM(Compute):
-    """Center-of-mass (returns the norm as a scalar; vector via partials)."""
-
-    nparts = 4  # [m*x, m*y, m*z, m]
-
-    def local_partials(self) -> np.ndarray:
-        atom = self.lmp.atom
-        mask = self.lmp.group_mask(self.group)
-        m = atom.masses_of()[mask]
-        x = atom.x[: atom.nlocal][mask]
-        out = np.empty(4)
-        out[:3] = (m[:, None] * x).sum(axis=0)
-        out[3] = m.sum()
-        return out
-
-    def finalize(self, parts: np.ndarray) -> float:
-        if parts[3] <= 0:
-            raise InputError(f"compute {self.id}: empty group {self.group!r}")
-        return float(np.linalg.norm(parts[:3] / parts[3]))
-
-    def vector(self, parts: np.ndarray) -> np.ndarray:
-        return parts[:3] / parts[3]

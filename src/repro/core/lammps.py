@@ -591,8 +591,6 @@ class ReplicaSet:
         for lmp in self.replicas[1:]:
             lmp.thermo.quiet = True
         self.label = label
-        #: the batch driving the most recent ``run`` (perf introspection)
-        self.last_batch = None
 
     def command(self, line: str) -> None:
         tokens = line.split("#", 1)[0].split()
@@ -630,5 +628,4 @@ class ReplicaSet:
             raise LammpsError(
                 f"replica {rid} failed during the batched run: {exc}"
             ) from exc
-        self.last_batch = batch
         return batch

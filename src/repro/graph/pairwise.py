@@ -239,9 +239,7 @@ def _scatter_fn(env: dict) -> None:
 
 def _tally_fn(env: dict) -> None:
     """The style's energy half, then ``ev_tally`` over the cut pairs."""
-    energy_fn = env["energy_fn"]
-    if energy_fn is not None:
-        energy_fn(env)
+    env["energy_fn"](env)
     env["pair"].tally_pairs(
         env["evdwl_n"],
         env["dx_n"],

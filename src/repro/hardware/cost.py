@@ -352,9 +352,9 @@ def overlapped_phase_time(
 class DeviceTimeline:
     """Ledger of simulated device time, by kernel name.
 
-    The Kokkos dispatch layer records into the *active* timeline (see
-    :mod:`repro.kokkos.profiling`); benchmarks read totals and per-kernel
-    breakdowns from here.
+    The Kokkos dispatch layer records into the *active* timeline
+    (``repro.kokkos.device_context().timeline``); benchmarks read totals
+    and per-kernel breakdowns (:meth:`breakdown`) from here.
     """
 
     entries: dict[str, float] = field(default_factory=dict)

@@ -101,13 +101,7 @@ def parallel_for(
     profile: ProfileArg = None,
 ) -> None:
     """Execute ``functor`` over the policy's iteration space for effect."""
-    kid = (
-        kp.begin_kernel(
-            "parallel_for", name, policy.space.name, float(policy.parallelism)
-        )
-        if kp.TOOLS
-        else None
-    )
+    kid = kp.begin_kernel("parallel_for", name, policy.space.name) if kp.TOOLS else None
     _run(policy, functor)
     seconds, resolved = _charge(name, policy, profile)
     if graph_capture.CAPTURING:
@@ -131,13 +125,7 @@ def parallel_reduce(
     per-tile results are reduced together; Team functors reduce internally
     and return the value.
     """
-    kid = (
-        kp.begin_kernel(
-            "parallel_reduce", name, policy.space.name, float(policy.parallelism)
-        )
-        if kp.TOOLS
-        else None
-    )
+    kid = kp.begin_kernel("parallel_reduce", name, policy.space.name) if kp.TOOLS else None
     raw = _run(policy, functor)
     if isinstance(policy, MDRangePolicy):
         parts = [reducer(np.asarray(r)) for r in raw if r is not None]
@@ -168,13 +156,7 @@ def parallel_scan(
     """
     if not isinstance(policy, RangePolicy):
         raise TypeError("parallel_scan requires a RangePolicy")
-    kid = (
-        kp.begin_kernel(
-            "parallel_scan", name, policy.space.name, float(policy.parallelism)
-        )
-        if kp.TOOLS
-        else None
-    )
+    kid = kp.begin_kernel("parallel_scan", name, policy.space.name) if kp.TOOLS else None
     values = np.asarray(functor(policy.indices()))
     if values.shape[0] != policy.size:
         raise ValueError(

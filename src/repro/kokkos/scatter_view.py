@@ -9,10 +9,11 @@ effective way to deal with write conflicts, while on GPUs data duplication
 is infeasible due to the large number of active threads and thus atomic
 operations need to be used."
 
-All three strategies are implemented and produce bit-identical results (the
-equivalence is property-tested); they differ in the *cost profile* each one
-reports, which is how the full-vs-half neighbor list studies (figure 2b) see
-the architecture-dependent price of atomics versus duplication.
+The two strategies that code selects — atomics and duplication — produce
+bit-identical results (the equivalence is property-tested); they differ in
+the *cost profile* each one reports, which is how the full-vs-half neighbor
+list studies (figure 2b) see the architecture-dependent price of atomics
+versus duplication.
 """
 
 from __future__ import annotations
@@ -26,15 +27,12 @@ from repro.kokkos.segment import ATOMIC as CONTRIB_ATOMIC
 from repro.kokkos.segment import SEGMENTED as CONTRIB_SEGMENTED
 from repro.kokkos.segment import forced_scatter_mode, scatter_add
 from repro.kokkos.view import View
-from repro.tools import registry as kp
 
 #: Deconfliction strategies.
 ATOMIC = "atomic"
 DUPLICATED = "duplicated"
-SEQUENTIAL = "sequential"
 
-_STRATEGIES = (ATOMIC, DUPLICATED, SEQUENTIAL)
-_CONTRIBUTIONS = (CONTRIB_ATOMIC, CONTRIB_SEGMENTED)
+_STRATEGIES = (ATOMIC, DUPLICATED)
 
 
 def default_strategy(space: ExecutionSpace) -> str:
@@ -56,7 +54,6 @@ class ScatterView:
         *,
         strategy: str | None = None,
         duplicates: int = 8,
-        contribution: str | None = None,
     ) -> None:
         if strategy is None:
             # A globally forced contribution mode also steers the strategy,
@@ -77,22 +74,15 @@ class ScatterView:
             )
         if duplicates < 1:
             raise ValueError("duplicates must be >= 1")
-        if contribution is None:
-            # Functional scatter algorithm, tied to the strategy as the paper
-            # describes: atomics execute as np.add.at, duplication's combine
-            # step as a segmented reduction.  A benchmark-forced global mode
-            # (segment.force_scatter_mode) overrides both.
-            contribution = forced_scatter_mode() or (
-                CONTRIB_ATOMIC if strategy == ATOMIC else CONTRIB_SEGMENTED
-            )
-        if contribution not in _CONTRIBUTIONS:
-            raise ValueError(
-                f"unknown ScatterView contribution {contribution!r}; "
-                f"expected one of {_CONTRIBUTIONS}"
-            )
         self.target = target
         self.strategy = strategy
-        self.contribution = contribution
+        #: Functional scatter algorithm, tied to the strategy as the paper
+        #: describes: atomics execute as np.add.at, duplication's combine
+        #: step as a segmented reduction.  A benchmark-forced global mode
+        #: (segment.force_scatter_mode) overrides both.
+        self.contribution = forced_scatter_mode() or (
+            CONTRIB_ATOMIC if strategy == ATOMIC else CONTRIB_SEGMENTED
+        )
         self.duplicates = duplicates if strategy == DUPLICATED else 1
         self._scratch: np.ndarray | None = None
         self._atomic_adds = 0
@@ -116,14 +106,7 @@ class ScatterView:
         """Zero the scratch copies (target itself is left alone)."""
         shape = (self.duplicates,) + self.target.shape
         if self._scratch is None or self._scratch.shape != shape:
-            track = bool(kp.TOOLS)
-            label = (self.target.label or "unnamed") + "_scatter"
-            space = self.target.space.name
-            if track and self._scratch is not None:
-                kp.deallocate_data(space, label, self._scratch.nbytes)
             self._scratch = np.zeros(shape, dtype=self.target.dtype)
-            if track:
-                kp.allocate_data(space, label, self._scratch.nbytes)
         else:
             self._scratch[...] = 0.0
         self._atomic_adds = 0

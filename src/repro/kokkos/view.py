@@ -14,7 +14,6 @@ code, which then sees every Kokkos-side host update for free.
 
 from __future__ import annotations
 
-import weakref
 from typing import Any
 
 import numpy as np
@@ -23,23 +22,6 @@ from repro.graph import capture as graph_capture
 from repro.kokkos.core import ExecutionSpace, Host
 from repro.kokkos.layout import Layout, default_layout
 from repro.tools import registry as kp
-
-
-def _track_allocation(view: "View") -> None:
-    """Fire ``allocate_data`` and arrange the matching ``deallocate_data``.
-
-    Only called while tools are attached, so untracked runs never pay for
-    the weakref machinery.  The shared box keeps the deallocation size
-    honest across ``resize``.
-    """
-    box = view._mem_box = [view.space.name, view.label or "unnamed", view.nbytes]
-    kp.allocate_data(*box)
-    weakref.finalize(view, _release_allocation, box)
-
-
-def _release_allocation(box: list) -> None:
-    if kp.TOOLS:
-        kp.deallocate_data(*box)
 
 
 class View:
@@ -51,7 +33,7 @@ class View:
     ``Kokkos::resize``), and ``fill``.
     """
 
-    __slots__ = ("_data", "label", "space", "layout", "_mem_box", "__weakref__")
+    __slots__ = ("_data", "label", "space", "layout")
 
     def __init__(
         self,
@@ -76,9 +58,6 @@ class View:
             self._data = np.asarray(data, dtype=dtype, order=self.layout.numpy_order)
         else:
             self._data = np.zeros(shape, dtype=dtype, order=self.layout.numpy_order)
-        self._mem_box = None
-        if kp.TOOLS:
-            _track_allocation(self)
 
     # ------------------------------------------------------------- basics
     @property
@@ -157,18 +136,6 @@ class View:
         if all(s.stop > 0 for s in overlap) and len(overlap) == len(new_shape):
             new[overlap] = self._data[overlap]
         self._data = new
-        if kp.TOOLS:
-            if self._mem_box is not None:
-                kp.deallocate_data(*self._mem_box)
-                self._mem_box[2] = self.nbytes
-                kp.allocate_data(*self._mem_box)
-            else:
-                # first seen by the tools at resize time: start tracking now
-                _track_allocation(self)
-        elif self._mem_box is not None:
-            # tools detached between allocation and resize: keep the box in
-            # step so the eventual finalize frees the right size
-            self._mem_box[2] = self.nbytes
 
     def copy(self) -> "View":
         """Deep copy into a new View of the same space/layout."""

@@ -11,8 +11,6 @@ from repro.potentials import lj as _lj  # noqa: F401  (registers styles)
 from repro.potentials import lj_kokkos as _ljk  # noqa: F401
 from repro.potentials import eam as _eam  # noqa: F401
 from repro.potentials import eam_kokkos as _eamk  # noqa: F401
-from repro.potentials import table as _table  # noqa: F401
-from repro.potentials import morse as _morse  # noqa: F401
 from repro.potentials import gpu_package as _gpu  # noqa: F401
 
 __all__ = ["Pair"]

@@ -178,28 +178,14 @@ class Pair:
 
         ``(force_fn, energy_fn)``: ``force_fn(env)`` runs every force call
         and leaves ``fpair_n``; ``energy_fn(env)`` runs only when a tally is
-        due and leaves ``evdwl_n``, or is None when the force half already
-        produced it.  Both read the cut-pair arrays the prologue left in
-        ``env`` (``rsq_n``, ``i_n``, ``j_n``, ``idx``).
+        due and leaves ``evdwl_n``.  Both read the cut-pair arrays the
+        prologue left in ``env`` (``rsq_n``, ``i_n``, ``j_n``, ``idx``).
 
-        This generic form is for formula styles (``morse``, ``table``): it
-        gathers the compressed type pairs and calls ``pair_eval(rsq, itype,
-        jtype) -> (fpair, evdwl)``, which computes both halves at once.
-        Styles with separable halves override it and pre-gather coefficient
-        vectors (see ``LJMixin``).  The rest have no two-body form.
+        A two-body style overrides it with its separable halves over
+        pre-gathered coefficient vectors (see ``LJMixin``); the base has no
+        two-body form.
         """
-        if not hasattr(self, "pair_eval"):
-            raise StyleError(f"{type(self).__name__} has no two-body pairwise form")
-        env["it0"] = itype0
-        env["jt0"] = jtype0
-
-        def force_fn(env: dict, pair=self) -> None:
-            idx = env["idx"]
-            it_n = np.take(env["it0"], idx)
-            jt_n = np.take(env["jt0"], idx)
-            env["fpair_n"], env["evdwl_n"] = pair.pair_eval(env["rsq_n"], it_n, jt_n)
-
-        return force_fn, None
+        raise StyleError(f"{type(self).__name__} has no two-body pairwise form")
 
     def pair_kernel(self):
         """This style's bound pairwise pass.

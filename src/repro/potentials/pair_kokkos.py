@@ -8,11 +8,11 @@ potential form.  The base class handles all other details: neighbor list
 style, managing ScatterView objects, radial cutoff calculations,
 accumulating forces and energies."
 
-The base implemented here is exactly that: derived styles supply their
-formula (``pair_eval(rsq, itype, jtype) -> (fpair, evdwl)``, or the
-``eval_setup`` hook when the force and energy halves separate) and the base
-runs the shared pairwise pass (:mod:`repro.graph.pairwise`) inside one
-charged dispatch, in any of the section 4.1 configurations:
+The base implemented here is exactly that: a derived style supplies its
+formula through the one ``eval_setup`` hook (its force and energy halves,
+as ``LJMixin`` does) and the base runs the shared pairwise pass
+(:mod:`repro.graph.pairwise`) inside one charged dispatch, in any of the
+section 4.1 configurations:
 
 * ``neigh full`` (default on Device) — duplicated work, no write conflicts;
 * ``neigh half`` — ScatterView-deconflicted accumulation (atomics on

@@ -462,13 +462,11 @@ class ReplicaBatch:
 
     # ------------------------------------------------------------- stepping
     @contextmanager
-    def _kernel(self, name: str, work: int) -> Iterator[None]:
+    def _kernel(self, name: str) -> Iterator[None]:
         if not kp.TOOLS:
             yield
             return
-        kid = kp.begin_kernel(
-            "parallel_for", f"{self.label}/{name}", "Host", work_items=float(work)
-        )
+        kid = kp.begin_kernel("parallel_for", f"{self.label}/{name}", "Host")
         try:
             yield
         finally:
@@ -489,7 +487,7 @@ class ReplicaBatch:
         atom = self.atom
         for m in self.members:
             m.lmp.update.ntimestep += 1
-        with self._kernel("initial_integrate", atom.nlocal):
+        with self._kernel("initial_integrate"):
             self._nve_initial()
         stale = [
             m
@@ -503,18 +501,17 @@ class ReplicaBatch:
             self._rebuild(stale)
             if not self.members:
                 return
-            atom = self.atom
         else:
-            with self._kernel("forward_comm", atom.nghost):
+            with self._kernel("forward_comm"):
                 self._replay.forward_x(atom)
         due = [
             m
             for m in self.members
             if m.lmp.verlet.ev_set(m.lmp.update.ntimestep, m.last_step)
         ]
-        with self._kernel("pair_force", len(self._env["i0"])):
+        with self._kernel("pair_force"):
             self._handler.force(self, due)
-        with self._kernel("final_integrate", atom.nlocal):
+        with self._kernel("final_integrate"):
             self._nve_final()
         for m in due:
             if m.lmp.thermo.should_output(m.lmp.update.ntimestep):

@@ -10,7 +10,6 @@ Built-in tools:
 
 * ``space-time-stack``  — hierarchical region/kernel time tree
 * ``chrome-trace``      — chrome://tracing JSON, one track per rank
-* ``metrics``           — Prometheus + JSONL counters/histograms per kernel
 
 Only :mod:`repro.tools.registry` is imported eagerly here; the tool
 implementations load on first use so instrumented low-level modules
@@ -35,12 +34,10 @@ from repro.tools.registry import (  # noqa: F401  (re-exported surface)
 )
 
 #: name -> (module, class, output): ``output`` is the file the tool writes
-#: within ``--tool-out``, ``""`` the directory itself (it writes several
-#: files, e.g. metrics.prom + metrics.jsonl), None no output at all
+#: within ``--tool-out``, None no output at all
 TOOL_CATALOG: dict[str, tuple[str, str, str | None]] = {
     "space-time-stack": ("repro.tools.space_time_stack", "SpaceTimeStack", None),
     "chrome-trace": ("repro.tools.chrome_trace", "ChromeTrace", "trace.json"),
-    "metrics": ("repro.tools.metrics", "MetricsTool", ""),
 }
 
 
@@ -70,7 +67,7 @@ def create_tool(name: str, outdir: str | None = None) -> Tool:
         return cls()
     base = outdir or "."
     os.makedirs(base, exist_ok=True)
-    return cls(os.path.join(base, out) if out else base)
+    return cls(os.path.join(base, out))
 
 
 def create_tools(spec: str, outdir: str | None = None) -> list[Tool]:

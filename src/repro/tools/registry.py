@@ -1,15 +1,16 @@
 """KokkosP-style event registry: the pluggable observability surface.
 
 The real Kokkos Tools (KokkosP) interface is a set of C callbacks the
-runtime fires at every kernel dispatch, fence, deep copy, allocation, and
-user region — the event stream behind the paper's per-kernel timings
-(figures 2-7) and the TestSNAP optimization loop in PAPERS.md.  This module
-is that surface for the simulated runtime:
+runtime fires at every kernel dispatch, fence, deep copy and user region —
+the event stream behind the paper's per-kernel timings (figures 2-7) and
+the TestSNAP optimization loop in PAPERS.md.  This module is that surface
+for the simulated runtime, narrowed to the callbacks an in-tree tool
+consumes (KokkosP's begin and allocation callbacks have no consumer here):
 
 * :class:`Tool` — the callback base class.  Subclasses override whichever
-  callbacks they care about (``begin/end_parallel_for|reduce|scan``,
-  ``begin/end_fence``, ``begin/end_deep_copy``,
-  ``allocate/deallocate_data``, ``push/pop_region``, ``profile_event``).
+  callbacks they care about (``end_parallel_for|reduce|scan``,
+  ``end_fence``, ``end_deep_copy``, ``push/pop_region``,
+  ``profile_event``).
 * :class:`ToolChain` — dispatches every event to all attached tools and
   owns the per-rank clocks and region stacks.
 * Module-level emission helpers (``begin_kernel``/``end_kernel``/...) —
@@ -55,9 +56,6 @@ class KernelEvent:
     kid: int  #: unique dispatch id (KokkosP's kernel id)
     sim_us: float  #: simulated-clock timestamp at begin, microseconds
     wall_us: float
-    #: policy parallelism (work items) — lets metrics key wall-clock
-    #: profiles by workload size, not just kernel name
-    work_items: float = 0.0
     #: filled in by the end event:
     sim_seconds: float = 0.0
     wall_seconds: float = 0.0
@@ -90,16 +88,6 @@ class DeepCopyEvent:
     wall_us: float
     sim_seconds: float = 0.0
     sim_end_us: float = 0.0  #: see KernelEvent.sim_end_us
-
-
-@dataclass
-class MemoryEvent:
-    space: str  #: memory space name
-    label: str
-    nbytes: int
-    rank: int
-    sim_us: float
-    wall_us: float
 
 
 @dataclass
@@ -139,22 +127,13 @@ class Tool:
     name = "tool"
 
     # kernels
-    def begin_parallel_for(self, ev: KernelEvent) -> None: ...
     def end_parallel_for(self, ev: KernelEvent) -> None: ...
-    def begin_parallel_reduce(self, ev: KernelEvent) -> None: ...
     def end_parallel_reduce(self, ev: KernelEvent) -> None: ...
-    def begin_parallel_scan(self, ev: KernelEvent) -> None: ...
     def end_parallel_scan(self, ev: KernelEvent) -> None: ...
 
     # fences / copies
-    def begin_fence(self, ev: FenceEvent) -> None: ...
     def end_fence(self, ev: FenceEvent) -> None: ...
-    def begin_deep_copy(self, ev: DeepCopyEvent) -> None: ...
     def end_deep_copy(self, ev: DeepCopyEvent) -> None: ...
-
-    # memory
-    def allocate_data(self, ev: MemoryEvent) -> None: ...
-    def deallocate_data(self, ev: MemoryEvent) -> None: ...
 
     # regions / instants
     def push_region(self, ev: RegionEvent) -> None: ...
@@ -279,11 +258,6 @@ def kernel_scope(label: str) -> Iterator[None]:
 
 
 # ------------------------------------------------------------------- kernels
-_BEGIN = {
-    "parallel_for": "begin_parallel_for",
-    "parallel_reduce": "begin_parallel_reduce",
-    "parallel_scan": "begin_parallel_scan",
-}
 _END = {
     "parallel_for": "end_parallel_for",
     "parallel_reduce": "end_parallel_reduce",
@@ -291,10 +265,8 @@ _END = {
 }
 
 
-def begin_kernel(
-    kind: str, name: str, space: str, work_items: float = 0.0
-) -> int | None:
-    """Fire ``begin_parallel_*``; returns the kernel id for the end call."""
+def begin_kernel(kind: str, name: str, space: str) -> int | None:
+    """Open a dispatch's event; returns the kernel id for the end call."""
     if not TOOLS:
         return None
     if _KERNEL_SCOPE:
@@ -307,10 +279,8 @@ def begin_kernel(
         kid=CHAIN.new_id(),
         sim_us=CHAIN.sim_now() * 1e6,
         wall_us=CHAIN.wall_now() * 1e6,
-        work_items=work_items,
     )
     CHAIN._open_kernels[ev.kid] = ev
-    CHAIN.dispatch(_BEGIN[kind], ev)
     return ev.kid
 
 
@@ -341,7 +311,6 @@ def fence(name: str) -> None:
         sim_us=CHAIN.sim_now() * 1e6,
         wall_us=CHAIN.wall_now() * 1e6,
     )
-    CHAIN.dispatch("begin_fence", ev)
     CHAIN.dispatch("end_fence", ev)
 
 
@@ -367,33 +336,9 @@ def deep_copy(
         wall_us=CHAIN.wall_now() * 1e6,
         sim_seconds=sim_seconds,
     )
-    CHAIN.dispatch("begin_deep_copy", ev)
     CHAIN.advance(sim_seconds, ev.rank)
     ev.sim_end_us = CHAIN.sim_now(ev.rank) * 1e6
     CHAIN.dispatch("end_deep_copy", ev)
-
-
-# -------------------------------------------------------------------- memory
-def _memory_event(callback: str, space: str, label: str, nbytes: int) -> None:
-    ev = MemoryEvent(
-        space=space,
-        label=label or "unnamed",
-        nbytes=int(nbytes),
-        rank=CHAIN.rank,
-        sim_us=CHAIN.sim_now() * 1e6,
-        wall_us=CHAIN.wall_now() * 1e6,
-    )
-    CHAIN.dispatch(callback, ev)
-
-
-def allocate_data(space: str, label: str, nbytes: int) -> None:
-    if TOOLS:
-        _memory_event("allocate_data", space, label, nbytes)
-
-
-def deallocate_data(space: str, label: str, nbytes: int) -> None:
-    if TOOLS:
-        _memory_event("deallocate_data", space, label, nbytes)
 
 
 # ------------------------------------------------------------------- regions

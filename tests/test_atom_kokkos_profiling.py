@@ -1,4 +1,4 @@
-"""AtomKokkos aliasing/datamask, fixes_kokkos, and the profiling helpers."""
+"""AtomKokkos aliasing/datamask, fixes_kokkos, and the device-context controls."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.core.atom import AtomVec
 from repro.core import Lammps
 from repro.core.atom_kokkos import AtomKokkos
 from repro.kokkos.core import Device, Host
-from repro.kokkos.profiling import kernel_report, region, snapshot
 
 
 class TestAtomKokkosAliasing:
@@ -107,46 +106,6 @@ class TestFixNVEKokkos:
         ]
 
 
-class TestProfilingHelpers:
-    def test_snapshot_delta(self):
-        kk.initialize("H100")
-        snap = snapshot()
-        kk.parallel_for(
-            "work",
-            kk.RangePolicy(kk.Device, 0, 10),
-            lambda i: None,
-            profile=kk.KernelProfile("work", flops=1e9, parallel_items=1e6),
-        )
-        delta = snap.delta()
-        assert "work" in delta and delta["work"] > 0
-        assert snap.delta_total() >= delta["work"]
-
-    def test_region_accumulates(self):
-        kk.initialize("H100")
-        out: dict = {}
-        with region(out, "force"):
-            kk.parallel_for(
-                "k",
-                kk.RangePolicy(kk.Device, 0, 10),
-                lambda i: None,
-                profile=kk.KernelProfile("k", flops=1e9, parallel_items=1e6),
-            )
-        assert out["force"] > 0
-
-    def test_kernel_report_format(self):
-        kk.initialize("H100")
-        assert kernel_report() == "(no kernels recorded)"
-        kk.parallel_for(
-            "alpha",
-            kk.RangePolicy(kk.Device, 0, 10),
-            lambda i: None,
-            profile=kk.KernelProfile("alpha", flops=1e9, parallel_items=1e6),
-        )
-        report = kernel_report(top=5)
-        assert "alpha" in report
-        assert "launches" in report
-
-
 class TestDeviceContextControls:
     def test_on_device_restores_previous_context(self):
         ctx1 = kk.initialize("H100")
@@ -175,27 +134,3 @@ class TestDeviceContextControls:
         ctx = kk.device_context()
         assert ctx.transfer_time(10**9) > ctx.transfer_time(10**6) > 0
 
-
-class TestSnapshotDeltaAcrossReset:
-    def test_delta_survives_device_context_reset(self):
-        """A timeline reset must yield the fresh total, not drop the kernel.
-
-        ``kk.initialize`` replaces the device context, so accumulated
-        totals restart from zero.  The old delta() returned nothing for a
-        kernel whose new total was below the snapshot baseline; the fixed
-        version reports the whole fresh total as new work.
-        """
-        kk.initialize("H100")
-        kk.device_context().timeline.record("K", 2.0)
-        snap = snapshot()
-        kk.initialize("H100")  # context reset: accumulator restarts
-        kk.device_context().timeline.record("K", 0.5)
-        assert snap.delta()["K"] == pytest.approx(0.5)
-        assert snap.delta_total() == pytest.approx(0.5)
-
-    def test_delta_still_diffs_within_one_context(self):
-        kk.initialize("H100")
-        kk.device_context().timeline.record("K", 2.0)
-        snap = snapshot()
-        kk.device_context().timeline.record("K", 0.5)
-        assert snap.delta()["K"] == pytest.approx(0.5)

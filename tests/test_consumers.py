@@ -10,6 +10,9 @@ error where a script names them, never a silent fallback.
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import os
 import re
 
@@ -20,6 +23,7 @@ from repro.core.errors import InputError, StyleError
 from repro.core.input import Input
 from repro.core.styles import COMPUTE_STYLES, FIX_STYLES, PAIR_STYLES
 from repro.tools import TOOL_CATALOG, create_tools
+from repro.tools import registry as kp
 
 DESIGN = os.path.join(os.path.dirname(__file__), os.pardir, "DESIGN.md")
 
@@ -30,6 +34,9 @@ RETIRED = [
     ("pair", "lj/cut/coul/long 2.5"),
     ("pair", "mliap"),
     ("pair", "eam"),
+    ("pair", "morse 2.5"),
+    ("pair", "morse/kk 2.5"),
+    ("pair", "table 4000 2.5"),
     ("fix", "nve/limit 0.1"),
     ("fix", "langevin 1.0 1.0 0.5 1"),
     ("fix", "setforce 0.0 0.0 0.0"),
@@ -41,6 +48,7 @@ RETIRED = [
     ("fix", "spring/self 10.0"),
     ("compute", "msd"),
     ("compute", "rdf 50"),
+    ("compute", "com"),
     ("command", "kspace_style ewald 1e-4"),
     ("command", "min_style fire"),
     ("command", "minimize 0.0 1e-6 100"),
@@ -51,6 +59,7 @@ RETIRED = [
     ("tool", "kernel-logger"),
     ("tool", "memory-events"),
     ("tool", "roofline"),
+    ("tool", "metrics"),
 ]
 
 
@@ -90,3 +99,35 @@ def test_design_table_names_every_registered_unit():
     rows = design_rows()
     assert not registered - rows, f"registered without a DESIGN row: {sorted(registered - rows)}"
     assert not rows - registered, f"DESIGN rows for no registered unit: {sorted(rows - registered)}"
+
+
+def emitted_callbacks() -> set[str]:
+    """Every callback name ``tools.registry`` dispatches: a string literal, or
+    a value of the module-level dict the dispatch indexes."""
+    tree = ast.parse(inspect.getsource(kp))
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dispatch"
+                and node.args):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.Constant):
+            names.add(arg.value)
+        elif isinstance(arg, ast.Subscript) and isinstance(arg.value, ast.Name):
+            names.update(getattr(kp, arg.value.id).values())
+        else:
+            raise AssertionError(f"unrecognised emission form: {ast.dump(arg)}")
+    return names
+
+
+def test_every_emitted_event_has_a_consumer():
+    """An emission site no catalogued tool overrides is an orphan: delete
+    it with its last consumer, as the allocation events went with the
+    metrics tool."""
+    emitted = emitted_callbacks()
+    assert {"end_parallel_for", "end_fence", "end_deep_copy", "push_region",
+            "profile_event"} <= emitted
+    tools = [getattr(importlib.import_module(module), cls) for module, cls, _ in TOOL_CATALOG.values()]
+    orphans = {name for name in emitted
+               if not any(getattr(t, name) is not getattr(kp.Tool, name) for t in tools)}
+    assert not orphans, f"emitted with no consumer: {sorted(orphans)}"

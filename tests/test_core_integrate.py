@@ -108,16 +108,6 @@ class TestComputesAndThermo:
         steps = [r.step for r in lmp.thermo.history]
         assert steps == [0, 5, 10]
 
-    def test_compute_com(self):
-        lmp = make_melt(cells=2)
-        lmp.command("compute c1 all com")
-        comp = lmp.modify.get_compute("c1")
-        parts = comp.local_partials()
-        com = comp.vector(parts)
-        # single-rank, unit masses: COM equals the mean position
-        expected = lmp.atom.x[: lmp.atom.nlocal].mean(axis=0)
-        np.testing.assert_allclose(com, expected, atol=1e-12)
-
     def test_unknown_compute_id(self):
         lmp = make_melt(cells=2)
         with pytest.raises(InputError, match="unknown compute"):

@@ -26,7 +26,7 @@ from repro.graph import (
 from repro.graph.plan import PlanCache
 from repro.hardware.cost import KernelProfile, fuse_profiles
 from repro.tools import registry as kp
-from repro.tools.metrics import MetricsTool
+from repro.tools.space_time_stack import SpaceTimeStack
 
 
 @pytest.fixture(autouse=True)
@@ -167,7 +167,7 @@ def test_plan_cache_counters_reach_tools():
     """``plan_cache().stats()`` is the one record of cache traffic; each
     store also reaches every attached tool as a ``graph:plan_captured``
     instant."""
-    tool = MetricsTool()
+    tool = SpaceTimeStack()
     cache = plan_cache()
     before = cache.stats()
     plan = build_plan("lj/all", [node("a"), node("b"), node("c")])
@@ -177,7 +177,8 @@ def test_plan_cache_counters_reach_tools():
         cache.lookup("k", 1)
     delta = {k: cache.stats()[k] - before[k] for k in ("hits", "misses", "fused_nodes")}
     assert delta == {"hits": 1, "misses": 1, "fused_nodes": 3}
-    assert tool.instants.get(name="graph:plan_captured") == 1.0
+    (root,) = tool.roots.values()
+    assert root.children[("graph:plan_captured", "event")].count == 1
 
 
 # ------------------------------------------------------------ mode registry

@@ -4,7 +4,7 @@ Every cutoff-masked two-body style runs through one Stage list
 (:mod:`repro.graph.pairwise`) driven by four executors.  Agreement between
 executors proves nothing if they share a mistake, so this module keeps the
 simple formula path the executors replaced: a plain-NumPy oracle — brute
-force pairs, textbook LJ / Morse / EAM-FS, no caches, no
+force pairs, textbook LJ / EAM-FS, no caches, no
 ``out=``, no stages.
 
 One parametrised differential test: every two-body style x {eager host,
@@ -44,30 +44,16 @@ def _reset_modes():
 
 
 # ---------------------------------------------------------------- the systems
-#: style key -> (units, lattice, pair commands, has a /kk variant)
+#: style key -> (units, lattice, pair commands); each has a /kk variant
 STYLES = {
     "lj/cut": (
         "lj", "fcc 0.8442",
         "pair_style lj/cut 2.5\npair_coeff 1 1 1.0 1.0\npair_coeff 2 2 0.8 1.1",
-        True,
-    ),
-    "morse": (
-        "lj", "fcc 0.8442",
-        "pair_style morse 2.5\npair_coeff 1 1 1.0 5.0 1.1\n"
-        "pair_coeff 2 2 0.8 4.0 1.2\npair_coeff 1 2 0.9 4.5 1.15",
-        True,
-    ),
-    "table": (
-        "lj", "fcc 0.8442",
-        "pair_style table 4000 2.5\npair_coeff 1 1 lj 1.0 1.0\n"
-        "pair_coeff 2 2 lj 0.8 1.1\npair_coeff 1 2 morse 0.9 4.5 1.15",
-        False,
     ),
     "eam/fs": (
         "metal", "fcc 3.52",
         "pair_style eam/fs 4.5\npair_coeff 1 1 2.0 0.3\npair_coeff 2 2 1.5 0.2\n"
         "pair_coeff 1 2 2.0 0.25",
-        True,
     ),
 }
 #: list flavours of the section 4.1 study; full+newton is invalid
@@ -81,7 +67,7 @@ def build(style: str, *, kk: bool = False, cells: int = 3) -> Lammps:
     identical ``run 0`` prologue (sort, borders, list build) they hold the
     same configuration bit for bit.
     """
-    units, lattice, pair_cmds, _ = STYLES[style]
+    units, lattice, pair_cmds = STYLES[style]
     lmp = Lammps(device="H100" if kk else None, suffix="kk" if kk else None)
     lmp.commands_string(
         f"units {units}\nlattice {lattice}\n"
@@ -113,10 +99,6 @@ def textbook_pair(style: str, lmp, r, ti, tj):
         inside = r < p.cut[ti, tj]
         e = np.where(inside, 4.0 * eps * (sr6 * sr6 - sr6), 0.0)
         return e, np.where(inside, 24.0 * eps * (2.0 * sr6 * sr6 - sr6) / r, 0.0)
-    if style == "morse":
-        d0, a, r0 = p.d0[ti, tj], p.alpha[ti, tj], p.r0[ti, tj]
-        ex = np.exp(-a * (r - r0))
-        return d0 * (ex * ex - 2.0 * ex), 2.0 * d0 * a * (ex * ex - ex)
     raise AssertionError(style)
 
 
@@ -217,18 +199,16 @@ def assert_oracle(got, ref, label):
 
 @pytest.mark.parametrize("style", sorted(STYLES))
 def test_every_executor_matches_eager_host_and_the_oracle(style):
-    has_kk = STYLES[style][3]
     host = build(style)
     ref = evaluate(host)
-    if style != "table":  # interpolated: held against analytic forms elsewhere
-        assert_oracle(ref, oracle(style, host), f"{style} eager host")
+    assert_oracle(ref, oracle(style, host), f"{style} eager host")
 
     # graph on: capture step, then replay step, same Stage objects
     with force_graph_mode(ON):
         assert_bitwise(evaluate(host), ref, f"{style} graph capture")
         assert_bitwise(evaluate(host), ref, f"{style} graph replay")
 
-    if has_kk and style != "eam/fs":
+    if style != "eam/fs":
         kkr = build(style, kk=True)
         for neigh, newton in LIST_CELLS:
             kkr.pair.set_options(neigh=neigh, newton=newton)
@@ -242,7 +222,7 @@ def test_every_executor_matches_eager_host_and_the_oracle(style):
             with force_graph_mode(ON):
                 assert_bitwise(evaluate(kkr), eager, label + " graph capture")
                 assert_bitwise(evaluate(kkr), eager, label + " graph replay")
-    elif has_kk:  # eam/fs/kk: full list only, three charged kernels; its
+    else:  # eam/fs/kk: full list only, three charged kernels; its
         # ScatterView density sums in another order than the host's sorted
         # segments, so host agreement is to round-off
         kkr = build(style, kk=True)

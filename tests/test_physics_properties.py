@@ -20,7 +20,6 @@ from repro.parallel.driver import drain
 #: (units, pair_style setup lines, box edge, min distance between atoms)
 STYLES = {
     "lj/cut": ("lj", "pair_style lj/cut 2.5\npair_coeff 1 1 1.0 1.0", 7.0, 0.85),
-    "morse": ("lj", "pair_style morse 2.5\npair_coeff 1 1 1.0 5.0 1.1", 7.0, 0.7),
     "eam/fs": ("metal", "pair_style eam/fs 4.5\npair_coeff * * 2.0 0.3", 12.0, 1.8),
     "snap": (
         "metal",

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import fd_force_check, gather_by_tag, make_melt
 from repro.core import Lammps
@@ -183,51 +181,3 @@ class TestKokkosVariants:
         assert tl.kernel_total("PairComputeLJCut") > 0
         assert tl.kernel_total("NeighborBuild") > 0
 
-
-class TestTableStyle:
-    @given(eps=st.floats(0.5, 2.0), sig=st.floats(0.8, 1.2))
-    @settings(max_examples=10, deadline=None)
-    def test_tabulated_lj_matches_analytic(self, eps, sig):
-        def build(style, coeff):
-            lmp = make_melt(cells=2, pair_style="lj/cut")
-            return lmp
-
-        lmp_a = Lammps(device=None)
-        lmp_a.commands_string(
-            "units lj\nlattice fcc 0.8442\nregion b block 0 2 0 2 0 2\n"
-            "create_box 1 b\ncreate_atoms 1 box\nmass 1 1.0\n"
-            f"pair_style lj/cut 2.5\npair_coeff 1 1 {eps} {sig}\nfix 1 all nve\nrun 0"
-        )
-        lmp_t = Lammps(device=None)
-        lmp_t.commands_string(
-            "units lj\nlattice fcc 0.8442\nregion b block 0 2 0 2 0 2\n"
-            "create_box 1 b\ncreate_atoms 1 box\nmass 1 1.0\n"
-            f"pair_style table 4000 2.5\npair_coeff 1 1 lj {eps} {sig}\nfix 1 all nve\nrun 0"
-        )
-        assert lmp_t.pair.eng_vdwl == pytest.approx(lmp_a.pair.eng_vdwl, rel=1e-4)
-        np.testing.assert_allclose(
-            lmp_t.atom.f[: lmp_t.atom.nlocal],
-            lmp_a.atom.f[: lmp_a.atom.nlocal],
-            atol=1e-3,
-        )
-
-    def test_morse_table_fd(self):
-        lmp = Lammps(device=None)
-        lmp.commands_string(
-            "units lj\nlattice fcc 0.8442\nregion b block 0 2 0 2 0 2\n"
-            "create_box 1 b\ncreate_atoms 1 box\nmass 1 1.0\n"
-            "pair_style table 4000 2.5\npair_coeff 1 1 morse 1.0 5.0 1.1\n"
-            "velocity all create 0.5 1\nfix 1 all nve"
-        )
-        lmp.command("run 3")
-        # linear interpolation limits accuracy; loose FD tolerance
-        assert fd_force_check(lmp, [0, 5], eps=1e-4) < 5e-3
-
-    def test_unknown_generator(self):
-        lmp = Lammps(device=None)
-        lmp.commands_string(
-            "units lj\nregion b block 0 4 0 4 0 4\ncreate_box 1 b\n"
-            "pair_style table 100 2.5"
-        )
-        with pytest.raises(InputError, match="unknown table generator"):
-            lmp.command("pair_coeff 1 1 buck 1.0 1.0")

@@ -173,7 +173,9 @@ class TestScatterViewContribution:
         results = {}
         for mode in (ATOMIC, SEGMENTED):
             target = kk.View((16, 3))
-            sv = ScatterView(target, contribution=mode)
+            with force_scatter_mode(mode):
+                sv = ScatterView(target)
+            assert sv.contribution == mode
             sv.access().add(idx, vals)
             sv.contribute()
             results[mode] = target.data.copy()
@@ -228,28 +230,6 @@ neighbor 1.0 bin
 fix 1 all nve
 """
 
-def _make_morse():
-    lmp = Lammps()
-    lmp.commands_string(
-        "units lj\nlattice fcc 0.8442\nregion b block 0 3 0 3 0 3\n"
-        "create_box 1 b\ncreate_atoms 1 box\nmass 1 1.0\n"
-        "velocity all create 1.44 87287\n"
-        "pair_style morse 2.5\npair_coeff 1 1 1.0 5.0 1.1\nfix 1 all nve"
-    )
-    return lmp
-
-
-def _make_table():
-    lmp = Lammps()
-    lmp.commands_string(
-        "units lj\nlattice fcc 0.8442\nregion b block 0 3 0 3 0 3\n"
-        "create_box 1 b\ncreate_atoms 1 box\nmass 1 1.0\n"
-        "velocity all create 1.44 87287\n"
-        "pair_style table 4000 2.5\npair_coeff 1 1 lj 1.0 1.0\nfix 1 all nve"
-    )
-    return lmp
-
-
 def _make_eam():
     lmp = Lammps()
     lmp.commands_string(EAM_SCRIPT)
@@ -294,8 +274,6 @@ CASES = {
     "lj-newton-off": _make_newton_off,
     "lj-two-rank": _make_two_rank,
     "lj-kokkos": _make_kokkos,
-    "morse": _make_morse,
-    "table": _make_table,
     "eam-fs": _make_eam,
     "snap": _make_snap,
     "reaxff": _make_reaxff,

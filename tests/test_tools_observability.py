@@ -89,13 +89,16 @@ class TestRegistry:
 
     def test_catalog_and_factory(self):
         names = tool_names()
-        assert names == ["chrome-trace", "metrics", "space-time-stack"]
+        assert names == ["chrome-trace", "space-time-stack"]
         with pytest.raises(ValueError):
             create_tool("no-such-tool", ".")
 
     def test_create_tools_parses_comma_list(self, tmp_path):
         tools = create_tools("space-time-stack,chrome_trace", str(tmp_path))
         assert len(tools) == 2
+        # ``all`` expands to every catalogued tool, in catalog order
+        assert [t.name for t in create_tools("all", str(tmp_path))] == tool_names()
+        assert not kp.TOOLS  # building tools attaches none of them
 
 
 class TestReconciliation:
@@ -155,30 +158,6 @@ class TestReconciliation:
         report = sts.finalize()
         assert "PairComputeLJCut" in report
         assert "Pair" in report
-
-
-class TestMemoryEvents:
-    def test_view_resize_tracks_both_sizes(self):
-        from repro.kokkos.view import View
-
-        class Recorder(kp.Tool):
-            def __init__(self):
-                self.log = []
-
-            def allocate_data(self, ev):
-                self.log.append(("alloc", ev.label, ev.nbytes))
-
-            def deallocate_data(self, ev):
-                self.log.append(("free", ev.label, ev.nbytes))
-
-        rec = Recorder()
-        with kp.attached(rec):
-            v = View(100, label="grow")
-            first = v.nbytes
-            v.resize(300)
-        assert rec.log == [
-            ("alloc", "grow", first), ("free", "grow", first), ("alloc", "grow", v.nbytes),
-        ]
 
 
 class TestCLIAndInputScript:
