@@ -5,8 +5,8 @@ Thompson et al. (2015): atomic neighborhoods are expanded on the 3-sphere in
 Wigner U-matrices computed by the half-integer recursion of equation 2,
 bispectrum components are the Clebsch-Gordan triple products of equation 3,
 and the energy is their learned linear combination (equation 4).  Forces
-contract the adjoint of the energy against the recursion derivatives
-(equation 5).
+(equation 5) carry the adjoint of the energy back through the recursion to
+the Cayley-Klein parameters, one reverse sweep per pair.
 
 The module layout mirrors the paper's four-kernel decomposition, and every
 array its section 4.3.1 layout — one flattened quantum-number index (j
@@ -18,16 +18,18 @@ slowest, m' fastest) first, the atom or pair index fastest:
   mirror symmetry (and the row maps that unfold or dagger it), the sparse
   contraction tensor and the folded, dest-sorted term plans built from it
   once per ``twojmax``;
-* :mod:`repro.snap.wigner` — the Cayley-Klein/Wigner recursion for u and
-  du/dr, one whole-level update per J over all (atom, neighbor) pairs;
+* :mod:`repro.snap.wigner` — the Cayley-Klein parameters and the Wigner
+  recursion for u, one whole-level update per J over all (atom, neighbor)
+  pairs, keeping only the rows some consumer reads;
 * :mod:`repro.snap.compute_ui` — ComputeUi: per-pair u into per-atom
   ``U (idxu_max, natoms)``, one recursion per unordered pair;
 * :mod:`repro.snap.bispectrum` — B components (energy / training targets;
   ``pair snap`` evaluates them on tallied steps only);
 * :mod:`repro.snap.compute_yi` — ComputeYi: the single half-range adjoint
   ``Y (len(half), natoms)``;
-* :mod:`repro.snap.compute_deidrj` — ComputeFusedDeidrj: ``Y`` contracted
-  against u and du level by level, three directions in one pass;
+* :mod:`repro.snap.compute_deidrj` — ComputeFusedDeidrj: one value
+  recursion and one reverse (adjoint) sweep through it per chunk of pairs,
+  all three directions from one complex adjoint per level;
 * :mod:`repro.snap.pair_snap` — ``pair_style snap`` / ``snap/kk``.
 
 Coefficients are synthetic (seeded pseudo-random; DESIGN.md substitution

@@ -1,26 +1,33 @@
 """ComputeFusedDeidrj: per-pair force contraction (steps 3+4, fused).
 
-For each (atom, neighbor) pair the weighted Wigner derivative is
+For each (atom, neighbor) pair the weighted Wigner matrices are ``sfac u``
+and the force contribution contracts their derivative against the folded
+adjoint ``W`` of the center atom over the half range:
 
-    dU_pair/dr = (dsfac/dr) rhat (x) u_pair + sfac * du_pair,
+    dE/dr = dsfac rhat Re(W . u) + sfac Re(W . du).
 
-(the ComputeDuidrj recursion), and the force contribution contracts it
-against the folded adjoint of the center atom over the half range:
+The second term is taken in reverse mode.  ``L = Re(W . u)`` is a function
+of the Cayley-Klein parameters through the recursion, so one value
+recursion, kept per chunk, and one sweep ``J = 2J_max .. 1`` carrying the
+adjoint ``A_J`` (``dL = Re sum A_J du_J``) give
 
-    dE/dr = dsfac rhat Re(Y . u) + sfac Re(Y . du).
+    A_{J-1} = rpq_a ca A_J[:, :J] + rpq_b cb A_J[:, 1:]  (+ W on its half rows),
+    A_ca += sum rpq_a u_{J-1} A_J[:, :J],  A_cb likewise,
 
-Both dot products are taken level by level as the recursion produces them,
-all three Cartesian directions in one pass — the paper's
-ComputeFusedDeidrj, which eliminated the redundant recomputation of u and
-the repeated loads of Y between the per-direction kernels (Table 2's
-1.49x / 1.74x uplift) — so neither ``dU`` nor the stacked ``du`` is ever
-materialised, and pairs go in chunks of bounded footprint: the Python
-analogue of eliminating global-memory staging (section 4.3.3).
+and ``Re(W . du/dr_d) = Re(A_ca dca_d + A_cb dcb_d)``: one complex
+direction per level, where a forward derivative recursion carries three,
+and no ``du`` block at all.  An odd level's mirror row, which the level
+above reads, is a function of the row before it, so its adjoint folds back
+onto that row.  That is the paper's ComputeFusedDeidrj — ``u`` computed
+once and ``Y`` loaded once for all three directions — with the adjoint of
+section 4.3's ``Y`` carried one step further, through the recursion
+itself.  Pairs go in chunks of bounded footprint (the chunk's levels), and
+every sum is per pair, so no result depends on the chunking.
 
 A pair recursed once (``compute_ui``'s ``partner``) carries both ends:
 its partner's ``U`` holds ``(sfac u)^dagger``, whose contraction with the
 partner's ``Y`` is the contraction of ``sfac u`` itself with ``Ytilde``
-(``compute_yi.compute_ytilde``), so one recursion feeds ``Y_i +
+(``compute_yi.compute_ytilde``), so one recursion feeds ``W = Y_i +
 Ytilde_partner`` and yields the whole pair force.
 """
 
@@ -30,7 +37,9 @@ import numpy as np
 
 from repro.snap.compute_yi import compute_ytilde
 from repro.snap.indexing import SnapIndex, chunk_len
-from repro.snap.wigner import switching, wigner_levels
+from repro.snap.wigner import (
+    cayley_klein, level_rows, level_tables, switching, wigner_levels,
+)
 
 
 def compute_fused_deidrj(
@@ -53,40 +62,52 @@ def compute_fused_deidrj(
     energies; a pair without a partner reads a zero column.
     """
     idx = SnapIndex(twojmax)
+    blk = idx.half_block
     npairs = rij.shape[0]
     dedr = np.empty((npairs, 3))
-    # Re(Y v) = conj(Y) . v over the interleaved (re, im) float view
-    Yc = np.conj(Y)
     if partner is not None:
-        Ytc = np.zeros((Y.shape[0], Y.shape[1] + 1), dtype=np.complex128)
-        Ytc[:, :-1] = np.conj(compute_ytilde(Y, twojmax))
-    # (the top level's (J+1)^2 x 3 complex derivative block, per pair)
-    chunk = chunk_len(48 * (twojmax + 1) ** 2)
+        Yt = np.zeros((Y.shape[0], Y.shape[1] + 1), dtype=np.complex128)
+        Yt[:, :-1] = compute_ytilde(Y, twojmax)
+    # (the chunk's levels: every row wigner_levels yields, per pair)
+    chunk = chunk_len(
+        16 * sum(level_rows(J) * (J + 1) for J in range(twojmax + 1))
+    )
     for lo in range(0, npairs, chunk):
         sl = slice(lo, min(lo + chunk, npairs))
-        rij_c = rij[sl]
-        n = rij_c.shape[0]
-        y = np.take(Yc, pair_i[sl], axis=1)
+        r, ca, cb, dca, dcb = cayley_klein(rij[sl], rcut, rmin0)
+        n = r.shape[0]
+        w = np.take(Y, pair_i[sl], axis=1)
         if partner is not None:
-            y += np.take(Ytc, partner[sl], axis=1)
-        y = y.view(np.float64)  # (nhalf, 2n)
-        yu = np.zeros(2 * n)
-        ydu = np.zeros((3, 2 * n))
-        for J, u, du in wigner_levels(
-            rij_c, rcut, rmin0=rmin0, twojmax=twojmax, derivatives=True
-        ):
-            klo, khi = idx.half_block[J], idx.half_block[J + 1]
-            nk, yj = khi - klo, y[klo:khi]
-            yu += np.einsum(
-                "kc,kc->c", yj, u.reshape(-1, n)[:nk].view(np.float64)
+            w += np.take(Yt, partner[sl], axis=1)
+        levels = [u for _, u in wigner_levels(ca, cb, twojmax)]
+        wu = np.zeros(n, dtype=np.complex128)
+        for J, u in enumerate(levels):
+            wu += np.einsum(
+                "kc,kc->c", w[blk[J] : blk[J + 1]],
+                u.reshape(-1, n)[: blk[J + 1] - blk[J]],
             )
-            ydu += np.einsum(
-                "kc,kdc->dc", yj, du.reshape(-1, 3, n)[:nk].view(np.float64)
-            )
-        r = np.sqrt(np.einsum("ij,ij->i", rij_c, rij_c))
+        # the reverse sweep, seeded with W on the top level's half rows
+        adj = np.zeros((twojmax // 2 + 1, twojmax + 1, n), dtype=np.complex128)
+        adj.reshape(-1, n)[: blk[-1] - blk[-2]] = w[blk[-2] :]
+        a_ca = np.zeros(n, dtype=np.complex128)
+        a_cb = np.zeros(n, dtype=np.complex128)
+        for J in range(twojmax, 0, -1):
+            rpq_a, rpq_b, _ = level_tables(J)
+            h = J // 2 + 1
+            ga = rpq_a * adj[:h, :J]
+            gb = rpq_b * adj[:h, 1:]
+            p = levels[J - 1]  # (h, J, n): exactly the rows level J read
+            a_ca += np.einsum("ijc,ijc->c", p, ga)
+            a_cb += np.einsum("ijc,ijc->c", p, gb)
+            adj = ca * ga
+            adj += cb * gb
+            adj.reshape(-1, n)[: blk[J] - blk[J - 1]] += w[blk[J - 1] : blk[J]]
+            if (J - 1) % 2:  # level J - 1's mirror row folds onto its source
+                sign = level_tables(J - 1)[2]
+                adj[h - 2] += (sign * np.conj(adj[h - 1]))[::-1]
         sfac, dsfac = switching(r, rcut, rmin0)
         dedr[sl] = (
-            dsfac * yu.reshape(n, 2).sum(axis=1) * (rij_c.T / r)
-            + sfac * ydu.reshape(3, n, 2).sum(axis=2)
+            dsfac * wu.real * (rij[sl].T / r)
+            + sfac * (a_ca * dca + a_cb * dcb).real
         ).T
     return dedr

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.kokkos.segment import _sorted_segments
 from repro.snap.indexing import SnapIndex
-from repro.snap.wigner import switching, wigner_levels
+from repro.snap.wigner import cayley_klein, switching, wigner_levels
 
 
 def compute_ui(
@@ -50,7 +50,7 @@ def compute_ui(
     npairs = len(pair_i)
     Uh = np.zeros((len(idx.half), natoms), dtype=np.complex128)
     if npairs:
-        r = np.sqrt(np.einsum("ij,ij->i", rij, rij))
+        r, ca, cb, _, _ = cayley_klein(rij, rcut, rmin0)
         sfac, _ = switching(r, rcut, rmin0)
         starts, targets = _sorted_segments(pair_i)
         if partner is not None:
@@ -58,7 +58,7 @@ def compute_ui(
             order = order[: np.count_nonzero(partner < natoms)]
             pstarts, ptargets = _sorted_segments(partner[order])
             Wh = np.zeros_like(Uh)
-        for J, u, _ in wigner_levels(rij, rcut, rmin0=rmin0, twojmax=twojmax):
+        for J, u in wigner_levels(ca, cb, twojmax):
             lo, hi = idx.half_block[J], idx.half_block[J + 1]
             su = sfac * u.reshape(-1, npairs)[: hi - lo]
             Uh[lo:hi, targets] = np.add.reduceat(su, starts, axis=1)

@@ -8,9 +8,11 @@ the recursion runs layer by layer; every layer operation is vectorized over
 the (atom, neighbor) pair axis, which is where the parallelism lives on
 GPUs too.
 
-The derivative recursion (``compute_duarray`` in LAMMPS) applies the product
-rule through the same structure and is fused here with the value recursion
-when requested, mirroring the hybrid evaluation of section 4.3.3.
+Each level keeps only the rows some consumer reads (:func:`level_rows`):
+the half-range prefix ComputeUi sums and the rows the next level is built
+from.  Derivatives are not carried forward here: ComputeFusedDeidrj runs
+the recursion once for values and takes the force by one reverse sweep
+through the same levels (:mod:`repro.snap.compute_deidrj`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def switching(r: np.ndarray, rcut: float, rmin0: float) -> tuple[np.ndarray, np.
     return np.where(inside, sfac, 0.0), np.where(inside, dsfac, 0.0)
 
 
-def _cayley_klein(
+def cayley_klein(
     rij: np.ndarray, rcut: float, rmin0: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cayley-Klein parameters and their Cartesian gradients.
@@ -69,70 +71,57 @@ def _cayley_klein(
     return r, np.conj(a), np.conj(b), np.conj(da), np.conj(db)
 
 
+def level_rows(J: int) -> int:
+    """Rows of level ``J`` that :func:`wigner_levels` yields: the computed
+    rows ``mb <= J/2`` plus, for odd ``J``, the mirror row ``J//2 + 1`` that
+    level ``J + 1`` reads."""
+    return J // 2 + 1 + J % 2
+
+
 @lru_cache(maxsize=None)
-def _level_tables(J: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Static ``(mb, ma)`` coefficients of level ``J``'s computed rows
-    ``mb <= J/2``: the two recursion factors (J columns) and the mirror
-    sign ``(-1)^(mb + ma)`` (J + 1 columns), each with a trailing pair axis."""
+def level_tables(J: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Static coefficients of level ``J`` with a trailing pair axis: the two
+    recursion factors of the computed rows ``mb <= J/2`` (``(mb, ma)``, J
+    columns; the second negated) and the mirror sign ``(-1)^(mb + ma)`` of
+    the last computed row ``mb = J//2`` (J + 1 columns)."""
     mb = np.arange(J // 2 + 1)[:, None]
     ma = np.arange(J)[None, :]
     rpq_a = np.sqrt((J - ma) / (J - mb).astype(float))
     rpq_b = np.sqrt((ma + 1) / (J - mb).astype(float))
-    sign = (-1.0) ** (J + mb) * (-1.0) ** np.arange(J + 1)
-    return rpq_a[..., None], -rpq_b[..., None], sign[..., None]
+    sign = (-1.0) ** (J + J // 2) * (-1.0) ** np.arange(J + 1)
+    return rpq_a[..., None], -rpq_b[..., None], sign[:, None]
 
 
 def wigner_levels(
-    rij: np.ndarray,
-    rcut: float,
-    *,
-    rmin0: float = 0.0,
-    twojmax: int = 8,
-    derivatives: bool = False,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
-    """Yield ``(J, u_J, du_J)`` for ``J = 0..twojmax``.
+    ca: np.ndarray, cb: np.ndarray, twojmax: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(J, u_J)`` for ``J = 0..twojmax`` from the Cayley-Klein
+    parameters ``ca``, ``cb`` (:func:`cayley_klein`).
 
-    ``u_J`` is (J+1, J+1, npairs) indexed ``[mb, ma, pair]``.  Each level is
-    one update of all rows ``mb <= J/2`` from the previous level, then the
-    mirror fill ``u[J-mb, J-ma] = (-1)^(mb+ma) conj(u[mb, ma])`` (VMK 4.4)
-    of the entries not updated, so the symmetry holds bit for bit.
-    ``du_J`` (None unless ``derivatives``) is (rows, J+1, 3, npairs) and
-    stops at the rows ``mb <= (J+1)/2`` the next level and the half-range
-    force contraction read; the rest of its mirror image is never built.
-    Values are the *bare* matrices — the caller applies the switching
-    weight.
+    ``u_J`` is (:func:`level_rows` (J), J+1, npairs) indexed ``[mb, ma,
+    pair]``: one update of all rows ``mb <= J/2`` from the previous level,
+    then the mirror ``u[J-mb, J-ma] = (-1)^(mb+ma) conj(u[mb, ma])`` (VMK
+    4.4) of what level ``J + 1`` reads and was not computed — the row
+    ``J//2 + 1`` of an odd level, the right half of an even level's middle
+    row — so the symmetry holds bit for bit.  The half-range prefix
+    (``SnapIndex.half_block``) of every level is complete; the rows below
+    are never built.  Values are the *bare* matrices — the caller applies
+    the switching weight.
     """
-    n = rij.shape[0]
-    cur = np.ones((1, 1, n), dtype=np.complex128)
-    dcur = np.zeros((1, 1, 3, n), dtype=np.complex128) if derivatives else None
-    yield 0, cur, dcur
-    _, ca, cb, dca, dcb = _cayley_klein(rij, rcut, rmin0)
+    cur = np.ones((1, 1, ca.shape[0]), dtype=np.complex128)
+    yield 0, cur
     for J in range(1, twojmax + 1):
-        rpq_a, rpq_b, sign = _level_tables(J)
+        rpq_a, rpq_b, sign = level_tables(J)
         h = J // 2 + 1
         p = cur[:h]  # (h, J, n): rows of level J - 1 feeding rows mb <= J/2
-        nxt = np.empty((J + 1, J + 1, n), dtype=np.complex128)
+        nxt = np.empty((level_rows(J), J + 1, ca.shape[0]), dtype=np.complex128)
         nxt[:h, :J] = rpq_a * (ca * p)
         nxt[:h, J] = 0.0
         nxt[:h, 1:] += rpq_b * (cb * p)
-        # the mirror writes only what was not computed: the rows below the
-        # middle and the right half of an even level's middle row, so every
-        # mirror pair is exact (ComputeUi and ComputeYi read only the half
-        # range and stand for the rest)
-        k = (J + 1) // 2
-        nxt[J : J - k : -1] = sign[:k] * np.conj(nxt[:k, ::-1])
-        if J % 2 == 0:
-            c = J // 2
-            nxt[c, c + 1 :] = sign[c, c + 1 :] * np.conj(nxt[c, c - 1 :: -1])
-        if derivatives:
-            dp, pe = dcur[:h], p[:, :, None]
-            dnxt = np.empty((h + J % 2, J + 1, 3, n), dtype=np.complex128)
-            dnxt[:h, :J] = rpq_a[..., None] * (dca * pe + ca * dp)
-            dnxt[:h, J] = 0.0
-            dnxt[:h, 1:] += rpq_b[..., None] * (dcb * pe + cb * dp)
-            if J % 2:  # the one mirrored row that level J + 1 reads
-                dnxt[h] = sign[h - 1, :, None] * np.conj(dnxt[h - 1, ::-1])
-            dcur = dnxt
+        c = J // 2
+        if J % 2:
+            nxt[h] = sign * np.conj(nxt[c, ::-1])
+        else:
+            nxt[c, c + 1 :] = sign[c + 1 :] * np.conj(nxt[c, c - 1 :: -1])
         cur = nxt
-        yield J, cur, dcur
-
+        yield J, cur

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import fd_force_check, gather_by_tag
 from snap_oracle import (
-    coo_adjoints, coo_bispectrum, every_direction_forces, mirror, stacked_wigner,
+    coo_adjoints, coo_bispectrum, every_direction_forces, forward_deidrj, mirror,
+    stacked_wigner,
 )
 from test_snap_math import random_neighborhood
 from test_snap_pair import make_ta
@@ -31,6 +32,9 @@ from repro.snap.pair_snap import keep_once, synthetic_beta
 from repro.snap.wigner import switching
 
 RCUT = 4.7
+#: bytes of one pair's levels at 2J = 4, what a Deidrj chunk holds: 38
+#: complex entries over the rows ``wigner_levels`` yields
+LEVEL_BYTES_2J4 = 16 * 38
 
 
 def neighborhoods(seed: int, natoms: int = 3, per: int = 7):
@@ -211,6 +215,32 @@ class TestReversedPair:
         np.testing.assert_allclose(dedr, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
+class TestReverseModeDeidrj:
+    """``compute_fused_deidrj``'s reverse sweep against the oracle's
+    forward-mode contraction, for adjoints on or off the symmetry manifold."""
+
+    @pytest.mark.parametrize("with_partner", [False, True])
+    @pytest.mark.parametrize("twojmax", [0, 1, 2, 3, 4, 5, 8, 9])
+    def test_equals_forward_mode(self, twojmax, with_partner):
+        """Random complex ``Y``.  Every ``2J >= 2`` folds the mirror rows of
+        the odd levels below the top; an odd ``2J`` also ends on an odd top
+        level, whose mirror row nothing reads."""
+        nhalf = len(SnapIndex(twojmax).half)
+        rij, pair_i = neighborhoods(11)
+        rng = np.random.default_rng(twojmax)
+        Y = rng.normal(size=(nhalf, 3)) + 1j * rng.normal(size=(nhalf, 3))
+        w = Y[:, pair_i]
+        partner = None
+        if with_partner:
+            partner = partners(pair_i)
+            Yt = np.zeros((nhalf, 4), dtype=complex)
+            Yt[:, :3] = compute_ytilde(Y, twojmax)
+            w = w + Yt[:, partner]
+        want = forward_deidrj(rij, w, RCUT, twojmax)
+        got = compute_fused_deidrj(rij, pair_i, Y, RCUT, twojmax, partner=partner)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
 class TestKeptPairs:
     """``pair snap`` recurses each owner-local pair once, from one end."""
 
@@ -322,7 +352,7 @@ class TestEdgeCases:
         _, rij, pair_i, U, beta = totals(4)  # 21 pairs
         Y = compute_yi(U, beta, 4)
         whole = compute_fused_deidrj(rij, pair_i, Y, RCUT, 4)
-        monkeypatch.setattr(indexing, "CHUNK_BYTES", 48 * 25 * pairs_per_chunk)
+        monkeypatch.setattr(indexing, "CHUNK_BYTES", LEVEL_BYTES_2J4 * pairs_per_chunk)
         assert np.array_equal(compute_fused_deidrj(rij, pair_i, Y, RCUT, 4), whole)
 
     @pytest.mark.parametrize("pairs_per_chunk", [1, 5, 20])
@@ -332,7 +362,7 @@ class TestEdgeCases:
         U = compute_ui(rij, pair_i, 3, RCUT, 4, partner=partner)
         Y = compute_yi(U, beta, 4)
         whole = compute_fused_deidrj(rij, pair_i, Y, RCUT, 4, partner=partner)
-        monkeypatch.setattr(indexing, "CHUNK_BYTES", 48 * 25 * pairs_per_chunk)
+        monkeypatch.setattr(indexing, "CHUNK_BYTES", LEVEL_BYTES_2J4 * pairs_per_chunk)
         assert np.array_equal(
             compute_fused_deidrj(rij, pair_i, Y, RCUT, 4, partner=partner), whole
         )

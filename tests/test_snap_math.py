@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from snap_oracle import coo_bispectrum
+from snap_oracle import coo_bispectrum, forward_levels
 from repro.snap.bispectrum import compute_bispectrum
 from repro.snap.cg import clebsch_gordan, triangle_ok
 from repro.snap.compute_ui import compute_ui
 from repro.snap.indexing import SnapIndex
-from repro.snap.wigner import switching, wigner_levels
+from repro.snap.wigner import cayley_klein, level_rows, switching, wigner_levels
 
 
 def random_neighborhood(seed: int, n: int = 10, rcut: float = 4.7):
@@ -125,9 +125,12 @@ class TestIndexing:
 
 
 class TestWignerRecursion:
+    """The forward-mode levels of :mod:`snap_oracle` (every row, with the
+    product-rule derivative), and the trimmed levels the kernels run."""
+
     def test_unitarity_every_layer(self):
         rij = random_neighborhood(0, n=4)
-        for J, u, _ in wigner_levels(rij, 4.7, twojmax=8):
+        for J, u, _ in forward_levels(rij, 4.7, twojmax=8):
             assert u.shape == (J + 1, J + 1, 4)  # [mb, ma, pair]
             for p in range(4):
                 blk = u[:, :, p]
@@ -139,20 +142,32 @@ class TestWignerRecursion:
     @settings(max_examples=15, deadline=None)
     def test_derivative_matches_fd(self, seed):
         rij = random_neighborhood(seed, n=3)
-        du = [d for _, _, d in wigner_levels(rij, 4.7, twojmax=6, derivatives=True)]
+        du = [d for _, _, d in forward_levels(rij, 4.7, twojmax=6)]
         eps = 1e-6
         for d in range(3):
             rp, rm = rij.copy(), rij.copy()
             rp[:, d] += eps
             rm[:, d] -= eps
             for (J, up, _), (_, um, _) in zip(
-                wigner_levels(rp, 4.7, twojmax=6), wigner_levels(rm, 4.7, twojmax=6)
+                forward_levels(rp, 4.7, twojmax=6), forward_levels(rm, 4.7, twojmax=6)
             ):
-                rows = (J + 1) // 2 + 1  # all the derivative recursion keeps
-                assert du[J].shape == (rows, J + 1, 3, 3)
+                assert du[J].shape == (J + 1, J + 1, 3, 3)
                 np.testing.assert_allclose(
-                    ((up - um) / (2 * eps))[:rows], du[J][:, :, d], atol=5e-7
+                    (up - um) / (2 * eps), du[J][:, :, d], atol=5e-7
                 )
+
+    @pytest.mark.parametrize("twojmax", [0, 1, 4, 8, 9])
+    def test_trimmed_levels_are_the_oracle_rows(self, twojmax):
+        """``wigner_levels`` yields only the rows a consumer reads — the
+        computed rows plus an odd level's mirror row — bit for bit the
+        oracle's."""
+        rij = random_neighborhood(3, n=5)
+        _, ca, cb, _, _ = cayley_klein(rij, 4.7, 0.0)
+        for (J, u), (_, full, _) in zip(
+            wigner_levels(ca, cb, twojmax), forward_levels(rij, 4.7, twojmax)
+        ):
+            assert u.shape == (level_rows(J), J + 1, 5)
+            assert np.array_equal(u, full[: level_rows(J)])
 
     def test_switching_function(self):
         sfac, dsfac = switching(np.array([0.0, 2.35, 4.7, 5.0]), 4.7, 0.0)
@@ -163,10 +178,12 @@ class TestWignerRecursion:
         assert dsfac[1] < 0
 
     def test_empty_input(self):
-        levels = list(wigner_levels(np.zeros((0, 3)), 4.7, twojmax=4, derivatives=True))
+        levels = list(forward_levels(np.zeros((0, 3)), 4.7, twojmax=4))
         assert [u.shape for _, u, _ in levels] == [(k, k, 0) for k in range(1, 6)]
-        assert [du.shape for _, _, du in levels] == [
-            (k // 2 + 1, k, 3, 0) for k in range(1, 6)
+        assert [du.shape for _, _, du in levels] == [(k, k, 3, 0) for k in range(1, 6)]
+        _, ca, cb, _, _ = cayley_klein(np.zeros((0, 3)), 4.7, 0.0)
+        assert [u.shape for _, u in wigner_levels(ca, cb, 4)] == [
+            (level_rows(J), J + 1, 0) for J in range(5)
         ]
 
 
