@@ -10,7 +10,6 @@ Mirrors the LAMMPS binary's common flags::
     python -m repro -in melt.in -var cells 6 -var temp 1.2
     python -m repro -in melt.in --tools space-time-stack,chrome-trace --tool-out out/
     python -m repro -in melt.in --autotune           # pick list/newton/scatter at run start
-    python -m repro --analyze-trace out/trace.json   # offline trace analytics
 
 ``-var`` values are injected as equal-style variables (usable as ``${name}``
 in the script), ``-k on [gpu <name>]`` selects the simulated device, ``-sf``
@@ -18,8 +17,6 @@ sets the global accelerator suffix, ``-np`` runs the script across simulated
 MPI ranks in lockstep, and ``--tools`` attaches KokkosP-style observability
 tools (:mod:`repro.tools`) for the duration of the run.
 
-The one offline mode (no input script): ``--analyze-trace`` runs the trace
-analyzer (:mod:`repro.tools.analyze`) over a recorded chrome trace.
 Wall-clock benchmarking is not a CLI job: ``python3 bench_e2e/run.py`` drives
 this entry point from outside.
 """
@@ -65,13 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                    + ", ".join(tool_names()))
     p.add_argument("--tool-out", default=".", metavar="DIR",
                    help="directory for tool output files (default: cwd)")
-    p.add_argument("--analyze-trace", default=None, metavar="TRACE.json",
-                   help="analyze a recorded chrome trace instead of running "
-                   "a script (critical path, imbalance, top kernels)")
-    p.add_argument("--analyze-out", default=None, metavar="FILE",
-                   help="also write the trace analysis as JSON to FILE")
-    p.add_argument("--top", type=int, default=10,
-                   help="top-N kernels in the trace analysis (default 10)")
     p.add_argument("--autotune", nargs="?", const="model", default=None,
                    choices=("model",), metavar="MEASURE",
                    help="before the first run, pick list x newton x scatter "
@@ -115,21 +105,8 @@ def resolve_device(kokkos_args: list[str] | None) -> str | None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.analyze_trace is not None:
-        import json
-
-        from repro.tools.analyze import analyze_file, format_report
-
-        analysis = analyze_file(args.analyze_trace, top=args.top)
-        if args.analyze_out:
-            with open(args.analyze_out, "w") as fh:
-                json.dump(analysis, fh, indent=2)
-                fh.write("\n")
-        if not args.quiet:
-            print(format_report(analysis))
-        return 0
     if args.script is None:
-        parser.error("an input script (-in FILE) or --analyze-trace is required")
+        parser.error("an input script (-in FILE) is required")
     device = resolve_device(args.kokkos)
 
     tools = []

@@ -188,7 +188,7 @@ class AtomVec:
 
     # ------------------------------------------------------------ reordering
     def reorder_local(self, perm: np.ndarray) -> None:
-        """Permute the owned atoms in place (``atom_modify sort``).
+        """Permute the owned atoms in place (the rebuild's spatial sort).
 
         ``perm`` maps new slots to old (``new[k] = old[perm[k]]``).  Must run
         while no ghosts exist — between ``exchange`` and ``borders`` — so
@@ -230,9 +230,3 @@ class AtomVec:
 
     def zero_forces(self) -> None:
         self.f[: self.nall] = 0.0
-
-    def kinetic_energy(self, mvv2e: float) -> float:
-        """Kinetic energy of owned atoms."""
-        m = self.masses_of()
-        vsq = np.einsum("ij,ij->i", self.v[: self.nlocal], self.v[: self.nlocal])
-        return 0.5 * mvv2e * float(np.dot(m, vsq))

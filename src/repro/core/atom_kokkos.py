@@ -15,10 +15,8 @@ DualViews are rebuilt on next access.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.atom import AtomVec
-from repro.kokkos.core import Device, ExecutionSpace, Host, device_context
+from repro.kokkos.core import ExecutionSpace
 from repro.kokkos.dual_view import DualView
 from repro.kokkos.view import View
 
@@ -32,31 +30,11 @@ class AtomKokkos:
         self._generation = -1
 
     def _rebuild(self) -> None:
-        self._duals.clear()
-        for name in AtomVec.FIELD_DTYPES:
-            base: np.ndarray = getattr(self.atom, name)
-            dv = DualView.__new__(DualView)
-            ctx = device_context()
-            dv.label = f"atom_{name}"
-            dv._host_only = ctx.host_only
-            # Host view aliases the AtomVec allocation (no copy).
-            hv = View.__new__(View)
-            hv.space = Host
-            from repro.kokkos.layout import LayoutRight
-
-            hv.layout = LayoutRight
-            hv.label = f"atom_{name}_h"
-            hv._data = base
-            dv.h_view = hv
-            if ctx.host_only:
-                dv.d_view = hv
-            else:
-                dv.d_view = View(
-                    base.shape, base.dtype, space=Device, label=f"atom_{name}_d"
-                )
-                dv.d_view.data[...] = base
-            dv._modified = {Host: 0, Device: 0}
-            self._duals[name] = dv
+        self._duals = {
+            # the host View aliases the AtomVec allocation (no copy)
+            name: DualView(getattr(self.atom, name), label=f"atom_{name}")
+            for name in AtomVec.FIELD_DTYPES
+        }
         self._generation = self.atom.generation
 
     def dual(self, name: str) -> DualView:

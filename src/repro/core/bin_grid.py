@@ -12,7 +12,7 @@ keyed by ``2 * bin + is_ghost`` and ordered with a stable LSD radix pass
 owned atoms first and its ghosts after.  That locals-first layout is what
 lets half-stencil builds scan the *ghost tail* of a cell without touching
 its owned atoms, and it makes the bin-major permutation double as the
-``atom_modify sort`` spatial ordering.
+rebuild's spatial sort ordering (LAMMPS's ``atom_modify sort``).
 
 Bins are anisotropic: each dimension gets ``floor(span / bin_size)`` bins
 of width ``>= bin_size``; :meth:`reach` picks the per-dimension ring count
@@ -57,7 +57,7 @@ def _cells_of(
 
 
 def spatial_sort_order(x: np.ndarray, bin_size: float) -> np.ndarray:
-    """Bin-major stable permutation of ``x`` (``atom_modify sort``).
+    """Bin-major stable permutation of ``x`` (the rebuild's spatial sort).
 
     Atoms in the same cell keep their relative order; cells run row-major,
     so downstream gathers over the neighbor list touch nearly contiguous

@@ -41,11 +41,10 @@ class ComputeTemp(Compute):
 
     def local_partials(self) -> np.ndarray:
         atom = self.lmp.atom
-        mask = self.lmp.group_mask(self.group)
-        m = atom.masses_of()[mask]
-        v = atom.v[: atom.nlocal][mask]
+        m = atom.masses_of()
+        v = atom.v[: atom.nlocal]
         msq = float(np.dot(m, np.einsum("ij,ij->i", v, v)))
-        return np.array([msq, float(mask.sum())])
+        return np.array([msq, float(atom.nlocal)])
 
     def finalize(self, parts: np.ndarray) -> float:
         units = self.lmp.update.units
@@ -56,13 +55,12 @@ class ComputeTemp(Compute):
 
 @register_compute("ke")
 class ComputeKE(Compute):
-    """Total kinetic energy of the group."""
+    """Total kinetic energy."""
 
     def local_partials(self) -> np.ndarray:
         atom = self.lmp.atom
-        mask = self.lmp.group_mask(self.group)
-        m = atom.masses_of()[mask]
-        v = atom.v[: atom.nlocal][mask]
+        m = atom.masses_of()
+        v = atom.v[: atom.nlocal]
         units = self.lmp.update.units
         return np.array(
             [0.5 * units.mvv2e * float(np.dot(m, np.einsum("ij,ij->i", v, v)))]

@@ -52,15 +52,6 @@ class Domain:
                 x[:, d] = self.boxlo[d] + np.mod(x[:, d] - self.boxlo[d], span)
         return x
 
-    def minimum_image(self, dx: np.ndarray) -> np.ndarray:
-        """Apply the minimum-image convention to displacement vectors."""
-        dx = np.array(dx, dtype=float, copy=True)
-        for d in range(3):
-            if self.periodic[d]:
-                span = self.lengths[d]
-                dx[..., d] -= span * np.round(dx[..., d] / span)
-        return dx
-
 
 @dataclass(frozen=True)
 class BlockRegion:

@@ -9,8 +9,6 @@ canonical order: ``initial_integrate`` (before communication and forces),
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.styles import register_fix
 
 
@@ -40,16 +38,6 @@ class Fix:
     def end_of_step(self) -> None:
         pass
 
-    # helpers ---------------------------------------------------------------
-    def group_mask(self) -> np.ndarray:
-        """Boolean mask of owned atoms in this fix's group."""
-        return self.lmp.group_mask(self.group)
-
-    def group_sel(self) -> np.ndarray | slice:
-        """Group as an index: ``slice(None)`` for ``all`` (no gather), else the mask."""
-        is_all = self.lmp.groups[self.group][0] == "all"
-        return slice(None) if is_all else self.group_mask()
-
 
 @register_fix("nve")
 class FixNVE(Fix):
@@ -62,16 +50,14 @@ class FixNVE(Fix):
 
     def _half_kick(self) -> None:
         atom = self.lmp.atom
-        sel = self.group_sel()
         dtf = 0.5 * self.lmp.update.dt * self.lmp.update.units.ftm2v
         m = atom.masses_of()
-        atom.v[: atom.nlocal][sel] += dtf * atom.f[: atom.nlocal][sel] / m[sel, None]
+        atom.v[: atom.nlocal] += dtf * atom.f[: atom.nlocal] / m[:, None]
 
     def initial_integrate(self) -> None:
         atom = self.lmp.atom
-        sel = self.group_sel()
         self._half_kick()
-        atom.x[: atom.nlocal][sel] += self.lmp.update.dt * atom.v[: atom.nlocal][sel]
+        atom.x[: atom.nlocal] += self.lmp.update.dt * atom.v[: atom.nlocal]
 
     def final_integrate(self) -> None:
         self._half_kick()

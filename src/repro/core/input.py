@@ -2,7 +2,7 @@
 
 Commands are dispatched through a name -> method map, the Python analogue of
 LAMMPS's command -> class-factory registry.  Immediate commands execute on
-the spot; persistent commands (``fix``, ``compute``, ``pair_style``) create
+the spot; persistent commands (``fix``, ``pair_style``) create
 style instances stored on the :class:`~repro.core.lammps.Lammps` object and
 invoked during subsequent runs — the two command kinds section 2.1
 distinguishes.
@@ -19,8 +19,7 @@ import operator
 import re
 
 from repro.core.domain import BlockRegion, Lattice
-from repro.core.errors import InputError
-from repro.core.styles import check_suffix
+from repro.core.errors import InputError, unknown_choice
 
 _BINOPS = {
     ast.Add: operator.add,
@@ -101,96 +100,39 @@ class Input:
         if len(args) < n:
             raise InputError(f"usage: {usage}")
 
+    @staticmethod
+    def _choice(what: str, token: str, allowed: tuple[str, ...]) -> str:
+        if token not in allowed:
+            raise InputError(unknown_choice(what, token, allowed))
+        return token
+
+    @staticmethod
+    def _count(what: str, token: str) -> int:
+        """A non-negative integer token."""
+        try:
+            value = int(token)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise InputError(f"{what} expects a non-negative integer, got {token!r}")
+        return value
+
     # ------------------------------------------------------ global settings
     def cmd_units(self, args: list[str]) -> None:
         self._need(args, 1, "units <lj|metal|real>")
         self.lmp.update.set_units(args[0])
         self.lmp.neighbor.skin = self.lmp.update.units.skin
 
-    def cmd_dimension(self, args: list[str]) -> None:
-        self._need(args, 1, "dimension 3")
-        if args[0] != "3":
-            raise InputError("only 3-D simulations are supported")
-
     def cmd_boundary(self, args: list[str]) -> None:
         self._need(args, 3, "boundary <p|f> <p|f> <p|f>")
-        periodic = tuple(a == "p" for a in args[:3])
-        self.lmp.domain.periodic = periodic
+        for flag in args[:3]:
+            self._choice("boundary", flag, ("p", "f"))
+        self.lmp.domain.periodic = tuple(a == "p" for a in args[:3])
 
     def cmd_atom_style(self, args: list[str]) -> None:
         self._need(args, 1, "atom_style <atomic|charge|full>")
         if args[0] not in ("atomic", "charge", "full"):
             raise InputError(f"unsupported atom_style {args[0]!r}")
-
-    def cmd_newton(self, args: list[str]) -> None:
-        self._need(args, 1, "newton <on|off>")
-        self.lmp.newton_pair = args[0] == "on"
-
-    def cmd_suffix(self, args: list[str]) -> None:
-        self._need(args, 1, "suffix <kk|kk/host|kk/device|gpu|off>")
-        self.lmp.suffix = None if args[0] == "off" else check_suffix(args[0])
-
-    def cmd_package(self, args: list[str]) -> None:
-        """``package kokkos`` tuning knobs (section 3.3 / appendix C.1).
-
-        Supported: ``neigh <half|full>``, ``newton <on|off>``,
-        ``comm <host|device>`` (where communication buffers are packed) and
-        ``pair/only <on|off>`` (appendix C's "reverse offload": with
-        pair/only, non-pair kernels stay on the host).
-        """
-        self._need(args, 1, "package <kokkos|autotune> [options]")
-        if args[0] == "autotune":
-            self._package_autotune(args[1:])
-            return
-        if args[0] != "kokkos":
-            raise InputError("only 'package kokkos' and 'package autotune' "
-                             "are supported")
-        it = iter(args[1:])
-        for key in it:
-            val = next(it, None)
-            if val is None:
-                raise InputError(f"package kokkos: {key} needs a value")
-            if key == "neigh":
-                if val not in ("half", "full"):
-                    raise InputError("package kokkos neigh expects half|full")
-                self.lmp.package_kokkos["neigh"] = val
-            elif key == "newton":
-                self.lmp.package_kokkos["newton"] = val == "on"
-            elif key == "comm":
-                if val not in ("host", "device"):
-                    raise InputError("package kokkos comm expects host|device")
-                self.lmp.package_kokkos["comm"] = val
-            elif key == "pair/only":
-                self.lmp.package_kokkos["pair_only"] = val == "on"
-            else:
-                raise InputError(f"package kokkos: unknown option {key!r}")
-
-    def _package_autotune(self, args: list[str]) -> None:
-        """``package autotune on|off [options]`` (the runtime autotuner).
-
-        Options after ``on``: ``plan <FILE>`` (``none`` disables
-        persistence), ``workload <NAME>``.  The search itself runs at the
-        next ``run`` command, before any timestep (:mod:`repro.tune`).
-        """
-        if not args or args[0] not in ("on", "off"):
-            raise InputError("usage: package autotune <on|off> [options]")
-        if args[0] == "off":
-            self.lmp.autotune_request = None
-            self.lmp.autotuner = None
-            return
-        request: dict = {"workload": "run", "quiet": self.lmp.thermo.quiet}
-        it = iter(args[1:])
-        for key in it:
-            val = next(it, None)
-            if val is None:
-                raise InputError(f"package autotune: {key} needs a value")
-            if key == "plan":
-                request["plan_path"] = None if val == "none" else val
-            elif key == "workload":
-                request["workload"] = val
-            else:
-                raise InputError(f"package autotune: unknown option {key!r}")
-        self.lmp.autotune_request = request
 
     def cmd_timestep(self, args: list[str]) -> None:
         self._need(args, 1, "timestep <dt>")
@@ -199,51 +141,12 @@ class Input:
             raise InputError("timestep must be positive")
         self.lmp.update.dt = dt
 
-    def cmd_reset_timestep(self, args: list[str]) -> None:
-        self._need(args, 1, "reset_timestep <n>")
-        self.lmp.update.ntimestep = int(args[0])
-
     def cmd_variable(self, args: list[str]) -> None:
         self._need(args, 3, "variable <name> equal <expr>")
         name, style = args[0], args[1]
         if style != "equal":
             raise InputError("only equal-style variables are supported")
         self.lmp.variables[name] = safe_eval(" ".join(args[2:]))
-
-    def cmd_print(self, args: list[str]) -> None:
-        if self.lmp.comm_rank == 0:
-            print(" ".join(args).strip('"'))
-
-    def cmd_log(self, args: list[str]) -> None:
-        pass  # logging redirection is a no-op here
-
-    def cmd_echo(self, args: list[str]) -> None:
-        pass
-
-    def cmd_tools(self, args: list[str]) -> None:
-        """``tools <name[,name...]> [out <dir>]`` attaches observability
-        tools (:mod:`repro.tools`); ``tools off`` finalizes and detaches,
-        printing their reports.  The tool chain is process-global, so in
-        multi-rank runs only the root rank acts on the command."""
-        self._need(args, 1, "tools <name[,name...]> [out <dir>] | tools off")
-        if self.lmp.comm_rank != 0:
-            return
-        from repro.tools import create_tools
-        from repro.tools import registry as kp
-
-        if args[0] == "off":
-            for report in kp.finalize_all():
-                print(report)
-            return
-        outdir = "."
-        if len(args) >= 3 and args[1] == "out":
-            outdir = args[2]
-        try:
-            tools = create_tools(args[0], outdir)
-        except ValueError as err:
-            raise InputError(str(err)) from None
-        for tool in tools:
-            kp.attach(tool)
 
     # ---------------------------------------------------------- geometry
     def cmd_lattice(self, args: list[str]) -> None:
@@ -302,43 +205,15 @@ class Input:
         self._need(args, 1, "pair_style <style> [args]")
         self.lmp.set_pair_style(args[0], args[1:])
 
-    def cmd_pair_modify(self, args: list[str]) -> None:
-        self._need(args, 2, "pair_modify shift <yes|no>")
-        if self.lmp.pair is None:
-            raise InputError("pair_modify before pair_style")
-        if args[0] != "shift":
-            raise InputError("only 'pair_modify shift yes|no' is supported")
-        self.lmp.pair.shift = args[1] == "yes"
-
     def cmd_pair_coeff(self, args: list[str]) -> None:
         if self.lmp.pair is None:
             raise InputError("pair_coeff before pair_style")
         self.lmp.pair.coeff(args)
 
-    # ----------------------------------------------------- fixes / computes
+    # ---------------------------------------------------------------- fixes
     def cmd_fix(self, args: list[str]) -> None:
         self._need(args, 3, "fix <id> <group> <style> [args]")
         self.lmp.add_fix(args[0], args[1], args[2], args[3:])
-
-    def cmd_unfix(self, args: list[str]) -> None:
-        self._need(args, 1, "unfix <id>")
-        self.lmp.modify.remove_fix(args[0])
-
-    def cmd_compute(self, args: list[str]) -> None:
-        self._need(args, 3, "compute <id> <group> <style> [args]")
-        self.lmp.add_compute(args[0], args[1], args[2], args[3:])
-
-    def cmd_group(self, args: list[str]) -> None:
-        self._need(args, 2, "group <name> type|region <args>")
-        name, style = args[0], args[1]
-        if style == "type":
-            self.lmp.define_group(name, "type", tuple(int(t) for t in args[2:]))
-        elif style == "region":
-            self._need(args, 3, "group <name> region <region-id>")
-            self._region(args[2])
-            self.lmp.define_group(name, "region", (args[2],))
-        else:
-            raise InputError("group styles supported: type, region")
 
     # ----------------------------------------------------- neighbor control
     def cmd_neighbor(self, args: list[str]) -> None:
@@ -346,33 +221,21 @@ class Input:
         skin = float(args[0])
         if skin < 0:
             raise InputError("negative neighbor skin")
+        if len(args) > 1:
+            self._choice("neighbor style", args[1], ("bin",))
         self.lmp.neighbor.skin = skin
 
-    def cmd_atom_modify(self, args: list[str]) -> None:
-        """``atom_modify sort <every> <binsize>``: spatial sort control.
-
-        ``every`` counts neighbor rebuilds between sorts (0 disables);
-        ``binsize 0.0`` uses the ghost cutoff, as in LAMMPS.
-        """
-        self._need(args, 3, "atom_modify sort <every> <binsize>")
-        if args[0] != "sort":
-            raise InputError("atom_modify supports only: sort <every> <binsize>")
-        every = int(args[1])
-        binsize = float(args[2])
-        if every < 0 or binsize < 0:
-            raise InputError("atom_modify sort: every/binsize must be >= 0")
-        self.lmp.sort_every = every
-        self.lmp.sort_binsize = binsize
-
     def cmd_neigh_modify(self, args: list[str]) -> None:
+        neighbor = self.lmp.neighbor
         it = iter(args)
         for key in it:
-            if key == "every":
-                self.lmp.neighbor.every = int(next(it, "1"))
-            elif key == "delay":
-                self.lmp.neighbor.delay = int(next(it, "0"))
+            value = next(it, None)
+            if value is None:
+                raise InputError(f"neigh_modify: {key!r} needs a value")
+            if key in ("every", "delay"):
+                setattr(neighbor, key, self._count(f"neigh_modify {key}", value))
             elif key == "check":
-                self.lmp.neighbor.check = next(it, "yes") == "yes"
+                neighbor.check = self._choice("neigh_modify check", value, ("yes", "no")) == "yes"
             else:
                 raise InputError(f"neigh_modify: unknown keyword {key!r}")
 
@@ -386,13 +249,7 @@ class Input:
     # --------------------------------------------------------------- output
     def cmd_thermo(self, args: list[str]) -> None:
         self._need(args, 1, "thermo <N>")
-        self.lmp.thermo.every = int(args[0])
-
-    def cmd_thermo_style(self, args: list[str]) -> None:
-        self._need(args, 1, "thermo_style custom <cols...>")
-        if args[0] != "custom":
-            raise InputError("only 'thermo_style custom' is supported")
-        self.lmp.thermo.columns = tuple(args[1:])
+        self.lmp.thermo.every = self._count("thermo", args[0])
 
     # ------------------------------------------------------------------ run
     def cmd_run(self, args: list[str]) -> None:

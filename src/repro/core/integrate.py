@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.computes import ComputePE, ComputePressure
 from repro.core.errors import LammpsError
 
 
@@ -53,20 +52,10 @@ class Verlet:
     def ev_set(self, step: int, last_step: int) -> bool:
         """Whether ``step`` of a run ending at ``last_step`` tallies energy/virial.
 
-        True iff a consumer exists: thermo prints a row on it, it is the
-        run's last step (callers read ``pair.eng_vdwl`` after ``run``), or
-        the user defined a ``compute pe``/``pressure`` — those may be read
-        at any time, so conservatively every step.
+        True iff a consumer exists: thermo prints a row on it, or it is the
+        run's last step (callers read ``pair.eng_vdwl`` after ``run``).
         """
-        lmp = self.lmp
-        return (
-            step == last_step
-            or lmp.thermo.should_output(step)
-            or any(
-                isinstance(c, (ComputePE, ComputePressure))
-                for c in lmp.modify.computes.values()
-            )
-        )
+        return step == last_step or self.lmp.thermo.should_output(step)
 
     def force_cycle(self, ev: bool = True) -> Iterator[None]:
         lmp = self.lmp

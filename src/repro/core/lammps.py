@@ -72,11 +72,6 @@ class Lammps:
         #: Per-rebuild shared bin grid (largest cutoff); every list built
         #: for the same configuration reuses it instead of re-binning.
         self.bin_grid: BinGrid | None = None
-        #: ``atom_modify sort <every> <binsize>``: reorder owned atoms into
-        #: bin-major order every Nth rebuild (0 disables).  Default on, as
-        #: in LAMMPS, for cache locality in every downstream gather.
-        self.sort_every = 1
-        self.sort_binsize = 0.0  # 0 -> use the ghost cutoff
         self.pair = None
         self.modify = Modify()
         self.thermo = Thermo(self, quiet=quiet)
@@ -86,16 +81,13 @@ class Lammps:
         self.verlet = Verlet(self)
         self.lattice: Lattice | None = None
         self.regions: dict[str, BlockRegion] = {}
-        self.groups: dict[str, tuple[str, tuple]] = {"all": ("all", ())}
         self.variables: dict[str, float | str] = {}
         self.newton_pair = True
-        #: `package kokkos` tuning knobs (applied at pair init)
+        #: Kokkos list/newton overrides the autotuner's probes set
+        #: (applied at pair init)
         self.package_kokkos: dict = {}
-        #: Runtime autotuner (``package autotune on`` / ``--autotune``):
-        #: either an Autotuner instance, or an option dict built lazily into
-        #: one on the first run.  Fires once, before any timestep.
+        #: Runtime autotuner (``--autotune``); fires once, before any timestep.
         self.autotuner = None
-        self.autotune_request: dict | None = None
         #: Compact winning-config label (the thermo ``tune`` column).
         self.tune_label: str | None = None
         self.last_run_stats: dict = {}
@@ -127,10 +119,6 @@ class Lammps:
 
             self._input = Input(self)
         self._input.string(text)
-
-    def file(self, path: str) -> None:
-        with open(path) as fh:
-            self.commands_string(fh.read())
 
     # --------------------------------------------------------------- box
     def create_box(self, ntypes: int, region: BlockRegion) -> None:
@@ -240,39 +228,16 @@ class Lammps:
         self._apply_velocity_table(temp, seed, mass_by_tag)
         del self._pending_velocity
 
-    # -------------------------------------------------------------- groups
-    def define_group(self, name: str, style: str, args: tuple) -> None:
-        if style not in ("type", "region", "all"):
-            raise InputError(f"unsupported group style {style!r}")
-        self.groups[name] = (style, args)
-
-    def group_mask(self, name: str) -> np.ndarray:
-        atom = self.require_box()
-        if name not in self.groups:
-            raise InputError(f"unknown group {name!r}")
-        style, args = self.groups[name]
-        n = atom.nlocal
-        if style == "all":
-            return np.ones(n, dtype=bool)
-        if style == "type":
-            return np.isin(atom.type[:n], np.asarray(args, dtype=np.int32))
-        region = self.regions[args[0]]
-        return region.inside(atom.x[:n])
-
     # ------------------------------------------------------------- styles
     def set_pair_style(self, name: str, args: list[str]) -> None:
         cls, extra = resolve_style("pair", name, self.suffix)
         self.pair = cls(self, args, **extra)
 
     def add_fix(self, fix_id: str, group: str, style: str, args: list[str]) -> None:
-        if group not in self.groups:
+        if group != "all":
             raise InputError(f"fix {fix_id}: unknown group {group!r}")
         cls, extra = resolve_style("fix", style, self.suffix)
         self.modify.add_fix(cls(self, fix_id, group, args, **extra))
-
-    def add_compute(self, cid: str, group: str, style: str, args: list[str]) -> None:
-        cls, extra = resolve_style("compute", style, self.suffix)
-        self.modify.add_compute(cls(self, cid, group, args, **extra))
 
     def internal_compute(self, cid: str) -> Compute:
         """Built-in computes backing thermo columns."""
@@ -305,21 +270,18 @@ class Lammps:
 
     # ---------------------------------------------------------- neighboring
     def _maybe_sort_atoms(self, binsize: float) -> bool:
-        """Spatially sort owned atoms (``atom_modify sort``), if due.
+        """Spatially sort owned atoms into bin-major order at every rebuild
+        (bins of ``binsize``, the ghost cutoff), for cache locality in every
+        downstream gather.
 
         Runs between ``exchange`` (no ghosts exist) and ``borders`` (ghost
         indices and comm sendlists are recorded against the new order), so
         no remapping of ghosts or swaps is ever needed.
         """
         atom = self.require_box()
-        if (
-            self.sort_every <= 0
-            or atom.nlocal == 0
-            or self.neighbor.builds % self.sort_every
-        ):
+        if atom.nlocal == 0:
             return False
-        size = self.sort_binsize if self.sort_binsize > 0.0 else binsize
-        perm = spatial_sort_order(atom.x[: atom.nlocal], size)
+        perm = spatial_sort_order(atom.x[: atom.nlocal], binsize)
         if np.array_equal(perm, np.arange(atom.nlocal)):
             return False
         # the permutation rewrites the host copy of every field: bring home
@@ -466,18 +428,9 @@ class Lammps:
 def _maybe_autotune(target) -> None:
     """Run the attached autotuner once, before the first timestep.
 
-    ``target`` is a Lammps instance or an Ensemble.  A pending option dict
-    (``package autotune on``) is built into an Autotuner lazily here so the
-    command itself needs no tune-package import.
+    ``target`` is a Lammps instance or an Ensemble.
     """
-    tuner = getattr(target, "autotuner", None)
-    ranks = target.ranks if hasattr(target, "ranks") else [target]
-    if tuner is None and ranks[0].autotune_request is not None:
-        from repro.tune import Autotuner
-
-        tuner = target.autotuner = Autotuner(**ranks[0].autotune_request)
-        for lmp in ranks:
-            lmp.autotune_request = None
+    tuner = target.autotuner
     if tuner is None or tuner.tuned:
         return
     tuner.tune(target)
@@ -504,8 +457,7 @@ class Ensemble:
         # only the root rank speaks, as in MPI runs
         for lmp in self.ranks[1:]:
             lmp.thermo.quiet = True
-        #: Runtime autotuner for the whole ensemble (see Lammps.autotuner);
-        #: a per-rank ``package autotune`` request is adopted at first run.
+        #: Runtime autotuner for the whole ensemble (see Lammps.autotuner)
         self.autotuner = None
 
     def command(self, line: str) -> None:
@@ -563,7 +515,7 @@ class ReplicaSet:
 
         velocity all create 1.44 8728${replica}
 
-    Only single-rank batchable workloads qualify (host ``lj/cut``/``eam/fs``,
+    Only single-rank batchable workloads qualify (host ``lj/cut``,
     ``fix all nve``); ``run`` raises otherwise.  Use
     :class:`Ensemble` to scale one simulation across ranks; use a ReplicaSet
     to scale *many small simulations* onto one set of kernels.

@@ -1,47 +1,22 @@
-"""Fix/compute lifetime and scheduling (LAMMPS's ``Modify``)."""
+"""Fix lifetime and scheduling (LAMMPS's ``Modify``)."""
 
 from __future__ import annotations
 
-from repro.core.computes import Compute
 from repro.core.errors import InputError
 from repro.core.fixes import Fix
 
 
 class Modify:
-    """Ordered fix list and compute map, with hook fan-out."""
+    """Ordered fix list, with hook fan-out."""
 
     def __init__(self) -> None:
         self.fixes: list[Fix] = []
-        self.computes: dict[str, Compute] = {}
 
     # ---------------------------------------------------------------- fixes
     def add_fix(self, fix: Fix) -> None:
         if any(f.id == fix.id for f in self.fixes):
-            raise InputError(f"duplicate fix id {fix.id!r} (use unfix first)")
+            raise InputError(f"duplicate fix id {fix.id!r}")
         self.fixes.append(fix)
-
-    def remove_fix(self, fix_id: str) -> None:
-        before = len(self.fixes)
-        self.fixes = [f for f in self.fixes if f.id != fix_id]
-        if len(self.fixes) == before:
-            raise InputError(f"unfix of unknown fix id {fix_id!r}")
-
-    def get_fix(self, fix_id: str) -> Fix:
-        for f in self.fixes:
-            if f.id == fix_id:
-                return f
-        raise InputError(f"unknown fix id {fix_id!r}")
-
-    # ------------------------------------------------------------- computes
-    def add_compute(self, compute: Compute) -> None:
-        if compute.id in self.computes:
-            raise InputError(f"duplicate compute id {compute.id!r}")
-        self.computes[compute.id] = compute
-
-    def get_compute(self, compute_id: str) -> Compute:
-        if compute_id not in self.computes:
-            raise InputError(f"unknown compute id {compute_id!r}")
-        return self.computes[compute_id]
 
     # ----------------------------------------------------------------- hooks
     def init(self) -> None:

@@ -18,9 +18,7 @@ Two list styles:
 
 Storage is CSR: 64-bit row offsets with 32-bit neighbor indices — the exact
 integer-width split the paper's appendix B arrives at for exascale-size
-allocations.  A padded 2-D View (atoms x maxneigh) is also available, whose
-layout flips between CPU (rows contiguous) and GPU (interleaved) as in
-section 4.1's data-layout discussion.
+allocations.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ import numpy as np
 
 from repro.core.bin_grid import BinGrid
 from repro.core.errors import NeighborError, OverflowGuardError
-from repro.kokkos.core import ExecutionSpace, Host
-from repro.kokkos.view import View
 
 #: Candidate budget per filter pass; sizes the row chunk (``_build_shared``).
 _CHUNK_CANDIDATES = 131_072
@@ -79,7 +75,7 @@ class NeighborList:
     def maxneigh(self) -> int:
         """Widest row of the list, computed once per build.
 
-        Sizes the padded 2-D views and feeds the thermo overflow-guard
+        Feeds the run summary's overflow-guard
         reporting ("ave neighs/atom, max neighs") — a fixed-capacity
         engine would overflow when this exceeds its per-row allocation.
         """
@@ -116,32 +112,6 @@ class NeighborList:
             cached = self._pair_cache = PairCache(self)
         return cached
 
-    def as_padded_view(self, space: ExecutionSpace = Host) -> View:
-        """Padded 2-D (nlocal, maxneigh) View in a space's natural layout.
-
-        On Host the row for one atom is contiguous (cache-friendly serial
-        traversal); on Device the first index is fastest so consecutive
-        threads read consecutive addresses (coalescing) — the "transparent
-        data layout adjustment" of section 4.1.  Cached per build and space.
-        """
-        cache: dict = getattr(self, "_padded_views", None) or {}
-        if not hasattr(self, "_padded_views"):
-            self._padded_views = cache
-        view = cache.get(space)
-        if view is not None:
-            return view
-        maxn = self.maxneigh
-        view = View((self.nlocal, maxn), dtype=np.int32, space=space, label="neigh2d")
-        view.data[...] = -1
-        i, j = self.ij_pairs()
-        if self.total_pairs:
-            # column of each entry within its row: global offset minus the
-            # row start, vectorized (no per-row Python arange)
-            col = np.arange(self.total_pairs, dtype=np.int64) - self.first[i]
-            view.data[i, col] = j.astype(np.int32)
-        cache[space] = view
-        return view
-
 
 class PairCache:
     """Neighbor-constant pair arrays, memoized for the life of one build.
@@ -161,7 +131,6 @@ class PairCache:
         self.nlist = weakref.proxy(nlist)
         self._types: tuple[np.ndarray, np.ndarray] | None = None
         self._cutsq: dict[int, np.ndarray] = {}
-        self._j_order: np.ndarray | None = None
         self._memo: dict = {}
 
     def ij(self) -> tuple[np.ndarray, np.ndarray]:
@@ -210,21 +179,6 @@ class PairCache:
         if self._types is None:
             raise NeighborError("PairCache.type_pairs(types) must run first")
         return self._types
-
-    def j_order(self) -> np.ndarray:
-        """Stable permutation sorting stored pairs by destination ``j``.
-
-        The reverse (j-side) reduction segments contributions by the
-        neighbor index; the stable sort keeps each destination's
-        contributions in pair order, so segmented sums reproduce the atomic
-        path's accumulation order.  Worth amortizing when per-pair rows are
-        wide (one gather + one ``reduceat`` replaces a bincount per column);
-        3-wide force rows go through the bincount path instead.
-        """
-        if self._j_order is None:
-            _, j = self.ij()
-            self._j_order = np.argsort(j, kind="stable")
-        return self._j_order
 
 
 def build_neighbor_list(

@@ -88,7 +88,3 @@ class Thermo:
             for v in (values.get(c, float("nan")) for c in self.columns)
         )
         print(f"{step:>4d} {cells}")
-
-    def reset(self) -> None:
-        self.history.clear()
-        self._header_done = False

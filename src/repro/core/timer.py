@@ -80,10 +80,6 @@ class PhaseTimer:
             if kp.TOOLS:
                 kp.pop_region()
 
-    # ------------------------------------------------------------ totals
-    def total(self) -> float:
-        return sum(self.timers.values())
-
     def reset(self) -> None:
         self.timers = {c: 0.0 for c in CATEGORIES}
         self._stack.clear()

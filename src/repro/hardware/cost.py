@@ -295,7 +295,7 @@ def neighbor_build_profiles(
       is deliberately kept from the pre-overhaul model (it conservatively
       folds the bin counters in), so figure projections are comparable
       across the neighbor-subsystem change.
-    * ``AtomSort`` — the ``atom_modify sort`` permutation: every per-atom
+    * ``AtomSort`` — the rebuild's spatial-sort permutation: every per-atom
       field read and rewritten once, pure bandwidth.
 
     Returns the profiles in launch order; callers dispatch each through the

@@ -5,7 +5,7 @@ relies on (section 3): multi-dimensional Views with space-dependent layouts,
 DualViews with modify/sync tracking, ScatterViews with selectable
 write-deconfliction strategies, execution spaces, and the
 ``parallel_for`` / ``parallel_reduce`` / ``parallel_scan`` dispatch patterns
-with Range/MDRange/Team policies.
+with Range/Team policies.
 
 Execution is functional — kernels run as vectorized NumPy — while the
 *performance* of each dispatch is charged to a simulated device through the
@@ -33,24 +33,14 @@ from repro.kokkos.core import (
     ExecutionSpace,
     Host,
     device_context,
-    fence,
     finalize,
     initialize,
-    is_initialized,
-    on_device,
 )
 from repro.kokkos.layout import LayoutLeft, LayoutRight, default_layout
-from repro.kokkos.view import View, create_mirror_view, deep_copy
+from repro.kokkos.view import View
 from repro.kokkos.dual_view import DualView
 from repro.kokkos.scatter_view import ScatterView
-from repro.kokkos.policies import (
-    MDRangePolicy,
-    RangePolicy,
-    TeamHandle,
-    TeamPolicy,
-    TeamThreadRange,
-    ThreadVectorRange,
-)
+from repro.kokkos.policies import RangePolicy, TeamPolicy
 from repro.kokkos.parallel import parallel_for, parallel_reduce, parallel_scan
 
 __all__ = [
@@ -61,24 +51,15 @@ __all__ = [
     "DeviceContext",
     "initialize",
     "finalize",
-    "is_initialized",
     "device_context",
-    "on_device",
-    "fence",
     "LayoutRight",
     "LayoutLeft",
     "default_layout",
     "View",
-    "deep_copy",
-    "create_mirror_view",
     "DualView",
     "ScatterView",
     "RangePolicy",
-    "MDRangePolicy",
     "TeamPolicy",
-    "TeamHandle",
-    "TeamThreadRange",
-    "ThreadVectorRange",
     "parallel_for",
     "parallel_reduce",
     "parallel_scan",

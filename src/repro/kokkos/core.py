@@ -11,7 +11,6 @@ inactive" in host-only configurations (section 3.2).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 from repro.hardware.cost import DeviceTimeline, KernelCostModel
@@ -24,9 +23,6 @@ class ExecutionSpace:
     """A place code can run.  Compared by identity of the singleton objects."""
 
     name: str
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ExecutionSpace({self.name})"
 
 
 #: The host (CPU) execution space.
@@ -96,10 +92,6 @@ def finalize() -> None:
     _context = None
 
 
-def is_initialized() -> bool:
-    return _context is not None
-
-
 def device_context() -> DeviceContext:
     """The active context; auto-initializes with the default device so small
     scripts and doctests need no boilerplate."""
@@ -107,31 +99,3 @@ def device_context() -> DeviceContext:
     if _context is None:
         _context = initialize()
     return _context
-
-
-@contextlib.contextmanager
-def on_device(device: str | GPUSpec | None, carveout: float | None = None):
-    """Temporarily retarget the Device space (used by architecture sweeps).
-
-    Yields the temporary context; the previous context (including its
-    timeline) is restored on exit.
-    """
-    global _context
-    saved = _context
-    try:
-        ctx = initialize(device)
-        ctx.carveout = carveout
-        yield ctx
-    finally:
-        _context = saved
-
-
-def fence(label: str = "") -> None:
-    """Synchronization point.  The simulated dispatch is synchronous, so a
-    fence costs nothing — but it still fires the KokkosP ``begin/end_fence``
-    callbacks so attached tools (trace, logger) see where the engine
-    synchronizes, exactly as the real Kokkos Tools interface does."""
-    from repro.tools import registry as kp
-
-    if kp.TOOLS:
-        kp.fence(label)

@@ -17,8 +17,6 @@ in host-only builds — the whole mechanism collapsing to a no-op because both
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.kokkos.core import Device, ExecutionSpace, Host, device_context
@@ -29,12 +27,12 @@ from repro.tools import registry as kp
 class DualViewModifyError(RuntimeError):
     """The modify-both-spaces hazard: both sides written with no sync between.
 
-    ``modify_host()`` followed by ``modify_device()`` (or vice versa)
-    without an intervening ``sync`` means each side holds updates the other
-    lacks; whichever direction syncs next would silently clobber one side.
-    Real Kokkos debug builds abort here ("Concurrent modification of host
-    and device views"); we raise with the view named so the offending style
-    is identifiable.
+    ``modify(Host)`` followed by ``modify(Device)`` (or vice versa) without
+    an intervening ``sync`` means each side holds updates the other lacks;
+    whichever direction syncs next would silently clobber one side.  Real
+    Kokkos debug builds abort here ("Concurrent modification of host and
+    device views"); we raise with the view named so the offending style is
+    identifiable.
     """
 
 
@@ -43,36 +41,29 @@ class DualView:
 
     __slots__ = ("h_view", "d_view", "label", "_modified", "_host_only")
 
-    def __init__(
-        self,
-        shape: int | tuple[int, ...],
-        dtype: Any = np.float64,
-        *,
-        label: str = "",
-    ) -> None:
+    def __init__(self, data: np.ndarray, *, label: str = "") -> None:
+        """Wrap the host array ``data`` without copying it: the host view
+        aliases it (figure 1's raw-pointer aliasing), so code holding
+        ``data`` sees every host-side update.  ``data`` must be
+        C-contiguous (the host layout), or the host view would be a copy."""
         ctx = device_context()
         self.label = label
         self._host_only = ctx.host_only
-        self.h_view = View(shape, dtype, space=Host, label=label + "_h")
+        self.h_view = View(data.shape, data.dtype, space=Host, label=label + "_h", data=data)
+        if self.h_view.data is not data:
+            raise ValueError(f"DualView {label!r}: the host array is not C-contiguous")
         if self._host_only:
             # Pure host build: device view aliases the host allocation, so
             # syncs can never copy anything (section 3.2, last paragraph).
             self.d_view = self.h_view
         else:
-            self.d_view = View(shape, dtype, space=Device, label=label + "_d")
+            self.d_view = View(data.shape, data.dtype, space=Device, label=label + "_d")
+            self.d_view.data[...] = data
         self._modified = {Host: 0, Device: 0}
 
     # ------------------------------------------------------------- access
     def view(self, space: ExecutionSpace) -> View:
         return self.d_view if space is Device else self.h_view
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.h_view.shape
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.h_view.dtype
 
     # ----------------------------------------------------- modify protocol
     def modify(self, space: ExecutionSpace) -> None:
@@ -86,32 +77,19 @@ class DualView:
         other = Device if space is Host else Host
         if self._modified[other] > self._modified[space]:
             raise DualViewModifyError(
-                f"DualView {self.label or 'unnamed'!r}: modify_"
-                f"{space.name.lower()}() while {other.name} holds newer "
-                f"unsynced data (modify_{other.name.lower()}() was never "
-                f"followed by a sync) — both sides would hold updates the "
-                f"other lacks, and the next sync would silently clobber one "
-                f"of them; sync first (sync_{space.name.lower()}()) before "
-                f"writing the {space.name} side"
+                f"DualView {self.label or 'unnamed'!r}: modify({space.name}) "
+                f"while {other.name} holds newer unsynced data "
+                f"(modify({other.name}) was never followed by a sync) — both "
+                f"sides would hold updates the other lacks, and the next sync "
+                f"would silently clobber one of them; sync first "
+                f"(sync({space.name})) before writing the {space.name} side"
             )
         self._modified[space] = self._modified[other] + 1
-
-    def modify_host(self) -> None:
-        self.modify(Host)
-
-    def modify_device(self) -> None:
-        self.modify(Device)
 
     def need_sync(self, space: ExecutionSpace) -> bool:
         """Whether ``space``'s copy is stale."""
         other = Device if space is Host else Host
         return self._modified[other] > self._modified[space]
-
-    def need_sync_host(self) -> bool:
-        return self.need_sync(Host)
-
-    def need_sync_device(self) -> bool:
-        return self.need_sync(Device)
 
     def sync(self, space: ExecutionSpace) -> bool:
         """Make ``space``'s copy current.  Returns True if a transfer ran.
@@ -142,29 +120,3 @@ class DualView:
                 )
         self._modified[space] = self._modified[other]
         return True
-
-    def sync_host(self) -> bool:
-        return self.sync(Host)
-
-    def sync_device(self) -> bool:
-        return self.sync(Device)
-
-    def clear_sync_state(self) -> None:
-        """Mark both sides current (used after collective re-initialization)."""
-        top = max(self._modified.values())
-        self._modified[Host] = self._modified[Device] = top
-
-    # ----------------------------------------------------------- mutation
-    def resize(self, new_shape: int | tuple[int, ...]) -> None:
-        """Resize both sides, preserving contents (requires both in sync)."""
-        if self.need_sync(Host) or self.need_sync(Device):
-            raise RuntimeError(
-                f"DualView {self.label!r}: resize with unsynced data would "
-                "silently drop updates"
-            )
-        self.h_view.resize(new_shape)
-        if not self._host_only:
-            self.d_view.resize(new_shape)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DualView({self.label!r}, shape={self.shape}, dtype={self.dtype})"

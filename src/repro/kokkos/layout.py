@@ -26,9 +26,6 @@ class Layout:
     name: str
     numpy_order: str
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
 
 #: Row-major (C order): last index fastest.  Default for Host views.
 LayoutRight = Layout("LayoutRight", "C")

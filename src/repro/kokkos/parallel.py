@@ -5,9 +5,8 @@ work item would bury the numerics in interpreter overhead — see the
 hpc-parallel guides on vectorizing loops):
 
 * ``RangePolicy`` functors receive the whole index array once;
-* ``MDRangePolicy`` functors receive one tuple of slices per tile (one call
-  with the full extent when untiled);
-* ``TeamPolicy`` functors receive a :class:`~repro.kokkos.policies.TeamHandle`.
+* ``TeamPolicy`` functors receive the policy (its league/team/vector
+  geometry) once.
 
 Every dispatch charges simulated device time for its
 :class:`~repro.hardware.cost.KernelProfile` to the active timeline; kernels
@@ -25,10 +24,10 @@ import numpy as np
 from repro.graph import capture as graph_capture
 from repro.hardware.cost import KernelProfile
 from repro.kokkos.core import Device, device_context
-from repro.kokkos.policies import MDRangePolicy, RangePolicy, TeamPolicy
+from repro.kokkos.policies import RangePolicy, TeamPolicy
 from repro.tools import registry as kp
 
-Policy = RangePolicy | MDRangePolicy | TeamPolicy
+Policy = RangePolicy | TeamPolicy
 #: A dispatch's cost profile, or a zero-argument callable resolved *after*
 #: the functor ran (the functor is the computation; its measured workload
 #: is what gets priced).
@@ -85,11 +84,8 @@ def _charge(
 def _run(policy: Policy, functor: Callable) -> Any:
     if isinstance(policy, RangePolicy):
         return functor(policy.indices())
-    if isinstance(policy, MDRangePolicy):
-        results = [functor(tile) for tile in policy.tiles()]
-        return results
     if isinstance(policy, TeamPolicy):
-        return functor(policy.handle())
+        return functor(policy)
     raise TypeError(f"unsupported policy type {type(policy).__name__}")
 
 
@@ -121,17 +117,12 @@ def parallel_reduce(
     """Execute and combine contributions.
 
     The functor returns per-item contributions (any array; the reducer
-    collapses it) or an already-combined scalar.  For MDRange policies the
-    per-tile results are reduced together; Team functors reduce internally
-    and return the value.
+    collapses it) or an already-combined scalar (Team functors reduce
+    internally and return the value).
     """
     kid = kp.begin_kernel("parallel_reduce", name, policy.space.name) if kp.TOOLS else None
     raw = _run(policy, functor)
-    if isinstance(policy, MDRangePolicy):
-        parts = [reducer(np.asarray(r)) for r in raw if r is not None]
-        result = reducer(np.asarray(parts)) if parts else reducer(np.zeros(1))
-    else:
-        result = reducer(np.asarray(raw)) if not np.isscalar(raw) else raw
+    result = reducer(np.asarray(raw)) if not np.isscalar(raw) else raw
     seconds, resolved = _charge(name, policy, profile)
     if graph_capture.CAPTURING:
         _graph_note("reduce", name, policy, resolved, seconds)

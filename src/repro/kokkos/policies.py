@@ -1,4 +1,4 @@
-"""Execution policies: Range, MDRange, Team (paper section 3.3).
+"""Execution policies: Range and Team (paper section 3.3).
 
 Policies carry *where* (execution space) and *how much* (iteration space,
 team geometry, scratch demand) a kernel runs.  The dispatch layer uses them
@@ -8,8 +8,7 @@ exposed parallelism and shared-memory pressure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,57 +54,6 @@ class RangePolicy:
 
 
 @dataclass(frozen=True)
-class MDRangePolicy:
-    """A multi-dimensional iteration range with optional tiling.
-
-    Tiling ("can be beneficial to achieve better cache locality in
-    multi-dimensional loop patterns", section 3.3) is metadata for the cost
-    model and for kernels that implement blocked traversals — e.g. the
-    3-D tiled traversal of ComputeYi (section 4.3.2).
-    """
-
-    space: ExecutionSpace
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-    tile: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.lower) != len(self.upper):
-            raise ValueError("MDRangePolicy lower/upper rank mismatch")
-        if any(u < l for l, u in zip(self.lower, self.upper)):
-            raise ValueError("MDRangePolicy upper < lower")
-        if self.tile is not None and len(self.tile) != len(self.lower):
-            raise ValueError("MDRangePolicy tile rank mismatch")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(u - l for l, u in zip(self.lower, self.upper))
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 0
-
-    @property
-    def parallelism(self) -> int:
-        return self.size
-
-    def tiles(self) -> Iterator[tuple[slice, ...]]:
-        """Iterate tile slab slices in the canonical order."""
-        tile = self.tile or self.shape
-        grids = [range(l, u, max(t, 1)) for l, u, t in zip(self.lower, self.upper, tile)]
-
-        def rec(dim: int, prefix: tuple[slice, ...]) -> Iterator[tuple[slice, ...]]:
-            if dim == len(grids):
-                yield prefix
-                return
-            for start in grids[dim]:
-                stop = min(start + tile[dim], self.upper[dim])
-                yield from rec(dim + 1, prefix + (slice(start, stop),))
-
-        yield from rec(0, ())
-
-
-@dataclass(frozen=True)
 class TeamPolicy:
     """Hierarchical parallelism: a league of teams of threads of lanes.
 
@@ -129,60 +77,3 @@ class TeamPolicy:
     @property
     def parallelism(self) -> int:
         return self.league_size * self.team_size * self.vector_length
-
-    def handle(self) -> "TeamHandle":
-        return TeamHandle(self)
-
-
-@dataclass
-class TeamHandle:
-    """What a team-parallel functor receives.
-
-    Vectorized kernels use the geometry to shape their batch loops; the
-    scratch pad is a real allocation so staging logic is executable.
-    """
-
-    policy: TeamPolicy
-    _scratch: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def league_size(self) -> int:
-        return self.policy.league_size
-
-    @property
-    def team_size(self) -> int:
-        return self.policy.team_size
-
-    @property
-    def vector_length(self) -> int:
-        return self.policy.vector_length
-
-    def team_scratch(self, label: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """Allocate (or fetch) a named scratch pad.
-
-        The allocation models *one* team's pad; vectorized kernels reuse it
-        across the league exactly like resident teams reuse an SM's shared
-        memory.  Requests beyond the policy's declared ``scratch_kb`` raise,
-        mirroring a CUDA launch failure.
-        """
-        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-        if nbytes > self.policy.scratch_kb * 1024.0 + 1e-9:
-            raise MemoryError(
-                f"scratch request {label!r} ({nbytes} B) exceeds the policy's "
-                f"declared {self.policy.scratch_kb} kB"
-            )
-        pad = self._scratch.get(label)
-        if pad is None or pad.shape != tuple(shape) or pad.dtype != np.dtype(dtype):
-            pad = np.zeros(shape, dtype=dtype)
-            self._scratch[label] = pad
-        return pad
-
-
-def TeamThreadRange(team: TeamHandle, extent: int) -> np.ndarray:
-    """Indices a team's threads cover collaboratively (vectorized form)."""
-    return np.arange(int(extent))
-
-
-def ThreadVectorRange(team: TeamHandle, extent: int) -> np.ndarray:
-    """Indices a thread's vector lanes cover (vectorized form)."""
-    return np.arange(int(extent))

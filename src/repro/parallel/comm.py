@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -55,12 +55,6 @@ class CommLedger:
 
     def total(self) -> float:
         return sum(self.entries.values())
-
-    def reset(self) -> None:
-        self.entries.clear()
-        self.messages = 0
-        self.bytes_moved = 0
-        self.cum_seconds = 0.0
 
 
 class SimWorld:
@@ -175,7 +169,7 @@ class SimWorld:
             # the first reader charged the collective (and its instant) to
             # its own track; later readers mark the same sync point at zero
             # cost so every rank's timeline carries one ``comm:allreduce``
-            # per collective — the trace analyzer segments on these
+            # per collective
             kp.profile_event("comm:allreduce", sim_seconds=0.0)
         total, reads = self._reduce_results[key]
         reads += 1
@@ -184,50 +178,6 @@ class SimWorld:
         else:
             self._reduce_results[key] = (total, reads)
         return total if total.ndim else float(total)
-
-    # ---------------------------------------------------------- collectives
-    def allreduce(self, contributions: Sequence[Any], op: Callable = np.add) -> Any:
-        """Driver-side allreduce: combine one contribution per rank.
-
-        Charged as a recursive-doubling collective on the fabric.
-        """
-        if len(contributions) != self.size:
-            raise ValueError(
-                f"allreduce needs {self.size} contributions, got {len(contributions)}"
-            )
-        arrs = [np.asarray(c) for c in contributions]
-        total = arrs[0].copy()
-        for a in arrs[1:]:
-            total = op(total, a)
-        nbytes = int(total.nbytes)
-        self.ledger.record(
-            "allreduce", self.network.allreduce_time(nbytes, self.size), nbytes
-        )
-        return total if total.ndim else total[()]
-
-    def gather(self, contributions: Sequence[Any]) -> list[Any]:
-        """Driver-side gather to a virtual root (charged as size-1 messages)."""
-        if len(contributions) != self.size:
-            raise ValueError("gather needs one contribution per rank")
-        for rank, c in enumerate(contributions):
-            if rank == 0:
-                continue
-            nbytes = c.nbytes if isinstance(c, np.ndarray) else 64
-            self.ledger.record("gather", self._message_time(rank, 0, nbytes), nbytes)
-        return list(contributions)
-
-    def bcast(self, value: Any) -> list[Any]:
-        """Driver-side broadcast from the virtual root."""
-        nbytes = value.nbytes if isinstance(value, np.ndarray) else 64
-        import math
-
-        hops = math.ceil(math.log2(self.size)) if self.size > 1 else 0
-        self.ledger.record(
-            "bcast",
-            hops * (self.network.latency_us * 1e-6 + nbytes / (self.network.nic_bw_gbs * 1e9)),
-            nbytes * max(hops, 1),
-        )
-        return [value if i == 0 else (value.copy() if isinstance(value, np.ndarray) else value) for i in range(self.size)]
 
 
 @dataclass(frozen=True)

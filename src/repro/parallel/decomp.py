@@ -110,39 +110,3 @@ class BrickDecomposition:
         cell = np.minimum((frac * grid).astype(np.int64), grid - 1)
         px, py, _ = self.grid
         return cell[:, 0] + cell[:, 1] * px + cell[:, 2] * px * py
-
-    def face_neighbors(self, rank: int) -> list[tuple[int, int, int]]:
-        """``(dim, direction, neighbor_rank)`` for the 6-way stencil.
-
-        ``direction`` is -1 (low face) or +1 (high face).  With one rank
-        along a dimension the neighbor is the rank itself (self-periodic),
-        exactly as in LAMMPS.
-        """
-        ix, iy, iz = self.coords_of(rank)
-        out = []
-        for dim, (i, j, k) in (
-            (0, (1, 0, 0)),
-            (1, (0, 1, 0)),
-            (2, (0, 0, 1)),
-        ):
-            out.append((dim, -1, self.rank_of(ix - i, iy - j, iz - k)))
-            out.append((dim, +1, self.rank_of(ix + i, iy + j, iz + k)))
-        return out
-
-    def subdomain_surface_atoms(
-        self, natoms_local: float, cutoff: float, rank: int = 0
-    ) -> float:
-        """Estimate of ghost-shell atom count for the analytic comm model.
-
-        Ghost atoms live in a shell of thickness ``cutoff`` around the brick;
-        the estimate is ``density * (shell volume)``, the standard
-        surface-to-volume argument behind figure 6's scaling shapes.
-        """
-        lo, hi = self.subdomain(rank)
-        dims = hi - lo
-        vol = float(np.prod(dims))
-        if vol <= 0:
-            return 0.0
-        density = natoms_local / vol
-        grown = np.prod(dims + 2.0 * cutoff)
-        return float(density * (grown - vol))

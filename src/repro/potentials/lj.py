@@ -29,8 +29,6 @@ class LJMixin:
         self.lj2 = np.zeros((n, n))
         self.lj3 = np.zeros((n, n))
         self.lj4 = np.zeros((n, n))
-        self.offset = np.zeros((n, n))
-        self.shift = False
 
     def settings(self, args: list[str]) -> None:
         if len(args) < 1:
@@ -56,14 +54,6 @@ class LJMixin:
                 self.setflag[a, b] = True
                 self._set_constants(a, b)
 
-    def init_one(self, i: int, j: int) -> None:
-        # Lorentz-Berthelot mixing: geometric epsilon, arithmetic sigma.
-        self.epsilon[i, j] = np.sqrt(self.epsilon[i, i] * self.epsilon[j, j])
-        self.sigma[i, j] = 0.5 * (self.sigma[i, i] + self.sigma[j, j])
-        self.cut[i, j] = max(self.cut[i, i], self.cut[j, j])
-        self.setflag[i, j] = True
-        self._set_constants(i, j)
-
     def _set_constants(self, i: int, j: int) -> None:
         eps, sig = self.epsilon[i, j], self.sigma[i, j]
         self.lj1[i, j] = self.lj1[j, i] = 48.0 * eps * sig**12
@@ -75,14 +65,6 @@ class LJMixin:
             self.sigma[a, b] = sig
             self.cut[a, b] = self.cut[i, j]
             self.setflag[a, b] = True
-
-    def init(self) -> None:
-        super().init()
-        self.offset[:] = 0.0
-        if self.shift:
-            with np.errstate(divide="ignore"):
-                rc6 = np.where(self.cut > 0, self.cut, np.inf) ** -6
-            self.offset = self.lj3 * rc6 * rc6 - self.lj4 * rc6
 
     def eval_setup(self, env: dict, itype0: np.ndarray, jtype0: np.ndarray):
         """Pre-gather the per-stored-pair coefficient vectors, once per rebuild.
@@ -97,7 +79,6 @@ class LJMixin:
         env["lj2p"] = self.lj2.ravel().take(k)
         env["lj3p"] = self.lj3.ravel().take(k)
         env["lj4p"] = self.lj4.ravel().take(k)
-        env["offp"] = self.offset.ravel().take(k)
         return lj_force, lj_energy
 
 
@@ -121,7 +102,7 @@ def lj_force(env: dict) -> None:
 
 
 def lj_energy(env: dict) -> None:
-    """LJ 12-6 energy half: ``evdwl_n = r6inv * (lj3 * r6inv - lj4) - offset``."""
+    """LJ 12-6 energy half: ``evdwl_n = r6inv * (lj3 * r6inv - lj4)``."""
     idx = env["idx"]
     n = idx.size
     r6 = env["r6inv_n"]
@@ -129,8 +110,7 @@ def lj_energy(env: dict) -> None:
     e = gather(env["lj3p"], idx, ARENA.take("evdwl", n))
     np.multiply(e, r6, out=e)
     np.subtract(e, gather(env["lj4p"], idx, c), out=e)
-    np.multiply(r6, e, out=e)
-    env["evdwl_n"] = np.subtract(e, gather(env["offp"], idx, c), out=e)
+    env["evdwl_n"] = np.multiply(r6, e, out=e)
 
 
 @register_pair("lj/cut")

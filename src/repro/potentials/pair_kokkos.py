@@ -86,21 +86,19 @@ class PairKokkos(Pair):
 
     def init(self) -> None:
         super().init()
-        # `package kokkos` overrides (section 3.3)
-        pkg = getattr(self.lmp, "package_kokkos", {})
+        # the autotuner's list/newton overrides (section 3.3)
+        pkg = self.lmp.package_kokkos
         if "neigh" in pkg:
             self.neigh_mode = pkg["neigh"]
         if "newton" in pkg:
             self.newton_mode = pkg["newton"]
         if self.neigh_mode == "full" and self.newton_mode:
-            raise InputError("package kokkos: newton on requires neigh half")
+            raise InputError("newton on requires a half neighbor list")
 
     def neighbor_request(self) -> tuple[str, bool]:
         return self.neigh_mode, self.newton_mode
 
     # ------------------------------------------------------------- kernels
-    def kernel_name(self) -> str:
-        return f"PairCompute{type(self).__name__.removeprefix('Pair')}"
 
     def _compute_pairs(self, eflag: bool, vflag: bool) -> None:
         """Kokkos executors: one charged whole-kernel dispatch whose functor

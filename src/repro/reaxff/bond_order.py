@@ -63,9 +63,6 @@ class BondList:
     def numbonds(self) -> np.ndarray:
         return np.diff(self.first)
 
-    def row(self, i: int) -> slice:
-        return slice(int(self.first[i]), int(self.first[i + 1]))
-
 
 def bond_order(
     r: np.ndarray, ti: np.ndarray, tj: np.ndarray, params: ReaxParams

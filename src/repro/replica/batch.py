@@ -5,7 +5,7 @@ dispatch overhead.  Below the saturation size, throughput comes from running
 *many systems per device* (Trott et al., PAPERS.md), so this engine packs R
 independent single-rank :class:`~repro.core.Lammps` replicas into one
 stacked :class:`~repro.core.atom.AtomVec` and advances them all with one
-vectorized pass per step: one LJ/EAM force evaluation, one NVE
+vectorized pass per step: one LJ force evaluation, one NVE
 half-kick/drift, one ghost-comm replay — over arrays R times longer.
 
 **Layout.**  The stacked array holds every replica's owned atoms first
@@ -48,8 +48,8 @@ caller (:meth:`repro.core.ReplicaSet.run`: ``add_replica`` × R, ``step``,
 ``finish``); the only way a member leaves early is a failed rebuild
 (:attr:`ReplicaBatch.failures`).
 
-Pair-style coverage is the closed set in ``HANDLERS`` (host ``lj/cut`` and
-``eam/fs``); batchability violations raise with the shared
+The batched pair style is host ``lj/cut`` (the one style a replica
+workload runs); batchability violations raise with the shared
 ``errors.unknown_choice`` did-you-mean hint where the set is closed.
 """
 
@@ -64,11 +64,9 @@ import numpy as np
 from repro.core.atom import AtomVec
 from repro.core.comm_md import GhostReplay
 from repro.core.errors import LammpsError, unknown_choice
-from repro.graph.pairwise import PROLOGUE, pairwise_stages, run_stages
+from repro.graph.pairwise import pairwise_stages, run_stages
 from repro.kokkos.core import Host
-from repro.kokkos.segment import scatter_add
 from repro.parallel.driver import drain
-from repro.potentials.eam import eam_energy, eam_force_stages, gather_eam_coeffs
 from repro.potentials.lj import lj_energy, lj_force
 from repro.tools import registry as kp
 
@@ -89,101 +87,6 @@ class _Member:
     last_step: int = 0
 
 
-# ----------------------------------------------------------- force handlers
-# The stacked executor of the pairwise pass: the stage functions of
-# :mod:`repro.graph.pairwise` run over the whole batch's concatenated
-# ``i/j/cutsq/coefficient`` vectors.  A handler only says which per-pair
-# constants to stack and in which order the stages and the batch's own
-# comm replays interleave; the pair arithmetic stays in ``potentials/``.
-class _LJHandler:
-    """Stacked ``lj/cut``: half list, newton per the global setting."""
-
-    style = "lj/cut"
-
-    @staticmethod
-    def constants(pair, itype: np.ndarray, jtype: np.ndarray) -> dict:
-        consts: dict = {}
-        pair.eval_setup(consts, itype, jtype)
-        return consts
-
-    @staticmethod
-    def bind(batch: "ReplicaBatch", env: dict) -> list:
-        env["energy_fn"] = lj_energy
-        stages, _ = pairwise_stages(Host, len(env["i0"]), batch.atom.nlocal, lj_force)
-        return stages
-
-    @staticmethod
-    def force(batch: "ReplicaBatch", due: list[_Member]) -> None:
-        atom = batch.atom
-        env = batch._env
-        atom.zero_forces()
-        env.update(x=atom.x[: atom.nall], f=atom.f)
-        run_stages(batch._pair_stages, env)
-        if due:
-            env["energy_fn"](env)
-            batch._tally(due)
-        if env["newton"]:
-            batch._replay.reverse(atom)
-
-
-class _EAMHandler:
-    """Stacked ``eam/fs``: the solo half list with newton on — two-sided
-    density, rho reverse, embed, fp forward, force, f reverse."""
-
-    style = "eam/fs"
-
-    @staticmethod
-    def constants(pair, itype: np.ndarray, jtype: np.ndarray) -> dict:
-        return pair.pair_coeffs(itype, jtype)
-
-    @staticmethod
-    def bind(batch: "ReplicaBatch", env: dict) -> list:
-        atom = batch.atom
-        env["energy_fn"] = eam_energy
-        # per-owned-atom embedding strengths, each member's own table
-        env["A_own"] = np.concatenate(
-            [
-                m.lmp.pair.embed_A[atom.type[m.own_off : m.own_off + m.nlocal]]
-                for m in batch.members
-            ]
-        )
-        stages, _ = eam_force_stages(Host, len(env["i0"]), atom.nlocal)
-        return stages
-
-    @staticmethod
-    def force(batch: "ReplicaBatch", due: list[_Member]) -> None:
-        atom = batch.atom
-        env = batch._env
-        pair = env["pair"]
-        atom.zero_forces()
-        nall = atom.nall
-        atom.rho[:nall] = 0.0
-        atom.fp[:nall] = 0.0
-        env.update(x=atom.x[:nall], f=atom.f, fp=atom.fp)
-        for fn in PROLOGUE:
-            fn(env)
-        gather_eam_coeffs(env, env)
-        # loop 1: electron density, each bond to both ends, ghost ends home
-        d = pair.dens(env["r_n"], env["rc_n"])
-        scatter_add(atom.rho, env["i_n"], d, assume_sorted=True)
-        scatter_add(atom.rho, env["j_n"], d)
-        batch._replay.reverse(atom, "rho")
-        nown = atom.nlocal
-        rho_own = atom.rho[:nown]
-        A = env["A_own"]
-        atom.fp[:nown] = pair.dembed(rho_own, A)
-        # figure 1's "additional communication": ghost fp before the force loop
-        batch._replay.forward_fields(atom, ("fp",))
-        run_stages(batch._pair_stages, env)
-        if due:
-            env["energy_fn"](env)
-            batch._tally(due, embed=(rho_own, A))
-        batch._replay.reverse(atom)
-
-
-HANDLERS = {h.style: h for h in (_LJHandler, _EAMHandler)}
-
-
 # ---------------------------------------------------------------- the batch
 class ReplicaBatch:
     """R single-rank replicas packed into one stacked AtomVec.
@@ -196,7 +99,7 @@ class ReplicaBatch:
         batch.finish()                   # final state synced back to each lmp
 
     Members may be at different timesteps, sizes, dt, thermo intervals, and
-    neighbor policies; they must share one pair style (and newton setting).
+    neighbor policies; they run host ``lj/cut`` with one newton setting.
     Thermo rows land in each member's own ``lmp.thermo.history``, exactly as
     a solo run would record them.
     """
@@ -211,18 +114,12 @@ class ReplicaBatch:
         self.failures: list[tuple[int, Exception]] = []
         self._next_rid = 0
         self._sig: tuple | None = None
-        self._handler = None
-        self._newton = False
         self._replay: GhostReplay | None = None
         self._env: dict = {}  #: stacked pairwise env, rebuilt every epoch
-        self._pair_stages: list = []  #: the handler's pairwise stage list
+        self._pair_stages: list = []  #: the pairwise stage list
         self._m_own = np.zeros(0)
         self._dt_col = np.zeros(0)
         self._dtf_col = np.zeros(0)
-
-    # ------------------------------------------------------------- queries
-    def __len__(self) -> int:
-        return len(self.members)
 
     # ------------------------------------------------------------ admission
     def add_replica(self, lmp) -> int:
@@ -249,8 +146,6 @@ class ReplicaBatch:
         self._next_rid += 1
         self.members.append(m)
         self._sig = sig
-        self._handler = HANDLERS[sig[0]]
-        self._newton = sig[2]
         self._hoist()
         return m.rid
 
@@ -266,10 +161,8 @@ class ReplicaBatch:
         if pair is None:
             raise LammpsError("replica member needs a pair style before batching")
         style = getattr(pair, "style_name", type(pair).__name__)
-        if style not in HANDLERS or getattr(pair, "kokkos_style", False):
-            raise LammpsError(
-                unknown_choice("replica pair style", style, tuple(sorted(HANDLERS)))
-            )
+        if style != "lj/cut" or getattr(pair, "kokkos_style", False):
+            raise LammpsError(unknown_choice("replica pair style", style, ("lj/cut",)))
         fixes = lmp.modify.fixes
         if (
             len(fixes) != 1
@@ -281,7 +174,7 @@ class ReplicaBatch:
                 "replica members must integrate with exactly 'fix all nve'; "
                 f"got {', '.join(got)}"
             )
-        if lmp.autotuner is not None or lmp.autotune_request is not None:
+        if lmp.autotuner is not None:
             raise LammpsError(
                 "autotune the solo workload first; replica members cannot "
                 "carry an autotuner"
@@ -428,8 +321,11 @@ class ReplicaBatch:
 
     def _build_pair_env(self) -> None:
         """Stack every member's stored pairs and per-pair constants into the
-        env the pairwise stage functions run over (one per epoch)."""
-        handler = self._handler
+        env the pairwise stage functions run over (one per epoch).  The
+        stacked executor of the pairwise pass: the stage functions of
+        :mod:`repro.graph.pairwise` over the whole batch's concatenated
+        ``i/j/cutsq/coefficient`` vectors; the pair arithmetic stays in
+        ``potentials/lj.py``."""
         i_parts, j_parts, cut_parts, const_parts = [], [], [], []
         off = [0]
         for m in self.members:
@@ -439,7 +335,9 @@ class ReplicaBatch:
             i_parts.append(m.own_off + i_l.astype(np.int64))
             j_parts.append(self._map_local(m, j_l.astype(np.int64)))
             cut_parts.append(cutsq)
-            const_parts.append(handler.constants(lmp.pair, itype, jtype))
+            consts: dict = {}
+            lmp.pair.eval_setup(consts, itype, jtype)
+            const_parts.append(consts)
         _, list_style, newton = self._sig
         full = list_style == "full"
         j0 = np.concatenate(j_parts)
@@ -458,7 +356,7 @@ class ReplicaBatch:
         for name in const_parts[0]:
             env[name] = np.concatenate([c[name] for c in const_parts])
             assert len(env[name]) == len(j0), name  # gathered unchecked by idx
-        self._pair_stages = handler.bind(self, env)
+        self._pair_stages, _ = pairwise_stages(Host, len(j0), self.atom.nlocal, lj_force)
 
     # ------------------------------------------------------------- stepping
     @contextmanager
@@ -510,13 +408,27 @@ class ReplicaBatch:
             if m.lmp.verlet.ev_set(m.lmp.update.ntimestep, m.last_step)
         ]
         with self._kernel("pair_force"):
-            self._handler.force(self, due)
+            self._force(due)
         with self._kernel("final_integrate"):
             self._nve_final()
         for m in due:
             if m.lmp.thermo.should_output(m.lmp.update.ntimestep):
                 self._sync_member(m)
                 drain(m.lmp.thermo.output_gen())
+
+    def _force(self, due: list[_Member]) -> None:
+        """Stacked ``lj/cut``: the pairwise stages, the due members'
+        tallies, then the ghost-force fold when newton is on."""
+        atom = self.atom
+        env = self._env
+        atom.zero_forces()
+        env.update(x=atom.x[: atom.nall], f=atom.f)
+        run_stages(self._pair_stages, env)
+        if due:
+            lj_energy(env)
+            self._tally(due)
+        if env["newton"]:
+            self._replay.reverse(atom)
 
     # ------------------------------------------------------------ integrate
     def _nve_initial(self) -> None:
@@ -563,13 +475,12 @@ class ReplicaBatch:
         self._hoist()
 
     # -------------------------------------------------------------- tallies
-    def _tally(self, due: list[_Member], *, embed: tuple | None = None) -> None:
+    def _tally(self, due: list[_Member]) -> None:
         """Solo ``ev_tally`` into each due member's own ``Pair``.
 
-        The solo order per member: reset, the EAM embedding sum over its
-        owned rows (``embed = (rho_own, A_own)``), then ``tally_pairs`` over
-        its contiguous slice of the cut pair stream — the same length,
-        values and contiguity as the solo reductions.
+        The solo order per member: reset, then ``tally_pairs`` over its
+        contiguous slice of the cut pair stream — the same length, values
+        and contiguity as the solo reductions.
         """
         env = self._env
         bounds = np.searchsorted(env["idx"], env["off"])
@@ -577,9 +488,6 @@ class ReplicaBatch:
         for m in due:
             pair = m.lmp.pair
             pair.reset_tallies(True)
-            if embed is not None:
-                own = slice(m.own_off, m.own_off + m.nlocal)
-                pair.eng_vdwl += float(pair.embed(embed[0][own], embed[1][own]).sum())
             cut = slice(bounds[m.index], bounds[m.index + 1])
             pair.tally_pairs(
                 env["evdwl_n"][cut],

@@ -3,8 +3,7 @@
 ``repro.tools.registry`` is the callback surface the runtime emits into
 (near-zero cost with nothing attached); this package front door adds the
 built-in tool catalogue and a name -> instance factory used by the CLI
-(``--tools space-time-stack,chrome-trace --tool-out out/``) and the
-``tools`` input-script command.
+(``--tools space-time-stack,chrome-trace --tool-out out/``).
 
 Built-in tools:
 

@@ -5,7 +5,6 @@ the rank's *simulated* clock in microseconds, so the timeline shows what
 the modeled exascale hardware would see rather than interpreter overhead:
 
 * regions and kernels  -> ``B``/``E`` duration pairs;
-* fences               -> ``i`` instant events;
 * deep copies          -> an ``i`` instant plus an ``s``/``f`` flow pair
   spanning the transfer, so the copy draws an arrow across the track;
 * charged comm instants -> ``i`` instant events with byte counts in args.
@@ -19,7 +18,6 @@ import json
 
 from repro.tools.registry import (
     DeepCopyEvent,
-    FenceEvent,
     InstantEvent,
     KernelEvent,
     RegionEvent,
@@ -97,10 +95,7 @@ class ChromeTrace(Tool):
     end_parallel_reduce = _end_kernel
     end_parallel_scan = _end_kernel
 
-    # ------------------------------------------------------- fences/copies
-    def end_fence(self, ev: FenceEvent) -> None:
-        self._emit("i", ev.name, ev.rank, ev.sim_us, cat="fence", s="t")
-
+    # -------------------------------------------------------------- copies
     def end_deep_copy(self, ev: DeepCopyEvent) -> None:
         name = f"deep_copy {ev.src_space}->{ev.dst_space}"
         args = {

@@ -5,11 +5,12 @@ runtime fires at every kernel dispatch, fence, deep copy and user region —
 the event stream behind the paper's per-kernel timings (figures 2-7) and
 the TestSNAP optimization loop in PAPERS.md.  This module is that surface
 for the simulated runtime, narrowed to the callbacks an in-tree tool
-consumes (KokkosP's begin and allocation callbacks have no consumer here):
+consumes (KokkosP's begin, fence and allocation callbacks have no consumer
+here):
 
 * :class:`Tool` — the callback base class.  Subclasses override whichever
   callbacks they care about (``end_parallel_for|reduce|scan``,
-  ``end_fence``, ``end_deep_copy``, ``push/pop_region``,
+  ``end_deep_copy``, ``push/pop_region``,
   ``profile_event``).
 * :class:`ToolChain` — dispatches every event to all attached tools and
   owns the per-rank clocks and region stacks.
@@ -68,15 +69,6 @@ class KernelEvent:
 
 
 @dataclass
-class FenceEvent:
-    name: str
-    rank: int
-    fid: int
-    sim_us: float
-    wall_us: float
-
-
-@dataclass
 class DeepCopyEvent:
     dst_space: str
     dst_label: str
@@ -131,8 +123,7 @@ class Tool:
     def end_parallel_reduce(self, ev: KernelEvent) -> None: ...
     def end_parallel_scan(self, ev: KernelEvent) -> None: ...
 
-    # fences / copies
-    def end_fence(self, ev: FenceEvent) -> None: ...
+    # copies
     def end_deep_copy(self, ev: DeepCopyEvent) -> None: ...
 
     # regions / instants
@@ -297,21 +288,6 @@ def end_kernel(kid: int | None, profile: Any, sim_seconds: float) -> None:
     CHAIN.advance(sim_seconds, ev.rank)
     ev.sim_end_us = CHAIN.sim_now(ev.rank) * 1e6
     CHAIN.dispatch(_END[ev.kind], ev)
-
-
-# -------------------------------------------------------------------- fences
-def fence(name: str) -> None:
-    """A fence: instantaneous here (simulated dispatch is synchronous)."""
-    if not TOOLS:
-        return
-    ev = FenceEvent(
-        name=name or "Kokkos::fence",
-        rank=CHAIN.rank,
-        fid=CHAIN.new_id(),
-        sim_us=CHAIN.sim_now() * 1e6,
-        wall_us=CHAIN.wall_now() * 1e6,
-    )
-    CHAIN.dispatch("end_fence", ev)
 
 
 # --------------------------------------------------------------- deep copies

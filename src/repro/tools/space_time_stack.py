@@ -1,7 +1,7 @@
 """Hierarchical region/kernel time tree (Kokkos Tools' space-time-stack).
 
 Builds one tree per simulated rank out of the region push/pop stream, with
-kernels, deep copies, fences, and charged comm instants hanging under the
+kernels, deep copies and charged comm instants hanging under the
 innermost open region.  At finalize it prints the tree sorted by simulated
 time, with both the simulated-hardware seconds (what the cost model
 charged) and wall seconds (what the functional layer actually took), plus
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro.tools.registry import (
     DeepCopyEvent,
-    FenceEvent,
     InstantEvent,
     KernelEvent,
     RegionEvent,
@@ -28,7 +27,7 @@ class StackNode:
     """One tree node: a region, kernel, deep copy, or comm aggregate."""
 
     name: str
-    kind: str  #: "region" | "kernel" | "deep_copy" | "fence" | "event"
+    kind: str  #: "region" | "kernel" | "deep_copy" | "event"
     sim_seconds: float = 0.0
     wall_seconds: float = 0.0
     count: int = 0
@@ -103,15 +102,11 @@ class SpaceTimeStack(Tool):
     end_parallel_reduce = _end_kernel
     end_parallel_scan = _end_kernel
 
-    # ------------------------------------------------------- copies/fences
+    # -------------------------------------------------------------- copies
     def end_deep_copy(self, ev: DeepCopyEvent) -> None:
         name = f"deep_copy {ev.src_space}->{ev.dst_space} {ev.dst_label}"
         node = self._top(ev.rank).child(name, "deep_copy")
         node.sim_seconds += ev.sim_seconds
-        node.count += 1
-
-    def end_fence(self, ev: FenceEvent) -> None:
-        node = self._top(ev.rank).child(ev.name, "fence")
         node.count += 1
 
     def profile_event(self, ev: InstantEvent) -> None:
@@ -167,7 +162,7 @@ class SpaceTimeStack(Tool):
             sim = child.subtree_sim()
             pct = 100.0 * sim / total
             tag = {"region": "", "kernel": " [kernel]", "deep_copy": " [copy]",
-                   "fence": " [fence]", "event": " [event]"}[child.kind]
+                   "event": " [event]"}[child.kind]
             lines.append(
                 f"{'|  ' * (depth - 1)}|-> {sim:.3e} s {pct:5.1f}% "
                 f"{child.name}{tag} ({child.subtree_wall():.3e} s wall, "

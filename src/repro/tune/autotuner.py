@@ -34,9 +34,8 @@ from repro.tune.plan import TunePlanStore
 class Autotuner:
     """Searches the cells once, then locks the winner into the run.
 
-    Attach one to ``lmp.autotuner`` (or pass ``--autotune`` / ``package
-    autotune on``); the first ``run`` command triggers :meth:`tune` before
-    any timestep executes.
+    Attach one to ``lmp.autotuner`` (or pass ``--autotune``); the first
+    ``run`` command triggers :meth:`tune` before any timestep executes.
     """
 
     def __init__(

@@ -7,7 +7,7 @@ keys:
   installed as the process-global override of :mod:`repro.kokkos.segment`
   (it outlives the run that tuned it).
 * ``neigh`` + ``newton`` — list style and Newton's-third-law handling, the
-  ``package kokkos neigh/newton`` axes.  These are a *joint* dimension
+  LAMMPS ``package kokkos neigh/newton`` axes.  These are a *joint* dimension
   because full lists require newton off.
 
 :func:`enumerate_configs` produces the candidate cells;
@@ -99,7 +99,7 @@ def apply_config(target, config: dict) -> None:
     for lmp in ranks_of(target):
         if hasattr(lmp.pair, "neigh_mode"):
             lmp.pair.set_options(neigh=config[NEIGH], newton=newton)
-            # keep `package kokkos` consistent so the pair.init() in the
+            # keep `package_kokkos` consistent so the pair.init() in the
             # next run setup does not silently undo the tuned choice
             lmp.package_kokkos["neigh"] = config[NEIGH]
             lmp.package_kokkos["newton"] = newton

@@ -7,17 +7,16 @@
 
 Each module exposes a ``setup_*`` helper that drives a
 :class:`~repro.core.Lammps` (or :class:`~repro.core.Ensemble`) to a
-ready-to-run state, plus size helpers used by the benchmark sweeps.
+ready-to-run state.
 """
 
-from repro.workloads.melt import setup_melt, melt_cells_for_atoms
+from repro.workloads.melt import setup_melt
 from repro.workloads.hns import hns_configuration, setup_hns
 from repro.workloads.replica import REPLICA_FAMILIES, ReplicaSpec
 from repro.workloads.tantalum import setup_tantalum
 
 __all__ = [
     "setup_melt",
-    "melt_cells_for_atoms",
     "hns_configuration",
     "setup_hns",
     "setup_tantalum",

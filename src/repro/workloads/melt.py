@@ -7,16 +7,6 @@ workload behind the paper's Lennard-Jones case study.
 from __future__ import annotations
 
 
-def melt_cells_for_atoms(natoms: int) -> int:
-    """fcc cells per edge giving at least ``natoms`` atoms (4 per cell)."""
-    if natoms < 4:
-        raise ValueError("need at least one fcc cell (4 atoms)")
-    n = round((natoms / 4.0) ** (1.0 / 3.0))
-    while 4 * n**3 < natoms:
-        n += 1
-    return max(n, 1)
-
-
 MELT_TEMPLATE = """\
 units lj
 lattice fcc 0.8442

@@ -23,7 +23,6 @@ from repro.workloads.melt import MELT_TEMPLATE
 #: family name -> the pair style its replicas run (all batchable styles).
 REPLICA_FAMILIES = {
     "melt": "lj/cut",
-    "eam_melt": "eam/fs",
 }
 
 

@@ -17,7 +17,6 @@ from repro.bench.runner import _merge_step_profiles
 from repro.bench.scaling import ghost_atoms, parallel_efficiency
 from repro.hardware import KernelProfile, get_gpu, get_machine
 from repro.workloads.hns import CHAIN_TYPES, hns_configuration
-from repro.workloads.melt import melt_cells_for_atoms
 
 
 @pytest.fixture(scope="module")
@@ -128,14 +127,6 @@ class TestReporting:
 
 
 class TestWorkloads:
-    def test_melt_cells_for_atoms(self):
-        assert melt_cells_for_atoms(4) == 1
-        n = melt_cells_for_atoms(1_000_000)
-        assert 4 * n**3 >= 1_000_000
-        assert 4 * (n - 1) ** 3 < 1_000_000
-        with pytest.raises(ValueError):
-            melt_cells_for_atoms(1)
-
     def test_hns_stoichiometry(self):
         x, types, box = hns_configuration(3, 3, 3)
         assert len(x) == 27 * len(CHAIN_TYPES)

@@ -350,27 +350,20 @@ class TestSpatialSort:
         again = spatial_sort_order(x, 1.0)
         assert np.array_equal(perm, again)
 
-    def test_sorted_dynamics_matches_unsorted(self):
+    def test_sorted_dynamics_matches_unsorted(self, monkeypatch):
         """Melt energies agree with sorting on vs off (pure relabeling)."""
 
-        def energies(sort_every: int) -> list[float]:
+        def energies() -> list[float]:
             lmp = Lammps(quiet=True)
             setup_melt(lmp, cells=3, pair_style="lj/cut")
-            lmp.sort_every = sort_every
             lmp.command("run 15")
             last = lmp.thermo.history[-1]
             return [last["pe"], last["ke"]]
 
-        on, off = energies(1), energies(0)
+        on = energies()
+        monkeypatch.setattr(Lammps, "_maybe_sort_atoms", lambda self, binsize: False)
+        off = energies()
         assert on == pytest.approx(off, rel=1e-9)
-
-    def test_atom_modify_command(self):
-        lmp = Lammps(quiet=True)
-        lmp.command("atom_modify sort 50 2.5")
-        assert lmp.sort_every == 50
-        assert lmp.sort_binsize == 2.5
-        lmp.command("atom_modify sort 0 0.0")  # disable
-        assert lmp.sort_every == 0
 
 
 class TestThermoNeighborStats:

@@ -81,7 +81,7 @@ class TestRuns:
     def test_missing_script_and_bench_flags(self, capsys):
         with pytest.raises(SystemExit):
             main([])
-        assert "(-in FILE) or --analyze-trace is required" in capsys.readouterr().err
+        assert "an input script (-in FILE) is required" in capsys.readouterr().err
         assert "--bench" not in build_parser().format_help()
 
 

@@ -56,6 +56,22 @@ RETIRED = [
     ("command", "dump d1 all custom 1 out.dump id"),
     ("command", "undump d1"),
     ("command", "set type 1 charge 0.5"),
+    ("command", "package kokkos neigh full newton off"),
+    ("command", "package autotune on plan none"),
+    ("command", "tools space-time-stack out ."),
+    ("command", "atom_modify sort 0 0.0"),
+    ("command", "group ones type 1"),
+    ("command", "pair_modify shift yes"),
+    ("command", "thermo_style custom temp pe"),
+    ("command", "dimension 3"),
+    ("command", "newton off"),
+    ("command", "suffix kk"),
+    ("command", "reset_timestep 0"),
+    ("command", "print hello"),
+    ("command", "unfix 1"),
+    ("command", "compute c1 all pe"),
+    ("command", "log log.lammps"),
+    ("command", "echo both"),
     ("tool", "kernel-logger"),
     ("tool", "memory-events"),
     ("tool", "roofline"),
@@ -75,9 +91,25 @@ def test_retired_unit_fails_loudly(kind, line):
         with pytest.raises(InputError, match=f"unknown command '{name}'"):
             lmp.command(line)
         return
-    command = {"pair": "pair_style", "fix": "fix 2 all", "compute": "compute c1 all"}[kind]
     with pytest.raises(StyleError, match=f"unknown {kind} style '{name}'"):
-        lmp.command(f"{command} {line}")
+        if kind == "compute":  # the compute command is retired too
+            lmp.internal_compute(name)
+        else:
+            lmp.command(f"{dict(pair='pair_style', fix='fix 2 all')[kind]} {line}")
+
+
+#: command-line flags of retired units (the trace analyzer)
+RETIRED_FLAGS = [["--analyze-trace", "trace.json"], ["--analyze-out", "a.json"], ["--top", "5"]]
+
+
+@pytest.mark.parametrize("argv", RETIRED_FLAGS, ids=[a[0] for a in RETIRED_FLAGS])
+def test_retired_flag_fails_loudly(argv, capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
 
 def design_rows() -> set[tuple[str, str]]:
@@ -125,8 +157,7 @@ def test_every_emitted_event_has_a_consumer():
     it with its last consumer, as the allocation events went with the
     metrics tool."""
     emitted = emitted_callbacks()
-    assert {"end_parallel_for", "end_fence", "end_deep_copy", "push_region",
-            "profile_event"} <= emitted
+    assert {"end_parallel_for", "end_deep_copy", "push_region", "profile_event"} <= emitted
     tools = [getattr(importlib.import_module(module), cls) for module, cls, _ in TOOL_CATALOG.values()]
     orphans = {name for name in emitted
                if not any(getattr(t, name) is not getattr(kp.Tool, name) for t in tools)}

@@ -210,29 +210,6 @@ class TestReverseCommFold:
             )
 
 
-class TestFixNVEGroups:
-    def test_type_group_nve_moves_only_its_atoms(self):
-        """``fix nve`` on ``all`` integrates over slices; a subset group must
-        keep its boolean-mask path."""
-        lmp = Lammps(device=None)
-        lmp.commands_string(
-            "units lj\nlattice fcc 0.8442\nregion b block 0 3 0 3 0 3\n"
-            "create_box 2 b\ncreate_atoms 1 box\nmass * 1.0\n"
-            "pair_style lj/cut 2.5\npair_coeff * * 1.0 1.0\n"
-            "velocity all create 1.0 1\nneighbor 0.3 bin\n"
-        )
-        lmp.atom.type[: lmp.atom.nlocal : 2] = 2
-        lmp.command("group moving type 1")
-        lmp.command("fix 1 moving nve")
-        x0, v0 = gather_by_tag(lmp, "x"), gather_by_tag(lmp, "v")
-        frozen = gather_by_tag(lmp, "type") == 2
-        lmp.command("run 30")  # through rebuilds and sorts
-        x, v = gather_by_tag(lmp, "x"), gather_by_tag(lmp, "v")
-        assert np.array_equal(x[frozen], x0[frozen])
-        assert np.array_equal(v[frozen], v0[frozen])
-        assert (x[~frozen] != x0[~frozen]).any(axis=1).all()
-
-
 class TestMigration:
     def test_atoms_move_to_owners(self):
         ens = make_melt(cells=3, nranks=4)
@@ -285,10 +262,11 @@ class TestDecompositionEquivalence:
 
     def test_newton_off_multirank(self):
         single = make_melt(cells=3)
-        single.command("newton off")
+        single.newton_pair = False
         single.command("run 10")
         multi = make_melt(cells=3, nranks=4)
-        multi.command("newton off")
+        for lmp in multi.ranks:
+            lmp.newton_pair = False
         multi.command("run 10")
         np.testing.assert_allclose(
             gather_by_tag(multi, "f"), gather_by_tag(single, "f"), atol=1e-9

@@ -48,14 +48,6 @@ class TestDomain:
         assert w[0, 0] == pytest.approx(2.0)
         assert w[0, 1] == pytest.approx(12.0)  # untouched
 
-    @given(seed=st.integers(0, 500))
-    @settings(max_examples=40, deadline=None)
-    def test_minimum_image_halves_box(self, seed):
-        d = self.box()
-        rng = np.random.default_rng(seed)
-        dx = d.minimum_image(rng.uniform(-50, 50, size=(20, 3)))
-        assert np.all(np.abs(dx) <= d.lengths / 2 + 1e-9)
-
 
 class TestRegions:
     def test_inside(self):
@@ -133,13 +125,6 @@ class TestAtomVec:
         assert atom.nall == 5
         atom.clear_ghosts()
         assert atom.nall == 2
-
-    def test_kinetic_energy(self):
-        atom = AtomVec()
-        atom.add_local(np.zeros((2, 3)))
-        atom.v[0] = [1.0, 0, 0]
-        atom.v[1] = [0, 2.0, 0]
-        assert atom.kinetic_energy(mvv2e=1.0) == pytest.approx(0.5 * (1 + 4))
 
     def test_bigint_tags(self):
         assert AtomVec().tag.dtype == np.int64  # appendix B

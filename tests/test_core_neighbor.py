@@ -13,7 +13,6 @@ from repro.core.neighbor import (
     brute_force_pairs,
     build_neighbor_list,
 )
-from repro.kokkos.core import Device, Host
 
 
 def random_config(seed: int, n: int = 120, box: float = 8.0):
@@ -95,22 +94,6 @@ class TestStorageFormat:
         assert nl.first[0] == 0
         assert nl.first[-1] == len(nl.neighbors)
         assert np.all(np.diff(nl.first) == nl.numneigh)
-
-    def test_padded_view_layouts(self):
-        x = random_config(2)
-        nl = build_neighbor_list(x, len(x), 1.5, style="full")
-        host = nl.as_padded_view(Host)
-        dev = nl.as_padded_view(Device)
-        # same logical contents ...
-        assert np.array_equal(host.data, dev.data)
-        # ... different physical layouts (section 4.1): per-atom rows are
-        # contiguous on the host, interleaved on the device
-        assert host.data.strides[1] < host.data.strides[0]
-        assert dev.data.strides[0] < dev.data.strides[1]
-        # padded entries are -1; valid entries match the CSR rows
-        for i in (0, len(x) // 2):
-            row = host.data[i]
-            assert set(row[row >= 0]) == set(nl.neighbors_of(i))
 
 
 class TestRebuildPolicy:

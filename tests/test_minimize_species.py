@@ -1,4 +1,5 @@
-"""``package kokkos`` knobs and the post-run summary."""
+"""Kokkos list/newton overrides (``Lammps.package_kokkos``, set by the
+autotuner) and the post-run summary."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from conftest import make_melt
 class TestPackageKokkos:
     def test_package_overrides_pair_defaults(self):
         lmp = make_melt(device="H100", cells=2, suffix="kk")
-        lmp.command("package kokkos neigh half newton on")
+        lmp.package_kokkos.update(neigh="half", newton=True)
         lmp.command("run 0")
         assert lmp.pair.neighbor_request() == ("half", True)
 
@@ -19,7 +20,7 @@ class TestPackageKokkos:
         from repro.core.errors import InputError
 
         lmp = make_melt(device="H100", cells=2, suffix="kk")
-        lmp.command("package kokkos neigh full newton on")
+        lmp.package_kokkos.update(neigh="full", newton=True)
         with pytest.raises(InputError, match="newton on requires"):
             lmp.command("run 0")
 
@@ -27,20 +28,13 @@ class TestPackageKokkos:
         ref = make_melt(cells=3)
         ref.command("run 5")
         kkr = make_melt(device="H100", cells=3, suffix="kk")
-        kkr.command("package kokkos neigh half newton on")
+        kkr.package_kokkos.update(neigh="half", newton=True)
         kkr.command("run 5")
         from conftest import gather_by_tag
 
         np.testing.assert_allclose(
             gather_by_tag(kkr, "f"), gather_by_tag(ref, "f"), atol=1e-9
         )
-
-    def test_unknown_option(self):
-        from repro.core.errors import InputError
-
-        lmp = make_melt(device="H100", cells=2)
-        with pytest.raises(InputError, match="unknown option"):
-            lmp.command("package kokkos turbo on")
 
 
 class TestRunSummary:

@@ -182,19 +182,3 @@ class TestBrickDecomposition:
         for pos, r in zip(wrapped, owners):
             lo, hi = d.subdomain(int(r))
             assert np.all(pos >= lo - 1e-12) and np.all(pos < hi + 1e-12)
-
-    def test_face_neighbors_periodic(self):
-        d = self.make(8)  # 2x2x2
-        neigh = d.face_neighbors(0)
-        assert len(neigh) == 6
-        # 2 ranks per dim: the -1 and +1 neighbors coincide
-        dims = {(dim, r) for dim, _, r in neigh}
-        assert len(dims) == 3
-
-    def test_single_rank_self_neighbors(self):
-        d = self.make(1)
-        assert all(r == 0 for _, _, r in d.face_neighbors(0))
-
-    def test_surface_atoms_estimate_positive(self):
-        d = self.make(8)
-        assert d.subdomain_surface_atoms(1000, 1.0) > 0

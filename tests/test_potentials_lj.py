@@ -73,19 +73,6 @@ class TestPhysics:
         p_fd = -(e2 - e1) / (v2 - v1)
         assert p0 == pytest.approx(p_fd, rel=2e-3)
 
-    def test_shift_removes_cutoff_energy_jump(self):
-        plain = make_melt(cells=3, thermo=100)
-        plain.command("run 100")
-        shifted = make_melt(cells=3, thermo=100)
-        shifted.command("pair_modify shift yes")
-        shifted.command("run 100")
-
-        def drift(lmp):
-            h = lmp.thermo.history
-            return abs(h[-1]["etotal"] - h[0]["etotal"]) / abs(h[0]["etotal"])
-
-        assert drift(shifted) < drift(plain) / 3
-
 
 class TestCoefficients:
     def make_two_type(self):
@@ -95,15 +82,6 @@ class TestCoefficients:
             "create_box 2 b\ncreate_atoms 1 box\nmass * 1.0\npair_style lj/cut 2.5"
         )
         return lmp
-
-    def test_lorentz_berthelot_mixing(self):
-        lmp = self.make_two_type()
-        lmp.command("pair_coeff 1 1 1.0 1.0")
-        lmp.command("pair_coeff 2 2 4.0 2.0")
-        lmp.command("fix 1 all nve")
-        lmp.pair.init()
-        assert lmp.pair.epsilon[1, 2] == pytest.approx(2.0)  # sqrt(1*4)
-        assert lmp.pair.sigma[1, 2] == pytest.approx(1.5)  # (1+2)/2
 
     def test_missing_coeff_detected(self):
         lmp = self.make_two_type()

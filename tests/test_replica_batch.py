@@ -79,22 +79,8 @@ def test_melt_batch_bitwise_across_mode_matrix(scatter):
     assert not batch.failures
 
 
-def test_eam_batch_bitwise():
-    """The eam/fs handler holds the same bar (rho pass + fp comm replay)."""
-    specs = _specs("eam_melt", 6)
-    solos = [_solo(s, 40) for s in specs]
-    batch = ReplicaBatch(label="eam")
-    members = [s.build() for s in specs]
-    for m in members:
-        batch.add_replica(m)
-    batch.step(40)
-    batch.finish()
-    for i, (a, b) in enumerate(zip(solos, members)):
-        _assert_bitwise(a, b, f"eam replica {i}")
-
-
 # --------------------------------------------------- tallies after a run
-@pytest.mark.parametrize("family", ["melt", "eam_melt"])
+@pytest.mark.parametrize("family", ["melt"])
 def test_member_tallies_after_run_equal_solo(family):
     """A run's last step tallies into each member's own Pair, as solo does:
     ``thermo 50`` / ``run 30`` has no thermo row on step 30."""
@@ -171,15 +157,16 @@ def test_unknown_pair_style_rejected_with_choices():
         """
     )
     batch = ReplicaBatch(label="gate")
-    with pytest.raises(LammpsError, match="'lj/cut/gpu'.*expected one of: eam/fs, lj/cut"):
+    with pytest.raises(LammpsError, match="'lj/cut/gpu'.*expected one of: lj/cut"):
         batch.add_replica(lmp)
-    assert len(batch) == 0
+    assert batch.members == []
 
 
 def test_non_nve_fix_rejected():
     spec = ReplicaSpec(family="melt", cells=2)
     lmp = spec.build()
-    lmp.commands_string("unfix 1\nfix 1 all nve/kk")
+    lmp.modify.fixes.clear()
+    lmp.command("fix 1 all nve/kk")
     batch = ReplicaBatch(label="gate")
     with pytest.raises(LammpsError, match=r"exactly 'fix all nve'; got nve/kk\(all\)"):
         batch.add_replica(lmp)

@@ -192,19 +192,6 @@ class TestScatterViewContribution:
 
 
 class TestPairCacheJOrder:
-    def test_j_order_is_a_stable_sort_and_memoized(self):
-        lmp = make_melt(cells=2)
-        lmp.command("run 0")
-        cache = lmp.neigh_list.pair_cache()
-        order = cache.j_order()
-        assert order is cache.j_order()  # memoized per build
-        _, j = lmp.neigh_list.ij_pairs()
-        js = j[order]
-        assert (np.diff(js) >= 0).all()
-        # stability: within one destination, stored-pair order is preserved
-        starts = np.flatnonzero(np.r_[True, js[1:] != js[:-1]])
-        for lo, hi in zip(starts, np.r_[starts[1:], len(js)]):
-            assert (np.diff(order[lo:hi]) > 0).all()
 
     def test_cache_invalidated_by_rebuild(self):
         lmp = make_melt(cells=2)
@@ -257,7 +244,7 @@ def _make_reaxff():
 
 def _make_newton_off():
     lmp = make_melt(cells=3)
-    lmp.command("newton off")
+    lmp.newton_pair = False
     return lmp
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.kokkos as kk
@@ -132,10 +133,10 @@ class TestRuntimeWiring:
         kk.initialize("H100")
         trace = ChromeTrace()
         with kp.attached(trace):
-            dv = DualView(64, label="wired")
-            dv.modify_host()
-            dv.sync_device()
-            dv.sync_device()  # second sync is a no-op: already in sync
+            dv = DualView(np.zeros(64), label="wired")
+            dv.modify(kk.Host)
+            dv.sync(kk.Device)
+            dv.sync(kk.Device)  # second sync is a no-op: already in sync
         copies = [(e["name"], e["args"]["dst"], e["args"]["bytes"]) for e in trace.events
                   if e.get("cat") == "deep_copy" and e["ph"] == "i"]
         assert copies == [("deep_copy Host->Device", "Device:wired_d", 64 * 8)]
@@ -161,13 +162,13 @@ class TestCLIAndInputScript:
             with pytest.raises(InputError, match="unknown command 'metrics'"):
                 lmp.command(line)
 
-    def test_rejected_tool_list_leaves_nothing_behind(self, tmp_path):
+    def test_rejected_tool_list_leaves_nothing_behind(self, tmp_path, melt_script, capsys):
         """Every name is checked before any tool is built: a list with one
         bad name attaches nothing and makes no output directory."""
-        lmp = Lammps(device=None, quiet=True)
         out = tmp_path / "never"
-        with pytest.raises(InputError, match="bogus"):
-            lmp.command(f"tools chrome-trace,bogus out {out}")
+        with pytest.raises(SystemExit):
+            main(["-in", melt_script, "--tools", "chrome-trace,bogus", "--tool-out", str(out)])
+        assert "bogus" in capsys.readouterr().err
         assert kp.TOOLS == []
         assert not out.exists()
 

@@ -8,6 +8,7 @@ ledgers on the same run — and the CLI/input-script attachment surface.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.kokkos as kk
@@ -37,7 +38,6 @@ class TestRegistry:
     def test_disabled_dispatch_is_noop(self):
         assert kp.begin_kernel("parallel_for", "k", "Host") is None
         kp.end_kernel(None, None, 0.0)  # must not raise
-        kp.fence("f")
         kp.push_region("r")
         kp.pop_region()
         assert kp.CHAIN.region_stacks == {}
@@ -178,38 +178,19 @@ class TestCLIAndInputScript:
         with pytest.raises(SystemExit):
             main(["-in", melt_script, "--tools", "definitely-not-a-tool"])
 
-    def test_input_script_tools_command(self, tmp_path, melt_script, capsys):
-        from repro.core import Lammps
-
-        lmp = Lammps(device="H100", suffix="kk")
-        lmp.command(f"tools space-time-stack out {tmp_path}")
-        assert len(kp.TOOLS) == 1
-        lmp.file(melt_script)
-        lmp.command("tools off")
-        assert not kp.TOOLS
-        assert "space-time-stack" in capsys.readouterr().out
-
-    def test_input_script_unknown_tool_raises(self):
-        from repro.core import Lammps
-        from repro.core.errors import InputError
-
-        lmp = Lammps(device=None)
-        with pytest.raises(InputError):
-            lmp.command("tools not-a-tool")
-
 
 class TestDualViewHazard:
     def test_modify_both_spaces_names_view(self):
         from repro.kokkos.dual_view import DualView, DualViewModifyError
 
         kk.initialize("H100")
-        dv = DualView(8, label="forces")
-        dv.modify_device()
+        dv = DualView(np.zeros(8), label="forces")
+        dv.modify(kk.Device)
         with pytest.raises(DualViewModifyError, match="forces"):
-            dv.modify_host()
-        # the remedy is in the message
-        with pytest.raises(DualViewModifyError, match="sync first"):
-            dv.modify_host()
-        dv.sync_host()
-        dv.modify_host()  # after sync the write is legal
+            dv.modify(kk.Host)
+        # the remedy is in the message, named by the API that exists
+        with pytest.raises(DualViewModifyError, match=r"sync first \(sync\(Host\)\)"):
+            dv.modify(kk.Host)
+        dv.sync(kk.Host)
+        dv.modify(kk.Host)  # after sync the write is legal
 

@@ -17,7 +17,6 @@ import pytest
 
 from conftest import MELT_SCRIPT, make_melt
 from repro.core import Lammps
-from repro.core.errors import InputError
 from repro.kokkos.segment import set_scatter_mode
 from repro.tune import Autotuner
 from repro.tune import space as tspace
@@ -136,34 +135,6 @@ def test_untuned_runs_have_no_tune_column():
 
 
 # ----------------------------------------------------------- input command
-def test_package_autotune_command(tmp_path):
-    plan = tmp_path / "plan.json"
-    lmp = make_melt(cells=2, suffix="kk")
-    lmp.command(f"package autotune on plan {plan} workload melt")
-    assert lmp.autotune_request is not None
-    lmp.run(3)
-    assert lmp.autotuner is not None and lmp.autotuner.tuned
-    assert lmp.autotune_request is None
-    assert json.loads(plan.read_text())["plans"]["melt"]["host"]["config"]
-
-
-def test_package_autotune_off_clears_request():
-    lmp = make_melt(cells=2, suffix="kk")
-    lmp.command("package autotune on plan none")
-    lmp.command("package autotune off")
-    lmp.run(0)
-    assert lmp.autotuner is None
-
-
-def test_package_autotune_rejects_unknown_measure():
-    """``measure``/``repeats``/``seed`` are retired options, not values."""
-    lmp = make_melt(cells=2, suffix="kk")
-    for option in ("measure model", "repeats 1", "seed 3"):
-        name = option.split()[0]
-        with pytest.raises(InputError, match=f"unknown option '{name}'"):
-            lmp.command(f"package autotune on {option}")
-    with pytest.raises(InputError, match="usage: package autotune"):
-        lmp.command("package autotune maybe")
 
 
 def test_autotuner_rejects_unknown_measure(capsys):
