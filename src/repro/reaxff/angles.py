@@ -65,7 +65,7 @@ def build_triplets(bonds: BondList, nlocal: int) -> TripletTable:
     over = n_leg * (n_leg - 1) // 2 > rank
     n_leg[over] -= 1
     m_leg = rank - n_leg * (n_leg - 1) // 2
-    base = bonds.first[centers]
+    base = np.take(bonds.first, centers)
     return TripletTable(
         leg1=base + m_leg,
         leg2=base + n_leg,
@@ -89,18 +89,18 @@ def compute_angles(
         return 0.0
     c = triplets.center
     e1, e2 = triplets.leg1, triplets.leg2
-    j = bonds.j[e1].astype(np.int64)
-    k = bonds.j[e2].astype(np.int64)
-    u = bonds.dx[e1]  # x_c - x_j
-    v = bonds.dx[e2]  # x_c - x_k
-    ru = bonds.r[e1]
-    rv = bonds.r[e2]
-    bo1, dbo1 = bonds.bo[e1], bonds.dbo[e1]
-    bo2, dbo2 = bonds.bo[e2], bonds.dbo[e2]
+    j = np.take(bonds.j, e1).astype(np.int64)
+    k = np.take(bonds.j, e2).astype(np.int64)
+    u = np.take(bonds.dx, e1, axis=0)  # x_c - x_j
+    v = np.take(bonds.dx, e2, axis=0)  # x_c - x_k
+    ru = np.take(bonds.r, e1)
+    rv = np.take(bonds.r, e2)
+    bo1, dbo1 = np.take(bonds.bo, e1), np.take(bonds.dbo, e1)
+    bo2, dbo2 = np.take(bonds.bo, e2), np.take(bonds.dbo, e2)
 
-    tc = types[c]
-    kang = params.k_ang[tc]
-    cos0 = params.cos0[tc]
+    tc = np.take(types, c)
+    kang = np.take(params.k_ang, tc)
+    cos0 = np.take(params.cos0, tc)
 
     inv = 1.0 / (ru * rv)
     cosq = np.einsum("ij,ij->i", u, v) * inv
@@ -126,7 +126,7 @@ def compute_angles(
     scatter_add(f, c, fc, assume_sorted=True)  # centers are laid out contiguously
     scatter_add(f, j, fj)
     scatter_add(f, k, fk)
-    accumulate_virial(virial, x[c], fc)
-    accumulate_virial(virial, x[j], fj)
-    accumulate_virial(virial, x[k], fk)
+    accumulate_virial(virial, np.take(x, c, axis=0), fc)
+    accumulate_virial(virial, np.take(x, j, axis=0), fj)
+    accumulate_virial(virial, np.take(x, k, axis=0), fk)
     return energy

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.neighbor import NeighborList
+from repro.graph.pairwise import PROLOGUE, index_bounds
 from repro.reaxff.params import ReaxParams
 
 
@@ -65,29 +66,16 @@ class BondList:
 
 
 def bond_order(
-    r: np.ndarray, ti: np.ndarray, tj: np.ndarray, params: ReaxParams
+    r: np.ndarray, ti, tj, params: ReaxParams, *, r0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(BO, dBO/dr)`` for distances ``r`` between types ``ti``/``tj``."""
-    r0 = params.r0_ij(ti, tj)
+    """``(BO, dBO/dr)`` for distances ``r`` between types ``ti``/``tj``
+    (or, given ``r0``, the pairs' combined radii)."""
+    r0 = params.r0_ij(ti, tj) if r0 is None else r0
     ratio = r / r0
     inner = params.pbo1 * ratio**params.pbo2
     bo = np.exp(inner)
     dbo = bo * params.pbo1 * params.pbo2 * ratio ** (params.pbo2 - 1.0) / r0
     return bo, dbo
-
-
-def _filter_candidates(
-    x: np.ndarray,
-    types: np.ndarray,
-    nlist: NeighborList,
-    params: ReaxParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Shared geometry pass: pairs within the bond search cutoff."""
-    i, j = nlist.ij_pairs()
-    dx = x[i] - x[j]
-    rsq = np.einsum("ij,ij->i", dx, dx)
-    mask = rsq < params.rcut_bond**2
-    return i[mask], j[mask], dx[mask], np.sqrt(rsq[mask]), len(i)
 
 
 def build_bond_list_reference(
@@ -96,8 +84,16 @@ def build_bond_list_reference(
     nlist: NeighborList,
     params: ReaxParams,
 ) -> BondList:
-    """Divergent one-pass build: evaluate BO for every candidate, filter."""
-    i, j, dx, r, candidates = _filter_candidates(x, types, nlist, params)
+    """Divergent one-pass build: evaluate BO for every candidate, filter.
+
+    Plain forms only (``x[i] - x[j]``, boolean masks, a sort), so the
+    oracle shares no geometry code with :func:`build_bond_list`.
+    """
+    i, j = nlist.ij_pairs()
+    dx = x[i] - x[j]
+    rsq = np.einsum("ij,ij->i", dx, dx)
+    mask = rsq < params.rcut_bond**2
+    i, j, dx, r = i[mask], j[mask], dx[mask], np.sqrt(rsq[mask])
     bo, dbo = bond_order(r, types[i], types[j], params)
     keep = bo > params.bo_cut
     i, j, bo, dbo, dx, r = i[keep], j[keep], bo[keep], dbo[keep], dx[keep], r[keep]
@@ -114,7 +110,7 @@ def build_bond_list_reference(
         dbo=dbo,
         dx=dx,
         r=r,
-        candidates=candidates,
+        candidates=len(mask),
     )
 
 
@@ -129,21 +125,37 @@ def build_bond_list(
     This is the section 4.2.1 pipeline shape: the first kernel counts
     accepted bonds per atom, the offsets come from a scan, the (resized)
     table is filled by a second kernel.  All vectorized, and bit-identical
-    to the reference build.
+    to the reference build.  The candidate geometry is the shared
+    :data:`~repro.graph.pairwise.PROLOGUE`, and ``r0_ij`` is gathered once
+    per rebuild of ``nlist`` (``types`` must be constant between them).
 
     ``nlist`` must hold every pair that has ``BO > bo_cut`` *now*.  A list
     built at ``params.bond_search_cut + skin`` does, for as long as no
     pair has closed in by more than the skin since its build — the same
     skin contract the nonbonded pair list relies on.  Each call re-applies
-    the exact ``rcut_bond`` and ``bo_cut`` masks, so any list meeting the
-    contract yields the same table, entry for entry.
+    the exact masks, so any list meeting the contract yields the same
+    table, entry for entry.  The distance mask is ``bond_search_cut``: no
+    pair beyond it has ``BO > bo_cut`` (the reference masks at ``rcut_bond``
+    and gets the same table).
     """
-    i, j, dx, r, candidates = _filter_candidates(x, types, nlist, params)
-    bo, dbo = bond_order(r, types[i], types[j], params)
-    keep = bo > params.bo_cut
+
+    def bind():
+        i0, j0 = nlist.ij_pairs()
+        base = {"i0": i0, "j0": j0, "cutsq0": params.bond_search_cut**2, "keep": True}
+        index_bounds(base)  # keep, and pin params' id, as nonbonded_geometry does
+        return base, params, params.r0_ij(np.take(types, i0), np.take(types, j0))
+
+    base, _, r0 = nlist.pair_cache().memo(("reaxff.bonds", id(params)), bind)
+    geo = dict(base, x=x)
+    for fn in PROLOGUE:
+        fn(geo)
+    i, j, dx, r = geo["i_n"], geo["j_n"], geo["dx_n"], np.sqrt(geo["rsq_n"])
+    bo, dbo = bond_order(r, None, None, params, r0=np.take(r0, geo["idx"]))
+    keep = np.flatnonzero(bo > params.bo_cut)
+    ik = np.take(i, keep)
 
     # Kernel 1: per-atom accepted-bond counts.
-    counts = np.bincount(i[keep], minlength=nlist.nlocal)
+    counts = np.bincount(ik, minlength=nlist.nlocal)
     # Scan: row offsets (the "resize if necessary" step sizes the table).
     first = np.zeros(nlist.nlocal + 1, dtype=np.int64)
     np.cumsum(counts, out=first[1:])
@@ -152,20 +164,18 @@ def build_bond_list(
     # Kernel 2: fill.  Within a row, entries keep candidate order (a stable
     # per-row slot assignment — the vectorized equivalent of the thread-safe
     # queue guaranteeing per-atom contiguity).
-    ik = i[keep]
     order = np.argsort(ik, kind="stable")
-    out_i = ik[order]
-    sel = np.flatnonzero(keep)[order]
+    sel = np.take(keep, order)
     table = BondList(
         nlocal=nlist.nlocal,
         first=first,
-        i=out_i,
-        j=j[sel].astype(np.int32),
-        bo=bo[sel],
-        dbo=dbo[sel],
-        dx=dx[sel],
-        r=r[sel],
-        candidates=candidates,
+        i=np.take(ik, order),
+        j=np.take(j, sel).astype(np.int32),
+        bo=np.take(bo, sel),
+        dbo=np.take(dbo, sel),
+        dx=np.take(dx, sel, axis=0),
+        r=np.take(r, sel),
+        candidates=len(base["i0"]),
     )
     assert table.nbonds == total
     return table

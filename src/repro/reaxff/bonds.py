@@ -43,20 +43,19 @@ def compute_bonds(
     if bonds.nbonds == 0:
         return 0.0
     i, j = bonds.i, bonds.j.astype(np.int64)
-    own = (i < nlocal) & (tags[i] < tags[j])
-    if not own.any():
+    own = np.flatnonzero((i < nlocal) & (np.take(tags, i) < np.take(tags, j)))
+    if own.size == 0:
         return 0.0
-    i, j = i[own], j[own]
-    bo, dbo = bonds.bo[own], bonds.dbo[own]
-    dx, r = bonds.dx[own], bonds.r[own]
-    ti, tj = types[i], types[j]
-    de = params.de_ij(ti, tj)
+    i, j = np.take(i, own), np.take(j, own)
+    bo, dbo = np.take(bonds.bo, own), np.take(bonds.dbo, own)
+    dx, r = np.take(bonds.dx, own, axis=0), np.take(bonds.r, own)
+    de = params.de_ij(np.take(types, i), np.take(types, j))
     energy = float(-(de * bo).sum())
     # dE/dr = -De dBO/dr; F_i = -dE/dr * dx/r
     fpair = de * dbo / r
     fvec = fpair[:, None] * dx
     scatter_add(f, i, fvec, assume_sorted=True)
     scatter_sub(f, j, fvec)
-    accumulate_virial(virial, x[i], fvec)
-    accumulate_virial(virial, x[j], -fvec)
+    accumulate_virial(virial, np.take(x, i, axis=0), fvec)
+    accumulate_virial(virial, np.take(x, j, axis=0), -fvec)
     return energy

@@ -12,6 +12,8 @@ from the same shielded-tapered kernel over the same per-step geometry pass
 equilibrated charges minimize exactly the Coulomb energy computed here
 (which is what makes forces at fixed charges exact derivatives — the
 envelope theorem the tests rely on).
+That pass is the shared section 4.1 prologue (``pairwise.PROLOGUE``), with
+the per-pair species constants gathered once per neighbor rebuild.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graph.pairwise import PROLOGUE, index_bounds
 from repro.kokkos.segment import scatter_add
 from repro.reaxff.params import ReaxParams
 
@@ -48,8 +51,9 @@ def vdw_morse(
     r: np.ndarray, d: np.ndarray, alpha: float, rv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(E, dE/dr)`` for the Morse vdW form (no taper)."""
-    ex = np.exp(alpha * (1.0 - r / rv))
-    exh = np.exp(0.5 * alpha * (1.0 - r / rv))
+    s = 1.0 - r / rv
+    ex = np.exp(alpha * s)
+    exh = np.exp(0.5 * alpha * s)
     e = d * (ex - 2.0 * exh)
     de = d * (-alpha / rv) * (ex - exh)
     return e, de
@@ -66,9 +70,6 @@ class NonbondedGeometry:
 
     i: np.ndarray
     j: np.ndarray
-    #: species of ``i`` and ``j``
-    ti: np.ndarray
-    tj: np.ndarray
     #: displacement x_i - x_j and distance
     dx: np.ndarray
     r: np.ndarray
@@ -77,22 +78,36 @@ class NonbondedGeometry:
     dt: np.ndarray
     g: np.ndarray
     dg: np.ndarray
+    #: vdW well depth and radius of the pair's species
+    vdw_d: np.ndarray
+    vdw_r: np.ndarray
 
 
 def nonbonded_geometry(
     x: np.ndarray, types: np.ndarray, nlist, params: ReaxParams
 ) -> NonbondedGeometry:
-    """Cutoff-masked pair geometry, taper and shielding from a full list."""
-    i, j = nlist.ij_pairs()
-    dx = x[i] - x[j]
-    rsq = np.einsum("ij,ij->i", dx, dx)
-    mask = rsq < params.rcut_nonb**2
-    i, j, dx = i[mask], j[mask], dx[mask]
-    r = np.sqrt(rsq[mask])
-    ti, tj = types[i], types[j]
+    """Cutoff-masked pair geometry, taper and shielding from a full list
+    (``types`` must be constant between rebuilds of ``nlist``)."""
+
+    def bind():
+        i0, j0 = nlist.ij_pairs()
+        ti, tj = np.take(types, i0), np.take(types, j0)
+        # kept, not lent from the arena: the geometry outlives QEq's comm
+        # yields, across which another rank's pass reuses the arena
+        base = {"i0": i0, "j0": j0, "cutsq0": params.rcut_nonb**2, "keep": True}
+        index_bounds(base)
+        consts = (params.gamma_ij(ti, tj), params.vdw_d_ij(ti, tj), params.vdw_r_ij(ti, tj))
+        return base, params, consts  # params pins the id the memo is keyed on
+
+    base, _, consts = nlist.pair_cache().memo(("reaxff.nonbonded", id(params)), bind)
+    geo = dict(base, x=x)
+    for fn in PROLOGUE:
+        fn(geo)
+    gamma, vdw_d, vdw_r = (np.take(c, geo["idx"]) for c in consts)
+    r = np.sqrt(geo["rsq_n"])
     t, dt = taper(r, params.rcut_nonb)
-    g, dg = shielded_kernel(r, params.gamma_ij(ti, tj))
-    return NonbondedGeometry(i=i, j=j, ti=ti, tj=tj, dx=dx, r=r, t=t, dt=dt, g=g, dg=dg)
+    g, dg = shielded_kernel(r, gamma)
+    return NonbondedGeometry(geo["i_n"], geo["j_n"], geo["dx_n"], r, t, dt, g, dg, vdw_d, vdw_r)
 
 
 def compute_nonbonded(
@@ -109,10 +124,10 @@ def compute_nonbonded(
     owned atoms only (full-list convention: each pair visited from both
     ends, energies at half weight).
     """
-    i, j, ti, tj, dx, r = geom.i, geom.j, geom.ti, geom.tj, geom.dx, geom.r
+    i, j, dx, r = geom.i, geom.j, geom.dx, geom.r
     t, dt, g, dg = geom.t, geom.dt, geom.g, geom.dg
-    ev, dev = vdw_morse(r, params.vdw_d_ij(ti, tj), params.vdw_alpha, params.vdw_r_ij(ti, tj))
-    qq = qqr2e * q[i] * q[j]
+    ev, dev = vdw_morse(r, geom.vdw_d, params.vdw_alpha, geom.vdw_r)
+    qq = qqr2e * np.take(q, i) * np.take(q, j)
 
     e_vdw_pair = ev * t
     e_cou_pair = qq * g * t

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 import repro.kokkos as kk
-from repro.core.errors import InputError
+from repro.core.errors import InputError, LammpsError
 from repro.core.neighbor import build_neighbor_list
 from repro.core.styles import register_pair
 from repro.kokkos.core import Device, Host
@@ -160,7 +160,7 @@ class PairReaxFF(Pair):
         relies on the skin contract of that pair list: no pair closes in by
         more than the skin between rebuilds.  Under it every pair with
         ``BO > bo_cut`` is a candidate, and the bond-order build re-applies
-        the exact ``rcut_bond``/``bo_cut`` masks each call, so the table is
+        the exact distance and ``bo_cut`` masks each call, so the table is
         the one a per-step ``rcut_bond`` search would give.
         """
         lmp = self.lmp
@@ -198,11 +198,13 @@ class PairReaxFF(Pair):
         bond_nlist = self.bond_neighbor_list()
         # 2) bond-order table (count -> scan -> fill pipeline)
         bonds = build_bond_list(x, species, bond_nlist, params)
+        self._require_apart("bond", bonds)
         stats["bond_candidates"] = bonds.candidates
         stats["nbonds"] = bonds.nbonds
 
         # 3) charge equilibration: preconditioned, history-seeded dual CG
         matrix = build_qeq_matrix(x, species, lmp.neigh_list, params, lmp.update.units.qqr2e)
+        self._require_apart("nonbonded", matrix.geometry)
         stats["qeq_nnz"] = matrix.total_nnz
         stats["qeq_slots"] = matrix.stored_slots
         precond = make_preconditioner(self.qeq_precond, matrix)
@@ -257,6 +259,16 @@ class PairReaxFF(Pair):
             x, species, bonds, quads, params, atom.f, self.virial
         )
         self._charge_kernels(stats, nlocal)
+
+    def _require_apart(self, what: str, pairs) -> None:
+        """Fail loudly, naming step and pair, before ``1/r`` puts NaN in ``f``
+        (``pairs``: a :class:`BondList` or :class:`NonbondedGeometry`)."""
+        if not pairs.r.all():
+            k, tag = int(np.flatnonzero(pairs.r == 0.0)[0]), self.lmp.atom.tag
+            raise LammpsError(
+                f"pair reaxff: {what} pair ({tag[pairs.i[k]]}, {tag[pairs.j[k]]}) has zero "
+                f"separation on timestep {self.lmp.update.ntimestep}"
+            )
 
     def _charge_kernels(self, stats: dict, nlocal: int) -> None:
         """Hook for the Kokkos variant; the host style charges nothing."""

@@ -149,9 +149,9 @@ def build_qeq_matrix(
     counts -> over-allocated row offsets; (2) value kernel computes the
     shielded-tapered interactions, slots them row-contiguously, and records
     per-row non-zero counts and column offsets.  The value kernel's pair
-    geometry (:func:`~repro.reaxff.nonbonded.nonbonded_geometry`) is the
-    step's one nonbonded geometry pass; it rides on the matrix as
-    ``geometry`` for the nonbonded force.
+    geometry (:func:`~repro.reaxff.nonbonded.nonbonded_geometry`, the shared
+    two-body prologue) is the step's one nonbonded geometry pass; it rides
+    on the matrix as ``geometry`` for the nonbonded force.
     """
     nlocal = nlist.nlocal
     numneigh = nlist.numneigh
@@ -190,8 +190,8 @@ def build_qeq_matrix(
     row_start = np.zeros(nlocal, dtype=np.int64)
     np.cumsum(nnz_counts[:-1], out=row_start[1:])
     # i is sorted (ij_pairs yields row-major order); position within row:
-    pos = np.arange(len(i), dtype=np.int64) - row_start[i]
-    slot = offsets[i] + pos
+    pos = np.arange(len(i), dtype=np.int64) - np.take(row_start, i)
+    slot = np.take(offsets, i) + pos
     cols[slot] = j.astype(np.int32)
     vals[slot] = v
     nnz[:] = nnz_counts
@@ -199,7 +199,7 @@ def build_qeq_matrix(
     # (i, j, v) already are the valid slots in row order, so they are the
     # compacted COO, and the non-empty rows' starts are its row plan
     nonempty = np.flatnonzero(nnz_counts)
-    diag = 2.0 * params.eta[types[:nlocal]]
+    diag = 2.0 * np.take(params.eta, types[:nlocal])
     return QEqMatrix(
         nlocal=nlocal, offsets=offsets, cols=cols, vals=vals, nnz=nnz, diag=diag,
         geometry=geom, _rows_flat=i, _cols_flat=j.astype(np.int64), _vals_flat=v,

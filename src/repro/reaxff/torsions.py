@@ -62,17 +62,17 @@ def build_quads(
     ``tag_i < tag_j`` (each physical chain is built exactly once globally).
     """
     i_all, j_all = bonds.i, bonds.j.astype(np.int64)
-    central = (i_all < nlocal) & (tags[i_all] < tags[j_all])
+    central = (i_all < nlocal) & (np.take(tags, i_all) < np.take(tags, j_all))
     ce = np.flatnonzero(central)
     if ce.size == 0:
         z = np.zeros(0, dtype=np.int64)
         return QuadTable(np.zeros((0, 4), np.int32), z, z, z, 0)
 
-    ci = i_all[ce]
-    cj = j_all[ce]
+    ci = np.take(i_all, ce)
+    cj = np.take(j_all, ce)
     nb = np.diff(bonds.first)
-    cnt_i = nb[ci]
-    cnt_j = nb[cj]
+    cnt_i = np.take(nb, ci)
+    cnt_j = np.take(nb, cj)
     per_bond = cnt_i * cnt_j
     total = int(per_bond.sum())
     candidates = total
@@ -86,31 +86,39 @@ def build_quads(
     csum = np.zeros(ce.size, dtype=np.int64)
     np.cumsum(per_bond[:-1], out=csum[1:])
     rank = np.arange(total, dtype=np.int64) - np.repeat(csum, per_bond)
-    a = rank // cnt_j[rep]  # index among i's bonds
-    b = rank % cnt_j[rep]  # index among j's bonds
+    cnt_jr = np.take(cnt_j, rep)
+    a = rank // cnt_jr  # index among i's bonds
+    b = rank % cnt_jr  # index among j's bonds
 
-    leg_ik = bonds.first[ci[rep]] + a
-    leg_jl = bonds.first[cj[rep]] + b
-    leg_ij = ce[rep]
-    k = j_all[leg_ik]
-    l = j_all[leg_jl]
-    ii = ci[rep]
-    jj = cj[rep]
+    ii = np.take(ci, rep)
+    jj = np.take(cj, rep)
+    leg_ik = np.take(bonds.first, ii) + a
+    leg_jl = np.take(bonds.first, jj) + b
+    leg_ij = np.take(ce, rep)
+    k = np.take(j_all, leg_ik)
+    l = np.take(j_all, leg_jl)
 
     # Kernel 2 (fill): apply the validity and bond-order-product constraints
     # and store surviving quads.
     valid = (leg_ik != leg_ij) & (k != jj) & (l != ii) & (k != l)
-    boprod = bonds.bo[leg_ik] * bonds.bo[leg_ij] * bonds.bo[leg_jl]
+    boprod = np.take(bonds.bo, leg_ik) * np.take(bonds.bo, leg_ij) * np.take(bonds.bo, leg_jl)
     valid &= boprod > params.bo_prod_cut
     sel = np.flatnonzero(valid)
-    atoms = np.stack([k[sel], ii[sel], jj[sel], l[sel]], axis=1).astype(np.int32)
+    atoms = np.stack([np.take(col, sel) for col in (k, ii, jj, l)], axis=1).astype(np.int32)
     return QuadTable(
         atoms=atoms,
-        leg_ik=leg_ik[sel],
-        leg_ij=leg_ij[sel],
-        leg_jl=leg_jl[sel],
+        leg_ik=np.take(leg_ik, sel),
+        leg_ij=np.take(leg_ij, sel),
+        leg_jl=np.take(leg_jl, sel),
         candidates=candidates,
     )
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of ``(n, 3)`` rows in its multiply-then-subtract order
+    (bitwise equal), without its generic axis handling."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=1)
 
 
 def compute_torsions(
@@ -125,50 +133,43 @@ def compute_torsions(
     """Convergent quad kernel: dihedral energy + forces on (k, i, j, l)."""
     if quads.nquads == 0:
         return 0.0
-    k = quads.atoms[:, 0].astype(np.int64)
-    i = quads.atoms[:, 1].astype(np.int64)
-    j = quads.atoms[:, 2].astype(np.int64)
-    l = quads.atoms[:, 3].astype(np.int64)
-
     # chain vectors: b1 = x_i - x_k, b2 = x_j - x_i, b3 = x_l - x_j,
     # reusing cached bond geometry (dx = x_center - x_neighbor).
-    b1 = bonds.dx[quads.leg_ik]
-    b2 = -bonds.dx[quads.leg_ij]
-    b3 = -bonds.dx[quads.leg_jl]
+    b1 = np.take(bonds.dx, quads.leg_ik, axis=0)
+    b2 = -np.take(bonds.dx, quads.leg_ij, axis=0)
+    b3 = -np.take(bonds.dx, quads.leg_jl, axis=0)
 
-    n1 = np.cross(b1, b2)
-    n2 = np.cross(b2, b3)
+    n1 = _cross(b1, b2)
+    n2 = _cross(b2, b3)
     n1sq = np.einsum("ij,ij->i", n1, n1)
     n2sq = np.einsum("ij,ij->i", n2, n2)
-    ok = (n1sq > 1e-12) & (n2sq > 1e-12)
-    if not ok.any():
-        return 0.0
     # degenerate (collinear) chains contribute nothing
-    (k, i, j, l) = (k[ok], i[ok], j[ok], l[ok])
-    b1, b2, b3, n1, n2 = b1[ok], b2[ok], b3[ok], n1[ok], n2[ok]
-    n1sq, n2sq = n1sq[ok], n2sq[ok]
-    leg_ik = quads.leg_ik[ok]
-    leg_ij = quads.leg_ij[ok]
-    leg_jl = quads.leg_jl[ok]
+    ok = np.flatnonzero((n1sq > 1e-12) & (n2sq > 1e-12))
+    if ok.size == 0:
+        return 0.0
+    k, i, j, l = (np.take(quads.atoms[:, c], ok).astype(np.int64) for c in range(4))
+    b1, b2, b3, n1, n2 = (np.take(v, ok, axis=0) for v in (b1, b2, b3, n1, n2))
+    n1sq, n2sq = np.take(n1sq, ok), np.take(n2sq, ok)
+    leg_ik, leg_ij, leg_jl = (np.take(e, ok) for e in (quads.leg_ik, quads.leg_ij, quads.leg_jl))
 
     inv = 1.0 / np.sqrt(n1sq * n2sq)
     cosw = np.einsum("ij,ij->i", n1, n2) * inv
     np.clip(cosw, -1.0, 1.0, out=cosw)
     sin2 = 1.0 - cosw * cosw
 
-    bo1 = bonds.bo[leg_ik]
-    bo2 = bonds.bo[leg_ij]
-    bo3 = bonds.bo[leg_jl]
-    v2 = 0.5 * (params.v2[types[i]] + params.v2[types[j]])
+    bo1 = np.take(bonds.bo, leg_ik)
+    bo2 = np.take(bonds.bo, leg_ij)
+    bo3 = np.take(bonds.bo, leg_jl)
+    v2 = 0.5 * (np.take(params.v2, np.take(types, i)) + np.take(params.v2, np.take(types, j)))
     prod = bo1 * bo2 * bo3
     energy = float((v2 * prod * sin2).sum())
 
     # --- gradient of cos(omega) -------------------------------------------
     g1 = (n2 * inv[:, None]) - (cosw / n1sq)[:, None] * n1  # dcos/dn1
     g2 = (n1 * inv[:, None]) - (cosw / n2sq)[:, None] * n2  # dcos/dn2
-    dcdb1 = np.cross(b2, g1)
-    dcdb2 = np.cross(g1, b1) + np.cross(b3, g2)
-    dcdb3 = np.cross(g2, b2)
+    dcdb1 = _cross(b2, g1)
+    dcdb2 = _cross(g1, b1) + _cross(b3, g2)
+    dcdb3 = _cross(g2, b2)
 
     decos = -2.0 * v2 * prod * cosw  # dE/dcos(omega)
     dEdb1 = decos[:, None] * dcdb1
@@ -185,7 +186,8 @@ def compute_torsions(
     # dE/dBO_leg = v2 * (prod / bo_leg) * sin2; dBO/dr along the leg vector.
     def bo_leg_force(leg: np.ndarray, bo_leg: np.ndarray) -> np.ndarray:
         debo = v2 * (prod / bo_leg) * sin2
-        return (debo * bonds.dbo[leg] / bonds.r[leg])[:, None] * bonds.dx[leg]
+        dbo_r = debo * np.take(bonds.dbo, leg) / np.take(bonds.r, leg)
+        return dbo_r[:, None] * np.take(bonds.dx, leg, axis=0)
 
     # leg (i, k): dx = x_i - x_k
     t_ik = bo_leg_force(leg_ik, bo1)
@@ -202,5 +204,5 @@ def compute_torsions(
 
     for idx, dE in ((k, dEdxk), (i, dEdxi), (j, dEdxj), (l, dEdxl)):
         scatter_add(f, idx, -dE)
-        accumulate_virial(virial, x[idx], -dE)
+        accumulate_virial(virial, np.take(x, idx, axis=0), -dE)
     return energy

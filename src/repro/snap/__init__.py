@@ -23,8 +23,8 @@ slowest, m' fastest) first, the atom or pair index fastest:
   pairs, keeping only the rows some consumer reads;
 * :mod:`repro.snap.compute_ui` — ComputeUi: per-pair u into per-atom
   ``U (idxu_max, natoms)``, one recursion per unordered pair;
-* :mod:`repro.snap.bispectrum` — B components (energy / training targets;
-  ``pair snap`` evaluates them on tallied steps only);
+* :mod:`repro.snap.bispectrum` — B components (descriptors, and the oracle
+  for ``pair snap``'s energy, which a tallied step takes from the adjoint);
 * :mod:`repro.snap.compute_yi` — ComputeYi: the single half-range adjoint
   ``Y (len(half), natoms)``;
 * :mod:`repro.snap.compute_deidrj` — ComputeFusedDeidrj: one value

@@ -27,7 +27,6 @@ from repro.graph.pairwise import GRAPH, prologue_stages, run_graph, run_stages
 from repro.kokkos.core import Device, Host
 from repro.kokkos.segment import scatter_add, scatter_sub
 from repro.potentials.pair import Pair
-from repro.snap.bispectrum import compute_bispectrum
 from repro.snap.compute_deidrj import compute_fused_deidrj
 from repro.snap.compute_ui import compute_ui
 from repro.snap.compute_yi import compute_yi
@@ -166,12 +165,13 @@ class PairSNAP(Pair):
             rij, i, nlocal, self.rcut, self.twojmax, rmin0=self.rmin0,
             partner=partner,
         )
-        if eflag:
-            # bispectrum components dotted with the learned coefficients
-            B = compute_bispectrum(U, self.twojmax)
-            self.eng_vdwl += float((B @ self.beta).sum())
         # (2) ComputeYi: the folded adjoint
         Y = compute_yi(U, self.beta, self.twojmax)
+        if eflag:
+            # E = B . beta is homogeneous of degree 3 in (U, conj U), so by
+            # Euler's identity Re(Y . U) = 3 E: the adjoint already holds it
+            Uh = np.take(U, self.index.half, axis=0)
+            self.eng_vdwl += float(np.real(Y * Uh).sum()) / 3.0
         # (3+4) ComputeFusedDeidrj: per-pair force contraction, 3 directions,
         # against Y[i] + Ytilde[partner]: the derivative of both ends' energy
         dedr = compute_fused_deidrj(

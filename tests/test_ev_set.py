@@ -51,28 +51,41 @@ class TestTallyCadence:
 
 
 class TestSNAP:
-    """``pair snap`` honours eflag: the bispectrum (its energy pass) runs
-    on tallied steps only, and an untallied step cannot be read."""
+    """``pair snap`` honours eflag: its energy (taken from the adjoint)
+    is tallied on tallied steps only, and an untallied step cannot be read."""
 
     def _ta(self):
         lmp = make_ta(twojmax=2)
         lmp.command("thermo 5")
         return lmp
 
-    def test_bispectrum_runs_on_tallied_steps_only(self, monkeypatch):
+    def test_tallied_energy_is_the_bispectrum_energy(self, monkeypatch):
+        """Tallied steps take ``E = Re(Y . U) / 3`` from the adjoint: it
+        equals the bispectrum form ``B(U) . beta`` of the same step's ``U``."""
         import repro.snap.pair_snap as ps
+        from repro.snap.bispectrum import compute_bispectrum
 
-        steps = []
         lmp = self._ta()
-        original = ps.compute_bispectrum
+        pair = lmp.pair
+        totals, energies = {}, {}
+        compute_yi, compute = ps.compute_yi, pair.compute
 
-        def spy(U, twojmax):
-            steps.append(lmp.update.ntimestep)
-            return original(U, twojmax)
+        def yi_spy(U, beta, twojmax):
+            totals[lmp.update.ntimestep] = U
+            return compute_yi(U, beta, twojmax)
 
-        monkeypatch.setattr(ps, "compute_bispectrum", spy)
+        def compute_spy(eflag=True, vflag=True):
+            compute(eflag=eflag, vflag=vflag)
+            if eflag:
+                energies[lmp.update.ntimestep] = pair.eng_vdwl
+
+        monkeypatch.setattr(ps, "compute_yi", yi_spy)
+        monkeypatch.setattr(pair, "compute", compute_spy)
         lmp.command("run 10")
-        assert steps == [0, 5, 10]
+        assert sorted(energies) == [0, 5, 10]
+        for step, energy in energies.items():
+            want = float((compute_bispectrum(totals[step], 2) @ pair.beta).sum())
+            assert energy == pytest.approx(want, rel=1e-12)
         sparse = [r.values for r in lmp.thermo.history]
         monkeypatch.setattr(Verlet, "ev_set", lambda self, step, last: True)
         dense = self._ta()

@@ -81,9 +81,8 @@ class TestBondOrder:
         nlist = build_neighbor_list(x, len(x), PARAMS.rcut_bond, style="full")
         a = build_bond_list(x, species, nlist, PARAMS)
         b = build_bond_list_reference(x, species, nlist, PARAMS)
-        assert np.array_equal(a.first, b.first)
-        assert np.array_equal(a.j, b.j)
-        np.testing.assert_array_equal(a.bo, b.bo)
+        for name in ("first", "i", "j", "bo", "dbo", "dx", "r", "candidates"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_rows_are_contiguous_per_atom(self):
         x, species = random_chno(7)

@@ -152,6 +152,76 @@ class TestBondSearchCut:
         assert rebuilds >= 3 and len(checked) == 31 * nranks
 
 
+def plain_nonbonded_geometry(lmp) -> dict:
+    """The nonbonded geometry in plain forms: ``x[i] - x[j]``, a boolean
+    ``rsq < rc^2`` mask, and per-pair species constants from the types."""
+    from repro.reaxff.nonbonded import shielded_kernel, taper
+
+    atom, params = lmp.atom, lmp.pair.params
+    x = atom.x[: atom.nall]
+    types = lmp.pair.type_map[atom.type[: atom.nall]]
+    i, j = lmp.neigh_list.ij_pairs()
+    dx = x[i] - x[j]
+    rsq = np.einsum("ij,ij->i", dx, dx)
+    mask = rsq < params.rcut_nonb**2
+    i, j, dx, r = i[mask], j[mask], dx[mask], np.sqrt(rsq[mask])
+    ti, tj = types[i], types[j]
+    t, dt = taper(r, params.rcut_nonb)
+    g, dg = shielded_kernel(r, params.gamma_ij(ti, tj))
+    return dict(
+        i=i, j=j, dx=dx, r=r, t=t, dt=dt, g=g, dg=dg,
+        vdw_d=params.vdw_d_ij(ti, tj), vdw_r=params.vdw_r_ij(ti, tj),
+    )
+
+
+class TestNonbondedGeometry:
+    @pytest.mark.parametrize("nranks", [1, 2])
+    def test_prologue_geometry_is_the_plain_formula(self, nranks):
+        """Every :class:`NonbondedGeometry` field of the shared-prologue path
+        equals the plain formula bit for bit, before and after a neighbor
+        rebuild: the species constants memoized per list come from the new
+        list, not the old one."""
+        from dataclasses import fields
+
+        from repro.reaxff.nonbonded import NonbondedGeometry, nonbonded_geometry
+
+        target = make_hns(nranks=nranks)
+        ranks = target.ranks if nranks > 1 else [target]
+        lists = []
+        for steps in (0, 12):  # every 10: step 10 rebuilds
+            target.command(f"run {steps}")
+            for lmp in ranks:
+                atom, pair = lmp.atom, lmp.pair
+                got = nonbonded_geometry(
+                    atom.x[: atom.nall], pair.type_map[atom.type[: atom.nall]],
+                    lmp.neigh_list, pair.params,
+                )
+                want = plain_nonbonded_geometry(lmp)
+                assert [f.name for f in fields(NonbondedGeometry)] == list(want)
+                for name, value in want.items():
+                    assert np.array_equal(getattr(got, name), value), name
+                lists.append(lmp.neigh_list)
+        assert all(a is not b for a, b in zip(lists[:nranks], lists[nranks:]))
+
+
+class TestCoincidentAtoms:
+    def test_zero_separation_fails_loudly(self):
+        """Two atoms on one site would put ``0/0`` into the bond and
+        nonbonded forces; the step fails naming the step and both tags."""
+        from repro.core.errors import LammpsError
+        from repro.workloads.hns import HNS_POSTAMBLE, HNS_PREAMBLE, hns_configuration
+
+        x, types, hi = hns_configuration(2, 2, 2)
+        x[1] = x[0]
+        lmp = Lammps()
+        lmp.commands_string(HNS_PREAMBLE)
+        lmp.commands_string(f"region box block 0 {hi[0]} 0 {hi[1]} 0 {hi[2]}\ncreate_box 4 box")
+        lmp.create_atoms_from_arrays(x, types)
+        lmp.commands_string(HNS_POSTAMBLE.format(pair_style="reaxff cutoff 5.0"))
+        with pytest.raises(LammpsError, match=r"pair \(1, 2\) has zero separation on timestep 0"):
+            lmp.command("run 0")
+
+
 class TestParallelAndKokkos:
     @pytest.mark.parametrize("nranks", [2, 4])
     def test_decomposition_equivalence(self, nranks):
