@@ -93,22 +93,25 @@ def stage_profile(
 class Arena:
     """Grow-only named scratch buffers shared by every pairwise pass.
 
-    A buffer is handed out as ``buf[:n]`` and stays valid until the next
-    ``take`` of the same name, so a pass may only rely on a buffer across
-    calls that cannot run another pass in between — which is why outputs
-    that must survive a generator ``yield`` (EAM's geometry across its
-    ``rho`` and ``fp`` exchanges) are allocated by the caller instead
-    (``env["keep"]``).
+    ``take(name, *shape)`` hands out a C-contiguous ``shape`` view of the
+    front of one flat buffer per name, so any re-take of a name is shaped
+    as asked; the buffer grows when it is too short or of another dtype.
+    A view stays valid until the next ``take`` of the same name, so a pass
+    may only rely on a buffer across calls that cannot run another pass in
+    between — which is why outputs that must survive a generator ``yield``
+    (EAM's geometry across its ``rho`` and ``fp`` exchanges) are allocated
+    by the caller instead (``env["keep"]``).
     """
 
     def __init__(self) -> None:
         self._bufs: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, n: int, cols: int = 0, dtype: Any = np.float64) -> np.ndarray:
+    def take(self, name: str, *shape: int, dtype: Any = np.float64) -> np.ndarray:
+        size = int(np.prod(shape))
         buf = self._bufs.get(name)
-        if buf is None or buf.shape[0] < n or buf.dtype != dtype:
-            buf = self._bufs[name] = np.empty((n, cols) if cols else n, dtype)
-        return buf[:n]
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._bufs[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
     def release(self) -> None:
         """Drop every buffer (the next pass re-grows what it needs)."""
@@ -127,6 +130,13 @@ ARENA = Arena()
 # Bitwise discipline: ``np.take`` gathers and ``out=`` ufuncs reproduce the
 # plain ``x[i] - x[j]`` / boolean-mask expressions bit for bit (held against
 # the formula oracle in tests/test_pairwise_oracle.py).
+#
+# Layout contract (LayoutLeft): every per-pair 3-vector -- ``dx0``, ``dx_n``,
+# ``fvec_n`` -- is ``(3, n)`` component rows, pair index fastest, from the
+# gather through the scatter and the tally, so each reduction and broadcast
+# runs over contiguous rows.  Consumers that want ``(n, 3)`` take ``.T`` (a
+# view) or, where an ``einsum`` reduces over the component axis and the
+# layout would pick its summation order, a C-ordered copy.
 def gather(a: np.ndarray, idx: np.ndarray, out: np.ndarray | None, axis: int | None = None):
     """``np.take(a, idx, axis, out=out)`` without ``mode="raise"``, which gathers
     into a private copy of ``out`` and copies it back (twice the gather).  The
@@ -153,14 +163,22 @@ def _delta_fn(env: dict) -> None:
     lo, hi = index_bounds(env)
     if lo < 0 or hi >= len(x):
         raise IndexError(f"pair indices span [{lo}, {hi}] but x has {len(x)} rows")
-    xi = gather(x, env["i0"], ARENA.take("xi", n, 3), axis=0)
-    xj = gather(x, env["j0"], ARENA.take("xj", n, 3), axis=0)
+    xt = ARENA.take("xt", 3, len(x))
+    np.copyto(xt, x.T)
+    xi = gather(xt, env["i0"], ARENA.take("xi", 3, n), axis=1)
+    xj = gather(xt, env["j0"], ARENA.take("xj", 3, n), axis=1)
     env["dx0"] = np.subtract(xi, xj, out=xi)
 
 
 def _rsq_fn(env: dict) -> None:
-    dx0 = env["dx0"]
-    env["rsq0"] = np.einsum("ij,ij->i", dx0, dx0, out=ARENA.take("rsq0", len(dx0)))
+    """``(d0² + d2²) + d1²``: the order ``np.einsum("ij,ij->i")`` sums a
+    C-ordered ``(n, 3)`` row in, squared into the dead ``xj`` rows."""
+    d = env["dx0"]
+    n = d.shape[1]
+    sq = ARENA.take("xj", n)
+    rsq = np.multiply(d[0], d[0], out=ARENA.take("rsq0", n))
+    np.add(rsq, np.multiply(d[2], d[2], out=sq), out=rsq)
+    env["rsq0"] = np.add(rsq, np.multiply(d[1], d[1], out=sq), out=rsq)
 
 
 def _cutmask_fn(env: dict) -> None:
@@ -174,12 +192,12 @@ def _gather_fn(env: dict) -> None:
     n = idx.size
     keep = env.get("keep")
 
-    def out(name: str, cols: int = 0, dtype: Any = np.float64):
-        return None if keep else ARENA.take(name, n, cols, dtype)
+    def out(name: str, *rows: int, dtype: Any = np.float64):
+        return None if keep else ARENA.take(name, *rows, n, dtype=dtype)
 
     i0, j0 = env["i0"], env["j0"]
     # xj is dead once delta has subtracted it: the compressed rows reuse it
-    env["dx_n"] = gather(env["dx0"], idx, out("xj", 3), axis=0)
+    env["dx_n"] = gather(env["dx0"], idx, out("xj", 3), axis=1)
     env["rsq_n"] = gather(env["rsq0"], idx, out("rsq_n"))
     env["i_n"] = gather(i0, idx, out("i_n", dtype=i0.dtype))
     env["j_n"] = gather(j0, idx, out("j_n", dtype=j0.dtype))
@@ -189,21 +207,20 @@ def _gather_fn(env: dict) -> None:
 
 #: The geometry prologue, for callers that run it outside a Stage list.
 #: Over ``env["x"]``, ``i0``, ``j0``, ``cutsq0`` it leaves ``idx`` and the
-#: cut-pair arrays ``i_n/j_n/dx_n/rsq_n`` (``dx_n = x[i_n] - x[j_n]``);
+#: cut-pair arrays ``i_n/j_n/dx_n/rsq_n`` (``dx_n = (x[i_n] - x[j_n]).T``);
 #: ``env["keep"]`` makes those fresh allocations instead of arena loans.
 PROLOGUE = (_delta_fn, _rsq_fn, _cutmask_fn, _gather_fn)
 
 
 def _fvec_fn(env: dict) -> None:
     dx = env["dx_n"]
-    env["fvec_n"] = np.multiply(
-        env["fpair_n"][:, None], dx, out=ARENA.take("fvec", len(dx), 3)
-    )
+    # xi (dx0) is dead once gather has compressed it, and is never shorter
+    env["fvec_n"] = np.multiply(dx, env["fpair_n"], out=ARENA.take("xi", *dx.shape))
 
 
 def _scatter_fn(env: dict) -> None:
     """``+fvec`` on i (and ``-fvec`` on j for half lists), per list style."""
-    i, j, fvec = env["i_n"], env["j_n"], env["fvec_n"]
+    i, j, fvec = env["i_n"], env["j_n"], env["fvec_n"].T
     if env["full"]:
         # One thread per atom sums its own row: conflict-free, so this is a
         # per-row segmented reduction regardless of the execution space
@@ -216,10 +233,7 @@ def _scatter_fn(env: dict) -> None:
         mode = scatter_mode()
         scatter_add(env["f"], i, fvec, mode=mode, assume_sorted=True)
         if env["newton"]:
-            # x - y == x + (-y) bitwise; xi is dead after the gather, so the
-            # negation lands there instead of in a fresh temporary
-            nfv = np.negative(fvec, out=ARENA.take("xi", len(fvec), 3))
-            scatter_add(env["f"], j, nfv, mode=mode)
+            scatter_sub(env["f"], j, fvec, mode=mode)
         else:
             jl = env["jl_n"]
             scatter_sub(env["f"], j[jl], fvec[jl], mode=mode)
@@ -242,8 +256,8 @@ def _tally_fn(env: dict) -> None:
     env["energy_fn"](env)
     env["pair"].tally_pairs(
         env["evdwl_n"],
-        env["dx_n"],
-        env["fvec_n"],
+        env["dx_n"].T,
+        env["fvec_n"].T,
         env["jl_n"],
         full_list=env["full"],
         newton=env["newton"],

@@ -183,25 +183,13 @@ def scatter_add(
     ``mode`` overrides; otherwise :func:`scatter_mode` resolves it from the
     execution space (honoring any benchmark-forced global mode).  The
     segmented path reduces per destination first and folds the dense result
-    in — bit-identical to the ``np.add.at`` atomic path.
+    in — bit-identical to the ``np.add.at`` atomic path.  ``values`` may be
+    any strided view: component rows ``rows[c, k]`` (LayoutLeft, the
+    pairwise pass's per-pair vectors) pass as ``rows.T``, and each
+    component then reduces along its contiguous row — bit for bit the
+    C-ordered ``(k, 3)`` result.
     """
-    if mode is None:
-        mode = scatter_mode(space)
-    if mode == ATOMIC or out.ndim > 2:
-        np.add.at(out, index, values)
-        return
-    index = np.asarray(index)
-    values = np.asarray(values)
-    want = index.shape + out.shape[1:]
-    if values.shape != want:  # np.add.at-style broadcast
-        values = np.broadcast_to(values, want)
-    if values.size == 0 or index.size == 0:
-        return
-    n = out.shape[0]
-    if out.ndim == 1:
-        out += segment_sum(values, index, n, assume_sorted=assume_sorted)
-    else:
-        out += segment_sum_vec(values, index, n, assume_sorted=assume_sorted)
+    _scatter(np.add, out, index, values, mode, space, assume_sorted)
 
 
 def scatter_sub(
@@ -213,13 +201,26 @@ def scatter_sub(
     space: ExecutionSpace | None = None,
     assume_sorted: bool = False,
 ) -> None:
-    """``out[index] -= values`` (see :func:`scatter_add`)."""
+    """``out[index] -= values`` (see :func:`scatter_add`).  ``out - s`` is
+    ``out + (-s)`` bit for bit, so no negated copy of ``values`` is made."""
+    _scatter(np.subtract, out, index, values, mode, space, assume_sorted)
+
+
+def _scatter(op, out, index, values, mode, space, assume_sorted) -> None:
     if mode is None:
         mode = scatter_mode(space)
-    if mode == ATOMIC:
-        np.subtract.at(out, index, values)
+    if mode == ATOMIC or out.ndim > 2:
+        op.at(out, index, values)
         return
-    scatter_add(out, index, -np.asarray(values), mode=mode, assume_sorted=assume_sorted)
+    index = np.asarray(index)
+    values = np.asarray(values)
+    want = index.shape + out.shape[1:]
+    if values.shape != want:  # np.add.at-style broadcast
+        values = np.broadcast_to(values, want)
+    if values.size == 0 or index.size == 0:
+        return
+    reduce = segment_sum if out.ndim == 1 else segment_sum_vec
+    op(out, reduce(values, index, out.shape[0], assume_sorted=assume_sorted), out=out)
 
 
 # ----------------------------------------------------------- column scatters

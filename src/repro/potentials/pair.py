@@ -138,7 +138,9 @@ class Pair:
     ) -> None:
         """ev_tally for a batch of pairs.
 
-        ``fvec`` holds the per-pair force vectors (``fpair[:, None] * dx``);
+        ``fvec`` holds the per-pair force vectors (``fpair[:, None] * dx``),
+        both ``(n, 3)`` of any strides (the pairwise pass hands in ``.T``
+        views of its component rows, so each column read is contiguous);
         ``jlocal`` marks pairs whose j atom is owned by this rank and is
         only read on the half-list newton-off path.
         """

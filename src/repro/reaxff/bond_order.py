@@ -149,7 +149,8 @@ def build_bond_list(
     geo = dict(base, x=x)
     for fn in PROLOGUE:
         fn(geo)
-    i, j, dx, r = geo["i_n"], geo["j_n"], geo["dx_n"], np.sqrt(geo["rsq_n"])
+    # C-ordered (n, 3) rows, as nonbonded_geometry takes them
+    i, j, dx, r = geo["i_n"], geo["j_n"], geo["dx_n"].T.copy(), np.sqrt(geo["rsq_n"])
     bo, dbo = bond_order(r, None, None, params, r0=np.take(r0, geo["idx"]))
     keep = np.flatnonzero(bo > params.bo_cut)
     ik = np.take(i, keep)

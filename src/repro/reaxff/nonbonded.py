@@ -107,7 +107,10 @@ def nonbonded_geometry(
     r = np.sqrt(geo["rsq_n"])
     t, dt = taper(r, params.rcut_nonb)
     g, dg = shielded_kernel(r, gamma)
-    return NonbondedGeometry(geo["i_n"], geo["j_n"], geo["dx_n"], r, t, dt, g, dg, vdw_d, vdw_r)
+    # a C-ordered copy of the component rows: the force and virial reductions
+    # over it are written for (n, 3) rows, and the layout sets their order
+    dx = geo["dx_n"].T.copy()
+    return NonbondedGeometry(geo["i_n"], geo["j_n"], dx, r, t, dt, g, dg, vdw_d, vdw_r)
 
 
 def compute_nonbonded(

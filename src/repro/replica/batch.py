@@ -491,8 +491,8 @@ class ReplicaBatch:
             cut = slice(bounds[m.index], bounds[m.index + 1])
             pair.tally_pairs(
                 env["evdwl_n"][cut],
-                env["dx_n"][cut],
-                env["fvec_n"][cut],
+                env["dx_n"].T[cut],
+                env["fvec_n"].T[cut],
                 None if jl is None else jl[cut],
                 full_list=env["full"],
                 newton=env["newton"],

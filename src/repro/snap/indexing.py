@@ -20,6 +20,7 @@ from itertools import product
 
 import numpy as np
 
+from repro.graph.pairwise import gather
 from repro.kokkos.segment import _sorted_segments
 from repro.snap.cg import clebsch_gordan
 
@@ -112,9 +113,15 @@ class ContractionPlan:
         """``out (nrows, natoms)`` of the weighted bilinear contraction."""
         out = np.zeros((nrows, T.shape[1]), dtype=np.complex128)
         of = out.view(np.float64)
-        for lo, hi, segs in self.chunks(T.shape[1]):
-            K = T[self.a[lo:hi]]
-            K *= T[self.b[lo:hi]]
+        layout = self.chunks(T.shape[1])
+        # two gather buffers for the call, sized to the longest chunk (a long
+        # dest segment goes whole, past CHUNK_BYTES)
+        size = max((hi - lo for lo, hi, _ in layout), default=0)
+        Ka = np.empty((size, T.shape[1]), dtype=T.dtype)
+        Kb = np.empty_like(Ka)
+        for lo, hi, segs in layout:
+            K = gather(T, self.a[lo:hi], Ka[: hi - lo], axis=0)
+            K *= gather(T, self.b[lo:hi], Kb[: hi - lo], axis=0)
             Kf = K.view(np.float64)
             for row, s, e in segs:
                 of[row] = w[s:e] @ Kf[s - lo : e - lo]

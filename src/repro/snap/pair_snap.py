@@ -23,7 +23,7 @@ import numpy as np
 import repro.kokkos as kk
 from repro.core.errors import InputError, LammpsError
 from repro.core.styles import register_pair
-from repro.graph.pairwise import GRAPH, prologue_stages, run_graph, run_stages
+from repro.graph.pairwise import ARENA, GRAPH, prologue_stages, run_graph, run_stages
 from repro.kokkos.core import Device, Host
 from repro.kokkos.segment import scatter_add, scatter_sub
 from repro.potentials.pair import Pair
@@ -150,7 +150,12 @@ class PairSNAP(Pair):
             )
         else:
             run_stages(stages, env)
-        i, j, rij = env["j_n"], env["i_n"], env["dx_n"]
+        # a C-ordered copy of the prologue's component rows, into the dead xi
+        # rows: the Wigner einsums reduce over the component axis in an order
+        # the layout sets
+        i, j, d = env["j_n"], env["i_n"], env["dx_n"]
+        rij = ARENA.take("xi", d.shape[1], 3)
+        np.copyto(rij, d.T)
         partner = np.take(env["partner0"], env["idx"])
         stats["kept"] = len(i)
         stats["partnered"] = int(np.count_nonzero(partner < nlocal))

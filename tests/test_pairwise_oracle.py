@@ -26,7 +26,7 @@ import pytest
 from repro.core import Lammps
 from repro.core.neighbor import brute_force_pairs
 from repro.graph import ON, force_graph_mode, set_graph_mode
-from repro.graph.pairwise import ARENA, index_bounds, run_stages
+from repro.graph.pairwise import ARENA, Arena, index_bounds, run_stages
 from repro.kokkos.segment import set_scatter_mode
 from repro.parallel.driver import drain
 from repro.potentials.eam import eam_geometry
@@ -354,7 +354,7 @@ def test_rebound_env_recomputes_the_bound():
 
 # ------------------------------------------------------------------ workspace
 #: arena budget: 2 gathered coordinate rows + rsq + mask (stored pairs) and
-#: rsq/i/j/fvec/4 LJ temporaries (cut pairs, capacity = stored)
+#: rsq/i/j/4 LJ temporaries (cut pairs, capacity = stored); fvec reuses xi
 ARENA_BYTES_PER_STORED_PAIR = 160
 
 
@@ -389,6 +389,36 @@ def test_rebuilds_do_not_double_hold_the_workspace():
     finally:
         tracemalloc.stop()
     assert three <= 1.1 * one
+
+
+def test_arena_retake_is_shaped_as_asked():
+    """One name re-taken at another width, length or the ``(3, n)`` row
+    form comes back in that shape, C-contiguous (np.take's ``out=``
+    gathers in place only into a C-contiguous buffer)."""
+    arena = Arena()
+    for shape in ((10, 3), (5,), (4, 2), (3, 7)):
+        buf = arena.take("x", *shape)
+        assert buf.shape == shape and buf.flags.c_contiguous
+    assert arena.take("x", 6, dtype=bool).dtype == bool
+
+
+def test_pass_keeps_component_rows():
+    """LayoutLeft from gather to scatter: ``dx0``, ``dx_n`` and ``fvec_n``
+    are contiguous ``(3, n)`` rows, and ``rsq0`` is ``(d0² + d2²) + d1²``
+    exactly: the order in which NumPy 2.4's ``np.einsum("ij,ij->i")`` sums
+    a C-ordered ``(n, 3)`` row, pinned so the layout moves no bit."""
+    lmp = build("lj/cut")
+    env, stages, _ = lmp.pair.pair_kernel()
+    env.update(x=lmp.atom.x[: lmp.atom.nall], f=lmp.atom.f)
+    run_stages(stages[:4], env)  # the prologue
+    d = env["dx0"]
+    assert d.shape == (3, len(env["i0"])) and d.flags.c_contiguous
+    rsq = (d[0] * d[0] + d[2] * d[2]) + d[1] * d[1]
+    assert env["rsq0"].tobytes() == rsq.tobytes()
+    run_stages(stages[4:], env)
+    for key in ("dx_n", "fvec_n"):
+        assert env[key].shape == (3, env["idx"].size) and env[key].flags.c_contiguous
+    assert np.array_equal(env["fvec_n"], env["dx_n"] * env["fpair_n"])
 
 
 def test_four_rank_ensemble_shares_one_arena():

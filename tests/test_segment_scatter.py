@@ -135,6 +135,23 @@ class TestScatterAdd:
             with force_scatter_mode("sideways"):
                 pass
 
+    @pytest.mark.parametrize("mode", [ATOMIC, SEGMENTED])
+    @pytest.mark.parametrize("sort", [True, False])
+    @pytest.mark.parametrize("op", [scatter_add, scatter_sub])
+    def test_component_rows_match_c_ordered(self, mode, sort, op):
+        """The pairwise pass hands its LayoutLeft ``(3, k)`` vectors in as
+        ``rows.T``: bit for bit the C-ordered ``(k, 3)`` scatter."""
+        rng = np.random.default_rng(11)
+        idx = rng.integers(0, 40, size=500)
+        if sort:
+            idx.sort()
+        rows = rng.normal(size=(3, 500))
+        base = rng.normal(size=(40, 3))
+        a, b = base.copy(), base.copy()
+        op(a, idx, rows.T, mode=mode, assume_sorted=sort)
+        op(b, idx, np.ascontiguousarray(rows.T), mode=mode, assume_sorted=sort)
+        assert a.tobytes() == b.tobytes()
+
 
 class TestColumnScatter:
     def test_plan_matches_add_at(self):
