@@ -9,7 +9,7 @@ Mirrors the LAMMPS binary's common flags::
     python -m repro -in melt.in -r 16                # 16 batched replicas
     python -m repro -in melt.in -var cells 6 -var temp 1.2
     python -m repro -in melt.in --tools space-time-stack,chrome-trace --tool-out out/
-    python -m repro -in melt.in --autotune           # pick list/newton/scatter at run start
+    python -m repro -in melt.in --autotune           # pick list/newton at run start
 
 ``-var`` values are injected as equal-style variables (usable as ``${name}``
 in the script), ``-k on [gpu <name>]`` selects the simulated device, ``-sf``
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for tool output files (default: cwd)")
     p.add_argument("--autotune", nargs="?", const="model", default=None,
                    choices=("model",), metavar="MEASURE",
-                   help="before the first run, pick list x newton x scatter "
+                   help="before the first run, pick list x newton "
                    "by the hardware cost model's charged seconds (the one "
                    "measure, 'model'); winners persist to --tune-plan")
     p.add_argument("--tune-plan", default="tuned_plan.json", metavar="FILE",

@@ -45,7 +45,7 @@ import repro.kokkos as kk
 from repro.graph.capture import GraphCapture, KernelNode
 from repro.graph.plan import GRAPH, GraphPlan, build_plan
 from repro.kokkos.scatter_view import ScatterView
-from repro.kokkos.segment import scatter_add, scatter_mode, scatter_sub
+from repro.kokkos.segment import scatter_add, scatter_sub
 
 #: Default vectorization efficiency for staged host passes (matches the
 #: irregular-gather penalty of :class:`~repro.potentials.pair_kokkos.PairKokkos`).
@@ -223,20 +223,18 @@ def _scatter_fn(env: dict) -> None:
     i, j, fvec = env["i_n"], env["j_n"], env["fvec_n"].T
     if env["full"]:
         # One thread per atom sums its own row: conflict-free, so this is a
-        # per-row segmented reduction regardless of the execution space
-        # (the row-major list keeps i sorted).
-        scatter_add(env["f"], i, fvec, mode=scatter_mode(), assume_sorted=True)
+        # per-row segmented reduction (the row-major list keeps i sorted).
+        scatter_add(env["f"], i, fvec, assume_sorted=True)
     elif env["f_view"] is None:
         # Host half list.  The i side is a sorted segmented reduction; the
         # j side is unsorted, where for 3-wide rows the per-column bincount
         # beats replaying the pair cache's j-sort.
-        mode = scatter_mode()
-        scatter_add(env["f"], i, fvec, mode=mode, assume_sorted=True)
+        scatter_add(env["f"], i, fvec, assume_sorted=True)
         if env["newton"]:
-            scatter_sub(env["f"], j, fvec, mode=mode)
+            scatter_sub(env["f"], j, fvec)
         else:
             jl = env["jl_n"]
-            scatter_sub(env["f"], j[jl], fvec[jl], mode=mode)
+            scatter_sub(env["f"], j[jl], fvec[jl])
     else:
         sv = ScatterView(env["f_view"])
         acc = sv.access()

@@ -10,10 +10,10 @@ and the chrome trace all see the fused kernel stream.
 
 The :class:`PlanCache` applies the same lifetime discipline as the
 ``PairCache``: a plan is keyed by a *base key* (which force path) and a
-*variant key* (mode-registry switches + the neighbor list's
+*variant key* (list style, newton, tally flags + the neighbor list's
 :attr:`~repro.core.neighbor.NeighborList.generation` stamp).
 Each base slot holds exactly one plan; a variant mismatch — neighbor
-rebuild, ``set_scatter_mode`` flip, stencil change — replaces it, which
+rebuild, list-style or newton flip, stencil change — replaces it, which
 *is* the invalidation (counted as a miss).
 
 Graph execution is opt-in via the mode registry (``set_graph_mode``),

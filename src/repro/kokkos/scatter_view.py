@@ -9,11 +9,13 @@ effective way to deal with write conflicts, while on GPUs data duplication
 is infeasible due to the large number of active threads and thus atomic
 operations need to be used."
 
-The two strategies that code selects — atomics and duplication — produce
-bit-identical results (the equivalence is property-tested); they differ in
-the *cost profile* each one reports, which is how the full-vs-half neighbor
-list studies (figure 2b) see the architecture-dependent price of atomics
-versus duplication.
+The two strategies that code selects — atomics and duplication — differ
+only in the *cost profile* each one reports (``atomic_adds`` vs
+``duplicated_bytes``), which is how the full-vs-half neighbor list studies
+(figure 2b) see the architecture-dependent price of atomics versus
+duplication.  Both execute the same wall-clock body: one scratch copy of
+the target, filled by the segmented reduction of :mod:`repro.kokkos.segment`
+and folded in by ``contribute()``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.kokkos.core import Device, ExecutionSpace
-from repro.kokkos.segment import ATOMIC as CONTRIB_ATOMIC
-from repro.kokkos.segment import SEGMENTED as CONTRIB_SEGMENTED
-from repro.kokkos.segment import forced_scatter_mode, scatter_add
+from repro.kokkos.segment import scatter_add
 from repro.kokkos.view import View
 
 #: Deconfliction strategies.
@@ -56,17 +56,7 @@ class ScatterView:
         duplicates: int = 8,
     ) -> None:
         if strategy is None:
-            # A globally forced contribution mode also steers the strategy,
-            # so pinning "atomic" models the GPU cost profile (atomic_adds
-            # charged) and "segmented" the CPU duplication profile — that is
-            # what lets the autotuner's cost-model measure rank the two.
-            forced = forced_scatter_mode()
-            if forced == CONTRIB_ATOMIC:
-                strategy = ATOMIC
-            elif forced == CONTRIB_SEGMENTED:
-                strategy = DUPLICATED
-            else:
-                strategy = default_strategy(target.space)
+            strategy = default_strategy(target.space)
         if strategy not in _STRATEGIES:
             raise ValueError(
                 f"unknown ScatterView strategy {strategy!r}; "
@@ -76,15 +66,10 @@ class ScatterView:
             raise ValueError("duplicates must be >= 1")
         self.target = target
         self.strategy = strategy
-        #: Functional scatter algorithm, tied to the strategy as the paper
-        #: describes: atomics execute as np.add.at, duplication's combine
-        #: step as a segmented reduction.  A benchmark-forced global mode
-        #: (segment.force_scatter_mode) overrides both.
-        self.contribution = forced_scatter_mode() or (
-            CONTRIB_ATOMIC if strategy == ATOMIC else CONTRIB_SEGMENTED
-        )
+        #: Modeled per-thread copies of the duplication strategy; they set
+        #: :attr:`duplicated_bytes`, while the functional body keeps one.
         self.duplicates = duplicates if strategy == DUPLICATED else 1
-        self._scratch: np.ndarray | None = None
+        self._scratch = np.empty(target.shape, dtype=target.dtype)
         self._atomic_adds = 0
         self.reset()
 
@@ -103,61 +88,39 @@ class ScatterView:
 
     # ------------------------------------------------------------- access
     def reset(self) -> None:
-        """Zero the scratch copies (target itself is left alone)."""
-        shape = (self.duplicates,) + self.target.shape
-        if self._scratch is None or self._scratch.shape != shape:
-            self._scratch = np.zeros(shape, dtype=self.target.dtype)
-        else:
-            self._scratch[...] = 0.0
+        """Zero the scratch copy (target itself is left alone)."""
+        self._scratch[...] = 0.0
         self._atomic_adds = 0
 
-    def access(self, thread: int = 0) -> "ScatterAccess":
-        """Per-thread access handle.  ``thread`` selects the duplicate."""
-        dup = thread % self.duplicates
-        return ScatterAccess(self, dup)
+    def access(self) -> "ScatterAccess":
+        """Access handle for emitting contributions."""
+        return ScatterAccess(self)
 
     def contribute(self) -> None:
-        """Fold all duplicates into the target View."""
-        assert self._scratch is not None
-        self.target.data[...] += self._scratch.sum(axis=0)
+        """Fold the scratch copy into the target View."""
+        self.target.data[...] += self._scratch
         self._scratch[...] = 0.0
 
 
 class ScatterAccess:
     """Handle used inside kernels to emit contributions."""
 
-    __slots__ = ("_sv", "_dup")
+    __slots__ = ("_sv",)
 
-    def __init__(self, sv: ScatterView, dup: int) -> None:
+    def __init__(self, sv: ScatterView) -> None:
         self._sv = sv
-        self._dup = dup
 
     def add(self, index: Any, value: Any) -> None:
         """``target[index] += value`` with deconfliction.
 
-        ``index`` may be an integer array (unstructured scatter); duplicate
-        indices accumulate correctly with hardware-atomic-add semantics.
-        The contribution mode picks the algorithm: ``atomic`` issues the
-        unbuffered ``np.add.at``, ``segmented`` reduces per destination first
-        (:mod:`repro.kokkos.segment`) — bit-compatible results either way.
+        ``index`` is an integer array (unstructured scatter); duplicate
+        indices accumulate correctly with hardware-atomic-add semantics,
+        through the segmented reduction of :mod:`repro.kokkos.segment`.
         """
         sv = self._sv
-        scratch = sv._scratch[self._dup]
+        index = np.asarray(index)
         value = np.asarray(value)
-        if isinstance(index, (int, np.integer)) or (
-            isinstance(index, tuple) and all(isinstance(k, (int, np.integer)) for k in index)
-        ):
-            scratch[index] += value
-            n = int(value.size)
-        else:
-            if isinstance(index, tuple):
-                # structured multi-axis scatter: keep the ufunc fallback
-                np.add.at(scratch, index, value)
-                n = int(np.broadcast(*[np.asarray(k) for k in index]).size)
-            else:
-                scatter_add(scratch, np.asarray(index), value, mode=sv.contribution)
-                n = int(np.asarray(index).size)
-            # each scattered element of the value contributes one add
-            n = max(n, int(value.size))
+        scatter_add(sv._scratch, index, value)
         if sv.strategy == ATOMIC:
-            sv._atomic_adds += n
+            # each scattered element of the value contributes one add
+            sv._atomic_adds += max(int(index.size), int(value.size))

@@ -8,80 +8,22 @@ reduction*: group the contributions by destination (``np.bincount`` for
 narrow values, ``np.add.reduceat`` over pre-sorted segments for wide ones)
 and add the per-destination sums in one vectorized pass.
 
-Both paths accumulate each destination's contributions in the original input
-order (bincount walks the input sequentially; reduceat sums each contiguous
+Each destination's contributions accumulate in the original input order
+(bincount walks the input sequentially; reduceat sums each contiguous
 segment left to right, and the segment orderings used here are stable), so
-the two modes produce bit-identical results — the equivalence the tests
-assert and the golden thermo baselines rely on.
+a reduction onto a zeroed target is bit-identical to ``np.add.at`` — the
+equivalence the tests assert against a test-local ``np.add.at`` body.
 
-Mode selection mirrors the paper: :func:`scatter_mode` resolves per
-execution space (Device -> ``atomic``, Host -> ``segmented``, matching
-"on GPUs ... atomic operations need to be used" vs CPU duplication), and
-:func:`force_scatter_mode` lets benchmarks pin one mode globally to measure
-the other as a baseline.
+This is the one wall-clock scatter algorithm for every execution space.
+The architecture split of the paper's ScatterView (atomics on GPUs,
+duplication on CPUs) is a *cost profile*, priced by
+:class:`~repro.kokkos.scatter_view.ScatterView`'s strategy, not a second
+algorithm here.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 import numpy as np
-
-from repro.kokkos.core import Device, ExecutionSpace
-
-#: Contribution modes.
-ATOMIC = "atomic"  # np.add.at — the hardware-atomic semantic model
-SEGMENTED = "segmented"  # sort/bincount/reduceat segmented reduction
-
-_MODES = (ATOMIC, SEGMENTED)
-
-#: Global override installed by :func:`force_scatter_mode` (benchmarks).
-_forced_mode: str | None = None
-
-
-def scatter_mode(space: ExecutionSpace | None = None) -> str:
-    """Effective contribution mode for an execution space.
-
-    The forced override (benchmark baselines) wins; otherwise Device maps to
-    ``atomic`` and Host (or space-less host code) to ``segmented`` — the
-    architecture split of the paper's ScatterView discussion.
-    """
-    if _forced_mode is not None:
-        return _forced_mode
-    return ATOMIC if space is Device else SEGMENTED
-
-
-def forced_scatter_mode() -> str | None:
-    """The benchmark-forced global mode, if any."""
-    return _forced_mode
-
-
-def set_scatter_mode(mode: str | None) -> str | None:
-    """Install (or clear, with None) the global mode override; return the old.
-
-    Unknown names fail here, at the setter, with a did-you-mean hint — not
-    later inside a dispatch.  This is the non-scoped form the autotuner uses
-    to lock in a winner for the rest of a run.
-    """
-    global _forced_mode
-    if mode is not None and mode not in _MODES:
-        from repro.core.errors import unknown_choice
-
-        raise ValueError(unknown_choice("scatter mode", mode, _MODES))
-    prev = _forced_mode
-    _forced_mode = mode
-    return prev
-
-
-@contextmanager
-def force_scatter_mode(mode: str | None) -> Iterator[None]:
-    """Pin the contribution mode globally (None restores per-space choice)."""
-    prev = set_scatter_mode(mode)
-    try:
-        yield
-    finally:
-        set_scatter_mode(prev)
 
 
 # ----------------------------------------------------------------- reductions
@@ -174,22 +116,17 @@ def scatter_add(
     index: np.ndarray,
     values: np.ndarray,
     *,
-    mode: str | None = None,
-    space: ExecutionSpace | None = None,
     assume_sorted: bool = False,
 ) -> None:
-    """``out[index] += values`` with a selectable deconfliction mode.
+    """``out[index] += values`` as a segmented reduction.
 
-    ``mode`` overrides; otherwise :func:`scatter_mode` resolves it from the
-    execution space (honoring any benchmark-forced global mode).  The
-    segmented path reduces per destination first and folds the dense result
-    in — bit-identical to the ``np.add.at`` atomic path.  ``values`` may be
-    any strided view: component rows ``rows[c, k]`` (LayoutLeft, the
-    pairwise pass's per-pair vectors) pass as ``rows.T``, and each
-    component then reduces along its contiguous row — bit for bit the
-    C-ordered ``(k, 3)`` result.
+    Reduces per destination first and folds the dense result in.  ``values``
+    may be any strided view: component rows ``rows[c, k]`` (LayoutLeft, the
+    pairwise pass's per-pair vectors) pass as ``rows.T``, and each component
+    then reduces along its contiguous row — bit for bit the C-ordered
+    ``(k, 3)`` result.
     """
-    _scatter(np.add, out, index, values, mode, space, assume_sorted)
+    _scatter(np.add, out, index, values, assume_sorted)
 
 
 def scatter_sub(
@@ -197,19 +134,15 @@ def scatter_sub(
     index: np.ndarray,
     values: np.ndarray,
     *,
-    mode: str | None = None,
-    space: ExecutionSpace | None = None,
     assume_sorted: bool = False,
 ) -> None:
     """``out[index] -= values`` (see :func:`scatter_add`).  ``out - s`` is
     ``out + (-s)`` bit for bit, so no negated copy of ``values`` is made."""
-    _scatter(np.subtract, out, index, values, mode, space, assume_sorted)
+    _scatter(np.subtract, out, index, values, assume_sorted)
 
 
-def _scatter(op, out, index, values, mode, space, assume_sorted) -> None:
-    if mode is None:
-        mode = scatter_mode(space)
-    if mode == ATOMIC or out.ndim > 2:
+def _scatter(op, out, index, values, assume_sorted) -> None:
+    if out.ndim > 2:
         op.at(out, index, values)
         return
     index = np.asarray(index)
@@ -243,23 +176,8 @@ def scatter_add_columns(
     out: np.ndarray,
     vals: np.ndarray,
     plan: tuple[np.ndarray, np.ndarray, np.ndarray],
-    *,
-    mode: str | None = None,
-    cols: np.ndarray | None = None,
 ) -> None:
-    """``out[:, cols[t]] += vals[:, t]`` via a :func:`column_scatter_plan`.
-
-    In ``atomic`` mode (benchmark baseline) falls back to ``np.add.at`` with
-    the original ``cols`` (which must then be supplied).
-    """
-    if mode is None:
-        mode = scatter_mode()
-    if mode == ATOMIC:
-        if cols is None:
-            raise ValueError("atomic column scatter requires the original cols")
-        rows = np.arange(out.shape[0])[:, None]
-        np.add.at(out, (rows, cols[None, :]), vals)
-        return
+    """``out[:, cols[t]] += vals[:, t]`` via a :func:`column_scatter_plan`."""
     if vals.shape[1] == 0:
         return
     perm, starts, targets = plan

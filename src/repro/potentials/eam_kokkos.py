@@ -20,7 +20,6 @@ from repro.core.styles import register_pair
 from repro.graph.pairwise import GRAPH, run_graph, run_stages
 from repro.kokkos.core import Device, Host
 from repro.kokkos.scatter_view import ScatterView
-from repro.kokkos.segment import scatter_mode
 from repro.potentials.eam import PairEAM, eam_force_kernel, eam_geometry
 
 
@@ -107,7 +106,7 @@ class PairEAMKokkos(PairEAM):
         if eflag or vflag:
             stages = stages + [tally]
         if GRAPH:
-            variant_key = (scatter_mode(), bool(eflag), bool(vflag), nlist.generation)
+            variant_key = (bool(eflag), bool(vflag), nlist.generation)
             label = f"{type(self).__name__}/force"
             run_graph((id(self), "eam-force"), variant_key, label, stages, env)
         else:

@@ -19,7 +19,20 @@ import numpy as np
 from repro.core.errors import InputError, LammpsError, StyleError
 from repro.graph.pairwise import GRAPH, pairwise_stages, run_graph, run_stages
 from repro.kokkos.core import Host
-from repro.kokkos.segment import scatter_mode
+
+
+def accumulate_virial(virial: np.ndarray, xs: np.ndarray, fs: np.ndarray) -> None:
+    """Add sum over rows of ``x (outer) f`` to the 6-component virial.
+
+    Valid per interaction because each interaction's forces sum to zero,
+    making the sum translation invariant.
+    """
+    virial[0] += float(np.dot(xs[:, 0], fs[:, 0]))
+    virial[1] += float(np.dot(xs[:, 1], fs[:, 1]))
+    virial[2] += float(np.dot(xs[:, 2], fs[:, 2]))
+    virial[3] += float(np.dot(xs[:, 0], fs[:, 1]))
+    virial[4] += float(np.dot(xs[:, 0], fs[:, 2]))
+    virial[5] += float(np.dot(xs[:, 1], fs[:, 2]))
 
 
 class Pair:
@@ -250,7 +263,6 @@ class Pair:
         variant_key = (
             env["full"],
             env["newton"],
-            scatter_mode(),
             bool(eflag),
             bool(vflag),
             self.lmp.neigh_list.generation,

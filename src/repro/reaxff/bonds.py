@@ -11,22 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kokkos.segment import scatter_add, scatter_sub
+from repro.potentials.pair import accumulate_virial
 from repro.reaxff.bond_order import BondList
 from repro.reaxff.params import ReaxParams
-
-
-def accumulate_virial(virial: np.ndarray, xs: np.ndarray, fs: np.ndarray) -> None:
-    """Add sum over rows of ``x (outer) f`` to the 6-component virial.
-
-    Valid per interaction because each interaction's forces sum to zero,
-    making the sum translation invariant.
-    """
-    virial[0] += float(np.dot(xs[:, 0], fs[:, 0]))
-    virial[1] += float(np.dot(xs[:, 1], fs[:, 1]))
-    virial[2] += float(np.dot(xs[:, 2], fs[:, 2]))
-    virial[3] += float(np.dot(xs[:, 0], fs[:, 1]))
-    virial[4] += float(np.dot(xs[:, 0], fs[:, 2]))
-    virial[5] += float(np.dot(xs[:, 1], fs[:, 2]))
 
 
 def compute_bonds(

@@ -48,7 +48,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.errors import LammpsError, OverflowGuardError, unknown_choice
-from repro.kokkos.segment import ATOMIC, scatter_mode
 from repro.reaxff.nonbonded import NonbondedGeometry, nonbonded_geometry
 from repro.reaxff.params import ReaxParams
 
@@ -86,14 +85,11 @@ class QEqMatrix:
         """``A @ vec`` for one 1-D right-hand side.
 
         Row-major storage makes this a true CSR product: one ``reduceat``
-        over the row segments replaces the scalar ``np.add.at`` scatter (the
-        ``atomic`` mode kept for benchmark baselines).
+        over the row segments replaces a scalar ``np.add.at`` scatter.
         """
         out = self.diag * vec_all[: self.nlocal]
         prod = self._vals_flat * vec_all[self._cols_flat]
-        if scatter_mode() == ATOMIC:
-            np.add.at(out, self._rows_flat, prod)
-        elif len(prod):
+        if len(prod):
             out[self._seg_rows] += np.add.reduceat(prod, self._seg_starts)
         return out
 

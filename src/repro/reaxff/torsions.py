@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kokkos.segment import scatter_add
+from repro.potentials.pair import accumulate_virial
 from repro.reaxff.bond_order import BondList
-from repro.reaxff.bonds import accumulate_virial
 from repro.reaxff.params import ReaxParams
 
 

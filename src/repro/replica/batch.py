@@ -25,9 +25,9 @@ engine earns this by construction:
   stacked ``i/j/cutsq/coefficient`` vectors, and the NVE kicks are
   elementwise, so each replica's rows see exactly the solo operation
   sequence;
-* scatter adds accumulate per destination in input order in both
-  ``atomic`` and ``segmented`` modes, and replica segments are disjoint, so
-  concatenating streams never reorders any single destination's sum;
+* scatter adds accumulate per destination in input order, and replica
+  segments are disjoint, so concatenating streams never reorders any
+  single destination's sum;
 * reductions are the solo code's own: a member due for ``ev_tally`` (its
   own :meth:`~repro.core.integrate.Verlet.ev_set`) tallies into its own
   ``Pair`` over its contiguous slice of the cut pair stream, and a member

@@ -26,7 +26,7 @@ from repro.core.styles import register_pair
 from repro.graph.pairwise import ARENA, GRAPH, prologue_stages, run_graph, run_stages
 from repro.kokkos.core import Device, Host
 from repro.kokkos.segment import scatter_add, scatter_sub
-from repro.potentials.pair import Pair
+from repro.potentials.pair import Pair, accumulate_virial
 from repro.snap.compute_deidrj import compute_fused_deidrj
 from repro.snap.compute_ui import compute_ui
 from repro.snap.compute_yi import compute_yi
@@ -187,13 +187,7 @@ class PairSNAP(Pair):
         scatter_sub(atom.f, j, dedr)
         scatter_add(atom.f, i, dedr, assume_sorted=True)
         if vflag:
-            w = -dedr
-            self.virial[0] += float(np.dot(rij[:, 0], w[:, 0]))
-            self.virial[1] += float(np.dot(rij[:, 1], w[:, 1]))
-            self.virial[2] += float(np.dot(rij[:, 2], w[:, 2]))
-            self.virial[3] += float(np.dot(rij[:, 0], w[:, 1]))
-            self.virial[4] += float(np.dot(rij[:, 0], w[:, 2]))
-            self.virial[5] += float(np.dot(rij[:, 1], w[:, 2]))
+            accumulate_virial(self.virial, rij, -dedr)
         self._charge_kernels(stats)
 
     def _require(self, ok: np.ndarray, what: str, i, j) -> None:

@@ -1,4 +1,4 @@
-"""Runtime autotuning of the paper's section 4.1 cells (list × newton × scatter).
+"""Runtime autotuning of the paper's section 4.1 cells (list × newton).
 
 Public surface:
 

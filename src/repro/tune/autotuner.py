@@ -1,9 +1,9 @@
 """Runtime autotuner: the paper's section 4.1 question, asked per architecture.
 
-Half vs full lists, newton on/off and atomic vs duplicated scatter have
-different winners on different backends (the paper's Fig. 2), and picking
-them wrong costs 2x+.  This module answers that question at run start: it
-enumerates the ``list × newton × scatter`` cells (:mod:`repro.tune.space`),
+Half vs full lists and newton on/off have different winners on different
+backends (the paper's Fig. 2), and picking them wrong costs 2x+.  This
+module answers that question at run start: it enumerates the
+``list × newton`` cells (:mod:`repro.tune.space`),
 probes each one **once** with one force cycle under the calibrated hardware
 cost model, and locks the winner in for the rest of the run.
 
@@ -51,7 +51,7 @@ class Autotuner:
         self.tuned = False
         self.probes = 0
         self.result: dict | None = None
-        self._list_sig: tuple | None = None
+        self._applied: dict | None = None
 
     # --------------------------------------------------------------- tune
     def tune(self, target) -> dict:
@@ -60,7 +60,7 @@ class Autotuner:
         self._setup(ranks)
         arch = self._arch()
         baseline = tspace.snapshot_config(target)
-        self._list_sig = (baseline[tspace.NEIGH], baseline[tspace.NEWTON])
+        self._applied = baseline
         candidates = [baseline] + [
             cfg for cfg in tspace.enumerate_configs(target) if cfg != baseline
         ]
@@ -119,10 +119,9 @@ class Autotuner:
         self._drive([lmp.rebuild_gen() for lmp in ranks])
 
     def _rebuild_if_needed(self, ranks, cfg: dict) -> None:
-        sig = (cfg[tspace.NEIGH], cfg[tspace.NEWTON])
-        if sig != self._list_sig:
+        if cfg != self._applied:
             self._rebuild(ranks)
-            self._list_sig = sig
+            self._applied = cfg
 
     @staticmethod
     def _drive(gens) -> None:

@@ -18,8 +18,9 @@ import warnings
 #: Bumped whenever a config dimension or value is retired, or the entry
 #: shape changes: an older plan may still name it, so it re-searches through
 #: the fail-open path below.  Version 2 plans held one entry per kernel and
-#: could name ``graph``/``sort``/``overlap``/``qeq_*``.
-SCHEMA_VERSION = 3
+#: could name ``graph``/``sort``/``overlap``/``qeq_*``; version 3 configs
+#: carried a ``scatter`` mode.
+SCHEMA_VERSION = 4
 
 
 class TunePlanStore:

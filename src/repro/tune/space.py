@@ -1,38 +1,23 @@
 """The autotuner's configuration space: the paper's section 4.1 question.
 
-A tune config is a string-valued, JSON-friendly dict with exactly three
-keys:
-
-* ``scatter`` — ScatterView contribution mode (``atomic``/``segmented``),
-  installed as the process-global override of :mod:`repro.kokkos.segment`
-  (it outlives the run that tuned it).
-* ``neigh`` + ``newton`` — list style and Newton's-third-law handling, the
-  LAMMPS ``package kokkos neigh/newton`` axes.  These are a *joint* dimension
-  because full lists require newton off.
+A tune config is a string-valued, JSON-friendly dict with exactly two keys,
+``neigh`` + ``newton``: list style and Newton's-third-law handling, the
+LAMMPS ``package kokkos neigh/newton`` axes.  They are one *joint*
+dimension because full lists require newton off.
 
 :func:`enumerate_configs` produces the candidate cells;
 :func:`apply_config` installs one on a Lammps instance or Ensemble;
 :func:`snapshot_config` reads the active cell back as the search baseline.
 Every other mode (sort interval, graph, the QEq knobs) stays user-settable
-and is never searched.
+and is never searched; the scatter deconfliction follows the execution
+space (:class:`~repro.kokkos.scatter_view.ScatterView`).
 """
 
 from __future__ import annotations
 
-from repro.kokkos.segment import (
-    ATOMIC,
-    SEGMENTED,
-    forced_scatter_mode,
-    scatter_mode,
-    set_scatter_mode,
-)
-
 #: Dimension names (the keys of a tune-config dict).
-SCATTER = "scatter"
 NEIGH = "neigh"
 NEWTON = "newton"
-
-_ABBREV = {ATOMIC: "at", SEGMENTED: "sg"}
 
 
 def ranks_of(target) -> list:
@@ -68,33 +53,25 @@ def list_cells(root) -> tuple[tuple[str, str], ...]:
 
 
 def enumerate_configs(target) -> list[dict]:
-    """Candidate cells, cell-major: ``list_cells × (atomic, segmented)``."""
+    """Candidate cells: one per supported ``(neigh, newton)`` list cell."""
     return [
-        {SCATTER: scatter, NEIGH: neigh, NEWTON: newton}
+        {NEIGH: neigh, NEWTON: newton}
         for neigh, newton in list_cells(ranks_of(target)[0])
-        for scatter in (ATOMIC, SEGMENTED)
     ]
 
 
 def snapshot_config(target) -> dict:
     """The currently-active cell."""
-    root = ranks_of(target)[0]
-    style, newton = root.pair.neighbor_request()
-    return {
-        SCATTER: forced_scatter_mode()
-        or scatter_mode(getattr(root.pair, "execution_space", None)),
-        NEIGH: style,
-        NEWTON: "on" if newton else "off",
-    }
+    style, newton = ranks_of(target)[0].pair.neighbor_request()
+    return {NEIGH: style, NEWTON: "on" if newton else "off"}
 
 
 def apply_config(target, config: dict) -> None:
-    """Install a config globally and on every rank.
+    """Install a config on every rank.
 
     The neighbor list is *not* rebuilt here — callers rebuild when
     ``(neigh, newton)`` changed.
     """
-    set_scatter_mode(config[SCATTER])
     newton = config[NEWTON] == "on"
     for lmp in ranks_of(target):
         if hasattr(lmp.pair, "neigh_mode"):
@@ -108,5 +85,4 @@ def apply_config(target, config: dict) -> None:
 
 def short_label(config: dict) -> str:
     """Compact human label for a config (the thermo ``tune`` column)."""
-    scatter = _ABBREV.get(config[SCATTER], config[SCATTER])
-    return f"{scatter}/{config[NEIGH]}+{config[NEWTON]}"
+    return f"{config[NEIGH]}+{config[NEWTON]}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,27 @@ import repro.reaxff  # noqa: F401
 import repro.snap  # noqa: F401
 from repro.core import Ensemble, Lammps
 from repro.parallel.driver import drain
+
+# scatter bodies the oracle tests run under: "segmented" is the production
+# reduction, "atomic" a test-local unbuffered ``np.add.at`` reference
+SCATTERS = ("atomic", "segmented")
+
+
+def add_at_scatter(op, out, index, values, assume_sorted):
+    """The reference body: unbuffered ``np.add.at``/``np.subtract.at``."""
+    op.at(out, index, values)
+
+
+@contextlib.contextmanager
+def scatter_body(name: str):
+    """Run every ``scatter_add``/``scatter_sub`` with the named body."""
+    if name not in SCATTERS:
+        raise ValueError(f"unknown scatter body {name!r}; expected one of {SCATTERS}")
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "atomic":
+            mp.setattr("repro.kokkos.segment._scatter", add_at_scatter)
+        yield
+
 
 MELT_SCRIPT = """\
 units lj

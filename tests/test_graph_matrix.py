@@ -5,10 +5,9 @@ from a stream of eager dispatches into a captured, fused, cached plan.
 That is only legal because the fused composition computes *bitwise*
 identical forces and energies — the stage bodies run the same ufunc
 sequence on the same operands, only the dispatch accounting changes.
-This module is that safety net, swept over melt LJ (kokkos, both
-scatter modes), host LJ, EAM/kk, SNAP, and the HNS ReaxFF snapshot,
-plus the PairCache-style plan lifetime rules: invalidation on neighbor
-rebuild and on a ``set_scatter_mode`` flip mid-run.
+This module is that safety net, swept over melt LJ (kokkos half and full
+lists), host LJ, EAM/kk, SNAP, and the HNS ReaxFF snapshot, plus the
+PairCache-style plan lifetime rule: invalidation on neighbor rebuild.
 """
 
 from __future__ import annotations
@@ -19,12 +18,6 @@ import pytest
 from conftest import gather_by_tag, make_melt
 from repro.core import Lammps
 from repro.graph import ON, force_graph_mode, plan_cache, set_graph_mode
-from repro.kokkos.segment import (
-    ATOMIC,
-    SEGMENTED,
-    force_scatter_mode,
-    set_scatter_mode,
-)
 from repro.parallel.driver import drain
 from repro.workloads.hns import setup_hns
 from repro.workloads.tantalum import setup_tantalum
@@ -47,7 +40,6 @@ fix 1 all nve
 @pytest.fixture(autouse=True)
 def _reset_modes():
     yield
-    set_scatter_mode(None)
     set_graph_mode(None)
 
 
@@ -80,13 +72,10 @@ def assert_fused_matches_eager(lmp, tag=""):
 
 
 # ----------------------------------------------------------- melt lj matrix
-def test_melt_kk_fused_bitwise_across_scatter_modes():
+def test_melt_kk_half_list_fused_bitwise():
     lmp = make_melt(device="H100", suffix="kk")
     lmp.run(0)
-    for scatter in (ATOMIC, SEGMENTED):
-        with force_scatter_mode(scatter):
-            drain(lmp.rebuild_gen())
-            assert_fused_matches_eager(lmp, f"melt-kk {scatter}")
+    assert_fused_matches_eager(lmp, "melt-kk half")
 
 
 def test_melt_kk_full_list_fused_bitwise():
@@ -179,25 +168,6 @@ def test_plan_invalidated_on_neighbor_rebuild():
         assert np.array_equal(f, ref_f) and e == ref_e
         step_forces(lmp)
         assert cache.stats()["hits"] == after["hits"] + 1
-
-
-def test_plan_invalidated_on_scatter_mode_change_mid_run():
-    lmp = make_melt(suffix="kk")
-    lmp.run(0)
-    with force_graph_mode(ON):
-        cache = plan_cache()
-        with force_scatter_mode(ATOMIC):
-            ref_f, ref_e = step_forces(lmp)  # miss: capture under atomic
-        mid = cache.stats()
-        with force_scatter_mode(SEGMENTED):
-            f, e = step_forces(lmp)  # variant drift: re-capture
-        after = cache.stats()
-        assert after["misses"] == mid["misses"] + 1
-        # scatter modes differ in accumulation *order*, so cross-mode
-        # agreement is to round-off, not bitwise (same band as the eager
-        # mode-matrix sweep in test_tune_matrix)
-        np.testing.assert_allclose(f, ref_f, rtol=1e-9, atol=1e-10)
-        assert e == pytest.approx(ref_e, rel=1e-9)
 
 
 def test_graph_replays_the_eager_stage_objects_at_full_hit_rate():

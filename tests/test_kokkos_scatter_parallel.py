@@ -45,7 +45,7 @@ class TestScatterView:
 
     def test_duplicated_reports_footprint_not_atomics(self):
         sv = ScatterView(kk.View((8,)), strategy=DUPLICATED, duplicates=4)
-        sv.access(thread=1).add(np.arange(8), np.ones(8))
+        sv.access().add(np.arange(8), np.ones(8))
         assert sv.atomic_adds == 0
         assert sv.duplicated_bytes == 8 * 8 * 4
 
@@ -55,7 +55,8 @@ class TestScatterView:
     )
     @settings(max_examples=25, deadline=None)
     def test_strategy_equivalence(self, n_target, seed):
-        """Both deconfliction strategies produce identical results."""
+        """Both deconfliction strategies produce identical results, over
+        several ``add`` calls and two ``contribute`` rounds."""
         kk.initialize("H100")
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, n_target, size=50)
@@ -64,12 +65,16 @@ class TestScatterView:
         for strategy in (ATOMIC, DUPLICATED):
             target = kk.View((n_target,))
             sv = ScatterView(target, strategy=strategy, duplicates=4)
-            for t in range(4):
-                sel = slice(t, None, 4)
-                sv.access(thread=t).add(idx[sel], vals[sel])
-            sv.contribute()
+            for _ in range(2):
+                for t in range(4):
+                    sel = slice(t, None, 4)
+                    sv.access().add(idx[sel], vals[sel])
+                sv.contribute()
             results.append(target.data.copy())
         np.testing.assert_allclose(results[0], results[1], atol=1e-12)
+        ref = np.zeros(n_target)
+        np.add.at(ref, idx, vals)
+        np.testing.assert_allclose(results[0], 2 * ref, atol=1e-12)
 
     def test_2d_scatter(self):
         target = kk.View((4, 3))

@@ -27,7 +27,6 @@ from repro.core import Lammps
 from repro.core.neighbor import brute_force_pairs
 from repro.graph import ON, force_graph_mode, set_graph_mode
 from repro.graph.pairwise import ARENA, Arena, index_bounds, run_stages
-from repro.kokkos.segment import set_scatter_mode
 from repro.parallel.driver import drain
 from repro.potentials.eam import eam_geometry
 from repro.replica import ReplicaBatch
@@ -39,7 +38,6 @@ from test_potentials_eam import make_eam
 @pytest.fixture(autouse=True)
 def _reset_modes():
     yield
-    set_scatter_mode(None)
     set_graph_mode(None)
 
 

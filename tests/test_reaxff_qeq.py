@@ -2,11 +2,11 @@
 
 Covers the rebuilt charge solve end to end: the enforced appendix-B
 overflow guards in the matrix build, bitwise dual-RHS-vs-two-single-RHS
-equivalence across scatter modes and rank counts, preconditioned convergence at identical
-tolerance, the permutation/migration safety of the charge-history ring
-(custom per-atom fields), the packed two-vector forward exchange, golden
-iteration counts on HNS, and 1-vs-N-rank decomposition invariance of the
-fully accelerated configuration.
+equivalence across rank counts and row-product bodies, preconditioned
+convergence at identical tolerance, the permutation/migration safety of the
+charge-history ring (custom per-atom fields), the packed two-vector forward
+exchange, golden iteration counts on HNS, and 1-vs-N-rank decomposition
+invariance of the fully accelerated configuration.
 
 To rebless the golden iteration counts after an intentional solver change:
 
@@ -22,11 +22,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import gather_by_tag
+from conftest import SCATTERS, gather_by_tag
 from repro.core import Ensemble, Lammps
 from repro.core.comm_md import CommBrick
 from repro.core.errors import InputError, LammpsError, OverflowGuardError
-from repro.kokkos.segment import ATOMIC, SEGMENTED, force_scatter_mode
 from repro.reaxff.qeq import HISTORY_DEPTH, build_qeq_matrix, make_preconditioner
 from repro.workloads.hns import setup_hns
 
@@ -94,22 +93,36 @@ def rank_matrices(nranks=1):
     return out
 
 
+def _add_at_row_product(self, vec_all):
+    """Reference row product: an unbuffered ``np.add.at`` scatter of the
+    nonzeros, the body the CSR ``reduceat`` replaced."""
+    out = self.diag * vec_all[: self.nlocal]
+    np.add.at(out, self._rows_flat, self._vals_flat * vec_all[self._cols_flat])
+    return out
+
+
 class TestFusedSpmv:
-    @pytest.mark.parametrize("scatter", [ATOMIC, SEGMENTED])
+    @pytest.mark.parametrize("scatter", SCATTERS)
     def test_fused_bitwise_equals_double_traversal(self, scatter):
         """The dual-RHS product must reproduce two single-RHS products
-        exactly, in both scatter modes, with and without ghost columns — so
-        its body may change without shifting goldens."""
+        exactly, with and without ghost columns, whatever the row-product
+        body (the CSR reduction or the ``np.add.at`` reference) — so its
+        body may change without shifting goldens."""
         rng = np.random.default_rng(7)
         for nranks in (1, 2):
             for m, lmp in rank_matrices(nranks):
                 nall = lmp.atom.nall
                 assert nall > m.nlocal  # ghost columns present
                 u, v = rng.normal(size=(2, nall))
-                with force_scatter_mode(scatter):
+                csr = m.spmv(u)
+                with pytest.MonkeyPatch.context() as mp:
+                    if scatter == "atomic":
+                        mp.setattr(type(m), "_row_product", _add_at_row_product)
                     both = m.spmv2(np.column_stack((u, v)))
                     assert np.array_equal(both[:, 0], m.spmv(u))
                     assert np.array_equal(both[:, 1], m.spmv(v))
+                    # the CSR reduction agrees with the scatter it replaced
+                    np.testing.assert_allclose(both[:, 0], csr, rtol=1e-12, atol=1e-12)
 
     def test_spmv2_matches_two_spmv_calls_bitwise(self):
         ((m, lmp),) = rank_matrices()

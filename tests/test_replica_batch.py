@@ -4,7 +4,8 @@ The whole premise of :mod:`repro.replica` is that folding R replicas into
 one stacked AtomVec and running one set of vectorized kernels changes the
 wall clock and *nothing else*.  These tests enforce that premise at the
 strictest level available — ``np.array_equal`` on positions, velocities,
-and thermo rows against fresh solo runs — under both scatter modes, a
+and thermo rows against fresh solo runs — under the production scatter and
+an ``np.add.at`` reference body, for a mixed-size batch, a
 mid-flight join, and user custom fields riding through the stack.
 """
 
@@ -13,23 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import SCATTERS, scatter_body
 from repro.core.errors import CommError, LammpsError
-from repro.kokkos.segment import (
-    ATOMIC,
-    SEGMENTED,
-    force_scatter_mode,
-    set_scatter_mode,
-)
 from repro.replica import ReplicaBatch
 from repro.workloads import ReplicaSpec
-
-SCATTERS = (ATOMIC, SEGMENTED)
-
-
-@pytest.fixture(autouse=True)
-def _reset_modes():
-    yield
-    set_scatter_mode(None)
 
 
 def _specs(family: str, n: int, thermo: int = 10) -> list[ReplicaSpec]:
@@ -61,11 +49,12 @@ def _assert_bitwise(solo, member, label: str) -> None:
     assert a == b, f"{label}: thermo history"
 
 
-# ------------------------------------------------------ mode-matrix sweep
+# ------------------------------------------------------------ batch = solo
 @pytest.mark.parametrize("scatter", SCATTERS)
 def test_melt_batch_bitwise_across_mode_matrix(scatter):
-    """16 LJ replicas, batch vs solo, bit-for-bit in every mode cell."""
-    with force_scatter_mode(scatter):
+    """16 LJ replicas, batch vs solo, bit-for-bit under the segmented
+    scatter and the ``np.add.at`` reference body alike."""
+    with scatter_body(scatter):
         specs = _specs("melt", 16)
         solos = [_solo(s, 40) for s in specs]
         batch = ReplicaBatch(label=scatter)

@@ -1,10 +1,11 @@
-"""Segmented-reduction scatter: unit edge cases and mode equivalence.
+"""Segmented-reduction scatter: unit edge cases and the ``np.add.at`` oracle.
 
-The segmented path (:mod:`repro.kokkos.segment`) must be a drop-in
-replacement for ``np.add.at`` everywhere the force kernels scatter:
-same results (bit-identical for single zeroed-target reductions, ≤1e-12
-relative in composed force pipelines), selectable per execution space,
-and overridable globally for benchmarking.
+The segmented reduction (:mod:`repro.kokkos.segment`) is the one scatter
+algorithm, and it must be a drop-in replacement for ``np.add.at``
+everywhere the force kernels scatter: bit-identical for single
+zeroed-target reductions, ≤1e-12 relative in composed force pipelines.
+The unit tests compare against ``np.add.at`` directly; the force-level
+tests install a test-local ``np.add.at`` body as the reference.
 """
 
 from __future__ import annotations
@@ -15,17 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kokkos as kk
-from conftest import gather_by_tag, make_melt
-from repro.core import Ensemble, Lammps
-from repro.kokkos.core import Device, Host
+from conftest import SCATTERS, gather_by_tag, make_melt, scatter_body
+from repro.core import Lammps
+from repro.kokkos.scatter_view import ATOMIC, DUPLICATED, ScatterView
 from repro.kokkos.segment import (
-    ATOMIC,
-    SEGMENTED,
     column_scatter_plan,
-    force_scatter_mode,
     scatter_add,
     scatter_add_columns,
-    scatter_mode,
     scatter_sub,
     segment_sum,
     segment_sum_vec,
@@ -94,7 +91,7 @@ class TestScatterAdd:
         idx = np.array([1, 1, 4, 0])
         a = np.zeros(6)
         b = np.zeros(6)
-        scatter_add(a, idx, 1.0, mode=SEGMENTED)
+        scatter_add(a, idx, 1.0)
         np.add.at(b, idx, 1.0)
         np.testing.assert_array_equal(a, b)
 
@@ -104,7 +101,7 @@ class TestScatterAdd:
         v = rng.normal(size=(64, 3))
         a = rng.normal(size=(8, 3))
         b = a.copy()
-        scatter_sub(a, idx, v, mode=SEGMENTED)
+        scatter_sub(a, idx, v)
         np.subtract.at(b, idx, v)
         # nonzero target: fold-in of the dense sums reassociates vs the
         # sequential in-place subtraction
@@ -116,31 +113,17 @@ class TestScatterAdd:
         v = rng.normal(size=(20, 2, 2))
         a = np.zeros((5, 2, 2))
         b = np.zeros((5, 2, 2))
-        scatter_add(a, idx, v, mode=SEGMENTED)
+        scatter_add(a, idx, v)
         np.add.at(b, idx, v)
         np.testing.assert_array_equal(a, b)
 
-    def test_mode_resolution(self):
-        assert scatter_mode(Device) == ATOMIC
-        assert scatter_mode(Host) == SEGMENTED
-        assert scatter_mode(None) == SEGMENTED
-        with force_scatter_mode(ATOMIC):
-            assert scatter_mode(Host) == ATOMIC
-        with force_scatter_mode(SEGMENTED):
-            assert scatter_mode(Device) == SEGMENTED
-        assert scatter_mode(Device) == ATOMIC  # context restored
-
-    def test_unknown_forced_mode_rejected(self):
-        with pytest.raises(ValueError, match="scatter mode"):
-            with force_scatter_mode("sideways"):
-                pass
-
-    @pytest.mark.parametrize("mode", [ATOMIC, SEGMENTED])
+    @pytest.mark.parametrize("scatter", SCATTERS)
     @pytest.mark.parametrize("sort", [True, False])
     @pytest.mark.parametrize("op", [scatter_add, scatter_sub])
-    def test_component_rows_match_c_ordered(self, mode, sort, op):
+    def test_component_rows_match_c_ordered(self, scatter, sort, op):
         """The pairwise pass hands its LayoutLeft ``(3, k)`` vectors in as
-        ``rows.T``: bit for bit the C-ordered ``(k, 3)`` scatter."""
+        ``rows.T``: bit for bit the C-ordered ``(k, 3)`` scatter, under the
+        segmented body and the ``np.add.at`` reference alike."""
         rng = np.random.default_rng(11)
         idx = rng.integers(0, 40, size=500)
         if sort:
@@ -148,8 +131,9 @@ class TestScatterAdd:
         rows = rng.normal(size=(3, 500))
         base = rng.normal(size=(40, 3))
         a, b = base.copy(), base.copy()
-        op(a, idx, rows.T, mode=mode, assume_sorted=sort)
-        op(b, idx, np.ascontiguousarray(rows.T), mode=mode, assume_sorted=sort)
+        with scatter_body(scatter):
+            op(a, idx, rows.T, assume_sorted=sort)
+            op(b, idx, np.ascontiguousarray(rows.T), assume_sorted=sort)
         assert a.tobytes() == b.tobytes()
 
 
@@ -161,15 +145,10 @@ class TestColumnScatter:
         plan = column_scatter_plan(cols)
         a = np.zeros((4, 7))
         b = np.zeros((4, 7))
-        scatter_add_columns(a, vals, plan, mode=SEGMENTED)
+        scatter_add_columns(a, vals, plan)
         rows = np.arange(4)[:, None]
         np.add.at(b, (rows, cols[None, :]), vals)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
-
-    def test_atomic_mode_requires_original_cols(self):
-        plan = column_scatter_plan(np.array([0, 1]))
-        with pytest.raises(ValueError, match="cols"):
-            scatter_add_columns(np.zeros((2, 2)), np.ones((2, 2)), plan, mode=ATOMIC)
 
 
 class TestScatterViewContribution:
@@ -182,30 +161,20 @@ class TestScatterViewContribution:
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=10, deadline=None)
     def test_contribution_modes_bit_identical(self, seed):
-        from repro.kokkos.scatter_view import ScatterView
-
+        """Both deconfliction strategies, on either space, land bit for bit
+        on ``np.add.at`` over the zeroed target."""
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, 16, size=200)
         vals = rng.normal(size=(200, 3))
-        results = {}
-        for mode in (ATOMIC, SEGMENTED):
-            target = kk.View((16, 3))
-            with force_scatter_mode(mode):
-                sv = ScatterView(target)
-            assert sv.contribution == mode
-            sv.access().add(idx, vals)
-            sv.contribute()
-            results[mode] = target.data.copy()
-        np.testing.assert_array_equal(results[ATOMIC], results[SEGMENTED])
-
-    def test_forced_mode_sets_default_contribution(self):
-        from repro.kokkos.scatter_view import ScatterView
-
-        with force_scatter_mode(ATOMIC):
-            sv = ScatterView(kk.View((4,), space=kk.Host))
-        assert sv.contribution == ATOMIC
-        sv = ScatterView(kk.View((4,), space=kk.Host))
-        assert sv.contribution == SEGMENTED
+        ref = np.zeros((16, 3))
+        np.add.at(ref, idx, vals)
+        for space in (kk.Device, kk.Host):
+            for strategy in (None, ATOMIC, DUPLICATED):
+                target = kk.View((16, 3), space=space)
+                sv = ScatterView(target, strategy=strategy)
+                sv.access().add(idx, vals)
+                sv.contribute()
+                assert target.data.tobytes() == ref.tobytes(), (space, strategy)
 
 
 class TestPairCacheJOrder:
@@ -253,7 +222,7 @@ def _make_reaxff():
 
     lmp = Lammps()
     # tight QEq: the iterative CG otherwise leaves solver-tolerance charge
-    # differences (~1e-8) that swamp the scatter-mode comparison
+    # differences (~1e-8) that swamp the scatter comparison
     setup_hns(lmp, 2, 2, 2, pair_style="reaxff cutoff 5.0 qeq_tol 1e-13")
     lmp.command("neighbor 0.5 bin")
     return lmp
@@ -284,9 +253,10 @@ CASES = {
 }
 
 
-def _forces_energy(target, mode: str):
-    """Single force evaluation on frozen coordinates under one mode."""
-    with force_scatter_mode(mode):
+def _forces_energy(target, reference: bool = False):
+    """Single force evaluation on frozen coordinates; with ``reference``,
+    every ``scatter_add``/``scatter_sub`` runs the ``np.add.at`` body."""
+    with scatter_body("atomic" if reference else "segmented"):
         target.command("run 0")
     ranks = target.ranks if hasattr(target, "ranks") else [target]
     f = gather_by_tag(target).copy()
@@ -296,12 +266,13 @@ def _forces_energy(target, mode: str):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_force_equivalence_atomic_vs_segmented(case):
-    """Forces and energies agree ≤1e-12 relative between scatter modes,
-    on identical coordinates a few steps into real dynamics."""
+    """Forces and energies agree ≤1e-12 relative between the segmented
+    scatter and the ``np.add.at`` reference, on identical coordinates a few
+    steps into real dynamics."""
     target = CASES[case]()
     target.command("run 3")  # move off the lattice (and build ghost layouts)
-    fa, ea = _forces_energy(target, ATOMIC)
-    fs, es = _forces_energy(target, SEGMENTED)
+    fa, ea = _forces_energy(target, reference=True)
+    fs, es = _forces_energy(target)
     scale = np.abs(fa).max() or 1.0
     np.testing.assert_allclose(fs, fa, rtol=1e-12, atol=1e-12 * scale)
     assert es == pytest.approx(ea, rel=1e-12, abs=1e-12)
@@ -311,7 +282,7 @@ def test_force_equivalence_atomic_vs_segmented(case):
 @settings(max_examples=5, deadline=None)
 def test_force_equivalence_random_ghost_layouts(seed):
     """Random dilute configurations: every periodic image arrangement must
-    give mode-equivalent forces (probes irregular neighbor/ghost shapes)."""
+    give the reference's forces (probes irregular neighbor/ghost shapes)."""
     rng = np.random.default_rng(seed)
     lmp = Lammps()
     lmp.commands_string(
@@ -323,8 +294,8 @@ def test_force_equivalence_random_ghost_layouts(seed):
         "mass 1 1.0\npair_style lj/cut 2.5\npair_coeff 1 1 1.0 0.8\n"
         "neighbor 0.3 bin\nfix 1 all nve"
     )
-    fa, ea = _forces_energy(lmp, ATOMIC)
-    fs, es = _forces_energy(lmp, SEGMENTED)
+    fa, ea = _forces_energy(lmp, reference=True)
+    fs, es = _forces_energy(lmp)
     scale = np.abs(fa).max() or 1.0
     np.testing.assert_allclose(fs, fa, rtol=1e-12, atol=1e-12 * scale)
     assert es == pytest.approx(ea, rel=1e-12, abs=1e-12)

@@ -17,18 +17,10 @@ import pytest
 
 from conftest import MELT_SCRIPT, make_melt
 from repro.core import Lammps
-from repro.kokkos.segment import set_scatter_mode
 from repro.tune import Autotuner
 from repro.tune import space as tspace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-@pytest.fixture(autouse=True)
-def _reset_modes():
-    set_scatter_mode(None)
-    yield
-    set_scatter_mode(None)
 
 
 def _run_autotuned(steps=15):
@@ -58,7 +50,7 @@ def test_probe_scores_are_exact(device):
     tuner = Autotuner(plan_path=None)
     scores = tuner.tune(lmp)["scores"]
     assert list(scores)[0] == baseline
-    assert tuner.probes == len(scores) == 6
+    assert tuner.probes == len(scores) == 3
     assert any(score > 0.0 for score in scores.values())
     for cfg in tspace.enumerate_configs(lmp):
         tspace.apply_config(lmp, cfg)
@@ -82,7 +74,6 @@ def test_autotune_deterministic_and_matches_golden(update_golden):
     lmp1, trace1 = _run_autotuned()
     config1 = lmp1.autotuner.result["config"]
 
-    set_scatter_mode(None)
     lmp2, trace2 = _run_autotuned()
 
     # exact probes: identical winners, bit-identical thermo
@@ -156,8 +147,8 @@ def test_ensemble_autotune_labels_every_rank_alike():
     ens.autotuner = Autotuner(plan_path=None, quiet=True)
     ens.run(3)
     result = ens.autotuner.result
-    assert set(result["config"]) == {"scatter", "neigh", "newton"}
-    assert result["label"] == "at/half+off"
+    assert set(result["config"]) == {"neigh", "newton"}
+    assert result["label"] == "half+off"
     for lmp in ens.ranks:
         assert lmp.tune_label == result["label"]
 
@@ -177,4 +168,4 @@ def test_cli_autotune_writes_plan(tmp_path):
     ])
     assert rc == 0
     entry = json.loads(plan.read_text())["plans"]["melt"]["host"]
-    assert set(entry["config"]) == {"scatter", "neigh", "newton"}
+    assert set(entry["config"]) == {"neigh", "newton"}

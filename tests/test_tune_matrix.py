@@ -1,13 +1,10 @@
 """Differential mode-matrix sweep: physics is invariant under every cell.
 
-The autotuner (:mod:`repro.tune`) switches scatter mode, list style, and
-newton handling at run start.  That is only legal because every cell of the
-config product computes identical forces and energies — this module is that
-safety net, swept explicitly over melt (kokkos LJ, full scatter x list x
-newton product) and an HNS snapshot (ReaxFF, both scatter modes).
-
-Also here: the regression tests for the mode setters' did-you-mean
-validation (unknown names used to surface as errors deep in dispatch).
+The autotuner (:mod:`repro.tune`) switches list style and newton handling
+at run start.  That is only legal because every cell of the config space
+computes identical forces and energies — this module is that safety net,
+swept explicitly over melt (kokkos LJ, list x newton) and an HNS snapshot
+(ReaxFF, its one list cell), plus the QEq knobs the tuner never touches.
 """
 
 from __future__ import annotations
@@ -19,49 +16,33 @@ import pytest
 
 from conftest import gather_by_tag, make_melt
 from repro.core import Lammps
-from repro.kokkos.segment import (
-    ATOMIC,
-    SEGMENTED,
-    force_scatter_mode,
-    forced_scatter_mode,
-    set_scatter_mode,
-)
 from repro.parallel.driver import drain
 from repro.tune import space as tspace
 from repro.workloads.hns import setup_hns
 
-SCATTERS = (ATOMIC, SEGMENTED)
 #: (neigh, newton) cells of the section 4.1 study; full+newton is invalid.
 LIST_CELLS = (("half", True), ("half", False), ("full", False))
 
 
-@pytest.fixture(autouse=True)
-def _reset_modes():
-    """The setters mutate process globals; never leak across tests."""
-    yield
-    set_scatter_mode(None)
-
-
 # ------------------------------------------------------------- melt matrix
-def _melt_forces(lmp, scatter, neigh, newton):
-    with force_scatter_mode(scatter):
-        lmp.pair.set_options(neigh=neigh, newton=newton)
-        lmp.newton_pair = newton
-        drain(lmp.rebuild_gen())
-        lmp.atom.f[: lmp.atom.nall] = 0.0
-        lmp.pair.compute(True, True)
-        if lmp.pair.needs_reverse_comm:
-            drain(lmp.comm_brick.reverse_comm(lmp.atom, "f"))
-        return gather_by_tag(lmp, "f"), float(lmp.pair.eng_vdwl)
+def _melt_forces(lmp, neigh, newton):
+    lmp.pair.set_options(neigh=neigh, newton=newton)
+    lmp.newton_pair = newton
+    drain(lmp.rebuild_gen())
+    lmp.atom.f[: lmp.atom.nall] = 0.0
+    lmp.pair.compute(True, True)
+    if lmp.pair.needs_reverse_comm:
+        drain(lmp.comm_brick.reverse_comm(lmp.atom, "f"))
+    return gather_by_tag(lmp, "f"), float(lmp.pair.eng_vdwl)
 
 
 def test_melt_mode_matrix_forces_and_energy_agree():
     lmp = make_melt(suffix="kk")
     lmp.run(0)
     ref_f = ref_e = None
-    for scatter, (neigh, newton) in itertools.product(SCATTERS, LIST_CELLS):
-        f, e = _melt_forces(lmp, scatter, neigh, newton)
-        tag = f"{scatter}/{neigh}/newton={newton}"
+    for neigh, newton in LIST_CELLS:
+        f, e = _melt_forces(lmp, neigh, newton)
+        tag = f"{neigh}/newton={newton}"
         if ref_f is None:
             ref_f, ref_e = f, e
             continue
@@ -73,23 +54,25 @@ def test_melt_mode_matrix_forces_and_energy_agree():
 
 # -------------------------------------------------------------- hns matrix
 def test_hns_mode_matrix_forces_and_energy_agree():
+    """Every cell the tuner may apply to ReaxFF (its one fixed full-list
+    cell) reproduces the untuned run's forces and energy."""
     lmp = Lammps(device=None)
     setup_hns(lmp, 1, 2, 2, pair_style="reaxff cutoff 5.0")
-    ref_f = ref_e = None
-    for scatter in SCATTERS:
-        with force_scatter_mode(scatter):
-            drain(lmp.verlet.run_gen(0))
+    drain(lmp.verlet.run_gen(0))
+    ref_f = gather_by_tag(lmp, "f")
+    ref_e = float(lmp.pair.eng_vdwl + lmp.pair.eng_coul)
+    for cfg in tspace.enumerate_configs(lmp):
+        tspace.apply_config(lmp, cfg)
+        drain(lmp.verlet.run_gen(0))
         f = gather_by_tag(lmp, "f")
         e = float(lmp.pair.eng_vdwl + lmp.pair.eng_coul)
-        if ref_f is None:
-            ref_f, ref_e = f, e
-            continue
+        tag = tspace.short_label(cfg)
         # the QEq CG solve stops at a tolerance, so charge round-off gives
         # the cells a slightly wider band than the bit-exact LJ matrix
         np.testing.assert_allclose(
-            f, ref_f, rtol=1e-6, atol=1e-8, err_msg=f"forces differ in {scatter}"
+            f, ref_f, rtol=1e-6, atol=1e-8, err_msg=f"forces differ in {tag}"
         )
-        assert e == pytest.approx(ref_e, rel=1e-7), f"energy differs in {scatter}"
+        assert e == pytest.approx(ref_e, rel=1e-7), f"energy differs in {tag}"
 
 
 # ---------------------------------------------------------- qeq dimensions
@@ -120,19 +103,18 @@ def test_hns_qeq_matrix_precond_extrap_cells_agree():
         )
 
 
-def test_tune_space_is_list_cells_times_scatter():
-    """The tuner searches only the section 4.1 cells: a fixed-list style
-    (ReaxFF) gets its one list cell x both scatter modes, a /kk style the
-    three list cells x both."""
+def test_tune_space_is_the_list_cells():
+    """The tuner searches only the section 4.1 list cells: a fixed-list
+    style (ReaxFF) gets its one cell, a /kk style the three."""
     hns = _hns_lmp()
-    assert tspace.enumerate_configs(hns) == [
-        {"scatter": scatter, "neigh": "full", "newton": "off"}
-        for scatter in SCATTERS
-    ]
+    assert tspace.enumerate_configs(hns) == [{"neigh": "full", "newton": "off"}]
     melt = make_melt(suffix="kk")
     configs = tspace.enumerate_configs(melt)
-    assert len(configs) == 6
-    assert all(set(cfg) == {"scatter", "neigh", "newton"} for cfg in configs)
+    assert [(c["neigh"], c["newton"] == "on") for c in configs] == list(LIST_CELLS)
+    assert all(set(cfg) == {"neigh", "newton"} for cfg in configs)
+    assert [tspace.short_label(c) for c in configs] == [
+        "half+on", "half+off", "full+off",
+    ]
 
 
 def test_qeq_snapshot_and_apply_roundtrip():
@@ -141,30 +123,8 @@ def test_qeq_snapshot_and_apply_roundtrip():
     lmp = _hns_lmp()
     lmp.pair.set_qeq_options(precond="jacobi", extrap="2", tol=1e-09)
     snap = tspace.snapshot_config(lmp)
-    assert set(snap) == {"scatter", "neigh", "newton"}
+    assert set(snap) == {"neigh", "newton"}
     tspace.apply_config(lmp, snap)
     assert (lmp.pair.qeq_precond, lmp.pair.qeq_extrap, lmp.pair.qeq_tol) == (
         "jacobi", "2", 1e-09,
     )
-
-
-# --------------------------------------------------- setter validation fix
-def test_unknown_scatter_mode_names_fail_at_setter_with_hint():
-    with pytest.raises(ValueError) as err:
-        set_scatter_mode("atomci")
-    msg = str(err.value)
-    assert "did you mean 'atomic'" in msg
-    assert "segmented" in msg
-    assert forced_scatter_mode() is None  # nothing was installed
-
-
-def test_context_managers_validate_before_entry():
-    with pytest.raises(ValueError, match="unknown scatter mode"):
-        with force_scatter_mode("bogus"):
-            pass
-
-
-def test_setters_return_previous_mode_for_restore():
-    assert set_scatter_mode(ATOMIC) is None
-    assert set_scatter_mode(SEGMENTED) == ATOMIC
-    assert set_scatter_mode(None) == SEGMENTED

@@ -13,17 +13,10 @@ import json
 import pytest
 
 from conftest import make_melt
-from repro.kokkos.segment import set_scatter_mode
 from repro.tune import Autotuner
 from repro.tune.plan import SCHEMA_VERSION, TunePlanStore
 
-KEYS = {"scatter", "neigh", "newton"}
-
-
-@pytest.fixture(autouse=True)
-def _reset_modes():
-    yield
-    set_scatter_mode(None)
+KEYS = {"neigh", "newton"}
 
 
 def _tune_melt(plan_path):
@@ -49,7 +42,6 @@ def test_plan_round_trip_skips_search(tmp_path):
     assert entry["score"] == first.result["score"]
 
     # fresh tuner + fresh Lammps: only the file carries the winner over
-    set_scatter_mode(None)
     second = _tune_melt(plan)
     assert second.probes == 0
     assert second.result["source"] == "plan"
@@ -88,8 +80,30 @@ def test_stale_schema_plan_falls_back_to_search(tmp_path):
             tuner = _tune_melt(plan)
         assert tuner.result["source"] == "search"
         saved = json.loads(plan.read_text())
-        assert saved["schema_version"] == SCHEMA_VERSION == 3
+        assert saved["schema_version"] == SCHEMA_VERSION == 4
         assert set(saved["plans"]["melt"]["host"]["config"]) == KEYS
+
+
+def test_v3_plan_naming_scatter_is_never_applied(tmp_path):
+    """A version-3 plan names the retired ``scatter`` dimension: it loads
+    fail-open with a warning and re-searches; neither its stale key nor its
+    cell (one the search does not pick) lands."""
+    searched = _tune_melt(None).result["config"]
+    plan = tmp_path / "tuned_plan.json"
+    stale = {"config": {"scatter": "atomic", "neigh": "half", "newton": "off"},
+             "score": 0.0}
+    plan.write_text(json.dumps(
+        {"schema_version": 3, "plans": {"melt": {"host": stale}}}
+    ) + "\n")
+    with pytest.warns(RuntimeWarning, match="schema_version 3 != expected 4"):
+        tuner = _tune_melt(plan)
+    assert tuner.plan_store.load_error is not None
+    assert tuner.result["source"] == "search"
+    assert tuner.probes == 3  # the kk style's three list cells
+    assert tuner.result["config"] == searched != {"neigh": "half", "newton": "off"}
+    saved = json.loads(plan.read_text())
+    assert saved["schema_version"] == 4
+    assert set(saved["plans"]["melt"]["host"]["config"]) == KEYS
 
 
 def test_malformed_plan_entry_is_ignored(tmp_path):
@@ -107,7 +121,7 @@ def test_unsupported_planned_config_triggers_research(tmp_path):
     store = TunePlanStore(str(plan))
     store.record(
         "melt", "host",
-        config={"scatter": "atomic", "neigh": "full", "newton": "on"},
+        config={"neigh": "full", "newton": "on"},
         score=1.0,
     )
     store.save()
