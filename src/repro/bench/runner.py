@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-import numpy as np
-
 import repro.kokkos as kk
 import repro.potentials  # noqa: F401  (register pair styles)
 import repro.reaxff  # noqa: F401
@@ -188,7 +186,9 @@ class PotentialBenchmark:
         raise NotImplementedError
 
     def tune(self, pair) -> None:
-        """Apply style options before capture (overridden by sweeps)."""
+        """Apply the benchmark's style options before capture."""
+        if getattr(self, "options", None) and hasattr(pair, "set_options"):
+            pair.set_options(**self.options)
 
     def reference(self, device: str = "H100", **tune_kw) -> ReferenceRun:
         config = tuple(
@@ -238,10 +238,6 @@ class LJBenchmark(PotentialBenchmark):
 
     def setup(self, lmp: Lammps) -> None:
         setup_melt(lmp, cells=self.cells, pair_style=self.pair_style)
-
-    def tune(self, pair) -> None:
-        if self.options and hasattr(pair, "set_options"):
-            pair.set_options(**self.options)
 
 
 class ReaxFFBenchmark(PotentialBenchmark):
@@ -295,10 +291,6 @@ class SNAPBenchmark(PotentialBenchmark):
         setup_tantalum(
             lmp, cells=self.cells, pair_style=self.pair_style, twojmax=self.twojmax
         )
-
-    def tune(self, pair) -> None:
-        if self.options and hasattr(pair, "set_options"):
-            pair.set_options(**self.options)
 
 
 #: the three case studies at their default reference sizes

@@ -1,4 +1,4 @@
-"""The cutoff-masked pairwise force pass: one Stage list, four executors.
+"""The force passes as Stage lists, and the executors that run them.
 
 Paper section 4.1's ``pair_kokkos`` contract is that a two-body style
 supplies only its pair formula and the base does everything else.  This
@@ -10,7 +10,7 @@ module is that "everything else", written once as stage functions over an
 ``force_scatter`` (half/host, full-sorted, ScatterView half +- newton) and
 ``tally`` (the style's energy half + ``ev_tally``).
 
-The executors differ only in how they drive the list:
+Four executors drive that list:
 
 * **eager host** runs the stage bodies in order (:func:`run_stages`);
 * **eager kk** runs them inside one charged whole-kernel dispatch
@@ -20,6 +20,9 @@ The executors differ only in how they drive the list:
 * **replica** runs the same stage functions over the stacked
   ``i/j/cutsq/coefficient`` vectors of a whole batch
   (:mod:`repro.replica.batch`).
+
+A many-body style (``snap``, ``reaxff``) declares one Stage list of its
+own kernels, and :func:`run_many_body` runs it on the host and under ``/kk``.
 
 Workspace contract: per-rebuild *constants* (pair indices, squared
 cutoffs, pre-gathered coefficient vectors, ``j < nlocal``) live in the
@@ -37,7 +40,7 @@ after the kokkos package has fully initialised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Iterator
 
 import numpy as np
 
@@ -75,6 +78,8 @@ class Stage:
     #: A policy, or a callable ``env -> policy`` resolved at dispatch
     #: time (compressed index spaces are sized mid-capture).
     policy: Any = None
+    #: A generator body (a many-body stage that exchanges with other ranks).
+    yields: bool = False
 
 
 def stage_profile(
@@ -352,6 +357,27 @@ def run_stages(stages: list[Stage], env: dict) -> None:
     """The eager executor: the stage bodies, in order."""
     for st in stages:
         st.fn(env)
+
+
+def run_many_body(stages: list[Stage], env: dict, kernels: dict) -> Iterator[None]:
+    """The many-body executor.  ``kernels`` maps a stage to its ``/kk``
+    charge ``(kernel name, policy, profile)``; a stage without one runs bare.
+    A charged stage runs inside its ``kk.parallel_for``, priced by
+    ``profile()`` after it ran.  A yielding stage is ``yield from``-ed."""
+    for st in stages:
+        name, policy, profile = kernels.get(st.name, (None, None, None))
+        if st.yields:
+            yield from st.fn(env)
+            # A dispatch cannot span a comm yield (the other ranks run
+            # inside it), so this is the one charge that follows its work.
+            functor = lambda idx: None  # noqa: E731
+        elif name is None:
+            st.fn(env)
+        else:
+            functor = lambda idx, fn=st.fn: fn(env)  # noqa: E731
+        if name is not None:
+            policy = policy() if callable(policy) else policy
+            kk.parallel_for(name, policy, functor, profile=profile)
 
 
 def capture_stages(label: str, stages: list[Stage], env: dict) -> GraphPlan:

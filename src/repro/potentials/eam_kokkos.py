@@ -18,7 +18,7 @@ import numpy as np
 import repro.kokkos as kk
 from repro.core.styles import register_pair
 from repro.graph.pairwise import GRAPH, run_graph, run_stages
-from repro.kokkos.core import Device, Host
+from repro.kokkos.core import Host
 from repro.kokkos.scatter_view import ScatterView
 from repro.potentials.eam import PairEAM, eam_force_kernel, eam_geometry
 
@@ -28,10 +28,6 @@ class PairEAMKokkos(PairEAM):
     """Device-resident EAM with host-staged fp communication."""
 
     kokkos_style = True
-
-    def __init__(self, lmp, args, execution_space: str = "device") -> None:
-        self.execution_space = Device if execution_space == "device" else Host
-        super().__init__(lmp, args)
 
     def neighbor_request(self) -> tuple[str, bool]:
         return "full", False  # the LAMMPS-KOKKOS GPU default: no write conflicts

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.errors import InputError, LammpsError, StyleError
 from repro.graph.pairwise import GRAPH, pairwise_stages, run_graph, run_stages
-from repro.kokkos.core import Host
+from repro.kokkos.core import Device, Host
 
 
 def accumulate_virial(virial: np.ndarray, xs: np.ndarray, fs: np.ndarray) -> None:
@@ -43,7 +43,9 @@ class Pair:
     #: Where the style's kernels run; Kokkos styles pick per instance.
     execution_space = Host
 
-    def __init__(self, lmp, args: list[str]) -> None:
+    def __init__(self, lmp, args: list[str], execution_space: str = "device") -> None:
+        if self.kokkos_style:  # ``/kk/host`` resolves with execution_space="host"
+            self.execution_space = Device if execution_space == "device" else Host
         self.lmp = lmp
         self.eng_vdwl = 0.0
         self.eng_coul = 0.0
@@ -122,6 +124,20 @@ class Pair:
             )
             raise LammpsError(f"pair {name} requested {say(*want)} but is bound to {say(*got)}")
         return nlist.style == "full", nlist.newton
+
+    def require_pairs(self, ok: np.ndarray, i, j, what: str, kind: str = "") -> None:
+        """Fail loudly, naming step and the first pair ``(i, j)`` not ``ok``,
+        before its NaN reaches ``f``."""
+        if not ok.all():
+            k, tag = int(np.flatnonzero(~ok)[0]), self.lmp.atom.tag
+            raise LammpsError(
+                f"pair {self.style_name}: {kind}pair ({int(tag[i[k]])}, {int(tag[j[k]])}) "
+                f"{what} on timestep {self.lmp.update.ntimestep}"
+            )
+
+    def stage_kernels(self) -> dict:
+        """A many-body style's ``/kk`` charge per stage; a host style has none."""
+        return {}
 
     # -------------------------------------------------------------- tallies
     def reset_tallies(self, ev: bool = True) -> None:

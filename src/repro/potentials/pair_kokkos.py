@@ -56,13 +56,12 @@ class PairKokkos(Pair):
     cpu_efficiency = 0.05
 
     def __init__(self, lmp, args: list[str], execution_space: str = "device") -> None:
-        self.execution_space = Device if execution_space == "device" else Host
+        super().__init__(lmp, args, execution_space)
         # Section 4.1 defaults: full list / newton off on GPUs, half list /
         # newton on for CPU-resident execution.
         self.neigh_mode = "full" if self.execution_space is Device else "half"
         self.newton_mode = self.execution_space is Host
         self.team_mode = False
-        super().__init__(lmp, args)
 
     # ------------------------------------------------------------- options
     def set_options(

@@ -18,13 +18,17 @@ bit-identical across all settings (asserted by tests).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 import repro.kokkos as kk
 from repro.core.errors import InputError, LammpsError
 from repro.core.styles import register_pair
-from repro.graph.pairwise import ARENA, GRAPH, prologue_stages, run_graph, run_stages
-from repro.kokkos.core import Device, Host
+from repro.graph.pairwise import (
+    ARENA, GRAPH, Stage, prologue_stages, run_graph, run_many_body, run_stages,
+)
+from repro.kokkos.core import Host
 from repro.kokkos.segment import scatter_add, scatter_sub
 from repro.potentials.pair import Pair, accumulate_virial
 from repro.snap.compute_deidrj import compute_fused_deidrj
@@ -127,79 +131,93 @@ class PairSNAP(Pair):
 
     # --------------------------------------------------------------- compute
     def compute(self, eflag: bool = True, vflag: bool = True) -> None:
-        lmp = self.lmp
-        atom = lmp.atom
-        nlist = lmp.neigh_list
         self.reset_tallies(eflag or vflag)
-        stats = self.last_stats = {}
+        self.last_stats = {}
+        nlist = self.lmp.neigh_list
         if nlist is None or nlist.total_pairs == 0:
             return
-        nlocal = atom.nlocal
-        x = atom.x[: atom.nall]
+        env = {"eflag": eflag, "vflag": vflag}
+        for _ in run_many_body(self.stages, env, self.stage_kernels()):
+            pass  # no SNAP stage yields
 
+    @cached_property
+    def stages(self) -> list[Stage]:
+        """The pipeline, host and ``/kk`` (:func:`run_many_body`)."""
+        return [
+            Stage("geometry", self._geometry, "stored-pairs"),
+            Stage("ui", self._ui, "cut-pairs"),
+            Stage("yi", self._yi, "atoms"),
+            Stage("energy", self._energy, "atoms"),
+            Stage("deidrj", self._deidrj, "cut-pairs"),
+            Stage("scatter", self._scatter, "atoms"),
+        ]
+
+    def _geometry(self, env: dict) -> None:
         # SNAP's convention is rij = x[j] - x[i]: the shared prologue runs
         # with the roles swapped, so its ``i_n`` holds j and vice versa
-        env, stages = nlist.pair_cache().memo(
+        atom, nlist = self.lmp.atom, self.lmp.neigh_list
+        nlocal = env["nlocal"] = atom.nlocal
+        x = atom.x[: atom.nall]
+        geo, stages = nlist.pair_cache().memo(
             ("snap-geometry", id(self)), lambda: self._bind_geometry(nlist, x)
         )
-        env["x"] = x
+        geo["x"] = x
         if GRAPH:
             run_graph(
                 (id(self), "snap-geometry"), (nlist.generation,),
-                f"{type(self).__name__}/geometry", stages, env,
+                f"{type(self).__name__}/geometry", stages, geo,
             )
         else:
-            run_stages(stages, env)
+            run_stages(stages, geo)
         # a C-ordered copy of the prologue's component rows, into the dead xi
         # rows: the Wigner einsums reduce over the component axis in an order
         # the layout sets
-        i, j, d = env["j_n"], env["i_n"], env["dx_n"]
-        rij = ARENA.take("xi", d.shape[1], 3)
+        i, j, d = geo["j_n"], geo["i_n"], geo["dx_n"]
+        env["i"], env["j"] = i, j
+        rij = env["rij"] = ARENA.take("xi", d.shape[1], 3)
         np.copyto(rij, d.T)
-        partner = np.take(env["partner0"], env["idx"])
-        stats["kept"] = len(i)
-        stats["partnered"] = int(np.count_nonzero(partner < nlocal))
+        partner = env["partner"] = np.take(geo["partner0"], geo["idx"])
+        kept, partnered = len(i), int(np.count_nonzero(partner < nlocal))
         # directed in-cutoff pairs: each partnered pair stands for two
-        stats["npairs"] = stats["kept"] + stats["partnered"]
-        stats["natoms"] = nlocal
-
-        self._require(env["rsq_n"] > 0.0, "has zero separation", i, j)
-
-        # (1) ComputeUi: one recursion per kept pair -> per-atom totals
-        U = compute_ui(
-            rij, i, nlocal, self.rcut, self.twojmax, rmin0=self.rmin0,
-            partner=partner,
+        self.last_stats.update(
+            kept=kept, partnered=partnered, npairs=kept + partnered, natoms=nlocal
         )
-        # (2) ComputeYi: the folded adjoint
-        Y = compute_yi(U, self.beta, self.twojmax)
-        if eflag:
-            # E = B . beta is homogeneous of degree 3 in (U, conj U), so by
-            # Euler's identity Re(Y . U) = 3 E: the adjoint already holds it
-            Uh = np.take(U, self.index.half, axis=0)
-            self.eng_vdwl += float(np.real(Y * Uh).sum()) / 3.0
-        # (3+4) ComputeFusedDeidrj: per-pair force contraction, 3 directions,
+        self.require_pairs(geo["rsq_n"] > 0.0, i, j, "has zero separation")
+
+    def _ui(self, env: dict) -> None:
+        # ComputeUi: one recursion per kept pair -> per-atom totals
+        env["U"] = compute_ui(
+            env["rij"], env["i"], env["nlocal"], self.rcut, self.twojmax,
+            rmin0=self.rmin0, partner=env["partner"],
+        )
+
+    def _yi(self, env: dict) -> None:
+        # ComputeYi: the folded adjoint
+        env["Y"] = compute_yi(env["U"], self.beta, self.twojmax)
+
+    def _energy(self, env: dict) -> None:
+        # E = B . beta is homogeneous of degree 3 in (U, conj U), so by
+        # Euler's identity Re(Y . U) = 3 E: the adjoint already holds it
+        if env["eflag"]:
+            Uh = np.take(env["U"], self.index.half, axis=0)
+            self.eng_vdwl += float(np.real(env["Y"] * Uh).sum()) / 3.0
+
+    def _deidrj(self, env: dict) -> None:
+        # ComputeFusedDeidrj: per-pair force contraction, 3 directions,
         # against Y[i] + Ytilde[partner]: the derivative of both ends' energy
-        dedr = compute_fused_deidrj(
-            rij, i, Y, self.rcut, self.twojmax, rmin0=self.rmin0,
-            partner=partner,
+        dedr = env["dedr"] = compute_fused_deidrj(
+            env["rij"], env["i"], env["Y"], self.rcut, self.twojmax,
+            rmin0=self.rmin0, partner=env["partner"],
         )
-        self._require(np.isfinite(dedr).all(axis=1), "has a non-finite dE/dr", i, j)
-        scatter_sub(atom.f, j, dedr)
-        scatter_add(atom.f, i, dedr, assume_sorted=True)
-        if vflag:
-            accumulate_virial(self.virial, rij, -dedr)
-        self._charge_kernels(stats)
+        ok = np.isfinite(dedr).all(axis=1)
+        self.require_pairs(ok, env["i"], env["j"], "has a non-finite dE/dr")
 
-    def _require(self, ok: np.ndarray, what: str, i, j) -> None:
-        """Fail loudly, naming step and pair, before a NaN reaches ``f``."""
-        if ok.all():
-            return
-        k = int(np.flatnonzero(~ok)[0])
-        tag = self.lmp.atom.tag
-        raise LammpsError(
-            f"pair snap: pair ({int(tag[i[k]])}, {int(tag[j[k]])}) {what} "
-            f"on timestep {self.lmp.update.ntimestep}"
-        )
+    def _scatter(self, env: dict) -> None:
+        f, dedr = self.lmp.atom.f, env["dedr"]
+        scatter_sub(f, env["j"], dedr)
+        scatter_add(f, env["i"], dedr, assume_sorted=True)
+        if env["vflag"]:
+            accumulate_virial(self.virial, env["rij"], -dedr)
 
     def _bind_geometry(self, nlist, x: np.ndarray):
         """Per rebuild: the stored pairs to recurse (:func:`keep_once`), and
@@ -223,47 +241,26 @@ class PairSNAP(Pair):
         }
         return env, prologue_stages(Host, len(env["i0"]), "snap_", gather_bytes=80.0)
 
-    def _charge_kernels(self, stats: dict) -> None:
-        """Hook for the Kokkos style."""
-
 
 @register_pair("snap/kk")
 class PairSNAPKokkos(PairSNAP):
     """Kokkos SNAP with the section 4.3/4.4 tuning knobs."""
 
     kokkos_style = True
+    #: work-batching factors (Table 2), Deidrj fusion and the ComputeYi tile
+    #: (4.3.2); :meth:`set_options` sets them per instance
+    ui_batch = yi_batch = 4
+    fuse_deidrj = True
+    tile_v = 32
 
-    def __init__(self, lmp, args, execution_space: str = "device") -> None:
-        self.execution_space = Device if execution_space == "device" else Host
-        #: work-batching factors (Table 2) and the ComputeYi tile (4.3.2)
-        self.ui_batch = 4
-        self.yi_batch = 4
-        self.fuse_deidrj = True
-        self.tile_v = 32
-        super().__init__(lmp, args)
-
-    def set_options(
-        self,
-        *,
-        ui_batch: int | None = None,
-        yi_batch: int | None = None,
-        fuse_deidrj: bool | None = None,
-        tile_v: int | None = None,
-    ) -> None:
-        if ui_batch is not None:
-            if ui_batch < 1:
-                raise InputError("ui_batch must be >= 1")
-            self.ui_batch = ui_batch
-        if yi_batch is not None:
-            if yi_batch < 1:
-                raise InputError("yi_batch must be >= 1")
-            self.yi_batch = yi_batch
-        if fuse_deidrj is not None:
-            self.fuse_deidrj = fuse_deidrj
-        if tile_v is not None:
-            if tile_v < 1:
-                raise InputError("tile_v must be >= 1")
-            self.tile_v = tile_v
+    def set_options(self, **knobs) -> None:
+        """``ui_batch``, ``yi_batch``, ``tile_v`` (each >= 1), ``fuse_deidrj``."""
+        for key, value in knobs.items():
+            if key not in ("ui_batch", "yi_batch", "tile_v", "fuse_deidrj"):
+                raise InputError(f"pair snap/kk: unknown option {key!r}")
+            if key != "fuse_deidrj" and value < 1:
+                raise InputError(f"{key} must be >= 1")
+            setattr(self, key, value)
 
     def compute(self, eflag: bool = True, vflag: bool = True) -> None:
         atom_kk = self.lmp.atom_kk
@@ -272,87 +269,85 @@ class PairSNAPKokkos(PairSNAP):
         atom_kk.modified(Host, ("f",))
 
     # ------------------------------------------------------------- profiles
-    def _charge_kernels(self, stats: dict) -> None:
-        # ``npairs`` counts *directed* in-cutoff pairs (a partnered pair
-        # twice): the host recurses each pair once, but the device kernels
-        # are charged per directed pair, as LAMMPS-Kokkos SNAP runs the full
-        # list, so the modeled totals do not follow the wall path's halving.
+    def stage_kernels(self) -> dict:
+        # ``npairs`` counts *directed* in-cutoff pairs (a partnered pair twice): the
+        # host recurses each pair once, but the device kernels are charged per directed
+        # pair, as LAMMPS-Kokkos SNAP runs the full list, so the modeled totals do not
+        # follow the wall path's halving.
         space = self.execution_space
-        n = max(stats.get("natoms", 1), 1)
-        npairs = max(stats.get("npairs", 1), 1)
         idxu = self.index.idxu_max
         nterms_eff = max(self.index.tensor.nterms / YI_CHARGED_TERM_DIVISOR, 1.0)
+        vector = max(min(self.twojmax + 1, 8), 1)
 
-        def charge(name: str, policy=None, **kw) -> None:
-            kw.setdefault("cpu_efficiency", 0.15)  # dense quantum-number loops
-            prof = kk.KernelProfile(name=name, **kw)
-            pol = policy or kk.RangePolicy(space, 0, n)
-            kk.parallel_for(name, pol, lambda idx: None, profile=prof)
+        def sizes() -> tuple[int, int]:  # measured by the geometry stage
+            return max(self.last_stats["natoms"], 1), max(self.last_stats["npairs"], 1)
 
-        # ComputeUi: recursive polynomial evaluation is compute bound
-        # (section 4.3.3); atomic accumulation into U is the limiter until
-        # work batching sums `ui_batch` neighbors in registers first, which
-        # also exposes instruction-level parallelism (section 4.3.4).
+        def kernel(name: str, policy, fields) -> tuple:
+            # dense quantum-number loops
+            return name, policy, lambda: kk.KernelProfile(
+                name=name, cpu_efficiency=0.15, **fields(*sizes())
+            )
+
+        # ComputeUi: recursive polynomial evaluation is compute bound (section 4.3.3);
+        # atomic accumulation into U is the limiter until work batching sums `ui_batch`
+        # neighbors in registers first, exposing instruction-level parallelism (4.3.4).
         recursion_flops = 40.0 * idxu
         ilp = min(1.0 + 0.12 * (self.ui_batch - 1), 1.4)
-        charge(
+        ui = kernel(
             "ComputeUi",
-            policy=kk.TeamPolicy(
-                space,
-                league_size=max(npairs // (4 * self.ui_batch), 1),
-                team_size=4,
-                vector_length=max(min(self.twojmax + 1, 8), 1),
-                scratch_kb=20.0,
+            lambda: kk.TeamPolicy(
+                space, league_size=max(sizes()[1] // (4 * self.ui_batch), 1),
+                team_size=4, vector_length=vector, scratch_kb=20.0,
             ),
-            flops=recursion_flops * npairs / ilp,
-            bytes_streamed=32.0 * npairs + 16.0 * idxu * n,
-            # one complex add per (pair, quantum number), pre-summed over
-            # ui_batch neighbors
-            atomic_ops=2.0 * idxu * npairs / self.ui_batch,
-            # batching narrows the thread count but the extra per-thread ILP
-            # keeps latency hidden; exposed parallelism stays pair-scaled
-            parallel_items=float(npairs),
-            l2_working_set_mb=16.0 * idxu * n / 1e6,
+            lambda n, npairs: dict(
+                flops=recursion_flops * npairs / ilp,
+                bytes_streamed=32.0 * npairs + 16.0 * idxu * n,
+                # one complex add per (pair, quantum number), batched ui_batch-fold
+                atomic_ops=2.0 * idxu * npairs / self.ui_batch,
+                # batching narrows the thread count but the extra per-thread ILP keeps
+                # latency hidden; exposed parallelism stays pair-scaled
+                parallel_items=float(npairs),
+                l2_working_set_mb=16.0 * idxu * n / 1e6,
+            ),
         )
-        # ComputeYi: L1-throughput limited — per-atom U blocks stay hot for
-        # tile_v atoms (section 4.3.2's 3-d tiling); Clebsch-Gordan look-up
-        # tables are warp-uniform and their transactions amortize over the
-        # yi_batch atoms each thread handles (section 4.3.4).
-        charge(
+        # ComputeYi: L1-throughput limited — per-atom U blocks stay hot for tile_v atoms
+        # (section 4.3.2's 3-d tiling); Clebsch-Gordan look-up tables are warp-uniform
+        # and their transactions amortize over the yi_batch atoms a thread handles (4.3.4).
+        yi = kernel(
             "ComputeYi",
-            flops=6.0 * nterms_eff * n,
-            bytes_streamed=4.0 * idxu * n,
-            bytes_reusable=nterms_eff * (16.0 + 16.0 / self.yi_batch) * n,
-            # the tile's U blocks (16 B complex x idxu x v atoms) plus the
-            # warp-shared look-up tables; 160 kB at the H100-ideal v = 32
-            l1_working_set_kb=16.0 * idxu * self.tile_v / 1024.0 + 18.0,
-            batch_width=float(self.tile_v),
-            # the tiled traversal keeps the L2-level footprint bounded
-            l2_working_set_mb=40.0,
-            parallel_items=float(n),
-        )
-        # ComputeFusedDeidrj: recursion + derivative + adjoint contraction
-        # per pair.  Unfused, three per-direction kernels each redo the u
-        # recursion and reload Y (the Table 2 fusion).
-        passes = 1 if self.fuse_deidrj else 3
-        name = "ComputeFusedDeidrj" if self.fuse_deidrj else "ComputeDeidrj"
-        per_pass_flops = (
-            recursion_flops * (2.2 if self.fuse_deidrj else 1.0) + 16.0 * idxu
-        )
-        charge(
-            name,
-            policy=kk.TeamPolicy(
-                space,
-                league_size=max(npairs // 4, 1),
-                team_size=4,
-                vector_length=max(min(self.twojmax + 1, 8), 1),
-                scratch_kb=34.0,
+            lambda: kk.RangePolicy(space, 0, sizes()[0]),
+            lambda n, npairs: dict(
+                flops=6.0 * nterms_eff * n,
+                bytes_streamed=4.0 * idxu * n,
+                bytes_reusable=nterms_eff * (16.0 + 16.0 / self.yi_batch) * n,
+                # the tile's U blocks (16 B complex x idxu x v atoms) plus the
+                # warp-shared look-up tables; 160 kB at the H100-ideal v = 32
+                l1_working_set_kb=16.0 * idxu * self.tile_v / 1024.0 + 18.0,
+                batch_width=float(self.tile_v),
+                # the tiled traversal keeps the L2-level footprint bounded
+                l2_working_set_mb=40.0,
+                parallel_items=float(n),
             ),
-            flops=per_pass_flops * npairs * passes,
-            bytes_streamed=(16.0 * idxu * n + 40.0 * npairs) * passes,
-            bytes_reusable=16.0 * idxu * npairs / 40.0 * passes,
-            l1_working_set_kb=96.0,
-            l2_working_set_mb=32.0 * idxu * n / 1e6,
-            parallel_items=float(npairs),
-            launches=passes,
         )
+        # ComputeFusedDeidrj: recursion + derivative + adjoint contraction per pair.
+        # Unfused, three per-direction kernels each redo the u recursion and reload Y
+        # (the Table 2 fusion).
+        passes = 1 if self.fuse_deidrj else 3
+        per_pass_flops = recursion_flops * (2.2 if self.fuse_deidrj else 1.0) + 16.0 * idxu
+        deidrj = kernel(
+            "ComputeFusedDeidrj" if self.fuse_deidrj else "ComputeDeidrj",
+            lambda: kk.TeamPolicy(
+                space, league_size=max(sizes()[1] // 4, 1),
+                team_size=4, vector_length=vector, scratch_kb=34.0,
+            ),
+            lambda n, npairs: dict(
+                flops=per_pass_flops * npairs * passes,
+                bytes_streamed=(16.0 * idxu * n + 40.0 * npairs) * passes,
+                bytes_reusable=16.0 * idxu * npairs / 40.0 * passes,
+                l1_working_set_kb=96.0,
+                l2_working_set_mb=32.0 * idxu * n / 1e6,
+                parallel_items=float(npairs),
+                launches=passes,
+            ),
+        )
+        return {"ui": ui, "yi": yi, "deidrj": deidrj}

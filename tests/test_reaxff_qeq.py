@@ -177,6 +177,12 @@ class TestPreconditioning:
         assert lmp.pair.qeq_extrap == "2"
         assert lmp.pair.qeq_tol == 1e-10
 
+    @pytest.mark.parametrize("key", ["qeq_precond", "qeq_extrap", "qeq_tol", "cutoff"])
+    def test_trailing_keyword_without_value_raises(self, key):
+        """A trailing keyword names itself instead of running a default."""
+        with pytest.raises(InputError, match=f"{key}.*needs a value"):
+            setup_hns(Lammps(), 1, 2, 2, pair_style=f"reaxff cutoff 5.0 {key}")
+
 
 # ------------------------------------------------ history extrapolation
 class TestChargeHistory:
