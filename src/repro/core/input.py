@@ -91,7 +91,11 @@ class Input:
             name = match.group(1)
             if name not in self.lmp.variables:
                 raise InputError(f"undefined variable ${{{name}}}")
-            return str(self.lmp.variables[name])
+            value = self.lmp.variables[name]
+            # an integral value splices as an integer (``run ${n}``, seeds)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            return str(value)
 
         return re.sub(r"\$\{(\w+)\}", repl, line)
 
@@ -253,5 +257,16 @@ class Input:
 
     # ------------------------------------------------------------------ run
     def cmd_run(self, args: list[str]) -> None:
+        self.lmp.run(self._steps(args))
+
+    def run_steps(self, line: str) -> int | None:
+        """``N`` if ``line`` is ``run N`` (substituted and usage-checked as
+        a solo run is), else None: the multi-instance drivers drive runs."""
+        tokens = self._substitute(line.split("#", 1)[0]).split()
+        if not tokens or tokens[0] != "run":
+            return None
+        return self._steps(tokens[1:])
+
+    def _steps(self, args: list[str]) -> int:
         self._need(args, 1, "run <N>")
-        self.lmp.run(int(args[0]))
+        return self._count("run", args[0])

@@ -105,20 +105,21 @@ class Lammps:
         return self.comm.size
 
     # -------------------------------------------------------------- input
+    @property
+    def input(self):
+        """The script interpreter bound to this instance."""
+        if self._input is None:
+            from repro.core.input import Input
+
+            self._input = Input(self)
+        return self._input
+
     def command(self, line: str) -> None:
         """Execute one input-script command."""
-        if self._input is None:
-            from repro.core.input import Input
-
-            self._input = Input(self)
-        self._input.one(line)
+        self.input.one(line)
 
     def commands_string(self, text: str) -> None:
-        if self._input is None:
-            from repro.core.input import Input
-
-            self._input = Input(self)
-        self._input.string(text)
+        self.input.string(text)
 
     # --------------------------------------------------------------- box
     def create_box(self, ntypes: int, region: BlockRegion) -> None:
@@ -461,10 +462,10 @@ class Ensemble:
         self.autotuner = None
 
     def command(self, line: str) -> None:
-        tokens = line.split("#", 1)[0].split()
-        if tokens and tokens[0] == "run":
+        nsteps = self.ranks[0].input.run_steps(line)
+        if nsteps is not None:
             # Runs must be driven in lockstep across ranks, not per rank.
-            self.run(int(tokens[1]))
+            self.run(nsteps)
             return
         for lmp in self.ranks:
             if kp.TOOLS:
@@ -528,7 +529,6 @@ class ReplicaSet:
         *,
         suffix: str | None = None,
         quiet: bool = False,
-        label: str = "replica",
     ) -> None:
         if nreplicas < 1:
             raise LammpsError("a ReplicaSet needs at least one replica")
@@ -536,18 +536,15 @@ class ReplicaSet:
             Lammps(device, suffix=suffix, quiet=quiet) for _ in range(nreplicas)
         ]
         for i, lmp in enumerate(self.replicas):
-            # set directly (not via `variable ... equal`) so ${replica}
-            # substitutes as the bare integer, splice-friendly in seeds
             lmp.variables["replica"] = i
         # only replica 0 speaks, like the root rank of an Ensemble
         for lmp in self.replicas[1:]:
             lmp.thermo.quiet = True
-        self.label = label
 
     def command(self, line: str) -> None:
-        tokens = line.split("#", 1)[0].split()
-        if tokens and tokens[0] == "run":
-            self.run(int(tokens[1]))
+        nsteps = self.replicas[0].input.run_steps(line)
+        if nsteps is not None:
+            self.run(nsteps)
             return
         for lmp in self.replicas:
             lmp.command(line)
@@ -560,24 +557,18 @@ class ReplicaSet:
             if stripped:
                 self.command(stripped)
 
-    def run(self, nsteps: int):
+    def run(self, nsteps: int) -> None:
         """Advance every replica ``nsteps`` through one ReplicaBatch.
 
         Builds a fresh batch each call — ``add_replica`` performs exactly
         the setup a solo ``run`` would (including the forced step-0 thermo
         row), so interleaving setup commands between runs stays faithful.
-        Returns the batch.
+        A member that fails stops the run with its error.
         """
         from repro.replica import ReplicaBatch
 
-        batch = ReplicaBatch(label=self.label)
+        batch = ReplicaBatch()
         for lmp in self.replicas:
             batch.add_replica(lmp)
         batch.step(nsteps)
         batch.finish()
-        if batch.failures:
-            rid, exc = batch.failures[0]
-            raise LammpsError(
-                f"replica {rid} failed during the batched run: {exc}"
-            ) from exc
-        return batch

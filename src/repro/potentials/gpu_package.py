@@ -26,26 +26,27 @@ from repro.tools import registry as kp
 
 
 class GPUOffloadMixin:
-    """Charges the offload pattern's transfer + kernel costs.
+    """Runs the inherited host pass as the offloaded force kernel.
 
     The force math itself is inherited unchanged from the plain host style
     (results are bit-identical to ``lj/cut``); what differs is the simulated
-    cost: every step pays two PCIe-class transfers plus the device kernel,
+    cost: every step pays two PCIe-class transfers around the device kernel,
     and the device kernel runs with *half* lists (the GPU package kept the
-    host's neighbor lists).
+    host's neighbor lists).  A host-only context runs the pass bare.
     """
 
     #: per-atom bytes shipped down (x + type) and up (f) each step
     H2D_BYTES_PER_ATOM = 28.0
     D2H_BYTES_PER_ATOM = 24.0
 
-    def _charge_offload(self) -> None:
-        lmp = self.lmp
-        atom = lmp.atom
-        nlist = lmp.neigh_list
+    def compute(self, eflag: bool = True, vflag: bool = True) -> None:
+        host_pass = super().compute
         ctx = device_context()
         if ctx.host_only:
+            host_pass(eflag, vflag)
             return
+        atom = self.lmp.atom
+        nlist = self.lmp.neigh_list
         nall = atom.nall
         stored_pairs = nlist.total_pairs if nlist is not None else 0
 
@@ -70,7 +71,7 @@ class GPUOffloadMixin:
         kk.parallel_for(
             "gpu_package::force_kernel",
             kk.RangePolicy(Device, 0, max(atom.nlocal, 1)),
-            lambda idx: None,
+            lambda idx: host_pass(eflag, vflag),
             profile=profile,
         )
         # device -> host: forces come back for the host-resident integrator
@@ -84,7 +85,3 @@ class GPUOffloadMixin:
 @register_pair("lj/cut/gpu")
 class PairLJCutGPU(GPUOffloadMixin, PairLJCut):
     """LJ with force-only GPU offload (the pre-Kokkos strategy)."""
-
-    def compute(self, eflag: bool = True, vflag: bool = True) -> None:
-        super().compute(eflag, vflag)
-        self._charge_offload()

@@ -38,15 +38,15 @@ engine earns this by construction:
   recorded swaps (aligned by swap index, ragged-safe), preserving each
   member's staged order — including the bucket-brigade multi-hop semantics.
 
-**Epochs.**  Between neighbor rebuilds the stacked arrays are the truth.
-Each rebuild epoch re-hoists: stale members get their owned state synced
-back, run their own solo ``rebuild_gen`` (exchange/sort/borders/build), and
-the stacked arrays, the pairwise env, and the ghost replay are rebuilt from
-all members.  Per-replica neighbor staleness is tracked individually — one hot
-replica rebuilding does not force the rest to.  Membership is fixed by the
-caller (:meth:`repro.core.ReplicaSet.run`: ``add_replica`` × R, ``step``,
-``finish``); the only way a member leaves early is a failed rebuild
-(:attr:`ReplicaBatch.failures`).
+**Epochs.**  Members join before the first step; the first ``step``
+stacks them once.  Between neighbor rebuilds the stacked arrays are the
+truth.  Each rebuild epoch re-hoists: every member syncs its owned state
+back, the stale ones run their own solo ``rebuild_gen``
+(exchange/sort/borders/build), and the stacked arrays, the pairwise env, and
+the ghost replay are rebuilt from all members.  Per-replica neighbor
+staleness is tracked individually — one hot replica rebuilding does not
+force the rest to.  A member whose rebuild raises stops the step with a
+:class:`~repro.core.errors.LammpsError` naming the replica and the step.
 
 The batched pair style is host ``lj/cut`` (the one style a replica
 workload runs); batchability violations raise with the shared
@@ -77,14 +77,23 @@ class _Member:
     """One replica: its solo Lammps instance plus stacked-segment offsets."""
 
     lmp: "object"
-    rid: int
-    index: int = 0  #: position in the members list == stacking order
+    index: int  #: position in the members list == stacking order
     own_off: int = 0
     nlocal: int = 0
     ghost_off: int = 0
     nghost: int = 0
     #: the member's last step of the current ``step(n)`` (``Verlet.ev_set``)
     last_step: int = 0
+
+
+@contextmanager
+def _region(name: str) -> Iterator[None]:
+    """A tool region around one stacked phase (it dispatches no kernel)."""
+    kp.push_region(f"replica/{name}")
+    try:
+        yield
+    finally:
+        kp.pop_region()
 
 
 # ---------------------------------------------------------------- the batch
@@ -94,60 +103,44 @@ class ReplicaBatch:
     Usage::
 
         batch = ReplicaBatch()
-        rid = batch.add_replica(lmp)    # lmp fully set up (pair, fix nve...)
+        for lmp in members:             # each fully set up (pair, fix nve...)
+            batch.add_replica(lmp)
         batch.step(100)                  # all replicas advance together
         batch.finish()                   # final state synced back to each lmp
 
-    Members may be at different timesteps, sizes, dt, thermo intervals, and
-    neighbor policies; they run host ``lj/cut`` with one newton setting.
-    Thermo rows land in each member's own ``lmp.thermo.history``, exactly as
-    a solo run would record them.
+    Members may differ in timestep, size, dt, thermo interval and neighbor
+    policy; they run host ``lj/cut`` with one newton setting.  Thermo rows
+    land in each member's own ``lmp.thermo.history``, exactly as a solo run
+    would record them.
     """
 
-    def __init__(self, label: str = "replica") -> None:
-        self.label = label
+    def __init__(self) -> None:
         self.members: list[_Member] = []
+        #: the stacked AtomVec, built by the first :meth:`step`
         self.atom: AtomVec | None = None
-        #: ``(rid, exception)`` pairs from members dropped by a failed
-        #: rebuild — the fail-open path: the batch keeps stepping the rest,
-        #: and :meth:`repro.core.ReplicaSet.run` raises the first one.
-        self.failures: list[tuple[int, Exception]] = []
-        self._next_rid = 0
         self._sig: tuple | None = None
         self._replay: GhostReplay | None = None
         self._env: dict = {}  #: stacked pairwise env, rebuilt every epoch
         self._pair_stages: list = []  #: the pairwise stage list
-        self._m_own = np.zeros(0)
-        self._dt_col = np.zeros(0)
-        self._dtf_col = np.zeros(0)
 
     # ------------------------------------------------------------ admission
-    def add_replica(self, lmp) -> int:
-        """Fold a fully configured Lammps instance into the batch.
-
-        Runs the member's own solo setup (pair init, neighbor build, initial
-        forces, the forced step-0 thermo row — exactly ``run 0``'s prologue),
-        then re-hoists the stacked arrays.  Joining mid-flight is the same
-        operation: running members sync to their solo instances first, so
-        the new epoch stacks everyone's current truth.
-        """
+    def add_replica(self, lmp) -> None:
+        """Validate a fully configured Lammps instance and run its own solo
+        setup: pair init, neighbor build, initial forces and the forced
+        step-0 thermo row — exactly ``run 0``'s prologue.  Members join
+        before the first :meth:`step`, which stacks them."""
+        if self.atom is not None:
+            raise LammpsError("replica members must join before the first step")
         sig = self._validate(lmp)
         if self.members and sig != self._sig:
             raise LammpsError(
                 f"replica signature mismatch: batch runs {self._sig}, "
                 f"new member wants {sig} (pair style and newton must match)"
             )
-        if self.members:
-            self._sync_all_owned()
-        with kp.kernel_scope(self.label):
-            drain(lmp.verlet.setup_gen())
+        drain(lmp.verlet.setup_gen())
         lmp.world.assert_drained()
-        m = _Member(lmp=lmp, rid=self._next_rid)
-        self._next_rid += 1
-        self.members.append(m)
+        self.members.append(_Member(lmp=lmp, index=len(self.members)))
         self._sig = sig
-        self._hoist()
-        return m.rid
 
     def _validate(self, lmp) -> tuple:
         if lmp.comm_size != 1:
@@ -186,13 +179,6 @@ class ReplicaBatch:
         style_req, newton = pair.neighbor_request()
         return (style, style_req, newton)
 
-    def _reset_empty(self) -> None:
-        self.atom = None
-        self._replay = None
-        self._env = {}
-        self._pair_stages = []
-        self._m_own = self._dt_col = self._dtf_col = np.zeros(0)
-
     # ------------------------------------------------------------- syncing
     def _sync_member(self, m: _Member) -> None:
         """Copy a member's stacked owned rows back into its solo arrays."""
@@ -207,11 +193,6 @@ class ReplicaBatch:
         for name, arr in a.custom.items():
             arr[:n] = st.custom[name][sl]
 
-    def _sync_all_owned(self) -> None:
-        if self.atom is not None:
-            for m in self.members:
-                self._sync_member(m)
-
     # -------------------------------------------------------------- hoisting
     def _hoist(self) -> None:
         """Rebuild the stacked epoch state from the members' solo truth:
@@ -219,9 +200,8 @@ class ReplicaBatch:
         integration constants."""
         members = self.members
         nown = 0
-        for idx, m in enumerate(members):
+        for m in members:
             a = m.lmp.atom
-            m.index = idx
             m.own_off = nown
             m.nlocal = a.nlocal
             m.nghost = a.nghost
@@ -359,33 +339,23 @@ class ReplicaBatch:
         self._pair_stages, _ = pairwise_stages(Host, len(j0), self.atom.nlocal, lj_force)
 
     # ------------------------------------------------------------- stepping
-    @contextmanager
-    def _kernel(self, name: str) -> Iterator[None]:
-        if not kp.TOOLS:
-            yield
-            return
-        kid = kp.begin_kernel("parallel_for", f"{self.label}/{name}", "Host")
-        try:
-            yield
-        finally:
-            kp.end_kernel(kid, None, 0.0)
-
     def step(self, nsteps: int = 1) -> None:
-        """Advance every live replica ``nsteps`` timesteps."""
+        """Advance every replica ``nsteps`` timesteps; the first call stacks
+        the members."""
         if nsteps < 0:
             raise LammpsError("negative step count")
+        if self.atom is None:
+            self._hoist()
         for m in self.members:
             m.last_step = m.lmp.update.ntimestep + nsteps
         for _ in range(nsteps):
-            if not self.members:
-                return
             self._one_step()
 
     def _one_step(self) -> None:
         atom = self.atom
         for m in self.members:
             m.lmp.update.ntimestep += 1
-        with self._kernel("initial_integrate"):
+        with _region("initial_integrate"):
             self._nve_initial()
         stale = [
             m
@@ -397,19 +367,17 @@ class ReplicaBatch:
         ]
         if stale:
             self._rebuild(stale)
-            if not self.members:
-                return
         else:
-            with self._kernel("forward_comm"):
+            with _region("forward_comm"):
                 self._replay.forward_x(atom)
         due = [
             m
             for m in self.members
             if m.lmp.verlet.ev_set(m.lmp.update.ntimestep, m.last_step)
         ]
-        with self._kernel("pair_force"):
+        with _region("pair_force"):
             self._force(due)
-        with self._kernel("final_integrate"):
+        with _region("final_integrate"):
             self._nve_final()
         for m in due:
             if m.lmp.thermo.should_output(m.lmp.update.ntimestep):
@@ -450,28 +418,22 @@ class ReplicaBatch:
     def _rebuild(self, stale: list[_Member]) -> None:
         """Re-neighbor the stale members only, then re-hoist the epoch.
 
-        Each stale member syncs its stacked state home and runs its own solo
-        ``rebuild_gen`` (exchange, spatial sort, borders, list build) — the
-        unchanged machinery, so list contents and atom order match a solo
-        run exactly.  A member whose rebuild raises is dropped fail-open:
-        its ``(rid, exception)`` lands in :attr:`failures` and the batch
-        keeps stepping everyone else.
+        Every member syncs its stacked state home; each stale one runs its
+        own solo ``rebuild_gen`` (exchange, spatial sort, borders, list
+        build) — the unchanged machinery, so list contents and atom order
+        match a solo run exactly.  A rebuild that raises stops the batch.
         """
-        self._sync_all_owned()
-        failed: list[tuple[_Member, Exception]] = []
+        for m in self.members:
+            self._sync_member(m)
         for m in stale:
             try:
-                with kp.kernel_scope(self.label):
-                    drain(m.lmp.rebuild_gen())
+                drain(m.lmp.rebuild_gen())
                 m.lmp.world.assert_drained()
-            except Exception as exc:  # noqa: BLE001 — fail-open by design
-                failed.append((m, exc))
-        for m, exc in failed:
-            self.failures.append((m.rid, exc))
-            self.members.remove(m)
-        if not self.members:
-            self._reset_empty()
-            return
+            except Exception as exc:
+                raise LammpsError(
+                    f"replica {m.index} failed its neighbor rebuild at step "
+                    f"{m.lmp.update.ntimestep}: {exc}"
+                ) from exc
         self._hoist()
 
     # -------------------------------------------------------------- tallies
@@ -505,4 +467,5 @@ class ReplicaBatch:
         Call after stepping when the members will be read (or run further)
         outside the batch.
         """
-        self._sync_all_owned()
+        for m in self.members:
+            self._sync_member(m)

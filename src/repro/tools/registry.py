@@ -230,24 +230,6 @@ def set_rank(rank: int) -> None:
     CHAIN.rank = rank
 
 
-# ---------------------------------------------------------------- name scope
-#: Active kernel-name scope stack (innermost last).  When non-empty, every
-#: dispatched kernel name is prefixed ``"<scope>/<name>"`` — the replica
-#: batch engine wraps per-member work in a batch scope so tools attribute
-#: the wall/sim time to the batch instead of phantom per-replica kernels.
-_KERNEL_SCOPE: list[str] = []
-
-
-@contextlib.contextmanager
-def kernel_scope(label: str) -> Iterator[None]:
-    """Prefix every kernel dispatched inside the block with ``label/``."""
-    _KERNEL_SCOPE.append(label)
-    try:
-        yield
-    finally:
-        _KERNEL_SCOPE.pop()
-
-
 # ------------------------------------------------------------------- kernels
 _END = {
     "parallel_for": "end_parallel_for",
@@ -260,8 +242,6 @@ def begin_kernel(kind: str, name: str, space: str) -> int | None:
     """Open a dispatch's event; returns the kernel id for the end call."""
     if not TOOLS:
         return None
-    if _KERNEL_SCOPE:
-        name = f"{_KERNEL_SCOPE[-1]}/{name}"
     ev = KernelEvent(
         kind=kind,
         name=name,

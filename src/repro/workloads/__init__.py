@@ -12,7 +12,6 @@ ready-to-run state.
 
 from repro.workloads.melt import setup_melt
 from repro.workloads.hns import hns_configuration, setup_hns
-from repro.workloads.replica import REPLICA_FAMILIES, ReplicaSpec
 from repro.workloads.tantalum import setup_tantalum
 
 __all__ = [
@@ -20,6 +19,4 @@ __all__ = [
     "hns_configuration",
     "setup_hns",
     "setup_tantalum",
-    "REPLICA_FAMILIES",
-    "ReplicaSpec",
 ]

@@ -7,12 +7,13 @@ import pytest
 
 from conftest import make_melt
 from repro.__main__ import main
-from repro.core import Lammps
+from repro.core import Ensemble, Lammps, ReplicaSet
 from repro.core.errors import InputError, StyleError
 from repro.core.input import safe_eval
 from repro.core.styles import PAIR_STYLES, known_suffixes, register_pair, resolve_style
 from repro.potentials.lj import PairLJCut
 from repro.potentials.lj_kokkos import PairLJCutKokkos
+from repro.workloads.melt import MELT_TEMPLATE
 
 
 class TestSuffixResolution:
@@ -97,6 +98,31 @@ class TestParser:
         lmp.command("variable rho equal 0.8442")
         lmp.command("variable half equal ${rho}/2")
         assert lmp.variables["half"] == pytest.approx(0.4221)
+
+    def test_integral_values_substitute_as_integers(self):
+        lmp = Lammps(device=None)
+        lmp.commands_string("variable n equal 5\nvariable t equal 1.5")
+        assert lmp.variables["n"] == 5.0
+        assert lmp.input._substitute("run ${n} ${t}") == "run 5 1.5"
+
+    @pytest.mark.parametrize("driver", ["solo", "np2", "r2"])
+    def test_run_count_is_substituted_and_checked_under_every_driver(self, driver):
+        """``run ${n}`` runs and a bare ``run`` is a usage error, whether the
+        instance or a multi-instance driver parses the line."""
+        target = {
+            "solo": lambda: Lammps(device=None),
+            "np2": lambda: Ensemble(2, device=None),
+            "r2": lambda: ReplicaSet(2, quiet=True),
+        }[driver]()
+        target.commands_string(MELT_TEMPLATE.format(cells=3, pair_style="lj/cut"))
+        target.command("variable n equal 5")
+        target.command("run ${n}")
+        members = getattr(target, "ranks", None) or getattr(target, "replicas", [target])
+        assert [m.update.ntimestep for m in members] == [5] * len(members)
+        with pytest.raises(InputError, match=r"usage: run <N>"):
+            target.command("run")
+        with pytest.raises(InputError, match="'2.5'"):
+            target.command("run 2.5")
 
     def test_undefined_variable(self):
         lmp = Lammps(device=None)

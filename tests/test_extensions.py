@@ -36,4 +36,29 @@ class TestGPUPackage:
         gpu.command("run 2")
         tl = kk.device_context().timeline
         assert "gpu_package::h2d_positions" not in tl.entries
+        assert "gpu_package::force_kernel" not in tl.entries
+
+    def test_force_kernel_dispatch_runs_the_host_pass(self, monkeypatch):
+        """The offloaded kernel's dispatch encloses the inherited host pass."""
+        from repro.potentials.lj import PairLJCut
+
+        gpu = make_melt(device="H100", cells=2, pair_style="lj/cut/gpu")
+        log = []
+        host_pass, parallel_for = PairLJCut.compute, kk.parallel_for
+
+        def logged_pass(self, *args):
+            log.append("pass")
+            host_pass(self, *args)
+
+        def logged_for(name, *args, **kwargs):
+            log.append(f"begin {name}")
+            parallel_for(name, *args, **kwargs)
+            log.append(f"end {name}")
+
+        monkeypatch.setattr(PairLJCut, "compute", logged_pass)
+        monkeypatch.setattr(kk, "parallel_for", logged_for)
+        gpu.command("run 2")
+        kernel = "gpu_package::force_kernel"
+        # the setup force call and two steps
+        assert log == [f"begin {kernel}", "pass", f"end {kernel}"] * 3
 

@@ -5,8 +5,10 @@ one stacked AtomVec and running one set of vectorized kernels changes the
 wall clock and *nothing else*.  These tests enforce that premise at the
 strictest level available — ``np.array_equal`` on positions, velocities,
 and thermo rows against fresh solo runs — under the production scatter and
-an ``np.add.at`` reference body, for a mixed-size batch, a
-mid-flight join, and user custom fields riding through the stack.
+an ``np.add.at`` reference body, for a mixed-size batch, members that
+rebuild their neighbor lists on different steps, and user custom fields
+riding through the stack.  Membership is fixed before the first step, and a
+failed member rebuild stops the batch.
 """
 
 from __future__ import annotations
@@ -15,29 +17,40 @@ import numpy as np
 import pytest
 
 from conftest import SCATTERS, scatter_body
+from repro.core import Lammps
 from repro.core.errors import CommError, LammpsError
 from repro.replica import ReplicaBatch
-from repro.workloads import ReplicaSpec
+from repro.tools import registry as kp
+from repro.workloads.melt import MELT_TEMPLATE
 
 
-def _specs(family: str, n: int, thermo: int = 10) -> list[ReplicaSpec]:
-    # mixed sizes + distinct seeds: identical replicas could hide
-    # segment-offset bugs, equal sizes could hide ragged-stage bugs
-    return [
-        ReplicaSpec(
-            family=family,
-            cells=3 if k % 2 else 2,
-            thermo=thermo,
-            seed=87287 + 13 * k,
-        )
-        for k in range(n)
-    ]
+def _specs(n: int, thermo: int = 10) -> list[tuple[int, int, int]]:
+    """``(cells, seed, thermo)`` per member: mixed sizes + distinct seeds —
+    identical replicas could hide segment-offset bugs, equal sizes could
+    hide ragged-stage bugs."""
+    return [(3 if k % 2 else 2, 87287 + 13 * k, thermo) for k in range(n)]
 
 
-def _solo(spec: ReplicaSpec, steps: int):
-    lmp = spec.build()
+def _build(spec: tuple[int, int, int], extra: str = "") -> Lammps:
+    """A fresh single-rank melt member at its ready-to-run state."""
+    cells, seed, thermo = spec
+    lmp = Lammps(quiet=True)
+    lmp.commands_string(MELT_TEMPLATE.format(cells=cells, pair_style="lj/cut"))
+    lmp.commands_string(f"velocity all create 1.44 {seed}\nthermo {thermo}\n{extra}")
+    return lmp
+
+
+def _solo(spec, steps: int, extra: str = ""):
+    lmp = _build(spec, extra)
     lmp.run(steps)
     return lmp
+
+
+def _batch(members) -> ReplicaBatch:
+    batch = ReplicaBatch()
+    for m in members:
+        batch.add_replica(m)
+    return batch
 
 
 def _assert_bitwise(solo, member, label: str) -> None:
@@ -55,17 +68,31 @@ def test_melt_batch_bitwise_across_mode_matrix(scatter):
     """16 LJ replicas, batch vs solo, bit-for-bit under the segmented
     scatter and the ``np.add.at`` reference body alike."""
     with scatter_body(scatter):
-        specs = _specs("melt", 16)
+        specs = _specs(16)
         solos = [_solo(s, 40) for s in specs]
-        batch = ReplicaBatch(label=scatter)
-        members = [s.build() for s in specs]
-        for m in members:
-            batch.add_replica(m)
+        members = [_build(s) for s in specs]
+        batch = _batch(members)
         batch.step(40)
         batch.finish()
     for i, (a, b) in enumerate(zip(solos, members)):
         _assert_bitwise(a, b, f"{scatter} replica {i}")
-    assert not batch.failures
+
+
+def test_members_rebuild_on_their_own_steps():
+    """Members whose lists go stale on different steps rebuild alone (only
+    the stale ones run ``rebuild_gen``) and still equal solo, bit for bit."""
+    policy = "neigh_modify every 1 delay 0 check yes"
+    specs = _specs(4)
+    solos = [_solo(s, 60, policy) for s in specs]
+    members = [_build(s, policy) for s in specs]
+    batch = _batch(members)
+    batch.step(60)
+    batch.finish()
+    builds = [m.neighbor.builds for m in members]
+    assert builds == [s.neighbor.builds for s in solos]
+    assert len(set(builds)) > 1, builds
+    for i, (a, b) in enumerate(zip(solos, members)):
+        _assert_bitwise(a, b, f"replica {i}")
 
 
 # --------------------------------------------------- tallies after a run
@@ -73,45 +100,75 @@ def test_melt_batch_bitwise_across_mode_matrix(scatter):
 def test_member_tallies_after_run_equal_solo(family):
     """A run's last step tallies into each member's own Pair, as solo does:
     ``thermo 50`` / ``run 30`` has no thermo row on step 30."""
-    specs = _specs(family, 3, thermo=50)
-    members = [s.build() for s in specs]
-    batch = ReplicaBatch(label="tally")
-    for m in members:
-        batch.add_replica(m)
-    batch.step(30)
+    specs = _specs(3, thermo=50)
+    members = [_build(s) for s in specs]
+    _batch(members).step(30)
     for k, (spec, b) in enumerate(zip(specs, members)):
         a = _solo(spec, 30).pair
-        assert b.pair.tallied_step == a.tallied_step == 30, k
-        assert b.pair.eng_vdwl == a.eng_vdwl, k
-        assert np.array_equal(b.pair.virial, a.virial), k
+        assert b.pair.tallied_step == a.tallied_step == 30, (family, k)
+        assert b.pair.eng_vdwl == a.eng_vdwl, (family, k)
+        assert np.array_equal(b.pair.virial, a.virial), (family, k)
 
 
-# ------------------------------------------------------- mid-flight join
-def test_mid_flight_join():
-    """Members joining a running batch never disturb the others."""
-    specs = _specs("melt", 6)
-    batch = ReplicaBatch(label="join")
-    members = [s.build() for s in specs]
-    for m in members[:4]:
-        batch.add_replica(m)
-    batch.step(25)
-    for m in members[4:]:
-        batch.add_replica(m)
-    batch.step(35)
-    batch.finish()
-    for i in range(4):
-        _assert_bitwise(_solo(specs[i], 60), members[i], f"full member {i}")
-    for i in (4, 5):  # joined at 25: 35 of their own steps
-        _assert_bitwise(_solo(specs[i], 35), members[i], f"late member {i}")
+# ------------------------------------------------------ fixed membership
+def test_add_after_the_first_step_raises():
+    """Members join before the first step; a late one is refused untouched."""
+    specs = _specs(3)
+    members = [_build(s) for s in specs]
+    batch = _batch(members[:2])
+    batch.step(5)
+    with pytest.raises(LammpsError, match="join before the first step"):
+        batch.add_replica(members[2])
+    assert len(batch.members) == 2
+    assert members[2].update.ntimestep == 0 and not members[2].thermo.history
+
+
+def test_failed_member_rebuild_stops_the_step():
+    """A member whose rebuild raises stops ``step`` at that step with an
+    error naming the replica, chained from the cause; nobody steps on."""
+    members = [_build(s) for s in _specs(3)]
+    batch = _batch(members)
+
+    def lost_atoms():
+        raise CommError("lost atoms")
+        yield
+
+    members[1].rebuild_gen = lost_atoms  # the template rebuilds every 20
+    with pytest.raises(LammpsError, match="replica 1 .* at step 20") as info:
+        batch.step(40)
+    assert isinstance(info.value.__cause__, CommError)
+    assert [m.update.ntimestep for m in members] == [20, 20, 20]
+
+
+# ----------------------------------------------------------- tool spans
+class _Spans(kp.Tool):
+    def __init__(self) -> None:
+        self.kernels: list[str] = []
+        self.regions: list[str] = []
+
+    def end_parallel_for(self, ev) -> None:
+        self.kernels.append(ev.name)
+
+    def push_region(self, ev) -> None:
+        self.regions.append(ev.name)
+
+
+def test_stacked_phases_are_regions_not_kernels():
+    """The batch's phases dispatch nothing, so tools see them as regions."""
+    batch = _batch([_build(s) for s in _specs(2)])
+    spans = _Spans()
+    with kp.attached(spans):
+        batch.step(2)
+    assert spans.kernels == []
+    phases = ["initial_integrate", "forward_comm", "pair_force", "final_integrate"]
+    assert spans.regions == [f"replica/{p}" for p in phases] * 2
 
 
 # ------------------------------------------------------ reverse comm fold
 def test_reverse_fold_matches_add_at_and_rejects_repeated_sources():
     """``GhostReplay.reverse`` folds with ``f[src] += buf``: bitwise the
     ``np.add.at`` replay on unique sources, refused at stage build else."""
-    batch = ReplicaBatch(label="fold")
-    for m in [s.build() for s in _specs("melt", 4)]:
-        batch.add_replica(m)
+    batch = _batch([_build(s) for s in _specs(4)])
     batch.step(5)
     f = batch.atom.f
     f[:] = np.random.default_rng(0).standard_normal(f.shape)
@@ -129,8 +186,6 @@ def test_reverse_fold_matches_add_at_and_rejects_repeated_sources():
 
 # ----------------------------------------------------------- admission gate
 def test_unknown_pair_style_rejected_with_choices():
-    from repro.core import Lammps
-
     lmp = Lammps(quiet=True)
     lmp.commands_string(
         """
@@ -145,34 +200,29 @@ def test_unknown_pair_style_rejected_with_choices():
         fix 1 all nve
         """
     )
-    batch = ReplicaBatch(label="gate")
+    batch = ReplicaBatch()
     with pytest.raises(LammpsError, match="'lj/cut/gpu'.*expected one of: lj/cut"):
         batch.add_replica(lmp)
     assert batch.members == []
 
 
 def test_non_nve_fix_rejected():
-    spec = ReplicaSpec(family="melt", cells=2)
-    lmp = spec.build()
+    lmp = _build((2, 87287, 100))
     lmp.modify.fixes.clear()
     lmp.command("fix 1 all nve/kk")
-    batch = ReplicaBatch(label="gate")
     with pytest.raises(LammpsError, match=r"exactly 'fix all nve'; got nve/kk\(all\)"):
-        batch.add_replica(lmp)
+        ReplicaBatch().add_replica(lmp)
 
 
 # ------------------------------------- custom fields survive the stack
 def test_custom_fields_survive_batch_retirement():
     """A user custom field on a member rides the stack and syncs back."""
-    specs = _specs("melt", 3, thermo=100)
-    members = [s.build() for s in specs]
+    members = [_build(s) for s in _specs(3, thermo=100)]
     for m in members:
         mark = m.atom.add_custom("mark", 1, np.int64)
         mark[: m.atom.nlocal, 0] = 1000 * id(m) % 7919 + m.atom.tag[: m.atom.nlocal]
     expect = [m.atom.custom["mark"][: m.atom.nlocal].copy() for m in members]
-    batch = ReplicaBatch(label="marks")
-    for m in members:
-        batch.add_replica(m)
+    batch = _batch(members)
     batch.step(10)
     batch.finish()
     for m, rows in zip(members, expect):
