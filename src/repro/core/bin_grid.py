@@ -19,6 +19,11 @@ of width ``>= bin_size``; :meth:`reach` picks the per-dimension ring count
 covering each requested cutoff, so one grid — typically at *half* the
 ghost cutoff, LAMMPS's bin size, which trades a wider stencil for ~40%
 less candidate volume — serves every cutoff with a proportionate stencil.
+
+The stencil itself is data, not a loop: :meth:`ranges` tabulates, per
+cell, the slot ranges a row in that cell scans (x-runs, in-cell tail,
+lower ghost tails) in the list's row order, so a builder expands a chunk
+of rows with a few array operations and no per-cell work.
 """
 
 from __future__ import annotations
@@ -88,12 +93,11 @@ class BinGrid:
         self.nall = nall
         self.nlocal = nlocal
         self.bin_size = float(bin_size)
-        self._runs: dict = {}  # (kind, reach) -> slot bounds, see runs()
+        self._ranges: dict = {}  # (style, newton, reach, rows) -> ranges()
         if nall == 0:
             self.origin = np.zeros(3)
             self.nbins = np.ones(3, dtype=np.int64)
             self.size = np.full(3, self.bin_size)
-            self.strides = np.array([1, 1, 1], dtype=np.int64)
             self.cell3 = np.zeros((0, 3), dtype=np.int64)
             self.binid = np.zeros(0, dtype=np.int64)
             self.order = np.zeros(0, dtype=np.int64)
@@ -101,11 +105,9 @@ class BinGrid:
             self.starts2 = np.zeros(3, dtype=np.int64)
             return
         self.origin, self.nbins, self.size = _geometry(x, self.bin_size, nlocal)
-        self.strides = np.array(
-            [1, self.nbins[0], self.nbins[0] * self.nbins[1]], dtype=np.int64
-        )
+        strides = np.array([1, self.nbins[0], self.nbins[0] * self.nbins[1]])
         self.cell3 = _cells_of(x, self.origin, self.nbins, self.size)
-        self.binid = self.cell3 @ self.strides
+        self.binid = self.cell3 @ strides
         nbins_total = int(self.nbins.prod())
         # Composite key: bin-major, owned atoms before ghosts within a bin.
         # Stable integer argsort is an LSD radix — chained counting sorts,
@@ -143,8 +145,8 @@ class BinGrid:
     def slot_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinate columns in *slot* (bin-major) order, memoized.
 
-        Candidate j-indices come out of the scans as slots, which are
-        contiguous runs per stencil cell — gathering coordinates in slot
+        Candidate j-indices come out of :meth:`ranges` as slots, which are
+        contiguous runs per stencil range — gathering coordinates in slot
         order touches nearly sequential memory instead of hopping through
         the unsorted atom array.
         """
@@ -165,123 +167,89 @@ class BinGrid:
             np.ceil(cutoff / self.size - 1e-12).astype(np.int64), 1
         )
 
-    def lower_offsets(self, cutoff: float, same_z_only: bool) -> np.ndarray:
-        """Cell offsets lexicographically negative in ``(dz, dy, dx)``.
+    def ranges(
+        self, cutoff: float, half: bool, newton: bool, nrows: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, row)``: the slot ranges every list row scans, per cell.
 
-        The half of the stencil that :meth:`runs` ``"upper"`` leaves out.  A
-        half list needs these cells only for their *ghost* members, whose
-        pairs are kept by the grid-independent coordinate tie-break rather
-        than cell order; ghost tails are not contiguous across cells, so
-        :meth:`scan` visits them one cell at a time.  ``same_z_only`` drops
-        the ``dz < 0`` layers (newton on: a strictly lower z-bin can never
-        win the z-first tie-break).
+        ``lo`` and ``hi`` are ``(ncells, nranges)`` bounds over the box of
+        cells holding atoms ``[0, nrows)`` (the list's rows); ``row[i]`` is
+        atom ``i``'s cell in that table.  A cell's ranges are in the list's
+        row order (DESIGN §3.3).  Cells are stored x-fastest with contiguous
+        per-cell segments, so the cells ``(x0..x1, dy, dz)`` around a cell
+        are *one* slot range — an x-run — and a cell's ghosts are the tail
+        of its segment.  A full row is every run ``(-kx..kx, dy, dz)``, self
+        cell included, in stencil-offset order (``dz``, then ``dy``
+        ascending).  A half row is its own cell (``hi`` is the cell's end;
+        ``lo`` is a placeholder the builder replaces per atom with
+        ``islot + 1``), then the lexicographically positive runs,
+        ``(1..kx, 0, 0)`` first, then one ghost tail per lower cell — the
+        offsets lexicographically negative in ``(dz, dy, dx)``, in that
+        order, whose pairs the coordinate tie-break decides; newton on keeps
+        only the ``dz == 0`` layer (a strictly lower z-bin can never win the
+        z-first tie-break).  Runs are clipped at the grid's x edges; ranges
+        that leave the grid are empty.  Memoized per ``(style, newton,
+        reach, nrows)``: built once per grid with one broadcast, no per-cell
+        Python, shared by every row of every list.
         """
         kx, ky, kz = (int(k) for k in self.reach(cutoff))
-        return np.array(
-            [
-                (dx, dy, dz)
-                for dz in range(0 if same_z_only else -kz, 1)
-                for dy in range(-ky, ky + 1)
-                for dx in range(-kx, kx + 1)
-                if (dz, dy, dx) < (0, 0, 0)
-            ],
-            dtype=np.int64,
-        )
-
-    def runs(self, cutoff: float, kind: str) -> tuple[np.ndarray, np.ndarray]:
-        """Slot bounds ``(lo, hi)``, each ``(ncells, nruns)``, of every cell's x-runs.
-
-        Cells are stored x-fastest with contiguous per-cell segments, so the
-        cells ``(x0..kx, dy, dz)`` around a cell are *one* slot range — the
-        unit of the all-members scan.  A cell's runs are listed in
-        stencil-offset order (``dz``, then ``dy`` ascending): ``"full"`` is
-        every ``(-kx..kx, dy, dz)``, self cell included; ``"upper"`` is the
-        lexicographically positive half, ``(1..kx, 0, 0)`` first.  Runs are
-        clipped at the grid's x edges; a run whose ``(dy, dz)`` row leaves
-        the grid is empty.  Memoized per ``(kind, reach)``: built once per
-        grid with one broadcast, shared by every row of every list.
-        """
-        kx, ky, kz = (int(k) for k in self.reach(cutoff))
-        key = (kind, kx, ky, kz)
-        if key not in self._runs:
-            full = kind == "full"
-            x0, dy, dz = np.array(
-                [
-                    (-kx if full or (z, y) > (0, 0) else 1, y, z)
-                    for z in range(-kz if full else 0, kz + 1)
-                    for y in range(-ky, ky + 1)
-                    if full or (z, y) >= (0, 0)
-                ],
-                dtype=np.int64,
-            ).T
-            nx, ny, nz = (int(n) for n in self.nbins)
-            # per (yz row, run): first cell of the target row; per (cx, run):
-            # the clipped x range as cell numbers [xa, xb) — xa == xb at the
-            # edge is an empty slot range by itself, out-of-grid rows are masked
-            yz = np.arange(ny * nz, dtype=np.int64)[:, None]
-            ty, tz = yz % ny + dy, yz // ny + dz
-            ok = ((ty >= 0) & (ty < ny) & (tz >= 0) & (tz < nz))[:, None, :]
-            row = np.where(ok, nx * (ty + ny * tz)[:, None, :], 0)
-            cx = np.arange(nx, dtype=np.int64)[:, None]
-            xa, xb = np.clip(cx + x0, 0, nx), np.minimum(cx + kx + 1, nx)
-            start = self.starts2[::2]  # cell c occupies [start[c], start[c + 1])
-            lo = start[row + xa]
-            hi = np.where(ok, start[row + xb], lo)
-            self._runs[key] = lo.reshape(-1, len(x0)), hi.reshape(-1, len(x0))
-        return self._runs[key]
-
-    # ---------------------------------------------------------------- scans
-    def scan_runs(self, rows: np.ndarray, cutoff: float, kind: str):
-        """``(i, jslot)``: each row against every member of its cell's x-runs.
-
-        The j side is in *slot* space (positions in :attr:`order` — pair with
-        :meth:`slot_columns`; map survivors back with ``order[jslot]``).
-        Entries are ordered rows ascending, a row's runs in stencil-offset
-        order, slots ascending within a run — consecutive runs are ascending
-        cells, so a row's candidates are ascending in slot throughout.
-        """
-        lo, hi = self.runs(cutoff, kind)
-        cells = self.binid[rows]
-        return self._expand(
-            np.repeat(rows, lo.shape[1]), lo[cells].ravel(), hi[cells].ravel()
-        )
-
-    def scan(self, rows: np.ndarray, offsets: np.ndarray):
-        """``(i, jslot)``: each row against the *ghost tail* of each offset cell.
-
-        The counting-sort key stores a cell's owned atoms first, so its
-        ghosts are the tail of its segment.  Slot-space j side as in
-        :meth:`scan_runs`; entries are offset-major, rows ascending.
-        """
-        ci = self.cell3[rows]  # (m, 3)
-        nb3 = ci[None, :, :] + offsets[:, None, :]  # (k, m, 3)
-        ok = np.all((nb3 >= 0) & (nb3 < self.nbins), axis=2)
-        ko, mo = np.nonzero(ok)
-        seg = 2 * (nb3[ko, mo] @ self.strides)
-        return self._expand(rows[mo], self.starts2[seg + 1], self.starts2[seg + 2])
-
-    def self_tail(self, rows: np.ndarray):
-        """``(i, jslot)`` over atoms stored *after* each row in its own cell.
-
-        The intra-cell half of the half stencil: slot order plays the role
-        of ``j > i``, so every same-cell pair is generated exactly once and
-        the cell's ghost tail is swept in the same pass.
-        """
-        seg = 2 * self.binid[rows]
-        return self._expand(rows, self.islot[rows] + 1, self.starts2[seg + 2])
-
-    def _expand(self, iv: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        """Flatten (row, slot range) pairs into ``(i, jslot)`` candidate arrays.
-
-        The j side stays in slot space: the distance filter runs against
-        :meth:`slot_columns` and only the (much smaller) surviving set pays
-        the ``order`` gather back to atom indices.
-        """
-        cnt = hi - lo
-        total = int(cnt.sum())
-        if not total:
-            return None
-        # range k holds slots lo[k] .. hi[k]-1 at flat positions csum[k] ..
-        jslot = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-        jslot += np.arange(total, dtype=np.int64)
-        return np.repeat(iv, cnt), jslot
+        key = (half, half and newton, kx, ky, kz, nrows)
+        if key in self._ranges:
+            return self._ranges[key]
+        # per range: cells [x0, x1) relative to the row's own x, the target
+        # (dy, dz) line, and where the first cell's part starts (0: all its
+        # members, 1: its ghost tail)
+        if half:
+            table = [(0, 1, 0, 0, 0)]
+            table += [
+                (-kx if (z, y) > (0, 0) else 1, kx + 1, y, z, 0)
+                for z in range(kz + 1)
+                for y in range(-ky, ky + 1)
+                if (z, y) >= (0, 0)
+            ]
+            table += [
+                (x, x + 1, y, z, 1)
+                for z in range(0 if newton else -kz, 1)
+                for y in range(-ky, ky + 1)
+                for x in range(-kx, kx + 1)
+                if (z, y, x) < (0, 0, 0)
+            ]
+        else:
+            table = [
+                (-kx, kx + 1, y, z, 0)
+                for z in range(-kz, kz + 1)
+                for y in range(-ky, ky + 1)
+            ]
+        x0, x1, dy, dz, part = np.array(table, dtype=np.int64).T
+        nx, ny, nz = (int(n) for n in self.nbins)
+        # the row cells' box: a bulk domain's outer cells hold only ghosts
+        cells = self.cell3[:nrows]
+        lx, ly, lz = (int(c) for c in cells.min(axis=0))
+        bx, by, bz = (int(c) + 1 for c in np.ptp(cells, axis=0))
+        row = (cells[:, 0] - lx) + bx * ((cells[:, 1] - ly) + by * (cells[:, 2] - lz))
+        # per (yz line, range): the target line's first cell, doubled into
+        # starts2 units (cell c's members are [starts2[2c], starts2[2c + 2]),
+        # its ghosts [starts2[2c + 1], starts2[2c + 2])); per (cx, range): the
+        # clipped x range [xa, xb) — broadcast, they index every cell's bounds
+        yz = np.arange(by * bz, dtype=np.int64)[:, None]
+        ty, tz = ly + yz % by + dy, lz + yz // by + dz
+        in_grid = (ty >= 0) & (ty < ny) & (tz >= 0) & (tz < nz)
+        line2 = (2 * nx * (ty + ny * tz))[:, None, :]
+        cx = lx + np.arange(bx, dtype=np.int64)[:, None]
+        xa, xb = np.maximum(cx + x0, 0), np.minimum(cx + x1, nx)
+        # int32 bounds: slots fit (nall is capped at the int32 range, as the
+        # neighbor columns are), and the table is half the bytes to hold and
+        # gather
+        starts2 = self.starts2.astype(np.int32)
+        # one index buffer for both ends, and empties (a range off the grid
+        # or clipped away) as hi = lo: the newton-off half table is 76
+        # ranges per cell, so every full-size temporary shows in peak RSS
+        index = line2 + (2 * xa + part)
+        lo = np.take(starts2, index, mode="clip")
+        np.add(line2, 2 * xb, out=index)
+        hi = np.take(starts2, index, mode="clip")
+        del index
+        empty = np.logical_not(in_grid[:, None, :] & (xa < xb))
+        np.copyto(hi, lo, where=empty)
+        self._ranges[key] = lo.reshape(-1, len(x0)), hi.reshape(-1, len(x0)), row
+        return self._ranges[key]

@@ -237,7 +237,13 @@ class Input:
             if value is None:
                 raise InputError(f"neigh_modify: {key!r} needs a value")
             if key in ("every", "delay"):
-                setattr(neighbor, key, self._count(f"neigh_modify {key}", value))
+                n = self._count(f"neigh_modify {key}", value)
+                if key == "every" and n == 0:
+                    # LAMMPS: every <= 0 is an illegal neigh_modify command
+                    raise InputError(
+                        f"neigh_modify every expects a positive integer, got {value!r}"
+                    )
+                setattr(neighbor, key, n)
             elif key == "check":
                 neighbor.check = self._choice("neigh_modify check", value, ("yes", "no")) == "yes"
             else:

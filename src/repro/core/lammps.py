@@ -34,6 +34,11 @@ from repro.core.timer import CATEGORIES, PhaseTimer
 from repro.core.update import Update
 from repro.core.velocity import maxwell_table
 from repro.graph.pairwise import ARENA
+from repro.hardware.cost import (
+    atom_sort_profile,
+    bin_assembly_profile,
+    neighbor_build_profile,
+)
 from repro.core.comm_md import CommBrick
 from repro.parallel.comm import SimComm, SimWorld
 from repro.parallel.decomp import BrickDecomposition
@@ -270,7 +275,7 @@ class Lammps:
             self.atom_kk.sync(Host, fields)
 
     # ---------------------------------------------------------- neighboring
-    def _maybe_sort_atoms(self, binsize: float) -> bool:
+    def _maybe_sort_atoms(self, binsize: float) -> None:
         """Spatially sort owned atoms into bin-major order at every rebuild
         (bins of ``binsize``, the ghost cutoff), for cache locality in every
         downstream gather.
@@ -281,18 +286,37 @@ class Lammps:
         """
         atom = self.require_box()
         if atom.nlocal == 0:
-            return False
+            return
         perm = spatial_sort_order(atom.x[: atom.nlocal], binsize)
         if np.array_equal(perm, np.arange(atom.nlocal)):
-            return False
+            return
         # the permutation rewrites the host copy of every field: bring home
         # whatever a Kokkos style left newer on the device first (EAM's
         # rho/fp scratch) — a host write on top would be the
         # modify-both-spaces hazard
         self.sync_host_fields(*AtomVec.FIELD_DTYPES)
-        atom.reorder_local(perm)
+        self._rebuild_kernel(
+            "AtomSort",
+            atom.nlocal,
+            lambda: atom.reorder_local(perm),
+            lambda _: atom_sort_profile(atom.nlocal),
+        )
         self.mark_host_writes(*AtomVec.FIELD_DTYPES)
-        return True
+
+    def _rebuild_kernel(self, name: str, items: int, work, profile_of):
+        """``work()``; under a Kokkos style, run as the functor of the
+        charged ``name`` dispatch, priced by ``profile_of(result)`` once
+        the work is done."""
+        if not self._kokkos_active():
+            return work()
+        out = []
+        kk.parallel_for(
+            name,
+            kk.RangePolicy(self.pair.execution_space, 0, max(items, 1)),
+            lambda idx: out.append(work()),
+            profile=lambda: profile_of(out[0]),
+        )
+        return out[0]
 
     def rebuild_gen(self) -> Iterator[None]:
         """Migrate -> sort -> borders -> shared bin grid -> neighbor build."""
@@ -306,7 +330,7 @@ class Lammps:
         with self.timer.phase("Comm"):
             yield from self.comm_brick.exchange(atom, self.domain.wrap)
         with self.timer.phase("Neigh"):
-            sorted_atoms = self._maybe_sort_atoms(cutghost)
+            self._maybe_sort_atoms(cutghost)
         with self.timer.phase("Comm"):
             yield from self.comm_brick.borders(atom, self.domain.periodic)
         with self.timer.phase("Neigh"):
@@ -318,39 +342,32 @@ class Lammps:
             # ReaxFF bond-search list) share it instead of re-binning.
             # Half-cutoff bins (LAMMPS's choice): shorter-cutoff consumers
             # get proportionally tighter stencils from the same grid.
-            self.bin_grid = BinGrid(atom.x[: atom.nall], atom.nlocal, 0.5 * cutghost)
-            style, newton = self.pair.neighbor_request()
-            self.neigh_list = build_neighbor_list(
-                atom.x[: atom.nall],
-                atom.nlocal,
-                cutghost,  # force cutoff + skin, LAMMPS's Verlet-list radius
-                style=style,
-                newton=newton,
-                grid=self.bin_grid,
+            # On a GPU-resident run the bin/neighbor structures are built on
+            # the device: each stage runs inside the dispatch that prices it.
+            x, nall, nlocal = atom.x[: atom.nall], atom.nall, atom.nlocal
+            self.bin_grid = self._rebuild_kernel(
+                "NeighborBinAssembly",
+                nall,
+                lambda: BinGrid(x, nlocal, 0.5 * cutghost),
+                lambda _: bin_assembly_profile(nall),
             )
-            self.neighbor.record_build(self.update.ntimestep, atom.x[: atom.nlocal])
-            if self._kokkos_active():
-                # A GPU-resident run builds the bin/neighbor structures on the
-                # device; charge each stage so strong-scaling tails see it.
-                import repro.kokkos as kk
-                from repro.hardware.cost import neighbor_build_profiles
-
-                for profile in neighbor_build_profiles(
-                    pairs=self.neigh_list.total_pairs,
-                    nall=atom.nall,
-                    nlocal=atom.nlocal,
-                    sorted_atoms=sorted_atoms,
-                ):
-                    kk.parallel_for(
-                        profile.name,
-                        kk.RangePolicy(
-                            self.pair.execution_space,
-                            0,
-                            int(profile.parallel_items),
-                        ),
-                        lambda idx: None,
-                        profile=profile,
-                    )
+            style, newton = self.pair.neighbor_request()
+            self.neigh_list = self._rebuild_kernel(
+                "NeighborBuild",
+                nlocal,
+                lambda: build_neighbor_list(
+                    x,
+                    nlocal,
+                    cutghost,  # force cutoff + skin, LAMMPS's Verlet-list radius
+                    style=style,
+                    newton=newton,
+                    grid=self.bin_grid,
+                ),
+                lambda nl: neighbor_build_profile(
+                    pairs=nl.total_pairs, nall=nall, nlocal=nlocal
+                ),
+            )
+            self.neighbor.record_build(self.update.ntimestep, atom.x[:nlocal])
 
     def count_atoms_gen(self) -> Iterator[None]:
         atom = self.require_box()

@@ -16,6 +16,12 @@ Two list styles:
   the ghost's force is reverse-communicated to its owner; with ``newton
   off`` both ranks compute the pair and each updates only its own atom.
 
+Both are built in one pass per chunk of rows over the shared
+:class:`~repro.core.bin_grid.BinGrid`: each row's candidates are the slot
+ranges of its cell's row in :meth:`BinGrid.ranges`, expanded once in row
+order and cut by one distance filter, so the survivors land in the CSR
+arrays without a sort.
+
 Storage is CSR: 64-bit row offsets with 32-bit neighbor indices — the exact
 integer-width split the paper's appendix B arrives at for exascale-size
 allocations.
@@ -33,7 +39,7 @@ from repro.core.bin_grid import BinGrid
 from repro.core.errors import NeighborError, OverflowGuardError
 
 #: Candidate budget per filter pass; sizes the row chunk (``_build_shared``).
-_CHUNK_CANDIDATES = 131_072
+_CHUNK_CANDIDATES = 65_536
 
 #: Process-wide rebuild stamp source for :attr:`NeighborList.generation`.
 _GENERATION = count(1)
@@ -234,26 +240,25 @@ def _build_shared(
     chunk: int | None,
     grid: BinGrid | None,
 ) -> NeighborList:
-    """Shared-grid builder: x-run stencil scan + counting-merge CSR assembly.
+    """Shared-grid builder: one table-driven stencil pass per row chunk.
 
-    The unit of the all-members scan is a stencil x-run — one contiguous
-    slot range per ``(dy, dz)`` row of the stencil (:meth:`BinGrid.runs`):
-    25 ranges per row for a full list at reach 2, not 125 cell visits.
+    Every row's candidates are a handful of slot ranges read from the
+    grid's per-cell table (:meth:`BinGrid.ranges`): a full row's stencil
+    x-runs — one contiguous range per ``(dy, dz)`` row of the stencil, 25
+    per row at reach 2, not 125 cell visits — or a half row's in-cell tail
+    (slot order plays ``j > i``), lexicographically "upper" runs and the
+    lower cells' ghost tails.  Half lists thereby generate each same-rank
+    pair exactly once — no build-full-then-filter.  Ghost pairs are decided
+    by the coordinate tie-break (grid-independent, so both ranks agree);
+    with newton on only the same-z-layer lower cells can win it.
 
-    Half lists scan the in-cell tail (slot order plays ``j > i``) plus the
-    lexicographically "upper" runs for *all* members, generating each
-    same-rank pair exactly once — no build-full-then-filter.  Ghost pairs
-    are decided by the coordinate tie-break (grid-independent, so both
-    ranks agree), which forces one extra ghost-only sweep of the lower
-    cells, cell by cell (ghost tails are not contiguous across cells); with
-    newton on only the same-z-layer lower cells can win the tie-break.
-
-    Chunks partition the row range, so each chunk owns a contiguous CSR
-    segment: its kept pairs need only a (small) per-chunk stable sort by
-    row before sliding straight into the flat neighbor array — no global
-    argsort over all candidates.  The sort is what fixes a row's order
-    (tail, then runs in stencil-offset order with slots ascending, then
-    lower-cell ghosts in offset order), whatever the chunk size.
+    A chunk gathers its rows' ``(rows, nranges)`` bounds and expands them
+    once, row-major, so the candidates — and the survivors of the one
+    distance filter — are already in the row order of DESIGN §3.3 (tail,
+    then runs in stencil-offset order with slots ascending, then lower-cell
+    ghosts in offset order), whatever the chunk size.  Chunks partition the
+    row range, so each chunk's survivors slide straight into its contiguous
+    CSR segment: no sort, no global argsort over all candidates.
     """
     nall = x.shape[0]
     grid_builds = 0
@@ -269,59 +274,69 @@ def _build_shared(
         grid_builds = 1
     cutsq = cutoff * cutoff
     candidates = 0
-    # Component columns: 1-D gathers through the candidate index arrays are
-    # markedly cheaper than (n, 3) row gathers, and the distance filter is
-    # the dominant cost of the build.  The j side uses the *slot-ordered*
-    # copies — candidate slots are contiguous per stencil cell, so those
-    # gathers stream nearly sequential memory.
+    # Component columns: the i side is a run of consecutive rows (a slice,
+    # repeated over each row's candidate count) and the j side gathers the
+    # *slot-ordered* copies — candidate slots are contiguous per range, so
+    # those 1-D gathers stream nearly sequential memory.
     xs0, xs1, xs2 = grid.columns()
     so0, so1, so2 = grid.slot_columns()
 
     half = style == "half"
-    kind = "upper" if half else "full"
-    # newton on: a strictly lower z-bin means a strictly smaller z
-    # coordinate, which can never win the z-first tie-break
-    lower = grid.lower_offsets(cutoff, same_z_only=newton) if half else ()
+    range_lo, range_hi, table_row = grid.ranges(cutoff, half, newton, nlocal)
+    nranges = range_lo.shape[1]
 
-    # Size the row chunk to the candidate budget: one concatenated filter
-    # pass per chunk is fastest when its temporaries stay cache-resident.
-    # Estimated candidates per row = atoms/bin x stencil cells, and every
-    # (row, run) / (row, lower cell) bound is charged like a candidate.
+    # Size the row chunk to the candidate budget: one filter pass per chunk
+    # is fastest when its temporaries stay cache-resident.  Estimated
+    # candidates per row = atoms/bin x stencil cells (a half row: the upper
+    # half, its own cell and the lower cells, counted whole), and every
+    # (row, range) bound is charged like a candidate.
     if chunk is None:
-        stencil = int(np.prod(2 * grid.reach(cutoff) + 1))
-        cells = stencil // 2 + 1 + len(lower) if half else stencil
-        bounds = grid.runs(cutoff, kind)[0].shape[1] + len(lower)
+        wx, wy, wz = (2 * int(k) + 1 for k in grid.reach(cutoff))
+        stencil = wx * wy * wz
+        lower = (wx * wy if newton else stencil) // 2
+        cells = stencil // 2 + 1 + lower if half else stencil
         density = max(nall / float(np.prod(grid.nbins)), 1.0)
-        chunk = max(int(_CHUNK_CANDIDATES / (density * cells + bounds)), 32)
+        chunk = max(int(_CHUNK_CANDIDATES / (density * cells + nranges)), 32)
 
     numneigh = np.zeros(nlocal, dtype=np.int64)
     chunk_rows: list[np.ndarray] = []
     for lo in range(0, nlocal, chunk):
         hi = min(lo + chunk, nlocal)
-        rows = np.arange(lo, hi, dtype=np.int64)
-        batches = [grid.scan_runs(rows, cutoff, kind)]
+        cells_of = table_row[lo:hi]
+        rlo = range_lo[cells_of]
         if half:
-            batches = [grid.self_tail(rows), *batches, grid.scan(rows, lower)]
-        batches = [b for b in batches if b is not None]
-        if not batches:
-            chunk_rows.append(np.zeros(0, dtype=np.int64))
-            continue
-        ib = np.concatenate([b[0] for b in batches])
-        js = np.concatenate([b[1] for b in batches])
-        candidates += len(ib)
-        d0 = xs0[ib] - so0[js]
-        d1 = xs1[ib] - so1[js]
-        d2 = xs2[ib] - so2[js]
+            rlo[:, 0] = grid.islot[lo:hi] + 1
+        cnt = (range_hi[cells_of] - rlo).ravel()
+        # range k of the flattened (row, range) table holds slots
+        # rlo[k] .. rlo[k] + cnt[k] - 1 at flat positions ends[k] - cnt[k] ..
+        ends = np.cumsum(cnt)
+        total = int(ends[-1])
+        candidates += total
+        row_end = ends[nranges - 1 :: nranges]
+        per_row = np.diff(row_end, prepend=0)
+        js = np.repeat(rlo.ravel() - (ends - cnt), cnt)
+        js += np.arange(total, dtype=np.int64)
+        # x_j - x_i, squared and summed in place: fresh arrays this size
+        # cost more to fault in than the arithmetic (the negation of
+        # x_i - x_j is exact, so the squares carry the same bits)
+        d0 = so0[js]
+        d0 -= np.repeat(xs0[lo:hi], per_row)
         d0 *= d0
+        d1 = so1[js]
+        d1 -= np.repeat(xs1[lo:hi], per_row)
         d1 *= d1
         d0 += d1
-        d2 *= d2
-        d0 += d2
-        # distance filter first; the slot->atom gather and style fix-ups
-        # below then run over the surviving fraction only (an order of
-        # magnitude fewer pairs)
+        d1 = so2[js]
+        d1 -= np.repeat(xs2[lo:hi], per_row)
+        d1 *= d1
+        d0 += d1
+        # distance filter first; the row lookup, slot->atom gather and style
+        # fix-ups below then run over the surviving fraction only (an order
+        # of magnitude fewer pairs)
         sel = np.flatnonzero(d0 < cutsq)
-        ib, jb = ib[sel], grid.order[js[sel]]
+        kept = np.diff(np.searchsorted(sel, row_end), prepend=0)
+        ib = np.repeat(np.arange(lo, hi, dtype=np.int64), kept)
+        jb = grid.order[js[sel]]
         if style == "full":
             nz = ib != jb
             ib, jb = ib[nz], jb[nz]
@@ -342,20 +357,12 @@ def _build_shared(
                 keep = np.ones(len(ib), dtype=bool)
                 keep[gsel[~win]] = False
                 ib, jb = ib[keep], jb[keep]
-        # kept pairs are a small fraction of the candidates: a stable sort
-        # here costs little and restores row-major order within the chunk
-        order = np.argsort(ib, kind="stable")
-        ib, jb = ib[order], jb[order]
-        numneigh[lo:hi] += np.bincount(ib - lo, minlength=hi - lo)
+        numneigh[lo:hi] = np.bincount(ib - lo, minlength=hi - lo)
         chunk_rows.append(jb)
 
     first = np.zeros(nlocal + 1, dtype=np.int64)
     np.cumsum(numneigh, out=first[1:])
-    neighbors = (
-        np.concatenate(chunk_rows).astype(np.int32)
-        if chunk_rows
-        else np.zeros(0, dtype=np.int32)
-    )
+    neighbors = np.concatenate(chunk_rows).astype(np.int32)
 
     nl = NeighborList(style, newton, cutoff, nlocal, first, neighbors)
     nl.build_stats = {"candidates": candidates, "grid_builds": grid_builds}

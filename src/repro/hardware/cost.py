@@ -275,62 +275,51 @@ class KernelCostModel:
         return p / (p + max(half, 1.0))
 
 
-def neighbor_build_profiles(
-    *,
-    pairs: int,
-    nall: int,
-    nlocal: int,
-    sorted_atoms: bool = False,
-) -> list[KernelProfile]:
-    """Priced kernels of one neighbor rebuild (paper section 4.1).
+def atom_sort_profile(nlocal: int) -> KernelProfile:
+    """``AtomSort``: the rebuild's spatial-sort permutation (paper section 4.1).
 
-    Three launches mirror the build pipeline:
-
-    * ``NeighborBinAssembly`` — the counting-sort bin pass: stream the
-      coordinates once, scatter-count into bin counters (the atomic term),
-      then write the bin-major permutation and its inverse.  Charged once
-      per rebuild: every list of the rebuild is served by the one shared
-      :class:`~repro.core.bin_grid.BinGrid`.
-    * ``NeighborBuild`` — the stencil scan + distance filter.  The formula
-      is deliberately kept from the pre-overhaul model (it conservatively
-      folds the bin counters in), so figure projections are comparable
-      across the neighbor-subsystem change.
-    * ``AtomSort`` — the rebuild's spatial-sort permutation: every per-atom
-      field read and rewritten once, pure bandwidth.
-
-    Returns the profiles in launch order; callers dispatch each through the
-    Kokkos layer so the timeline records them individually.
+    Every per-atom field read and rewritten once, pure bandwidth: x/v/f
+    rows (3 x 24 B) + q/rho/fp (3 x 8 B) + tag (8 B) + type (4 B), read old
+    + write new.
     """
-    profiles: list[KernelProfile] = []
-    if sorted_atoms:
-        # x/v/f rows (3 x 24 B) + q/rho/fp (3 x 8 B) + tag (8 B) + type (4 B),
-        # read old + write new
-        profiles.append(
-            KernelProfile(
-                name="AtomSort",
-                bytes_streamed=2.0 * 108.0 * nlocal,
-                parallel_items=float(max(nlocal, 1)),
-            )
-        )
-    profiles.append(
-        KernelProfile(
-            name="NeighborBinAssembly",
-            # coordinates in (24 B) + key/order/inverse passes (3 x 8 B)
-            bytes_streamed=48.0 * nall,
-            atomic_ops=float(nall),  # scatter-count into bin counters
-            parallel_items=float(max(nall, 1)),
-        )
+    return KernelProfile(
+        name="AtomSort",
+        bytes_streamed=2.0 * 108.0 * nlocal,
+        parallel_items=float(max(nlocal, 1)),
     )
-    profiles.append(
-        KernelProfile(
-            name="NeighborBuild",
-            flops=12.0 * pairs,
-            bytes_streamed=8.0 * pairs + 64.0 * nall,
-            atomic_ops=float(nall),  # bin counters
-            parallel_items=float(max(nlocal, 1)),
-        )
+
+
+def bin_assembly_profile(nall: int) -> KernelProfile:
+    """``NeighborBinAssembly``: the counting-sort bin pass.
+
+    Stream the coordinates once, scatter-count into bin counters (the
+    atomic term), then write the bin-major permutation and its inverse.
+    Charged once per rebuild: every list of the rebuild is served by the
+    one shared :class:`~repro.core.bin_grid.BinGrid`.
+    """
+    return KernelProfile(
+        name="NeighborBinAssembly",
+        # coordinates in (24 B) + key/order/inverse passes (3 x 8 B)
+        bytes_streamed=48.0 * nall,
+        atomic_ops=float(nall),  # scatter-count into bin counters
+        parallel_items=float(max(nall, 1)),
     )
-    return profiles
+
+
+def neighbor_build_profile(*, pairs: int, nall: int, nlocal: int) -> KernelProfile:
+    """``NeighborBuild``: the stencil scan + distance filter.
+
+    The formula is deliberately kept from the pre-overhaul model (it
+    conservatively folds the bin counters in), so figure projections are
+    comparable across the neighbor-subsystem change.
+    """
+    return KernelProfile(
+        name="NeighborBuild",
+        flops=12.0 * pairs,
+        bytes_streamed=8.0 * pairs + 64.0 * nall,
+        atomic_ops=float(nall),  # bin counters
+        parallel_items=float(max(nlocal, 1)),
+    )
 
 
 def overlapped_phase_time(

@@ -18,10 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.potentials  # noqa: F401  (register pair styles)
+import repro.reaxff  # noqa: F401  (register pair reaxff)
 from repro.core import Lammps
 from repro.core.bin_grid import BinGrid, spatial_sort_order
 from repro.core.errors import NeighborError
 from repro.core.neighbor import brute_force_pairs, build_neighbor_list
+from repro.workloads import setup_hns
 from repro.workloads.melt import setup_melt
 
 
@@ -210,7 +212,11 @@ class TestRunScan:
     #: before the x-run scan) at step 0 and after ``run 20``.  ``eam`` was
     #: re-pinned when host ``eam/fs`` moved to a half list with newton on
     #: (43 008 stored pairs at step 0); the full-list x-run scan stays
-    #: pinned through ``melt_kk``.
+    #: pinned through ``melt_kk``.  ``hns`` pins a ``(pair list, bond-search
+    #: list)`` digest pair per point, recorded on the batch-and-sort builder
+    #: before the table-driven emission: the bond-search list is a full
+    #: list over all ``nall`` rows at a smaller reach than the shared grid
+    #: was binned for.
     FROZEN = {
         "eam": (
             "fc93b01817808bbdae848b4b92f1ccab4b6a4ee1614ecb88e8620457a61e10d2",
@@ -224,12 +230,25 @@ class TestRunScan:
             "d102495bdb680d4cc4190a6ac5d30880a06dded03c7ff5d45acf9d15257f9378",
             "7291968aa7b4b46fc26ffd817a42034fcbd9c9a364a249f024ca147af42777aa",
         ),
+        "hns": (
+            (
+                "b94e5057f830ee73f617e30841b5a29363b615a8b2257e53402cf993cc6fd0c3",
+                "228ae310493577a8067b1350fd1e140b3d8347eea2d416f132aabf53a45131cf",
+            ),
+            (
+                "e447b64332fdcc60cf19e19821e5453c9401afffe2ec6628e8be8087e1d1c44c",
+                "32ffb1ba4c33559d5f995785211ff28ab3c6faa5d313f97d703c0b9b8006af76",
+            ),
+        ),
     }
 
     @pytest.mark.parametrize("workload", sorted(FROZEN))
     def test_frozen_workload_lists(self, workload):
-        """The bench_e2e eam / melt / melt -sf kk lists, bit for bit."""
-        if workload == "eam":
+        """The bench_e2e eam / melt / melt -sf kk / hns lists, bit for bit."""
+        if workload == "hns":
+            lmp = Lammps(quiet=True)
+            setup_hns(lmp, 3, 4, 4, pair_style="reaxff cutoff 5.0")
+        elif workload == "eam":
             lmp = Lammps(quiet=True)
             lmp.commands_string(
                 "units metal\nlattice fcc 3.52\nregion box block 0 8 0 8 0 8\n"
@@ -252,10 +271,16 @@ class TestRunScan:
                 "neighbor 0.3 bin\nneigh_modify every 20 delay 0 check no\n"
                 "fix 1 all nve"
             )
+
+        def digests():
+            if workload != "hns":
+                return list_digest(lmp.neigh_list)
+            return list_digest(lmp.neigh_list), list_digest(lmp.pair.bond_neighbor_list())
+
         lmp.command("run 0")
-        step0 = list_digest(lmp.neigh_list)
+        step0 = digests()
         lmp.command("run 20")
-        assert (step0, list_digest(lmp.neigh_list)) == self.FROZEN[workload]
+        assert (step0, digests()) == self.FROZEN[workload]
 
 
 class TestNonFiniteCoordinates:

@@ -180,6 +180,15 @@ class TestParser:
         with pytest.raises(InputError, match="unknown keyword"):
             lmp.command("neigh_modify sometimes yes")
 
+    def test_neigh_modify_every_must_be_positive(self):
+        """LAMMPS rejects ``every`` <= 0; ``delay 0`` stays legal."""
+        lmp = Lammps(device=None)
+        with pytest.raises(InputError, match="positive integer, got '0'"):
+            lmp.command("neigh_modify every 0")
+        assert lmp.neighbor.every == 1
+        lmp.command("neigh_modify every 3 delay 0")
+        assert (lmp.neighbor.every, lmp.neighbor.delay) == (3, 0)
+
     @pytest.mark.parametrize("line,token", [
         ("neigh_modify check maybe", "'maybe'"),
         ("neigh_modify every", "'every'"),
