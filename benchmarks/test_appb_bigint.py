@@ -45,7 +45,6 @@ def test_appb_row_offsets_exceed_int32(benchmark):
 
 def test_appb_engine_dtypes():
     """The engine's production structures follow the appendix-B split."""
-    import repro.reaxff  # noqa: F401
     from repro.core import Lammps
     from repro.workloads.hns import setup_hns
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-import repro.potentials  # noqa: F401
 from repro.core import Ensemble, Lammps
 
 EAM = """\

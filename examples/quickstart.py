@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 import repro.kokkos as kk
-import repro.potentials  # noqa: F401  (registers the pair styles)
 from repro.core import Lammps
 
 MELT = """\

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-import repro.reaxff  # noqa: F401  (registers the pair styles)
 from repro.core import Lammps
 from repro.workloads.hns import setup_hns
 

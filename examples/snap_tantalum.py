@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 import repro.kokkos as kk
-import repro.snap  # noqa: F401  (registers the pair styles)
 from repro.core import Lammps
 from repro.parallel.driver import drain
 from repro.snap.bispectrum import compute_bispectrum

@@ -14,8 +14,9 @@ Top-level packages:
 * :mod:`repro.hardware`   — simulated GPUs, CPUs, and interconnects
 * :mod:`repro.parallel`   — simulated MPI + domain decomposition
 * :mod:`repro.potentials` — LJ and EAM pair styles (+ the GPU-package baseline)
-* :mod:`repro.reaxff`     — the reactive force field package
-* :mod:`repro.snap`       — the SNAP machine-learning potential package
+* :mod:`repro.reaxff`     — the reactive force field package, and
+* :mod:`repro.snap`       — the SNAP machine-learning potential package, each
+  loaded by the first ``pair_style`` that names one of its styles
 * :mod:`repro.workloads`  — benchmark workload generators
 * :mod:`repro.bench`      — the paper-figure harness (never imported by the
   CLI; wall-clock numbers come from ``bench_e2e/`` only)

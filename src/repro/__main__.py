@@ -27,9 +27,6 @@ import argparse
 import os
 import sys
 
-import repro.potentials  # noqa: F401  (register all packages' styles)
-import repro.reaxff  # noqa: F401
-import repro.snap  # noqa: F401
 from repro.core import Ensemble, Lammps, ReplicaSet
 from repro.tools import create_tools, tool_names
 from repro.tools import registry as kp
@@ -107,6 +104,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.script is None:
         parser.error("an input script (-in FILE) is required")
+    for flag, count in (("-np", args.nranks), ("-r", args.replicas)):
+        if count < 1:
+            parser.error(f"{flag} must be >= 1, got {count}")
     device = resolve_device(args.kokkos)
 
     tools = []

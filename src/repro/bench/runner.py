@@ -21,9 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import repro.kokkos as kk
-import repro.potentials  # noqa: F401  (register pair styles)
-import repro.reaxff  # noqa: F401
-import repro.snap  # noqa: F401
 from repro.core import Lammps
 from repro.hardware.cost import KernelProfile
 from repro.hardware.cpu import CPUSpec

@@ -1,9 +1,10 @@
 """The LAMMPS-miniature MD engine (paper section 2).
 
-Importing this package registers the built-in fix and compute styles; pair
-styles register when :mod:`repro.potentials` (and the ReaxFF/SNAP packages)
-are imported — mirroring LAMMPS's optional-package structure, where a style
-exists only if its package was compiled in.
+Importing this package registers the built-in fix and compute styles.  Pair
+styles live in :mod:`repro.potentials`, :mod:`repro.reaxff` and
+:mod:`repro.snap`; :data:`repro.core.styles.STYLE_CATALOG` names each style's
+package, and the first script line that names a style imports it — as a
+LAMMPS package costs nothing until a script uses one of its styles.
 """
 
 from repro.core.lammps import Ensemble, Lammps, ReplicaSet

@@ -10,12 +10,17 @@ have no accelerated variant (section 3.1).
 
 ``/kk`` is an alias of ``/kk/device``; ``/kk/host`` requests the host
 instantiation of the same Kokkos style (section 3.3's dual-instantiation).
-A suffix no registered style carries is refused where it is set
+A suffix no catalogued style carries is refused where it is set
 (:func:`check_suffix`), never fallen back from in silence.
+
+:data:`STYLE_CATALOG` is LAMMPS's generated ``style_*.h`` table: every
+style and its package, which :func:`resolve_style` imports the first time a
+script names one of its styles, so a run loads only the packages it uses.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Callable, TypeVar
 
 from repro.core.errors import StyleError, unknown_choice
@@ -32,12 +37,30 @@ _REGISTRIES = {
     "compute": COMPUTE_STYLES,
 }
 
+#: category -> style name -> the package whose import registers it
+STYLE_CATALOG: dict[str, dict[str, str]] = {
+    "pair": {
+        "lj/cut": "repro.potentials", "lj/cut/kk": "repro.potentials",
+        "lj/cut/gpu": "repro.potentials",
+        "eam/fs": "repro.potentials", "eam/fs/kk": "repro.potentials",
+        "reaxff": "repro.reaxff", "reaxff/kk": "repro.reaxff",
+        "snap": "repro.snap", "snap/kk": "repro.snap",
+    },
+    "fix": {"nve": "repro.core", "nve/kk": "repro.core"},
+    "compute": {"temp": "repro.core", "ke": "repro.core",
+                "pe": "repro.core", "pressure": "repro.core"},
+}
 
-def _register(registry: dict[str, type], name: str) -> Callable[[T], T]:
+
+def _register(category: str, name: str) -> Callable[[T], T]:
     def deco(cls: T) -> T:
-        if name in registry:
+        package = STYLE_CATALOG[category].get(name)
+        if package is None or not f"{cls.__module__}.".startswith(f"{package}."):
+            raise StyleError(f"{category} style {name!r} is not catalogued "
+                             f"under {cls.__module__}'s package")
+        if name in _REGISTRIES[category]:
             raise StyleError(f"duplicate style registration: {name!r}")
-        registry[name] = cls
+        _REGISTRIES[category][name] = cls
         cls.style_name = name  # type: ignore[attr-defined]
         return cls
 
@@ -46,29 +69,29 @@ def _register(registry: dict[str, type], name: str) -> Callable[[T], T]:
 
 def register_pair(name: str) -> Callable[[T], T]:
     """Class decorator registering a pair style (the LAMMPS macro analogue)."""
-    return _register(PAIR_STYLES, name)
+    return _register("pair", name)
 
 
 def register_fix(name: str) -> Callable[[T], T]:
-    return _register(FIX_STYLES, name)
+    return _register("fix", name)
 
 
 def register_compute(name: str) -> Callable[[T], T]:
-    return _register(COMPUTE_STYLES, name)
+    return _register("compute", name)
 
 
 def known_suffixes() -> list[str]:
-    """The accelerator suffixes the registries carry.
+    """The accelerator suffixes the catalogued styles carry.
 
-    A suffix is the last component of a style registered as
-    ``<registered style>/<suffix>`` (``lj/cut/gpu``, ``nve/kk``); ``kk``
+    A suffix is the last component of a style catalogued as
+    ``<catalogued style>/<suffix>`` (``lj/cut/gpu``, ``nve/kk``); ``kk``
     brings its two instantiations, ``kk/host`` and ``kk/device``.
     """
     found = {
         name.rpartition("/")[2]
-        for registry in _REGISTRIES.values()
-        for name in registry
-        if name.rpartition("/")[0] in registry
+        for styles in STYLE_CATALOG.values()
+        for name in styles
+        if name.rpartition("/")[0] in styles
     }
     if "kk" in found:
         found |= {"kk/host", "kk/device"}
@@ -76,7 +99,7 @@ def known_suffixes() -> list[str]:
 
 
 def check_suffix(suffix: str | None) -> str | None:
-    """``suffix`` if a registered style carries it (None: no suffix)."""
+    """``suffix`` if a catalogued style carries it (None: no suffix)."""
     if suffix is not None and suffix not in known_suffixes():
         raise StyleError(unknown_choice("suffix", suffix, known_suffixes()))
     return suffix
@@ -89,10 +112,11 @@ def resolve_style(
 
     Returns ``(cls, extra_kwargs)``.  ``/kk/host`` resolves to the ``/kk``
     registration with ``execution_space="host"`` passed through, mirroring
-    the dual-instantiation of Kokkos styles.
+    the dual-instantiation of Kokkos styles.  The first candidate the
+    catalogue names has its package imported, which registers it.
     """
-    registry = _REGISTRIES.get(category)
-    if registry is None:
+    catalog = STYLE_CATALOG.get(category)
+    if catalog is None:
         raise StyleError(f"unknown style category {category!r}")
 
     candidates: list[tuple[str, dict]] = []
@@ -108,8 +132,8 @@ def resolve_style(
     candidates.append((name, {}))
 
     for candidate, extra in candidates:
-        cls = registry.get(candidate)
-        if cls is not None:
-            return cls, extra
-    known = ", ".join(sorted(registry)) or "(none registered)"
+        if candidate in catalog:
+            importlib.import_module(catalog[candidate])
+            return _REGISTRIES[category][candidate], extra
+    known = ", ".join(sorted(catalog))
     raise StyleError(f"unknown {category} style {name!r}; known: {known}")

@@ -1,9 +1,10 @@
 """Pair styles: interatomic potentials.
 
 Importing this package registers the pairwise styles (the LAMMPS analogue of
-compiling a package in).  The reactive and machine-learning potentials live
-in their own packages — :mod:`repro.reaxff` and :mod:`repro.snap` — matching
-LAMMPS's REAXFF and ML-SNAP packages.
+compiling a package in); the first ``pair_style`` that names one imports it
+through :data:`repro.core.styles.STYLE_CATALOG`.  The reactive and
+machine-learning potentials live in their own packages — :mod:`repro.reaxff`
+and :mod:`repro.snap` — matching LAMMPS's REAXFF and ML-SNAP packages.
 """
 
 from repro.potentials.pair import Pair

@@ -68,24 +68,18 @@ def clebsch_gordan(
         (j1x2 - m1x2) // 2,
         (j2x2 + m2x2) // 2,
     )
-    total = 0
-    # accumulate the alternating sum exactly as a rational with common
-    # denominator folded in at the end (use fractions via integer math)
-    from fractions import Fraction
-
-    s = Fraction(0)
-    for z in range(zmin, zmax + 1):
-        z2 = 2 * z
-        den = (
-            _fact(z2)
-            * _fact(j1x2 + j2x2 - jx2 - z2)
-            * _fact(j1x2 - m1x2 - z2)
-            * _fact(j2x2 + m2x2 - z2)
-            * _fact(jx2 - j2x2 + m1x2 + z2)
-            * _fact(jx2 - j1x2 - m2x2 + z2)
-        )
-        s += Fraction((-1) ** z, den)
-    if s == 0:
+    # the alternating sum is exact over the LCM of its denominators
+    dens = [
+        _fact(2 * z)
+        * _fact(j1x2 + j2x2 - jx2 - 2 * z)
+        * _fact(j1x2 - m1x2 - 2 * z)
+        * _fact(j2x2 + m2x2 - 2 * z)
+        * _fact(jx2 - j2x2 + m1x2 + 2 * z)
+        * _fact(jx2 - j1x2 - m2x2 + 2 * z)
+        for z in range(zmin, zmax + 1)
+    ]
+    lcm = math.lcm(*dens)
+    num = sum((-1) ** z * (lcm // den) for z, den in enumerate(dens, zmin))
+    if num == 0:
         return 0.0
-    value = float(s) * math.sqrt(pref_num * m_num / pref_den)
-    return value
+    return num / lcm * math.sqrt(pref_num * m_num / pref_den)

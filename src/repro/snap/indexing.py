@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -282,17 +281,20 @@ class SnapIndex:
 
     @cached_property
     def tensor(self) -> ContractionTensor:
-        """The CG contraction tensor, built lazily (exact, cached)."""
-        rows = []
+        """The CG contraction tensor, built once (exact, cached): per triple,
+        every (b, a) pair of its per-``m`` CG terms, rows ordered by ``(mb,
+        ma, term b, term a)`` with ``coeff = C_b * C_a``."""
+        parts = []
         for ib, (j1, j2, j) in enumerate(self.idxb):
-            cg = [_cg_terms(j1, j2, j, m) for m in range(j + 1)]
-            for mb, ma in product(range(j + 1), repeat=2):
-                for (mb1, mb2, cr), (ma1, ma2, cc) in product(cg[mb], cg[ma]):
-                    rows.append((
-                        ib, self.flat(j, mb, ma), self.flat(j1, mb1, ma1),
-                        self.flat(j2, mb2, ma2), cr * cc,
-                    ))
-        *index, coeff = zip(*rows)
-        return ContractionTensor(
-            *(np.asarray(c, dtype=np.int64) for c in index), np.asarray(coeff)
-        )
+            terms = [(m, *t) for m in range(j + 1) for t in _cg_terms(j1, j2, j, m)]
+            m, m1, m2 = np.array([t[:3] for t in terms], dtype=np.int64).T
+            c = np.array([t[3] for t in terms])
+            b, a = np.indices((len(c), len(c))).reshape(2, -1)
+            order = np.lexsort((a, b, m[a], m[b]))
+            b, a = b[order], a[order]
+            parts.append((
+                np.full(len(a), ib),
+                *(self.flat(jx, k[b], k[a]) for jx, k in ((j, m), (j1, m1), (j2, m2))),
+                c[b] * c[a],
+            ))
+        return ContractionTensor(*(np.concatenate(col) for col in zip(*parts)))

@@ -7,9 +7,6 @@ import contextlib
 import numpy as np
 import pytest
 
-import repro.potentials  # noqa: F401  (register styles)
-import repro.reaxff  # noqa: F401
-import repro.snap  # noqa: F401
 from repro.core import Ensemble, Lammps
 from repro.parallel.driver import drain
 

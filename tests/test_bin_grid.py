@@ -17,8 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.potentials  # noqa: F401  (register pair styles)
-import repro.reaxff  # noqa: F401  (register pair reaxff)
 from repro.core import Lammps
 from repro.core.bin_grid import BinGrid, spatial_sort_order
 from repro.core.errors import NeighborError

@@ -67,6 +67,13 @@ class TestRuns:
             ["-in", script, "-np", "2", "-var", "cells", "3", "--quiet"]
         ) == 0
 
+    @pytest.mark.parametrize("flag,count", [("-np", "0"), ("-np", "-2"), ("-r", "0"), ("-r", "-3")])
+    def test_rank_and_replica_counts_below_one_are_usage_errors(self, script, flag, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-in", script, "-var", "cells", "2", "--quiet", flag, count])
+        assert exc.value.code == 2
+        assert f"{flag} must be >= 1, got {count}" in capsys.readouterr().err
+
     def test_thermo_printed_by_default(self, script, capsys):
         main(["-in", script, "-var", "cells", "3"])
         out = capsys.readouterr().out
@@ -127,7 +134,8 @@ class TestLazyScipy:
         out = self._python(
             "import sys, repro.__main__\n"
             "heavy = ('scipy', 'asyncio', 'ssl', 'subprocess')\n"
-            "lazy = ('repro.bench', 'repro.tune', 'repro.replica')\n"
+            "lazy = ('repro.bench', 'repro.tune', 'repro.replica', 'repro.reaxff',\n"
+            "        'repro.snap')\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in heavy\n"
             "             or m.startswith(lazy)))"
         )
@@ -141,6 +149,27 @@ class TestLazyScipy:
             "print('repro.replica' in sys.modules, 'asyncio' in sys.modules)"
         )
         assert out.split() == ["True", "False"]
+
+    @pytest.mark.parametrize("pair_style,loaded", [
+        ("lj/cut", "[]"), ("snap", "['repro.snap']"),
+    ], ids=["melt", "snap"])
+    def test_a_run_loads_only_the_style_packages_its_script_names(
+        self, tmp_path, pair_style, loaded
+    ):
+        from repro.workloads.tantalum import TANTALUM_TEMPLATE
+
+        path = tmp_path / "in.run"
+        if pair_style == "snap":
+            path.write_text(TANTALUM_TEMPLATE.format(cells=2, pair_style="snap", twojmax=2)
+                            + "run 1\n")
+        else:
+            path.write_text(SCRIPT)
+        out = self._python(
+            "import sys, repro.__main__\n"
+            f"repro.__main__.main(['-in', {str(path)!r}, '-var', 'cells', '2', '--quiet'])\n"
+            "print(sorted(m for m in sys.modules if m in ('repro.reaxff', 'repro.snap')))"
+        )
+        assert out.strip() == loaded
 
     def test_no_module_imports_scipy_or_networkx(self):
         root = os.path.dirname(os.path.abspath(repro.__file__))

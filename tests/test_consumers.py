@@ -21,7 +21,7 @@ import pytest
 from conftest import make_melt
 from repro.core.errors import InputError, StyleError
 from repro.core.input import Input
-from repro.core.styles import COMPUTE_STYLES, FIX_STYLES, PAIR_STYLES
+from repro.core.styles import STYLE_CATALOG
 from repro.tools import TOOL_CATALOG, create_tools
 from repro.tools import registry as kp
 
@@ -122,9 +122,7 @@ def design_rows() -> set[tuple[str, str]]:
 
 def test_design_table_names_every_registered_unit():
     registered = (
-        {("pair", n) for n in PAIR_STYLES}
-        | {("fix", n) for n in FIX_STYLES}
-        | {("compute", n) for n in COMPUTE_STYLES}
+        {(kind, n) for kind, styles in STYLE_CATALOG.items() for n in styles}
         | {("command", a[len("cmd_"):]) for a in dir(Input) if a.startswith("cmd_")}
         | {("tool", n) for n in TOOL_CATALOG}
     )

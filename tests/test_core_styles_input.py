@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from conftest import make_melt
 from repro.__main__ import main
 from repro.core import Ensemble, Lammps, ReplicaSet
 from repro.core.errors import InputError, StyleError
 from repro.core.input import safe_eval
-from repro.core.styles import PAIR_STYLES, known_suffixes, register_pair, resolve_style
+from repro.core.styles import (
+    _REGISTRIES, STYLE_CATALOG, known_suffixes, register_pair, resolve_style,
+)
 from repro.potentials.lj import PairLJCut
 from repro.potentials.lj_kokkos import PairLJCutKokkos
 from repro.workloads.melt import MELT_TEMPLATE
@@ -58,7 +67,8 @@ class TestSuffixResolution:
             Lammps(device=None, suffix=suffix)
 
     def test_unknown_style(self):
-        with pytest.raises(StyleError, match="unknown pair style"):
+        known = ", ".join(sorted(STYLE_CATALOG["pair"]))
+        with pytest.raises(StyleError, match=f"unknown pair style 'eam/alloy'; known: {known}$"):
             resolve_style("pair", "eam/alloy", None)
 
     def test_unknown_category(self):
@@ -72,7 +82,53 @@ class TestSuffixResolution:
     def test_registry_has_paper_styles(self):
         for name in ("lj/cut", "lj/cut/kk", "eam/fs", "eam/fs/kk",
                      "reaxff", "reaxff/kk", "snap", "snap/kk"):
-            assert name in PAIR_STYLES
+            cls, extra = resolve_style("pair", name, None)
+            assert cls.style_name == name and extra == {}
+
+
+class TestStyleCatalog:
+    """``STYLE_CATALOG`` and the registering decorators cannot drift: each
+    package registers exactly the names the catalogue gives it, and a name
+    the catalogue does not give the registering module's package is refused."""
+
+    def test_each_package_registers_exactly_its_catalogued_names(self):
+        code = (
+            "import importlib, json\n"
+            "from repro.core.styles import _REGISTRIES\n"
+            "def names():\n"
+            "    return {f'{c} {n}' for c, r in _REGISTRIES.items() for n in r}\n"
+            "seen, before = {}, set()\n"
+            "for pkg in ('repro.core', 'repro.potentials', 'repro.reaxff', 'repro.snap'):\n"
+            "    importlib.import_module(pkg)\n"
+            "    seen[pkg], before = sorted(names() - before), names()\n"
+            "print(json.dumps(seen))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        expected: dict[str, list[str]] = {}
+        for category, styles in STYLE_CATALOG.items():
+            for name, package in styles.items():
+                expected.setdefault(package, []).append(f"{category} {name}")
+        assert json.loads(done.stdout) == {k: sorted(v) for k, v in expected.items()}
+
+    def test_every_registered_name_is_catalogued_under_its_own_package(self):
+        for category, registry in _REGISTRIES.items():
+            for name, cls in registry.items():
+                package = STYLE_CATALOG[category][name]
+                assert f"{cls.__module__}.".startswith(f"{package}."), (category, name)
+
+    @pytest.mark.parametrize("name", ["morse", "snap"])
+    def test_a_name_not_catalogued_under_the_package_is_refused(self, name):
+        class PairStray(PairLJCut):
+            pass
+
+        with pytest.raises(StyleError, match=f"pair style '{name}' is not catalogued"):
+            register_pair(name)(PairStray)
+        assert _REGISTRIES["pair"].get(name) is not PairStray
 
 
 class TestSafeEval:

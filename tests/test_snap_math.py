@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,8 +16,44 @@ from snap_oracle import coo_bispectrum, forward_levels
 from repro.snap.bispectrum import compute_bispectrum
 from repro.snap.cg import clebsch_gordan, triangle_ok
 from repro.snap.compute_ui import compute_ui
-from repro.snap.indexing import SnapIndex
+from repro.snap.indexing import SnapIndex, _cg_terms
 from repro.snap.wigner import cayley_klein, level_rows, switching, wigner_levels
+
+
+def fraction_cg(j1: int, m1: int, j2: int, m2: int, j: int, m: int) -> float:
+    """Racah's formula with the alternating sum in ``Fraction`` s (doubled
+    arguments): the exact-rational oracle of :func:`clebsch_gordan`."""
+    if m != m1 + m2 or not triangle_ok(j1, j2, j):
+        return 0.0
+    if any(abs(mx) > jx or (jx + mx) % 2 for jx, mx in ((j1, m1), (j2, m2), (j, m))):
+        return 0.0
+    f = lambda n2: math.factorial(n2 // 2)  # noqa: E731
+    pref = Fraction(f(j1 + j2 - j) * f(j1 - j2 + j) * f(-j1 + j2 + j) * (j + 1),
+                    f(j1 + j2 + j + 2))
+    pref *= f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j + m) * f(j - m)
+    total = Fraction(0)
+    for z in range(max(0, (j2 - j - m1) // 2, (j1 - j + m2) // 2),
+                   min((j1 + j2 - j) // 2, (j1 - m1) // 2, (j2 + m2) // 2) + 1):
+        total += Fraction((-1) ** z, f(2 * z) * f(j1 + j2 - j - 2 * z) * f(j1 - m1 - 2 * z)
+                          * f(j2 + m2 - 2 * z) * f(j - j2 + m1 + 2 * z)
+                          * f(j - j1 - m2 + 2 * z))
+    if total == 0:
+        return 0.0
+    return float(total) * math.sqrt(pref.numerator / pref.denominator)
+
+
+def loop_tensor(idx: SnapIndex) -> list[np.ndarray]:
+    """``[ib, out, in1, in2, coeff]`` of the contraction tensor, one row at a
+    time: the loop oracle of :attr:`SnapIndex.tensor`."""
+    rows = []
+    for ib, (j1, j2, j) in enumerate(idx.idxb):
+        cg = [_cg_terms(j1, j2, j, m) for m in range(j + 1)]
+        for mb, ma in product(range(j + 1), repeat=2):
+            for (mb1, mb2, cr), (ma1, ma2, cc) in product(cg[mb], cg[ma]):
+                rows.append((ib, idx.flat(j, mb, ma), idx.flat(j1, mb1, ma1),
+                             idx.flat(j2, mb2, ma2), cr * cc))
+    *index, coeff = zip(*rows)
+    return [np.asarray(c, dtype=np.int64) for c in index] + [np.asarray(coeff)]
 
 
 def random_neighborhood(seed: int, n: int = 10, rcut: float = 4.7):
@@ -80,6 +118,18 @@ class TestClebschGordan:
                     b = clebsch_gordan(j2, m2, j1, m1, j, m1 + m2)
                     assert a == pytest.approx(phase * b, abs=1e-12)
 
+    def test_every_coefficient_matches_the_fraction_oracle(self):
+        """Bit for bit over every (j1, m1, j2, m2, j) with 2j <= 8."""
+        checked = 0
+        for j1, j2, j in product(range(9), repeat=3):
+            for m1, m2 in product(range(-j1, j1 + 1, 2), range(-j2, j2 + 1, 2)):
+                if abs(m1 + m2) <= j:
+                    got = clebsch_gordan(j1, m1, j2, m2, j, m1 + m2)
+                    want = fraction_cg(j1, m1, j2, m2, j, m1 + m2)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                    checked += 1
+        assert checked > 4000
+
     def test_invalid_factorial_arg(self):
         from repro.snap.cg import _fact
 
@@ -117,6 +167,14 @@ class TestIndexing:
 
     def test_singleton_cache(self):
         assert SnapIndex(6) is SnapIndex(6)
+
+    @pytest.mark.parametrize("twojmax", range(9))
+    def test_tensor_is_the_loop_oracle_bit_for_bit(self, twojmax):
+        t = SnapIndex(twojmax).tensor
+        for got, want in zip((t.ib, t.out, t.in1, t.in2, t.coeff),
+                             loop_tensor(SnapIndex(twojmax))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_tensor_coefficients_real_finite(self):
         t = SnapIndex(4).tensor
