@@ -117,6 +117,17 @@ class GhostReplay:
             )
         return stages
 
+    @cached_property
+    def owners(self) -> np.ndarray:
+        """``owners[k]``: the owned atom slot ``k`` is a copy of (``k`` itself
+        for an owned atom).  The stages composed in replay order, so a ghost
+        of a ghost resolves to the first one's owner.  Each ``borders``
+        builds a new replay, so this lives exactly as long as its swaps."""
+        owners = np.arange(self.nall)
+        for src, dst, _ in self.stages:
+            owners[dst] = np.take(owners, src)
+        return owners
+
     def _check(self, atom: AtomVec) -> None:
         if atom.reorder_generation != self.reorder_generation:
             raise CommError(

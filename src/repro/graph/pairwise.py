@@ -104,8 +104,9 @@ class Arena:
     A view stays valid until the next ``take`` of the same name, so a pass
     may only rely on a buffer across calls that cannot run another pass in
     between — which is why outputs that must survive a generator ``yield``
-    (EAM's geometry across its ``rho`` and ``fp`` exchanges) are allocated
-    by the caller instead (``env["keep"]``).
+    (EAM's geometry across its ``rho`` and ``fp`` exchanges) are fresh
+    arrays instead (``env["take"] = fresh``), or taken under names no other
+    pass takes (ReaxFF's, keyed by its list: ``reaxff.nonbonded.list_loans``).
     """
 
     def __init__(self) -> None:
@@ -192,28 +193,31 @@ def _cutmask_fn(env: dict) -> None:
     env["idx"] = np.flatnonzero(mask)
 
 
+def fresh(name: str, *shape: int, dtype: Any = np.float64) -> None:
+    """The ``env["take"]`` of a pass whose prologue outputs must outlive a
+    comm yield: no buffer, so each gather allocates its own array."""
+    return None
+
+
 def _gather_fn(env: dict) -> None:
     idx = env["idx"]
     n = idx.size
-    keep = env.get("keep")
-
-    def out(name: str, *rows: int, dtype: Any = np.float64):
-        return None if keep else ARENA.take(name, *rows, n, dtype=dtype)
-
+    take = env.get("take", ARENA.take)
     i0, j0 = env["i0"], env["j0"]
     # xj is dead once delta has subtracted it: the compressed rows reuse it
-    env["dx_n"] = gather(env["dx0"], idx, out("xj", 3), axis=1)
-    env["rsq_n"] = gather(env["rsq0"], idx, out("rsq_n"))
-    env["i_n"] = gather(i0, idx, out("i_n", dtype=i0.dtype))
-    env["j_n"] = gather(j0, idx, out("j_n", dtype=j0.dtype))
+    env["dx_n"] = gather(env["dx0"], idx, take("xj", 3, n), axis=1)
+    env["rsq_n"] = gather(env["rsq0"], idx, take("rsq_n", n))
+    env["i_n"] = gather(i0, idx, take("i_n", n, dtype=i0.dtype))
+    env["j_n"] = gather(j0, idx, take("j_n", n, dtype=j0.dtype))
     jl0 = env.get("jl0")
     env["jl_n"] = None if jl0 is None else np.take(jl0, idx)
 
 
 #: The geometry prologue, for callers that run it outside a Stage list.
 #: Over ``env["x"]``, ``i0``, ``j0``, ``cutsq0`` it leaves ``idx`` and the
-#: cut-pair arrays ``i_n/j_n/dx_n/rsq_n`` (``dx_n = (x[i_n] - x[j_n]).T``);
-#: ``env["keep"]`` makes those fresh allocations instead of arena loans.
+#: cut-pair arrays ``i_n/j_n/dx_n/rsq_n`` (``dx_n = (x[i_n] - x[j_n]).T``),
+#: written into ``env["take"](name, *shape, dtype=)`` buffers: ``ARENA``
+#: loans by default, fresh arrays with :func:`fresh`.
 PROLOGUE = (_delta_fn, _rsq_fn, _cutmask_fn, _gather_fn)
 
 

@@ -40,6 +40,7 @@ from repro.graph.pairwise import (
     PROLOGUE,
     Stage,
     force_chain_stages,
+    fresh,
     index_bounds,
     run_stages,
     stage_profile,
@@ -122,7 +123,7 @@ def eam_geometry(pair, x: np.ndarray) -> dict:
         i0, j0, itype0, jtype0, cutsq0 = pair.pair_table(nlist, pair.lmp.atom)
         # kept, not lent from the arena: the geometry outlives the rho and fp
         # exchanges' yields, across which another rank's pass reuses the arena
-        base = {"i0": i0, "j0": j0, "cutsq0": cutsq0, "keep": True}
+        base = {"i0": i0, "j0": j0, "cutsq0": cutsq0, "take": fresh}
         index_bounds(base)  # once per list; each step's geometry copies it
         return base, pair.pair_coeffs(itype0, jtype0)
 

@@ -82,9 +82,10 @@ def compute_angles(
     triplets: TripletTable,
     params: ReaxParams,
     f: np.ndarray,
-    virial: np.ndarray,
+    virial: np.ndarray | None,
 ) -> float:
-    """Convergent triplet kernel: energy + forces on (c, j, k)."""
+    """Convergent triplet kernel: energy + forces on (c, j, k).  On an
+    untallied step (``virial=None``) there is no energy or virial: 0.0."""
     if triplets.ntriplets == 0:
         return 0.0
     c = triplets.center
@@ -105,7 +106,6 @@ def compute_angles(
     inv = 1.0 / (ru * rv)
     cosq = np.einsum("ij,ij->i", u, v) * inv
     diff = cosq - cos0
-    energy = float((kang * bo1 * bo2 * diff * diff).sum())
 
     # dE/dcos and bond-order chain terms
     decos = 2.0 * kang * bo1 * bo2 * diff
@@ -126,7 +126,9 @@ def compute_angles(
     scatter_add(f, c, fc, assume_sorted=True)  # centers are laid out contiguously
     scatter_add(f, j, fj)
     scatter_add(f, k, fk)
+    if virial is None:
+        return 0.0
     accumulate_virial(virial, np.take(x, c, axis=0), fc)
     accumulate_virial(virial, np.take(x, j, axis=0), fj)
     accumulate_virial(virial, np.take(x, k, axis=0), fk)
-    return energy
+    return float((kang * bo1 * bo2 * diff * diff).sum())

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.neighbor import NeighborList
-from repro.graph.pairwise import PROLOGUE, index_bounds
+from repro.graph.pairwise import PROLOGUE, fresh, index_bounds
 from repro.reaxff.params import ReaxParams
 
 
@@ -141,7 +141,7 @@ def build_bond_list(
 
     def bind():
         i0, j0 = nlist.ij_pairs()
-        base = {"i0": i0, "j0": j0, "cutsq0": params.bond_search_cut**2, "keep": True}
+        base = {"i0": i0, "j0": j0, "cutsq0": params.bond_search_cut**2, "take": fresh}
         index_bounds(base)  # keep, and pin params' id, as nonbonded_geometry does
         return base, params, params.r0_ij(np.take(types, i0), np.take(types, j0))
 

@@ -24,9 +24,10 @@ def compute_bonds(
     bonds: BondList,
     params: ReaxParams,
     f: np.ndarray,
-    virial: np.ndarray,
+    virial: np.ndarray | None,
 ) -> float:
-    """Accumulate bond forces into ``f``; returns the bond energy."""
+    """Accumulate bond forces into ``f``; returns the bond energy.  On an
+    untallied step (``virial=None``) there is no energy or virial: 0.0."""
     if bonds.nbonds == 0:
         return 0.0
     i, j = bonds.i, bonds.j.astype(np.int64)
@@ -37,12 +38,13 @@ def compute_bonds(
     bo, dbo = np.take(bonds.bo, own), np.take(bonds.dbo, own)
     dx, r = np.take(bonds.dx, own, axis=0), np.take(bonds.r, own)
     de = params.de_ij(np.take(types, i), np.take(types, j))
-    energy = float(-(de * bo).sum())
     # dE/dr = -De dBO/dr; F_i = -dE/dr * dx/r
     fpair = de * dbo / r
     fvec = fpair[:, None] * dx
     scatter_add(f, i, fvec, assume_sorted=True)
     scatter_sub(f, j, fvec)
+    if virial is None:
+        return 0.0
     accumulate_virial(virial, np.take(x, i, axis=0), fvec)
     accumulate_virial(virial, np.take(x, j, axis=0), -fvec)
-    return energy
+    return float(-(de * bo).sum())

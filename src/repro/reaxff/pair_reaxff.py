@@ -13,6 +13,7 @@ ReaxFF curves are built from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import cached_property
 from typing import Iterator
@@ -44,6 +45,18 @@ from repro.reaxff.qeq import (
 from repro.reaxff.torsions import build_quads, compute_torsions
 
 
+def _finite_positive(key: str, value) -> float:
+    """``value`` as a float, or an ``InputError`` naming ``key``: a QEq
+    tolerance or cutoff must be finite and > 0 to mean anything."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"pair_style reaxff: {key} must be a number, got {value!r}") from None
+    if not (math.isfinite(number) and number > 0.0):
+        raise InputError(f"pair_style reaxff: {key} must be finite and > 0, got {value!r}")
+    return number
+
+
 @register_pair("reaxff")
 class PairReaxFF(Pair):
     """Host ReaxFF-lite."""
@@ -65,7 +78,7 @@ class PairReaxFF(Pair):
             if key == "cutoff":
                 # reduced nonbonded cutoff for small test boxes; the
                 # production default matches ReaxFF's 10 A taper
-                self.params = replace(self.params, rcut_nonb=float(value))
+                self.params = replace(self.params, rcut_nonb=_finite_positive(key, value))
             else:
                 # qeq_tol / qeq_precond / qeq_extrap -> tol / precond / extrap
                 self.set_qeq_options(**{key.removeprefix("qeq_"): value})
@@ -84,8 +97,9 @@ class PairReaxFF(Pair):
         #: diagnostics of the last compute (kernel sizes, QEq iterations)
         self.last_stats: dict = {}
         # the skin-amortized bond-search list, keyed on the engine's pair-list
-        # *object*: a rebuild creates a fresh NeighborList, and holding the
-        # reference keeps id() collisions impossible
+        # generation (process-wide unique per build; holding the list itself
+        # would keep the retired one, and its per-rebuild buffers, alive
+        # through the next build)
         self._bond_nlist = None
         self._bond_nlist_key = None
 
@@ -102,7 +116,7 @@ class PairReaxFF(Pair):
                 raise InputError(unknown_choice("qeq_extrap", extrap, EXTRAPS))
             self.qeq_extrap = extrap
         if tol is not None:
-            self.qeq_tol = float(tol)
+            self.qeq_tol = _finite_positive("qeq_tol", tol)
 
     def coeff(self, args: list[str]) -> None:
         """``pair_coeff * * chno <elem-per-type...>`` maps types to species."""
@@ -147,23 +161,25 @@ class PairReaxFF(Pair):
         re-applies the exact distance and ``bo_cut`` masks each call, so the
         table is the one a per-step ``rcut_bond`` search would give."""
         lmp, nall = self.lmp, self.lmp.atom.nall
-        if self._bond_nlist is None or self._bond_nlist_key is not lmp.neigh_list:
+        if self._bond_nlist is None or self._bond_nlist_key != lmp.neigh_list.generation:
             cut = self.params.bond_search_cut + lmp.neighbor.skin
             self._bond_nlist = build_neighbor_list(
                 lmp.atom.x[:nall], nall, cut, style="full", grid=lmp.bin_grid
             )
-            self._bond_nlist_key = lmp.neigh_list
+            self._bond_nlist_key = lmp.neigh_list.generation
         return self._bond_nlist
 
     # --------------------------------------------------------------- compute
     def compute_gen(self, eflag: bool = True, vflag: bool = True) -> Iterator[None]:
-        self.reset_tallies()
+        self.reset_tallies(eflag or vflag)
         self.last_stats = {}
         atom = self.lmp.atom
         nall = atom.nall
         env = {
             "x": atom.x[:nall], "species": self.type_map[atom.type[:nall]],
             "tags": atom.tag[:nall], "nlocal": atom.nlocal, "f": atom.f,
+            # the kernels tally into this, or skip energy and virial (None)
+            "virial": self.virial if eflag or vflag else None,
         }
         yield from run_many_body(self.stages, env, self.stage_kernels())
 
@@ -193,9 +209,12 @@ class PairReaxFF(Pair):
 
     def _qeq_matrix(self, env: dict) -> None:
         # the step's one nonbonded geometry pass runs inside the matrix build
-        units = self.lmp.update.units
+        # one rank: every ghost is a replayed copy, so its columns fold
+        # onto their owners and the solve exchanges nothing
+        replay = self.lmp.comm_brick.replay
         matrix = env["matrix"] = build_qeq_matrix(
-            env["x"], env["species"], self.lmp.neigh_list, self.params, units.qqr2e
+            env["x"], env["species"], self.lmp.neigh_list, self.params,
+            self.lmp.update.units.qqr2e, None if replay is None else replay.owners,
         )
         geo = matrix.geometry
         self.require_pairs(geo.r != 0.0, geo.i, geo.j, "has zero separation", "nonbonded ")
@@ -225,9 +244,10 @@ class PairReaxFF(Pair):
             qeq_spmv_bytes_per_iteration=matrix.traversal_bytes(),
         )
         self.qeq_iters_history.append(out["iterations"])
-        # EEM self energy (part of the electrostatic energy QEq minimizes)
-        eta = self.params.eta[env["species"][:nlocal]]
-        self.eng_coul += float((chi * q + eta * q * q).sum())
+        if env["virial"] is not None:
+            # EEM self energy (part of the electrostatic energy QEq minimizes)
+            eta = self.params.eta[env["species"][:nlocal]]
+            self.eng_coul += float((chi * q + eta * q * q).sum())
 
     def _q_comm(self, env: dict) -> Iterator[None]:
         yield from self.lmp.comm_brick.forward_comm_field(self.lmp.atom, "q")
@@ -237,7 +257,7 @@ class PairReaxFF(Pair):
         atom = self.lmp.atom
         evdw, ecoul, self.last_stats["nonbonded_pairs"] = compute_nonbonded(
             env["matrix"].geometry, atom.q[: atom.nall], self.params,
-            self.lmp.update.units.qqr2e, env["f"], self.virial,
+            self.lmp.update.units.qqr2e, env["f"], env["virial"],
         )
         self.eng_vdwl += evdw
         self.eng_coul += ecoul
@@ -245,7 +265,7 @@ class PairReaxFF(Pair):
     def _bonds(self, env: dict) -> None:
         self.eng_vdwl += compute_bonds(
             env["x"], env["species"], env["tags"], env["nlocal"], env["bonds"],
-            self.params, env["f"], self.virial,
+            self.params, env["f"], env["virial"],
         )
 
     def _tables(self, env: dict) -> None:
@@ -260,13 +280,13 @@ class PairReaxFF(Pair):
     def _angles(self, env: dict) -> None:
         self.eng_vdwl += compute_angles(
             env["x"], env["species"], env["nlocal"], env["bonds"], env["triplets"],
-            self.params, env["f"], self.virial,
+            self.params, env["f"], env["virial"],
         )
 
     def _torsions(self, env: dict) -> None:
         self.eng_vdwl += compute_torsions(
             env["x"], env["species"], env["bonds"], env["quads"], self.params,
-            env["f"], self.virial,
+            env["f"], env["virial"],
         )
 
 

@@ -11,7 +11,12 @@ Paper sections 4.2.2-4.2.3 in full:
   are over-allocated).  Appendix B's integer-width split is applied: row
   offsets are int64 (they overflow 32 bits at exascale), column indices and
   row lengths stay int32 — and :func:`build_qeq_matrix` *enforces* that
-  split rather than documenting it.
+  split rather than documenting it.  The offsets, the guards, the diagonal
+  and the slot arrays depend only on the neighbor list, so they are built
+  once per rebuild (the list's ``PairCache``) and a step writes only the
+  live slots and the counts.  A slot past its row's count may hold an
+  earlier step's entry: the count, not a ``-1`` column, says which slots
+  are live, which is the reason the format carries it.
 
 * The two Krylov solves (``A s = -chi``, ``A t = -1``) are **fused**: the
   direction vectors stack into one ``(nall, 2)`` operand and one dual-RHS
@@ -35,9 +40,13 @@ Paper sections 4.2.2-4.2.3 in full:
 The solver is written as a generator so distributed runs forward-communicate
 the two direction vectors (staged through the ``rho``/``fp`` scratch fields,
 packed into ONE exchange per iteration) and allreduce the dot products each
-iteration through the lockstep protocol.  Convergence is always tested on
-the *true* residual, so every preconditioner/seed combination stops at the
-identical tolerance — the property the iteration-count benchmarks rely on.
+iteration through the lockstep protocol.  On one rank every ghost is a
+replayed copy of an owned atom, so the matrix reads each ghost column
+through its owner (:meth:`QEqMatrix.fold`) and the CG runs on the owned
+vectors alone, with no staging and no exchange — bitwise the same
+products.  Convergence is always tested on the *true* residual, so every
+preconditioner/seed combination stops at the identical tolerance — the
+property the iteration-count benchmarks rely on.
 """
 
 from __future__ import annotations
@@ -48,7 +57,8 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.errors import LammpsError, OverflowGuardError, unknown_choice
-from repro.reaxff.nonbonded import NonbondedGeometry, nonbonded_geometry
+from repro.graph.pairwise import gather
+from repro.reaxff.nonbonded import NonbondedGeometry, list_loans, nonbonded_geometry
 from repro.reaxff.params import ReaxParams
 
 
@@ -80,36 +90,66 @@ class QEqMatrix:
     # arrays and the owning row indices — the true-CSR reduction
     _seg_starts: np.ndarray
     _seg_rows: np.ndarray
+    #: length of the vectors the spmv columns index: ``nall``, or ``nlocal``
+    #: once :meth:`fold` has pointed every ghost column at its owner
+    ncols: int
+    #: the spmv's work buffers, loans of the list's own (``list_loans``): the
+    #: row product's ``(row, prod, seg, rows)``, the folded operand
+    #: ``(2, nlocal)`` and the dual product ``(nlocal, 2)``
+    _work: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    _operand: np.ndarray
+    _ap: np.ndarray
+    #: :meth:`fold` ran: no column names a ghost, so the solve exchanges
+    #: nothing.  Only ``fold`` sets it; an N-rank matrix whose rank has no
+    #: ghosts (``nall == nlocal``) still exchanges, as its peers do.
+    folded: bool = False
+
+    def fold(self, owners: np.ndarray) -> None:
+        """Read each ghost column through its owner (``owners[k]`` is the
+        owned atom ghost ``k`` copies, :attr:`GhostReplay.owners`).  Exact on
+        one rank, where every ghost value is a replayed copy of its owner's.
+        The slot arrays keep the ghost columns: they stay the list's view."""
+        self._cols_flat = np.take(owners, self._cols_flat)
+        self.ncols = self.nlocal
+        self.folded = True
 
     def _row_product(self, vec_all: np.ndarray) -> np.ndarray:
-        """``A @ vec`` for one 1-D right-hand side.
+        """``A @ vec`` for one 1-D right-hand side, into the matrix's work
+        buffer (valid until the next call).
 
         Row-major storage makes this a true CSR product: one ``reduceat``
         over the row segments replaces a scalar ``np.add.at`` scatter.
         """
-        out = self.diag * vec_all[: self.nlocal]
-        prod = self._vals_flat * vec_all[self._cols_flat]
+        if len(vec_all) < self.ncols:
+            raise LammpsError(f"spmv operand has {len(vec_all)} rows, columns need {self.ncols}")
+        out, prod, seg, rows = self._work
+        np.multiply(self.diag, vec_all[: self.nlocal], out=out)
         if len(prod):
-            out[self._seg_rows] += np.add.reduceat(prod, self._seg_starts)
+            gather(vec_all, self._cols_flat, prod)
+            np.multiply(self._vals_flat, prod, out=prod)
+            np.add.reduceat(prod, self._seg_starts, out=seg)
+            gather(out, self._seg_rows, rows)
+            out[self._seg_rows] = np.add(rows, seg, out=rows)
         return out
 
     def spmv(self, vec_all: np.ndarray) -> np.ndarray:
         """``A @ vec``: local rows against local+ghost columns."""
-        return self._row_product(vec_all)
+        return self._row_product(vec_all).copy()
 
     def spmv2(self, vec2_all: np.ndarray) -> np.ndarray:
         """``A @ [u, v]``: the dual-RHS product of the fused CG.
 
-        ``vec2_all`` is ``(nall, 2)``; the result is ``(nlocal, 2)``.  The
-        device kernel this stands for loads ``vals``/``cols`` once for both
-        right-hand sides, and that one-traversal stream is what the cost
-        model and :meth:`traversal_bytes` charge.  The NumPy body is two 1-D
+        ``vec2_all`` is ``(ncols, 2)``; the result is ``(nlocal, 2)``, a
+        buffer the next call overwrites.  The device kernel this stands for
+        loads ``vals``/``cols`` once for both right-hand sides, and that
+        one-traversal stream is what the cost model and
+        :meth:`traversal_bytes` charge.  The NumPy body is two 1-D
         column passes over the shared per-rebuild row plan: a 2-column fancy
         gather plus ``reduceat(axis=0)`` over an ``(nnz, 2)`` block is
         slower than two 1-D passes.  Each column accumulates exactly
         as :meth:`spmv` does, so the result is bitwise ``(spmv(u), spmv(v))``.
         """
-        out = np.empty((self.nlocal, 2))
+        out = self._ap
         out[:, 0] = self._row_product(vec2_all[:, 0])
         out[:, 1] = self._row_product(vec2_all[:, 1])
         return out
@@ -132,33 +172,17 @@ class QEqMatrix:
         return int(self.nnz.sum())
 
 
-def build_qeq_matrix(
-    x: np.ndarray,
-    types: np.ndarray,
-    nlist,
-    params: ReaxParams,
-    qqr2e: float,
-) -> QEqMatrix:
-    """Build the interaction matrix from the full neighbor list.
-
-    Pipeline per the paper: (1) parallel scan over full-list neighbor
-    counts -> over-allocated row offsets; (2) value kernel computes the
-    shielded-tapered interactions, slots them row-contiguously, and records
-    per-row non-zero counts and column offsets.  The value kernel's pair
-    geometry (:func:`~repro.reaxff.nonbonded.nonbonded_geometry`, the shared
-    two-body prologue) is the step's one nonbonded geometry pass; it rides
-    on the matrix as ``geometry`` for the nonbonded force.
-    """
-    nlocal = nlist.nlocal
+def _slot_offsets(nlist) -> np.ndarray:
+    """Over-allocated row offsets from the list's counts, behind appendix
+    B's width guards."""
     numneigh = nlist.numneigh
-    offsets = np.zeros(nlocal + 1, dtype=np.int64)
+    offsets = np.zeros(nlist.nlocal + 1, dtype=np.int64)
     np.cumsum(numneigh, out=offsets[1:])
-    slots = int(offsets[-1])
     # Appendix B's width split, enforced: the total slot count may
     # legitimately exceed int32 (that is exactly why the offsets are int64),
     # but the narrow structures must never overflow silently — a single
     # row's length lands in the int32 ``nnz`` array, and column indices land
-    # in the int32 ``cols`` array.  Both guards fire BEFORE the flat arrays
+    # in the int32 ``cols`` array.  The guards fire BEFORE the flat arrays
     # are allocated, so an oversized row raises instead of first trying to
     # materialize gigabytes of slots.
     if offsets.dtype != np.int64:
@@ -172,35 +196,74 @@ def build_qeq_matrix(
         )
     if nlist.neighbors.size and int(nlist.neighbors.max()) > np.iinfo(np.int32).max:
         raise OverflowGuardError("column index exceeds int32 (appendix B guard)")
+    return offsets
 
-    cols = np.full(slots, -1, dtype=np.int32)
-    vals = np.zeros(slots)
-    nnz = np.zeros(nlocal, dtype=np.int32)
+
+def build_qeq_matrix(
+    x: np.ndarray,
+    types: np.ndarray,
+    nlist,
+    params: ReaxParams,
+    qqr2e: float,
+    owners: np.ndarray | None = None,
+) -> QEqMatrix:
+    """Build the interaction matrix from the full neighbor list.
+
+    Pipeline per the paper: (1) parallel scan over full-list neighbor
+    counts -> over-allocated row offsets; (2) value kernel computes the
+    shielded-tapered interactions, slots them row-contiguously, and records
+    per-row non-zero counts and column offsets.  Step (1), the guards, the
+    diagonal and the slot arrays depend on the list alone, so they are
+    built once per rebuild of ``nlist`` (its
+    :class:`~repro.core.neighbor.PairCache`); each call writes only the
+    live slots and ``nnz``.  The value kernel's pair
+    geometry (:func:`~repro.reaxff.nonbonded.nonbonded_geometry`, the shared
+    two-body prologue) is the step's one nonbonded geometry pass; it rides
+    on the matrix as ``geometry`` for the nonbonded force.  ``owners``
+    (one-rank worlds) folds the ghost columns onto their owners
+    (:meth:`QEqMatrix.fold`).
+    """
+    nlocal = nlist.nlocal
+
+    def bind():
+        offsets = _slot_offsets(nlist)
+        slots = int(offsets[-1])
+        diag = 2.0 * np.take(params.eta, types[:nlocal])
+        return (offsets, np.full(slots, -1, dtype=np.int32), np.zeros(slots),
+                np.zeros(nlocal, dtype=np.int32), diag, params)
+
+    offsets, cols, vals, nnz, diag, _ = nlist.pair_cache().memo(("reaxff.qeq", id(params)), bind)
 
     geom = nonbonded_geometry(x, types, nlist, params)
     i, j = geom.i, geom.j
     v = qqr2e * geom.g * geom.t
 
-    # slot the kept entries contiguously at the front of each row
-    nnz_counts = np.bincount(i, minlength=nlocal).astype(np.int32)
+    # slot the kept entries contiguously at the front of each row; slots
+    # past a row's nnz may hold an earlier step's entries, which nnz hides
+    nnz[:] = np.bincount(i, minlength=nlocal)
     row_start = np.zeros(nlocal, dtype=np.int64)
-    np.cumsum(nnz_counts[:-1], out=row_start[1:])
-    # i is sorted (ij_pairs yields row-major order); position within row:
-    pos = np.arange(len(i), dtype=np.int64) - np.take(row_start, i)
-    slot = np.take(offsets, i) + pos
-    cols[slot] = j.astype(np.int32)
+    np.cumsum(nnz[:-1], out=row_start[1:])
+    # i is sorted (ij_pairs yields row-major order): entry k of row i goes
+    # to slot offsets[i] + (k - row_start[i])
+    slot = np.arange(len(i), dtype=np.int64) + np.take(offsets[:-1] - row_start, i)
+    cols[slot] = j
     vals[slot] = v
-    nnz[:] = nnz_counts
 
     # (i, j, v) already are the valid slots in row order, so they are the
     # compacted COO, and the non-empty rows' starts are its row plan
-    nonempty = np.flatnonzero(nnz_counts)
-    diag = 2.0 * np.take(params.eta, types[:nlocal])
-    return QEqMatrix(
+    nonempty = np.flatnonzero(nnz)
+    take, nseg = list_loans(nlist), len(nonempty)
+    matrix = QEqMatrix(
         nlocal=nlocal, offsets=offsets, cols=cols, vals=vals, nnz=nnz, diag=diag,
-        geometry=geom, _rows_flat=i, _cols_flat=j.astype(np.int64), _vals_flat=v,
-        _seg_starts=row_start[nonempty], _seg_rows=nonempty,
+        geometry=geom, _rows_flat=i, _cols_flat=j, _vals_flat=v,
+        _seg_starts=row_start[nonempty], _seg_rows=nonempty, ncols=len(x),
+        _work=(take("qeq.row", nlocal), take("qeq.prod", len(i)), take("qeq.seg", nseg),
+               take("qeq.rows", nseg)),
+        _operand=take("qeq.operand", 2, nlocal), _ap=take("qeq.ap", nlocal, 2),
     )
+    if owners is not None:
+        matrix.fold(owners)
+    return matrix
 
 
 # ---------------------------------------------------------- preconditioners
@@ -350,7 +413,8 @@ def fused_cg_gen(
     Distributed: direction vectors are staged through the atom scratch
     fields ``rho``/``fp`` and ghost-exchanged as ONE packed message per
     swap per iteration; dot products allreduce through the lockstep
-    protocol.
+    protocol.  A folded matrix (:attr:`QEqMatrix.folded`, one rank) reads
+    its columns from the owned vectors, so it stages and exchanges nothing.
     """
     if out is None:
         raise LammpsError("fused_cg_gen requires an output dict")
@@ -358,15 +422,20 @@ def fused_cg_gen(
     n = matrix.nlocal
     nall = atom.nall
 
-    def _stage_and_comm(v1, v2) -> Iterator[None]:
+    def _dual_product(v1, v2) -> Iterator[None]:
+        """``A @ [v1, v2]``, exchanging the ghost copies unless folded."""
+        if matrix.folded:
+            # two contiguous rows, passed as the (n, 2) operand's columns
+            operand = matrix._operand
+            operand[0] = v1
+            operand[1] = v2
+            return matrix.spmv2(operand.T)
         # both direction vectors ride one forward exchange per swap
         atom.rho[:nall] = 0.0
         atom.fp[:nall] = 0.0
         atom.rho[:n] = v1
         atom.fp[:n] = v2
         yield from lmp.comm_brick.forward_comm_fields(atom, ("rho", "fp"))
-
-    def _dual_spmv() -> np.ndarray:
         return matrix.spmv2(np.column_stack((atom.rho[:nall], atom.fp[:nall])))
 
     traversals = 0
@@ -378,8 +447,7 @@ def fused_cg_gen(
     else:
         s = np.array(x0[0], dtype=float, copy=True)
         t = np.array(x0[1], dtype=float, copy=True)
-        yield from _stage_and_comm(s, t)
-        ax = _dual_spmv()
+        ax = yield from _dual_product(s, t)
         traversals += 1
         r1 = b1 - ax[:, 0]
         r2 = b2 - ax[:, 1]
@@ -407,9 +475,8 @@ def fused_cg_gen(
 
     it = 0
     while it < maxiter and (rr1 > stop1 or rr2 > stop2):
-        yield from _stage_and_comm(p1, p2)
         # fused matrix traversal: one load of A feeds both products
-        ap = _dual_spmv()
+        ap = yield from _dual_product(p1, p2)
         traversals += 1
         ap1 = ap[:, 0]
         ap2 = ap[:, 1]

@@ -128,9 +128,10 @@ def compute_torsions(
     quads: QuadTable,
     params: ReaxParams,
     f: np.ndarray,
-    virial: np.ndarray,
+    virial: np.ndarray | None,
 ) -> float:
-    """Convergent quad kernel: dihedral energy + forces on (k, i, j, l)."""
+    """Convergent quad kernel: dihedral energy + forces on (k, i, j, l).  On
+    an untallied step (``virial=None``) there is no energy or virial: 0.0."""
     if quads.nquads == 0:
         return 0.0
     # chain vectors: b1 = x_i - x_k, b2 = x_j - x_i, b3 = x_l - x_j,
@@ -162,7 +163,6 @@ def compute_torsions(
     bo3 = np.take(bonds.bo, leg_jl)
     v2 = 0.5 * (np.take(params.v2, np.take(types, i)) + np.take(params.v2, np.take(types, j)))
     prod = bo1 * bo2 * bo3
-    energy = float((v2 * prod * sin2).sum())
 
     # --- gradient of cos(omega) -------------------------------------------
     g1 = (n2 * inv[:, None]) - (cosw / n1sq)[:, None] * n1  # dcos/dn1
@@ -204,5 +204,6 @@ def compute_torsions(
 
     for idx, dE in ((k, dEdxk), (i, dEdxi), (j, dEdxj), (l, dEdxl)):
         scatter_add(f, idx, -dE)
-        accumulate_virial(virial, np.take(x, idx, axis=0), -dE)
-    return energy
+        if virial is not None:
+            accumulate_virial(virial, np.take(x, idx, axis=0), -dE)
+    return 0.0 if virial is None else float((v2 * prod * sin2).sum())

@@ -134,3 +134,39 @@ class TestTalliedValues:
         assert lmp.pair.tallied_step == 7
         pe = lmp.internal_compute("pe").local_partials()[0]
         assert pe == lmp.pair.eng_vdwl + lmp.pair.eng_coul
+
+
+class TestReaxFF:
+    """``pair reaxff`` honours eflag/vflag: an untallied step skips the
+    nonbonded sums, the bonded virials and the EEM self energy, and the
+    steps that do tally print the rows an every-step tally prints."""
+
+    def _hns(self, thermo):
+        from repro.core import Lammps
+        from repro.workloads.hns import setup_hns
+
+        lmp = Lammps(device=None)
+        setup_hns(lmp, 1, 2, 2, pair_style="reaxff cutoff 5.0")
+        lmp.command(f"thermo {thermo}")
+        return lmp
+
+    def test_reading_an_untallied_step_raises(self):
+        lmp = self._hns(5)
+        steps = lmp.verlet.run_gen(4)
+        # stop inside step 2's compute: at a QEq reduction, after the matrix
+        while not (lmp.update.ntimestep == 2 and "qeq_nnz" in lmp.pair.last_stats):
+            next(steps)
+        assert lmp.pair.tallied_step == 0
+        with pytest.raises(LammpsError, match="not tallied on timestep 2"):
+            lmp.internal_compute("pe").local_partials()
+        steps.close()
+
+    def test_shared_rows_equal_every_step_rows_bitwise(self):
+        sparse = self._hns(5)
+        sparse.command("run 10")
+        dense = self._hns(1)
+        dense.command("run 10")
+        shared = {r.step: r.values for r in dense.thermo.history if r.step % 5 == 0}
+        assert {r.step: r.values for r in sparse.thermo.history} == shared
+        assert np.array_equal(sparse.atom.x, dense.atom.x)
+        assert np.array_equal(sparse.atom.q, dense.atom.q)

@@ -163,18 +163,19 @@ class TestTaperAndKernels:
         assert np.all(np.diff(t) <= 1e-12)
 
     def test_shielded_kernel_regularizes_origin(self):
-        g, _ = shielded_kernel(np.array([0.0]), np.array([0.85]))
+        shield = np.array([1.0 / 0.85**3])
+        g, _ = shielded_kernel(np.array([0.0]), shield)
         assert np.isfinite(g[0])
         # far field approaches bare 1/r
-        g_far, _ = shielded_kernel(np.array([8.0]), np.array([0.85]))
+        g_far, _ = shielded_kernel(np.array([8.0]), shield)
         assert g_far[0] == pytest.approx(1 / 8.0, rel=2e-3)
 
     def test_kernel_derivatives_fd(self):
         r = np.array([1.0, 2.5, 6.0])
-        gam = np.full(3, 0.85)
+        shield = np.full(3, 1.0 / 0.85**3)
         eps = 1e-7
         for fn, args in [
-            (lambda rr: shielded_kernel(rr, gam), ()),
+            (lambda rr: shielded_kernel(rr, shield), ()),
             (lambda rr: taper(rr, 10.0), ()),
             (lambda rr: vdw_morse(rr, np.full(3, 0.1), 10.0, np.full(3, 3.5)), ()),
         ]:

@@ -167,7 +167,7 @@ def plain_nonbonded_geometry(lmp) -> dict:
     i, j, dx, r = i[mask], j[mask], dx[mask], np.sqrt(rsq[mask])
     ti, tj = types[i], types[j]
     t, dt = taper(r, params.rcut_nonb)
-    g, dg = shielded_kernel(r, params.gamma_ij(ti, tj))
+    g, dg = shielded_kernel(r, 1.0 / params.gamma_ij(ti, tj) ** 3)
     return dict(
         i=i, j=j, dx=dx, r=r, t=t, dt=dt, g=g, dg=dg,
         vdw_d=params.vdw_d_ij(ti, tj), vdw_r=params.vdw_r_ij(ti, tj),

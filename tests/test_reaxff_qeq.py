@@ -15,6 +15,7 @@ To rebless the golden iteration counts after an intentional solver change:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -26,8 +27,13 @@ from conftest import SCATTERS, gather_by_tag
 from repro.core import Ensemble, Lammps
 from repro.core.comm_md import CommBrick
 from repro.core.errors import InputError, LammpsError, OverflowGuardError
-from repro.reaxff.qeq import HISTORY_DEPTH, build_qeq_matrix, make_preconditioner
-from repro.workloads.hns import setup_hns
+from repro.reaxff.qeq import (
+    HISTORY_DEPTH,
+    build_qeq_matrix,
+    fused_cg_gen,
+    make_preconditioner,
+)
+from repro.workloads.hns import HNS_POSTAMBLE, hns_configuration, setup_hns
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -42,11 +48,19 @@ def make_hns(nranks=1, precond="none", extrap="none", cells=(1, 2, 2), tol=None)
 
 
 # ------------------------------------------------------- overflow guards
+class _StubCache:
+    def memo(self, key, build):
+        return build()
+
+
 class _StubNList:
     def __init__(self, numneigh, neighbors):
         self.nlocal = len(numneigh)
         self.numneigh = np.asarray(numneigh)
         self.neighbors = np.asarray(neighbors)
+
+    def pair_cache(self):
+        return _StubCache()
 
 
 class TestOverflowGuards:
@@ -183,6 +197,16 @@ class TestPreconditioning:
         with pytest.raises(InputError, match=f"{key}.*needs a value"):
             setup_hns(Lammps(), 1, 2, 2, pair_style=f"reaxff cutoff 5.0 {key}")
 
+    @pytest.mark.parametrize("key", ["qeq_tol", "cutoff"])
+    @pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "inf", "abc"])
+    def test_tolerance_and_cutoff_must_be_finite_and_positive(self, key, value):
+        """A tolerance or cutoff that cannot work fails at ``pair_style``,
+        naming the keyword: ``0`` never converges, ``-1e-8`` would run as
+        ``1e-8`` (only ``tol**2`` is used), ``nan`` ends in a degenerate
+        neutrality projection or a bin-grid ``ValueError``."""
+        with pytest.raises(InputError, match=f"{key} must be"):
+            setup_hns(Lammps(), 1, 2, 2, pair_style=f"reaxff cutoff 5.0 {key} {value}")
+
 
 # ------------------------------------------------ history extrapolation
 class TestChargeHistory:
@@ -269,6 +293,17 @@ def _spy_halos(monkeypatch) -> Counter:
 
 
 class TestPackedForwardComm:
+    def test_one_rank_solve_exchanges_nothing(self, monkeypatch):
+        """On one rank every ghost is a replayed copy of its owner, so the
+        matrix reads ghost columns through their owners and the CG stages
+        and exchanges nothing; only the converged ``q`` is forwarded."""
+        calls = _spy_halos(monkeypatch)
+        lmp = make_hns(extrap="2")
+        lmp.command("run 2")
+        assert len(lmp.pair.qeq_iters_history) == 3
+        assert calls["forward_comm_fields"] == 0
+        assert calls["forward_comm_field"] == 3
+
     def test_both_vectors_ride_one_exchange_per_iteration(self, monkeypatch):
         """QEq comm rounds per CG iteration: exactly one packed exchange
         (``forward_comm_fields``), not two single-field exchanges."""
@@ -290,6 +325,66 @@ class TestPackedForwardComm:
         iters = sum(pair.qeq_iters_history)
         seeded = pair._qeq_solves - 1  # all but the cold first solve
         assert calls["forward_comm_fields"] == 2 * (iters + seeded)
+
+    def test_a_rank_without_ghosts_still_exchanges(self, monkeypatch):
+        """On N ranks a rank whose ghost shell is empty (``nall == nlocal``)
+        is not folded: its peers post to it and read from it on every swap,
+        so it exchanges as they do.  Two fixed-boundary blocks of molecules,
+        one near the x split and one far from it: rank 0 receives no
+        ghosts, rank 1 receives rank 0's."""
+        calls = _spy_halos(monkeypatch)
+        x, types, hi = hns_configuration(1, 2, 2)
+        ens = Ensemble(2)
+        ens.commands_string(
+            f"units real\natom_style charge\nregion box block 0 40 0 {hi[1]} 0 {hi[2]}\n"
+            "create_box 4 box\nboundary f f f"
+        )
+        for lmp in ens.ranks:
+            lmp.create_atoms_from_arrays(
+                np.concatenate((x + [12.7, 0, 0], x + [33.0, 0, 0])), np.tile(types, 2)
+            )
+        ens.commands_string(HNS_POSTAMBLE.format(pair_style="reaxff cutoff 5.0"))
+        ens.command("run 2")
+        (a0, a1) = (lmp.atom for lmp in ens.ranks)
+        assert a0.nall == a0.nlocal > 0 and a1.nall > a1.nlocal > 0
+        pair = ens.ranks[0].pair
+        iters = sum(pair.qeq_iters_history)
+        seeded = pair._qeq_solves - 1
+        assert calls["forward_comm_fields"] == 2 * (iters + seeded)
+
+    @pytest.mark.parametrize("precond,seeded", [("none", False), ("jacobi", True)])
+    def test_folded_solve_equals_staged_exchange_bitwise(self, monkeypatch, precond, seeded):
+        """The same matrix and seed solved both ways: ghost columns read
+        through their owners, and ghost copies staged through ``rho``/``fp``
+        and replayed.  ``s``, ``t`` and the iteration count are identical."""
+        calls = _spy_halos(monkeypatch)
+        results = []
+        for fold in (True, False):
+            lmp = make_hns()
+            lmp.run(0)
+            atom, pair = lmp.atom, lmp.pair
+            species = pair.type_map[atom.type[: atom.nall]]
+            m = build_qeq_matrix(
+                atom.x[: atom.nall], species, lmp.neigh_list, pair.params,
+                lmp.update.units.qqr2e,
+                lmp.comm_brick.replay.owners if fold else None,
+            )
+            assert m.folded is fold
+            n = m.nlocal
+            x0 = (atom.q[:n].copy(), np.full(n, 0.01)) if seeded else None
+            sol: dict = {}
+            for _ in fused_cg_gen(
+                lmp, m, -pair.params.chi[species[:n]], -np.ones(n), out=sol,
+                precond=make_preconditioner(precond, m), x0=x0,
+            ):
+                pass
+            results.append(sol)
+            # the staged solve exchanges once per traversal, the folded never
+            assert calls["forward_comm_fields"] == (0 if fold else sol["spmv_traversals"])
+        folded, staged = results
+        assert folded["iterations"] == staged["iterations"] > 0
+        assert np.array_equal(folded["s"], staged["s"])
+        assert np.array_equal(folded["t"], staged["t"])
 
     def test_qeq_metric_families_recorded(self):
         """The solver's own records hold its accounting: one history entry
@@ -328,6 +423,43 @@ class TestGoldenIterations:
             pytest.skip(f"rewrote {path.name}")
         golden = json.loads(path.read_text())
         assert history == golden["iterations"]
+
+
+# ---------------------------------------------------------------- frozen
+def state_digest(target) -> str:
+    """SHA-256 of tag-sorted ``x/v/f/q`` plus every thermo row."""
+    h = hashlib.sha256()
+    for field in ("x", "v", "f", "q"):
+        h.update(np.ascontiguousarray(gather_by_tag(target, field)).tobytes())
+    root = target.ranks[0] if hasattr(target, "ranks") else target
+    for rec in root.thermo.history:
+        h.update(np.array([rec.step, *rec.values.values()], dtype=float).tobytes())
+    return h.hexdigest()
+
+
+class TestDefaultPathFrozen:
+    """The default solver (``jacobi``, ``qeq_extrap 2``) bit for bit.
+
+    ``tests/golden/hns.json`` pins only the ``none/none`` cold start, at
+    rel 1e-9.  These digests of ``run 20`` (thermo every 10 steps) were
+    recorded before the one-rank solve read ghost columns through their
+    owners: the 1-rank digest holds that fold bitwise, the 2-rank digest
+    holds the staged-exchange path unmoved.  The bits follow the BLAS dot
+    kernel (recorded with NumPy 2.4's OpenBLAS on x86-64): on a machine
+    whose kernel sums differently, re-record them from a run of the commit
+    that introduced them."""
+
+    FROZEN = {
+        1: "1e885ec48c34eca06383352f3df8fa518269e05678cebe9a01572ac7e631e514",
+        2: "3d43da4a929f23737a0a3f16df6c83f2d2b2a83f54c9c7b66bbfb5becaff4119",
+    }
+
+    @pytest.mark.parametrize("nranks", sorted(FROZEN))
+    def test_default_solver_state_digest(self, nranks):
+        target = Ensemble(nranks, device=None) if nranks > 1 else Lammps(device=None)
+        setup_hns(target, 1, 2, 2, pair_style="reaxff cutoff 5.0")
+        target.command("run 20")
+        assert state_digest(target) == self.FROZEN[nranks]
 
 
 # ------------------------------------------------------------ distributed
