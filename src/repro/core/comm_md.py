@@ -20,9 +20,13 @@ The protocol is the classic 6-swap brick exchange:
 
 On a one-rank world every swap is a self-send, so ``borders`` wraps the
 swaps it just recorded in a :class:`GhostReplay` and the per-step passes
-replay it in place — no message, no yield.  The replica batch builds the same
-replay over its stacked members.  ``borders`` and ``exchange`` always use the
-mailbox: they run once per rebuild and record what the replay is built from.
+replay it in place — no message, no yield.  Each swap's ghosts are one
+contiguous slice (``firstrecv`` onward, as LAMMPS's ``pack_comm_self``
+writes them), so a replayed swap is one gather of its sources into that
+slice, and its reverse one gather, one add and one put of whole rows.  The
+replica batch builds the same replay over its stacked members.  ``borders``
+and ``exchange`` always use the mailbox: they run once per rebuild and record
+what the replay is built from.
 """
 
 from __future__ import annotations
@@ -65,19 +69,41 @@ class Swap:
             )
 
 
+def _fold_rows(arr: np.ndarray, src: np.ndarray, dst: slice) -> None:
+    """``arr[src] += arr[dst]`` as one gather, one add and one put.
+
+    Each row gets the same ``arr[src] + arr[dst]`` as the fancy-index
+    read-modify-write, so the fold is bit for bit that one, and exact
+    because ``src`` is unique.  A 2-D array puts whole rows through a
+    ``(np.void, row bytes)`` view, one element per row."""
+    buf = np.take(arr, src, axis=0)
+    buf += arr[dst]
+    if arr.ndim == 1:
+        np.put(arr, src, buf)
+    else:
+        row = np.dtype((np.void, arr.itemsize * arr.shape[1]))
+        np.put(arr.view(row), src, buf.view(row))
+
+
 @dataclass
 class GhostReplay:
-    """Recorded self-send swaps as in-place index stages.
+    """Recorded self-send swaps as in-place slice stages.
 
     Stage ``k`` holds swap ``k`` of every layout that has one, as
-    ``(src, dst, shift)`` rows: ``dst`` ghosts are copies of ``src`` atoms
-    (plus the periodic ``shift`` for positions).  Replaying the stages
-    forward is each layout's forward comm in its own swap order; replaying
-    them backward is the reverse pass, the bucket-brigade order of
-    :class:`CommBrick`.  Each layout is ``(swaps, to_index)``; ``to_index``
-    maps the layout's local indices into the replayed atoms (``None``: they
-    already are).  Valid only for the ``(reorder_generation, nall)`` the
-    swaps were recorded against; every replay checks both.
+    ``(src, dst, shift)``: the ghost rows ``dst``, one contiguous slice, are
+    copies of the ``src`` atoms (plus the periodic ``shift`` for positions).
+    Replaying the stages forward is each layout's forward comm in its own
+    swap order; replaying them backward is the reverse pass, the
+    bucket-brigade order of :class:`CommBrick`.  Each layout is
+    ``(swaps, to_index)``; ``to_index`` maps the layout's local indices into
+    the replayed atoms (``None``: they already are), and must map each
+    stage's ghosts of all layouts to one run of rows, in layout order.
+    Valid only for the ``(reorder_generation, nall)`` the swaps were recorded
+    against; every replay checks both.
+
+    The reverse fold computes ``arr[src] + arr[dst]`` per row, the mailbox
+    path's own sum, and puts it back whole; that is exact because the stage
+    build proves every stage's sources unique.
     """
 
     layouts: Sequence[tuple[list[Swap], Callable[[np.ndarray], np.ndarray] | None]]
@@ -85,12 +111,13 @@ class GhostReplay:
     nall: int
 
     @cached_property
-    def stages(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Built on first replay: a replica member's own replay never is."""
+    def stages(self) -> list[tuple[np.ndarray, slice, np.ndarray]]:
+        """Built on first replay: a replica member's own replay only by its
+        solo setup's reverse comm, never by the batch."""
         layouts = self.layouts
         stages = []
         for k in range(max((len(swaps) for swaps, _ in layouts), default=0)):
-            src_parts, dst_parts, shift_parts = [], [], []
+            src_parts, dst_parts, shifts, counts = [], [], [], []
             for swaps, to_index in layouts:
                 if k >= len(swaps):
                     continue
@@ -103,18 +130,25 @@ class GhostReplay:
                     src, dst = to_index(src), to_index(dst)
                 src_parts.append(src)
                 dst_parts.append(dst)
-                shift_parts.append(np.repeat(sw.shift[None, :], sw.nrecv, axis=0))
+                shifts.append(sw.shift)
+                counts.append(sw.nrecv)
             if not src_parts:
                 continue
-            src = np.concatenate(src_parts)
-            # reverse's ``arr[src] += buf`` is exact on unique indices only:
-            # each sendlist is strictly increasing (Swap), so only several
-            # layouts sharing a stage can collide (they must map disjointly)
-            if len(src_parts) > 1 and np.any(np.diff(np.sort(src)) == 0):
-                raise CommError(f"ghost replay stage {k}: repeated source index")
-            stages.append(
-                (src, np.concatenate(dst_parts), np.concatenate(shift_parts))
-            )
+            src, dst = np.concatenate(src_parts), np.concatenate(dst_parts)
+            if np.any(dst[1:] - dst[:-1] != 1):
+                raise CommError(
+                    f"ghost replay stage {k}: the ghost rows are not one "
+                    "contiguous slice"
+                )
+            # the fold's put is exact on unique indices only: each sendlist
+            # is strictly increasing (Swap), so only several layouts sharing
+            # a stage can collide (they must map disjointly)
+            if len(src_parts) > 1:
+                ordered = np.sort(src)
+                if np.any(ordered[1:] == ordered[:-1]):
+                    raise CommError(f"ghost replay stage {k}: repeated source index")
+            shift = np.repeat(np.stack(shifts), counts, axis=0)
+            stages.append((src, slice(int(dst[0]), int(dst[-1]) + 1), shift))
         return stages
 
     @cached_property
@@ -148,7 +182,7 @@ class GhostReplay:
         for src, dst, shift in self.stages:
             # the add runs even for zero shifts, exactly like the mailbox
             # path's ``x[sendlist] + swap.shift`` (it can normalize -0.0)
-            x[dst] = np.take(x, src, axis=0) + shift
+            np.add(np.take(x, src, axis=0), shift, out=x[dst])
 
     def forward_fields(self, atom: AtomVec, names: tuple[str, ...]) -> None:
         """Ghost copies of per-atom fields (no shift)."""
@@ -156,16 +190,14 @@ class GhostReplay:
         arrs = [getattr(atom, name) for name in names]
         for src, dst, _ in self.stages:
             for arr in arrs:
-                arr[dst] = arr[src]
+                arr[dst] = np.take(arr, src, axis=0)
 
     def reverse(self, atom: AtomVec, name: str = "f") -> None:
         """Ghost contributions accumulate back to their sources."""
         self._check(atom)
         arr = getattr(atom, name)
         for src, dst, _ in reversed(self.stages):
-            # gather first: the mailbox path's receive-buffer copy
-            buf = np.take(arr, dst, axis=0)
-            arr[src] += buf
+            _fold_rows(arr, src, dst)
 
 
 @dataclass

@@ -130,7 +130,8 @@ class Lammps:
     def create_box(self, ntypes: int, region: BlockRegion) -> None:
         if self.atom is not None:
             raise InputError("simulation box already exists")
-        self.domain.set_box(region.lo, region.hi)
+        # a ``boundary`` given first (LAMMPS's order) stands
+        self.domain.set_box(region.lo, region.hi, self.domain.periodic)
         self.atom = AtomVec(ntypes)
         # Always present: in a pure-host build the DualViews alias one
         # allocation and the sync machinery costs nothing (section 3.2),

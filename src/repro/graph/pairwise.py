@@ -39,6 +39,7 @@ after the kokkos package has fully initialised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterator
 
@@ -113,7 +114,7 @@ class Arena:
         self._bufs: dict[str, np.ndarray] = {}
 
     def take(self, name: str, *shape: int, dtype: Any = np.float64) -> np.ndarray:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         buf = self._bufs.get(name)
         if buf is None or buf.size < size or buf.dtype != dtype:
             buf = self._bufs[name] = np.empty(size, dtype)

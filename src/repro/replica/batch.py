@@ -10,11 +10,14 @@ half-kick/drift, one ghost-comm replay — over arrays R times longer.
 
 **Layout.**  The stacked array holds every replica's owned atoms first
 (``[own_0 | own_1 | ...]``, so the "is j owned" predicate ``j < nlocal``
-keeps its solo meaning), then every replica's ghosts.  Each member keeps
-``(own_off, nlocal, ghost_off, nghost)`` segment offsets.  Cross-replica
-pairs cannot exist *structurally*: neighbor lists are built per replica (by
-the member's own unchanged rebuild machinery) and only then translated into
-the stacked index space.
+keeps its solo meaning), then every replica's ghosts *stage-major*: swap 0's
+ghosts of every member, then swap 1's, and so on, so each stage of the
+stacked ghost replay writes one contiguous slice.  Each member keeps its
+``(own_off, nlocal)`` owned segment and a ``lookup`` table from its local
+indices (owned and ghost) to stacked rows.  Cross-replica pairs cannot exist
+*structurally*: neighbor lists are built per replica (by the member's own
+unchanged rebuild machinery) and only then translated into the stacked index
+space through ``lookup``.
 
 **Bitwise equivalence.**  Per-replica trajectories and thermo are bit-for-bit
 identical to solo runs, enforced by ``tests/test_replica_batch.py``.  The
@@ -61,7 +64,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.atom import AtomVec
+from repro.core.atom import BORDER_FIELDS, AtomVec
 from repro.core.comm_md import GhostReplay
 from repro.core.errors import LammpsError, unknown_choice
 from repro.graph.pairwise import pairwise_stages, run_stages
@@ -74,14 +77,14 @@ from repro.tools import registry as kp
 # ------------------------------------------------------------------ members
 @dataclass
 class _Member:
-    """One replica: its solo Lammps instance plus stacked-segment offsets."""
+    """One replica: its solo Lammps instance plus its stacked rows."""
 
     lmp: "object"
     index: int  #: position in the members list == stacking order
     own_off: int = 0
     nlocal: int = 0
-    ghost_off: int = 0
-    nghost: int = 0
+    #: member-local index (owned + ghost) -> stacked row, per epoch
+    lookup: np.ndarray | None = None
     #: the member's last step of the current ``step(n)`` (``Verlet.ev_set``)
     last_step: int = 0
 
@@ -199,17 +202,33 @@ class ReplicaBatch:
         owned rows, ghosts, ghost replay, pair plans and the per-atom
         integration constants."""
         members = self.members
-        nown = 0
+        nown = nghost = 0
+        gbase = []  # each member's ghost block in the members' concatenation
         for m in members:
             a = m.lmp.atom
-            m.own_off = nown
-            m.nlocal = a.nlocal
-            m.nghost = a.nghost
+            m.own_off, m.nlocal = nown, a.nlocal
+            gbase.append(nghost)
             nown += a.nlocal
-        ghost_off = nown
-        for m in members:
-            m.ghost_off = ghost_off
-            ghost_off += m.nghost
+            nghost += a.nghost
+        # the ghosts stage-major: swap k's receive of every member in turn,
+        # so each stage of the stacked replay is one slice
+        runs = [
+            (base + sw.firstrecv - m.nlocal, sw.nrecv)
+            for k in range(max(len(m.lmp.comm_brick.swaps) for m in members))
+            for m, base in zip(members, gbase)
+            for sw in m.lmp.comm_brick.swaps[k : k + 1]
+        ]
+        starts, counts = np.array(runs, dtype=np.int64).reshape(-1, 2).T
+        # stacked ghost p is concatenated ghost perm[p]; rank inverts it
+        perm = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        perm += np.arange(nghost)
+        rank = np.empty(nghost, dtype=np.int64)
+        rank[perm] = np.arange(nown, nown + nghost)
+        for m, base in zip(members, gbase):
+            m.lookup = np.concatenate([
+                np.arange(m.own_off, m.own_off + m.nlocal),
+                rank[base : base + m.lmp.atom.nghost],
+            ])
 
         atom = AtomVec(ntypes=max(m.lmp.atom.ntypes for m in members))
         specs: dict[str, tuple[int, np.dtype]] = {}
@@ -249,16 +268,18 @@ class ReplicaBatch:
         )
         self.atom = atom
 
-        for m in members:
-            a = m.lmp.atom
-            atom.add_ghosts(
-                {
-                    "x": a.x[a.nlocal : a.nall],
-                    "tag": a.tag[a.nlocal : a.nall],
-                    "type": a.type[a.nlocal : a.nall],
-                    "q": a.q[a.nlocal : a.nall],
-                }
+        # one gather per field, over the members' concatenated ghost blocks
+        atom.add_ghosts({
+            name: np.take(
+                np.concatenate([
+                    getattr(m.lmp.atom, name)[m.nlocal : m.lmp.atom.nall]
+                    for m in members
+                ]),
+                perm,
+                axis=0,
             )
+            for name in BORDER_FIELDS
+        })
 
         # per-atom integration constants (FixNVE's scalars, per member)
         self._m_own = np.concatenate(
@@ -280,10 +301,7 @@ class ReplicaBatch:
         )
 
         self._replay = GhostReplay(
-            [
-                (m.lmp.comm_brick.swaps, lambda idx, m=m: self._map_local(m, idx))
-                for m in members
-            ],
+            [(m.lmp.comm_brick.swaps, m.lookup.take) for m in members],
             atom.reorder_generation,
             atom.nall,
         )
@@ -292,12 +310,6 @@ class ReplicaBatch:
         # (idempotent for just-rebuilt members: ghosts are pure functions of
         # owned x + shift, so the replay reproduces their current bits)
         self._replay.forward_x(atom)
-
-    def _map_local(self, m: _Member, idx: np.ndarray) -> np.ndarray:
-        """Member-local indices (owned + ghost) -> stacked indices."""
-        return np.where(
-            idx < m.nlocal, m.own_off + idx, m.ghost_off + (idx - m.nlocal)
-        )
 
     def _build_pair_env(self) -> None:
         """Stack every member's stored pairs and per-pair constants into the
@@ -313,7 +325,7 @@ class ReplicaBatch:
             i_l, j_l, itype, jtype, cutsq = lmp.pair.pair_table(lmp.neigh_list, lmp.atom)
             off.append(off[-1] + i_l.shape[0])
             i_parts.append(m.own_off + i_l.astype(np.int64))
-            j_parts.append(self._map_local(m, j_l.astype(np.int64)))
+            j_parts.append(np.take(m.lookup, j_l))
             cut_parts.append(cutsq)
             consts: dict = {}
             lmp.pair.eval_setup(consts, itype, jtype)

@@ -7,11 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import gather_by_tag, make_melt
+from conftest import MELT_SCRIPT, gather_by_tag, make_melt
 from test_potentials_eam import make_eam
 from test_reaxff_pair import make_hns
-from repro.core import Lammps
-from repro.core.comm_md import Swap
+from repro.core import Ensemble, Lammps
+from repro.core.comm_md import CommBrick, Swap, _fold_rows
 from repro.core.errors import CommError
 from repro.parallel.driver import drain, lockstep
 
@@ -168,6 +168,91 @@ class TestOneRankReplay:
         images = (x[nlocal:] - x[owner[atom.tag[nlocal:nall]]]) / lmp.domain.lengths
         np.testing.assert_allclose(images, np.round(images), atol=1e-12)
         np.testing.assert_allclose(atom.f[:nlocal].sum(axis=0), f_total, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: make_melt(cells=3), lambda: make_eam(cells=3)],
+        ids=["lj/cut", "eam/fs"],
+    )
+    def test_replay_equals_the_mailbox_across_rebuilds(self, make, monkeypatch):
+        """25 steps over two forced rebuilds (newton on: forces, and EAM's
+        ``rho``, reverse; ``fp`` forward), once replayed and once with every
+        halo pass on the self-send mailbox: x, f and thermo rows bit for
+        bit."""
+
+        def run(mailbox: bool):
+            lmp = make()
+            lmp.commands_string("neigh_modify every 10 delay 0 check no\nthermo 5")
+            if mailbox:
+                kinds, _ = _spy_messages(lmp.world, monkeypatch)
+            lmp.command("run 25")
+            assert lmp.neighbor.builds >= 3 and lmp.newton_pair
+            if mailbox:
+                assert lmp.comm_brick.replay is None
+                assert kinds["fwd"] > 0 and kinds["rev"] > 0, kinds
+            rows = [(r.step, r.values) for r in lmp.thermo.history]
+            return gather_by_tag(lmp, "x"), gather_by_tag(lmp, "f"), rows
+
+        replayed = run(mailbox=False)
+        borders = CommBrick.borders
+
+        def mailbox_borders(self, atom, periodic):
+            yield from borders(self, atom, periodic)
+            self.replay = None
+
+        monkeypatch.setattr(CommBrick, "borders", mailbox_borders)
+        x, f, rows = run(mailbox=True)
+        assert np.array_equal(replayed[0], x)
+        assert np.array_equal(replayed[1], f)
+        assert replayed[2] == rows and len(rows) == 6
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 3)], ids=["1-D", "2-D"])
+    def test_fold_rows_equals_add_at(self, shape):
+        """The reverse helper (gather, add, put of whole rows) against
+        ``np.add.at`` over unsorted unique source rows."""
+        rng = np.random.default_rng(3)
+        arr = rng.standard_normal(shape)
+        src = rng.permutation(25)[:12]
+        assert np.any(np.diff(src) < 0)
+        dst = slice(28, 40)
+        want = arr.copy()
+        np.add.at(want, src, want[dst])
+        _fold_rows(arr, src, dst)
+        assert np.array_equal(arr, want)
+
+
+class TestBoundaryOrder:
+    """``boundary`` holds whether it comes before ``create_box`` (LAMMPS's
+    order) or after it."""
+
+    @staticmethod
+    def _script(order: str) -> str:
+        box = "create_box 1 box\n"
+        lines = {"before": "boundary f f f\n" + box, "after": box + "boundary f f f\n"}
+        return MELT_SCRIPT.format(cells=3, pair_style="lj/cut", thermo=10).replace(
+            box, lines[order]
+        )
+
+    def test_boundary_before_create_box_stands(self):
+        lmp = Lammps()
+        lmp.commands_string(self._script("before"))
+        assert lmp.domain.periodic == (False, False, False)
+
+    def test_two_ranks_grow_the_same_ghosts_in_either_order(self):
+        shells = {}
+        for order in ("before", "after"):
+            ens = Ensemble(2)
+            ens.commands_string(self._script(order))
+            ens.command("run 0")
+            shells[order] = [
+                (r.atom.tag[r.atom.nlocal : r.atom.nall].copy(),
+                 r.atom.x[r.atom.nlocal : r.atom.nall].copy())
+                for r in ens.ranks
+            ]
+        periodic = make_melt(cells=3, nranks=2)
+        periodic.command("run 0")
+        for (tb, xb), (ta, xa), r in zip(shells["before"], shells["after"], periodic.ranks):
+            assert np.array_equal(tb, ta) and np.array_equal(xb, xa)
+            assert 0 < tb.size < r.atom.nghost
 
 
 class TestReverseCommFold:

@@ -18,6 +18,8 @@ import pytest
 
 from conftest import SCATTERS, scatter_body
 from repro.core import Lammps
+from repro.core.atom import BORDER_FIELDS
+from repro.core.comm_md import GhostReplay
 from repro.core.errors import CommError, LammpsError
 from repro.replica import ReplicaBatch
 from repro.tools import registry as kp
@@ -182,6 +184,49 @@ def test_reverse_fold_matches_add_at_and_rejects_repeated_sources():
     swap.sendlist = np.array([0, 0])  # bypasses Swap's own check
     with pytest.raises(CommError, match="ghost replay stage 2: repeated"):
         batch._hoist()
+
+
+# ------------------------------------------------------ the slice contract
+def test_every_stage_is_one_slice_and_lookup_reads_the_member_ghosts():
+    """A solo replay's and a 4-member batch's stages each write one slice;
+    the batch's ghosts are stacked stage-major, and each member's ``lookup``
+    reads its own rows (owned and ghost) back out of the stacked arrays."""
+    solo = _build(_specs(1)[0])
+    solo.command("run 0")
+    assert all(isinstance(dst, slice) for _, dst, _ in solo.comm_brick.replay.stages)
+
+    batch = _batch([_build(s) for s in _specs(4)])
+    batch.step(0)
+    stages = batch._replay.stages
+    assert len(stages) == 6 and all(isinstance(dst, slice) for _, dst, _ in stages)
+    assert stages[0][1].start == batch.atom.nlocal
+    assert all(a[1].stop == b[1].start for a, b in zip(stages, stages[1:]))
+    assert stages[-1][1].stop == batch.atom.nall
+    rows = np.concatenate([m.lookup for m in batch.members])
+    assert np.array_equal(np.sort(rows), np.arange(batch.atom.nall))
+    for m in batch.members:
+        a = m.lmp.atom
+        for name in BORDER_FIELDS:
+            assert np.array_equal(
+                getattr(batch.atom, name)[m.lookup], getattr(a, name)[: a.nall]
+            ), (m.index, name)
+
+
+def test_a_stage_that_is_not_one_slice_is_refused():
+    """Stacked member-major (each member's ghosts in one block), swap 0's
+    ghosts of two members are two runs: the stage build raises."""
+    batch = _batch([_build(s) for s in _specs(2)])
+    batch.step(0)
+    layouts, ghost_off = [], batch.atom.nlocal
+    for m in batch.members:
+        def member_major(idx, m=m, off=ghost_off):
+            return np.where(idx < m.nlocal, m.own_off + idx, off + idx - m.nlocal)
+
+        layouts.append((m.lmp.comm_brick.swaps, member_major))
+        ghost_off += m.lmp.atom.nghost
+    replay = GhostReplay(layouts, batch.atom.reorder_generation, batch.atom.nall)
+    with pytest.raises(CommError, match="ghost replay stage 0: .*not one contiguous slice"):
+        replay.stages
 
 
 # ----------------------------------------------------------- admission gate
