@@ -8,7 +8,7 @@ re-binning, which is how LAMMPS's ``NBin``/``NStencil`` split works.
 
 The assembly is a counting sort, not a global comparison sort: atoms are
 keyed by ``2 * bin + is_ghost`` and ordered with a stable LSD radix pass
-(NumPy's stable integer ``argsort``), so every bin's segment stores its
+(NumPy's stable ``argsort`` of 16-bit keys), so every bin's segment stores its
 owned atoms first and its ghosts after.  That locals-first layout is what
 lets half-stencil builds scan the *ghost tail* of a cell without touching
 its owned atoms, and it makes the bin-major permutation double as the
@@ -24,6 +24,10 @@ The stencil itself is data, not a loop: :meth:`ranges` tabulates, per
 cell, the slot ranges a row in that cell scans (x-runs, in-cell tail,
 lower ghost tails) in the list's row order, so a builder expands a chunk
 of rows with a few array operations and no per-cell work.
+
+One grid may bin a batch of boxes (a replica batch's members) with the box
+as the slowest bin coordinate: each keeps its solo geometry and key, so the
+one sort gives every box its solo slot order.  Solo is the one-box case.
 """
 
 from __future__ import annotations
@@ -33,32 +37,59 @@ import numpy as np
 from repro.core.errors import NeighborError
 
 
-def _geometry(
-    x: np.ndarray, bin_size: float, nlocal: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(origin, nbins, size)`` of the grid covering ``x``."""
-    origin = x.min(axis=0) - 1e-9
-    top = x.max(axis=0) + 1e-9
-    if not np.isfinite((origin, top)).all():
+def box_counts(nlocal, nall: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(nlocal, off)`` per box of a build over ``nall`` atoms: ``nlocal`` is
+    one owned count (one box: every atom) or ``(nlocal, nall)`` per box, the
+    boxes' atoms concatenated box-major; box ``b``'s start at ``off[b]``."""
+    counts = np.asarray(nlocal if np.ndim(nlocal) else (nlocal, nall), dtype=np.int64)
+    own, size = counts.reshape(-1, 2).T
+    off = np.concatenate(([0], np.add.accumulate(size)))
+    for n, m in zip(own.tolist(), size.tolist()):
+        if not 0 <= n <= m:
+            raise NeighborError(f"nlocal {n} outside [0, {m}]")
+    if off[-1] != nall:
+        raise NeighborError(f"boxes hold {off[-1]} atoms but x has {nall}")
+    return own, off
+
+
+def _binned(x: np.ndarray, bin_size: float, nlocal, off: np.ndarray) -> tuple:
+    """``(origin, nbins, size, base, cell3, binid)``: per box, the geometry of
+    the grid covering its atoms ``x[off[b]:off[b + 1]]`` (``(nbox, 3)`` each;
+    a box without atoms gets one bin); per atom, its cell in its box's grid
+    and its bin in one box-major numbering, box ``b``'s from ``base[b]``."""
+    nbox, counts = len(off) - 1, off[1:] - off[:-1]
+    origin, top = np.zeros((2, nbox, 3))
+    starts = off[:-1][counts > 0]
+    origin[counts > 0] = np.minimum.reduceat(x, starts, axis=0) - 1e-9
+    top[counts > 0] = np.maximum.reduceat(x, starts, axis=0) + 1e-9
+    span = top - origin  # NaN or inf if a coordinate is
+    if not np.isfinite(span).all():
         # a NaN/inf coordinate would otherwise be clipped into some bin
         # and the atom silently lose its neighbors
         bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-        who = "" if nlocal is None else "ghost " if bad >= nlocal else "owned "
+        box = int(np.searchsorted(off, bad, side="right")) - 1
+        local = bad - int(off[box])
+        who = "" if nlocal is None else "ghost " if local >= nlocal[box] else "owned "
         raise NeighborError(
-            f"non-finite coordinates {x[bad].tolist()} on {who}atom {bad}: "
-            "cannot bin atoms for the neighbor build"
+            f"non-finite coordinates {x[bad].tolist()} on {who}atom {local}"
+            f"{f' of box {box}' if nbox > 1 else ''}: cannot bin atoms for the "
+            "neighbor build"
         )
-    span = np.maximum(top - origin, bin_size)
+    np.maximum(span, bin_size, out=span)
     nbins = np.maximum((span / bin_size).astype(np.int64), 1)
-    return origin, nbins, span / nbins
-
-
-def _cells_of(
-    x: np.ndarray, origin: np.ndarray, nbins: np.ndarray, size: np.ndarray
-) -> np.ndarray:
-    cell3 = ((x - origin) / size).astype(np.int64)
-    np.clip(cell3, 0, nbins - 1, out=cell3)
-    return cell3
+    size = span / nbins
+    base = np.zeros(nbox + 1, dtype=np.int64)
+    np.add.accumulate(np.multiply.reduce(nbins, axis=1), out=base[1:])
+    # per-box values per atom (a repeat: fancy row gathers cost 5x more)
+    per_atom = np.repeat(nbins, counts, axis=0)
+    cell3 = np.repeat(origin, counts, axis=0)
+    np.subtract(x, cell3, out=cell3)
+    cell3 = (cell3 / np.repeat(size, counts, axis=0)).astype(np.int64)
+    # x >= origin, so only the top edge can round past the last bin
+    np.minimum(cell3, per_atom - 1, out=cell3)
+    binid = np.repeat(base[:-1], counts) + cell3[:, 0]
+    binid += per_atom[:, 0] * (cell3[:, 1] + per_atom[:, 1] * cell3[:, 2])
+    return origin, nbins, size, base, cell3, binid
 
 
 def spatial_sort_order(x: np.ndarray, bin_size: float) -> np.ndarray:
@@ -69,62 +100,63 @@ def spatial_sort_order(x: np.ndarray, bin_size: float) -> np.ndarray:
     memory (section 4.1's atom-sorting cache-locality argument).
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    origin, nbins, size = _geometry(x, bin_size)
-    cell3 = _cells_of(x, origin, nbins, size)
-    binid = cell3[:, 0] + nbins[0] * (cell3[:, 1] + nbins[1] * cell3[:, 2])
-    return np.argsort(binid, kind="stable")
+    *_, base, _, binid = _binned(x, bin_size, None, np.array([0, len(x)]))
+    return _stable_order(binid, int(base[-1]))
+
+
+def _stable_order(key: np.ndarray, nkeys: int) -> np.ndarray:
+    """Stable argsort of integer keys in ``[0, nkeys)``.  NumPy's stable
+    sort is an LSD radix sort only for keys of 16 bits or fewer (wider ones
+    take a merge sort, 2-10x slower here); a stable order is unique, so the
+    narrowing changes no slot."""
+    if nkeys <= 1 << 16:
+        key = key.astype(np.uint16)
+    return np.argsort(key, kind="stable")
 
 
 class BinGrid:
-    """Counting-sort bin assembly over one rank's local + ghost atoms."""
+    """Counting-sort bin assembly over one rank's local + ghost atoms, or
+    over a batch of boxes, each binned as if alone (its solo geometry and
+    key; box ``b``'s bins start at ``bin_base[b]``, its slots at
+    ``box_off[b]``, in its solo order)."""
 
     #: Process-wide construction counter.  The acceptance criterion "one
     #: bin-grid build per neighbor rebuild" is asserted against deltas of
     #: this, the profiling analogue of a Kokkos Tools region count.
     builds_total: int = 0
 
-    def __init__(self, x: np.ndarray, nlocal: int, bin_size: float) -> None:
+    def __init__(self, x: np.ndarray, nlocal, bin_size: float) -> None:
         BinGrid.builds_total += 1
         x = np.asarray(x, dtype=float)
         nall = x.shape[0]
         self.x = x
         self.nall = nall
-        self.nlocal = nlocal
         self.bin_size = float(bin_size)
+        self.box_nlocal, self.box_off = box_counts(nlocal, nall)
+        self.nlocal = int(self.box_nlocal.sum())
         self._ranges: dict = {}  # (style, newton, reach, rows) -> ranges()
-        if nall == 0:
-            self.origin = np.zeros(3)
-            self.nbins = np.ones(3, dtype=np.int64)
-            self.size = np.full(3, self.bin_size)
-            self.cell3 = np.zeros((0, 3), dtype=np.int64)
-            self.binid = np.zeros(0, dtype=np.int64)
-            self.order = np.zeros(0, dtype=np.int64)
-            self.islot = np.zeros(0, dtype=np.int64)
-            self.starts2 = np.zeros(3, dtype=np.int64)
-            return
-        self.origin, self.nbins, self.size = _geometry(x, self.bin_size, nlocal)
-        strides = np.array([1, self.nbins[0], self.nbins[0] * self.nbins[1]])
-        self.cell3 = _cells_of(x, self.origin, self.nbins, self.size)
-        self.binid = self.cell3 @ strides
-        nbins_total = int(self.nbins.prod())
+        self.origin, self.nbins, self.size, self.bin_base, self.cell3, self.binid = (
+            _binned(x, self.bin_size, self.box_nlocal, self.box_off)
+        )
+        box = np.repeat(np.arange(len(self.box_nlocal)), self.box_off[1:] - self.box_off[:-1])
+        local = np.arange(nall, dtype=np.int64) - self.box_off[box]  # solo index
+        ghost = local >= self.box_nlocal[box]
         # Composite key: bin-major, owned atoms before ghosts within a bin.
-        # Stable integer argsort is an LSD radix — chained counting sorts,
-        # no comparison sort over the whole atom set.
-        key = self.binid * 2
-        if nlocal < nall:
-            key[nlocal:] += 1
-        self.order = np.argsort(key, kind="stable")
+        # A stable argsort of 16-bit keys is an LSD radix — chained counting
+        # sorts, no comparison sort over the whole atom set.
+        key = 2 * self.binid + ghost
+        nkeys = 2 * int(self.bin_base[-1])
+        self.order = _stable_order(key, nkeys)
         # Segment bounds in `order`: bin b's owned atoms occupy
         # [starts2[2b], starts2[2b+1]), its ghosts [starts2[2b+1], starts2[2b+2]).
-        counts = np.bincount(key, minlength=2 * nbins_total)
-        self.starts2 = np.zeros(2 * nbins_total + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.starts2[1:])
+        self.starts2 = np.concatenate(([0], np.add.accumulate(np.bincount(key, minlength=nkeys))))
         # Inverse permutation: each atom's slot in `order` (self-cell scans
         # enumerate "atoms stored after me in my bin").
         self.islot = np.empty(nall, dtype=np.int64)
         self.islot[self.order] = np.arange(nall, dtype=np.int64)
+        #: per slot: its atom's box-local index, and whether it is a ghost
+        self.slot_local = local[self.order]
+        self.slot_ghost = ghost[self.order]
 
     # ------------------------------------------------------------ coordinates
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,38 +194,41 @@ class BinGrid:
 
     # ------------------------------------------------------------- stencils
     def reach(self, cutoff: float) -> np.ndarray:
-        """Stencil rings per dimension covering ``cutoff``."""
+        """Stencil rings per dimension covering ``cutoff`` in every box (a
+        box of smaller reach only gains candidates beyond the cutoff)."""
         return np.maximum(
             np.ceil(cutoff / self.size - 1e-12).astype(np.int64), 1
-        )
+        ).max(axis=0)
 
     def ranges(
-        self, cutoff: float, half: bool, newton: bool, nrows: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(lo, hi, row)``: the slot ranges every list row scans, per cell.
+        self, cutoff: float, half: bool, newton: bool, nrows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, row, atom)``: the slot ranges every list row scans, per cell.
 
-        ``lo`` and ``hi`` are ``(ncells, nranges)`` bounds over the box of
-        cells holding atoms ``[0, nrows)`` (the list's rows); ``row[i]`` is
-        atom ``i``'s cell in that table.  A cell's ranges are in the list's
-        row order (DESIGN §3.3).  Cells are stored x-fastest with contiguous
-        per-cell segments, so the cells ``(x0..x1, dy, dz)`` around a cell
-        are *one* slot range — an x-run — and a cell's ghosts are the tail
-        of its segment.  A full row is every run ``(-kx..kx, dy, dz)``, self
-        cell included, in stencil-offset order (``dz``, then ``dy``
-        ascending).  A half row is its own cell (``hi`` is the cell's end;
-        ``lo`` is a placeholder the builder replaces per atom with
-        ``islot + 1``), then the lexicographically positive runs,
+        The list's rows are box ``b``'s first ``nrows[b]`` atoms, box-major
+        (``atom``: their indices in ``x``).  ``lo`` and ``hi`` are ``(ncells,
+        nranges)`` bounds over, per box, the box of cells holding its rows;
+        ``row[r]`` is row ``r``'s cell in that table.  A cell's ranges are in
+        the list's row order (DESIGN §3.3).  Cells are stored x-fastest with
+        contiguous per-cell segments, so the cells ``(x0..x1, dy, dz)`` around
+        a cell are *one* slot range — an x-run — and a cell's ghosts are the
+        tail of its segment.  A full row is every run
+        ``(-kx..kx, dy, dz)``, self cell included, in stencil-offset order
+        (``dz``, then ``dy`` ascending).  A half row is its own cell (``hi``
+        is the cell's end; ``lo`` is a placeholder the builder replaces per
+        atom with ``islot + 1``), then the lexicographically positive runs,
         ``(1..kx, 0, 0)`` first, then one ghost tail per lower cell — the
         offsets lexicographically negative in ``(dz, dy, dx)``, in that
         order, whose pairs the coordinate tie-break decides; newton on keeps
         only the ``dz == 0`` layer (a strictly lower z-bin can never win the
-        z-first tie-break).  Runs are clipped at the grid's x edges; ranges
-        that leave the grid are empty.  Memoized per ``(style, newton,
+        z-first tie-break).  Runs are clipped at the box grid's x edges;
+        ranges that leave it are empty.  Memoized per ``(style, newton,
         reach, nrows)``: built once per grid with one broadcast, no per-cell
         Python, shared by every row of every list.
         """
         kx, ky, kz = (int(k) for k in self.reach(cutoff))
-        key = (half, half and newton, kx, ky, kz, nrows)
+        nrows = np.asarray(nrows, dtype=np.int64)
+        key = (half, half and newton, kx, ky, kz, nrows.tobytes())
         if key in self._ranges:
             return self._ranges[key]
         # per range: cells [x0, x1) relative to the row's own x, the target
@@ -221,22 +256,32 @@ class BinGrid:
                 for y in range(-ky, ky + 1)
             ]
         x0, x1, dy, dz, part = np.array(table, dtype=np.int64).T
-        nx, ny, nz = (int(n) for n in self.nbins)
-        # the row cells' box: a bulk domain's outer cells hold only ghosts
-        cells = self.cell3[:nrows]
-        lx, ly, lz = (int(c) for c in cells.min(axis=0))
-        bx, by, bz = (int(c) + 1 for c in np.ptp(cells, axis=0))
-        row = (cells[:, 0] - lx) + bx * ((cells[:, 1] - ly) + by * (cells[:, 2] - lz))
-        # per (yz line, range): the target line's first cell, doubled into
-        # starts2 units (cell c's members are [starts2[2c], starts2[2c + 2]),
-        # its ghosts [starts2[2c + 1], starts2[2c + 2])); per (cx, range): the
-        # clipped x range [xa, xb) — broadcast, they index every cell's bounds
-        yz = np.arange(by * bz, dtype=np.int64)[:, None]
-        ty, tz = ly + yz % by + dy, lz + yz // by + dz
-        in_grid = (ty >= 0) & (ty < ny) & (tz >= 0) & (tz < nz)
-        line2 = (2 * nx * (ty + ny * tz))[:, None, :]
-        cx = lx + np.arange(bx, dtype=np.int64)[:, None]
-        xa, xb = np.maximum(cx + x0, 0), np.minimum(cx + x1, nx)
+        first = np.add.accumulate(nrows) - nrows
+        atom = np.arange(int(nrows.sum()), dtype=np.int64)
+        atom += np.repeat(self.box_off[:-1] - first, nrows)
+        # per box holding rows, the box of cells holding them (a bulk
+        # domain's outer cells hold only ghosts), padded to the widest box:
+        # the table is (box, yz line, x column, range), x fastest
+        held = np.flatnonzero(nrows)
+        cells = self.cell3[atom]
+        low = np.minimum.reduceat(cells, first[held], axis=0)[:, None, None, :]
+        ext = np.maximum.reduceat(cells, first[held], axis=0)[:, None, None, :] - low + 1
+        lines, width = int((ext[..., 1] * ext[..., 2]).max()), int(ext[..., 0].max())
+        rb = np.repeat(np.arange(len(held)), nrows[held])
+        rel = cells - low[rb, 0, 0]
+        row = (rb * lines + rel[:, 1] + ext[rb, 0, 0, 1] * rel[:, 2]) * width + rel[:, 0]
+        # per (box, yz line, range): the target line's first cell, doubled
+        # into starts2 units (cell c's members are [starts2[2c],
+        # starts2[2c + 2]), its ghosts [starts2[2c + 1], starts2[2c + 2]));
+        # per (box, x column, range): the clipped x range [xa, xb) —
+        # broadcast, they index every cell's bounds
+        nx, ny, nz = (self.nbins[held, None, None, d] for d in range(3))
+        yz = np.arange(lines, dtype=np.int64)[:, None]
+        ty, tz = low[..., 1] + yz % ext[..., 1] + dy, low[..., 2] + yz // ext[..., 1] + dz
+        in_grid = ((ty >= 0) & (ty < ny) & (tz >= 0) & (tz < nz))[:, :, None, :]
+        line2 = (2 * (self.bin_base[held, None, None] + nx * (ty + ny * tz)))[:, :, None, :]
+        cx = low[..., 0] + np.arange(width, dtype=np.int64)[:, None]
+        xa, xb = np.maximum(cx + x0, 0)[:, None], np.minimum(cx + x1, nx)[:, None]
         # int32 bounds: slots fit (nall is capped at the int32 range, as the
         # neighbor columns are), and the table is half the bytes to hold and
         # gather
@@ -249,7 +294,8 @@ class BinGrid:
         np.add(line2, 2 * xb, out=index)
         hi = np.take(starts2, index, mode="clip")
         del index
-        empty = np.logical_not(in_grid[:, None, :] & (xa < xb))
+        empty = np.logical_not(in_grid & (xa < xb))
         np.copyto(hi, lo, where=empty)
-        self._ranges[key] = lo.reshape(-1, len(x0)), hi.reshape(-1, len(x0)), row
+        lo, hi = lo.reshape(-1, len(x0)), hi.reshape(-1, len(x0))
+        self._ranges[key] = lo, hi, row, atom
         return self._ranges[key]

@@ -321,19 +321,8 @@ class Lammps:
 
     def rebuild_gen(self) -> Iterator[None]:
         """Migrate -> sort -> borders -> shared bin grid -> neighbor build."""
-        atom = self.require_box()
-        if self.pair is None:
-            raise LammpsError("neighbor rebuild requires a pair style")
-        cutghost = self.pair.max_cutoff() + self.neighbor.skin
-        if self.comm_brick is None or self.comm_brick.cutghost != cutghost:
-            assert self.decomp is not None
-            self.comm_brick = CommBrick(self.comm, self.decomp, cutghost)
-        with self.timer.phase("Comm"):
-            yield from self.comm_brick.exchange(atom, self.domain.wrap)
-        with self.timer.phase("Neigh"):
-            self._maybe_sort_atoms(cutghost)
-        with self.timer.phase("Comm"):
-            yield from self.comm_brick.borders(atom, self.domain.periodic)
+        yield from self.migrate_gen()
+        atom, cutghost = self.atom, self.comm_brick.cutghost
         with self.timer.phase("Neigh"):
             # the pairwise scratch is dead between force calls: drop it so
             # the build's own transients do not stack on top of it
@@ -369,6 +358,23 @@ class Lammps:
                 ),
             )
             self.neighbor.record_build(self.update.ntimestep, atom.x[:nlocal])
+
+    def migrate_gen(self) -> Iterator[None]:
+        """Exchange -> sort -> borders: the rebuild before its bin grid (a
+        replica batch's members run it, then share one build)."""
+        atom = self.require_box()
+        if self.pair is None:
+            raise LammpsError("neighbor rebuild requires a pair style")
+        cutghost = self.pair.max_cutoff() + self.neighbor.skin
+        if self.comm_brick is None or self.comm_brick.cutghost != cutghost:
+            assert self.decomp is not None
+            self.comm_brick = CommBrick(self.comm, self.decomp, cutghost)
+        with self.timer.phase("Comm"):
+            yield from self.comm_brick.exchange(atom, self.domain.wrap)
+        with self.timer.phase("Neigh"):
+            self._maybe_sort_atoms(cutghost)
+        with self.timer.phase("Comm"):
+            yield from self.comm_brick.borders(atom, self.domain.periodic)
 
     def count_atoms_gen(self) -> Iterator[None]:
         atom = self.require_box()

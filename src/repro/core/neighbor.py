@@ -35,7 +35,7 @@ from itertools import count
 
 import numpy as np
 
-from repro.core.bin_grid import BinGrid
+from repro.core.bin_grid import BinGrid, box_counts
 from repro.core.errors import NeighborError, OverflowGuardError
 
 #: Candidate budget per filter pass; sizes the row chunk (``_build_shared``).
@@ -106,6 +106,19 @@ class NeighborList:
             i = np.repeat(np.arange(self.nlocal), self.numneigh)
             cached = self._ij_pairs = (i, self.neighbors.astype(np.int64))
         return cached
+
+    def split(self, nlocal) -> list["NeighborList"]:
+        """A box batch's list cut into each box's own list, rows
+        ``nlocal[b]`` of box ``b`` in turn: its solo list, bit for bit, with
+        a generation of its own."""
+        parts, r = [], 0
+        for n in map(int, nlocal):
+            a, b = self.first[r], self.first[r + n]
+            part = NeighborList(self.style, self.newton, self.cutoff, n,
+                                self.first[r : r + n + 1] - a, self.neighbors[a:b])
+            part.generation, r = next(_GENERATION), r + n
+            parts.append(part)
+        return parts
 
     def pair_cache(self) -> "PairCache":
         """The per-rebuild :class:`PairCache` attached to this list.
@@ -189,7 +202,7 @@ class PairCache:
 
 def build_neighbor_list(
     x: np.ndarray,
-    nlocal: int,
+    nlocal,
     cutoff: float,
     *,
     style: str = "full",
@@ -203,6 +216,10 @@ def build_neighbor_list(
     caller (border communication) guarantees any atom within the cutoff of
     an owned atom is present.
 
+    ``nlocal`` may be a batch of boxes (:func:`box_counts`): the list holds
+    each box's rows in turn, as its solo build, with box-local neighbors;
+    :meth:`NeighborList.split` cuts it into the boxes' lists.
+
     ``grid`` is an optional pre-built :class:`BinGrid` over the *same*
     coordinates (typically at a larger bin size — the per-rebuild shared
     grid): reusing it skips the bin assembly entirely.  A grid whose atom
@@ -214,26 +231,26 @@ def build_neighbor_list(
         raise NeighborError("cutoff must be positive")
     x = np.asarray(x, dtype=float)
     nall = x.shape[0]
-    if not 0 <= nlocal <= nall:
-        raise NeighborError(f"nlocal {nlocal} outside [0, {nall}]")
+    own, off = box_counts(nlocal, nall)
     if nall > np.iinfo(np.int32).max:
         raise OverflowGuardError(
             "local+ghost atom count exceeds 32-bit neighbor index range; "
             "this build models appendix B's int32 column indices"
         )
-    if nlocal == 0:
+    if not own.any():
         nlist = NeighborList(
             style, newton, cutoff, 0, np.zeros(1, np.int64), np.zeros(0, np.int32)
         )
     else:
-        nlist = _build_shared(x, nlocal, cutoff, style, newton, chunk, grid)
+        nlist = _build_shared(x, own, off, cutoff, style, newton, chunk, grid)
     nlist.generation = next(_GENERATION)
     return nlist
 
 
 def _build_shared(
     x: np.ndarray,
-    nlocal: int,
+    own: np.ndarray,
+    off: np.ndarray,
     cutoff: float,
     style: str,
     newton: bool,
@@ -258,54 +275,58 @@ def _build_shared(
     then runs in stencil-offset order with slots ascending, then lower-cell
     ghosts in offset order), whatever the chunk size.  Chunks partition the
     row range, so each chunk's survivors slide straight into its contiguous
-    CSR segment: no sort, no global argsort over all candidates.
+    CSR segment: no sort, no global argsort over all candidates.  A chunk
+    may span boxes: a box's slots are its solo ones, shifted (DESIGN §3.3).
     """
     nall = x.shape[0]
     grid_builds = 0
     if (
         grid is None
         or grid.nall != nall
-        or (style == "half" and grid.nlocal != nlocal)
+        or grid.box_off.tolist() != off.tolist()
+        or (style == "half" and grid.box_nlocal.tolist() != own.tolist())
     ):
         # half-cutoff bins, as in LAMMPS: a 2-ring stencil over finer cells
         # covers ~42% less volume than 1-ring over cutoff-sized cells, so
         # the distance filter sees far fewer candidates
-        grid = BinGrid(x, nlocal, 0.5 * cutoff)
+        grid = BinGrid(x, np.stack([own, np.diff(off)], axis=1), 0.5 * cutoff)
         grid_builds = 1
     cutsq = cutoff * cutoff
     candidates = 0
+    half = style == "half"
+    range_lo, range_hi, table_row, rows = grid.ranges(cutoff, half, newton, own)
+    nranges = range_lo.shape[1]
+    nrows = len(rows)
     # Component columns: the i side is a run of consecutive rows (a slice,
     # repeated over each row's candidate count) and the j side gathers the
     # *slot-ordered* copies — candidate slots are contiguous per range, so
     # those 1-D gathers stream nearly sequential memory.
-    xs0, xs1, xs2 = grid.columns()
+    xs0, xs1, xs2 = (c[rows] for c in grid.columns())
     so0, so1, so2 = grid.slot_columns()
-
-    half = style == "half"
-    range_lo, range_hi, table_row = grid.ranges(cutoff, half, newton, nlocal)
-    nranges = range_lo.shape[1]
+    rslot = grid.islot[rows]
 
     # Size the row chunk to the candidate budget: one filter pass per chunk
     # is fastest when its temporaries stay cache-resident.  Estimated
     # candidates per row = atoms/bin x stencil cells (a half row: the upper
     # half, its own cell and the lower cells, counted whole), and every
     # (row, range) bound is charged like a candidate.
+    wx, wy, wz = (2 * int(k) + 1 for k in grid.reach(cutoff))
+    own_run = wy * (wz // 2) + wy // 2  # a full row's (dy, dz) = (0, 0) x-run
     if chunk is None:
-        wx, wy, wz = (2 * int(k) + 1 for k in grid.reach(cutoff))
         stencil = wx * wy * wz
         lower = (wx * wy if newton else stencil) // 2
         cells = stencil // 2 + 1 + lower if half else stencil
-        density = max(nall / float(np.prod(grid.nbins)), 1.0)
+        density = max(nall / float(grid.bin_base[-1]), 1.0)
         chunk = max(int(_CHUNK_CANDIDATES / (density * cells + nranges)), 32)
 
-    numneigh = np.zeros(nlocal, dtype=np.int64)
+    numneigh = np.zeros(nrows, dtype=np.int64)
     chunk_rows: list[np.ndarray] = []
-    for lo in range(0, nlocal, chunk):
-        hi = min(lo + chunk, nlocal)
+    for lo in range(0, nrows, chunk):
+        hi = min(lo + chunk, nrows)
         cells_of = table_row[lo:hi]
         rlo = range_lo[cells_of]
         if half:
-            rlo[:, 0] = grid.islot[lo:hi] + 1
+            rlo[:, 0] = rslot[lo:hi] + 1
         cnt = (range_hi[cells_of] - rlo).ravel()
         # range k of the flattened (row, range) table holds slots
         # rlo[k] .. rlo[k] + cnt[k] - 1 at flat positions ends[k] - cnt[k] ..
@@ -333,26 +354,27 @@ def _build_shared(
         # distance filter first; the row lookup, slot->atom gather and style
         # fix-ups below then run over the surviving fraction only (an order
         # of magnitude fewer pairs)
+        if not half:  # each row's own slot, in its own x-run, fails the filter
+            k = np.arange(hi - lo) * nranges + own_run
+            d0[(ends - cnt)[k] + rslot[lo:hi] - rlo[:, own_run]] = np.inf
         sel = np.flatnonzero(d0 < cutsq)
         kept = np.diff(np.searchsorted(sel, row_end), prepend=0)
         ib = np.repeat(np.arange(lo, hi, dtype=np.int64), kept)
-        jb = grid.order[js[sel]]
-        if style == "full":
-            nz = ib != jb
-            ib, jb = ib[nz], jb[nz]
-        elif newton:
+        ks = js[sel]
+        jb = grid.slot_local[ks]
+        if half and newton:
             # ghost pairs: LAMMPS's coordinate tie-break — exactly one of
             # the two images (across ranks or across the periodic wrap)
             # survives globally; the ghost side's force is
             # reverse-communicated to its owner.
-            gsel = np.flatnonzero(jb >= nlocal)
+            gsel = np.flatnonzero(grid.slot_ghost[ks])
             if len(gsel):
-                ig, jg = ib[gsel], jb[gsel]
-                zi, zj = xs2[ig], xs2[jg]
-                yi, yj = xs1[ig], xs1[jg]
+                ig, kg = ib[gsel], ks[gsel]
+                zi, zj = xs2[ig], so2[kg]
+                yi, yj = xs1[ig], so1[kg]
                 win = (zj > zi) | (
                     (zj == zi)
-                    & ((yj > yi) | ((yj == yi) & (xs0[jg] > xs0[ig])))
+                    & ((yj > yi) | ((yj == yi) & (so0[kg] > xs0[ig])))
                 )
                 keep = np.ones(len(ib), dtype=bool)
                 keep[gsel[~win]] = False
@@ -360,11 +382,11 @@ def _build_shared(
         numneigh[lo:hi] = np.bincount(ib - lo, minlength=hi - lo)
         chunk_rows.append(jb)
 
-    first = np.zeros(nlocal + 1, dtype=np.int64)
+    first = np.zeros(nrows + 1, dtype=np.int64)
     np.cumsum(numneigh, out=first[1:])
     neighbors = np.concatenate(chunk_rows).astype(np.int32)
 
-    nl = NeighborList(style, newton, cutoff, nlocal, first, neighbors)
+    nl = NeighborList(style, newton, cutoff, nrows, first, neighbors)
     nl.build_stats = {"candidates": candidates, "grid_builds": grid_builds}
     return nl
 

@@ -145,12 +145,13 @@ ARENA = Arena()
 # view) or, where an ``einsum`` reduces over the component axis and the
 # layout would pick its summation order, a C-ordered copy.
 def gather(a: np.ndarray, idx: np.ndarray, out: np.ndarray | None, axis: int | None = None):
-    """``np.take(a, idx, axis, out=out)`` without ``mode="raise"``, which gathers
+    """``a.take(idx, axis, out=out)`` without ``mode="raise"``, which gathers
     into a private copy of ``out`` and copies it back (twice the gather).  The
     indices are in range already: ``i0``/``j0`` per list (:func:`index_bounds`,
     checked in :func:`_delta_fn`); ``idx`` by construction, ``flatnonzero`` of a
-    ``len(i0)`` mask indexing only ``len(i0)`` vectors (asserted at bind)."""
-    return np.take(a, idx, axis=axis, out=out, mode="clip")
+    ``len(i0)`` mask indexing only ``len(i0)`` vectors (asserted at bind).
+    Bound, not ``np.take``, whose wrapper costs as much as a small gather."""
+    return a.take(idx, axis=axis, out=out, mode="clip")
 
 
 def index_bounds(env: dict) -> tuple[int, int]:

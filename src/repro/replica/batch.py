@@ -15,9 +15,9 @@ ghosts of every member, then swap 1's, and so on, so each stage of the
 stacked ghost replay writes one contiguous slice.  Each member keeps its
 ``(own_off, nlocal)`` owned segment and a ``lookup`` table from its local
 indices (owned and ghost) to stacked rows.  Cross-replica pairs cannot exist
-*structurally*: neighbor lists are built per replica (by the member's own
-unchanged rebuild machinery) and only then translated into the stacked index
-space through ``lookup``.
+*structurally*: the stale members' lists are built in one pass in which each
+member is a box of its own (DESIGN §3.3), and only then translated into the
+stacked index space through ``lookup``.
 
 **Bitwise equivalence.**  Per-replica trajectories and thermo are bit-for-bit
 identical to solo runs, enforced by ``tests/test_replica_batch.py``.  The
@@ -44,11 +44,12 @@ engine earns this by construction:
 **Epochs.**  Members join before the first step; the first ``step``
 stacks them once.  Between neighbor rebuilds the stacked arrays are the
 truth.  Each rebuild epoch re-hoists: every member syncs its owned state
-back, the stale ones run their own solo ``rebuild_gen``
-(exchange/sort/borders/build), and the stacked arrays, the pairwise env, and
-the ghost replay are rebuilt from all members.  Per-replica neighbor
-staleness is tracked individually — one hot replica rebuilding does not
-force the rest to.  A member whose rebuild raises stops the step with a
+back, each stale one runs its own solo ``migrate_gen`` (exchange, sort,
+borders), then one bin grid and one list build serve every stale member,
+and the stacked arrays, the pairwise env, and the ghost replay are rebuilt
+from all members.  Per-replica neighbor staleness is tracked individually —
+one hot replica rebuilding does not force the rest to.  A member whose
+rebuild raises stops the step with a
 :class:`~repro.core.errors.LammpsError` naming the replica and the step.
 
 The batched pair style is host ``lj/cut`` (the one style a replica
@@ -67,7 +68,8 @@ import numpy as np
 from repro.core.atom import BORDER_FIELDS, AtomVec
 from repro.core.comm_md import GhostReplay
 from repro.core.errors import LammpsError, unknown_choice
-from repro.graph.pairwise import pairwise_stages, run_stages
+from repro.core.neighbor import build_neighbor_list
+from repro.graph.pairwise import ARENA, pairwise_stages, run_stages
 from repro.kokkos.core import Host
 from repro.parallel.driver import drain
 from repro.potentials.lj import lj_energy, lj_force
@@ -431,22 +433,43 @@ class ReplicaBatch:
         """Re-neighbor the stale members only, then re-hoist the epoch.
 
         Every member syncs its stacked state home; each stale one runs its
-        own solo ``rebuild_gen`` (exchange, spatial sort, borders, list
-        build) — the unchanged machinery, so list contents and atom order
-        match a solo run exactly.  A rebuild that raises stops the batch.
+        own solo ``migrate_gen`` (exchange, spatial sort, borders) — the
+        unchanged machinery, so atom order matches a solo run exactly —
+        then :meth:`_build_lists`.  A rebuild that raises stops the batch.
         """
         for m in self.members:
             self._sync_member(m)
         for m in stale:
             try:
-                drain(m.lmp.rebuild_gen())
+                drain(m.lmp.migrate_gen())
                 m.lmp.world.assert_drained()
             except Exception as exc:
                 raise LammpsError(
                     f"replica {m.index} failed its neighbor rebuild at step "
                     f"{m.lmp.update.ntimestep}: {exc}"
                 ) from exc
+        self._build_lists(stale)
         self._hoist()
+
+    def _build_lists(self, stale: list[_Member]) -> None:
+        """One bin grid and one list build over the stale members' atoms,
+        each member a box of its own (its solo geometry and order), per
+        ghost cutoff they share; each member gets its slice of the one list
+        as its own ``neigh_list`` and records the build, as solo does."""
+        ARENA.release()  # the pairwise scratch is dead between force calls
+        _, style, newton = self._sig
+        by_cut: dict[float, list[_Member]] = {}
+        for m in stale:
+            by_cut.setdefault(m.lmp.comm_brick.cutghost, []).append(m)
+        for cutghost, group in by_cut.items():
+            atoms = [m.lmp.atom for m in group]
+            x = np.concatenate([a.x[: a.nall] for a in atoms])
+            boxes = np.array([(a.nlocal, a.nall) for a in atoms])
+            nlist = build_neighbor_list(x, boxes, cutghost, style=style, newton=newton)
+            for m, a, part in zip(group, atoms, nlist.split(boxes[:, 0])):
+                m.lmp.bin_grid = None  # the grid was the batch's
+                m.lmp.neigh_list = part
+                m.lmp.neighbor.record_build(m.lmp.update.ntimestep, a.x[: a.nlocal])
 
     # -------------------------------------------------------------- tallies
     def _tally(self, due: list[_Member]) -> None:

@@ -97,7 +97,7 @@ def expected_candidates(grid, cutoff, style, newton) -> int:
     the lexicographically upper cells + the ghosts of the lower cells (half;
     newton on drops the lower z layers).
     """
-    nx, ny, nz = (int(n) for n in grid.nbins)
+    nx, ny, nz = (int(n) for n in grid.nbins[0])  # the one box
     per_seg = np.diff(grid.starts2).reshape(nz, ny, nx, 2)
     members, ghosts = per_seg.sum(axis=3), per_seg[..., 1]
     kx, ky, kz = (int(k) for k in grid.reach(cutoff))

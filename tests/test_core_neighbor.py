@@ -123,3 +123,102 @@ class TestRebuildPolicy:
         n = Neighbor(skin=0.3)
         n.record_build(0, np.zeros((3, 3)))
         assert n.decide(1, np.zeros((4, 3)))  # migration changed counts
+
+
+# ------------------------------------------------------------- box batches
+def _boxes(seed: int = 5):
+    """Five boxes of mixed size and shape (their grids differ in ``nbins``),
+    owned atoms first then ghosts in each, one box with no owned atoms."""
+    rng = np.random.default_rng(seed)
+    spans = [(4.0, 4.0, 4.0), (9.0, 3.0, 5.0), (1.05, 2.2, 7.5), (6.0, 6.0, 2.0), (5.0, 5.0, 5.0)]
+    counts = [(40, 150), (70, 260), (0, 60), (25, 120), (55, 55)]
+    xs = [rng.uniform(-1.0, 1.0, (nall, 3)) * np.array(s) for s, (_, nall) in zip(spans, counts)]
+    return xs, counts
+
+
+@pytest.mark.parametrize("style,newton", [("half", True), ("half", False), ("full", False)])
+@pytest.mark.parametrize("bins_per_cutoff", [2, 5 / 3])
+def test_box_batch_is_each_solo_list(style, newton, bins_per_cutoff):
+    """One build over a batch of boxes gives, box by box, the solo list bit
+    for bit — on the default grid and on one whose boxes differ in reach
+    (the batch scans every box at the widest)."""
+    from repro.core.bin_grid import BinGrid
+
+    xs, counts = _boxes()
+    cutoff = 1.9
+    bins = cutoff / bins_per_cutoff
+    x = np.concatenate(xs)
+    grid = BinGrid(x, counts, bins)
+    assert len({tuple(n) for n in grid.nbins}) > 1
+    if bins_per_cutoff != 2:  # a box's own reach differs from the grid's
+        own = np.maximum(np.ceil(cutoff / grid.size - 1e-12), 1)
+        assert len({tuple(r) for r in own}) > 1
+    batch = build_neighbor_list(x, counts, cutoff, style=style, newton=newton, grid=grid)
+    parts = batch.split(n for n, _ in counts)
+    assert batch.total_pairs == sum(p.total_pairs for p in parts)
+    for b, (xb, (nlocal, _), part) in enumerate(zip(xs, counts, parts)):
+        solo = build_neighbor_list(
+            xb, nlocal, cutoff, style=style, newton=newton, grid=BinGrid(xb, nlocal, bins)
+        )
+        assert np.array_equal(part.first, solo.first), b
+        assert np.array_equal(part.neighbors, solo.neighbors), b
+        assert part.neighbors.dtype == solo.neighbors.dtype
+    assert len({p.generation for p in parts} | {batch.generation}) == len(parts) + 1
+
+
+def test_box_batch_private_grid_and_validation():
+    """Without a grid the batch bins its boxes itself; box counts that do
+    not add up to ``x`` are refused."""
+    xs, counts = _boxes(6)
+    x = np.concatenate(xs)
+    parts = build_neighbor_list(x, counts, 1.7, style="half", newton=True).split(
+        n for n, _ in counts
+    )
+    for xb, (nlocal, _), part in zip(xs, counts, parts):
+        solo = build_neighbor_list(xb, nlocal, 1.7, style="half", newton=True)
+        assert np.array_equal(part.neighbors, solo.neighbors)
+    with pytest.raises(NeighborError, match="boxes hold"):
+        build_neighbor_list(x[:-1], counts, 1.7)
+    with pytest.raises(NeighborError, match="nlocal 9 outside"):
+        build_neighbor_list(x[:13], [(9, 8), (0, 5)], 1.7)
+
+
+# ------------------------------------------------ the replica batch's build
+def _member(every: int, seed: int):
+    from repro.core import Lammps
+    from repro.workloads.melt import MELT_TEMPLATE
+
+    lmp = Lammps(quiet=True)
+    lmp.commands_string(MELT_TEMPLATE.format(cells=2, pair_style="lj/cut"))
+    lmp.commands_string(
+        f"velocity all create 1.44 {seed}\nneigh_modify every {every} delay 0 check no"
+    )
+    return lmp
+
+
+def test_batch_rebuild_step_is_one_grid_and_one_build(monkeypatch):
+    """Each rebuild step bins and builds once, however many members are
+    due; a member that is not due keeps its list object."""
+    import repro.replica.batch as batch_mod
+    from repro.core.bin_grid import BinGrid
+    from repro.replica import ReplicaBatch
+
+    builds = []
+    real = batch_mod.build_neighbor_list
+    monkeypatch.setattr(
+        batch_mod, "build_neighbor_list", lambda *a, **k: builds.append(1) or real(*a, **k)
+    )
+    members = [_member(e, 500 + k) for k, e in enumerate((5, 5, 7, 7))]
+    batch = ReplicaBatch()
+    for m in members:
+        batch.add_replica(m)
+    seen = set()
+    for step in range(1, 36):
+        lists = [m.neigh_list for m in members]
+        grids, calls = BinGrid.builds_total, len(builds)
+        batch.step(1)
+        due = [k for k, m in enumerate(members) if m.neigh_list is not lists[k]]
+        assert due == [k for k, e in enumerate((5, 5, 7, 7)) if step % e == 0], step
+        assert BinGrid.builds_total - grids == len(builds) - calls == (1 if due else 0)
+        seen.add(len(due))
+    assert seen == {0, 2, 4}  # steps 5/7 (2 of 4 due) and 35 (all four)

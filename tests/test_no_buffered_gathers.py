@@ -1,11 +1,13 @@
 """Source guard: the per-step hot paths keep off NumPy's slow forms.
 
-* ``np.take(..., out=...)`` under the default ``mode="raise"`` gathers into a
+* ``take(..., out=...)`` under the default ``mode="raise"`` gathers into a
   private copy of ``out`` and copies it back, so a bad index can fail before
   ``out`` is touched — twice the cost of the gather.  The pairwise pass
   proves its indices once per list and gathers through the one helper,
-  :func:`repro.graph.pairwise.gather` (``mode="clip"``); no other call may
-  pass ``out=`` to ``np.take``.
+  :func:`repro.graph.pairwise.gather`, whose one call is the bound
+  ``a.take(..., mode="clip")`` (``np.take`` adds a Python wrapper that costs
+  about as much as a small gather); no other call may pass ``out=`` to
+  ``np.take`` or to a bound ``.take``.
 * ``np.add.at`` is NumPy's unbuffered, per-element scatter.  Reverse comm
   folds ghosts over sendlists that ``Swap`` proves unique, and the shared
   ``GhostReplay`` over stage sources its ``stages`` build proves unique, so
@@ -61,25 +63,46 @@ def _passes_out(call: ast.Call) -> bool:
     return len(call.args) >= 4 or any(k.arg == "out" for k in call.keywords)
 
 
+def _is_bound_take(call: ast.Call) -> bool:
+    """``<array>.take(...)``: any ``.take`` attribute call not on ``np``."""
+    return (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "take"
+        and not _is_np_attr(call.func, "take")
+    )
+
+
+def _takes_into_out(call: ast.Call) -> bool:
+    """A gather into ``out=``: ``np.take`` with ``out`` (keyword or 4th
+    positional), or a bound ``.take`` with ``out=``.  A bound call's third
+    positional is not checked: other ``take`` methods (``Arena.take(name,
+    *shape)``, ``SimWorld.take``) share the name and take three."""
+    if _is_np_attr(call.func, "take"):
+        return _passes_out(call)
+    return _is_bound_take(call) and any(k.arg == "out" for k in call.keywords)
+
+
 def test_no_buffered_take_outside_the_helper():
     bad, helper_calls = [], []
     for rel, path in _modules():
         for call, func in _calls(path):
-            if not (_is_np_attr(call.func, "take") and _passes_out(call)):
+            if not _takes_into_out(call):
                 continue
             if (rel, func) == HELPER:
                 helper_calls.append(call)
                 continue
             bad.append(
-                f"src/repro/{rel}:{call.lineno}: np.take(..., out=) outside "
+                f"src/repro/{rel}:{call.lineno}: take(..., out=) outside "
                 "repro.graph.pairwise.gather: under mode='raise' NumPy buffers "
                 "out= through a private copy (2x the gather); prove the "
                 "indices in range and call gather()"
             )
     assert not bad, "\n".join(bad)
-    # the helper itself is the unbuffered form
+    # the helper itself is the unbuffered form, bound (no np.take wrapper)
     assert len(helper_calls) == 1
-    modes = [k.value for k in helper_calls[0].keywords if k.arg == "mode"]
+    (call,) = helper_calls
+    assert _is_bound_take(call), "gather() must call the bound a.take"
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
     assert [getattr(m, "value", None) for m in modes] == ["clip"]
 
 
@@ -119,8 +142,9 @@ def test_no_np_cross():
 
 
 def test_the_guard_sees_what_it_forbids(tmp_path):
-    """The walker flags both forbidden forms (a guard that matches nothing
-    would pass vacuously)."""
+    """The walker flags every forbidden form, a buffered take in the module
+    and the bound form alike (a guard that matches nothing would pass
+    vacuously)."""
     probe = tmp_path / "probe.py"
     probe.write_text(
         "import numpy as np\n"
@@ -130,12 +154,15 @@ def test_the_guard_sees_what_it_forbids(tmp_path):
         "    np.take(a, i)\n"
         "    np.add.at(a, i, 1.0)\n"
         "    np.cross(a, o)\n"
+        "    a.take(i, out=o, mode='clip')\n"
+        "    a.take(i, axis=0)\n"
+        "    a[0].take(i, 0, out=o)\n"
     )
     found = [
         (call.lineno, func)
         for call, func in _calls(probe)
-        if (_is_np_attr(call.func, "take") and _passes_out(call))
+        if _takes_into_out(call)
         or _is_np_attr(call.func, "add", "at")
         or _is_np_attr(call.func, "cross")
     ]
-    assert found == [(3, "f"), (4, "f"), (6, "f"), (7, "f")]
+    assert found == [(3, "f"), (4, "f"), (6, "f"), (7, "f"), (8, "f"), (10, "f")]

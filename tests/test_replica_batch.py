@@ -135,7 +135,7 @@ def test_failed_member_rebuild_stops_the_step():
         raise CommError("lost atoms")
         yield
 
-    members[1].rebuild_gen = lost_atoms  # the template rebuilds every 20
+    members[1].migrate_gen = lost_atoms  # the template rebuilds every 20
     with pytest.raises(LammpsError, match="replica 1 .* at step 20") as info:
         batch.step(40)
     assert isinstance(info.value.__cause__, CommError)
