@@ -187,11 +187,11 @@ class PotentialBenchmark:
         if getattr(self, "options", None) and hasattr(pair, "set_options"):
             pair.set_options(**self.options)
 
-    def reference(self, device: str = "H100", **tune_kw) -> ReferenceRun:
+    def reference(self, device: str = "H100") -> ReferenceRun:
         config = tuple(
             (k, repr(v)) for k, v in sorted(vars(self).items())
         )
-        key = (type(self).__name__, device, tuple(sorted(tune_kw.items())), config)
+        key = (type(self).__name__, device, config)
         if key in self._cache:
             return self._cache[key]
         lmp = Lammps(device=device, suffix="kk")
@@ -199,8 +199,6 @@ class PotentialBenchmark:
         ctx = kk.device_context()
         # complete setup work outside the capture window
         lmp.run(0)
-        if tune_kw and hasattr(lmp.pair, "set_options"):
-            lmp.pair.set_options(**tune_kw)
         self.tune(lmp.pair)
         ctx.profile_log = []
         lmp.run(self.capture_steps)

@@ -59,9 +59,9 @@ class NeighborList:
     first: np.ndarray
     #: Flat neighbor indices into the local+ghost arrays, int32.
     neighbors: np.ndarray
-    #: Monotonic build stamp (process-wide).  Everything whose lifetime is
-    #: "until the next neighbor rebuild" — the :class:`PairCache`, the kernel
-    #: graph's fused-plan cache — can key on this instead of holding the list
+    #: Monotonic build stamp (process-wide).  Anything whose lifetime is
+    #: "until the next neighbor rebuild" (ReaxFF's bond-search list and
+    #: nonbonded scratch) can key on this instead of holding the list
     #: object itself.
     generation: int = -1
 

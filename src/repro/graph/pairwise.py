@@ -10,13 +10,11 @@ module is that "everything else", written once as stage functions over an
 ``force_scatter`` (half/host, full-sorted, ScatterView half +- newton) and
 ``tally`` (the style's energy half + ``ev_tally``).
 
-Four executors drive that list:
+Three executors drive that list:
 
 * **eager host** runs the stage bodies in order (:func:`run_stages`);
 * **eager kk** runs them inside one charged whole-kernel dispatch
   (:class:`~repro.potentials.pair_kokkos.PairKokkos`);
-* **graph** captures the same Stage objects into a fused
-  :class:`~repro.graph.plan.GraphPlan` and replays it (:func:`run_graph`);
 * **replica** runs the same stage functions over the stacked
   ``i/j/cutsq/coefficient`` vectors of a whole batch
   (:mod:`repro.replica.batch`).
@@ -31,29 +29,19 @@ a rebuild invalidates them by construction.  Per-step *scratch* comes from
 the process-wide :data:`ARENA`: ranks and replicas execute sequentially in
 one process, so one grow-only set of buffers serves them all, and
 :meth:`Arena.release` drops it before each neighbor build.
-
-Unlike the rest of :mod:`repro.graph`, this module imports
-``repro.kokkos`` freely: it is only imported from the potentials layer,
-after the kokkos package has fully initialised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 import repro.kokkos as kk
-from repro.graph.capture import GraphCapture, KernelNode
-from repro.graph.plan import GRAPH, GraphPlan, build_plan
 from repro.kokkos.scatter_view import ScatterView
 from repro.kokkos.segment import scatter_add, scatter_sub
-
-#: Default vectorization efficiency for staged host passes (matches the
-#: irregular-gather penalty of :class:`~repro.potentials.pair_kokkos.PairKokkos`).
-STAGE_CPU_EFFICIENCY = 0.05
 
 
 @dataclass
@@ -62,37 +50,8 @@ class Stage:
 
     name: str
     fn: Callable[[dict], None]
-    #: Nodes fuse only within one index space (e.g. ``"stored-pairs"``).
-    index_space: str
-    #: Elementwise stages are fusable; barriers (scatter, tally) are not.
-    elementwise: bool = True
-    #: ``"for"`` or ``"reduce"`` — which parallel pattern dispatches it.
-    kind: str = "for"
-    reads: tuple[str, ...] = ()
-    writes: tuple[str, ...] = ()
-    #: Chain outputs that must survive fusion (everything else a chain
-    #: writes is an eliminated intermediate buffer).
-    outputs: tuple[str, ...] = ()
-    #: Per-item byte sizes of written buffers (for saved-traffic pricing).
-    item_bytes: dict[str, float] = field(default_factory=dict)
-    profile: Any = None
-    #: A policy, or a callable ``env -> policy`` resolved at dispatch
-    #: time (compressed index spaces are sized mid-capture).
-    policy: Any = None
     #: A generator body (a many-body stage that exchanges with other ranks).
     yields: bool = False
-
-
-def stage_profile(
-    name: str, size: int, flops_per_item: float, bytes_per_item: float
-) -> kk.KernelProfile:
-    return kk.KernelProfile(
-        name=name,
-        flops=flops_per_item * size,
-        bytes_streamed=bytes_per_item * size,
-        parallel_items=float(max(size, 1)),
-        cpu_efficiency=STAGE_CPU_EFFICIENCY,
-    )
 
 
 # ======================================================================= arena
@@ -274,88 +233,24 @@ def _tally_fn(env: dict) -> None:
 
 
 # ============================================================ stage declarations
-def prologue_stages(
-    space, stored: int, prefix: str = "", gather_bytes: float = 100.0
-) -> list[Stage]:
-    """Stage declarations of the geometry prologue over ``stored`` pairs."""
-    policy = kk.RangePolicy(space, 0, stored)
-    p = prefix
-    outs = tuple(f"{p}pair_{k}_n" for k in ("dx", "rsq", "i", "j", "jl"))
+def prologue_stages(prefix: str = "") -> list[Stage]:
+    """Stage declarations of the geometry prologue."""
     return [
-        Stage(
-            f"{p}delta", _delta_fn, "stored-pairs",
-            reads=("x",), writes=(f"{p}pair_xi", f"{p}pair_xj", f"{p}pair_dx"),
-            item_bytes={f"{p}pair_xi": 24.0, f"{p}pair_xj": 24.0, f"{p}pair_dx": 24.0},
-            profile=stage_profile(f"graph:{p}delta", stored, 3.0, 72.0),
-            policy=policy,
-        ),
-        Stage(
-            f"{p}rsq", _rsq_fn, "stored-pairs",
-            writes=(f"{p}pair_rsq",), item_bytes={f"{p}pair_rsq": 8.0},
-            profile=stage_profile(f"graph:{p}rsq", stored, 5.0, 32.0),
-            policy=policy,
-        ),
-        Stage(
-            f"{p}cutmask", _cutmask_fn, "stored-pairs",
-            writes=(f"{p}pair_mask", f"{p}pair_idx"),
-            item_bytes={f"{p}pair_mask": 1.0, f"{p}pair_idx": 8.0},
-            profile=stage_profile(f"graph:{p}cutmask", stored, 1.0, 17.0),
-            policy=policy,
-        ),
-        Stage(
-            f"{p}gather", _gather_fn, "stored-pairs",
-            writes=outs, outputs=outs,
-            profile=stage_profile(f"graph:{p}gather", stored, 1.0, gather_bytes),
-            policy=policy,
-        ),
+        Stage(f"{prefix}{name}", fn)
+        for name, fn in zip(("delta", "rsq", "cutmask", "gather"), PROLOGUE)
     ]
 
 
-def force_chain_stages(
-    space, size: int, nlocal: int, cut_policy, prefix: str = "",
-    tally_flops: float = 9.0,
-) -> tuple[list[Stage], Stage]:
+def force_chain_stages(prefix: str = "") -> tuple[list[Stage], Stage]:
     """``fvec -> force_scatter`` declarations plus the ``tally`` stage."""
-    p = prefix
-    chain = [
-        Stage(
-            f"{p}fvec", _fvec_fn, "cut-pairs",
-            writes=(f"{p}pair_fvec",), outputs=(f"{p}pair_fvec",),
-            profile=stage_profile(f"graph:{p}fvec", size, 3.0, 48.0),
-            policy=cut_policy,
-        ),
-        Stage(
-            f"{p}force_scatter", _scatter_fn, "atoms", elementwise=False,
-            profile=stage_profile(f"graph:{p}force_scatter", nlocal, 3.0, 48.0),
-            policy=kk.RangePolicy(space, 0, nlocal),
-        ),
-    ]
-    tally = Stage(
-        f"{p}tally", _tally_fn, "pairs-reduction",
-        elementwise=False, kind="reduce",
-        profile=stage_profile(f"graph:{p}tally", size, tally_flops, 40.0),
-        policy=cut_policy,
-    )
-    return chain, tally
+    chain = [Stage(f"{prefix}fvec", _fvec_fn), Stage(f"{prefix}force_scatter", _scatter_fn)]
+    return chain, Stage(f"{prefix}tally", _tally_fn)
 
 
-def pairwise_stages(
-    space, stored: int, nlocal: int, force_fn: Callable[[dict], None]
-) -> tuple[list[Stage], Stage]:
+def pairwise_stages(force_fn: Callable[[dict], None]) -> tuple[list[Stage], Stage]:
     """The whole two-body pass: ``(force stages, tally stage)``."""
-    cut_policy = lambda env: kk.RangePolicy(space, 0, int(env["idx"].size))  # noqa: E731
-    chain, tally = force_chain_stages(space, stored, nlocal, cut_policy)
-    stages = prologue_stages(space, stored) + [
-        Stage(
-            "eval", force_fn, "cut-pairs",
-            writes=("pair_fpair", "pair_evdwl"),
-            outputs=("pair_fpair", "pair_evdwl"),
-            profile=stage_profile("graph:eval", stored, 10.0, 64.0),
-            policy=cut_policy,
-        ),
-        *chain,
-    ]
-    return stages, tally
+    chain, tally = force_chain_stages()
+    return [*prologue_stages(), Stage("eval", force_fn), *chain], tally
 
 
 # =================================================================== executors
@@ -384,64 +279,3 @@ def run_many_body(stages: list[Stage], env: dict, kernels: dict) -> Iterator[Non
         if name is not None:
             policy = policy() if callable(policy) else policy
             kk.parallel_for(name, policy, functor, profile=profile)
-
-
-def capture_stages(label: str, stages: list[Stage], env: dict) -> GraphPlan:
-    """Dispatch each stage under an armed capture; fuse into a plan.
-
-    The capture step *is* a full execution of the force path (each stage
-    body runs inside its dispatch), so a cache-miss step produces the
-    same forces as a replay step — bitwise.
-    """
-    cap = GraphCapture(label)
-    with cap:
-        for st in stages:
-            node = KernelNode(
-                name=f"graph:{st.name}",
-                elementwise=st.elementwise,
-                reads=st.reads,
-                writes=st.writes,
-                fn=st.fn,
-                meta={
-                    "index_space": st.index_space,
-                    "outputs": st.outputs,
-                    "item_bytes": st.item_bytes,
-                },
-            )
-            cap.open_stage(node)
-            policy = st.policy(env) if callable(st.policy) else st.policy
-            if st.kind == "reduce":
-                kk.parallel_reduce(
-                    node.name,
-                    policy,
-                    lambda idx, fn=st.fn: (fn(env), 0.0)[1],
-                    profile=st.profile,
-                )
-            else:
-                kk.parallel_for(
-                    node.name,
-                    policy,
-                    lambda idx, fn=st.fn: fn(env),
-                    profile=st.profile,
-                )
-            cap.close_stage()
-    return build_plan(label, cap.nodes, env)
-
-
-def run_graph(
-    base_key: Hashable, variant_key: Hashable, label: str,
-    stages: list[Stage], env: dict,
-) -> None:
-    """The graph executor: replay the cached plan, or capture one.
-
-    ``graph on`` changes the *dispatch granularity* the cost model sees
-    (one charged dispatch per fused group instead of one whole-kernel
-    dispatch); the stage bodies, and therefore the numbers, are the eager
-    executor's.
-    """
-    cache = GRAPH[0]
-    plan = cache.lookup(base_key, variant_key)
-    if plan is not None:
-        plan.replay()
-    else:
-        cache.store(base_key, variant_key, capture_stages(label, stages, env))

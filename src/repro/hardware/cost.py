@@ -122,34 +122,6 @@ class KernelProfile:
         )
 
 
-def fuse_profiles(
-    profiles: list[KernelProfile],
-    *,
-    name: str,
-    saved_intermediate_bytes: float = 0.0,
-) -> KernelProfile:
-    """Price a fused composite dispatch (kernel-graph elementwise fusion).
-
-    The fused kernel does all the member stages' arithmetic but launches
-    once, and buffers that live entirely inside the fused body never round-
-    trip through memory between stages — ``saved_intermediate_bytes`` (a
-    write plus a later read per eliminated buffer) comes off the streamed
-    traffic.  Cache working sets and parallelism follow the ``__add__``
-    aggregation rules (max, not sum: the stages share one index space).
-    """
-    if not profiles:
-        raise ValueError("fuse_profiles needs at least one profile")
-    total = profiles[0]
-    for prof in profiles[1:]:
-        total = total + prof
-    return replace(
-        total,
-        name=name,
-        launches=1,
-        bytes_streamed=max(total.bytes_streamed - saved_intermediate_bytes, 0.0),
-    )
-
-
 def heuristic_carveout(profile: KernelProfile, gpu: GPUSpec) -> float:
     """The Kokkos-style runtime carveout heuristic (paper section 4.4).
 

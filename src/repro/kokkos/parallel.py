@@ -21,7 +21,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.graph import capture as graph_capture
 from repro.hardware.cost import KernelProfile
 from repro.kokkos.core import Device, device_context
 from repro.kokkos.policies import RangePolicy, TeamPolicy
@@ -32,21 +31,6 @@ Policy = RangePolicy | TeamPolicy
 #: the functor ran (the functor is the computation; its measured workload
 #: is what gets priced).
 ProfileArg = KernelProfile | Callable[[], KernelProfile] | None
-
-
-def _graph_note(
-    kind: str, name: str, policy: Policy, profile: KernelProfile, seconds: float
-) -> None:
-    """Attribute a charged dispatch to the armed kernel-graph capture."""
-    graph_capture.CAPTURING[-1].on_dispatch(
-        kind,
-        name,
-        policy,
-        policy.space.name,
-        float(policy.parallelism),
-        profile,
-        seconds,
-    )
 
 
 def _charge(
@@ -100,8 +84,6 @@ def parallel_for(
     kid = kp.begin_kernel("parallel_for", name, policy.space.name) if kp.TOOLS else None
     _run(policy, functor)
     seconds, resolved = _charge(name, policy, profile)
-    if graph_capture.CAPTURING:
-        _graph_note("for", name, policy, resolved, seconds)
     if kid is not None:
         kp.end_kernel(kid, resolved, seconds)
 
@@ -124,8 +106,6 @@ def parallel_reduce(
     raw = _run(policy, functor)
     result = reducer(np.asarray(raw)) if not np.isscalar(raw) else raw
     seconds, resolved = _charge(name, policy, profile)
-    if graph_capture.CAPTURING:
-        _graph_note("reduce", name, policy, resolved, seconds)
     if kid is not None:
         kp.end_kernel(kid, resolved, seconds)
     return result
@@ -163,8 +143,6 @@ def parallel_scan(
     else:
         scan = inclusive
     seconds, resolved = _charge(name, policy, profile)
-    if graph_capture.CAPTURING:
-        _graph_note("scan", name, policy, resolved, seconds)
     if kid is not None:
         kp.end_kernel(kid, resolved, seconds)
     return scan, total

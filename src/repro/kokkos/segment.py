@@ -143,8 +143,7 @@ def scatter_sub(
 
 def _scatter(op, out, index, values, assume_sorted) -> None:
     if out.ndim > 2:
-        op.at(out, index, values)
-        return
+        raise ValueError(f"scatter target must be 1-D or 2-D, got shape {out.shape}")
     index = np.asarray(index)
     values = np.asarray(values)
     want = index.shape + out.shape[1:]

@@ -18,7 +18,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.graph import capture as graph_capture
 from repro.kokkos.core import ExecutionSpace, Host
 from repro.kokkos.layout import Layout, default_layout
 
@@ -61,11 +60,6 @@ class View:
     @property
     def data(self) -> np.ndarray:
         """The backing ndarray (aliasable by non-Kokkos code)."""
-        if graph_capture.CAPTURING:
-            # handing out the raw array: conservatively a read (writes
-            # through it are invisible, so fusable stages must declare
-            # the write)
-            graph_capture.CAPTURING[-1].note_view_access(self.label, "r")
         return self._data
 
     @property

@@ -32,7 +32,6 @@ from typing import Iterator
 
 import numpy as np
 
-import repro.kokkos as kk
 from repro.core.errors import InputError
 from repro.core.styles import register_pair
 from repro.graph.pairwise import (
@@ -43,7 +42,6 @@ from repro.graph.pairwise import (
     fresh,
     index_bounds,
     run_stages,
-    stage_profile,
 )
 from repro.kokkos.segment import scatter_add
 from repro.potentials.pair import Pair
@@ -169,28 +167,10 @@ def eam_energy(env: dict) -> None:
     env["evdwl_n"] = env["pair"].phi(env["r_n"], env["cp_n"], env["rc_n"])
 
 
-def eam_force_stages(space, size: int, nlocal: int) -> tuple[list[Stage], Stage]:
-    """Stage declarations of the force chain over ``size`` stored pairs."""
-    cut_policy = lambda env: kk.RangePolicy(space, 0, len(env["i_n"]))  # noqa: E731
-    chain, tally = force_chain_stages(
-        space, size, nlocal, cut_policy, prefix="eam_", tally_flops=14.0
-    )
-    stages = [
-        Stage(
-            "eam_fp_sum", _eam_fp_sum, "cut-pairs",
-            writes=("eam_fps",),
-            profile=stage_profile("graph:eam_fp_sum", size, 1.0, 24.0),
-            policy=cut_policy,
-        ),
-        Stage(
-            "eam_fpair", _eam_fpair, "cut-pairs",
-            writes=("eam_fpair",), outputs=("eam_fpair",),
-            profile=stage_profile("graph:eam_fpair", size, 12.0, 48.0),
-            policy=cut_policy,
-        ),
-        *chain,
-    ]
-    return stages, tally
+def eam_force_stages() -> tuple[list[Stage], Stage]:
+    """Stage declarations of the force chain."""
+    chain, tally = force_chain_stages("eam_")
+    return [Stage("eam_fp_sum", _eam_fp_sum), Stage("eam_fpair", _eam_fpair), *chain], tally
 
 
 def eam_force_kernel(pair, geo: dict, fp: np.ndarray, f: np.ndarray):
@@ -199,8 +179,7 @@ def eam_force_kernel(pair, geo: dict, fp: np.ndarray, f: np.ndarray):
     The scatter and tally follow the bound list: a full list (newton off)
     updates ``i`` only, a half list with newton on updates both ends.  The
     env and the Stage objects are bound once per rebuild (memoized on the
-    pair cache, so a graph plan can hold them); only the per-step geometry,
-    ``fp`` and ``f`` are rebound.
+    pair cache); only the per-step geometry, ``fp`` and ``f`` are rebound.
     """
     nlist = pair.lmp.neigh_list
 
@@ -210,12 +189,7 @@ def eam_force_kernel(pair, geo: dict, fp: np.ndarray, f: np.ndarray):
             "pair": pair, "f_view": None, "jl_n": None,
             "full": full, "newton": newton, "energy_fn": eam_energy,
         }
-        return (
-            env,
-            *eam_force_stages(
-                pair.execution_space, nlist.total_pairs, pair.lmp.atom.nlocal
-            ),
-        )
+        return (env, *eam_force_stages())
 
     env, stages, tally = nlist.pair_cache().memo(("eam-force", id(pair)), bind)
     env.update({k: geo[k] for k in _GEOMETRY_KEYS})

@@ -17,7 +17,7 @@ import numpy as np
 
 import repro.kokkos as kk
 from repro.core.styles import register_pair
-from repro.graph.pairwise import GRAPH, run_graph, run_stages
+from repro.graph.pairwise import run_stages
 from repro.kokkos.core import Host
 from repro.kokkos.scatter_view import ScatterView
 from repro.potentials.eam import PairEAM, eam_force_kernel, eam_geometry
@@ -101,25 +101,20 @@ class PairEAMKokkos(PairEAM):
         env, stages, tally = eam_force_kernel(self, geo, fp_view.data, f_view.data)
         if eflag or vflag:
             stages = stages + [tally]
-        if GRAPH:
-            variant_key = (bool(eflag), bool(vflag), nlist.generation)
-            label = f"{type(self).__name__}/force"
-            run_graph((id(self), "eam-force"), variant_key, label, stages, env)
-        else:
-            kk.parallel_for(
-                "PairEAMKernelForce",
-                kk.RangePolicy(space, 0, atom.nlocal),
-                lambda idx: run_stages(stages, env),
-                profile=kk.KernelProfile(
-                    name="PairEAMKernelForce",
-                    flops=20.0 * stored,
-                    bytes_streamed=4.0 * stored + 48.0 * atom.nlocal,
-                    bytes_reusable=32.0 * stored,
-                    l1_working_set_kb=14.0 * max(nlist.mean_neighbors, 1.0),
-                    l2_working_set_mb=32.0 * atom.nlocal / 1e6,
-                    parallel_items=float(atom.nlocal),
-                ),
-            )
+        kk.parallel_for(
+            "PairEAMKernelForce",
+            kk.RangePolicy(space, 0, atom.nlocal),
+            lambda idx: run_stages(stages, env),
+            profile=kk.KernelProfile(
+                name="PairEAMKernelForce",
+                flops=20.0 * stored,
+                bytes_streamed=4.0 * stored + 48.0 * atom.nlocal,
+                bytes_reusable=32.0 * stored,
+                l1_working_set_kb=14.0 * max(nlist.mean_neighbors, 1.0),
+                l2_working_set_mb=32.0 * atom.nlocal / 1e6,
+                parallel_items=float(atom.nlocal),
+            ),
+        )
         self.lmp.atom_kk.modified(space, ("f",))
 
     def _sync_views(self):

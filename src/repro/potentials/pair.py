@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import InputError, LammpsError, StyleError
-from repro.graph.pairwise import GRAPH, pairwise_stages, run_graph, run_stages
+from repro.graph.pairwise import pairwise_stages, run_stages
 from repro.kokkos.core import Device, Host
 
 
@@ -250,9 +250,7 @@ class Pair:
         force_fn, env["energy_fn"] = self.eval_setup(env, itype0, jtype0)
         # cut-pair indices (< len(i0)) gather every per-pair vector unchecked
         assert all(len(v) == len(i0) for v in env.values() if isinstance(v, np.ndarray))
-        stages, tally = pairwise_stages(
-            self.execution_space, len(i0), atom.nlocal, force_fn
-        )
+        stages, tally = pairwise_stages(force_fn)
         return env, stages, tally
 
     def compute(self, eflag: bool = True, vflag: bool = True) -> None:
@@ -263,24 +261,11 @@ class Pair:
         self._compute_pairs(eflag, vflag)
 
     def _compute_pairs(self, eflag: bool, vflag: bool) -> None:
-        """Host executors: eager in order, or graph capture/replay."""
+        """The host executor: the stages, eagerly in order."""
         env, stages, tally = self.pair_kernel()
         atom = self.lmp.atom
         env["x"] = atom.x[: atom.nall]
         env["f"] = atom.f
         if eflag or vflag:
             stages = stages + [tally]
-        if GRAPH:
-            self._run_graph(eflag, vflag, stages, env)
-        else:
-            run_stages(stages, env)
-
-    def _run_graph(self, eflag: bool, vflag: bool, stages, env) -> None:
-        variant_key = (
-            env["full"],
-            env["newton"],
-            bool(eflag),
-            bool(vflag),
-            self.lmp.neigh_list.generation,
-        )
-        run_graph(id(self), variant_key, type(self).__name__, stages, env)
+        run_stages(stages, env)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import repro.kokkos as kk
 from repro.core.errors import InputError
-from repro.graph.pairwise import GRAPH, run_stages
+from repro.graph.pairwise import run_stages
 from repro.kokkos.core import Device, Host
 from repro.potentials.pair import Pair
 
@@ -100,8 +100,8 @@ class PairKokkos(Pair):
     # ------------------------------------------------------------- kernels
 
     def _compute_pairs(self, eflag: bool, vflag: bool) -> None:
-        """Kokkos executors: one charged whole-kernel dispatch whose functor
-        runs the stages, or graph capture/replay (one dispatch per group)."""
+        """The Kokkos executor: one charged whole-kernel dispatch whose
+        functor runs the stages."""
         lmp = self.lmp
         atom = lmp.atom
         atom_kk = lmp.atom_kk
@@ -121,25 +121,21 @@ class PairKokkos(Pair):
         if eflag or vflag:
             stages = stages + [tally]
 
-        if GRAPH and not self.team_mode:
-            # hierarchical policies are not staged
-            self._run_graph(eflag, vflag, stages, env)
-        else:
-            kk.parallel_for(
-                self.kernel_name(),
-                self._policy(atom.nlocal, nlist.mean_neighbors),
-                lambda idx: run_stages(stages, env),
-                # resolved after the functor ran: the cost profile is
-                # assembled from the *measured* cut pairs and atomics
-                profile=lambda: self.kernel_profile(
-                    natoms=atom.nlocal,
-                    stored_pairs=len(env["i0"]),
-                    cut_pairs=int(env["idx"].size),
-                    mean_neighbors=nlist.mean_neighbors,
-                    atomic_adds=env["atomic_adds"],
-                    duplicated_bytes=env["duplicated_bytes"],
-                ),
-            )
+        kk.parallel_for(
+            self.kernel_name(),
+            self._policy(atom.nlocal, nlist.mean_neighbors),
+            lambda idx: run_stages(stages, env),
+            # resolved after the functor ran: the cost profile is
+            # assembled from the *measured* cut pairs and atomics
+            profile=lambda: self.kernel_profile(
+                natoms=atom.nlocal,
+                stored_pairs=len(env["i0"]),
+                cut_pairs=int(env["idx"].size),
+                mean_neighbors=nlist.mean_neighbors,
+                atomic_adds=env["atomic_adds"],
+                duplicated_bytes=env["duplicated_bytes"],
+            ),
+        )
         atom_kk.modified(space, ("f",))
 
     def _policy(self, natoms: int, mean_neighbors: float):

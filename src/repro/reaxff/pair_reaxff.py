@@ -187,15 +187,15 @@ class PairReaxFF(Pair):
     def stages(self) -> list[Stage]:
         """The pipeline, host and ``/kk`` (:func:`run_many_body`)."""
         return [
-            Stage("bond_list", self._bond_list, "bond-candidates"),
-            Stage("qeq_matrix", self._qeq_matrix, "atoms"),
-            Stage("qeq_solve", self._qeq_solve, "atoms", yields=True),
-            Stage("q_comm", self._q_comm, "ghosts", yields=True),
-            Stage("nonbonded", self._nonbonded, "atoms"),
-            Stage("bonds", self._bonds, "bonds"),
-            Stage("tables", self._tables, "bonds"),
-            Stage("angles", self._angles, "triplets"),
-            Stage("torsions", self._torsions, "quads"),
+            Stage("bond_list", self._bond_list),
+            Stage("qeq_matrix", self._qeq_matrix),
+            Stage("qeq_solve", self._qeq_solve, yields=True),
+            Stage("q_comm", self._q_comm, yields=True),
+            Stage("nonbonded", self._nonbonded),
+            Stage("bonds", self._bonds),
+            Stage("tables", self._tables),
+            Stage("angles", self._angles),
+            Stage("torsions", self._torsions),
         ]
 
     def _bond_list(self, env: dict) -> None:

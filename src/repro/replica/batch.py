@@ -70,7 +70,6 @@ from repro.core.comm_md import GhostReplay
 from repro.core.errors import LammpsError, unknown_choice
 from repro.core.neighbor import build_neighbor_list
 from repro.graph.pairwise import ARENA, pairwise_stages, run_stages
-from repro.kokkos.core import Host
 from repro.parallel.driver import drain
 from repro.potentials.lj import lj_energy, lj_force
 from repro.tools import registry as kp
@@ -350,7 +349,7 @@ class ReplicaBatch:
         for name in const_parts[0]:
             env[name] = np.concatenate([c[name] for c in const_parts])
             assert len(env[name]) == len(j0), name  # gathered unchecked by idx
-        self._pair_stages, _ = pairwise_stages(Host, len(j0), self.atom.nlocal, lj_force)
+        self._pair_stages, _ = pairwise_stages(lj_force)
 
     # ------------------------------------------------------------- stepping
     def step(self, nsteps: int = 1) -> None:

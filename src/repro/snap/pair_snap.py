@@ -25,9 +25,7 @@ import numpy as np
 import repro.kokkos as kk
 from repro.core.errors import InputError, LammpsError
 from repro.core.styles import register_pair
-from repro.graph.pairwise import (
-    ARENA, GRAPH, Stage, prologue_stages, run_graph, run_many_body, run_stages,
-)
+from repro.graph.pairwise import ARENA, Stage, prologue_stages, run_many_body, run_stages
 from repro.kokkos.core import Host
 from repro.kokkos.segment import scatter_add, scatter_sub
 from repro.potentials.pair import Pair, accumulate_virial
@@ -144,12 +142,12 @@ class PairSNAP(Pair):
     def stages(self) -> list[Stage]:
         """The pipeline, host and ``/kk`` (:func:`run_many_body`)."""
         return [
-            Stage("geometry", self._geometry, "stored-pairs"),
-            Stage("ui", self._ui, "cut-pairs"),
-            Stage("yi", self._yi, "atoms"),
-            Stage("energy", self._energy, "atoms"),
-            Stage("deidrj", self._deidrj, "cut-pairs"),
-            Stage("scatter", self._scatter, "atoms"),
+            Stage("geometry", self._geometry),
+            Stage("ui", self._ui),
+            Stage("yi", self._yi),
+            Stage("energy", self._energy),
+            Stage("deidrj", self._deidrj),
+            Stage("scatter", self._scatter),
         ]
 
     def _geometry(self, env: dict) -> None:
@@ -162,13 +160,7 @@ class PairSNAP(Pair):
             ("snap-geometry", id(self)), lambda: self._bind_geometry(nlist, x)
         )
         geo["x"] = x
-        if GRAPH:
-            run_graph(
-                (id(self), "snap-geometry"), (nlist.generation,),
-                f"{type(self).__name__}/geometry", stages, geo,
-            )
-        else:
-            run_stages(stages, geo)
+        run_stages(stages, geo)
         # a C-ordered copy of the prologue's component rows, into the dead xi
         # rows: the Wigner einsums reduce over the component axis in an order
         # the layout sets
@@ -239,7 +231,7 @@ class PairSNAP(Pair):
             "i0": j0[keep], "j0": i0[keep], "cutsq0": self.rcut**2,
             "partner0": np.where(local, owner, nlocal)[keep],
         }
-        return env, prologue_stages(Host, len(env["i0"]), "snap_", gather_bytes=80.0)
+        return env, prologue_stages("snap_")
 
 
 @register_pair("snap/kk")

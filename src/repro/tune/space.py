@@ -8,7 +8,7 @@ dimension because full lists require newton off.
 :func:`enumerate_configs` produces the candidate cells;
 :func:`apply_config` installs one on a Lammps instance or Ensemble;
 :func:`snapshot_config` reads the active cell back as the search baseline.
-Every other mode (sort interval, graph, the QEq knobs) stays user-settable
+Every other mode (sort interval, the QEq knobs) stays user-settable
 and is never searched; the scatter deconfliction follows the execution
 space (:class:`~repro.kokkos.scatter_view.ScatterView`).
 """

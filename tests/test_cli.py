@@ -171,6 +171,18 @@ class TestLazyScipy:
         )
         assert out.strip() == loaded
 
+    def test_a_run_never_loads_the_graph_plan_stub(self, script):
+        """``repro.graph.plan`` only keeps names ``bench_e2e/trace.py`` reads:
+        neither a host nor a ``-sf kk`` run imports it."""
+        out = self._python(
+            "import sys, repro.__main__\n"
+            f"args = ['-in', {script!r}, '-var', 'cells', '2', '--quiet']\n"
+            "repro.__main__.main(args)\n"
+            "repro.__main__.main(args + ['-k', 'on', '-sf', 'kk'])\n"
+            "print('repro.graph.pairwise' in sys.modules, 'repro.graph.plan' in sys.modules)"
+        )
+        assert out.split() == ["True", "False"]
+
     def test_no_module_imports_scipy_or_networkx(self):
         root = os.path.dirname(os.path.abspath(repro.__file__))
         found = []

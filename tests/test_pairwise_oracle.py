@@ -1,15 +1,16 @@
 """The pairwise pass against an oracle that is not one of its executors.
 
 Every cutoff-masked two-body style runs through one Stage list
-(:mod:`repro.graph.pairwise`) driven by four executors.  Agreement between
+(:mod:`repro.graph.pairwise`) driven by three executors.  Agreement between
 executors proves nothing if they share a mistake, so this module keeps the
 simple formula path the executors replaced: a plain-NumPy oracle — brute
 force pairs, textbook LJ / EAM-FS, no caches, no
 ``out=``, no stages.
 
 One parametrised differential test: every two-body style x {eager host,
-eager kk (half/full x newton), graph on, replica R=3}.  Executors that accumulate in the same order (graph vs eager
-on one list flavour, stacked replicas vs solo) agree **bitwise**; every
+eager kk (half/full x newton), replica R=3}.  Passes that accumulate in the
+same order (a second step over the same list, which reuses the memoized env
+and Stage objects, and stacked replicas vs solo) agree **bitwise**; every
 cell agrees with eager host and with the oracle to 1e-12.  Host
 ``eam/fs``, on a half list with newton on, is held against the one-sided
 EAM oracle at 1, 2 and 4 ranks.  The tests at
@@ -25,7 +26,6 @@ import pytest
 
 from repro.core import Lammps
 from repro.core.neighbor import brute_force_pairs
-from repro.graph import ON, force_graph_mode, set_graph_mode
 from repro.graph.pairwise import ARENA, Arena, index_bounds, run_stages
 from repro.parallel.driver import drain
 from repro.potentials.eam import eam_geometry
@@ -33,12 +33,6 @@ from repro.replica import ReplicaBatch
 
 from conftest import gather_by_tag, make_melt
 from test_potentials_eam import make_eam
-
-
-@pytest.fixture(autouse=True)
-def _reset_modes():
-    yield
-    set_graph_mode(None)
 
 
 # ---------------------------------------------------------------- the systems
@@ -202,10 +196,8 @@ def test_every_executor_matches_eager_host_and_the_oracle(style):
     ref = evaluate(host)
     assert_oracle(ref, oracle(style, host), f"{style} eager host")
 
-    # graph on: capture step, then replay step, same Stage objects
-    with force_graph_mode(ON):
-        assert_bitwise(evaluate(host), ref, f"{style} graph capture")
-        assert_bitwise(evaluate(host), ref, f"{style} graph replay")
+    # a second step runs the same memoized env and Stage objects
+    assert_bitwise(evaluate(host), ref, f"{style} second step")
 
     if style != "eam/fs":
         kkr = build(style, kk=True)
@@ -215,21 +207,17 @@ def test_every_executor_matches_eager_host_and_the_oracle(style):
             drain(kkr.rebuild_gen())
             label = f"{style}/kk {neigh} newton={newton}"
             # another list flavour / scatter path sums in another order:
-            # host agreement is to round-off, graph agreement is bitwise
+            # host agreement is to round-off, a second step's is bitwise
             eager = evaluate(kkr)
             assert_oracle(eager, ref, label)
-            with force_graph_mode(ON):
-                assert_bitwise(evaluate(kkr), eager, label + " graph capture")
-                assert_bitwise(evaluate(kkr), eager, label + " graph replay")
+            assert_bitwise(evaluate(kkr), eager, label + " second step")
     else:  # eam/fs/kk: full list only, three charged kernels; its
         # ScatterView density sums in another order than the host's sorted
         # segments, so host agreement is to round-off
         kkr = build(style, kk=True)
         eager = evaluate(kkr)
         assert_oracle(eager, ref, f"{style}/kk")
-        with force_graph_mode(ON):
-            assert_bitwise(evaluate(kkr), eager, f"{style}/kk graph capture")
-            assert_bitwise(evaluate(kkr), eager, f"{style}/kk graph replay")
+        assert_bitwise(evaluate(kkr), eager, f"{style}/kk second step")
 
 
 @pytest.mark.parametrize("style", ["lj/cut"])

@@ -107,15 +107,14 @@ class TestScatterAdd:
         # sequential in-place subtraction
         np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-14)
 
-    def test_3d_target_falls_back_to_ufunc(self):
-        rng = np.random.default_rng(4)
-        idx = rng.integers(0, 5, size=20)
-        v = rng.normal(size=(20, 2, 2))
+    def test_3d_target_is_refused(self):
+        # the one scatter algorithm is a 1-D/2-D segmented reduction; a
+        # wider target has no second algorithm to fall back to
         a = np.zeros((5, 2, 2))
-        b = np.zeros((5, 2, 2))
-        scatter_add(a, idx, v)
-        np.add.at(b, idx, v)
-        np.testing.assert_array_equal(a, b)
+        for op in (scatter_add, scatter_sub):
+            with pytest.raises(ValueError, match=r"\(5, 2, 2\)"):
+                op(a, np.array([0, 3]), np.ones((2, 2, 2)))
+        assert not a.any()
 
     @pytest.mark.parametrize("scatter", SCATTERS)
     @pytest.mark.parametrize("sort", [True, False])
