@@ -89,7 +89,7 @@ def _fold_rows(arr: np.ndarray, src: np.ndarray, dst: slice) -> None:
 class GhostReplay:
     """Recorded self-send swaps as in-place slice stages.
 
-    Stage ``k`` holds swap ``k`` of every layout that has one, as
+    The ``k``-th stage holds swap ``k`` of every layout that has one, as
     ``(src, dst, shift)``: the ghost rows ``dst``, one contiguous slice, are
     copies of the ``src`` atoms (plus the periodic ``shift`` for positions).
     Replaying the stages forward is each layout's forward comm in its own

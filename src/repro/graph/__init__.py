@@ -1,1 +1,1 @@
-"""The pairwise force pass as a Stage list (:mod:`repro.graph.pairwise`)."""
+"""The two-body pass and the many-body executor (:mod:`repro.graph.pairwise`)."""

@@ -1,26 +1,26 @@
-"""The force passes as Stage lists, and the executors that run them.
+"""The two-body pass as three functions, and the many-body executor.
 
 Paper section 4.1's ``pair_kokkos`` contract is that a two-body style
 supplies only its pair formula and the base does everything else.  This
-module is that "everything else", written once as stage functions over an
+module is that "everything else", written once as functions over an
 ``env`` dict:
 
-``delta -> rsq -> cutmask -> gather`` (the geometry prologue), the style's
-``eval`` hook (:meth:`repro.potentials.pair.Pair.eval_setup`), ``fvec``,
-``force_scatter`` (half/host, full-sorted, ScatterView half +- newton) and
-``tally`` (the style's energy half + ``ev_tally``).
+* :func:`prologue` -- ``delta -> rsq -> cutmask -> gather``, the cut geometry;
+* the style's ``env["force_fn"]`` (:meth:`repro.potentials.pair.Pair.eval_setup`);
+* :func:`force_chain` -- ``fvec -> force_scatter`` (half/host, full-sorted,
+  ScatterView half +- newton), then on tallied steps the style's energy
+  half and ``ev_tally``;
 
-Three executors drive that list:
+and :func:`pairwise` runs the three in order.  Every executor calls it:
+the host style eagerly, ``/kk`` inside one charged whole-kernel dispatch
+(:class:`~repro.potentials.pair_kokkos.PairKokkos`), and the replica batch
+over the stacked ``i/j/cutsq/coefficient`` vectors of a whole batch
+(:mod:`repro.replica.batch`).  EAM runs :func:`prologue` for its geometry
+and :func:`force_chain` after its own ``fp`` terms; SNAP and ReaxFF run
+:func:`prologue` for theirs.
 
-* **eager host** runs the stage bodies in order (:func:`run_stages`);
-* **eager kk** runs them inside one charged whole-kernel dispatch
-  (:class:`~repro.potentials.pair_kokkos.PairKokkos`);
-* **replica** runs the same stage functions over the stacked
-  ``i/j/cutsq/coefficient`` vectors of a whole batch
-  (:mod:`repro.replica.batch`).
-
-A many-body style (``snap``, ``reaxff``) declares one Stage list of its
-own kernels, and :func:`run_many_body` runs it on the host and under ``/kk``.
+A many-body style (``snap``, ``reaxff``) declares one :class:`Stage` list of
+its own kernels, and :func:`run_many_body` runs it on the host and under ``/kk``.
 
 Workspace contract: per-rebuild *constants* (pair indices, squared
 cutoffs, pre-gathered coefficient vectors, ``j < nlocal``) live in the
@@ -46,7 +46,7 @@ from repro.kokkos.segment import scatter_add, scatter_sub
 
 @dataclass
 class Stage:
-    """One declared pass of a staged force path."""
+    """One declared pass of a many-body style (:func:`run_many_body`)."""
 
     name: str
     fn: Callable[[dict], None]
@@ -174,20 +174,6 @@ def _gather_fn(env: dict) -> None:
     env["jl_n"] = None if jl0 is None else np.take(jl0, idx)
 
 
-#: The geometry prologue, for callers that run it outside a Stage list.
-#: Over ``env["x"]``, ``i0``, ``j0``, ``cutsq0`` it leaves ``idx`` and the
-#: cut-pair arrays ``i_n/j_n/dx_n/rsq_n`` (``dx_n = (x[i_n] - x[j_n]).T``),
-#: written into ``env["take"](name, *shape, dtype=)`` buffers: ``ARENA``
-#: loans by default, fresh arrays with :func:`fresh`.
-PROLOGUE = (_delta_fn, _rsq_fn, _cutmask_fn, _gather_fn)
-
-
-def _fvec_fn(env: dict) -> None:
-    dx = env["dx_n"]
-    # xi (dx0) is dead once gather has compressed it, and is never shorter
-    env["fvec_n"] = np.multiply(dx, env["fpair_n"], out=ARENA.take("xi", *dx.shape))
-
-
 def _scatter_fn(env: dict) -> None:
     """``+fvec`` on i (and ``-fvec`` on j for half lists), per list style."""
     i, j, fvec = env["i_n"], env["j_n"], env["fvec_n"].T
@@ -219,47 +205,43 @@ def _scatter_fn(env: dict) -> None:
         env["duplicated_bytes"] = float(sv.duplicated_bytes)
 
 
-def _tally_fn(env: dict) -> None:
-    """The style's energy half, then ``ev_tally`` over the cut pairs."""
-    env["energy_fn"](env)
-    env["pair"].tally_pairs(
-        env["evdwl_n"],
-        env["dx_n"].T,
-        env["fvec_n"].T,
-        env["jl_n"],
-        full_list=env["full"],
-        newton=env["newton"],
-    )
+# ================================================================ the two-body pass
+def prologue(env: dict) -> None:
+    """The cut geometry.  Over ``env["x"]``, ``i0``, ``j0``, ``cutsq0`` it
+    leaves ``idx`` and the cut-pair arrays ``i_n/j_n/dx_n/rsq_n``
+    (``dx_n = (x[i_n] - x[j_n]).T``), written into
+    ``env["take"](name, *shape, dtype=)`` buffers: ``ARENA`` loans by
+    default, fresh arrays with :func:`fresh`."""
+    _delta_fn(env)
+    _rsq_fn(env)
+    _cutmask_fn(env)
+    _gather_fn(env)
 
 
-# ============================================================ stage declarations
-def prologue_stages(prefix: str = "") -> list[Stage]:
-    """Stage declarations of the geometry prologue."""
-    return [
-        Stage(f"{prefix}{name}", fn)
-        for name, fn in zip(("delta", "rsq", "cutmask", "gather"), PROLOGUE)
-    ]
+def force_chain(env: dict, tally: bool) -> None:
+    """``fvec -> force_scatter`` over the prologue's cut pairs and
+    ``env["fpair_n"]``; with ``tally``, the style's energy half, then
+    ``ev_tally`` over the cut pairs."""
+    dx = env["dx_n"]
+    # xi (dx0) is dead once gather has compressed it, and is never shorter
+    fvec = env["fvec_n"] = np.multiply(dx, env["fpair_n"], out=ARENA.take("xi", *dx.shape))
+    _scatter_fn(env)
+    if tally:
+        env["energy_fn"](env)
+        env["pair"].tally_pairs(
+            env["evdwl_n"], dx.T, fvec.T, env["jl_n"],
+            full_list=env["full"], newton=env["newton"],
+        )
 
 
-def force_chain_stages(prefix: str = "") -> tuple[list[Stage], Stage]:
-    """``fvec -> force_scatter`` declarations plus the ``tally`` stage."""
-    chain = [Stage(f"{prefix}fvec", _fvec_fn), Stage(f"{prefix}force_scatter", _scatter_fn)]
-    return chain, Stage(f"{prefix}tally", _tally_fn)
-
-
-def pairwise_stages(force_fn: Callable[[dict], None]) -> tuple[list[Stage], Stage]:
-    """The whole two-body pass: ``(force stages, tally stage)``."""
-    chain, tally = force_chain_stages()
-    return [*prologue_stages(), Stage("eval", force_fn), *chain], tally
+def pairwise(env: dict, tally: bool) -> None:
+    """The whole two-body pass: prologue, the style's force half, the chain."""
+    prologue(env)
+    env["force_fn"](env)
+    force_chain(env, tally)
 
 
 # =================================================================== executors
-def run_stages(stages: list[Stage], env: dict) -> None:
-    """The eager executor: the stage bodies, in order."""
-    for st in stages:
-        st.fn(env)
-
-
 def run_many_body(stages: list[Stage], env: dict, kernels: dict) -> Iterator[None]:
     """The many-body executor.  ``kernels`` maps a stage to its ``/kk``
     charge ``(kernel name, policy, profile)``; a stage without one runs bare.

@@ -34,15 +34,7 @@ import numpy as np
 
 from repro.core.errors import InputError
 from repro.core.styles import register_pair
-from repro.graph.pairwise import (
-    ARENA,
-    PROLOGUE,
-    Stage,
-    force_chain_stages,
-    fresh,
-    index_bounds,
-    run_stages,
-)
+from repro.graph.pairwise import ARENA, force_chain, fresh, index_bounds, prologue
 from repro.kokkos.segment import scatter_add
 from repro.potentials.pair import Pair
 
@@ -107,94 +99,65 @@ class EAMMixin:
         return -2.0 * cp * (rc - r)
 
 
-# ---------------------------------------------------------------- stage bodies
-# The EAM force chain over cut pairs: fp_sum -> fpair -> (shared) fvec ->
-# force_scatter -> tally.  ``env`` holds the cut geometry (``i_n``, ``j_n``,
-# ``dx_n``, ``r_n``), the gathered coefficients (``cp_n``, ``rc_n``), the
-# ``fp`` array and the pair style.
+# ------------------------------------------------------------------ the pass
+# One env per list, rerun every step: the per-rebuild constants (list,
+# bound list style, coefficient vectors), the prologue's cut geometry
+# (``i_n``, ``j_n``, ``dx_n``), ``r_n`` and the gathered coefficients
+# (``cp_n``, ``rc_n``); :func:`eam_force` adds ``fp`` and ``f`` and runs
+# fp_sum -> fpair -> the shared force chain over it.
 def eam_geometry(pair, x: np.ndarray) -> dict:
     """Cut geometry + gathered coefficient vectors over the whole list."""
     nlist = pair.lmp.neigh_list
 
     def bind():
-        pair.bind_list(nlist)
+        full, newton = pair.bind_list(nlist)
         i0, j0, itype0, jtype0, cutsq0 = pair.pair_table(nlist, pair.lmp.atom)
         # kept, not lent from the arena: the geometry outlives the rho and fp
         # exchanges' yields, across which another rank's pass reuses the arena
-        base = {"i0": i0, "j0": j0, "cutsq0": cutsq0, "take": fresh}
-        index_bounds(base)  # once per list; each step's geometry copies it
-        return base, pair.pair_coeffs(itype0, jtype0)
+        base = {
+            "pair": pair, "i0": i0, "j0": j0, "cutsq0": cutsq0, "take": fresh,
+            "full": full, "newton": newton, "f_view": None, "energy_fn": eam_energy,
+            **pair.pair_coeffs(itype0, jtype0),
+        }
+        index_bounds(base)  # once per list
+        return base
 
-    base, coeffs = nlist.pair_cache().memo(("eam", id(pair)), bind)
-    geo = dict(base, x=x)
-    for fn in PROLOGUE:
-        fn(geo)
-    gather_eam_coeffs(geo, coeffs)
+    # the memoized env is also the step's geometry: each step's arrays replace
+    # the last step's, which stay referenced until then (a per-step copy let
+    # them die at each step's end, and the allocator re-faulted their pages)
+    geo = nlist.pair_cache().memo(("eam", id(pair)), bind)
+    geo["x"] = x
+    prologue(geo)
+    idx = geo["idx"]
+    geo["r_n"] = np.sqrt(geo["rsq_n"])
+    geo["cp_n"] = np.take(geo["cp0"], idx)
+    geo["rc_n"] = np.take(geo["rc0"], idx)
     return geo
 
 
-def gather_eam_coeffs(geo: dict, coeffs: dict) -> None:
-    idx = geo["idx"]
-    geo["r_n"] = np.sqrt(geo["rsq_n"])
-    geo["cp_n"] = np.take(coeffs["cp0"], idx)
-    geo["rc_n"] = np.take(coeffs["rc0"], idx)
+def eam_force(geo: dict, fp: np.ndarray, f: np.ndarray, tally: bool) -> None:
+    """The force loop over a cut geometry: fp_sum -> fpair -> force chain.
 
-
-#: what the force chain reads of a geometry env
-_GEOMETRY_KEYS = ("i_n", "j_n", "dx_n", "r_n", "cp_n", "rc_n")
-
-
-def _eam_fp_sum(env: dict) -> None:
-    fp, i = env["fp"], env["i_n"]
-    env["fps_n"] = np.add(
-        np.take(fp, i), np.take(fp, env["j_n"]), out=ARENA.take("eam_fps", len(i))
-    )
-
-
-def _eam_fpair(env: dict) -> None:
+    The scatter and tally follow the bound list: a full list (newton off)
+    updates ``i`` only, a half list with newton on updates both ends.
+    """
+    geo.update(fp=fp, f=f)
+    i = geo["i_n"]
+    fps = np.add(np.take(fp, i), np.take(fp, geo["j_n"]), out=ARENA.take("eam_fps", len(i)))
     # the (i, j) bond's force over r, -(phi' + (fp_i + fp_j) rho')/r, the same
     # in both list styles: a full list visits the bond from each end and
     # updates only i, a half list visits it once and updates both ends
-    pair, r, rc = env["pair"], env["r_n"], env["rc_n"]
-    d = pair.dphi(r, env["cp_n"], rc)
-    t = env["fps_n"] * pair.ddens(r, rc)
+    pair, r, rc = geo["pair"], geo["r_n"], geo["rc_n"]
+    d = pair.dphi(r, geo["cp_n"], rc)
+    t = fps * pair.ddens(r, rc)
     num = np.add(d, t, out=ARENA.take("fpair", len(r)))
     np.negative(num, out=num)
-    env["fpair_n"] = np.divide(num, r, out=num)
+    geo["fpair_n"] = np.divide(num, r, out=num)
+    force_chain(geo, tally)
 
 
 def eam_energy(env: dict) -> None:
     env["evdwl_n"] = env["pair"].phi(env["r_n"], env["cp_n"], env["rc_n"])
-
-
-def eam_force_stages() -> tuple[list[Stage], Stage]:
-    """Stage declarations of the force chain."""
-    chain, tally = force_chain_stages("eam_")
-    return [Stage("eam_fp_sum", _eam_fp_sum), Stage("eam_fpair", _eam_fpair), *chain], tally
-
-
-def eam_force_kernel(pair, geo: dict, fp: np.ndarray, f: np.ndarray):
-    """``(env, stages, tally)`` of the force chain over a cut geometry.
-
-    The scatter and tally follow the bound list: a full list (newton off)
-    updates ``i`` only, a half list with newton on updates both ends.  The
-    env and the Stage objects are bound once per rebuild (memoized on the
-    pair cache); only the per-step geometry, ``fp`` and ``f`` are rebound.
-    """
-    nlist = pair.lmp.neigh_list
-
-    def bind():
-        full, newton = pair.bind_list(nlist)
-        env = {
-            "pair": pair, "f_view": None, "jl_n": None,
-            "full": full, "newton": newton, "energy_fn": eam_energy,
-        }
-        return (env, *eam_force_stages())
-
-    env, stages, tally = nlist.pair_cache().memo(("eam-force", id(pair)), bind)
-    env.update({k: geo[k] for k in _GEOMETRY_KEYS})
-    env.update(fp=fp, f=f)
-    return env, stages, tally
 
 
 @register_pair("eam/fs")
@@ -214,11 +177,6 @@ class PairEAM(EAMMixin, Pair):
         A = self.embed_A[atom.type[: atom.nlocal]]
         self.eng_vdwl += float(self.embed(rho_local, A).sum())
         atom.fp[: atom.nlocal] = self.dembed(rho_local, A)
-
-    def _force_pass(self, geo: dict, eflag, vflag) -> None:
-        atom = self.lmp.atom
-        env, stages, tally = eam_force_kernel(self, geo, atom.fp, atom.f)
-        run_stages(stages + [tally] if eflag or vflag else stages, env)
 
     # ------------------------------------------------------------- compute
     def compute_gen(self, eflag: bool = True, vflag: bool = True) -> Iterator[None]:
@@ -248,4 +206,4 @@ class PairEAM(EAMMixin, Pair):
 
         # Loop 2: forces and pair energy; ghost forces return in the
         # integrator's reverse comm (needs_reverse_comm).
-        self._force_pass(geo, eflag, vflag)
+        eam_force(geo, atom.fp, atom.f, eflag or vflag)

@@ -17,10 +17,9 @@ import numpy as np
 
 import repro.kokkos as kk
 from repro.core.styles import register_pair
-from repro.graph.pairwise import run_stages
 from repro.kokkos.core import Host
 from repro.kokkos.scatter_view import ScatterView
-from repro.potentials.eam import PairEAM, eam_force_kernel, eam_geometry
+from repro.potentials.eam import PairEAM, eam_force, eam_geometry
 
 
 @register_pair("eam/fs/kk")
@@ -98,13 +97,10 @@ class PairEAMKokkos(PairEAM):
         nlist = self.lmp.neigh_list
         space = self.execution_space
         stored = nlist.total_pairs
-        env, stages, tally = eam_force_kernel(self, geo, fp_view.data, f_view.data)
-        if eflag or vflag:
-            stages = stages + [tally]
         kk.parallel_for(
             "PairEAMKernelForce",
             kk.RangePolicy(space, 0, atom.nlocal),
-            lambda idx: run_stages(stages, env),
+            lambda idx: eam_force(geo, fp_view.data, f_view.data, eflag or vflag),
             profile=kk.KernelProfile(
                 name="PairEAMKernelForce",
                 flops=20.0 * stored,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import InputError, LammpsError, StyleError
-from repro.graph.pairwise import pairwise_stages, run_stages
+from repro.graph.pairwise import pairwise
 from repro.kokkos.core import Device, Host
 
 
@@ -219,11 +219,9 @@ class Pair:
         raise StyleError(f"{type(self).__name__} has no two-body pairwise form")
 
     def pair_kernel(self):
-        """This style's bound pairwise pass.
-
-        ``(env, stages, tally_stage)`` memoized on the list's
-        :class:`~repro.core.neighbor.PairCache`, so every per-rebuild
-        constant in ``env`` dies with the list.
+        """This style's bound :func:`~repro.graph.pairwise.pairwise` env,
+        memoized on the list's :class:`~repro.core.neighbor.PairCache`, so
+        every per-rebuild constant in it dies with the list.
         """
         nlist = self.lmp.neigh_list
         style, newton = self.neighbor_request()
@@ -247,11 +245,10 @@ class Pair:
             "newton": newton,
             "f_view": None,
         }
-        force_fn, env["energy_fn"] = self.eval_setup(env, itype0, jtype0)
+        env["force_fn"], env["energy_fn"] = self.eval_setup(env, itype0, jtype0)
         # cut-pair indices (< len(i0)) gather every per-pair vector unchecked
         assert all(len(v) == len(i0) for v in env.values() if isinstance(v, np.ndarray))
-        stages, tally = pairwise_stages(force_fn)
-        return env, stages, tally
+        return env
 
     def compute(self, eflag: bool = True, vflag: bool = True) -> None:
         self.reset_tallies(eflag or vflag)
@@ -261,11 +258,9 @@ class Pair:
         self._compute_pairs(eflag, vflag)
 
     def _compute_pairs(self, eflag: bool, vflag: bool) -> None:
-        """The host executor: the stages, eagerly in order."""
-        env, stages, tally = self.pair_kernel()
+        """The host executor: the pass, eagerly."""
+        env = self.pair_kernel()
         atom = self.lmp.atom
         env["x"] = atom.x[: atom.nall]
         env["f"] = atom.f
-        if eflag or vflag:
-            stages = stages + [tally]
-        run_stages(stages, env)
+        pairwise(env, eflag or vflag)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import repro.kokkos as kk
 from repro.core.errors import InputError
-from repro.graph.pairwise import run_stages
+from repro.graph.pairwise import pairwise
 from repro.kokkos.core import Device, Host
 from repro.potentials.pair import Pair
 
@@ -101,7 +101,7 @@ class PairKokkos(Pair):
 
     def _compute_pairs(self, eflag: bool, vflag: bool) -> None:
         """The Kokkos executor: one charged whole-kernel dispatch whose
-        functor runs the stages."""
+        functor runs the pass."""
         lmp = self.lmp
         atom = lmp.atom
         atom_kk = lmp.atom_kk
@@ -111,20 +111,19 @@ class PairKokkos(Pair):
         # Datamask protocol (section 3.2): sync reads, then compute on the
         # space's views, then mark writes.
         atom_kk.sync(space, ("x", "type", "f"))
-        env, stages, tally = self.pair_kernel()
+        env = self.pair_kernel()
         # the half list deconflicts through a ScatterView over the f View
         f_view = env["f_view"] = atom_kk.view("f", space)
         env["x"] = atom_kk.view("x", space).data[: atom.nall]
         env["f"] = f_view.data
         env["atomic_adds"] = 0
         env["duplicated_bytes"] = 0.0
-        if eflag or vflag:
-            stages = stages + [tally]
+        tally = eflag or vflag
 
         kk.parallel_for(
             self.kernel_name(),
             self._policy(atom.nlocal, nlist.mean_neighbors),
-            lambda idx: run_stages(stages, env),
+            lambda idx: pairwise(env, tally),
             # resolved after the functor ran: the cost profile is
             # assembled from the *measured* cut pairs and atomics
             profile=lambda: self.kernel_profile(

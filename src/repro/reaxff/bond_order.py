@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.neighbor import NeighborList
-from repro.graph.pairwise import PROLOGUE, fresh, index_bounds
+from repro.graph.pairwise import fresh, index_bounds, prologue
 from repro.reaxff.params import ReaxParams
 
 
@@ -126,7 +126,7 @@ def build_bond_list(
     accepted bonds per atom, the offsets come from a scan, the (resized)
     table is filled by a second kernel.  All vectorized, and bit-identical
     to the reference build.  The candidate geometry is the shared
-    :data:`~repro.graph.pairwise.PROLOGUE`, and ``r0_ij`` is gathered once
+    :func:`~repro.graph.pairwise.prologue`, and ``r0_ij`` is gathered once
     per rebuild of ``nlist`` (``types`` must be constant between them).
 
     ``nlist`` must hold every pair that has ``BO > bo_cut`` *now*.  A list
@@ -147,8 +147,7 @@ def build_bond_list(
 
     base, _, r0 = nlist.pair_cache().memo(("reaxff.bonds", id(params)), bind)
     geo = dict(base, x=x)
-    for fn in PROLOGUE:
-        fn(geo)
+    prologue(geo)
     # C-ordered (n, 3) rows, as nonbonded_geometry takes them
     i, j, dx, r = geo["i_n"], geo["j_n"], geo["dx_n"].T.copy(), np.sqrt(geo["rsq_n"])
     bo, dbo = bond_order(r, None, None, params, r0=np.take(r0, geo["idx"]))

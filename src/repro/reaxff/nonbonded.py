@@ -12,7 +12,7 @@ from the same shielded-tapered kernel over the same per-step geometry pass
 equilibrated charges minimize exactly the Coulomb energy computed here
 (which is what makes forces at fixed charges exact derivatives — the
 envelope theorem the tests rely on).
-That pass is the shared section 4.1 prologue (``pairwise.PROLOGUE``), with
+That pass is the shared section 4.1 prologue (``pairwise.prologue``), with
 the per-pair species constants gathered once per neighbor rebuild and the
 per-step values written into arena loans of the list's own
 (:func:`list_loans`).
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.pairwise import ARENA, PROLOGUE, gather, index_bounds
+from repro.graph.pairwise import ARENA, gather, index_bounds, prologue
 from repro.kokkos.segment import scatter_add
 from repro.reaxff.params import ReaxParams
 
@@ -149,8 +149,7 @@ def nonbonded_geometry(
         return (ARENA.take if name == "xj" else loans)(name, *shape, dtype=dtype)
 
     geo = dict(base, x=x, take=take)
-    for fn in PROLOGUE:
-        fn(geo)
+    prologue(geo)
     idx, i, j = geo["idx"], geo["i_n"], geo["j_n"]
     n = idx.size
     # C-ordered, because the force and virial reductions over it are

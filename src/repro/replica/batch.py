@@ -24,7 +24,7 @@ identical to solo runs, enforced by ``tests/test_replica_batch.py``.  The
 engine earns this by construction:
 
 * the pair math is not replicated at all: the batch is one more executor
-  of the solo stage functions (:mod:`repro.graph.pairwise`), run over the
+  of the solo pass (:func:`repro.graph.pairwise.pairwise`), run over the
   stacked ``i/j/cutsq/coefficient`` vectors, and the NVE kicks are
   elementwise, so each replica's rows see exactly the solo operation
   sequence;
@@ -69,7 +69,7 @@ from repro.core.atom import BORDER_FIELDS, AtomVec
 from repro.core.comm_md import GhostReplay
 from repro.core.errors import LammpsError, unknown_choice
 from repro.core.neighbor import build_neighbor_list
-from repro.graph.pairwise import ARENA, pairwise_stages, run_stages
+from repro.graph.pairwise import ARENA, pairwise
 from repro.parallel.driver import drain
 from repro.potentials.lj import lj_energy, lj_force
 from repro.tools import registry as kp
@@ -125,7 +125,6 @@ class ReplicaBatch:
         self._sig: tuple | None = None
         self._replay: GhostReplay | None = None
         self._env: dict = {}  #: stacked pairwise env, rebuilt every epoch
-        self._pair_stages: list = []  #: the pairwise stage list
 
     # ------------------------------------------------------------ admission
     def add_replica(self, lmp) -> None:
@@ -314,11 +313,10 @@ class ReplicaBatch:
 
     def _build_pair_env(self) -> None:
         """Stack every member's stored pairs and per-pair constants into the
-        env the pairwise stage functions run over (one per epoch).  The
-        stacked executor of the pairwise pass: the stage functions of
-        :mod:`repro.graph.pairwise` over the whole batch's concatenated
-        ``i/j/cutsq/coefficient`` vectors; the pair arithmetic stays in
-        ``potentials/lj.py``."""
+        env the pairwise pass runs over (one per epoch).  The stacked
+        executor of :func:`repro.graph.pairwise.pairwise` over the whole
+        batch's concatenated ``i/j/cutsq/coefficient`` vectors; the pair
+        arithmetic stays in ``potentials/lj.py``."""
         i_parts, j_parts, cut_parts, const_parts = [], [], [], []
         off = [0]
         for m in self.members:
@@ -345,11 +343,11 @@ class ReplicaBatch:
             "full": full,
             "newton": newton,
             "f_view": None,
+            "force_fn": lj_force,
         }
         for name in const_parts[0]:
             env[name] = np.concatenate([c[name] for c in const_parts])
             assert len(env[name]) == len(j0), name  # gathered unchecked by idx
-        self._pair_stages, _ = pairwise_stages(lj_force)
 
     # ------------------------------------------------------------- stepping
     def step(self, nsteps: int = 1) -> None:
@@ -398,13 +396,13 @@ class ReplicaBatch:
                 drain(m.lmp.thermo.output_gen())
 
     def _force(self, due: list[_Member]) -> None:
-        """Stacked ``lj/cut``: the pairwise stages, the due members'
+        """Stacked ``lj/cut``: the untallied pairwise pass, the due members'
         tallies, then the ghost-force fold when newton is on."""
         atom = self.atom
         env = self._env
         atom.zero_forces()
         env.update(x=atom.x[: atom.nall], f=atom.f)
-        run_stages(self._pair_stages, env)
+        pairwise(env, False)
         if due:
             lj_energy(env)
             self._tally(due)

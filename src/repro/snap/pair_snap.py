@@ -25,7 +25,7 @@ import numpy as np
 import repro.kokkos as kk
 from repro.core.errors import InputError, LammpsError
 from repro.core.styles import register_pair
-from repro.graph.pairwise import ARENA, Stage, prologue_stages, run_many_body, run_stages
+from repro.graph.pairwise import ARENA, Stage, prologue, run_many_body
 from repro.kokkos.core import Host
 from repro.kokkos.segment import scatter_add, scatter_sub
 from repro.potentials.pair import Pair, accumulate_virial
@@ -156,11 +156,11 @@ class PairSNAP(Pair):
         atom, nlist = self.lmp.atom, self.lmp.neigh_list
         nlocal = env["nlocal"] = atom.nlocal
         x = atom.x[: atom.nall]
-        geo, stages = nlist.pair_cache().memo(
+        geo = nlist.pair_cache().memo(
             ("snap-geometry", id(self)), lambda: self._bind_geometry(nlist, x)
         )
         geo["x"] = x
-        run_stages(stages, geo)
+        prologue(geo)
         # a C-ordered copy of the prologue's component rows, into the dead xi
         # rows: the Wigner einsums reduce over the component axis in an order
         # the layout sets
@@ -227,11 +227,10 @@ class PairSNAP(Pair):
         keep = keep_once(
             atom.tag[i0], tj, local, x[j0] - x[i0], self.lmp.update.ntimestep
         )
-        env = {
+        return {
             "i0": j0[keep], "j0": i0[keep], "cutsq0": self.rcut**2,
             "partner0": np.where(local, owner, nlocal)[keep],
         }
-        return env, prologue_stages("snap_")
 
 
 @register_pair("snap/kk")

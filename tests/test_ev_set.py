@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import make_melt
+from test_potentials_eam import make_eam
 from test_snap_pair import make_ta
 from repro.core.errors import LammpsError
 from repro.core.integrate import Verlet
@@ -31,18 +32,25 @@ def tally_log(monkeypatch):
     return calls
 
 
+def make_target(name: str):
+    """A melt variant (``host``, ``kk``, ``np4``) or an EAM style
+    (``eam/fs``, ``eam/fs/kk``) printing every 50 steps."""
+    if name.startswith("eam"):
+        lmp = make_eam(device="H100" if name.endswith("/kk") else None, pair_style=name)
+        lmp.command("thermo 50")
+        return lmp
+    kwargs = {"kk": {"device": "H100", "suffix": "kk"}, "np4": {"nranks": 4}}.get(name, {})
+    return make_melt(thermo=50, **kwargs)
+
+
 class TestTallyCadence:
     """``run 100`` with ``thermo 50``: 101 force calls, 3 of them tally."""
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{}, {"device": "H100", "suffix": "kk"}, {"nranks": 4}],
-        ids=["host", "kk", "np4"],
-    )
-    def test_one_tally_per_printed_row(self, tally_log, kwargs):
-        target = make_melt(thermo=50, **kwargs)
+    @pytest.mark.parametrize("name", ["host", "kk", "np4", "eam/fs", "eam/fs/kk"])
+    def test_one_tally_per_printed_row(self, tally_log, name):
+        target = make_target(name)
         target.command("run 100")
-        nranks = kwargs.get("nranks", 1)
+        nranks = 4 if name == "np4" else 1
         rows = target.ranks[0].thermo.history if nranks > 1 else target.thermo.history
         assert [r.step for r in rows] == [0, 50, 100]
         assert sorted(tally_log) == sorted(
@@ -104,11 +112,12 @@ class TestSNAP:
 
 
 class TestTalliedValues:
-    def test_energy_equals_every_step_tally_bitwise(self, monkeypatch):
-        sparse = make_melt(thermo=50)
+    @pytest.mark.parametrize("name", ["host", "eam/fs", "eam/fs/kk"])
+    def test_energy_equals_every_step_tally_bitwise(self, monkeypatch, name):
+        sparse = make_target(name)
         sparse.command("run 7")
         monkeypatch.setattr(Verlet, "ev_set", lambda self, step, last: True)
-        dense = make_melt(thermo=50)
+        dense = make_target(name)
         dense.command("run 7")
         assert sparse.pair.eng_vdwl == dense.pair.eng_vdwl
         assert np.array_equal(sparse.pair.virial, dense.pair.virial)

@@ -1,7 +1,7 @@
 """The pairwise pass against an oracle that is not one of its executors.
 
-Every cutoff-masked two-body style runs through one Stage list
-(:mod:`repro.graph.pairwise`) driven by three executors.  Agreement between
+Every cutoff-masked two-body style runs through one pass
+(:func:`repro.graph.pairwise.pairwise`) driven by three executors.  Agreement between
 executors proves nothing if they share a mistake, so this module keeps the
 simple formula path the executors replaced: a plain-NumPy oracle — brute
 force pairs, textbook LJ / EAM-FS, no caches, no
@@ -9,8 +9,8 @@ force pairs, textbook LJ / EAM-FS, no caches, no
 
 One parametrised differential test: every two-body style x {eager host,
 eager kk (half/full x newton), replica R=3}.  Passes that accumulate in the
-same order (a second step over the same list, which reuses the memoized env
-and Stage objects, and stacked replicas vs solo) agree **bitwise**; every
+same order (a second step over the same list, which reuses the memoized env,
+and stacked replicas vs solo) agree **bitwise**; every
 cell agrees with eager host and with the oracle to 1e-12.  Host
 ``eam/fs``, on a half list with newton on, is held against the one-sided
 EAM oracle at 1, 2 and 4 ranks.  The tests at
@@ -26,7 +26,7 @@ import pytest
 
 from repro.core import Lammps
 from repro.core.neighbor import brute_force_pairs
-from repro.graph.pairwise import ARENA, Arena, index_bounds, run_stages
+from repro.graph.pairwise import ARENA, Arena, force_chain, index_bounds, pairwise, prologue
 from repro.parallel.driver import drain
 from repro.potentials.eam import eam_geometry
 from repro.replica import ReplicaBatch
@@ -196,7 +196,7 @@ def test_every_executor_matches_eager_host_and_the_oracle(style):
     ref = evaluate(host)
     assert_oracle(ref, oracle(style, host), f"{style} eager host")
 
-    # a second step runs the same memoized env and Stage objects
+    # a second step runs over the same memoized env
     assert_bitwise(evaluate(host), ref, f"{style} second step")
 
     if style != "eam/fs":
@@ -278,15 +278,15 @@ def _bound_case(path: str):
 
         def run():
             env["x"] = atom.x[: atom.nall]  # what each stacked force call binds
-            run_stages(batch._pair_stages, env)
+            pairwise(env, False)
 
         return atom, env, atom.f, run
     lmp = build("eam/fs" if path == "eam geometry" else "lj/cut", kk=path == "kk")
     atom, pair = lmp.atom, lmp.pair
     if path == "eam geometry":
-        base, _ = lmp.neigh_list.pair_cache().memo(("eam", id(pair)), None)
+        base = lmp.neigh_list.pair_cache().memo(("eam", id(pair)), None)
         return atom, base, atom.f, lambda: eam_geometry(pair, atom.x[: atom.nall])
-    env = pair.pair_kernel()[0]
+    env = pair.pair_kernel()
     return atom, env, env["f"], lambda: pair.compute(True, True)
 
 
@@ -318,7 +318,7 @@ def test_negative_pair_index_raises_before_forces_change(path):
 
 def test_rebound_env_recomputes_the_bound():
     lmp = build("lj/cut")
-    env = lmp.pair.pair_kernel()[0]
+    env = lmp.pair.pair_kernel()
     nall = lmp.atom.nall
     lo, hi = index_bounds(env)
     assert (lo, hi) == (0, int(max(env["i0"].max(), env["j0"].max())))
@@ -331,7 +331,7 @@ def test_rebound_env_recomputes_the_bound():
     # a rebuilt list binds a fresh env whose bound is its own list's
     drain(lmp.rebuild_gen())
     lmp.pair.compute(True, True)
-    env2 = lmp.pair.pair_kernel()[0]
+    env2 = lmp.pair.pair_kernel()
     assert env2 is not env
     i0, j0 = env2["i0"], env2["j0"]
     assert env2["ij_bounds"][0] is i0 and env2["ij_bounds"][1] is j0
@@ -394,14 +394,15 @@ def test_pass_keeps_component_rows():
     exactly: the order in which NumPy 2.4's ``np.einsum("ij,ij->i")`` sums
     a C-ordered ``(n, 3)`` row, pinned so the layout moves no bit."""
     lmp = build("lj/cut")
-    env, stages, _ = lmp.pair.pair_kernel()
+    env = lmp.pair.pair_kernel()
     env.update(x=lmp.atom.x[: lmp.atom.nall], f=lmp.atom.f)
-    run_stages(stages[:4], env)  # the prologue
+    prologue(env)
     d = env["dx0"]
     assert d.shape == (3, len(env["i0"])) and d.flags.c_contiguous
     rsq = (d[0] * d[0] + d[2] * d[2]) + d[1] * d[1]
     assert env["rsq0"].tobytes() == rsq.tobytes()
-    run_stages(stages[4:], env)
+    env["force_fn"](env)
+    force_chain(env, False)
     for key in ("dx_n", "fvec_n"):
         assert env[key].shape == (3, env["idx"].size) and env[key].flags.c_contiguous
     assert np.array_equal(env["fvec_n"], env["dx_n"] * env["fpair_n"])
