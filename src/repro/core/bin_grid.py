@@ -70,41 +70,51 @@ def _binned(x: np.ndarray, bin_size: float, nlocal, off: np.ndarray) -> tuple:
         box = int(np.searchsorted(off, bad, side="right")) - 1
         local = bad - int(off[box])
         who = "" if nlocal is None else "ghost " if local >= nlocal[box] else "owned "
-        raise NeighborError(
+        err = NeighborError(
             f"non-finite coordinates {x[bad].tolist()} on {who}atom {local}"
             f"{f' of box {box}' if nbox > 1 else ''}: cannot bin atoms for the "
             "neighbor build"
         )
+        err.box = box
+        raise err
     np.maximum(span, bin_size, out=span)
     nbins = np.maximum((span / bin_size).astype(np.int64), 1)
     size = span / nbins
     base = np.zeros(nbox + 1, dtype=np.int64)
     np.add.accumulate(np.multiply.reduce(nbins, axis=1), out=base[1:])
-    # per-box values per atom (a repeat: fancy row gathers cost 5x more)
-    per_atom = np.repeat(nbins, counts, axis=0)
-    cell3 = np.repeat(origin, counts, axis=0)
-    np.subtract(x, cell3, out=cell3)
-    cell3 = (cell3 / np.repeat(size, counts, axis=0)).astype(np.int64)
+    per_atom = _per_atom(nbins, counts)
+    cell3 = ((x - _per_atom(origin, counts)) / _per_atom(size, counts)).astype(np.int64)
     # x >= origin, so only the top edge can round past the last bin
     np.minimum(cell3, per_atom - 1, out=cell3)
-    binid = np.repeat(base[:-1], counts) + cell3[:, 0]
+    binid = _per_atom(base[:-1], counts) + cell3[:, 0]
     binid += per_atom[:, 0] * (cell3[:, 1] + per_atom[:, 1] * cell3[:, 2])
     return origin, nbins, size, base, cell3, binid
 
 
-def spatial_sort_order(x: np.ndarray, bin_size: float) -> np.ndarray:
+def _per_atom(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each box's row of ``values`` once per atom, box-major (a repeat:
+    fancy row gathers cost 5x more); one box's row as is, to broadcast."""
+    return values if len(counts) == 1 else np.repeat(values, counts, axis=0)
+
+
+def spatial_sort_order(x: np.ndarray, bin_size: float, nlocal=None) -> np.ndarray:
     """Bin-major stable permutation of ``x`` (the rebuild's spatial sort).
 
     Atoms in the same cell keep their relative order; cells run row-major,
     so downstream gathers over the neighbor list touch nearly contiguous
-    memory (section 4.1's atom-sorting cache-locality argument).
+    memory (section 4.1's atom-sorting cache-locality argument).  ``x`` may
+    hold a batch of boxes' owned atoms, box-major, ``nlocal[b]`` each: the
+    box is the slowest bin coordinate, so the one sort permutes each box
+    within its own segment, exactly as its solo sort.
     """
     x = np.asarray(x, dtype=float)
-    *_, base, _, binid = _binned(x, bin_size, None, np.array([0, len(x)]))
-    return _stable_order(binid, int(base[-1]))
+    counts = np.asarray([len(x)] if nlocal is None else nlocal, dtype=np.int64)
+    off = np.concatenate(([0], np.add.accumulate(counts)))
+    *_, base, _, binid = _binned(x, bin_size, counts, off)
+    return stable_order(binid, int(base[-1]))
 
 
-def _stable_order(key: np.ndarray, nkeys: int) -> np.ndarray:
+def stable_order(key: np.ndarray, nkeys: int) -> np.ndarray:
     """Stable argsort of integer keys in ``[0, nkeys)``.  NumPy's stable
     sort is an LSD radix sort only for keys of 16 bits or fewer (wider ones
     take a merge sort, 2-10x slower here); a stable order is unique, so the
@@ -138,7 +148,7 @@ class BinGrid:
         self.origin, self.nbins, self.size, self.bin_base, self.cell3, self.binid = (
             _binned(x, self.bin_size, self.box_nlocal, self.box_off)
         )
-        box = np.repeat(np.arange(len(self.box_nlocal)), self.box_off[1:] - self.box_off[:-1])
+        box = _per_atom(np.arange(len(self.box_nlocal)), np.diff(self.box_off))
         local = np.arange(nall, dtype=np.int64) - self.box_off[box]  # solo index
         ghost = local >= self.box_nlocal[box]
         # Composite key: bin-major, owned atoms before ghosts within a bin.
@@ -146,7 +156,7 @@ class BinGrid:
         # sorts, no comparison sort over the whole atom set.
         key = 2 * self.binid + ghost
         nkeys = 2 * int(self.bin_base[-1])
-        self.order = _stable_order(key, nkeys)
+        self.order = stable_order(key, nkeys)
         # Segment bounds in `order`: bin b's owned atoms occupy
         # [starts2[2b], starts2[2b+1]), its ghosts [starts2[2b+1], starts2[2b+2]).
         self.starts2 = np.concatenate(([0], np.add.accumulate(np.bincount(key, minlength=nkeys))))
@@ -258,7 +268,7 @@ class BinGrid:
         x0, x1, dy, dz, part = np.array(table, dtype=np.int64).T
         first = np.add.accumulate(nrows) - nrows
         atom = np.arange(int(nrows.sum()), dtype=np.int64)
-        atom += np.repeat(self.box_off[:-1] - first, nrows)
+        atom += _per_atom(self.box_off[:-1] - first, nrows)
         # per box holding rows, the box of cells holding them (a bulk
         # domain's outer cells hold only ghosts), padded to the widest box:
         # the table is (box, yz line, x column, range), x fastest
@@ -267,7 +277,7 @@ class BinGrid:
         low = np.minimum.reduceat(cells, first[held], axis=0)[:, None, None, :]
         ext = np.maximum.reduceat(cells, first[held], axis=0)[:, None, None, :] - low + 1
         lines, width = int((ext[..., 1] * ext[..., 2]).max()), int(ext[..., 0].max())
-        rb = np.repeat(np.arange(len(held)), nrows[held])
+        rb = _per_atom(np.arange(len(held)), nrows[held])
         rel = cells - low[rb, 0, 0]
         row = (rb * lines + rel[:, 1] + ext[rb, 0, 0, 1] * rel[:, 2]) * width + rel[:, 0]
         # per (box, yz line, range): the target line's first cell, doubled

@@ -23,17 +23,23 @@ swaps it just recorded in a :class:`GhostReplay` and the per-step passes
 replay it in place — no message, no yield.  Each swap's ghosts are one
 contiguous slice (``firstrecv`` onward, as LAMMPS's ``pack_comm_self``
 writes them), so a replayed swap is one gather of its sources into that
-slice, and its reverse one gather, one add and one put of whole rows.  The
-replica batch builds the same replay over its stacked members.  ``borders``
-and ``exchange`` always use the mailbox: they run once per rebuild and record
-what the replay is built from.
+slice, and its reverse one gather, one add and one put of whole rows.  A
+solo run's ``borders`` and ``exchange`` always use the mailbox, at any rank
+count: they run once per rebuild and record what the replay is built from.
+
+A brick may also stand for a *batch* of one-rank boxes (:meth:`CommBrick.stack`,
+a replica batch's members with their owned atoms stacked box-major).  Its
+``borders`` runs the same six swaps once over every box: each swap's face is
+each box's own, broadcast, so each box's send list comes out in its solo
+order, and every box sends to itself, so no swap posts a message.  Its
+``exchange`` is the one wrap into each box's own bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +60,8 @@ class Swap:
     recv_from: int
     #: Indices (into local+ghost arrays) of atoms this rank sends.
     sendlist: np.ndarray
-    #: Coordinate shift applied to sent positions (periodic crossing).
+    #: Coordinate shift applied to sent positions (periodic crossing); in a
+    #: box batch, one row per sent atom (its own box's).
     shift: np.ndarray
     #: First ghost slot filled by this swap's receive, and the count.
     firstrecv: int
@@ -85,71 +92,70 @@ def _fold_rows(arr: np.ndarray, src: np.ndarray, dst: slice) -> None:
         np.put(arr.view(row), src, buf.view(row))
 
 
+@dataclass(frozen=True)
+class Face:
+    """One swap's geometry, per box of its brick: a candidate is sent when
+    ``x[:, dim] < bound`` (``dirn`` -1) or ``>= bound`` (+1) — within the
+    ghost cutoff of the face; a NaN ``bound`` (a closed global boundary)
+    sends nothing — with its coordinates shifted by ``shift``."""
+
+    dim: int
+    dirn: int
+    hop: int
+    send_to: int
+    recv_from: int
+    bound: np.ndarray  #: ``(nbox,)``
+    shift: np.ndarray  #: ``(nbox, 3)``
+
+
+def border_sendlist(
+    x: np.ndarray, lo: int, hi: int, face: Face, box: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One swap's selection over the candidate rows ``lo:hi``: the rows of
+    ``x`` within the ghost cutoff of ``face`` in their own box, ascending,
+    and the shift each is sent with.  ``box`` is each row's box in a batch
+    of boxes (``None``: one box, whose bound and shift are scalars), so
+    each box's rows come out in its solo order."""
+    if box is None:
+        bound, shift = face.bound[0], face.shift[0]
+    else:
+        bound = face.bound[box[lo:hi]]
+    xd = x[lo:hi, face.dim]
+    sendlist = lo + np.flatnonzero(xd < bound if face.dirn < 0 else xd >= bound)
+    return sendlist, shift if box is None else face.shift[box[sendlist]]
+
+
 @dataclass
 class GhostReplay:
     """Recorded self-send swaps as in-place slice stages.
 
-    The ``k``-th stage holds swap ``k`` of every layout that has one, as
-    ``(src, dst, shift)``: the ghost rows ``dst``, one contiguous slice, are
-    copies of the ``src`` atoms (plus the periodic ``shift`` for positions).
-    Replaying the stages forward is each layout's forward comm in its own
-    swap order; replaying them backward is the reverse pass, the
-    bucket-brigade order of :class:`CommBrick`.  Each layout is
-    ``(swaps, to_index)``; ``to_index`` maps the layout's local indices into
-    the replayed atoms (``None``: they already are), and must map each
-    stage's ghosts of all layouts to one run of rows, in layout order.
-    Valid only for the ``(reorder_generation, nall)`` the swaps were recorded
-    against; every replay checks both.
+    The ``k``-th stage is swap ``k`` as ``(src, dst, shift)``: the ghost rows
+    ``dst``, one contiguous slice, are copies of the ``src`` atoms (plus the
+    periodic ``shift`` for positions).  Replaying the stages forward is the
+    forward comm in swap order; replaying them backward is the reverse
+    pass, the bucket-brigade order of :class:`CommBrick`.  A box batch's
+    swaps are already in its stacked indices, every box's ghosts of one
+    swap in one slice.  Valid only for the ``(reorder_generation, nall)``
+    the swaps were recorded against; every replay checks both.
 
     The reverse fold computes ``arr[src] + arr[dst]`` per row, the mailbox
-    path's own sum, and puts it back whole; that is exact because the stage
-    build proves every stage's sources unique.
+    path's own sum, and puts it back whole; that is exact because every
+    send list is strictly increasing (:class:`Swap`).
     """
 
-    layouts: Sequence[tuple[list[Swap], Callable[[np.ndarray], np.ndarray] | None]]
+    swaps: list[Swap]
     reorder_generation: int
     nall: int
 
     @cached_property
     def stages(self) -> list[tuple[np.ndarray, slice, np.ndarray]]:
-        """Built on first replay: a replica member's own replay only by its
-        solo setup's reverse comm, never by the batch."""
-        layouts = self.layouts
-        stages = []
-        for k in range(max((len(swaps) for swaps, _ in layouts), default=0)):
-            src_parts, dst_parts, shifts, counts = [], [], [], []
-            for swaps, to_index in layouts:
-                if k >= len(swaps):
-                    continue
-                sw = swaps[k]
-                if sw.nrecv == 0:
-                    continue
-                src = sw.sendlist
-                dst = np.arange(sw.firstrecv, sw.firstrecv + sw.nrecv)
-                if to_index is not None:
-                    src, dst = to_index(src), to_index(dst)
-                src_parts.append(src)
-                dst_parts.append(dst)
-                shifts.append(sw.shift)
-                counts.append(sw.nrecv)
-            if not src_parts:
-                continue
-            src, dst = np.concatenate(src_parts), np.concatenate(dst_parts)
-            if np.any(dst[1:] - dst[:-1] != 1):
-                raise CommError(
-                    f"ghost replay stage {k}: the ghost rows are not one "
-                    "contiguous slice"
-                )
-            # the fold's put is exact on unique indices only: each sendlist
-            # is strictly increasing (Swap), so only several layouts sharing
-            # a stage can collide (they must map disjointly)
-            if len(src_parts) > 1:
-                ordered = np.sort(src)
-                if np.any(ordered[1:] == ordered[:-1]):
-                    raise CommError(f"ghost replay stage {k}: repeated source index")
-            shift = np.repeat(np.stack(shifts), counts, axis=0)
-            stages.append((src, slice(int(dst[0]), int(dst[-1]) + 1), shift))
-        return stages
+        # one shift row per ghost: a broadcast (3,) shift halves the add's speed
+        return [
+            (sw.sendlist, slice(sw.firstrecv, sw.firstrecv + sw.nrecv),
+             np.ascontiguousarray(np.broadcast_to(sw.shift, (sw.nrecv, 3))))
+            for sw in self.swaps
+            if sw.nrecv
+        ]
 
     @cached_property
     def owners(self) -> np.ndarray:
@@ -202,22 +208,30 @@ class GhostReplay:
 
 @dataclass
 class CommBrick:
-    """Per-rank communication engine."""
+    """Per-rank communication engine, or, with no ``comm``, the engine of a
+    batch of one-rank boxes (:meth:`stack`)."""
 
-    comm: SimComm
-    decomp: BrickDecomposition
+    comm: SimComm | None
+    decomp: BrickDecomposition | None
     #: Ghost cutoff: force cutoff + neighbor skin.
     cutghost: float
     swaps: list[Swap] = field(default_factory=list)
     #: ``atom.reorder_generation`` when the swaps were recorded; a spatial
     #: sort after borders would silently invalidate every sendlist index.
     _swap_reorder_gen: int = -1
-    #: One-rank worlds: the last ``borders``' swaps as an in-place replay.
+    #: One-rank worlds and box batches: the last ``borders``' swaps as an
+    #: in-place replay.
     replay: GhostReplay | None = None
+    #: A box batch: each atom's box (owned atoms, and after ``borders`` every
+    #: ghost too), and each dimension's stacked faces.
+    box: np.ndarray | None = None
+    faces: list[list[Face]] | None = None
 
     def __post_init__(self) -> None:
         if self.cutghost <= 0.0:
             raise CommError("ghost cutoff must be positive")
+        if self.comm is None:
+            return
         lo, hi = self.decomp.subdomain(self.comm.rank)
         self.sublo = lo
         self.subhi = hi
@@ -229,24 +243,57 @@ class CommBrick:
                 "images-of-images are not supported"
             )
 
-    # ------------------------------------------------------------- helpers
-    def _face_peer(self, dim: int, dirn: int) -> tuple[int, np.ndarray, bool]:
-        """Peer rank for a face send, the shift to apply, and validity.
+    @classmethod
+    def stack(cls, bricks: Sequence["CommBrick"], periodic, nlocal) -> "CommBrick":
+        """One brick over a batch of one-rank boxes, their owned atoms
+        stacked box-major (``nlocal[b]`` each): each swap's face is every
+        box's own solo face, stacked (``periodic[b]`` is box ``b``'s), and
+        each box sends to itself, so no swap posts a message."""
+        cutghost = {b.cutghost for b in bricks}
+        if len(cutghost) != 1 or any(b.comm.size != 1 for b in bricks):
+            raise CommError("a box batch needs one-rank boxes with one ghost cutoff")
+        solo = [b._faces(p) for b, p in zip(bricks, periodic)]
+        faces = [
+            [
+                Face(dim, f.dirn, f.hop, 0, 0,
+                     np.concatenate([s[dim][k].bound for s in solo]),
+                     np.concatenate([s[dim][k].shift for s in solo]))
+                for k, f in enumerate(solo[0][dim])
+            ]
+            for dim in range(3)
+        ]
+        box = np.repeat(np.arange(len(bricks)), nlocal)
+        return cls(None, None, cutghost.pop(), box=box, faces=faces)
 
-        Returns ``(peer, shift, active)``; ``active`` is False at a
-        non-periodic global boundary.
-        """
-        px = self.decomp.grid
-        ix = list(self.decomp.coords_of(self.comm.rank))
-        at_edge = (dirn < 0 and ix[dim] == 0) or (dirn > 0 and ix[dim] == px[dim] - 1)
-        shift = np.zeros(3)
-        if at_edge:
+    # ------------------------------------------------------------- helpers
+    def _faces(self, periodic: tuple[bool, bool, bool]) -> list[list[Face]]:
+        """Per dimension, its swaps' faces in order (per hop, low then high):
+        one box, this rank's subdomain; a box batch's were stacked once."""
+        if self.faces is not None:
+            return self.faces
+        grid, ix = self.decomp.grid, self.decomp.coords_of(self.comm.rank)
+        faces = []
+        for dim in range(3):
             length = self.decomp.boxhi[dim] - self.decomp.boxlo[dim]
-            shift[dim] = length if dirn < 0 else -length
-        ix2 = list(ix)
-        ix2[dim] += dirn
-        peer = self.decomp.rank_of(*ix2)
-        return peer, shift, True
+            row = []
+            for hop in range(self._hops(dim)):
+                for dirn in (-1, +1):
+                    # the periodic shift at the global edge this face sends across
+                    shift = np.zeros((1, 3))
+                    if ix[dim] == (0 if dirn < 0 else grid[dim] - 1):
+                        shift[0, dim] = length if dirn < 0 else -length
+                    if periodic[dim] or not shift[0, dim]:
+                        bound = (self.sublo[dim] + self.cutghost if dirn < 0
+                                 else self.subhi[dim] - self.cutghost)
+                    else:
+                        bound = np.nan
+                    ahead, behind = list(ix), list(ix)
+                    ahead[dim] += dirn
+                    behind[dim] -= dirn
+                    row.append(Face(dim, dirn, hop, self.decomp.rank_of(*ahead),
+                                    self.decomp.rank_of(*behind), np.array([bound]), shift))
+            faces.append(row)
+        return faces
 
     def _hops(self, dim: int) -> int:
         """Swaps needed per direction in a dimension (LAMMPS's ``maxneed``).
@@ -277,70 +324,45 @@ class CommBrick:
 
     # -------------------------------------------------------------- borders
     def borders(self, atom: AtomVec, periodic: tuple[bool, bool, bool]) -> Iterator[None]:
-        """Rebuild the ghost shell (generator; one yield per swap)."""
+        """Rebuild the ghost shell (generator; one yield per swap posted)."""
         atom.clear_ghosts()
         self.swaps = []
         self.replay = None
         self._swap_reorder_gen = atom.reorder_generation
-        for dim in range(3):
+        box = None if self.box is None else self.box[: atom.nlocal]
+        for faces in self._faces(periodic):
             # Candidates for this dimension's first hop: owned atoms plus
             # ghosts received in *earlier* dimensions only — including this
             # dimension's own receives would bounce them straight back as
-            # duplicates.
+            # duplicates.  Later hops relay the previous hop's receive.
             ncand = atom.nall
-            # range of ghost slots received in the previous hop, per dirn
-            prev_range = {-1: None, +1: None}
-            for hop in range(self._hops(dim)):
-                for dirn in (-1, +1):
-                    peer, shift, _ = self._face_peer(dim, dirn)
-                    at_edge = bool(shift[dim])
-                    active = periodic[dim] or not at_edge
-                    if hop == 0:
-                        lo_c, hi_c = 0, ncand
-                    elif prev_range[dirn] is None:
-                        lo_c = hi_c = 0
-                    else:
-                        lo_c, hi_c = prev_range[dirn]
-                    x = atom.x[lo_c:hi_c]
-                    if active and hi_c > lo_c:
-                        if dirn < 0:
-                            mask = x[:, dim] < self.sublo[dim] + self.cutghost
-                        else:
-                            mask = x[:, dim] >= self.subhi[dim] - self.cutghost
-                        sendlist = lo_c + np.flatnonzero(mask)
-                    else:
-                        sendlist = np.zeros(0, dtype=np.int64)
-                    payload = {
-                        name: getattr(atom, name)[sendlist].copy()
-                        for name in BORDER_FIELDS
-                    }
-                    payload["x"] = payload["x"] + shift
-                    tag = ("border", dim, dirn, hop)
-                    self.comm.send(peer, payload, tag)
+            prev_range = {-1: (0, 0), +1: (0, 0)}
+            for face in faces:
+                lo_c, hi_c = (0, ncand) if face.hop == 0 else prev_range[face.dirn]
+                sendlist, shift = border_sendlist(atom.x, lo_c, hi_c, face, box)
+                payload = {name: getattr(atom, name)[sendlist] for name in BORDER_FIELDS}
+                payload["x"] += shift
+                if self.comm is None:
+                    incoming = payload
+                else:
+                    tag = ("border", face.dim, face.dirn, face.hop)
+                    self.comm.send(face.send_to, payload, tag)
                     yield
-                    recv_peer, _, _ = self._face_peer(dim, -dirn)
-                    incoming = self.comm.recv(recv_peer, tag)
-                    firstrecv = atom.nall
-                    n = incoming["x"].shape[0]
-                    if n:
-                        atom.add_ghosts(incoming)
-                    prev_range[dirn] = (firstrecv, firstrecv + n)
-                    self.swaps.append(
-                        Swap(
-                            dim=dim,
-                            dirn=dirn,
-                            send_to=peer,
-                            recv_from=recv_peer,
-                            sendlist=sendlist,
-                            shift=shift,
-                            firstrecv=firstrecv,
-                            nrecv=n,
-                        )
-                    )
-        if self.comm.size == 1:
-            self.replay = GhostReplay(
-                [(self.swaps, None)], atom.reorder_generation, atom.nall
-            )
+                    incoming = self.comm.recv(face.recv_from, tag)
+                firstrecv = atom.nall
+                n = incoming["x"].shape[0]
+                if n:
+                    atom.add_ghosts(incoming)
+                if box is not None:
+                    box = np.concatenate([box, box[sendlist]])
+                prev_range[face.dirn] = (firstrecv, firstrecv + n)
+                self.swaps.append(
+                    Swap(face.dim, face.dirn, face.send_to, face.recv_from,
+                         sendlist, shift, firstrecv, n)
+                )
+        self.box = box
+        if self.comm is None or self.comm.size == 1:
+            self.replay = GhostReplay(self.swaps, atom.reorder_generation, atom.nall)
 
     # --------------------------------------------------------- forward comm
     def forward_comm(self, atom: AtomVec) -> Iterator[None]:
@@ -425,11 +447,14 @@ class CommBrick:
         """Send owned atoms to their current owners (one phase).
 
         ``wrap`` maps positions into the primary periodic box first, so
-        owners are computed on canonical coordinates.
+        owners are computed on canonical coordinates (in a box batch, each
+        box's own).
         """
         atom.clear_ghosts()
         n = atom.nlocal
         atom.x[:n] = wrap(atom.x[:n])
+        if self.comm is None:  # a box batch: each box is one rank, keeping every atom
+            return
         owners = self.decomp.owner_of(atom.x[:n])
         fields = {
             "x": atom.x[:n],

@@ -45,12 +45,13 @@ class Domain:
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """Remap positions into the primary box along periodic dimensions."""
-        x = np.array(x, dtype=float, copy=True)
-        for d in range(3):
-            if self.periodic[d]:
-                span = self.lengths[d]
-                x[:, d] = self.boxlo[d] + np.mod(x[:, d] - self.boxlo[d], span)
-        return x
+        return wrap(np.asarray(x, dtype=float), self.boxlo, self.lengths, self.periodic)
+
+
+def wrap(x: np.ndarray, lo, length, periodic) -> np.ndarray:
+    """A copy of ``x`` remapped into ``[lo, lo + length)`` along its periodic
+    dimensions; the bounds broadcast, one box's or each atom's own box's."""
+    return np.where(periodic, lo + np.mod(x - lo, length), x)
 
 
 @dataclass(frozen=True)

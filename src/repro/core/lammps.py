@@ -361,7 +361,7 @@ class Lammps:
 
     def migrate_gen(self) -> Iterator[None]:
         """Exchange -> sort -> borders: the rebuild before its bin grid (a
-        replica batch's members run it, then share one build)."""
+        replica batch runs the same three over all its members' boxes)."""
         atom = self.require_box()
         if self.pair is None:
             raise LammpsError("neighbor rebuild requires a pair style")

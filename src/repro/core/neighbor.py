@@ -107,19 +107,6 @@ class NeighborList:
             cached = self._ij_pairs = (i, self.neighbors.astype(np.int64))
         return cached
 
-    def split(self, nlocal) -> list["NeighborList"]:
-        """A box batch's list cut into each box's own list, rows
-        ``nlocal[b]`` of box ``b`` in turn: its solo list, bit for bit, with
-        a generation of its own."""
-        parts, r = [], 0
-        for n in map(int, nlocal):
-            a, b = self.first[r], self.first[r + n]
-            part = NeighborList(self.style, self.newton, self.cutoff, n,
-                                self.first[r : r + n + 1] - a, self.neighbors[a:b])
-            part.generation, r = next(_GENERATION), r + n
-            parts.append(part)
-        return parts
-
     def pair_cache(self) -> "PairCache":
         """The per-rebuild :class:`PairCache` attached to this list.
 
@@ -217,8 +204,7 @@ def build_neighbor_list(
     an owned atom is present.
 
     ``nlocal`` may be a batch of boxes (:func:`box_counts`): the list holds
-    each box's rows in turn, as its solo build, with box-local neighbors;
-    :meth:`NeighborList.split` cuts it into the boxes' lists.
+    each box's rows in turn, as its solo build, with box-local neighbors.
 
     ``grid`` is an optional pre-built :class:`BinGrid` over the *same*
     coordinates (typically at a larger bin size — the per-rebuild shared

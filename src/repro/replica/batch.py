@@ -10,14 +10,15 @@ half-kick/drift, one ghost-comm replay — over arrays R times longer.
 
 **Layout.**  The stacked array holds every replica's owned atoms first
 (``[own_0 | own_1 | ...]``, so the "is j owned" predicate ``j < nlocal``
-keeps its solo meaning), then every replica's ghosts *stage-major*: swap 0's
-ghosts of every member, then swap 1's, and so on, so each stage of the
-stacked ghost replay writes one contiguous slice.  Each member keeps its
-``(own_off, nlocal)`` owned segment and a ``lookup`` table from its local
-indices (owned and ghost) to stacked rows.  Cross-replica pairs cannot exist
-*structurally*: the stale members' lists are built in one pass in which each
-member is a box of its own (DESIGN §3.3), and only then translated into the
-stacked index space through ``lookup``.
+keeps its solo meaning), then the ghosts of one six-swap ``borders`` pass
+over every replica's box at once (:meth:`CommBrick.stack
+<repro.core.comm_md.CommBrick.stack>`): swap by swap, each swap's ghosts of
+every box in one contiguous slice, so each stage of the ghost replay writes
+one slice.  A replica's rows, owned and ghost, in ascending stacked order
+are its solo arrays in its solo order; one stable sort by box lays them out
+box-major, the layout the one list build reads.  Cross-replica pairs cannot
+exist *structurally*: each box is built as a box of its own (DESIGN §3.3),
+and only then is the one list translated into stacked indices.
 
 **Bitwise equivalence.**  Per-replica trajectories and thermo are bit-for-bit
 identical to solo runs, enforced by ``tests/test_replica_batch.py``.  The
@@ -36,21 +37,29 @@ engine earns this by construction:
   ``Pair`` over its contiguous slice of the cut pair stream, and a member
   due for thermo syncs its owned rows home and emits its own
   ``Thermo.output_gen`` row;
-* ghost communication is the solo one-rank
-  :class:`~repro.core.comm_md.GhostReplay`, built over every member's
-  recorded swaps (aligned by swap index, ragged-safe), preserving each
-  member's staged order — including the bucket-brigade multi-hop semantics.
+* migration runs the solo functions over a batch of boxes: the wrap is
+  :func:`~repro.core.domain.wrap` (``Domain.wrap``'s) per box, the sort is
+  :func:`~repro.core.bin_grid.spatial_sort_order` with the box as its
+  slowest coordinate, and each ``borders`` swap is the solo selection
+  (:func:`~repro.core.comm_md.border_sendlist`) with each box's own bounds
+  and shift, so each box's send lists, ghost rows and replay stages are
+  its solo ones.
 
 **Epochs.**  Members join before the first step; the first ``step``
-stacks them once.  Between neighbor rebuilds the stacked arrays are the
-truth.  Each rebuild epoch re-hoists: every member syncs its owned state
-back, each stale one runs its own solo ``migrate_gen`` (exchange, sort,
-borders), then one bin grid and one list build serve every stale member,
-and the stacked arrays, the pairwise env, and the ghost replay are rebuilt
-from all members.  Per-replica neighbor staleness is tracked individually —
-one hot replica rebuilding does not force the rest to.  A member whose
-rebuild raises stops the step with a
-:class:`~repro.core.errors.LammpsError` naming the replica and the step.
+stacks their owned rows once, and from then on the stacked arrays are the
+truth.  Members keep only their ``Neighbor`` decide/record state, their
+``Pair`` tallies and their thermo (a member's owned rows sync home for its
+thermo rows and at :meth:`finish`).  On a rebuild step the due boxes
+migrate as one batch: one wrap into each box's own bounds
+(``CommBrick.exchange``) and one sort; then one ``borders`` pass over every
+box, one bin grid and one list build, and the epoch's pair env as one
+translation of that list.  A box that is not due keeps its ghost shell and
+list: the pass re-derives both, bit for bit, from the coordinates of its
+own last build (``Neighbor.last_build_x``), and its current coordinates
+come back after.  Per-replica neighbor staleness is tracked individually —
+one hot replica rebuilding does not force the rest to.  A non-finite
+coordinate stops the step with a :class:`~repro.core.errors.LammpsError`
+naming the replica and the step.
 
 The batched pair style is host ``lj/cut`` (the one style a replica
 workload runs); batchability violations raise with the shared
@@ -65,9 +74,11 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.atom import BORDER_FIELDS, AtomVec
-from repro.core.comm_md import GhostReplay
-from repro.core.errors import LammpsError, unknown_choice
+from repro.core.atom import AtomVec
+from repro.core.bin_grid import spatial_sort_order, stable_order
+from repro.core.comm_md import CommBrick, GhostReplay
+from repro.core.domain import wrap
+from repro.core.errors import LammpsError, NeighborError, unknown_choice
 from repro.core.neighbor import build_neighbor_list
 from repro.graph.pairwise import ARENA, pairwise
 from repro.parallel.driver import drain
@@ -84,8 +95,6 @@ class _Member:
     index: int  #: position in the members list == stacking order
     own_off: int = 0
     nlocal: int = 0
-    #: member-local index (owned + ghost) -> stacked row, per epoch
-    lookup: np.ndarray | None = None
     #: the member's last step of the current ``step(n)`` (``Verlet.ev_set``)
     last_step: int = 0
 
@@ -113,7 +122,8 @@ class ReplicaBatch:
         batch.finish()                   # final state synced back to each lmp
 
     Members may differ in timestep, size, dt, thermo interval and neighbor
-    policy; they run host ``lj/cut`` with one newton setting.  Thermo rows
+    policy; they run host ``lj/cut`` with one newton setting and one ghost
+    cutoff.  Thermo rows
     land in each member's own ``lmp.thermo.history``, exactly as a solo run
     would record them.
     """
@@ -123,6 +133,7 @@ class ReplicaBatch:
         #: the stacked AtomVec, built by the first :meth:`step`
         self.atom: AtomVec | None = None
         self._sig: tuple | None = None
+        self._brick: CommBrick | None = None  #: every member's box, stacked
         self._replay: GhostReplay | None = None
         self._env: dict = {}  #: stacked pairwise env, rebuilt every epoch
 
@@ -135,13 +146,14 @@ class ReplicaBatch:
         if self.atom is not None:
             raise LammpsError("replica members must join before the first step")
         sig = self._validate(lmp)
-        if self.members and sig != self._sig:
-            raise LammpsError(
-                f"replica signature mismatch: batch runs {self._sig}, "
-                f"new member wants {sig} (pair style and newton must match)"
-            )
         drain(lmp.verlet.setup_gen())
         lmp.world.assert_drained()
+        sig += (lmp.comm_brick.cutghost,)
+        if self.members and sig != self._sig:
+            raise LammpsError(
+                f"replica signature mismatch: batch runs {self._sig}, new member "
+                f"wants {sig} (pair style, newton and ghost cutoff must match)"
+            )
         self.members.append(_Member(lmp=lmp, index=len(self.members)))
         self._sig = sig
 
@@ -186,168 +198,85 @@ class ReplicaBatch:
     def _sync_member(self, m: _Member) -> None:
         """Copy a member's stacked owned rows back into its solo arrays."""
         a = m.lmp.atom
-        n = m.nlocal
-        sl = slice(m.own_off, m.own_off + n)
+        sl = slice(m.own_off, m.own_off + m.nlocal)
         st = self.atom
-        a.x[:n] = st.x[sl]
-        a.v[:n] = st.v[sl]
-        a.f[:n] = st.f[sl]
-        a.q[:n] = st.q[sl]
+        for name in ("x", "v", "f", "q", "type", "tag"):
+            getattr(a, name)[: m.nlocal] = getattr(st, name)[sl]
         for name, arr in a.custom.items():
-            arr[:n] = st.custom[name][sl]
+            arr[: m.nlocal] = st.custom[name][sl]
 
-    # -------------------------------------------------------------- hoisting
-    def _hoist(self) -> None:
-        """Rebuild the stacked epoch state from the members' solo truth:
-        owned rows, ghosts, ghost replay, pair plans and the per-atom
-        integration constants."""
+    # -------------------------------------------------------------- stacking
+    def _stack(self) -> None:
+        """Stack the members' owned rows once — with, per atom, its member's
+        integration constants, periodic bounds and pair-table offsets — and
+        the members' boxes into one brick; then derive the first epoch, in
+        which no box is due (each keeps its set-up ghost shell and list)."""
         members = self.members
-        nown = nghost = 0
-        gbase = []  # each member's ghost block in the members' concatenation
-        for m in members:
-            a = m.lmp.atom
-            m.own_off, m.nlocal = nown, a.nlocal
-            gbase.append(nghost)
-            nown += a.nlocal
-            nghost += a.nghost
-        # the ghosts stage-major: swap k's receive of every member in turn,
-        # so each stage of the stacked replay is one slice
-        runs = [
-            (base + sw.firstrecv - m.nlocal, sw.nrecv)
-            for k in range(max(len(m.lmp.comm_brick.swaps) for m in members))
-            for m, base in zip(members, gbase)
-            for sw in m.lmp.comm_brick.swaps[k : k + 1]
-        ]
-        starts, counts = np.array(runs, dtype=np.int64).reshape(-1, 2).T
-        # stacked ghost p is concatenated ghost perm[p]; rank inverts it
-        perm = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        perm += np.arange(nghost)
-        rank = np.empty(nghost, dtype=np.int64)
-        rank[perm] = np.arange(nown, nown + nghost)
-        for m, base in zip(members, gbase):
-            m.lookup = np.concatenate([
-                np.arange(m.own_off, m.own_off + m.nlocal),
-                rank[base : base + m.lmp.atom.nghost],
-            ])
-
-        atom = AtomVec(ntypes=max(m.lmp.atom.ntypes for m in members))
+        atoms = [m.lmp.atom for m in members]
+        self._nlocal = np.array([a.nlocal for a in atoms], dtype=np.int64)
+        self._own_off = np.concatenate(([0], np.add.accumulate(self._nlocal)))
+        for m, off, n in zip(members, self._own_off.tolist(), self._nlocal.tolist()):
+            m.own_off, m.nlocal = off, n
         specs: dict[str, tuple[int, np.dtype]] = {}
-        for m in members:
-            for name, arr in m.lmp.atom.custom.items():
-                spec = (arr.shape[1], arr.dtype)
-                if specs.setdefault(name, spec) != spec:
+        for a in atoms:
+            for name, arr in a.custom.items():
+                if specs.setdefault(name, (arr.shape[1], arr.dtype)) != (arr.shape[1], arr.dtype):
                     raise LammpsError(
                         f"custom field {name!r} has mismatched shape/dtype "
                         "across replicas"
                     )
         custom = {
-            name: np.concatenate(
-                [
-                    m.lmp.atom.custom[name][: m.nlocal]
-                    if name in m.lmp.atom.custom
-                    else np.zeros((m.nlocal, w), dtype=dt)
-                    for m in members
-                ]
-            )
+            name: np.concatenate([
+                a.custom[name][: a.nlocal]
+                if name in a.custom
+                else np.zeros((a.nlocal, w), dtype=dt)
+                for a in atoms
+            ])
             for name, (w, dt) in specs.items()
         }
-        atom.replace_local(
-            x=np.concatenate([m.lmp.atom.x[: m.nlocal] for m in members]),
-            v=np.concatenate([m.lmp.atom.v[: m.nlocal] for m in members]),
-            types=np.concatenate(
-                [m.lmp.atom.type[: m.nlocal] for m in members]
-            ),
-            tags=np.concatenate([m.lmp.atom.tag[: m.nlocal] for m in members]),
-            q=np.concatenate([m.lmp.atom.q[: m.nlocal] for m in members]),
-            custom=custom,
-        )
-        # carry the members' current forces: the very next initial
-        # half-kick reads them (replace_local does not take f)
-        atom.f[:nown] = np.concatenate(
-            [m.lmp.atom.f[: m.nlocal] for m in members]
-        )
-        self.atom = atom
 
-        # one gather per field, over the members' concatenated ghost blocks
-        atom.add_ghosts({
-            name: np.take(
-                np.concatenate([
-                    getattr(m.lmp.atom, name)[m.nlocal : m.lmp.atom.nall]
-                    for m in members
-                ]),
-                perm,
-                axis=0,
-            )
-            for name in BORDER_FIELDS
-        })
+        def owned(name: str) -> np.ndarray:
+            return np.concatenate([getattr(a, name)[: a.nlocal] for a in atoms])
 
-        # per-atom integration constants (FixNVE's scalars, per member)
-        self._m_own = np.concatenate(
-            [
-                m.lmp.atom.mass[atom.type[m.own_off : m.own_off + m.nlocal]]
-                for m in members
-            ]
-        )
-        self._dt_col = np.concatenate(
-            [np.full(m.nlocal, m.lmp.update.dt) for m in members]
-        )
-        self._dtf_col = np.concatenate(
-            [
-                np.full(
-                    m.nlocal, 0.5 * m.lmp.update.dt * m.lmp.update.units.ftm2v
-                )
-                for m in members
-            ]
-        )
+        def per_atom(values) -> np.ndarray:
+            return np.repeat(np.asarray(values), self._nlocal, axis=0)
 
-        self._replay = GhostReplay(
-            [(m.lmp.comm_brick.swaps, m.lookup.take) for m in members],
-            atom.reorder_generation,
-            atom.nall,
-        )
-        self._build_pair_env()
-        # refresh every member's ghost positions from the stacked owned rows
-        # (idempotent for just-rebuilt members: ghosts are pure functions of
-        # owned x + shift, so the replay reproduces their current bits)
-        self._replay.forward_x(atom)
+        atom = self.atom = AtomVec(ntypes=max(a.ntypes for a in atoms))
+        atom.replace_local(x=owned("x"), v=owned("v"), types=owned("type"),
+                           tags=owned("tag"), q=owned("q"), custom=custom)
+        # the very next initial half-kick reads the members' current forces
+        atom.f[: atom.nlocal] = owned("f")
+        atom.grow(sum(a.nall for a in atoms))  # the first epoch's rows, exactly
 
-    def _build_pair_env(self) -> None:
-        """Stack every member's stored pairs and per-pair constants into the
-        env the pairwise pass runs over (one per epoch).  The stacked
-        executor of :func:`repro.graph.pairwise.pairwise` over the whole
-        batch's concatenated ``i/j/cutsq/coefficient`` vectors; the pair
-        arithmetic stays in ``potentials/lj.py``."""
-        i_parts, j_parts, cut_parts, const_parts = [], [], [], []
-        off = [0]
-        for m in self.members:
-            lmp = m.lmp
-            i_l, j_l, itype, jtype, cutsq = lmp.pair.pair_table(lmp.neigh_list, lmp.atom)
-            off.append(off[-1] + i_l.shape[0])
-            i_parts.append(m.own_off + i_l.astype(np.int64))
-            j_parts.append(np.take(m.lookup, j_l))
-            cut_parts.append(cutsq)
-            consts: dict = {}
-            lmp.pair.eval_setup(consts, itype, jtype)
-            const_parts.append(consts)
-        _, list_style, newton = self._sig
-        full = list_style == "full"
-        j0 = np.concatenate(j_parts)
-        env = self._env = {
-            # formula methods only: member coefficients travel as vectors
-            "pair": self.members[0].lmp.pair,
-            "i0": np.concatenate(i_parts),  # owned, globally ascending
-            "j0": j0,  # owned or ghost
-            "cutsq0": np.concatenate(cut_parts),
-            "jl0": None if full or newton else j0 < self.atom.nlocal,
-            "off": np.asarray(off, dtype=np.int64),  # member pair offsets
-            "full": full,
-            "newton": newton,
-            "f_view": None,
-            "force_fn": lj_force,
-        }
-        for name in const_parts[0]:
-            env[name] = np.concatenate([c[name] for c in const_parts])
-            assert len(env[name]) == len(j0), name  # gathered unchecked by idx
+        # FixNVE's scalars and masses per atom, each member's own
+        self._m_own = np.concatenate([a.mass[a.type[: a.nlocal]] for a in atoms])
+        updates = [m.lmp.update for m in members]
+        self._dt_col = per_atom([u.dt for u in updates])
+        self._dtf_col = per_atom([0.5 * u.dt * u.units.ftm2v for u in updates])
+        domains = [m.lmp.domain for m in members]  # each atom's box, to wrap into
+        self._lo = per_atom([d.boxlo for d in domains])
+        self._len = per_atom([d.lengths for d in domains])
+        self._periodic = per_atom([d.periodic for d in domains])
+        # each member's per-type-pair constants, flat, one block per member:
+        # pair (i, j) reads entry base[i] + type[i] * width[i] + type[j]
+        blocks = []
+        for m in members:
+            pair = m.lmp.pair
+            width = pair.cut.shape[1]
+            table = {"cutsq0": pair.cut.ravel() ** 2}
+            pair.eval_setup(table, *np.divmod(np.arange(width * width), width))
+            blocks.append((width, table))
+        self._coef = {name: np.concatenate([t[name] for _, t in blocks]) for name in blocks[0][1]}
+        sizes = [w * w for w, _ in blocks]
+        self._coef_base = per_atom(np.add.accumulate([0] + sizes[:-1]))
+        self._coef_width = per_atom([w for w, _ in blocks])
+
+        self._brick = CommBrick.stack(
+            [m.lmp.comm_brick for m in members], [d.periodic for d in domains], self._nlocal
+        )
+        for m in members:  # the batch owns their ghost shells, lists and halos now
+            m.lmp.neigh_list = m.lmp.bin_grid = m.lmp.comm_brick = None
+        self._rebuild(np.zeros(len(members), dtype=bool))
 
     # ------------------------------------------------------------- stepping
     def step(self, nsteps: int = 1) -> None:
@@ -356,7 +285,7 @@ class ReplicaBatch:
         if nsteps < 0:
             raise LammpsError("negative step count")
         if self.atom is None:
-            self._hoist()
+            self._stack()
         for m in self.members:
             m.last_step = m.lmp.update.ntimestep + nsteps
         for _ in range(nsteps):
@@ -368,16 +297,14 @@ class ReplicaBatch:
             m.lmp.update.ntimestep += 1
         with _region("initial_integrate"):
             self._nve_initial()
-        stale = [
-            m
-            for m in self.members
-            if m.lmp.neighbor.decide(
-                m.lmp.update.ntimestep,
-                atom.x[m.own_off : m.own_off + m.nlocal],
+        due = np.array([
+            m.lmp.neighbor.decide(
+                m.lmp.update.ntimestep, atom.x[m.own_off : m.own_off + m.nlocal]
             )
-        ]
-        if stale:
-            self._rebuild(stale)
+            for m in self.members
+        ])
+        if due.any():
+            self._rebuild(due)
         else:
             with _region("forward_comm"):
                 self._replay.forward_x(atom)
@@ -426,47 +353,87 @@ class ReplicaBatch:
         atom.v[:n] += self._dtf_col[:, None] * atom.f[:n] / self._m_own[:, None]
 
     # -------------------------------------------------------------- rebuild
-    def _rebuild(self, stale: list[_Member]) -> None:
-        """Re-neighbor the stale members only, then re-hoist the epoch.
+    def _rebuild(self, due: np.ndarray) -> None:
+        """One epoch over every box; ``due[b]``: box ``b`` re-neighbors now.
 
-        Every member syncs its stacked state home; each stale one runs its
-        own solo ``migrate_gen`` (exchange, spatial sort, borders) — the
-        unchanged machinery, so atom order matches a solo run exactly —
-        then :meth:`_build_lists`.  A rebuild that raises stops the batch.
+        Every box stands at the coordinates of its own last build — a due
+        box's are its current ones, wrapped and sorted here (the exchange and
+        sort of its solo rebuild) — while ``borders`` and the list build run
+        once over all of them; then the not-due boxes get their current
+        coordinates back and the replay refreshes every ghost.
         """
-        for m in self.members:
-            self._sync_member(m)
-        for m in stale:
-            try:
-                drain(m.lmp.migrate_gen())
-                m.lmp.world.assert_drained()
-            except Exception as exc:
-                raise LammpsError(
-                    f"replica {m.index} failed its neighbor rebuild at step "
-                    f"{m.lmp.update.ntimestep}: {exc}"
-                ) from exc
-        self._build_lists(stale)
-        self._hoist()
+        atom, brick, members = self.atom, self._brick, self.members
+        nown = atom.nlocal
+        now = atom.x[:nown].copy()
+        built = np.concatenate([m.lmp.neighbor.last_build_x for m in members])
+        keep = np.repeat(~due, self._nlocal)[:, None]
+        try:
+            if due.any():
+                drain(brick.exchange(atom, lambda x: wrap(x, self._lo, self._len, self._periodic)))
+                # a box that is not due is back at its last build's (wrapped,
+                # sorted) coordinates, so the sort leaves it as it is
+                np.copyto(atom.x[:nown], built, where=keep)
+                perm = spatial_sort_order(atom.x[:nown], brick.cutghost, self._nlocal)
+                atom.reorder_local(perm)
+                self._m_own = self._m_own[perm]
+            else:
+                atom.x[:nown] = built
+            drain(brick.borders(atom, None))
+            # each box's rows in its solo order, box-major: one build
+            order = stable_order(brick.box, len(members))
+            counts = np.bincount(brick.box, minlength=len(members))
+            ARENA.release()  # the pairwise scratch is dead between force calls
+            _, style, newton, cutghost = self._sig
+            nlist = build_neighbor_list(
+                atom.x[order], np.stack([self._nlocal, counts], axis=1), cutghost,
+                style=style, newton=newton,
+            )
+        except NeighborError as exc:
+            if exc.box is None:
+                raise
+            m = members[exc.box]
+            raise LammpsError(
+                f"replica {m.index} failed its neighbor rebuild at step "
+                f"{m.lmp.update.ntimestep}: {exc}"
+            ) from exc
+        for m in members:
+            if due[m.index]:
+                rows = atom.x[m.own_off : m.own_off + m.nlocal]
+                m.lmp.neighbor.record_build(m.lmp.update.ntimestep, rows)
+        np.copyto(atom.x[:nown], now, where=keep)
+        self._env_of(nlist, order, counts)
+        self._replay = brick.replay
+        self._replay.forward_x(atom)
 
-    def _build_lists(self, stale: list[_Member]) -> None:
-        """One bin grid and one list build over the stale members' atoms,
-        each member a box of its own (its solo geometry and order), per
-        ghost cutoff they share; each member gets its slice of the one list
-        as its own ``neigh_list`` and records the build, as solo does."""
-        ARENA.release()  # the pairwise scratch is dead between force calls
-        _, style, newton = self._sig
-        by_cut: dict[float, list[_Member]] = {}
-        for m in stale:
-            by_cut.setdefault(m.lmp.comm_brick.cutghost, []).append(m)
-        for cutghost, group in by_cut.items():
-            atoms = [m.lmp.atom for m in group]
-            x = np.concatenate([a.x[: a.nall] for a in atoms])
-            boxes = np.array([(a.nlocal, a.nall) for a in atoms])
-            nlist = build_neighbor_list(x, boxes, cutghost, style=style, newton=newton)
-            for m, a, part in zip(group, atoms, nlist.split(boxes[:, 0])):
-                m.lmp.bin_grid = None  # the grid was the batch's
-                m.lmp.neigh_list = part
-                m.lmp.neighbor.record_build(m.lmp.update.ntimestep, a.x[: a.nlocal])
+    def _env_of(self, nlist, order: np.ndarray, counts: np.ndarray) -> None:
+        """The epoch's pairwise env: the one list's pairs in stacked indices
+        (its rows are the stacked owned rows; a box's neighbor ``j`` is its
+        ``j``-th row in ``order``) with each member's per-pair constants —
+        the stacked executor of :func:`repro.graph.pairwise.pairwise`, whose
+        arithmetic stays in ``potentials/lj.py``."""
+        atom = self.atom
+        nown = atom.nlocal
+        i0, j_box = nlist.ij_pairs()
+        first = np.add.accumulate(counts) - counts
+        j0 = order.take(first.take(self._brick.box[:nown]).take(i0) + j_box)
+        key = self._coef_base + atom.type[:nown] * self._coef_width
+        k = key.take(i0) + atom.type.take(j0)
+        _, list_style, newton, _ = self._sig
+        full = list_style == "full"
+        env = self._env = {
+            # formula methods only: member coefficients travel as vectors
+            "pair": self.members[0].lmp.pair,
+            "i0": i0,  # owned, globally ascending
+            "j0": j0,  # owned or ghost
+            "jl0": None if full or newton else j0 < nown,
+            "off": nlist.first[self._own_off],  # member pair offsets
+            "full": full,
+            "newton": newton,
+            "f_view": None,
+            "force_fn": lj_force,
+        }
+        for name, table in self._coef.items():
+            env[name] = table.take(k)
 
     # -------------------------------------------------------------- tallies
     def _tally(self, due: list[_Member]) -> None:

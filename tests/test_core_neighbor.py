@@ -126,6 +126,16 @@ class TestRebuildPolicy:
 
 
 # ------------------------------------------------------------- box batches
+def _split(nlist, nlocal) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A box batch's list cut into each box's ``(first, neighbors)``."""
+    parts, r = [], 0
+    for n in nlocal:
+        a, b = nlist.first[r], nlist.first[r + n]
+        parts.append((nlist.first[r : r + n + 1] - a, nlist.neighbors[a:b]))
+        r += n
+    return parts
+
+
 def _boxes(seed: int = 5):
     """Five boxes of mixed size and shape (their grids differ in ``nbins``),
     owned atoms first then ghosts in each, one box with no owned atoms."""
@@ -154,16 +164,15 @@ def test_box_batch_is_each_solo_list(style, newton, bins_per_cutoff):
         own = np.maximum(np.ceil(cutoff / grid.size - 1e-12), 1)
         assert len({tuple(r) for r in own}) > 1
     batch = build_neighbor_list(x, counts, cutoff, style=style, newton=newton, grid=grid)
-    parts = batch.split(n for n, _ in counts)
-    assert batch.total_pairs == sum(p.total_pairs for p in parts)
-    for b, (xb, (nlocal, _), part) in enumerate(zip(xs, counts, parts)):
+    parts = _split(batch, [n for n, _ in counts])
+    assert batch.total_pairs == sum(len(p[1]) for p in parts)
+    for b, (xb, (nlocal, _), (first, neighbors)) in enumerate(zip(xs, counts, parts)):
         solo = build_neighbor_list(
             xb, nlocal, cutoff, style=style, newton=newton, grid=BinGrid(xb, nlocal, bins)
         )
-        assert np.array_equal(part.first, solo.first), b
-        assert np.array_equal(part.neighbors, solo.neighbors), b
-        assert part.neighbors.dtype == solo.neighbors.dtype
-    assert len({p.generation for p in parts} | {batch.generation}) == len(parts) + 1
+        assert np.array_equal(first, solo.first), b
+        assert np.array_equal(neighbors, solo.neighbors), b
+        assert neighbors.dtype == solo.neighbors.dtype
 
 
 def test_box_batch_private_grid_and_validation():
@@ -171,12 +180,12 @@ def test_box_batch_private_grid_and_validation():
     not add up to ``x`` are refused."""
     xs, counts = _boxes(6)
     x = np.concatenate(xs)
-    parts = build_neighbor_list(x, counts, 1.7, style="half", newton=True).split(
-        n for n, _ in counts
+    parts = _split(
+        build_neighbor_list(x, counts, 1.7, style="half", newton=True), [n for n, _ in counts]
     )
-    for xb, (nlocal, _), part in zip(xs, counts, parts):
+    for xb, (nlocal, _), (_, neighbors) in zip(xs, counts, parts):
         solo = build_neighbor_list(xb, nlocal, 1.7, style="half", newton=True)
-        assert np.array_equal(part.neighbors, solo.neighbors)
+        assert np.array_equal(neighbors, solo.neighbors)
     with pytest.raises(NeighborError, match="boxes hold"):
         build_neighbor_list(x[:-1], counts, 1.7)
     with pytest.raises(NeighborError, match="nlocal 9 outside"):
@@ -198,7 +207,7 @@ def _member(every: int, seed: int):
 
 def test_batch_rebuild_step_is_one_grid_and_one_build(monkeypatch):
     """Each rebuild step bins and builds once, however many members are
-    due; a member that is not due keeps its list object."""
+    due; a member that is not due records no build."""
     import repro.replica.batch as batch_mod
     from repro.core.bin_grid import BinGrid
     from repro.replica import ReplicaBatch
@@ -212,12 +221,13 @@ def test_batch_rebuild_step_is_one_grid_and_one_build(monkeypatch):
     batch = ReplicaBatch()
     for m in members:
         batch.add_replica(m)
+    batch.step(0)  # stacking derives every member's set-up list in one build
     seen = set()
     for step in range(1, 36):
-        lists = [m.neigh_list for m in members]
+        before = [m.neighbor.builds for m in members]
         grids, calls = BinGrid.builds_total, len(builds)
         batch.step(1)
-        due = [k for k, m in enumerate(members) if m.neigh_list is not lists[k]]
+        due = [k for k, m in enumerate(members) if m.neighbor.builds != before[k]]
         assert due == [k for k, e in enumerate((5, 5, 7, 7)) if step % e == 0], step
         assert BinGrid.builds_total - grids == len(builds) - calls == (1 if due else 0)
         seen.add(len(due))

@@ -7,8 +7,9 @@ strictest level available — ``np.array_equal`` on positions, velocities,
 and thermo rows against fresh solo runs — under the production scatter and
 an ``np.add.at`` reference body, for a mixed-size batch, members that
 rebuild their neighbor lists on different steps, and user custom fields
-riding through the stack.  Membership is fixed before the first step, and a
-failed member rebuild stops the batch.
+riding through the stack; each member's ghost shell and replay stages equal
+its solo ones.  Membership is fixed before the first step, and a failed
+member rebuild stops the batch.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import pytest
 from conftest import SCATTERS, scatter_body
 from repro.core import Lammps
 from repro.core.atom import BORDER_FIELDS
-from repro.core.comm_md import GhostReplay
-from repro.core.errors import CommError, LammpsError
+from repro.core.comm_md import Swap
+from repro.core.errors import CommError, LammpsError, NeighborError
 from repro.replica import ReplicaBatch
 from repro.tools import registry as kp
 from repro.workloads.melt import MELT_TEMPLATE
@@ -82,7 +83,8 @@ def test_melt_batch_bitwise_across_mode_matrix(scatter):
 
 def test_members_rebuild_on_their_own_steps():
     """Members whose lists go stale on different steps rebuild alone (only
-    the stale ones run ``rebuild_gen``) and still equal solo, bit for bit."""
+    the stale ones migrate and record a build) and still equal solo, bit for
+    bit."""
     policy = "neigh_modify every 1 delay 0 check yes"
     specs = _specs(4)
     solos = [_solo(s, 60, policy) for s in specs]
@@ -126,20 +128,31 @@ def test_add_after_the_first_step_raises():
 
 
 def test_failed_member_rebuild_stops_the_step():
-    """A member whose rebuild raises stops ``step`` at that step with an
-    error naming the replica, chained from the cause; nobody steps on."""
+    """A non-finite coordinate in one member's box stops ``step`` at its
+    next rebuild with an error naming that replica and the step, chained
+    from the cause; nobody steps on."""
     members = [_build(s) for s in _specs(3)]
     batch = _batch(members)
-
-    def lost_atoms():
-        raise CommError("lost atoms")
-        yield
-
-    members[1].migrate_gen = lost_atoms  # the template rebuilds every 20
+    batch.step(5)
+    m = batch.members[1]
+    batch.atom.x[m.own_off + 3] = np.nan  # the template rebuilds every 20
     with pytest.raises(LammpsError, match="replica 1 .* at step 20") as info:
-        batch.step(40)
-    assert isinstance(info.value.__cause__, CommError)
+        batch.step(35)
+    assert isinstance(info.value.__cause__, NeighborError)
     assert [m.update.ntimestep for m in members] == [20, 20, 20]
+
+
+def test_a_batch_rebuild_step_posts_no_message():
+    """The batch migrates its members without the mailbox: a rebuild step
+    that prints no thermo row leaves every member's world ledger as it was."""
+    members = [_build(s) for s in _specs(3, thermo=100)]
+    batch = _batch(members)
+    batch.step(19)
+    builds = [m.neighbor.builds for m in members]
+    ledgers = [(m.world.ledger.messages, m.world.ledger.bytes_moved) for m in members]
+    batch.step(1)  # step 20: every member rebuilds
+    assert [m.neighbor.builds for m in members] == [b + 1 for b in builds]
+    assert [(m.world.ledger.messages, m.world.ledger.bytes_moved) for m in members] == ledgers
 
 
 # ----------------------------------------------------------- tool spans
@@ -169,7 +182,7 @@ def test_stacked_phases_are_regions_not_kernels():
 # ------------------------------------------------------ reverse comm fold
 def test_reverse_fold_matches_add_at_and_rejects_repeated_sources():
     """``GhostReplay.reverse`` folds with ``f[src] += buf``: bitwise the
-    ``np.add.at`` replay on unique sources, refused at stage build else."""
+    ``np.add.at`` replay on unique sources; a swap refuses a repeated one."""
     batch = _batch([_build(s) for s in _specs(4)])
     batch.step(5)
     f = batch.atom.f
@@ -180,53 +193,80 @@ def test_reverse_fold_matches_add_at_and_rejects_repeated_sources():
     batch._replay.reverse(batch.atom)
     assert np.array_equal(f, want)
 
-    swap = batch.members[1].lmp.comm_brick.swaps[2]
-    swap.sendlist = np.array([0, 0])  # bypasses Swap's own check
-    with pytest.raises(CommError, match="ghost replay stage 2: repeated"):
-        batch._hoist()
+    swap = batch._brick.swaps[2]
+    with pytest.raises(CommError, match="sendlist is not strictly increasing"):
+        Swap(swap.dim, swap.dirn, 0, 0, np.array([0, 0]), swap.shift[:2], 0, 2)
 
 
 # ------------------------------------------------------ the slice contract
-def test_every_stage_is_one_slice_and_lookup_reads_the_member_ghosts():
+def _box_rows(batch) -> list[np.ndarray]:
+    """Each member's stacked rows, owned then ghost, in ascending order."""
+    box = batch._brick.box
+    return [np.flatnonzero(box == m.index) for m in batch.members]
+
+
+def _assert_solo_shell(solo, batch, m, rows, label: str) -> None:
+    """Member ``m``'s stacked rows and replay stages are ``solo``'s arrays
+    and one-rank replay stages, bit for bit."""
+    a = solo.atom
+    assert len(rows) == a.nall, label
+    for name in BORDER_FIELDS:
+        assert np.array_equal(getattr(batch.atom, name)[rows], getattr(a, name)[: a.nall]), (label, name)
+    local = np.full(batch.atom.nall, -1)
+    local[rows] = np.arange(len(rows))
+    mine = []
+    for src, dst, shift in batch._replay.stages:
+        keep = batch._brick.box[src] == m.index
+        dst_rows = np.arange(dst.start, dst.stop)[keep]
+        if keep.any():
+            mine.append((local[src[keep]], local[dst_rows], shift[keep]))
+    theirs = solo.comm_brick.replay.stages
+    assert len(mine) == len(theirs), label
+    for (src, dst, shift), (s_src, s_dst, s_shift) in zip(mine, theirs):
+        assert np.array_equal(src, s_src), label
+        assert np.array_equal(dst, np.arange(s_dst.start, s_dst.stop)), label
+        assert np.array_equal(shift, np.broadcast_to(s_shift, shift.shape)), label
+
+
+def test_every_stage_is_one_slice_and_each_member_reads_its_solo_shell():
     """A solo replay's and a 4-member batch's stages each write one slice;
-    the batch's ghosts are stacked stage-major, and each member's ``lookup``
-    reads its own rows (owned and ghost) back out of the stacked arrays."""
+    the batch's ghosts follow its owned rows swap by swap, and each member's
+    stacked rows (owned and ghost) are its own solo shell."""
     solo = _build(_specs(1)[0])
     solo.command("run 0")
     assert all(isinstance(dst, slice) for _, dst, _ in solo.comm_brick.replay.stages)
 
-    batch = _batch([_build(s) for s in _specs(4)])
+    specs = _specs(4)
+    batch = _batch([_build(s) for s in specs])
     batch.step(0)
     stages = batch._replay.stages
     assert len(stages) == 6 and all(isinstance(dst, slice) for _, dst, _ in stages)
     assert stages[0][1].start == batch.atom.nlocal
     assert all(a[1].stop == b[1].start for a, b in zip(stages, stages[1:]))
     assert stages[-1][1].stop == batch.atom.nall
-    rows = np.concatenate([m.lookup for m in batch.members])
-    assert np.array_equal(np.sort(rows), np.arange(batch.atom.nall))
-    for m in batch.members:
-        a = m.lmp.atom
-        for name in BORDER_FIELDS:
-            assert np.array_equal(
-                getattr(batch.atom, name)[m.lookup], getattr(a, name)[: a.nall]
-            ), (m.index, name)
+    rows = _box_rows(batch)
+    assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(batch.atom.nall))
+    for m, mine, spec in zip(batch.members, rows, specs):
+        _assert_solo_shell(_solo(spec, 0), batch, m, mine, f"member {m.index}")
 
 
-def test_a_stage_that_is_not_one_slice_is_refused():
-    """Stacked member-major (each member's ghosts in one block), swap 0's
-    ghosts of two members are two runs: the stage build raises."""
-    batch = _batch([_build(s) for s in _specs(2)])
-    batch.step(0)
-    layouts, ghost_off = [], batch.atom.nlocal
-    for m in batch.members:
-        def member_major(idx, m=m, off=ghost_off):
-            return np.where(idx < m.nlocal, m.own_off + idx, off + idx - m.nlocal)
-
-        layouts.append((m.lmp.comm_brick.swaps, member_major))
-        ghost_off += m.lmp.atom.nghost
-    replay = GhostReplay(layouts, batch.atom.reorder_generation, batch.atom.nall)
-    with pytest.raises(CommError, match="ghost replay stage 0: .*not one contiguous slice"):
-        replay.stages
+def test_batch_migration_equals_each_solo_exchange_sort_and_borders():
+    """Mixed-size members, two of them re-neighboring on their own steps
+    (``check yes``): after several batch rebuild steps each member's owned
+    order, stacked ghost rows and replay stages equal a solo run's, bit for
+    bit."""
+    policy = "neigh_modify every 1 delay 0 check yes"
+    specs = _specs(4)
+    extra = ["", policy, policy, ""]
+    members = [_build(s, e) for s, e in zip(specs, extra)]
+    batch = _batch(members)
+    batch.step(60)  # the template's members rebuild at 20, 40 and 60
+    solos = [_solo(s, 60, e) for s, e in zip(specs, extra)]
+    builds = [m.neighbor.builds for m in members]
+    assert builds == [s.neighbor.builds for s in solos]
+    assert builds[1] != 4 and builds[2] != 4 and builds[1] != builds[2], builds
+    for m, rows, solo in zip(batch.members, _box_rows(batch), solos):
+        _assert_solo_shell(solo, batch, m, rows, f"member {m.index}")
 
 
 # ----------------------------------------------------------- admission gate
