@@ -369,6 +369,11 @@ class Lammps:
         if self.comm_brick is None or self.comm_brick.cutghost != cutghost:
             assert self.decomp is not None
             self.comm_brick = CommBrick(self.comm, self.decomp, cutghost)
+        x = atom.x[: atom.nlocal]
+        if not np.isfinite(x).all():  # no owner would claim it: exchange drops it
+            k = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+            raise LammpsError(f"step {self.update.ntimestep}: rank {self.comm.rank} owns "
+                              f"atom {int(atom.tag[k])} at non-finite {x[k].tolist()}")
         with self.timer.phase("Comm"):
             yield from self.comm_brick.exchange(atom, self.domain.wrap)
         with self.timer.phase("Neigh"):

@@ -16,8 +16,8 @@ slowest, m' fastest) first, the atom or pair index fastest:
   half-integer (doubled-index) lattice;
 * :mod:`repro.snap.indexing` — the flattening, its half range under the
   mirror symmetry (and the row maps that unfold or dagger it), the sparse
-  contraction tensor and the folded, dest-sorted term plans built from it
-  once per ``twojmax``;
+  contraction tensor and the folded plans built from it once per
+  ``twojmax``, one dense GEMM per conserved (m, m') class;
 * :mod:`repro.snap.wigner` — the Cayley-Klein parameters and the Wigner
   recursion for u, one whole-level update per J over all (atom, neighbor)
   pairs, keeping only the rows some consumer reads;

@@ -18,7 +18,7 @@ def compute_bispectrum(U: np.ndarray, twojmax: int) -> np.ndarray:
     """(natoms, nbispectrum) real bispectrum from per-atom U totals."""
     idx = SnapIndex(twojmax)
     plan, zout, ibstarts = idx.bi_plan
-    Z = plan.contract(U, plan.weights(), len(zout))
+    Z = plan.contract(U, plan.weights())
     Uz = U[zout]
     return np.add.reduceat(
         Z.real * Uz.real + Z.imag * Uz.imag, ibstarts, axis=0

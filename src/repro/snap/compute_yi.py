@@ -12,9 +12,9 @@ and its mirror image contribute complex-conjugate amounts: the half range
 ``idx.half``, weighted ``idx.fold``, is the whole sum (section 4.3's
 folding into a single Y).  The same symmetry makes every row of ``[U; conj
 U]`` plus or minus a row of ``[U[half]; conj U[half]]``, so the contraction
-reads 2 len(half) rows, not 2 idxu_max.  It is
-:class:`~repro.snap.indexing.ContractionPlan` — memory-bound on U loads,
-the L1 story of figure 3.
+reads 2 len(half) rows, not 2 idxu_max.  The CG coefficients conserve (m,
+m'), so :class:`~repro.snap.indexing.ContractionPlan` forms each product of
+an (m, m') class once, contiguously, and the class's rows are one GEMM.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ def compute_yi(U: np.ndarray, beta: np.ndarray, twojmax: int) -> np.ndarray:
         )
     plan = idx.yi_plan
     Uh = U[idx.half]
-    return plan.contract(
-        np.concatenate((Uh, np.conj(Uh))), plan.weights(beta), len(idx.half)
-    )
+    return plan.contract(np.concatenate((Uh, np.conj(Uh))), plan.weights(beta))
 
 
 def compute_ytilde(Y: np.ndarray, twojmax: int) -> np.ndarray:

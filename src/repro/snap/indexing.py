@@ -7,7 +7,7 @@ atom index runs fastest of all: ``U`` is (idxu_max, natoms).  This module
 owns that flattening, its half range under the mirror symmetry, the
 bispectrum triple list (``0 <= j2 <= j1 <= j <= J`` after the
 group-theoretic reductions), the sparse Clebsch-Gordan contraction tensor,
-and the folded term plans ComputeYi/ComputeBi execute.
+and the folded class plans ComputeYi/ComputeBi execute.
 
 All angular momenta use the doubled (``2j``) integer convention.
 """
@@ -20,12 +20,12 @@ from functools import cached_property
 import numpy as np
 
 from repro.graph.pairwise import gather
-from repro.kokkos.segment import _sorted_segments
 from repro.snap.cg import clebsch_gordan
 
 #: bytes of the largest array one chunk of work materialises; every chunk
-#: length (terms x atoms in a contraction, pairs in the derivative
-#: recursion) derives from it, so peak RSS follows neither natoms nor npairs
+#: length (atom columns of one class's products in a contraction, pairs in
+#: the derivative recursion) derives from it, so peak RSS follows neither
+#: natoms nor npairs
 CHUNK_BYTES = 1 << 20
 
 
@@ -54,76 +54,64 @@ class ContractionTensor:
 
 
 class ContractionPlan:
-    """Dest-sorted bilinear term list ``out[dest] += w * T[a] * T[b]``.
+    """``out[dest] += w * T[a] * T[b]`` as one dense GEMM per class.
 
     Built once per :class:`SnapIndex` from raw ``(dest, a, b, ib, coeff)``
-    terms: ``a``/``b`` are ordered (the product commutes), terms sorted by
-    ``(dest, a, b)`` and duplicates merged, so only the merged weights
-    depend on the coefficients (:meth:`weights`).  ``T`` holds one row per
-    quantum number with the atom axis fastest; every chunk is two row
-    gathers and one in-place multiply into the chunk's product rows ``K``,
-    then one real BLAS dot per ``dest`` row, ``w[seg] @ K[seg]`` over the
-    interleaved float view.  Chunks are cut on ``dest`` boundaries, so a sum
-    never depends on the chunking.
+    terms and a class ``key`` per ``dest`` row that its terms' products
+    share (the conserved (m, m')).  ``a <= b``; each class keeps its
+    distinct products as one contiguous run of ``(a, b)`` rows of ``T``
+    (atom axis fastest) and its ``dest`` rows, and each term maps to a
+    ``slot`` of the class's dense ``(dests, products)`` weight matrix.
+    Per class, two row gathers and an in-place multiply form ``K``, and
+    ``out[dests] = W @ K`` over the interleaved float view.  Atom columns
+    are independent, so the atom axis is cut to keep ``K`` within
+    :data:`CHUNK_BYTES`.
     """
 
-    def __init__(self, dest, a, b, ib, coeff) -> None:
+    def __init__(self, dest, a, b, ib, coeff, key) -> None:
         a, b = np.minimum(a, b), np.maximum(a, b)
-        order = np.lexsort((b, a, dest))
-        key = np.stack((dest, a, b))[:, order]
-        first = np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)]
-        dest, self.a, self.b = key[:, first]
-        self.group = np.empty(len(order), dtype=np.int64)
-        self.group[order] = np.cumsum(first) - 1
-        self.ib, self.coeff = ib, coeff
-        #: segment starts / destination row of each run of equal ``dest``
-        self.starts, self.rows = _sorted_segments(dest)
-        self.nterms = len(self.a)
-        #: chunk layouts, keyed by ``(natoms, CHUNK_BYTES)``
-        self._chunks: dict[tuple[int, int], list] = {}
+        _, rcls = np.unique(key, return_inverse=True)
+        self.dests = np.argsort(rcls, kind="stable")  # the rows, class-major
+        rcls, r = rcls[self.dests], np.argsort(self.dests)[dest]
+        cls, n = rcls[r], int(b.max(initial=0)) + 1
+        prods, p = np.unique((cls * n + a) * n + b, return_inverse=True)
+        self.a, self.b = (prods // n) % n, prods % n
+        bounds = np.arange(rcls.max(initial=-1) + 2)
+        pstart, dstart = np.searchsorted(prods // n**2, bounds), np.searchsorted(rcls, bounds)
+        nprod = np.diff(pstart)
+        wstart = np.r_[0, np.cumsum(nprod * np.diff(dstart))]
+        self.slot = wstart[cls] + (r - dstart[cls]) * nprod[cls] + p - pstart[cls]
+        self.ib, self.coeff, self.nslots = ib, coeff, int(wstart[-1])
+        #: per class: the bounds of its products, dest rows and weight slots
+        self.classes = list(zip(*(
+            v.tolist() for s in (pstart, dstart, wstart) for v in (s[:-1], s[1:])
+        )))
+        self.widest = int(nprod.max(initial=0))
 
     def weights(self, beta: np.ndarray | None = None) -> np.ndarray:
-        """Merged per-term weights: ``coeff`` (times ``beta[ib]`` if given)."""
+        """Dense per-slot weights: ``coeff`` (times ``beta[ib]`` if given)."""
         raw = self.coeff if beta is None else beta[self.ib] * self.coeff
-        return np.bincount(self.group, weights=raw, minlength=self.nterms)
+        return np.bincount(self.slot, weights=raw, minlength=self.nslots)
 
-    def chunks(self, natoms: int) -> list[tuple[int, int, list]]:
-        """``[(lo, hi, [(row, start, end), ...])]``: term ranges of at most
-        :data:`CHUNK_BYTES` of complex product rows (a longer ``dest``
-        segment goes whole) with the ``dest`` segments inside each."""
-        key = (natoms, CHUNK_BYTES)
-        layout = self._chunks.get(key)
-        if layout is None:
-            max_terms = chunk_len(16 * natoms)
-            ends = np.r_[self.starts[1:], self.nterms]
-            segs = list(zip(self.rows.tolist(), self.starts.tolist(), ends.tolist()))
-            layout, s = [], 0
-            while s < len(segs):
-                lo = segs[s][1]
-                e = max(int(np.searchsorted(ends, lo + max_terms, side="right")), s + 1)
-                layout.append((lo, segs[e - 1][2], segs[s:e]))
-                s = e
-            if len(self._chunks) >= 8:  # per-rank atom counts drift
-                self._chunks.clear()
-            self._chunks[key] = layout
-        return layout
-
-    def contract(self, T: np.ndarray, w: np.ndarray, nrows: int) -> np.ndarray:
-        """``out (nrows, natoms)`` of the weighted bilinear contraction."""
-        out = np.zeros((nrows, T.shape[1]), dtype=np.complex128)
-        of = out.view(np.float64)
-        layout = self.chunks(T.shape[1])
-        # two gather buffers for the call, sized to the longest chunk (a long
-        # dest segment goes whole, past CHUNK_BYTES)
-        size = max((hi - lo for lo, hi, _ in layout), default=0)
-        Ka = np.empty((size, T.shape[1]), dtype=T.dtype)
+    def contract(self, T: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``out (len(key), natoms)`` of the weighted bilinear contraction."""
+        natoms = T.shape[1]
+        out = np.zeros((len(self.dests), natoms), dtype=np.complex128)
+        cols = min(chunk_len(16 * self.widest), max(natoms, 1))
+        # two gather buffers for the call, each one class's widest K
+        Ka = np.empty(self.widest * cols, dtype=T.dtype)
         Kb = np.empty_like(Ka)
-        for lo, hi, segs in layout:
-            K = gather(T, self.a[lo:hi], Ka[: hi - lo], axis=0)
-            K *= gather(T, self.b[lo:hi], Kb[: hi - lo], axis=0)
-            Kf = K.view(np.float64)
-            for row, s, e in segs:
-                of[row] = w[s:e] @ Kf[s - lo : e - lo]
+        for lo in range(0, natoms, cols):
+            hi = min(lo + cols, natoms)
+            # (a strided source would be copied whole by every gather)
+            Tc = T if hi - lo == natoms else np.ascontiguousarray(T[:, lo:hi])
+            ocols = out[:, lo:hi].view(np.float64)
+            for plo, phi, dlo, dhi, wlo, whi in self.classes:
+                k = (phi - plo) * (hi - lo)
+                K = gather(Tc, self.a[plo:phi], Ka[:k].reshape(phi - plo, hi - lo), axis=0)
+                K *= gather(Tc, self.b[plo:phi], Kb[:k].reshape(phi - plo, hi - lo), axis=0)
+                W = w[wlo:whi].reshape(dhi - dlo, phi - plo)
+                ocols[self.dests[dlo:dhi]] = W @ K.view(np.float64)
         return out
 
 
@@ -199,6 +187,9 @@ class SnapIndex:
         self.mirror = self.idxu_block[J] + sizes[J] - 1 - q
         self.mirror_sign = 1.0 - 2.0 * ((mb + ma) % 2)
         self.dagger = self.idxu_block[J] + ma * (J + 1) + mb
+        #: per flat index: its doubled ``(m, m')``, ``(2mb - J, 2ma - J)``,
+        #: as one key — what the CG coefficients conserve
+        self.mkey = (2 * mb - J) * (2 * twojmax + 1) + 2 * ma - J
 
     # ------------------------------------------------------------- flatten
     def flat(self, j2x: int, mb: int, ma: int) -> int:
@@ -263,19 +254,22 @@ class SnapIndex:
         return ContractionPlan(
             np.searchsorted(self.half, dest), row[a], row[b], np.tile(t.ib, 3)[keep],
             np.tile(t.coeff, 3)[keep] * self.fold[dest] * sign[a] * sign[b],
+            self.mkey[self.half],
         )
 
     @cached_property
     def bi_plan(self) -> tuple[ContractionPlan, np.ndarray, np.ndarray]:
         """``(plan, zout, ibstarts)``: ``Z[(ib, out)] = sum C U[in1] U[in2]``
-        on half-range ``out``; ``B[ib] = sum_out Re(Z conj U[zout])`` over
-        the run of ``Z`` rows starting at ``ibstarts[ib]``."""
+        on half-range ``out``, classed by (j1, j2, m, m'); ``B[ib] = sum_out
+        Re(Z conj U[zout])`` over the ``Z`` rows from ``ibstarts[ib]``."""
         t, n = self.tensor, self.idxu_max
         keep = self.fold[t.out] > 0
-        zkey, dest = np.unique(t.ib[keep] * n + t.out[keep], return_inverse=True)
+        ib, out = t.ib[keep], t.out[keep]
+        zkey, dest = np.unique(ib * n + out, return_inverse=True)
+        j12 = np.array([j1 * (self.twojmax + 1) + j2 for j1, j2, _ in self.idxb])
         plan = ContractionPlan(
-            dest, t.in1[keep], t.in2[keep], t.ib[keep],
-            t.coeff[keep] * self.fold[t.out[keep]],
+            dest, t.in1[keep], t.in2[keep], ib, t.coeff[keep] * self.fold[out],
+            j12[zkey // n] * (2 * self.twojmax + 1) ** 2 + self.mkey[zkey % n],
         )
         return plan, zkey % n, np.searchsorted(zkey // n, np.arange(self.nbispectrum))
 

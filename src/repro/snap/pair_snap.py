@@ -35,10 +35,10 @@ from repro.snap.compute_yi import compute_yi
 from repro.snap.indexing import SnapIndex
 
 
-#: ComputeYi is charged ``tensor.nterms / 36`` terms per atom: 3.2x of it
-#: is the symmetry folding the wall path measures (97 734 -> 30 598 terms
-#: at 2J = 8), the other ~11x calibrates the modeled kernel to Table 2 and
-#: is no term count anything executes (DESIGN.md section 3.5).
+#: ComputeYi is charged ``tensor.nterms / 36`` terms per atom.  The wall
+#: path forms 15 030 products per atom at 2J = 8 (``nterms / 2.2``) for 73
+#: (m, m') class GEMMs over 35 072 weights; the rest of the 36 calibrates
+#: the model to Table 2 and is no count anything executes (DESIGN 3.5).
 YI_CHARGED_TERM_DIVISOR = 36.0
 
 

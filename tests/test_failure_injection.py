@@ -41,6 +41,21 @@ class TestLostAndCorruptState:
         lmp.command("run 5")
         assert lmp.atom.nlocal == lmp.natoms_total
 
+    @pytest.mark.parametrize("nranks", [1, 2])
+    def test_non_finite_owned_atom_is_refused_not_dropped(self, nranks):
+        """No rank's subdomain holds a NaN coordinate, so the exchange
+        would send the atom nowhere: the rebuild refuses it by tag."""
+        target = make_melt(cells=2, nranks=nranks)
+        target.command("run 5")
+        ranks = getattr(target, "ranks", [target])
+        atom = ranks[-1].atom
+        atom.x[3] = np.nan
+        tag = int(atom.tag[3])
+        with pytest.raises(
+            LammpsError, match=rf"step 5: rank {nranks - 1} owns atom {tag} at non-finite"
+        ):
+            target.command("run 20")
+
     def test_overflow_guard_on_neighbor_index_width(self):
         from repro.core import neighbor as nb
 

@@ -367,29 +367,62 @@ class TestEdgeCases:
             compute_fused_deidrj(rij, pair_i, Y, RCUT, 4, partner=partner), whole
         )
 
-    @pytest.mark.parametrize("terms", [1, 37, 600])
-    def test_yi_chunks_never_split_a_dest_segment(self, monkeypatch, terms):
-        """Chunks end on ``dest`` boundaries (a segment longer than the
-        budget goes whole), so no sum depends on where the chunks fall."""
-        _, _, _, U, beta = totals(6)
+    @pytest.mark.parametrize("cols", [1, 37, 600])
+    def test_atom_axis_splits_keep_every_column(self, monkeypatch, cols):
+        """A contraction cuts the atom axis to keep one class's product rows
+        within ``CHUNK_BYTES``; columns are independent, so a split call
+        matches the unsplit one and the oracle.  Not bit for bit: the BLAS
+        GEMM kernel (and so a column's summation order) may change with the
+        column count."""
+        rij, pair_i = neighborhoods(5, natoms=700)
+        U = compute_ui(rij, pair_i, 700, RCUT, 6)
+        beta = synthetic_beta(SnapIndex(6).nbispectrum, 1.0, seed=6)
         whole, whole_b = compute_yi(U, beta, 6), compute_bispectrum(U, 6)
-        plan = SnapIndex(6).yi_plan
-        assert np.diff(np.r_[plan.starts, plan.nterms]).max() > 37
-        monkeypatch.setattr(indexing, "CHUNK_BYTES", 16 * U.shape[1] * terms)
-        assert np.array_equal(compute_yi(U, beta, 6), whole)
-        assert np.array_equal(compute_bispectrum(U, 6), whole_b)
+        yi, bi = SnapIndex(6).yi_plan, SnapIndex(6).bi_plan[0]
+        monkeypatch.setattr(indexing, "CHUNK_BYTES", 16 * yi.widest * cols)
+        Y = compute_yi(U, beta, 6)
+        monkeypatch.setattr(indexing, "CHUNK_BYTES", 16 * bi.widest * cols)
+        B = compute_bispectrum(U, 6)
+        np.testing.assert_allclose(Y, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
+        np.testing.assert_allclose(B, whole_b, rtol=0, atol=1e-13 * np.abs(whole_b).max())
+        # the oracle on every seventh column (its COO temporaries are large)
+        y12, y3 = coo_adjoints(U[:, ::7], beta, 6)
+        want = (SnapIndex(6).fold[:, None] * (y12 + np.conj(y3)))[SnapIndex(6).half]
+        np.testing.assert_allclose(Y[:, ::7], want, rtol=0, atol=1e-12 * np.abs(want).max())
+        want_b = coo_bispectrum(U[:, ::7], 6).real
+        np.testing.assert_allclose(B[::7], want_b, rtol=0, atol=1e-12 * np.abs(want_b).max())
 
 
 class TestPlanKeys:
     def test_structure_is_per_twojmax(self):
         assert SnapIndex(4).yi_plan is SnapIndex(4).yi_plan
-        assert SnapIndex(4).yi_plan.nterms != SnapIndex(6).yi_plan.nterms
-        # 3 x 32 578 term-passes -> 50 068 half-range -> 40 504 merged over
-        # [U; conj U] -> 30 598 merged over the canonical rows [U; conj U][half]
+        assert len(SnapIndex(4).yi_plan.a) != len(SnapIndex(6).yi_plan.a)
+        # 32 578 tensor terms -> 3 x 32 578 term-passes -> 50 068 half-range
+        # -> 30 598 merged over the canonical rows [U; conj U][half], in 73
+        # (m, m') classes holding 15 030 distinct products and 35 072 slots
         plan = SnapIndex(8).yi_plan
-        assert (SnapIndex(8).tensor.nterms, len(plan.group), plan.nterms) == (
-            32578, 50068, 30598,
-        )
+        assert (
+            SnapIndex(8).tensor.nterms, len(plan.slot), len(np.unique(plan.slot)),
+            len(plan.classes), len(plan.a), plan.nslots,
+        ) == (32578, 50068, 30598, 73, 15030, 35072)
+
+    @pytest.mark.parametrize("twojmax", range(13))
+    def test_every_product_carries_minus_its_dests_m(self, twojmax):
+        """The CG coefficients conserve (m, m'): every yi term's ``T[a] T[b]``
+        carries the doubled ``-(m, m')`` of its ``dest``, so a class's
+        products serve every ``dest`` row of the class."""
+        idx = SnapIndex(twojmax)
+        plan = idx.yi_plan
+        J = np.searchsorted(idx.idxu_block, np.arange(idx.idxu_max), side="right") - 1
+        q = np.arange(idx.idxu_max) - idx.idxu_block[J]
+        m = np.stack((2 * (q // (J + 1)) - J, 2 * (q % (J + 1)) - J))
+        # a T row is U[half[r]] (its m) or conj U[half[r - nh]] (minus it)
+        mt = np.concatenate((m[:, idx.half], -m[:, idx.half]), axis=1)
+        for plo, phi, dlo, dhi, _, _ in plan.classes:
+            want = -m[:, idx.half[plan.dests[dlo:dhi]]]
+            assert (want == want[:, :1]).all()
+            got = mt[:, plan.a[plo:phi]] + mt[:, plan.b[plo:phi]]
+            assert (got == want[:, :1]).all()
 
     def test_weights_follow_the_content_of_beta(self):
         idx, _, _, U, beta = totals(4)
