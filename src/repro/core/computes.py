@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.styles import register_compute
+from repro.kokkos.segment import fixed_dot
 
 
 class Compute:
@@ -43,7 +44,7 @@ class ComputeTemp(Compute):
         atom = self.lmp.atom
         m = atom.masses_of()
         v = atom.v[: atom.nlocal]
-        msq = float(np.dot(m, np.einsum("ij,ij->i", v, v)))
+        msq = fixed_dot(m, np.einsum("ij,ij->i", v, v))
         return np.array([msq, float(atom.nlocal)])
 
     def finalize(self, parts: np.ndarray) -> float:
@@ -63,7 +64,7 @@ class ComputeKE(Compute):
         v = atom.v[: atom.nlocal]
         units = self.lmp.update.units
         return np.array(
-            [0.5 * units.mvv2e * float(np.dot(m, np.einsum("ij,ij->i", v, v)))]
+            [0.5 * units.mvv2e * fixed_dot(m, np.einsum("ij,ij->i", v, v))]
         )
 
     def finalize(self, parts: np.ndarray) -> float:
@@ -94,7 +95,7 @@ class ComputePressure(Compute):
         units = self.lmp.update.units
         m = atom.masses_of()
         v = atom.v[: atom.nlocal]
-        msq = units.mvv2e * float(np.dot(m, np.einsum("ij,ij->i", v, v)))
+        msq = units.mvv2e * fixed_dot(m, np.einsum("ij,ij->i", v, v))
         pair = self.lmp.pair
         w = 0.0
         if pair is not None:

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.errors import InputError
 from repro.core.units import UnitSystem
+from repro.kokkos.segment import fixed_dot
 
 
 def maxwell_table(
@@ -43,7 +44,7 @@ def maxwell_table(
     vcm = (m[:, None] * v).sum(axis=0) / m.sum()
     v -= vcm
     if temp > 0 and natoms > 1:
-        msq = float(np.dot(m, np.einsum("ij,ij->i", v, v)))
+        msq = fixed_dot(m, np.einsum("ij,ij->i", v, v))
         dof = 3.0 * natoms - 3.0
         current = units.mvv2e * msq / (dof * units.boltz)
         if current > 0:

@@ -27,6 +27,13 @@ import numpy as np
 
 
 # ----------------------------------------------------------------- reductions
+def fixed_dot(*factors: np.ndarray) -> float:
+    """``sum(prod(factors))`` of equal-length 1-D arrays in one fixed order:
+    einsum's own loop, where ``np.dot``'s BLAS splits a long sum by thread
+    count.  More than two factors need no temporary."""
+    return float(np.einsum(",".join("i" * len(factors)) + "->", *factors))
+
+
 def _sorted_segments(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(starts, targets)`` of the contiguous runs of a sorted index."""
     starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])

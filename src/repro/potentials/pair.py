@@ -19,20 +19,22 @@ import numpy as np
 from repro.core.errors import InputError, LammpsError, StyleError
 from repro.graph.pairwise import pairwise
 from repro.kokkos.core import Device, Host
+from repro.kokkos.segment import fixed_dot
 
 
-def accumulate_virial(virial: np.ndarray, xs: np.ndarray, fs: np.ndarray) -> None:
-    """Add sum over rows of ``x (outer) f`` to the 6-component virial.
+def accumulate_virial(
+    virial: np.ndarray, xs: np.ndarray, fs: np.ndarray, weight: np.ndarray | None = None
+) -> None:
+    """Add sum over rows of ``weight x (outer) f`` (``weight`` 1 if None)
+    to the 6-component virial, each component one :func:`fixed_dot`.
 
     Valid per interaction because each interaction's forces sum to zero,
     making the sum translation invariant.
     """
-    virial[0] += float(np.dot(xs[:, 0], fs[:, 0]))
-    virial[1] += float(np.dot(xs[:, 1], fs[:, 1]))
-    virial[2] += float(np.dot(xs[:, 2], fs[:, 2]))
-    virial[3] += float(np.dot(xs[:, 0], fs[:, 1]))
-    virial[4] += float(np.dot(xs[:, 0], fs[:, 2]))
-    virial[5] += float(np.dot(xs[:, 1], fs[:, 2]))
+    w = () if weight is None else (weight,)
+    # components xx, yy, zz, xy, xz, yz
+    for k, (a, b) in enumerate(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
+        virial[k] += fixed_dot(*w, xs[:, a], fs[:, b])
 
 
 class Pair:
@@ -180,14 +182,8 @@ class Pair:
             factor = np.ones(len(evdwl))
         else:
             factor = np.where(jlocal, 1.0, 0.5)
-        self.eng_vdwl += float(np.dot(factor, evdwl))
-        # virial components xx, yy, zz, xy, xz, yz
-        self.virial[0] += float(np.dot(factor, dx[:, 0] * fvec[:, 0]))
-        self.virial[1] += float(np.dot(factor, dx[:, 1] * fvec[:, 1]))
-        self.virial[2] += float(np.dot(factor, dx[:, 2] * fvec[:, 2]))
-        self.virial[3] += float(np.dot(factor, dx[:, 0] * fvec[:, 1]))
-        self.virial[4] += float(np.dot(factor, dx[:, 0] * fvec[:, 2]))
-        self.virial[5] += float(np.dot(factor, dx[:, 1] * fvec[:, 2]))
+        self.eng_vdwl += fixed_dot(factor, evdwl)
+        accumulate_virial(self.virial, dx, fvec, factor)
 
     # ----------------------------------------------------- pair-table cache
     def pair_table(

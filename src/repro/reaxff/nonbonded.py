@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.graph.pairwise import ARENA, gather, index_bounds, prologue
 from repro.kokkos.segment import scatter_add
+from repro.potentials.pair import accumulate_virial
 from repro.reaxff.params import ReaxParams
 
 
@@ -206,10 +207,5 @@ def compute_nonbonded(
     evdw = 0.5 * float((ev * t).sum())
     ecoul = 0.5 * float((qq * g * t).sum())
     # per-visit half virial (sums to the full pair virial over both visits)
-    virial[0] += 0.5 * float(np.dot(dx[:, 0], fvec[:, 0]))
-    virial[1] += 0.5 * float(np.dot(dx[:, 1], fvec[:, 1]))
-    virial[2] += 0.5 * float(np.dot(dx[:, 2], fvec[:, 2]))
-    virial[3] += 0.5 * float(np.dot(dx[:, 0], fvec[:, 1]))
-    virial[4] += 0.5 * float(np.dot(dx[:, 0], fvec[:, 2]))
-    virial[5] += 0.5 * float(np.dot(dx[:, 1], fvec[:, 2]))
+    accumulate_virial(virial, dx, fvec, np.full(len(r), 0.5))
     return evdw, ecoul, len(r)

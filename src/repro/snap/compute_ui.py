@@ -1,15 +1,16 @@
 """ComputeUi: accumulate per-pair Wigner matrices into per-atom U.
 
 Step (1) of the paper's four-step SNAP evaluation: every (atom, neighbor)
-pair's ``u_j`` set is weighted by the radial switching function and summed
-into the per-atom total ``U_j``; the central atom contributes the identity
-(``wself`` on the diagonal).  On GPUs this accumulation is the
-atomic-addition-limited kernel whose work batching (each thread summing
-``batch`` neighbors locally before one atomic add) gives the 2.23x H100
-uplift of Table 2 (priced by ``snap/kk``'s ComputeUi profile).  Arrays
-follow section 4.3.1: quantum number first, atom (or pair) index fastest.
+pair's ``u_j = S v_j`` set, weighted by the radial switching function, is
+summed into the per-atom total ``U_j`` (as ``sfac v``, then ``S`` once per
+atom); the central atom contributes the identity (``wself``).  On GPUs
+this accumulation is the atomic-addition-limited kernel whose work
+batching (each thread summing ``batch`` neighbors locally before one
+atomic add) gives the 2.23x H100 uplift of Table 2 (priced by
+``snap/kk``'s ComputeUi profile).  Arrays follow section 4.3.1: quantum
+number first, atom (or pair) index fastest.
 
-Two symmetries cut the work.  Every ``u`` is mirror-symmetric bit for bit,
+Two symmetries cut the work.  Every ``v`` is mirror-symmetric bit for bit,
 so only the half range ``idx.half`` is summed and the rest of ``U`` is
 unfolded from it.  And ``u(-r) = u(r)^dagger`` (the Cayley-Klein matrix of
 ``-r`` is the inverse of that of ``r``), so a pair is recursed once, from
@@ -58,16 +59,17 @@ def compute_ui(
             order = order[: np.count_nonzero(partner < natoms)]
             pstarts, ptargets = _sorted_segments(partner[order])
             Wh = np.zeros_like(Uh)
-        for J, u in wigner_levels(ca, cb, twojmax):
+        for J, v in wigner_levels(sfac, ca, cb, twojmax):
             lo, hi = idx.half_block[J], idx.half_block[J + 1]
-            su = sfac * u.reshape(-1, npairs)[: hi - lo]
-            Uh[lo:hi, targets] = np.add.reduceat(su, starts, axis=1)
+            sv = v.reshape(-1, npairs)[: hi - lo]
+            Uh[lo:hi, targets] = np.add.reduceat(sv, starts, axis=1)
             if partner is not None and len(order):
                 Wh[lo:hi, ptargets] = np.add.reduceat(
-                    np.take(su, order, axis=1), pstarts, axis=1
+                    np.take(sv, order, axis=1), pstarts, axis=1
                 )
+        Uh *= idx.half_scale
         if partner is not None:
-            Uh += idx.dagger_half(Wh)
+            Uh += idx.dagger_half(idx.half_scale * Wh)
     diag = idx.diag_indices()
     Uh[np.searchsorted(idx.half, diag[idx.fold[diag] > 0])] += wself
     return idx.unfold(Uh)

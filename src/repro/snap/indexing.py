@@ -14,6 +14,7 @@ All angular momenta use the doubled (``2j``) integer convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -190,6 +191,9 @@ class SnapIndex:
         #: per flat index: its doubled ``(m, m')``, ``(2mb - J, 2ma - J)``,
         #: as one key — what the CG coefficients conserve
         self.mkey = (2 * mb - J) * (2 * twojmax + 1) + 2 * ma - J
+        #: per half row: ``u = S v`` for the binomial-scaled ``wigner_levels``
+        f = np.array([math.factorial(k) for k in range(twojmax + 1)], dtype=float)
+        self.half_scale = np.sqrt(f[ma] * f[J - ma] / (f[mb] * f[J - mb]))[self.half, None]
 
     # ------------------------------------------------------------- flatten
     def flat(self, j2x: int, mb: int, ma: int) -> int:

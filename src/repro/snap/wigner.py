@@ -8,6 +8,9 @@ the recursion runs layer by layer; every layer operation is vectorized over
 the (atom, neighbor) pair axis, which is where the parallelism lives on
 GPUs too.
 
+The levels are binomial-scaled, ``u_J = S_J v_J`` (``SnapIndex.half_scale``,
+applied once per atom by the consumers).
+
 Each level keeps only the rows some consumer reads (:func:`level_rows`):
 the half-range prefix ComputeUi sums and the rows the next level is built
 from.  Derivatives are not carried forward here: ComputeFusedDeidrj runs
@@ -79,46 +82,42 @@ def level_rows(J: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def level_tables(J: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Static coefficients of level ``J`` with a trailing pair axis: the two
-    recursion factors of the computed rows ``mb <= J/2`` (``(mb, ma)``, J
-    columns; the second negated) and the mirror sign ``(-1)^(mb + ma)`` of
-    the last computed row ``mb = J//2`` (J + 1 columns)."""
-    mb = np.arange(J // 2 + 1)[:, None]
-    ma = np.arange(J)[None, :]
-    rpq_a = np.sqrt((J - ma) / (J - mb).astype(float))
-    rpq_b = np.sqrt((ma + 1) / (J - mb).astype(float))
-    sign = (-1.0) ** (J + J // 2) * (-1.0) ** np.arange(J + 1)
-    return rpq_a[..., None], -rpq_b[..., None], sign[:, None]
+def mirror_sign(J: int) -> np.ndarray:
+    """``(-1)^(mb + ma)`` of the last computed row ``mb = J//2`` of level
+    ``J`` (J + 1 entries, trailing pair axis): the sign of its mirror image."""
+    return ((-1.0) ** (J + J // 2) * (-1.0) ** np.arange(J + 1))[:, None]
 
 
 def wigner_levels(
-    ca: np.ndarray, cb: np.ndarray, twojmax: int
+    weight: np.ndarray, ca: np.ndarray, cb: np.ndarray, twojmax: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(J, u_J)`` for ``J = 0..twojmax`` from the Cayley-Klein
-    parameters ``ca``, ``cb`` (:func:`cayley_klein`).
+    """Yield ``(J, v_J)`` for ``J = 0..twojmax`` from the per-pair level 0
+    ``weight`` and the Cayley-Klein parameters ``ca``, ``cb``.
 
-    ``u_J`` is (:func:`level_rows` (J), J+1, npairs) indexed ``[mb, ma,
-    pair]``: one update of all rows ``mb <= J/2`` from the previous level,
-    then the mirror ``u[J-mb, J-ma] = (-1)^(mb+ma) conj(u[mb, ma])`` (VMK
-    4.4) of what level ``J + 1`` reads and was not computed — the row
-    ``J//2 + 1`` of an odd level, the right half of an even level's middle
-    row — so the symmetry holds bit for bit.  The half-range prefix
-    (``SnapIndex.half_block``) of every level is complete; the rows below
-    are never built.  Values are the *bare* matrices — the caller applies
-    the switching weight.
+    ``u_J = S_J v_J``, ``S_J[mb, ma] = A_J[mb] sqrt(ma! (J-ma)!)`` with
+    ``A_J[mb] = A_{J-1}[mb] / sqrt(J-mb)`` (``A_0 = 1``; an odd level's
+    mirror row takes ``A_J[J//2]``): the textbook factors ``sqrt((J-ma)/
+    (J-mb))``, ``-sqrt(ma/(J-mb))`` factor out, leaving ``v_J[:, ma] = ca
+    v_{J-1}[:, ma] - cb v_{J-1}[:, ma-1]``, linear in ``weight``.  ``v_J``
+    is (:func:`level_rows` (J), J+1, npairs), ``[mb, ma, pair]``: the rows
+    ``mb <= J/2``, then the mirror ``v[J-mb, J-ma] = (-1)^(mb+ma) conj(v[mb,
+    ma])`` (VMK 4.4; ``S`` is mirror-symmetric) of what level ``J + 1``
+    reads and was not computed — an odd level's row ``J//2 + 1``, the right
+    half of an even level's middle row — so it holds bit for bit.  The
+    half-range prefix (``SnapIndex.half_block``) of every level is complete.
     """
-    cur = np.ones((1, 1, ca.shape[0]), dtype=np.complex128)
+    # the levels' rank: 1-D against one (1, 1, 1) pair multiplies otherwise
+    ca, cb, cur = (x.reshape(1, 1, -1) for x in (ca, cb, weight))
     yield 0, cur
     for J in range(1, twojmax + 1):
-        rpq_a, rpq_b, sign = level_tables(J)
         h = J // 2 + 1
         p = cur[:h]  # (h, J, n): rows of level J - 1 feeding rows mb <= J/2
-        nxt = np.empty((level_rows(J), J + 1, ca.shape[0]), dtype=np.complex128)
-        nxt[:h, :J] = rpq_a * (ca * p)
+        nxt = np.empty((level_rows(J), J + 1, cur.shape[2]), dtype=np.complex128)
+        np.multiply(ca, p, out=nxt[:h, :J])
         nxt[:h, J] = 0.0
-        nxt[:h, 1:] += rpq_b * (cb * p)
+        nxt[:h, 1:] -= cb * p
         c = J // 2
+        sign = mirror_sign(J)
         if J % 2:
             nxt[h] = sign * np.conj(nxt[c, ::-1])
         else:

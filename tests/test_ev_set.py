@@ -7,12 +7,17 @@ numbers on the steps that do tally are bit-identical to an every-step run.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import make_melt
 from test_potentials_eam import make_eam
 from test_snap_pair import make_ta
+import repro
 from repro.core.errors import LammpsError
 from repro.core.integrate import Verlet
 from repro.potentials.pair import Pair
@@ -179,3 +184,34 @@ class TestReaxFF:
         assert {r.step: r.values for r in sparse.thermo.history} == shared
         assert np.array_equal(sparse.atom.x, dense.atom.x)
         assert np.array_equal(sparse.atom.q, dense.atom.q)
+
+
+class TestTallyOrder:
+    #: one half-list newton-off tally of 20 000 random pairs, printed in full
+    CODE = (
+        "import types\n"
+        "import numpy as np\n"
+        "from repro.potentials.pair import Pair\n"
+        "rng = np.random.default_rng(5)\n"
+        "n = 20000\n"
+        "dx, f = rng.normal(size=(3, n)).T, rng.normal(size=(3, n)).T\n"
+        "t = types.SimpleNamespace(eng_vdwl=0.0, virial=np.zeros(6))\n"
+        "Pair.tally_pairs(t, rng.normal(size=n), dx, f, rng.random(n) < 0.5,\n"
+        "                 full_list=False, newton=False)\n"
+        "print(repr(t.eng_vdwl), [repr(v) for v in t.virial])\n"
+    )
+
+    def test_tally_bits_do_not_follow_the_blas_thread_count(self):
+        """Every tally sum is one fixed-order loop (``fixed_dot``), so the
+        host BLAS's thread count, which splits a long ``np.dot``, leaves
+        the bits alone."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", self.CODE], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            out.append(done.stdout)
+        assert out[0] == out[1]

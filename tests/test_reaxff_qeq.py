@@ -444,14 +444,16 @@ class TestDefaultPathFrozen:
     rel 1e-9.  These digests of ``run 20`` (thermo every 10 steps) were
     recorded before the one-rank solve read ghost columns through their
     owners: the 1-rank digest holds that fold bitwise, the 2-rank digest
-    holds the staged-exchange path unmoved.  The bits follow the BLAS dot
-    kernel (recorded with NumPy 2.4's OpenBLAS on x86-64): on a machine
-    whose kernel sums differently, re-record them from a run of the commit
-    that introduced them."""
+    holds the staged-exchange path unmoved.  The solver's bits follow the
+    BLAS dot kernel of its per-atom ``@`` products (recorded with NumPy
+    2.4's OpenBLAS on x86-64): on a machine whose kernel sums differently,
+    re-record them from a run of the commit that introduced them.  The
+    kinetic-energy and virial sums (the thermo rows, ``velocity create``'s
+    scale) are ``fixed_dot``'s, which no BLAS reaches."""
 
     FROZEN = {
-        1: "1e885ec48c34eca06383352f3df8fa518269e05678cebe9a01572ac7e631e514",
-        2: "3d43da4a929f23737a0a3f16df6c83f2d2b2a83f54c9c7b66bbfb5becaff4119",
+        1: "e4e501e6895765bc65be89ebbf80906ca872bca08570342609512ee472864eeb",
+        2: "cb2b050475c262b38a9c24f12baa74326353c1cd9d453311d123a292e192205c",
     }
 
     @pytest.mark.parametrize("nranks", sorted(FROZEN))

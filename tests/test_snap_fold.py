@@ -32,9 +32,10 @@ from repro.snap.pair_snap import keep_once, synthetic_beta
 from repro.snap.wigner import switching
 
 RCUT = 4.7
-#: bytes of one pair's levels at 2J = 4, what a Deidrj chunk holds: 38
-#: complex entries over the rows ``wigner_levels`` yields
-LEVEL_BYTES_2J4 = 16 * 38
+#: bytes of one pair's levels at 2J = 4, what a Deidrj chunk holds: 23
+#: complex entries over the rows ``wigner_levels`` yields for J < 4 (the
+#: reverse sweep reads no top level)
+LEVEL_BYTES_2J4 = 16 * 23
 
 
 def neighborhoods(seed: int, natoms: int = 3, per: int = 7):

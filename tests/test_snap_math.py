@@ -214,18 +214,41 @@ class TestWignerRecursion:
                     (up - um) / (2 * eps), du[J][:, :, d], atol=5e-7
                 )
 
-    @pytest.mark.parametrize("twojmax", [0, 1, 4, 8, 9])
+    @pytest.mark.parametrize("twojmax", [0, 1, 4, 8, 9, 12])
     def test_trimmed_levels_are_the_oracle_rows(self, twojmax):
         """``wigner_levels`` yields only the rows a consumer reads — the
-        computed rows plus an odd level's mirror row — bit for bit the
-        oracle's."""
+        computed rows plus an odd level's mirror row — and on the half rows
+        ``S v`` (``SnapIndex.half_scale``) is the oracle's ``u`` within 1e-14 of
+        the level's largest entry.  Not bit for bit: the oracle multiplies
+        a square-root coefficient in at every level, the scaled form once
+        (an entry near zero loses relative digits to cancellation in both,
+        so the bound is per level, not per entry)."""
         rij = random_neighborhood(3, n=5)
         _, ca, cb, _, _ = cayley_klein(rij, 4.7, 0.0)
-        for (J, u), (_, full, _) in zip(
-            wigner_levels(ca, cb, twojmax), forward_levels(rij, 4.7, twojmax)
+        idx = SnapIndex(twojmax)
+        blk, S = idx.half_block, idx.half_scale
+        for (J, v), (_, full, _) in zip(
+            wigner_levels(np.ones(5), ca, cb, twojmax), forward_levels(rij, 4.7, twojmax)
         ):
-            assert u.shape == (level_rows(J), J + 1, 5)
-            assert np.array_equal(u, full[: level_rows(J)])
+            assert v.shape == (level_rows(J), J + 1, 5)
+            k = blk[J + 1] - blk[J]
+            u, ref = S[blk[J] : blk[J + 1]] * v.reshape(-1, 5)[:k], full.reshape(-1, 5)[:k]
+            assert np.abs(u - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("twojmax", [1, 4, 8, 9, 12])
+    def test_scaled_mirror_rows_are_exact(self, twojmax):
+        """``S`` is the same at ``(mb, ma)`` and its mirror, so ``v`` keeps
+        ``u``'s mirror relation ``v[J-mb, J-ma] = (-1)^(mb+ma) conj v[mb,
+        ma]``, bit for bit, on the rows the recursion mirrors."""
+        rij = random_neighborhood(4, n=6)
+        _, ca, cb, _, _ = cayley_klein(rij, 4.7, 0.0)
+        for J, v in wigner_levels(np.ones(6), ca, cb, twojmax):
+            c, ma = J // 2, np.arange(J + 1)
+            image = ((-1.0) ** (c + J - ma))[:, None] * np.conj(v[c, ::-1])
+            if J % 2:
+                assert np.array_equal(v[c + 1], image)
+            else:
+                assert np.array_equal(v[c, c + 1 :], image[c + 1 :])
 
     def test_switching_function(self):
         sfac, dsfac = switching(np.array([0.0, 2.35, 4.7, 5.0]), 4.7, 0.0)
@@ -240,7 +263,7 @@ class TestWignerRecursion:
         assert [u.shape for _, u, _ in levels] == [(k, k, 0) for k in range(1, 6)]
         assert [du.shape for _, _, du in levels] == [(k, k, 3, 0) for k in range(1, 6)]
         _, ca, cb, _, _ = cayley_klein(np.zeros((0, 3)), 4.7, 0.0)
-        assert [u.shape for _, u in wigner_levels(ca, cb, 4)] == [
+        assert [u.shape for _, u in wigner_levels(np.ones(0), ca, cb, 4)] == [
             (level_rows(J), J + 1, 0) for J in range(5)
         ]
 
