@@ -29,7 +29,6 @@ allocations.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import count
 
@@ -115,76 +114,61 @@ class NeighborList:
         """
         cached = getattr(self, "_pair_cache", None)
         if cached is None:
-            cached = self._pair_cache = PairCache(self)
+            cached = self._pair_cache = PairCache()
         return cached
 
 
-class PairCache:
-    """Neighbor-constant pair arrays, memoized for the life of one build.
+def present_type_pairs(types: np.ndarray, width: int) -> np.ndarray:
+    """Flat ``itype * width + jtype`` entries over the types in ``types``."""
+    t = np.flatnonzero(np.bincount(types, minlength=width))
+    return (t[:, None] * width + t).ravel()
 
-    Everything here depends only on the neighbor list and on arrays that are
-    constant between rebuilds (atom types, pair-style cutoffs), yet the force
-    kernels used to re-derive all of it every call — per-pair type gathers,
-    cutoff-matrix rows, the j-side sort.  One instance hangs off each
-    :class:`NeighborList` (see :meth:`NeighborList.pair_cache`); rebuilds
-    create a fresh list and therefore a fresh, empty cache.
+
+def type_pair_constants(tables: dict, used: np.ndarray, row, col, i0, j0) -> dict:
+    """Flat per-type-pair ``tables`` as the pairwise pass reads them.
+
+    A table that holds one value over its ``used`` entries binds that 0-d
+    value, which the pass multiplies in with no per-pair gather; any other
+    binds its value per stored pair, ``table.take(row[i0] + col[j0])`` (that
+    key built once, and only then).  Where LAMMPS-KOKKOS keeps
+    ``params(itype, jtype)`` per type pair, so does this: on a one-type run
+    nothing per pair.
+    """
+    out, k = {}, None
+    for name, flat in tables.items():
+        vals = flat.take(used)
+        if vals.size and (vals == vals[0]).all():
+            out[name] = vals[0]
+        else:
+            if k is None:
+                k = row.take(i0) + col.take(j0)
+            out[name] = flat.take(k)
+    return out
+
+
+class PairCache:
+    """Neighbor-constant pair state, memoized for the life of one build.
+
+    One instance hangs off each :class:`NeighborList` (see
+    :meth:`NeighborList.pair_cache`); rebuilds create a fresh list and
+    therefore a fresh, empty cache.
     """
 
-    def __init__(self, nlist: "NeighborList") -> None:
-        # weak: the list owns this cache, and a strong back-reference would
-        # park every retired list (and the constants cached here) in a
-        # reference cycle until some later full garbage collection
-        self.nlist = weakref.proxy(nlist)
-        self._types: tuple[np.ndarray, np.ndarray] | None = None
-        self._cutsq: dict[int, np.ndarray] = {}
+    def __init__(self) -> None:
         self._memo: dict = {}
-
-    def ij(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``(i, j)`` over stored pairs (shared with ``ij_pairs``)."""
-        return self.nlist.ij_pairs()
 
     def memo(self, key, build):
         """``build()`` once per rebuild, keyed by ``key``.
 
         Where pair styles park their per-rebuild constants (bound pairwise
-        kernels, pre-gathered coefficient vectors): the value lives exactly
-        as long as this list does.
+        kernels, per-type-pair constants): the value lives exactly as long
+        as this list does.
         """
         try:
             return self._memo[key]
         except KeyError:
             value = self._memo[key] = build()
             return value
-
-    def type_pairs(self, types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-stored-pair ``(itype, jtype)``.
-
-        Atom types are constant between neighbor rebuilds (migration and
-        sorting trigger a rebuild), so the first gather is reused verbatim.
-        """
-        if self._types is None:
-            i, j = self.ij()
-            self._types = (types[i], types[j])
-        return self._types
-
-    def cutsq_pairs(self, cut: np.ndarray) -> np.ndarray:
-        """Per-stored-pair squared cutoff from a style's cutoff matrix.
-
-        Keyed by the matrix object: coefficients are finalized at ``init()``
-        and stable for the run, and distinct styles get distinct rows.
-        """
-        key = id(cut)
-        cached = self._cutsq.get(key)
-        if cached is None:
-            itype, jtype = self.type_pairs_known()
-            flat = cut.ravel().take(itype * cut.shape[1] + jtype)
-            cached = self._cutsq[key] = flat**2
-        return cached
-
-    def type_pairs_known(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._types is None:
-            raise NeighborError("PairCache.type_pairs(types) must run first")
-        return self._types
 
 
 def build_neighbor_list(
@@ -370,7 +354,7 @@ def _build_shared(
 
     first = np.zeros(nrows + 1, dtype=np.int64)
     np.cumsum(numneigh, out=first[1:])
-    neighbors = np.concatenate(chunk_rows).astype(np.int32)
+    neighbors = np.concatenate(chunk_rows, dtype=np.int32)
 
     nl = NeighborList(style, newton, cutoff, nrows, first, neighbors)
     nl.build_stats = {"candidates": candidates, "grid_builds": grid_builds}

@@ -14,7 +14,7 @@ module is that "everything else", written once as functions over an
 and :func:`pairwise` runs the three in order.  Every executor calls it:
 the host style eagerly, ``/kk`` inside one charged whole-kernel dispatch
 (:class:`~repro.potentials.pair_kokkos.PairKokkos`), and the replica batch
-over the stacked ``i/j/cutsq/coefficient`` vectors of a whole batch
+over the stacked pairs and constants of a whole batch
 (:mod:`repro.replica.batch`).  EAM runs :func:`prologue` for its geometry
 and :func:`force_chain` after its own ``fp`` terms; SNAP and ReaxFF run
 :func:`prologue` for theirs.
@@ -22,13 +22,18 @@ and :func:`force_chain` after its own ``fp`` terms; SNAP and ReaxFF run
 A many-body style (``snap``, ``reaxff``) declares one :class:`Stage` list of
 its own kernels, and :func:`run_many_body` runs it on the host and under ``/kk``.
 
-Workspace contract: per-rebuild *constants* (pair indices, squared
-cutoffs, pre-gathered coefficient vectors, ``j < nlocal``) live in the
-``env`` memoized on the list's :class:`~repro.core.neighbor.PairCache`, so
-a rebuild invalidates them by construction.  Per-step *scratch* comes from
-the process-wide :data:`ARENA`: ranks and replicas execute sequentially in
-one process, so one grow-only set of buffers serves them all, and
-:meth:`Arena.release` drops it before each neighbor build.
+Workspace contract: per-rebuild *constants* (pair indices, ``j < nlocal``,
+the squared cutoff and the style's coefficients) live in the ``env``
+memoized on the list's :class:`~repro.core.neighbor.PairCache`, so a rebuild
+invalidates them by construction.  A per-type-pair constant is held once per
+type pair: a table with one value over the types present binds as a 0-d
+value, and only a table with distinct values binds a per-stored-pair vector
+(:func:`cut_value` reads either).  Per-step *scratch* comes from the
+process-wide :data:`ARENA`: ranks and replicas execute sequentially in one
+process, so one grow-only set of buffers serves them all.  A buffer is
+allocated at the size asked and regrows with 1/8 headroom, so a cut-pair
+count that creeps up re-allocates O(log n) times; :meth:`Arena.release`
+drops it all before each neighbor build.
 """
 
 from __future__ import annotations
@@ -60,13 +65,14 @@ class Arena:
 
     ``take(name, *shape)`` hands out a C-contiguous ``shape`` view of the
     front of one flat buffer per name, so any re-take of a name is shaped
-    as asked; the buffer grows when it is too short or of another dtype.
-    A view stays valid until the next ``take`` of the same name, so a pass
-    may only rely on a buffer across calls that cannot run another pass in
-    between — which is why outputs that must survive a generator ``yield``
-    (EAM's geometry across its ``rho`` and ``fp`` exchanges) are fresh
-    arrays instead (``env["take"] = fresh``), or taken under names no other
-    pass takes (ReaxFF's, keyed by its list: ``reaxff.nonbonded.list_loans``).
+    as asked; the buffer grows when it is too short or of another dtype,
+    by 1/8 more than asked when it regrows.  A view stays valid until the
+    next ``take`` of the same name, so a pass may only rely on a buffer
+    across calls that cannot run another pass in between — which is why
+    outputs that must survive a generator ``yield`` (EAM's geometry across
+    its ``rho`` and ``fp`` exchanges) are fresh arrays instead
+    (``env["take"] = fresh``), or taken under names no other pass takes
+    (ReaxFF's, keyed by its list: ``reaxff.nonbonded.list_loans``).
     """
 
     def __init__(self) -> None:
@@ -76,7 +82,8 @@ class Arena:
         size = math.prod(shape)
         buf = self._bufs.get(name)
         if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._bufs[name] = np.empty(size, dtype)
+            grow = size >> 3 if buf is not None and buf.dtype == dtype else 0
+            buf = self._bufs[name] = np.empty(size + grow, dtype)
         return buf[:size].reshape(shape)
 
     def release(self) -> None:
@@ -150,6 +157,7 @@ def _rsq_fn(env: dict) -> None:
 
 def _cutmask_fn(env: dict) -> None:
     rsq0 = env["rsq0"]
+    env["idx"] = None  # the last call's cut set goes before this one is made
     mask = np.less(rsq0, env["cutsq0"], out=ARENA.take("mask", len(rsq0), dtype=bool))
     env["idx"] = np.flatnonzero(mask)
 
@@ -172,6 +180,16 @@ def _gather_fn(env: dict) -> None:
     env["j_n"] = gather(j0, idx, take("j_n", n, dtype=j0.dtype))
     jl0 = env.get("jl0")
     env["jl_n"] = None if jl0 is None else np.take(jl0, idx)
+
+
+def cut_value(env: dict, name: str, buf: str):
+    """``env[name]`` over the cut pairs: a 0-d constant as bound, a
+    per-stored-pair vector gathered at ``idx`` into ``env["take"]``'s ``buf``."""
+    c = env[name]
+    if np.ndim(c) == 0:
+        return c
+    idx = env["idx"]
+    return gather(c, idx, env.get("take", ARENA.take)(buf, idx.size))
 
 
 def _scatter_fn(env: dict) -> None:
@@ -207,9 +225,9 @@ def _scatter_fn(env: dict) -> None:
 
 # ================================================================ the two-body pass
 def prologue(env: dict) -> None:
-    """The cut geometry.  Over ``env["x"]``, ``i0``, ``j0``, ``cutsq0`` it
-    leaves ``idx`` and the cut-pair arrays ``i_n/j_n/dx_n/rsq_n``
-    (``dx_n = (x[i_n] - x[j_n]).T``), written into
+    """The cut geometry.  Over ``env["x"]``, ``i0``, ``j0``, ``cutsq0`` (0-d
+    or per pair) it leaves ``idx`` and the cut-pair arrays
+    ``i_n/j_n/dx_n/rsq_n`` (``dx_n = (x[i_n] - x[j_n]).T``), written into
     ``env["take"](name, *shape, dtype=)`` buffers: ``ARENA`` loans by
     default, fresh arrays with :func:`fresh`."""
     _delta_fn(env)

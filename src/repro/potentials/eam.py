@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.errors import InputError
 from repro.core.styles import register_pair
-from repro.graph.pairwise import ARENA, force_chain, fresh, index_bounds, prologue
+from repro.graph.pairwise import ARENA, cut_value, force_chain, fresh, index_bounds, prologue
 from repro.kokkos.segment import scatter_add
 from repro.potentials.pair import Pair
 
@@ -68,16 +68,12 @@ class EAMMixin:
                 self.cut[i, j] = self.cut[j, i] = self.cut_global
                 self.setflag[i, j] = self.setflag[j, i] = True
 
-    # analytic pieces, as functions of per-pair / per-atom coefficient
-    # vectors (``rc`` the cutoff, ``cp`` the pair strength, ``A`` the
-    # embedding strength) so stacked replicas with different coefficients
-    # run the same expressions ---------------------------------------------
-    def pair_coeffs(self, itype0: np.ndarray, jtype0: np.ndarray) -> dict:
-        """Per-stored-pair coefficient vectors (constant between rebuilds)."""
-        return {
-            "cp0": self.pair_c[itype0, jtype0],
-            "rc0": np.full(len(itype0), self.cut_global),
-        }
+    def pair_tables(self) -> dict:
+        return {**super().pair_tables(), "cp0": self.pair_c, "rc0": self.cut}
+
+    # analytic pieces, as functions of 0-d or per-pair / per-atom
+    # coefficients (``rc`` the cutoff, ``cp`` the pair strength, ``A`` the
+    # embedding strength) ---------------------------------------------------
 
     def dens(self, r: np.ndarray, rc: np.ndarray) -> np.ndarray:
         return (rc - r) ** 2
@@ -101,24 +97,18 @@ class EAMMixin:
 
 # ------------------------------------------------------------------ the pass
 # One env per list, rerun every step: the per-rebuild constants (list,
-# bound list style, coefficient vectors), the prologue's cut geometry
-# (``i_n``, ``j_n``, ``dx_n``), ``r_n`` and the gathered coefficients
+# bound list style, coefficients), the prologue's cut geometry (``i_n``,
+# ``j_n``, ``dx_n``), ``r_n`` and the coefficients over the cut pairs
 # (``cp_n``, ``rc_n``); :func:`eam_force` adds ``fp`` and ``f`` and runs
 # fp_sum -> fpair -> the shared force chain over it.
 def eam_geometry(pair, x: np.ndarray) -> dict:
-    """Cut geometry + gathered coefficient vectors over the whole list."""
+    """Cut geometry + coefficients over the whole list."""
     nlist = pair.lmp.neigh_list
 
     def bind():
-        full, newton = pair.bind_list(nlist)
-        i0, j0, itype0, jtype0, cutsq0 = pair.pair_table(nlist, pair.lmp.atom)
         # kept, not lent from the arena: the geometry outlives the rho and fp
         # exchanges' yields, across which another rank's pass reuses the arena
-        base = {
-            "pair": pair, "i0": i0, "j0": j0, "cutsq0": cutsq0, "take": fresh,
-            "full": full, "newton": newton, "f_view": None, "energy_fn": eam_energy,
-            **pair.pair_coeffs(itype0, jtype0),
-        }
+        base = dict(pair.bind_pairs(nlist), take=fresh, energy_fn=eam_energy)
         index_bounds(base)  # once per list
         return base
 
@@ -128,10 +118,9 @@ def eam_geometry(pair, x: np.ndarray) -> dict:
     geo = nlist.pair_cache().memo(("eam", id(pair)), bind)
     geo["x"] = x
     prologue(geo)
-    idx = geo["idx"]
     geo["r_n"] = np.sqrt(geo["rsq_n"])
-    geo["cp_n"] = np.take(geo["cp0"], idx)
-    geo["rc_n"] = np.take(geo["rc0"], idx)
+    geo["cp_n"] = cut_value(geo, "cp0", "cp_n")
+    geo["rc_n"] = cut_value(geo, "rc0", "rc_n")
     return geo
 
 

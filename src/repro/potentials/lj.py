@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.errors import InputError
 from repro.core.styles import register_pair
-from repro.graph.pairwise import ARENA, gather
+from repro.graph.pairwise import ARENA, cut_value
 from repro.potentials.pair import Pair
 
 
@@ -66,19 +66,11 @@ class LJMixin:
             self.cut[a, b] = self.cut[i, j]
             self.setflag[a, b] = True
 
-    def eval_setup(self, env: dict, itype0: np.ndarray, jtype0: np.ndarray):
-        """Pre-gather the per-stored-pair coefficient vectors, once per rebuild.
+    def pair_tables(self) -> dict:
+        return {**super().pair_tables(), "lj1p": self.lj1, "lj2p": self.lj2,
+                "lj3p": self.lj3, "lj4p": self.lj4}
 
-        The 2-D ``lj1[itype, jtype]`` lookups become 1-D ``gather`` calls
-        against these vectors inside :func:`lj_force` / :func:`lj_energy`.
-        """
-        # one flat type-pair index, then 1-D takes (2-D fancy indexing is
-        # several times slower, and this runs inside the Pair region)
-        k = itype0 * self.lj1.shape[1] + jtype0
-        env["lj1p"] = self.lj1.ravel().take(k)
-        env["lj2p"] = self.lj2.ravel().take(k)
-        env["lj3p"] = self.lj3.ravel().take(k)
-        env["lj4p"] = self.lj4.ravel().take(k)
+    def eval_setup(self):
         return lj_force, lj_energy
 
 
@@ -87,29 +79,24 @@ def lj_force(env: dict) -> None:
     for the energy half).
 
     ``r6inv = r2inv^3; fpair = r6inv * (lj1 * r6inv - lj2) * r2inv``, every
-    ufunc landing in arena scratch.
+    ufunc landing in arena scratch; ``lj1``/``lj2`` are 0-d on a one-type
+    run, else gathered per cut pair (:func:`~repro.graph.pairwise.cut_value`).
     """
-    idx = env["idx"]
-    n = idx.size
+    n = env["idx"].size
     r2 = np.divide(1.0, env["rsq_n"], out=ARENA.take("lj_r2", n))
     r6 = np.multiply(r2, r2, out=ARENA.take("lj_r6", n))
     env["r6inv_n"] = np.multiply(r6, r2, out=r6)
-    t = gather(env["lj1p"], idx, ARENA.take("fpair", n))
-    np.multiply(t, r6, out=t)
-    np.subtract(t, gather(env["lj2p"], idx, ARENA.take("lj_c", n)), out=t)
+    t = np.multiply(cut_value(env, "lj1p", "fpair"), r6, out=ARENA.take("fpair", n))
+    np.subtract(t, cut_value(env, "lj2p", "lj_c"), out=t)
     np.multiply(r6, t, out=t)
     env["fpair_n"] = np.multiply(t, r2, out=t)
 
 
 def lj_energy(env: dict) -> None:
     """LJ 12-6 energy half: ``evdwl_n = r6inv * (lj3 * r6inv - lj4)``."""
-    idx = env["idx"]
-    n = idx.size
     r6 = env["r6inv_n"]
-    c = ARENA.take("lj_c", n)
-    e = gather(env["lj3p"], idx, ARENA.take("evdwl", n))
-    np.multiply(e, r6, out=e)
-    np.subtract(e, gather(env["lj4p"], idx, c), out=e)
+    e = np.multiply(cut_value(env, "lj3p", "evdwl"), r6, out=ARENA.take("evdwl", r6.size))
+    np.subtract(e, cut_value(env, "lj4p", "lj_c"), out=e)
     env["evdwl_n"] = np.multiply(r6, e, out=e)
 
 

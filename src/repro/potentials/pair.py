@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import InputError, LammpsError, StyleError
+from repro.core.neighbor import present_type_pairs, type_pair_constants
 from repro.graph.pairwise import pairwise
 from repro.kokkos.core import Device, Host
 from repro.kokkos.segment import fixed_dot
@@ -185,32 +186,44 @@ class Pair:
         self.eng_vdwl += fixed_dot(factor, evdwl)
         accumulate_virial(self.virial, dx, fvec, factor)
 
-    # ----------------------------------------------------- pair-table cache
-    def pair_table(
-        self, nlist, atom
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Neighbor-constant per-pair arrays ``(i, j, itype, jtype, cutsq)``.
-
-        All five come from the list's :class:`~repro.core.neighbor.PairCache`
-        — computed once per rebuild instead of re-gathered every force call.
-        """
-        cache = nlist.pair_cache()
-        i, j = cache.ij()
-        itype, jtype = cache.type_pairs(atom.type)
-        return i, j, itype, jtype, cache.cutsq_pairs(self.cut)
-
     # ------------------------------------------------------ the pairwise pass
-    def eval_setup(self, env: dict, itype0: np.ndarray, jtype0: np.ndarray):
-        """Bind per-rebuild eval constants into ``env``; return the eval halves.
+    def pair_tables(self) -> dict:
+        """The per-type-pair tables the pass binds by name: the squared
+        cutoff, and a two-body style's coefficients (``LJMixin``, EAM)."""
+        return {"cutsq0": self.cut**2}
 
-        ``(force_fn, energy_fn)``: ``force_fn(env)`` runs every force call
-        and leaves ``fpair_n``; ``energy_fn(env)`` runs only when a tally is
-        due and leaves ``evdwl_n``.  Both read the cut-pair arrays the
-        prologue left in ``env`` (``rsq_n``, ``i_n``, ``j_n``, ``idx``).
+    def bind_pairs(self, nlist) -> dict:
+        """The per-rebuild env of the pairwise pass over ``nlist``: its
+        pairs, list style and :meth:`pair_tables`, each a 0-d value where it
+        holds one over the atom types present, owned and ghost
+        (:func:`~repro.core.neighbor.type_pair_constants`)."""
+        atom = self.lmp.atom
+        full, newton = self.bind_list(nlist)
+        i0, j0 = nlist.ij_pairs()
+        types, width = atom.type[: atom.nall], self.cut.shape[1]
+        tables = {name: t.ravel() for name, t in self.pair_tables().items()}
+        used = present_type_pairs(types, width)
+        return {
+            "pair": self,
+            "i0": i0,
+            "j0": j0,
+            # only the half-list newton-off path asks "is j owned"
+            "jl0": None if full or newton else j0 < atom.nlocal,
+            "full": full,
+            "newton": newton,
+            "f_view": None,
+            **type_pair_constants(tables, used, types * width, types, i0, j0),
+        }
 
-        A two-body style overrides it with its separable halves over
-        pre-gathered coefficient vectors (see ``LJMixin``); the base has no
-        two-body form.
+    def eval_setup(self):
+        """The style's eval halves ``(force_fn, energy_fn)``.
+
+        ``force_fn(env)`` runs every force call and leaves ``fpair_n``;
+        ``energy_fn(env)`` runs only when a tally is due and leaves
+        ``evdwl_n``.  Both read the cut-pair arrays the prologue left in
+        ``env`` (``rsq_n``, ``i_n``, ``j_n``, ``idx``) and the constants
+        :meth:`bind_pairs` bound.  A two-body style overrides it (see
+        ``LJMixin``); the base has no two-body form.
         """
         raise StyleError(f"{type(self).__name__} has no two-body pairwise form")
 
@@ -226,24 +239,10 @@ class Pair:
         )
 
     def _bind_kernel(self):
-        atom = self.lmp.atom
-        nlist = self.lmp.neigh_list
-        full, newton = self.bind_list(nlist)
-        i0, j0, itype0, jtype0, cutsq0 = self.pair_table(nlist, atom)
-        env: dict = {
-            "pair": self,
-            "i0": i0,
-            "j0": j0,
-            "cutsq0": cutsq0,
-            # only the half-list newton-off path asks "is j owned"
-            "jl0": None if full or newton else j0 < atom.nlocal,
-            "full": full,
-            "newton": newton,
-            "f_view": None,
-        }
-        env["force_fn"], env["energy_fn"] = self.eval_setup(env, itype0, jtype0)
+        env = self.bind_pairs(self.lmp.neigh_list)
+        env["force_fn"], env["energy_fn"] = self.eval_setup()
         # cut-pair indices (< len(i0)) gather every per-pair vector unchecked
-        assert all(len(v) == len(i0) for v in env.values() if isinstance(v, np.ndarray))
+        assert all(len(v) == len(env["i0"]) for v in env.values() if isinstance(v, np.ndarray))
         return env
 
     def compute(self, eflag: bool = True, vflag: bool = True) -> None:

@@ -153,6 +153,9 @@ def build_bond_list(
     bo, dbo = bond_order(r, None, None, params, r0=np.take(r0, geo["idx"]))
     keep = np.flatnonzero(bo > params.bo_cut)
     ik = np.take(i, keep)
+    # the list is row-major, so the kept bonds are already grouped by atom,
+    # each row in candidate order (the thread-safe queue's per-atom contiguity)
+    assert (ik[1:] >= ik[:-1]).all()
 
     # Kernel 1: per-atom accepted-bond counts.
     counts = np.bincount(ik, minlength=nlist.nlocal)
@@ -161,20 +164,16 @@ def build_bond_list(
     np.cumsum(counts, out=first[1:])
     total = int(first[-1])
 
-    # Kernel 2: fill.  Within a row, entries keep candidate order (a stable
-    # per-row slot assignment — the vectorized equivalent of the thread-safe
-    # queue guaranteeing per-atom contiguity).
-    order = np.argsort(ik, kind="stable")
-    sel = np.take(keep, order)
+    # Kernel 2: fill, in the order kept.
     table = BondList(
         nlocal=nlist.nlocal,
         first=first,
-        i=np.take(ik, order),
-        j=np.take(j, sel).astype(np.int32),
-        bo=np.take(bo, sel),
-        dbo=np.take(dbo, sel),
-        dx=np.take(dx, sel, axis=0),
-        r=np.take(r, sel),
+        i=ik,
+        j=np.take(j, keep).astype(np.int32),
+        bo=np.take(bo, keep),
+        dbo=np.take(dbo, keep),
+        dx=np.take(dx, keep, axis=0),
+        r=np.take(r, keep),
         candidates=len(base["i0"]),
     )
     assert table.nbonds == total

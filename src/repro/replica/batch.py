@@ -79,7 +79,7 @@ from repro.core.bin_grid import spatial_sort_order, stable_order
 from repro.core.comm_md import CommBrick, GhostReplay
 from repro.core.domain import wrap
 from repro.core.errors import LammpsError, NeighborError, unknown_choice
-from repro.core.neighbor import build_neighbor_list
+from repro.core.neighbor import build_neighbor_list, present_type_pairs, type_pair_constants
 from repro.graph.pairwise import ARENA, pairwise
 from repro.parallel.driver import drain
 from repro.potentials.lj import lj_energy, lj_force
@@ -257,19 +257,18 @@ class ReplicaBatch:
         self._lo = per_atom([d.boxlo for d in domains])
         self._len = per_atom([d.lengths for d in domains])
         self._periodic = per_atom([d.periodic for d in domains])
-        # each member's per-type-pair constants, flat, one block per member:
-        # pair (i, j) reads entry base[i] + type[i] * width[i] + type[j]
-        blocks = []
-        for m in members:
-            pair = m.lmp.pair
-            width = pair.cut.shape[1]
-            table = {"cutsq0": pair.cut.ravel() ** 2}
-            pair.eval_setup(table, *np.divmod(np.arange(width * width), width))
-            blocks.append((width, table))
-        self._coef = {name: np.concatenate([t[name] for _, t in blocks]) for name in blocks[0][1]}
-        sizes = [w * w for w, _ in blocks]
-        self._coef_base = per_atom(np.add.accumulate([0] + sizes[:-1]))
-        self._coef_width = per_atom([w for w, _ in blocks])
+        # each member's per-type-pair tables, flat, one block per member:
+        # pair (i, j) reads entry base[i] + type[i] * width[i] + type[j];
+        # ``_coef_used`` holds the entries the members' own types read
+        tables = [m.lmp.pair.pair_tables() for m in members]
+        self._coef = {name: np.concatenate([t[name].ravel() for t in tables]) for name in tables[0]}
+        widths = [t["cutsq0"].shape[1] for t in tables]
+        bases = np.add.accumulate([0] + [w * w for w in widths[:-1]])
+        self._coef_used = np.concatenate([
+            b + present_type_pairs(a.type[: a.nlocal], w) for b, w, a in zip(bases, widths, atoms)
+        ])
+        self._coef_base = per_atom(bases)
+        self._coef_width = per_atom(widths)
 
         self._brick = CommBrick.stack(
             [m.lmp.comm_brick for m in members], [d.periodic for d in domains], self._nlocal
@@ -382,7 +381,7 @@ class ReplicaBatch:
             # each box's rows in its solo order, box-major: one build
             order = stable_order(brick.box, len(members))
             counts = np.bincount(brick.box, minlength=len(members))
-            ARENA.release()  # the pairwise scratch is dead between force calls
+            ARENA.release()  # end the arena's epoch, as a solo rebuild does
             _, style, newton, cutghost = self._sig
             nlist = build_neighbor_list(
                 atom.x[order], np.stack([self._nlocal, counts], axis=1), cutghost,
@@ -416,12 +415,11 @@ class ReplicaBatch:
         i0, j_box = nlist.ij_pairs()
         first = np.add.accumulate(counts) - counts
         j0 = order.take(first.take(self._brick.box[:nown]).take(i0) + j_box)
-        key = self._coef_base + atom.type[:nown] * self._coef_width
-        k = key.take(i0) + atom.type.take(j0)
+        row = self._coef_base + atom.type[:nown] * self._coef_width
         _, list_style, newton, _ = self._sig
         full = list_style == "full"
         env = self._env = {
-            # formula methods only: member coefficients travel as vectors
+            # formula methods only: member coefficients are bound below
             "pair": self.members[0].lmp.pair,
             "i0": i0,  # owned, globally ascending
             "j0": j0,  # owned or ghost
@@ -431,9 +429,8 @@ class ReplicaBatch:
             "newton": newton,
             "f_view": None,
             "force_fn": lj_force,
+            **type_pair_constants(self._coef, self._coef_used, row, atom.type, i0, j0),
         }
-        for name, table in self._coef.items():
-            env[name] = table.take(k)
 
     # -------------------------------------------------------------- tallies
     def _tally(self, due: list[_Member]) -> None:
