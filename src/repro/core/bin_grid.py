@@ -70,13 +70,11 @@ def _binned(x: np.ndarray, bin_size: float, nlocal, off: np.ndarray) -> tuple:
         box = int(np.searchsorted(off, bad, side="right")) - 1
         local = bad - int(off[box])
         who = "" if nlocal is None else "ghost " if local >= nlocal[box] else "owned "
-        err = NeighborError(
+        raise NeighborError(
             f"non-finite coordinates {x[bad].tolist()} on {who}atom {local}"
             f"{f' of box {box}' if nbox > 1 else ''}: cannot bin atoms for the "
             "neighbor build"
         )
-        err.box = box
-        raise err
     np.maximum(span, bin_size, out=span)
     nbins = np.maximum((span / bin_size).astype(np.int64), 1)
     size = span / nbins

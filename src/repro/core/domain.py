@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.errors import DomainError
+from repro.core.errors import DomainError, LammpsError
 
 
 @dataclass
@@ -52,6 +52,16 @@ def wrap(x: np.ndarray, lo, length, periodic) -> np.ndarray:
     """A copy of ``x`` remapped into ``[lo, lo + length)`` along its periodic
     dimensions; the bounds broadcast, one box's or each atom's own box's."""
     return np.where(periodic, lo + np.mod(x - lo, length), x)
+
+
+def require_finite(x: np.ndarray, tag: np.ndarray, owner: str) -> None:
+    """Refuse owned rows ``x`` (atom tags ``tag``) before their wrap if one
+    is non-finite: it wraps into no box, so the exchange would drop it.  The
+    error names ``owner`` (the step and rank or replica) and the atom tag."""
+    ok = np.isfinite(x).all(axis=1)
+    if not ok.all():
+        k = int(np.flatnonzero(~ok)[0])
+        raise LammpsError(f"{owner} owns atom {int(tag[k])} at non-finite {x[k].tolist()}")
 
 
 @dataclass(frozen=True)

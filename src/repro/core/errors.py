@@ -22,9 +22,6 @@ class DomainError(LammpsError):
 class NeighborError(LammpsError):
     """Neighbor-list construction failure (e.g. cutoff exceeds subdomain)."""
 
-    #: the box, in a build over a batch of boxes, that the failure is in
-    box: int | None = None
-
 
 class CommError(LammpsError):
     """Ghost-atom communication failure (e.g. lost atoms)."""

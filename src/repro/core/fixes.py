@@ -39,25 +39,35 @@ class Fix:
         pass
 
 
+def nve_initial(atom, update) -> None:
+    """``fix nve``'s first half-kick and drift of ``atom``'s owned rows."""
+    _half_kick(atom, update)
+    atom.x[: atom.nlocal] += update.dt * atom.v[: atom.nlocal]
+
+
+def nve_final(atom, update) -> None:
+    """``fix nve``'s second half-kick, after the new forces."""
+    _half_kick(atom, update)
+
+
+def _half_kick(atom, update) -> None:
+    dtf = 0.5 * update.dt * update.units.ftm2v
+    m = atom.masses_of()
+    atom.v[: atom.nlocal] += dtf * atom.f[: atom.nlocal] / m[:, None]
+
+
 @register_fix("nve")
 class FixNVE(Fix):
     """Velocity-Verlet integration (microcanonical ensemble).
 
     The two half-kicks plus drift exactly match LAMMPS's ``fix nve``:
     ``v += dt/2 * f/m * ftm2v``, ``x += dt*v``, then after new forces
-    another half-kick.
+    another half-kick (:func:`nve_initial`, :func:`nve_final`; a replica
+    batch runs the same two over its stacked atoms).
     """
 
-    def _half_kick(self) -> None:
-        atom = self.lmp.atom
-        dtf = 0.5 * self.lmp.update.dt * self.lmp.update.units.ftm2v
-        m = atom.masses_of()
-        atom.v[: atom.nlocal] += dtf * atom.f[: atom.nlocal] / m[:, None]
-
     def initial_integrate(self) -> None:
-        atom = self.lmp.atom
-        self._half_kick()
-        atom.x[: atom.nlocal] += self.lmp.update.dt * atom.v[: atom.nlocal]
+        nve_initial(self.lmp.atom, self.lmp.update)
 
     def final_integrate(self) -> None:
-        self._half_kick()
+        nve_final(self.lmp.atom, self.lmp.update)

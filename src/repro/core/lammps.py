@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.atom import AtomVec
 from repro.core.atom_kokkos import AtomKokkos
 from repro.core.computes import Compute
-from repro.core.domain import BlockRegion, Domain, Lattice
+from repro.core.domain import BlockRegion, Domain, Lattice, require_finite
 from repro.core.errors import InputError, LammpsError
 from repro.core.integrate import Verlet
 from repro.core.modify import Modify
@@ -88,9 +88,6 @@ class Lammps:
         self.regions: dict[str, BlockRegion] = {}
         self.variables: dict[str, float | str] = {}
         self.newton_pair = True
-        #: Kokkos list/newton overrides the autotuner's probes set
-        #: (applied at pair init)
-        self.package_kokkos: dict = {}
         #: Runtime autotuner (``--autotune``); fires once, before any timestep.
         self.autotuner = None
         #: Compact winning-config label (the thermo ``tune`` column).
@@ -369,11 +366,8 @@ class Lammps:
         if self.comm_brick is None or self.comm_brick.cutghost != cutghost:
             assert self.decomp is not None
             self.comm_brick = CommBrick(self.comm, self.decomp, cutghost)
-        x = atom.x[: atom.nlocal]
-        if not np.isfinite(x).all():  # no owner would claim it: exchange drops it
-            k = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-            raise LammpsError(f"step {self.update.ntimestep}: rank {self.comm.rank} owns "
-                              f"atom {int(atom.tag[k])} at non-finite {x[k].tolist()}")
+        require_finite(atom.x[: atom.nlocal], atom.tag,
+                       f"step {self.update.ntimestep}: rank {self.comm.rank}")
         with self.timer.phase("Comm"):
             yield from self.comm_brick.exchange(atom, self.domain.wrap)
         with self.timer.phase("Neigh"):
@@ -546,7 +540,9 @@ class ReplicaSet:
         velocity all create 1.44 8728${replica}
 
     Only single-rank batchable workloads qualify (host ``lj/cut``,
-    ``fix all nve``); ``run`` raises otherwise.  Use
+    ``fix all nve``) that stay copies of one script (``${replica}`` may
+    vary the velocity seed, not a setting the batch shares, see
+    :data:`repro.replica.batch.SHARED`); ``run`` raises otherwise.  Use
     :class:`Ensemble` to scale one simulation across ranks; use a ReplicaSet
     to scale *many small simulations* onto one set of kernels.
     """

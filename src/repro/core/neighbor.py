@@ -118,34 +118,6 @@ class NeighborList:
         return cached
 
 
-def present_type_pairs(types: np.ndarray, width: int) -> np.ndarray:
-    """Flat ``itype * width + jtype`` entries over the types in ``types``."""
-    t = np.flatnonzero(np.bincount(types, minlength=width))
-    return (t[:, None] * width + t).ravel()
-
-
-def type_pair_constants(tables: dict, used: np.ndarray, row, col, i0, j0) -> dict:
-    """Flat per-type-pair ``tables`` as the pairwise pass reads them.
-
-    A table that holds one value over its ``used`` entries binds that 0-d
-    value, which the pass multiplies in with no per-pair gather; any other
-    binds its value per stored pair, ``table.take(row[i0] + col[j0])`` (that
-    key built once, and only then).  Where LAMMPS-KOKKOS keeps
-    ``params(itype, jtype)`` per type pair, so does this: on a one-type run
-    nothing per pair.
-    """
-    out, k = {}, None
-    for name, flat in tables.items():
-        vals = flat.take(used)
-        if vals.size and (vals == vals[0]).all():
-            out[name] = vals[0]
-        else:
-            if k is None:
-                k = row.take(i0) + col.take(j0)
-            out[name] = flat.take(k)
-    return out
-
-
 class PairCache:
     """Neighbor-constant pair state, memoized for the life of one build.
 
@@ -406,7 +378,9 @@ class Neighbor:
             return True
         disp = x_local - self.last_build_x
         max_sq = float(np.max(np.einsum("ij,ij->i", disp, disp))) if len(disp) else 0.0
-        return max_sq > (0.5 * self.skin) ** 2
+        # a NaN displacement compares False either way: it rebuilds, and the
+        # rebuild refuses the non-finite coordinate
+        return not max_sq <= (0.5 * self.skin) ** 2
 
     def record_build(self, step: int, x_local: np.ndarray) -> None:
         self.last_build_x = x_local.copy()

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import InputError, LammpsError, StyleError
-from repro.core.neighbor import present_type_pairs, type_pair_constants
 from repro.graph.pairwise import pairwise
 from repro.kokkos.core import Device, Host
 from repro.kokkos.segment import fixed_dot
@@ -192,17 +191,37 @@ class Pair:
         cutoff, and a two-body style's coefficients (``LJMixin``, EAM)."""
         return {"cutsq0": self.cut**2}
 
+    def pair_constants(self, types: np.ndarray, i0: np.ndarray, j0: np.ndarray) -> dict:
+        """:meth:`pair_tables` as the pass reads them over pairs ``(i0, j0)``
+        of atoms of ``types`` (owned and ghost).
+
+        A table that holds one value over the type pairs present binds that
+        0-d value, which the pass multiplies in with no per-pair gather; any
+        other binds its value per stored pair (that key built once, and only
+        then).  Where LAMMPS-KOKKOS keeps ``params(itype, jtype)`` per type
+        pair, so does this: on a one-type run nothing per pair.
+        """
+        width = self.cut.shape[1]
+        t = np.flatnonzero(np.bincount(types, minlength=width))
+        used = (t[:, None] * width + t).ravel()
+        out, k = {}, None
+        for name, table in self.pair_tables().items():
+            flat = table.ravel()
+            vals = flat.take(used)
+            if vals.size and (vals == vals[0]).all():
+                out[name] = vals[0]
+            else:
+                if k is None:
+                    k = types.take(i0) * width + types.take(j0)
+                out[name] = flat.take(k)
+        return out
+
     def bind_pairs(self, nlist) -> dict:
         """The per-rebuild env of the pairwise pass over ``nlist``: its
-        pairs, list style and :meth:`pair_tables`, each a 0-d value where it
-        holds one over the atom types present, owned and ghost
-        (:func:`~repro.core.neighbor.type_pair_constants`)."""
+        pairs, list style and :meth:`pair_constants`."""
         atom = self.lmp.atom
         full, newton = self.bind_list(nlist)
         i0, j0 = nlist.ij_pairs()
-        types, width = atom.type[: atom.nall], self.cut.shape[1]
-        tables = {name: t.ravel() for name, t in self.pair_tables().items()}
-        used = present_type_pairs(types, width)
         return {
             "pair": self,
             "i0": i0,
@@ -212,7 +231,7 @@ class Pair:
             "full": full,
             "newton": newton,
             "f_view": None,
-            **type_pair_constants(tables, used, types * width, types, i0, j0),
+            **self.pair_constants(atom.type[: atom.nall], i0, j0),
         }
 
     def eval_setup(self):

@@ -83,17 +83,6 @@ class PairKokkos(Pair):
         if self.neigh_mode == "full" and self.newton_mode:
             raise InputError("newton on requires a half neighbor list")
 
-    def init(self) -> None:
-        super().init()
-        # the autotuner's list/newton overrides (section 3.3)
-        pkg = self.lmp.package_kokkos
-        if "neigh" in pkg:
-            self.neigh_mode = pkg["neigh"]
-        if "newton" in pkg:
-            self.newton_mode = pkg["newton"]
-        if self.neigh_mode == "full" and self.newton_mode:
-            raise InputError("newton on requires a half neighbor list")
-
     def neighbor_request(self) -> tuple[str, bool]:
         return self.neigh_mode, self.newton_mode
 

@@ -26,17 +26,20 @@ engine earns this by construction:
 
 * the pair math is not replicated at all: the batch is one more executor
   of the solo pass (:func:`repro.graph.pairwise.pairwise`), run over the
-  stacked ``i/j/cutsq/coefficient`` vectors, and the NVE kicks are
-  elementwise, so each replica's rows see exactly the solo operation
-  sequence;
+  stacked ``i/j`` vectors with the first member's
+  :meth:`~repro.potentials.pair.Pair.pair_constants` (the ones its
+  ``bind_pairs`` binds), and the NVE update is ``FixNVE``'s own
+  (:func:`~repro.core.fixes.nve_initial`, :func:`~repro.core.fixes.nve_final`)
+  over the stacked atom — elementwise, so each replica's rows see exactly
+  the solo operation sequence;
 * scatter adds accumulate per destination in input order, and replica
   segments are disjoint, so concatenating streams never reorders any
   single destination's sum;
-* reductions are the solo code's own: a member due for ``ev_tally`` (its
-  own :meth:`~repro.core.integrate.Verlet.ev_set`) tallies into its own
-  ``Pair`` over its contiguous slice of the cut pair stream, and a member
-  due for thermo syncs its owned rows home and emits its own
-  ``Thermo.output_gen`` row;
+* reductions are the solo code's own: on a step the first member's
+  :meth:`~repro.core.integrate.Verlet.ev_set` marks for ``ev_tally``, every
+  member tallies into its own ``Pair`` over its contiguous slice of the cut
+  pair stream, and on a thermo step every member syncs its owned rows home
+  and emits its own ``Thermo.output_gen`` row;
 * migration runs the solo functions over a batch of boxes: the wrap is
   :func:`~repro.core.domain.wrap` (``Domain.wrap``'s) per box, the sort is
   :func:`~repro.core.bin_grid.spatial_sort_order` with the box as its
@@ -44,6 +47,15 @@ engine earns this by construction:
   (:func:`~repro.core.comm_md.border_sendlist`) with each box's own bounds
   and shift, so each box's send lists, ghost rows and replay stages are
   its solo ones.
+
+**One script.**  The members are copies of one script (``ReplicaSet``
+sends R of them; its ``${replica}`` varies per-box state such as the
+velocity seed): :meth:`add_replica
+<ReplicaBatch.add_replica>` refuses a member that differs from the first in
+any of :data:`SHARED` — units, timestep, step, thermo interval, masses,
+pair coefficients, custom fields — so the batch keeps one clock, one NVE
+update, one pair table and one set of custom fields.  Each member keeps
+its own box, positions, velocities and neighbor policy.
 
 **Epochs.**  Members join before the first step; the first ``step``
 stacks their owned rows once, and from then on the stacked arrays are the
@@ -57,9 +69,11 @@ translation of that list.  A box that is not due keeps its ghost shell and
 list: the pass re-derives both, bit for bit, from the coordinates of its
 own last build (``Neighbor.last_build_x``), and its current coordinates
 come back after.  Per-replica neighbor staleness is tracked individually —
-one hot replica rebuilding does not force the rest to.  A non-finite
-coordinate stops the step with a :class:`~repro.core.errors.LammpsError`
-naming the replica and the step.
+one hot replica rebuilding does not force the rest to.  A due box holding a
+non-finite owned coordinate stops the step before its wrap, with the solo
+rebuild's :class:`~repro.core.errors.LammpsError`
+(:func:`~repro.core.domain.require_finite`) naming the step, the replica
+and the atom tag.
 
 The batched pair style is host ``lj/cut`` (the one style a replica
 workload runs); batchability violations raise with the shared
@@ -77,9 +91,10 @@ import numpy as np
 from repro.core.atom import AtomVec
 from repro.core.bin_grid import spatial_sort_order, stable_order
 from repro.core.comm_md import CommBrick, GhostReplay
-from repro.core.domain import wrap
-from repro.core.errors import LammpsError, NeighborError, unknown_choice
-from repro.core.neighbor import build_neighbor_list, present_type_pairs, type_pair_constants
+from repro.core.domain import require_finite, wrap
+from repro.core.errors import LammpsError, unknown_choice
+from repro.core.fixes import nve_final, nve_initial
+from repro.core.neighbor import build_neighbor_list
 from repro.graph.pairwise import ARENA, pairwise
 from repro.parallel.driver import drain
 from repro.potentials.lj import lj_energy, lj_force
@@ -95,8 +110,19 @@ class _Member:
     index: int  #: position in the members list == stacking order
     own_off: int = 0
     nlocal: int = 0
-    #: the member's last step of the current ``step(n)`` (``Verlet.ev_set``)
-    last_step: int = 0
+
+
+#: ``(name, value of)`` every setting a member shares with the first: the
+#: settings of one script, which the batch holds once
+SHARED = (
+    ("units", lambda lmp: lmp.update.units.name),
+    ("timestep", lambda lmp: lmp.update.dt),
+    ("step", lambda lmp: lmp.update.ntimestep),
+    ("thermo interval", lambda lmp: lmp.thermo.every),
+    ("masses", lambda lmp: lmp.atom.mass.tolist()),
+    ("pair coefficients", lambda lmp: {k: t.tolist() for k, t in lmp.pair.pair_tables().items()}),
+    ("custom fields", lambda lmp: {k: (a.shape[1], a.dtype) for k, a in lmp.atom.custom.items()}),
+)
 
 
 @contextmanager
@@ -121,11 +147,11 @@ class ReplicaBatch:
         batch.step(100)                  # all replicas advance together
         batch.finish()                   # final state synced back to each lmp
 
-    Members may differ in timestep, size, dt, thermo interval and neighbor
-    policy; they run host ``lj/cut`` with one newton setting and one ghost
-    cutoff.  Thermo rows
-    land in each member's own ``lmp.thermo.history``, exactly as a solo run
-    would record them.
+    Members are copies of one script (every :data:`SHARED` setting equal to
+    the first member's) and may differ in box size, positions, velocities
+    and neighbor policy; they run host ``lj/cut`` with one newton setting
+    and one ghost cutoff.  Thermo rows land in each member's own
+    ``lmp.thermo.history``, exactly as a solo run would record them.
     """
 
     def __init__(self) -> None:
@@ -154,6 +180,14 @@ class ReplicaBatch:
                 f"replica signature mismatch: batch runs {self._sig}, new member "
                 f"wants {sig} (pair style, newton and ghost cutoff must match)"
             )
+        if self.members:
+            lead = self.members[0].lmp
+            for name, get in SHARED:
+                if get(lmp) != get(lead):
+                    raise LammpsError(
+                        f"replica {len(self.members)} differs from replica 0 in "
+                        f"its {name}: replica members run copies of one script"
+                    )
         self.members.append(_Member(lmp=lmp, index=len(self.members)))
         self._sig = sig
 
@@ -207,33 +241,16 @@ class ReplicaBatch:
 
     # -------------------------------------------------------------- stacking
     def _stack(self) -> None:
-        """Stack the members' owned rows once — with, per atom, its member's
-        integration constants, periodic bounds and pair-table offsets — and
-        the members' boxes into one brick; then derive the first epoch, in
-        which no box is due (each keeps its set-up ghost shell and list)."""
+        """Stack the members' owned rows once — with, per atom, its box's
+        periodic bounds — and the members' boxes into one brick; then derive
+        the first epoch, in which no box is due (each keeps its set-up ghost
+        shell and list)."""
         members = self.members
         atoms = [m.lmp.atom for m in members]
         self._nlocal = np.array([a.nlocal for a in atoms], dtype=np.int64)
         self._own_off = np.concatenate(([0], np.add.accumulate(self._nlocal)))
         for m, off, n in zip(members, self._own_off.tolist(), self._nlocal.tolist()):
             m.own_off, m.nlocal = off, n
-        specs: dict[str, tuple[int, np.dtype]] = {}
-        for a in atoms:
-            for name, arr in a.custom.items():
-                if specs.setdefault(name, (arr.shape[1], arr.dtype)) != (arr.shape[1], arr.dtype):
-                    raise LammpsError(
-                        f"custom field {name!r} has mismatched shape/dtype "
-                        "across replicas"
-                    )
-        custom = {
-            name: np.concatenate([
-                a.custom[name][: a.nlocal]
-                if name in a.custom
-                else np.zeros((a.nlocal, w), dtype=dt)
-                for a in atoms
-            ])
-            for name, (w, dt) in specs.items()
-        }
 
         def owned(name: str) -> np.ndarray:
             return np.concatenate([getattr(a, name)[: a.nlocal] for a in atoms])
@@ -241,34 +258,22 @@ class ReplicaBatch:
         def per_atom(values) -> np.ndarray:
             return np.repeat(np.asarray(values), self._nlocal, axis=0)
 
-        atom = self.atom = AtomVec(ntypes=max(a.ntypes for a in atoms))
+        atom = self.atom = AtomVec(ntypes=atoms[0].ntypes)
+        atom.mass[:] = atoms[0].mass
+        custom = {
+            name: np.concatenate([a.custom[name][: a.nlocal] for a in atoms])
+            for name in atoms[0].custom
+        }
         atom.replace_local(x=owned("x"), v=owned("v"), types=owned("type"),
                            tags=owned("tag"), q=owned("q"), custom=custom)
         # the very next initial half-kick reads the members' current forces
         atom.f[: atom.nlocal] = owned("f")
         atom.grow(sum(a.nall for a in atoms))  # the first epoch's rows, exactly
 
-        # FixNVE's scalars and masses per atom, each member's own
-        self._m_own = np.concatenate([a.mass[a.type[: a.nlocal]] for a in atoms])
-        updates = [m.lmp.update for m in members]
-        self._dt_col = per_atom([u.dt for u in updates])
-        self._dtf_col = per_atom([0.5 * u.dt * u.units.ftm2v for u in updates])
         domains = [m.lmp.domain for m in members]  # each atom's box, to wrap into
         self._lo = per_atom([d.boxlo for d in domains])
         self._len = per_atom([d.lengths for d in domains])
         self._periodic = per_atom([d.periodic for d in domains])
-        # each member's per-type-pair tables, flat, one block per member:
-        # pair (i, j) reads entry base[i] + type[i] * width[i] + type[j];
-        # ``_coef_used`` holds the entries the members' own types read
-        tables = [m.lmp.pair.pair_tables() for m in members]
-        self._coef = {name: np.concatenate([t[name].ravel() for t in tables]) for name in tables[0]}
-        widths = [t["cutsq0"].shape[1] for t in tables]
-        bases = np.add.accumulate([0] + [w * w for w in widths[:-1]])
-        self._coef_used = np.concatenate([
-            b + present_type_pairs(a.type[: a.nlocal], w) for b, w, a in zip(bases, widths, atoms)
-        ])
-        self._coef_base = per_atom(bases)
-        self._coef_width = per_atom(widths)
 
         self._brick = CommBrick.stack(
             [m.lmp.comm_brick for m in members], [d.periodic for d in domains], self._nlocal
@@ -285,21 +290,22 @@ class ReplicaBatch:
             raise LammpsError("negative step count")
         if self.atom is None:
             self._stack()
-        for m in self.members:
-            m.last_step = m.lmp.update.ntimestep + nsteps
+        last = self.members[0].lmp.update.ntimestep + nsteps
         for _ in range(nsteps):
-            self._one_step()
+            self._one_step(last)
 
-    def _one_step(self) -> None:
-        atom = self.atom
+    def _one_step(self, last: int) -> None:
+        """One solo timestep of every member on the one clock: the first
+        member's ``update``, ``ev_set`` and thermo interval are all of
+        theirs (:data:`SHARED`)."""
+        atom, lead = self.atom, self.members[0].lmp
+        step = lead.update.ntimestep + 1
         for m in self.members:
-            m.lmp.update.ntimestep += 1
+            m.lmp.update.ntimestep = step
         with _region("initial_integrate"):
-            self._nve_initial()
+            nve_initial(atom, lead.update)
         due = np.array([
-            m.lmp.neighbor.decide(
-                m.lmp.update.ntimestep, atom.x[m.own_off : m.own_off + m.nlocal]
-            )
+            m.lmp.neighbor.decide(step, atom.x[m.own_off : m.own_off + m.nlocal])
             for m in self.members
         ])
         if due.any():
@@ -307,49 +313,29 @@ class ReplicaBatch:
         else:
             with _region("forward_comm"):
                 self._replay.forward_x(atom)
-        due = [
-            m
-            for m in self.members
-            if m.lmp.verlet.ev_set(m.lmp.update.ntimestep, m.last_step)
-        ]
+        ev = lead.verlet.ev_set(step, last)
         with _region("pair_force"):
-            self._force(due)
+            self._force(ev)
         with _region("final_integrate"):
-            self._nve_final()
-        for m in due:
-            if m.lmp.thermo.should_output(m.lmp.update.ntimestep):
+            nve_final(atom, lead.update)
+        if ev and lead.thermo.should_output(step):
+            for m in self.members:
                 self._sync_member(m)
                 drain(m.lmp.thermo.output_gen())
 
-    def _force(self, due: list[_Member]) -> None:
-        """Stacked ``lj/cut``: the untallied pairwise pass, the due members'
-        tallies, then the ghost-force fold when newton is on."""
+    def _force(self, ev: bool) -> None:
+        """Stacked ``lj/cut``: the untallied pairwise pass, every member's
+        tally when ``ev``, then the ghost-force fold when newton is on."""
         atom = self.atom
         env = self._env
         atom.zero_forces()
         env.update(x=atom.x[: atom.nall], f=atom.f)
         pairwise(env, False)
-        if due:
+        if ev:
             lj_energy(env)
-            self._tally(due)
+            self._tally()
         if env["newton"]:
             self._replay.reverse(atom)
-
-    # ------------------------------------------------------------ integrate
-    def _nve_initial(self) -> None:
-        atom = self.atom
-        n = atom.nlocal
-        v = atom.v[:n]
-        # FixNVE's kick/drift with the member scalars broadcast per atom:
-        # v += dtf * f / m ; x += dt * v — elementwise, so each replica's
-        # rows see the identical solo operation sequence
-        v += self._dtf_col[:, None] * atom.f[:n] / self._m_own[:, None]
-        atom.x[:n] += self._dt_col[:, None] * v
-
-    def _nve_final(self) -> None:
-        atom = self.atom
-        n = atom.nlocal
-        atom.v[:n] += self._dtf_col[:, None] * atom.f[:n] / self._m_own[:, None]
 
     # -------------------------------------------------------------- rebuild
     def _rebuild(self, due: np.ndarray) -> None:
@@ -366,35 +352,29 @@ class ReplicaBatch:
         now = atom.x[:nown].copy()
         built = np.concatenate([m.lmp.neighbor.last_build_x for m in members])
         keep = np.repeat(~due, self._nlocal)[:, None]
-        try:
-            if due.any():
-                drain(brick.exchange(atom, lambda x: wrap(x, self._lo, self._len, self._periodic)))
-                # a box that is not due is back at its last build's (wrapped,
-                # sorted) coordinates, so the sort leaves it as it is
-                np.copyto(atom.x[:nown], built, where=keep)
-                perm = spatial_sort_order(atom.x[:nown], brick.cutghost, self._nlocal)
-                atom.reorder_local(perm)
-                self._m_own = self._m_own[perm]
-            else:
-                atom.x[:nown] = built
-            drain(brick.borders(atom, None))
-            # each box's rows in its solo order, box-major: one build
-            order = stable_order(brick.box, len(members))
-            counts = np.bincount(brick.box, minlength=len(members))
-            ARENA.release()  # end the arena's epoch, as a solo rebuild does
-            _, style, newton, cutghost = self._sig
-            nlist = build_neighbor_list(
-                atom.x[order], np.stack([self._nlocal, counts], axis=1), cutghost,
-                style=style, newton=newton,
-            )
-        except NeighborError as exc:
-            if exc.box is None:
-                raise
-            m = members[exc.box]
-            raise LammpsError(
-                f"replica {m.index} failed its neighbor rebuild at step "
-                f"{m.lmp.update.ntimestep}: {exc}"
-            ) from exc
+        if due.any():
+            for m in members:
+                if due[m.index]:
+                    rows = slice(m.own_off, m.own_off + m.nlocal)
+                    require_finite(atom.x[rows], atom.tag[rows],
+                                   f"step {m.lmp.update.ntimestep}: replica {m.index}")
+            drain(brick.exchange(atom, lambda x: wrap(x, self._lo, self._len, self._periodic)))
+            # a box that is not due is back at its last build's (wrapped,
+            # sorted) coordinates, so the sort leaves it as it is
+            np.copyto(atom.x[:nown], built, where=keep)
+            atom.reorder_local(spatial_sort_order(atom.x[:nown], brick.cutghost, self._nlocal))
+        else:
+            atom.x[:nown] = built
+        drain(brick.borders(atom, None))
+        # each box's rows in its solo order, box-major: one build
+        order = stable_order(brick.box, len(members))
+        counts = np.bincount(brick.box, minlength=len(members))
+        ARENA.release()  # end the arena's epoch, as a solo rebuild does
+        _, style, newton, cutghost = self._sig
+        nlist = build_neighbor_list(
+            atom.x[order], np.stack([self._nlocal, counts], axis=1), cutghost,
+            style=style, newton=newton,
+        )
         for m in members:
             if due[m.index]:
                 rows = atom.x[m.own_off : m.own_off + m.nlocal]
@@ -407,20 +387,19 @@ class ReplicaBatch:
     def _env_of(self, nlist, order: np.ndarray, counts: np.ndarray) -> None:
         """The epoch's pairwise env: the one list's pairs in stacked indices
         (its rows are the stacked owned rows; a box's neighbor ``j`` is its
-        ``j``-th row in ``order``) with each member's per-pair constants —
-        the stacked executor of :func:`repro.graph.pairwise.pairwise`, whose
+        ``j``-th row in ``order``) with the members' one pair table — the
+        stacked executor of :func:`repro.graph.pairwise.pairwise`, whose
         arithmetic stays in ``potentials/lj.py``."""
         atom = self.atom
         nown = atom.nlocal
         i0, j_box = nlist.ij_pairs()
         first = np.add.accumulate(counts) - counts
         j0 = order.take(first.take(self._brick.box[:nown]).take(i0) + j_box)
-        row = self._coef_base + atom.type[:nown] * self._coef_width
         _, list_style, newton, _ = self._sig
         full = list_style == "full"
+        pair = self.members[0].lmp.pair
         env = self._env = {
-            # formula methods only: member coefficients are bound below
-            "pair": self.members[0].lmp.pair,
+            "pair": pair,
             "i0": i0,  # owned, globally ascending
             "j0": j0,  # owned or ghost
             "jl0": None if full or newton else j0 < nown,
@@ -429,12 +408,12 @@ class ReplicaBatch:
             "newton": newton,
             "f_view": None,
             "force_fn": lj_force,
-            **type_pair_constants(self._coef, self._coef_used, row, atom.type, i0, j0),
+            **pair.pair_constants(atom.type[: atom.nall], i0, j0),
         }
 
     # -------------------------------------------------------------- tallies
-    def _tally(self, due: list[_Member]) -> None:
-        """Solo ``ev_tally`` into each due member's own ``Pair``.
+    def _tally(self) -> None:
+        """Solo ``ev_tally`` into each member's own ``Pair``.
 
         The solo order per member: reset, then ``tally_pairs`` over its
         contiguous slice of the cut pair stream — the same length, values
@@ -443,7 +422,7 @@ class ReplicaBatch:
         env = self._env
         bounds = np.searchsorted(env["idx"], env["off"])
         jl = env["jl_n"]
-        for m in due:
+        for m in self.members:
             pair = m.lmp.pair
             pair.reset_tallies(True)
             cut = slice(bounds[m.index], bounds[m.index + 1])

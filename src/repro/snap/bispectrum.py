@@ -14,9 +14,11 @@ import numpy as np
 from repro.snap.indexing import SnapIndex
 
 
-def compute_bispectrum(U: np.ndarray, twojmax: int) -> np.ndarray:
-    """(natoms, nbispectrum) real bispectrum from per-atom U totals."""
+def compute_bispectrum(Uh: np.ndarray, twojmax: int) -> np.ndarray:
+    """(natoms, nbispectrum) real bispectrum from ComputeUi's per-atom
+    totals, its half rows (unfolded here: the contraction reads every row)."""
     idx = SnapIndex(twojmax)
+    U = idx.unfold(Uh)
     plan, zout, ibstarts = idx.bi_plan
     Z = plan.contract(U, plan.weights())
     Uz = U[zout]

@@ -11,12 +11,14 @@ atomic add) gives the 2.23x H100 uplift of Table 2 (priced by
 number first, atom (or pair) index fastest.
 
 Two symmetries cut the work.  Every ``v`` is mirror-symmetric bit for bit,
-so only the half range ``idx.half`` is summed and the rest of ``U`` is
-unfolded from it.  And ``u(-r) = u(r)^dagger`` (the Cayley-Klein matrix of
-``-r`` is the inverse of that of ``r``), so a pair is recursed once, from
-one end: the reversed pair's contribution to its center — the ``partner``
-— is the conjugate-transpose of the forward pair's, and because the
-conjugate-transpose is linear it is applied once, to the per-atom sum.
+so only the half range ``idx.half`` is summed, and only it is returned:
+both consumers, ComputeYi and the energy, read the half rows (the
+bispectrum unfolds the rest).  And ``u(-r) = u(r)^dagger`` (the
+Cayley-Klein matrix of ``-r`` is the inverse of that of ``r``), so a pair
+is recursed once, from one end: the reversed pair's contribution to its
+center — the ``partner`` — is the conjugate-transpose of the forward
+pair's, and because the conjugate-transpose is linear it is applied once,
+to the per-atom sum.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def compute_ui(
     wself: float = 1.0,
     partner: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-atom totals ``U`` (idxu_max, natoms) complex, atom axis fastest.
+    """Per-atom totals ``U``, its half rows (len(idx.half), natoms) complex,
+    atom axis fastest: row ``k`` is the flat quantum number ``idx.half[k]``.
 
     ``pair_i`` must be sorted (the row-major list ordering), so each atom's
     neighbors are one contiguous run of the pair axis and the per-atom sum
@@ -72,4 +75,4 @@ def compute_ui(
             Uh += idx.dagger_half(idx.half_scale * Wh)
     diag = idx.diag_indices()
     Uh[np.searchsorted(idx.half, diag[idx.fold[diag] > 0])] += wself
-    return idx.unfold(Uh)
+    return Uh

@@ -24,16 +24,16 @@ import numpy as np
 from repro.snap.indexing import SnapIndex
 
 
-def compute_yi(U: np.ndarray, beta: np.ndarray, twojmax: int) -> np.ndarray:
+def compute_yi(Uh: np.ndarray, beta: np.ndarray, twojmax: int) -> np.ndarray:
     """Folded adjoint ``Y`` (len(idx.half), natoms); row ``k`` pairs with
-    the flat quantum number ``idx.half[k]``.  ``U`` is (idxu_max, natoms)."""
+    the flat quantum number ``idx.half[k]``.  ``Uh`` is ComputeUi's half
+    rows (len(idx.half), natoms)."""
     idx = SnapIndex(twojmax)
     if beta.shape != (idx.nbispectrum,):
         raise ValueError(
             f"beta has {beta.shape}, expected ({idx.nbispectrum},)"
         )
     plan = idx.yi_plan
-    Uh = U[idx.half]
     return plan.contract(np.concatenate((Uh, np.conj(Uh))), plan.weights(beta))
 
 

@@ -191,8 +191,7 @@ class PairSNAP(Pair):
         # E = B . beta is homogeneous of degree 3 in (U, conj U), so by
         # Euler's identity Re(Y . U) = 3 E: the adjoint already holds it
         if env["eflag"]:
-            Uh = np.take(env["U"], self.index.half, axis=0)
-            self.eng_vdwl += float(np.real(env["Y"] * Uh).sum()) / 3.0
+            self.eng_vdwl += float(np.real(env["Y"] * env["U"]).sum()) / 3.0
 
     def _deidrj(self, env: dict) -> None:
         # ComputeFusedDeidrj: per-pair force contraction, 3 directions,

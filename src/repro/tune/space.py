@@ -76,10 +76,6 @@ def apply_config(target, config: dict) -> None:
     for lmp in ranks_of(target):
         if hasattr(lmp.pair, "neigh_mode"):
             lmp.pair.set_options(neigh=config[NEIGH], newton=newton)
-            # keep `package_kokkos` consistent so the pair.init() in the
-            # next run setup does not silently undo the tuned choice
-            lmp.package_kokkos["neigh"] = config[NEIGH]
-            lmp.package_kokkos["newton"] = newton
         lmp.newton_pair = newton
 
 

@@ -56,6 +56,42 @@ class TestLostAndCorruptState:
         ):
             target.command("run 20")
 
+    @pytest.mark.parametrize("target", ["1 rank", "2 ranks", "replica"])
+    def test_coordinate_turning_non_finite_mid_run_is_refused_under_check_yes(self, target):
+        """A NaN displacement compares False against the skin, so ``check
+        yes`` must still rebuild (and the rebuild refuse the atom) on the
+        very next step, not drop the atom from every pair silently."""
+        from repro.core.fixes import Fix
+        from repro.replica import ReplicaBatch
+
+        policy = "neigh_modify every 1 delay 0 check yes"
+        if target == "replica":
+            members = [make_melt(cells=2) for _ in range(3)]
+            batch = ReplicaBatch()
+            for m in members:
+                m.command(policy)
+                batch.add_replica(m)
+            batch.step(8)
+            m = batch.members[1]
+            rows = slice(m.own_off, m.own_off + m.nlocal)
+            batch.atom.x[rows][batch.atom.tag[rows] == 4] = np.nan
+            with pytest.raises(LammpsError, match=r"step 9: replica 1 owns atom 4 at non-finite"):
+                batch.step(22)
+            return
+
+        class NaNAtStep8(Fix):
+            def end_of_step(self) -> None:
+                atom = self.lmp.atom
+                if self.lmp.update.ntimestep == 8:
+                    atom.x[: atom.nlocal][atom.tag[: atom.nlocal] == 4] = np.nan
+
+        sim = make_melt(cells=3, nranks=2 if target == "2 ranks" else 1)
+        sim.command(policy)
+        for lmp in getattr(sim, "ranks", [sim]):
+            lmp.modify.add_fix(NaNAtStep8(lmp, "nan", "all", []))
+        with pytest.raises(LammpsError, match=r"step 9: rank \d owns atom 4 at non-finite"):
+            sim.command("run 30")
+
     def test_overflow_guard_on_neighbor_index_width(self):
         from repro.core import neighbor as nb
 
@@ -103,8 +139,9 @@ class TestSNAPAdjointConsistency:
         rng = np.random.default_rng(seed)
         rij = rng.normal(size=(6, 3))
         rij *= 3.0 / np.linalg.norm(rij, axis=1, keepdims=True)
-        U = compute_ui(rij, np.zeros(6, dtype=int), 1, 4.7, tj)
-        Y = compute_yi(U, beta, tj)
+        Uh = compute_ui(rij, np.zeros(6, dtype=int), 1, 4.7, tj)
+        Y = compute_yi(Uh, beta, tj)
+        U = idx.unfold(Uh)
         mbar, sign = mirror(tj)
 
         # the energy comes straight from the un-folded contraction tensor,

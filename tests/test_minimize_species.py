@@ -1,5 +1,5 @@
-"""Kokkos list/newton overrides (``Lammps.package_kokkos``, set by the
-autotuner) and the post-run summary."""
+"""Kokkos list/newton settings (``Pair.set_options``, the one channel the
+autotuner also writes) and the post-run summary."""
 
 from __future__ import annotations
 
@@ -12,23 +12,26 @@ from conftest import make_melt
 class TestPackageKokkos:
     def test_package_overrides_pair_defaults(self):
         lmp = make_melt(device="H100", cells=2, suffix="kk")
-        lmp.package_kokkos.update(neigh="half", newton=True)
+        lmp.pair.set_options(neigh="half", newton=True)
         lmp.command("run 0")
         assert lmp.pair.neighbor_request() == ("half", True)
+        # the next run's pair.init() keeps the setting too
+        lmp.command("run 1")
+        assert lmp.pair.neighbor_request() == ("half", True)
+        assert (lmp.neigh_list.style, lmp.neigh_list.newton) == ("half", True)
 
     def test_conflicting_package_settings(self):
         from repro.core.errors import InputError
 
         lmp = make_melt(device="H100", cells=2, suffix="kk")
-        lmp.package_kokkos.update(neigh="full", newton=True)
         with pytest.raises(InputError, match="newton on requires"):
-            lmp.command("run 0")
+            lmp.pair.set_options(neigh="full", newton=True)
 
     def test_physics_invariant_under_package_knobs(self):
         ref = make_melt(cells=3)
         ref.command("run 5")
         kkr = make_melt(device="H100", cells=3, suffix="kk")
-        kkr.package_kokkos.update(neigh="half", newton=True)
+        kkr.pair.set_options(neigh="half", newton=True)
         kkr.command("run 5")
         from conftest import gather_by_tag
 

@@ -4,7 +4,7 @@ A two-body style's per-type-pair tables (the squared cutoff, LJ's
 ``lj1..lj4``, EAM's pair strength and cutoff) bind as one 0-d value when
 the table holds one value over the atom types present, and as a vector per
 stored pair only otherwise (``Pair.bind_pairs``,
-``neighbor.type_pair_constants``).  The 0-d form must be the per-pair form
+``Pair.pair_constants``).  The 0-d form must be the per-pair form
 bit for bit, and a table with distinct values must still bind per pair and
 keep the per-pair formula's bits.  The scratch ``Arena`` regrows with
 headroom, so a slowly rising cut count re-allocates O(log n) times.
@@ -18,12 +18,10 @@ import numpy as np
 import pytest
 
 from repro.graph.pairwise import Arena, pairwise
-from repro.replica import ReplicaBatch
 
 from conftest import make_melt
 from test_pairwise_oracle import build
 from test_potentials_eam import make_eam
-from test_replica_batch import _assert_bitwise, _build, _solo
 
 LJ_TABLES = ("cutsq0", "lj1p", "lj2p", "lj3p", "lj4p")
 
@@ -98,24 +96,6 @@ def test_two_type_lj_binds_per_pair_vectors_with_the_formula_bits():
     evdwl = r6 * (pair.lj3[ti, tj] * r6 - pair.lj4[ti, tj])
     assert fpair.tobytes() == env["fpair_n"].tobytes()
     assert evdwl.tobytes() == env["evdwl_n"].tobytes()
-
-
-def test_replica_batch_binds_per_pair_only_for_distinct_members():
-    """Members with one set of coefficients share 0-d constants; a member
-    with another epsilon makes the batch bind per pair, and every member
-    still steps bit for bit as its solo run."""
-    specs = [(2, 87287, 10), (3, 87300, 10)]
-    for extra, expect in (("", []), ("pair_coeff 1 1 0.9 1.0", ["lj1p", "lj2p", "lj3p", "lj4p"])):
-        batch = ReplicaBatch()
-        members = [_build(specs[0]), _build(specs[1], extra)]
-        for m in members:
-            batch.add_replica(m)
-        batch.step(0)  # stacks and binds the first epoch; no pass yet
-        assert per_pair_floats(batch._env) == expect
-        batch.step(25)
-        batch.finish()
-        for spec, m, x in zip(specs, members, ("", extra)):
-            _assert_bitwise(_solo(spec, 25, x), m, extra or "one set")
 
 
 # ----------------------------------------------------------------- the arena

@@ -21,8 +21,9 @@ from conftest import SCATTERS, scatter_body
 from repro.core import Lammps
 from repro.core.atom import BORDER_FIELDS
 from repro.core.comm_md import Swap
-from repro.core.errors import CommError, LammpsError, NeighborError
+from repro.core.errors import CommError, LammpsError
 from repro.replica import ReplicaBatch
+from repro.replica.batch import SHARED
 from repro.tools import registry as kp
 from repro.workloads.melt import MELT_TEMPLATE
 
@@ -129,16 +130,16 @@ def test_add_after_the_first_step_raises():
 
 def test_failed_member_rebuild_stops_the_step():
     """A non-finite coordinate in one member's box stops ``step`` at its
-    next rebuild with an error naming that replica and the step, chained
-    from the cause; nobody steps on."""
+    next rebuild, before the wrap, with the solo rebuild's error naming the
+    step, that replica and the atom tag; nobody steps on."""
     members = [_build(s) for s in _specs(3)]
     batch = _batch(members)
     batch.step(5)
     m = batch.members[1]
+    tag = int(batch.atom.tag[m.own_off + 3])
     batch.atom.x[m.own_off + 3] = np.nan  # the template rebuilds every 20
-    with pytest.raises(LammpsError, match="replica 1 .* at step 20") as info:
+    with pytest.raises(LammpsError, match=rf"step 20: replica 1 owns atom {tag} at non-finite"):
         batch.step(35)
-    assert isinstance(info.value.__cause__, NeighborError)
     assert [m.update.ntimestep for m in members] == [20, 20, 20]
 
 
@@ -289,6 +290,35 @@ def test_unknown_pair_style_rejected_with_choices():
     with pytest.raises(LammpsError, match="'lj/cut/gpu'.*expected one of: lj/cut"):
         batch.add_replica(lmp)
     assert batch.members == []
+
+
+def _differ_in(name: str, lmp: Lammps) -> None:
+    """Make ``lmp`` differ from a :func:`_build` copy in one shared setting."""
+    if name == "step":
+        lmp.update.ntimestep = 5
+    elif name == "custom fields":
+        lmp.atom.add_custom("mark", 1, np.int64)
+    else:
+        lmp.commands_string({
+            "units": "units metal\nneighbor 0.3 bin",
+            "timestep": "timestep 0.004",
+            "thermo interval": "thermo 20",
+            "masses": "mass 1 2.0",
+            "pair coefficients": "pair_coeff 1 1 0.9 1.0",
+        }[name])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in SHARED])
+def test_member_differing_in_a_shared_setting_is_refused(name):
+    """Members are copies of one script: one that differs from the first in
+    a shared setting is refused at ``add_replica``, naming the setting."""
+    spec = _specs(2)[1]
+    other = _build(spec)
+    _differ_in(name, other)
+    batch = _batch([_build(_specs(1)[0])])
+    with pytest.raises(LammpsError, match=f"replica 1 differs from replica 0 in its {name}:"):
+        batch.add_replica(other)
+    assert len(batch.members) == 1
 
 
 def test_non_nve_fix_rejected():

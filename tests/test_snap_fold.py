@@ -49,9 +49,9 @@ def neighborhoods(seed: int, natoms: int = 3, per: int = 7):
 def totals(twojmax: int, seed: int = 3):
     idx = SnapIndex(twojmax)
     rij, pair_i = neighborhoods(seed)
-    U = compute_ui(rij, pair_i, 3, RCUT, twojmax)
+    Uh = compute_ui(rij, pair_i, 3, RCUT, twojmax)  # the half rows
     beta = synthetic_beta(idx.nbispectrum, 1.0, seed=seed + 1)
-    return idx, rij, pair_i, U, beta
+    return idx, rij, pair_i, Uh, beta
 
 
 def partners(pair_i: np.ndarray, natoms: int = 3) -> np.ndarray:
@@ -77,9 +77,9 @@ def hot_ta(nranks: int, cells: int = 2, twojmax: int = 8):
 class TestFoldAgainstOracle:
     @pytest.mark.parametrize("twojmax", [0, 1, 2, 4, 6, 8, 12])
     def test_y_is_the_folded_sum_of_both_adjoints(self, twojmax):
-        idx, _, _, U, beta = totals(twojmax)
-        Y = compute_yi(U, beta, twojmax)
-        y12, y3 = coo_adjoints(U, beta, twojmax)
+        idx, _, _, Uh, beta = totals(twojmax)
+        Y = compute_yi(Uh, beta, twojmax)
+        y12, y3 = coo_adjoints(idx.unfold(Uh), beta, twojmax)
         want = (idx.fold[:, None] * (y12 + np.conj(y3)))[idx.half]
         assert Y.shape == want.shape
         np.testing.assert_allclose(Y, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -101,7 +101,8 @@ class TestFoldAgainstOracle:
     def test_each_adjoint_inherits_the_mirror_symmetry(self, seed):
         """``Y12[mbar] = s conj Y12[m]`` and the same for ``Y3`` — what lets
         the half range stand for the whole."""
-        _, _, _, U, beta = totals(4, seed)
+        idx, _, _, Uh, beta = totals(4, seed)
+        U = idx.unfold(Uh)
         mbar, sign = mirror(4)
         np.testing.assert_allclose(U[mbar], sign[:, None] * np.conj(U), atol=1e-13)
         for y in coo_adjoints(U, beta, 4):
@@ -113,22 +114,22 @@ class TestFoldAgainstOracle:
     def test_bispectrum_is_the_real_part_of_the_full_sum(self, twojmax):
         """12 is the largest ``twojmax`` ``settings()`` accepts: every ``ib``
         must keep a half-range ``out`` row for ``bi_plan``'s ``reduceat``."""
-        _, _, _, U, _ = totals(twojmax)
-        full = coo_bispectrum(U, twojmax)
+        idx, _, _, Uh, _ = totals(twojmax)
+        full = coo_bispectrum(idx.unfold(Uh), twojmax)
         scale = np.abs(full).max()
         assert np.abs(full.imag).max() < 1e-12 * scale
         np.testing.assert_allclose(
-            compute_bispectrum(U, twojmax), full.real, rtol=0, atol=1e-12 * scale
+            compute_bispectrum(Uh, twojmax), full.real, rtol=0, atol=1e-12 * scale
         )
 
     @pytest.mark.parametrize("twojmax", [0, 3, 8])
     def test_euler_identity_ties_y_to_the_energy(self, twojmax):
         """E is homogeneous of degree 3 in (U, conj U): ``Re(Y . U) = 3 E``."""
-        idx, _, _, U, beta = totals(twojmax)
-        Y = compute_yi(U, beta, twojmax)
+        idx, _, _, Uh, beta = totals(twojmax)
+        Y = compute_yi(Uh, beta, twojmax)
         np.testing.assert_allclose(
-            np.real(Y * U[idx.half]).sum(axis=0),
-            3.0 * (compute_bispectrum(U, twojmax) @ beta),
+            np.real(Y * Uh).sum(axis=0),
+            3.0 * (compute_bispectrum(Uh, twojmax) @ beta),
             rtol=1e-11,
         )
 
@@ -137,9 +138,9 @@ class TestFoldAgainstOracle:
     def test_force_contraction_matches_the_unfolded_form(self, seed):
         """``dE/dr`` from the half-range contraction equals the explicit
         ``Re(Y12 . dU + Y3 . conj dU)`` over all rows."""
-        idx, rij, pair_i, U, beta = totals(4, seed)
-        dedr = compute_fused_deidrj(rij, pair_i, compute_yi(U, beta, 4), RCUT, 4)
-        y12, y3 = coo_adjoints(U, beta, 4)
+        idx, rij, pair_i, Uh, beta = totals(4, seed)
+        dedr = compute_fused_deidrj(rij, pair_i, compute_yi(Uh, beta, 4), RCUT, 4)
+        y12, y3 = coo_adjoints(idx.unfold(Uh), beta, 4)
         u, du = stacked_wigner(rij, RCUT, 4)
         r = np.linalg.norm(rij, axis=1)
         sfac, dsfac = switching(r, RCUT, 0.0)
@@ -168,17 +169,17 @@ class TestReversedPair:
 
     @pytest.mark.parametrize("twojmax", [0, 1, 2, 4, 8])
     def test_ytilde_is_the_daggered_unfolded_adjoint(self, twojmax):
-        idx, _, _, U, beta = totals(twojmax)
-        y12, y3 = coo_adjoints(U, beta, twojmax)
+        idx, _, _, Uh, beta = totals(twojmax)
+        y12, y3 = coo_adjoints(idx.unfold(Uh), beta, twojmax)
         adjoint = y12 + np.conj(y3)
         want = (idx.fold[:, None] * np.conj(adjoint[idx.dagger]))[idx.half]
-        got = compute_ytilde(compute_yi(U, beta, twojmax), twojmax)
+        got = compute_ytilde(compute_yi(Uh, beta, twojmax), twojmax)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("twojmax", range(13))
     def test_canonical_rows_rebuild_u_and_its_conjugate(self, twojmax):
         """Exact, on a ``U`` summed straight from the stacked recursion:
-        ComputeUi sums only the half rows and unfolds the rest this way."""
+        ComputeUi sums only the half rows, and the rest unfold this way."""
         idx = SnapIndex(twojmax)
         rij, pair_i = neighborhoods(7)
         u, _ = stacked_wigner(rij, RCUT, twojmax)
@@ -189,7 +190,7 @@ class TestReversedPair:
         row, sign = idx.canonical_rows
         assert np.array_equal(sign[:, None] * T[row], np.concatenate((U, np.conj(U))))
         np.testing.assert_allclose(
-            compute_ui(rij, pair_i, 3, RCUT, twojmax, wself=0.0), U,
+            idx.unfold(compute_ui(rij, pair_i, 3, RCUT, twojmax, wself=0.0)), U,
             rtol=0, atol=1e-14 * np.abs(U).max(),
         )
 
@@ -311,7 +312,7 @@ class TestEdgeCases:
         U = compute_ui(rij, pair_i, 3, RCUT, 4)
         alone = np.zeros(idx.idxu_max, dtype=complex)
         alone[idx.diag_indices()] = 1.0
-        assert np.array_equal(U[:, 1], alone)
+        assert np.array_equal(idx.unfold(U)[:, 1], alone)
         Y = compute_yi(U, synthetic_beta(idx.nbispectrum, 1.0), 4)
         assert np.isfinite(compute_fused_deidrj(rij, pair_i, Y, RCUT, 4)).all()
 
@@ -335,8 +336,8 @@ class TestEdgeCases:
         idx = SnapIndex(4)
         none = np.zeros((0, 3))
         U = compute_ui(none, np.zeros(0, dtype=int), 2, RCUT, 4)
-        assert U.shape == (idx.idxu_max, 2)
-        assert U.sum() == 2 * len(idx.diag_indices())
+        assert U.shape == (len(idx.half), 2)
+        assert idx.unfold(U).sum() == 2 * len(idx.diag_indices())
         Y = compute_yi(U, synthetic_beta(idx.nbispectrum, 1.0), 4)
         assert compute_fused_deidrj(none, np.zeros(0, dtype=int), Y, RCUT, 4).shape == (0, 3)
 
@@ -387,10 +388,10 @@ class TestEdgeCases:
         np.testing.assert_allclose(Y, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
         np.testing.assert_allclose(B, whole_b, rtol=0, atol=1e-13 * np.abs(whole_b).max())
         # the oracle on every seventh column (its COO temporaries are large)
-        y12, y3 = coo_adjoints(U[:, ::7], beta, 6)
+        y12, y3 = coo_adjoints(SnapIndex(6).unfold(U[:, ::7]), beta, 6)
         want = (SnapIndex(6).fold[:, None] * (y12 + np.conj(y3)))[SnapIndex(6).half]
         np.testing.assert_allclose(Y[:, ::7], want, rtol=0, atol=1e-12 * np.abs(want).max())
-        want_b = coo_bispectrum(U[:, ::7], 6).real
+        want_b = coo_bispectrum(SnapIndex(6).unfold(U[:, ::7]), 6).real
         np.testing.assert_allclose(B[::7], want_b, rtol=0, atol=1e-12 * np.abs(want_b).max())
 
 

@@ -307,7 +307,7 @@ class TestBispectrumInvariance:
     def test_bispectrum_real(self):
         rij = random_neighborhood(7)
         U = compute_ui(rij, np.zeros(len(rij), dtype=int), 1, 4.7, 8)
-        full = coo_bispectrum(U, 8)  # every image, complex
+        full = coo_bispectrum(SnapIndex(8).unfold(U), 8)  # every image, complex
         assert np.abs(full.imag).max() < 1e-12 * np.abs(full).max()
         np.testing.assert_allclose(
             compute_bispectrum(U, 8), full.real, rtol=0,
