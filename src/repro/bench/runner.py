@@ -245,9 +245,9 @@ class ReaxFFBenchmark(PotentialBenchmark):
     comm = CommModel(
         forward_halos=2,  # positions + charges
         reverse_halos=1,
-        # QEq CG iterations of a cold-start plain CG; the captured runs' default
-        # solver (jacobi + qeq_extrap 2) takes ~19 — not re-derived, see
-        # EXPERIMENTS "ReaxFF modeled rows"
+        # QEq CG rounds per step of the analytic comm model, a fixed
+        # constant; the captured runs' solver takes ~19 iterations per
+        # solve — not re-derived, see EXPERIMENTS "ReaxFF modeled rows"
         iterative_rounds=30,
         allreduces=3,
         # bond-order neighboring and the nonbonded force read only pair

@@ -163,12 +163,10 @@ class AtomVec:
     ) -> None:
         """Overwrite the owned set wholesale (atom migration).
 
-        ``custom`` carries per-atom custom-field rows alongside the base
-        fields (each value ``(n, width)``, row k belonging to atom k);
-        fields arriving from a peer that this rank has not registered yet
-        are registered on the fly, and registered fields absent from the
-        payload are zeroed — migrated atoms must never inherit a previous
-        occupant's rows.
+        ``custom`` carries every registered custom field's rows alongside
+        the base fields (each value ``(n, width)``, row k belonging to atom
+        k); a field not registered yet (a fresh replica stack) is registered
+        on the fly.
         """
         n = x.shape[0]
         self.nghost = 0
@@ -179,8 +177,6 @@ class AtomVec:
         self.type[:n] = types
         self.tag[:n] = tags
         self.q[:n] = q if q is not None else 0.0
-        for arr in self.custom.values():
-            arr[:n] = 0
         for name, rows in (custom or {}).items():
             dst = self.add_custom(name, rows.shape[1], rows.dtype)
             dst[:n] = rows

@@ -471,24 +471,18 @@ class CommBrick:
             self.comm.send(dest, payload, "exchange")
         yield
         parts = [self.comm.recv(src, "exchange") for src in range(self.comm.size)]
-        # union of custom fields across senders: a peer may have registered a
-        # field this rank has not seen yet (and vice versa); missing rows are
-        # zero-filled so every field stays aligned with its atoms
-        custom_names = sorted({name for p in parts for name in p["custom"]})
-        custom_in: dict[str, np.ndarray] | None = None
-        if custom_names:
-            custom_in = {}
-            for name in custom_names:
-                proto = next(p["custom"][name] for p in parts if name in p["custom"])
-                custom_in[name] = np.concatenate([
-                    p["custom"].get(
-                        name,
-                        np.zeros(
-                            (p["x"].shape[0], proto.shape[1]), dtype=proto.dtype
-                        ),
-                    )
-                    for p in parts
-                ])
+        # every rank registers the same custom fields (a field is added on
+        # every rank or on none), so each sender's set must be this rank's
+        mine = sorted(parts[self.comm.rank]["custom"])
+        for src, p in enumerate(parts):
+            if sorted(p["custom"]) != mine:
+                raise CommError(
+                    f"exchange: rank {src} sends custom fields {sorted(p['custom'])}, "
+                    f"rank {self.comm.rank} holds {mine}"
+                )
+        custom_in = {
+            name: np.concatenate([p["custom"][name] for p in parts]) for name in mine
+        }
         atom.replace_local(
             x=np.concatenate([p["x"] for p in parts]),
             v=np.concatenate([p["v"] for p in parts]),

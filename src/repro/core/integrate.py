@@ -10,7 +10,8 @@ LAMMPS's:
 3. force computation (pair style), then ``post_force`` fixes;
 4. reverse communication of ghost forces when Newton's third law is on;
 5. ``final_integrate`` fixes (second half-kick), ``end_of_step`` fixes;
-6. thermo output on its interval.
+6. thermo output on its interval, after refusing a non-finite owned
+   coordinate.
 
 Energy and virial are tallied only on steps where something reads them
 (:meth:`Verlet.ev_set`, LAMMPS's ``ev_set``); forces never depend on it.
@@ -116,4 +117,8 @@ class Verlet:
                 lmp.modify.final_integrate()
                 lmp.modify.end_of_step()
             with lmp.timer.phase("Output"):
+                if lmp.thermo.should_output(lmp.update.ntimestep):
+                    # a coordinate that turned non-finite between rebuilds
+                    # stops the run at its next row, not at the next rebuild
+                    lmp.require_finite_owned()
                 yield from lmp.thermo.output_gen()

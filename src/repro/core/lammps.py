@@ -366,14 +366,20 @@ class Lammps:
         if self.comm_brick is None or self.comm_brick.cutghost != cutghost:
             assert self.decomp is not None
             self.comm_brick = CommBrick(self.comm, self.decomp, cutghost)
-        require_finite(atom.x[: atom.nlocal], atom.tag,
-                       f"step {self.update.ntimestep}: rank {self.comm.rank}")
+        self.require_finite_owned()
         with self.timer.phase("Comm"):
             yield from self.comm_brick.exchange(atom, self.domain.wrap)
         with self.timer.phase("Neigh"):
             self._maybe_sort_atoms(cutghost)
         with self.timer.phase("Comm"):
             yield from self.comm_brick.borders(atom, self.domain.periodic)
+
+    def require_finite_owned(self) -> None:
+        """:func:`~repro.core.domain.require_finite` over the owned rows,
+        naming the step and this rank: before a wrap and on a thermo step."""
+        atom = self.atom
+        require_finite(atom.x[: atom.nlocal], atom.tag,
+                       f"step {self.update.ntimestep}: rank {self.comm.rank}")
 
     def count_atoms_gen(self) -> Iterator[None]:
         atom = self.require_box()

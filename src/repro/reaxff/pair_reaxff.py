@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 import repro.kokkos as kk
-from repro.core.errors import InputError, unknown_choice
+from repro.core.errors import InputError
 from repro.core.neighbor import build_neighbor_list
 from repro.core.styles import register_pair
 from repro.graph.pairwise import Stage, run_many_body
@@ -32,16 +32,7 @@ from repro.reaxff.bond_order import build_bond_list
 from repro.reaxff.bonds import compute_bonds
 from repro.reaxff.nonbonded import compute_nonbonded
 from repro.reaxff.params import ReaxParams, default_chno
-from repro.reaxff.qeq import (
-    EXTRAP_NONE,
-    EXTRAPS,
-    PRECOND_JACOBI,
-    PRECONDS,
-    QEqHistory,
-    build_qeq_matrix,
-    equilibrate_charges_gen,
-    make_preconditioner,
-)
+from repro.reaxff.qeq import QEqHistory, build_qeq_matrix, equilibrate_charges_gen
 from repro.reaxff.torsions import build_quads, compute_torsions
 
 
@@ -64,13 +55,9 @@ class PairReaxFF(Pair):
     def settings(self, args: list[str]) -> None:
         self.params: ReaxParams = default_chno()
         self.qeq_tol = 1e-8
-        #: preconditioner for the dual CG (none/jacobi)
-        self.qeq_precond = PRECOND_JACOBI
-        #: charge-history extrapolation order ("none" = cold start, "0".."3")
-        self.qeq_extrap = "2"
         it = iter(args)
         for key in it:
-            if key not in ("cutoff", "qeq_tol", "qeq_precond", "qeq_extrap"):
+            if key not in ("cutoff", "qeq_tol"):
                 raise InputError(f"pair_style reaxff: unknown option {key!r}")
             value = next(it, None)
             if value is None:
@@ -80,8 +67,7 @@ class PairReaxFF(Pair):
                 # production default matches ReaxFF's 10 A taper
                 self.params = replace(self.params, rcut_nonb=_finite_positive(key, value))
             else:
-                # qeq_tol / qeq_precond / qeq_extrap -> tol / precond / extrap
-                self.set_qeq_options(**{key.removeprefix("qeq_"): value})
+                self.qeq_tol = _finite_positive(key, value)
         #: per-solve iteration counts, appended every compute (the
         #: iterations-to-tolerance series the qeq bench and golden read)
         self.qeq_iters_history: list[int] = []
@@ -102,21 +88,6 @@ class PairReaxFF(Pair):
         # through the next build)
         self._bond_nlist = None
         self._bond_nlist_key = None
-
-    def set_qeq_options(self, *, precond=None, extrap=None, tol=None) -> None:
-        """Validated QEq-knob setter behind the ``pair_style`` args (unknown
-        names fail with the standard did-you-mean hint)."""
-        if precond is not None:
-            if precond not in PRECONDS:
-                raise InputError(unknown_choice("qeq_precond", precond, PRECONDS))
-            self.qeq_precond = precond
-        if extrap is not None:
-            extrap = str(extrap)
-            if extrap not in EXTRAPS:
-                raise InputError(unknown_choice("qeq_extrap", extrap, EXTRAPS))
-            self.qeq_extrap = extrap
-        if tol is not None:
-            self.qeq_tol = _finite_positive("qeq_tol", tol)
 
     def coeff(self, args: list[str]) -> None:
         """``pair_coeff * * chno <elem-per-type...>`` maps types to species."""
@@ -221,18 +192,16 @@ class PairReaxFF(Pair):
         self.last_stats.update(qeq_nnz=matrix.total_nnz, qeq_slots=matrix.stored_slots)
 
     def _qeq_solve(self, env: dict) -> Iterator[None]:
-        # charge equilibration: preconditioned, history-seeded dual CG
+        # charge equilibration: Jacobi-preconditioned dual CG, seeded from
+        # the history ring after the run's first solve
         matrix, nlocal = env["matrix"], env["nlocal"]
-        precond = make_preconditioner(self.qeq_precond, matrix)
         if self._qeq_history is None:
             self._qeq_history = QEqHistory(self.lmp.atom)
-        x0 = None
-        if self.qeq_extrap != EXTRAP_NONE and self._qeq_solves > 0:
-            x0 = self._qeq_history.seed(int(self.qeq_extrap))
+        x0 = self._qeq_history.seed() if self._qeq_solves > 0 else None
         out: dict = {}
         chi = self.params.chi[env["species"][:nlocal]]
         yield from equilibrate_charges_gen(
-            self.lmp, matrix, chi, out, tol=self.qeq_tol, precond=precond, x0=x0,
+            self.lmp, matrix, chi, out, tol=self.qeq_tol, x0=x0,
         )
         q = self.lmp.atom.q[:nlocal]
         q[:] = out["q"]

@@ -28,14 +28,14 @@ Paper sections 4.2.2-4.2.3 in full:
   charges are ``q = s - t * (sum s / sum t)``, which enforces charge
   neutrality.
 
-* Iterations-to-tolerance is attacked from two more sides: a pluggable
-  **preconditioner** (:func:`make_preconditioner`: ``none``/``jacobi``)
-  applied inside the dual CG recurrence, and **charge-history
-  extrapolation** (:class:`QEqHistory`): a ring buffer of the last few
-  steps' ``s``/``t`` solutions rides on the atom arrays (so it survives
-  spatial sorting and rank migration) and seeds the CG from a polynomial
-  extrapolation instead of zero.  ``pair_style reaxff`` runs ``jacobi``
-  with order-2 seeding unless told otherwise.
+* The CG is **Jacobi-preconditioned** (the stored diagonal) and seeded by
+  **charge-history extrapolation** (:class:`QEqHistory`): a ring buffer of
+  the last three steps' ``s``/``t`` solutions rides on the atom arrays (so
+  it survives spatial sorting and rank migration) and seeds every solve
+  after a run's first from an order-2 polynomial extrapolation instead of
+  zero — the one solver ``pair_style reaxff`` runs, as LAMMPS's
+  ``fix qeq/reaxff`` always runs diagonal-preconditioned CG seeded from its
+  s/t history.
 
 The solver is written as a generator so distributed runs forward-communicate
 the two direction vectors (staged through the ``rho``/``fp`` scratch fields,
@@ -44,9 +44,9 @@ iteration through the lockstep protocol.  On one rank every ghost is a
 replayed copy of an owned atom, so the matrix reads each ghost column
 through its owner (:meth:`QEqMatrix.fold`) and the CG runs on the owned
 vectors alone, with no staging and no exchange — bitwise the same
-products.  Convergence is always tested on the *true* residual, so every
-preconditioner/seed combination stops at the identical tolerance — the
-property the iteration-count benchmarks rely on.
+products.  Convergence is always tested on the *true* residual, so a seeded
+and an unseeded solve stop at the identical tolerance — the property the
+iteration-count benchmarks rely on.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.errors import LammpsError, OverflowGuardError, unknown_choice
+from repro.core.errors import LammpsError, OverflowGuardError
 from repro.graph.pairwise import gather
 from repro.reaxff.nonbonded import NonbondedGeometry, list_loans, nonbonded_geometry
 from repro.reaxff.params import ReaxParams
@@ -266,54 +266,13 @@ def build_qeq_matrix(
     return matrix
 
 
-# ---------------------------------------------------------- preconditioners
-#: preconditioner choices for the dual CG recurrence
-PRECOND_NONE = "none"
-PRECOND_JACOBI = "jacobi"
-PRECONDS = (PRECOND_NONE, PRECOND_JACOBI)
-
-
-class JacobiPreconditioner:
-    """``z = r / diag`` — free, the diagonal is already stored."""
-
-    name = PRECOND_JACOBI
-
-    def __init__(self, matrix: QEqMatrix) -> None:
-        self._diag = matrix.diag
-
-    def apply(self, r2: np.ndarray) -> np.ndarray:
-        """``M^-1 @ r2`` for an ``(n, 2)`` residual block."""
-        return r2 / self._diag[:, None]
-
-
-def make_preconditioner(name: str, matrix: QEqMatrix):
-    """Preconditioner instance for the dual CG, or None for ``none``.
-
-    Unknown names fail with the shared did-you-mean hint so input-script
-    typos surface at parse/apply time, not deep inside the solve.
-    """
-    if name == PRECOND_NONE:
-        return None
-    if name == PRECOND_JACOBI:
-        return JacobiPreconditioner(matrix)
-    raise LammpsError(unknown_choice("qeq_precond", name, PRECONDS))
-
-
 # ------------------------------------------------------ history extrapolation
-#: ring depth: one more slot than the highest extrapolation order
-HISTORY_DEPTH = 4
+#: binomial predictor coefficients per order: x0 = sum c_k * x[t-k]; the
+#: seed runs order 2, and an atom with a shorter ring the highest it holds
+EXTRAP_COEFFS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
 
-#: extrapolation order choices (string-valued for input scripts / configs)
-EXTRAP_NONE = "none"
-EXTRAPS = (EXTRAP_NONE, "0", "1", "2", "3")
-
-#: binomial predictor coefficients per order: x0 = sum c_k * x[t-k]
-EXTRAP_COEFFS = {
-    0: (1.0,),
-    1: (2.0, -1.0),
-    2: (3.0, -3.0, 1.0),
-    3: (4.0, -6.0, 4.0, -1.0),
-}
+#: ring depth: one slot per order-2 coefficient
+HISTORY_DEPTH = len(EXTRAP_COEFFS)
 
 
 class QEqHistory:
@@ -350,31 +309,27 @@ class QEqHistory:
         cnt = atom.custom[self.COUNT_FIELD]
         np.minimum(cnt[:n, 0] + 1, d, out=cnt[:n, 0])
 
-    def seed(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """Polynomial extrapolation ``(s0, t0)`` at the requested order.
+    def seed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Order-2 polynomial extrapolation ``(s0, t0)``.
 
         Per atom, the order is clamped to what its ring holds (an atom with
         k recorded solutions extrapolates at order k-1, down to a zero seed
         for an empty ring), so migration and fresh starts degrade gracefully
         instead of polluting the Krylov seed.
         """
-        if order not in EXTRAP_COEFFS:
-            raise LammpsError(
-                unknown_choice("qeq_extrap order", order, sorted(EXTRAP_COEFFS))
-            )
         atom = self.atom
         n = atom.nlocal
         d = HISTORY_DEPTH
         h = atom.custom[self.FIELD][:n]
         cnt = atom.custom[self.COUNT_FIELD][:n, 0]
-        avail = np.minimum(cnt.astype(np.int64) - 1, order)
+        avail = cnt.astype(np.int64) - 1  # push caps the count at the depth
         s0 = np.zeros(n)
         t0 = np.zeros(n)
-        for p in range(order + 1):
+        for p, coeffs in enumerate(EXTRAP_COEFFS):
             rows = np.flatnonzero(avail == p)
             if not rows.size:
                 continue
-            c = np.asarray(EXTRAP_COEFFS[p])
+            c = np.asarray(coeffs)
             s0[rows] = h[rows, : p + 1] @ c
             t0[rows] = h[rows, d : d + p + 1] @ c
         return s0, t0
@@ -387,10 +342,9 @@ def fused_cg_gen(
     b1: np.ndarray,
     b2: np.ndarray,
     *,
+    out: dict,
     tol: float = 1e-8,
     maxiter: int = 200,
-    out: dict | None = None,
-    precond=None,
     x0: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Iterator[None]:
     """Fused dual conjugate gradient: solve ``A s = b1`` and ``A t = b2``.
@@ -400,13 +354,11 @@ def fused_cg_gen(
     right-hand-side streams hide behind the single matrix-element stream —
     :meth:`QEqMatrix.spmv2`).
 
-    ``precond`` (from :func:`make_preconditioner`) turns the recurrence into
-    preconditioned CG; ``x0 = (s0, t0)`` seeds the iterates (one extra
-    traversal computes the true seed residual).  Convergence is ALWAYS
-    tested on the unpreconditioned residual against ``|b|^2 * tol^2``, so
-    every configuration stops at the identical tolerance.  With
-    ``precond=None`` and ``x0=None`` the iterates are bitwise identical to
-    the historical plain-CG path.
+    The recurrence is Jacobi-preconditioned (``z = r / diag``, the stored
+    diagonal); ``x0 = (s0, t0)`` seeds the iterates (one extra traversal
+    computes the true seed residual).  Convergence is tested on the
+    unpreconditioned residual against ``|b|^2 * tol^2``, so a seeded and an
+    unseeded solve stop at the identical tolerance.
 
     Results land in ``out['s']``, ``out['t']``, ``out['iterations']``, plus
     ``out['seeded']``, ``out['spmv_traversals']``, ``out['spmv_bytes']``.
@@ -416,8 +368,6 @@ def fused_cg_gen(
     protocol.  A folded matrix (:attr:`QEqMatrix.folded`, one rank) reads
     its columns from the owned vectors, so it stages and exchanges nothing.
     """
-    if out is None:
-        raise LammpsError("fused_cg_gen requires an output dict")
     atom = lmp.atom
     n = matrix.nlocal
     nall = atom.nall
@@ -440,10 +390,8 @@ def fused_cg_gen(
 
     traversals = 0
     if x0 is None:
-        s = np.zeros(n)
-        t = np.zeros(n)
-        r1 = b1.copy()
-        r2 = b2.copy()
+        s, t = np.zeros(n), np.zeros(n)
+        r1, r2 = b1.copy(), b2.copy()
     else:
         s = np.array(x0[0], dtype=float, copy=True)
         t = np.array(x0[1], dtype=float, copy=True)
@@ -452,19 +400,17 @@ def fused_cg_gen(
         r1 = b1 - ax[:, 0]
         r2 = b2 - ax[:, 1]
 
-    if precond is None:
-        # z aliases r: after every in-place residual update z IS the new
-        # residual, which reduces PCG to the historical plain recurrence
-        z1, z2 = r1, r2
-    else:
-        z = precond.apply(np.column_stack((r1, r2)))
-        z1, z2 = z[:, 0], z[:, 1]
-    p1 = z1.copy()
-    p2 = z2.copy()
+    def _precondition(ra, rb):
+        # z = r / diag as the columns of one (n, 2) block: the dot products
+        # read them strided, and the frozen digests pin those sums' bits
+        z = np.column_stack((ra, rb)) / matrix.diag[:, None]
+        return z[:, 0], z[:, 1]
 
-    def _reduce(key, values) -> np.ndarray:
+    z1, z2 = _precondition(r1, r2)
+    p1, p2 = z1.copy(), z2.copy()
+
+    def _reduce(key, values) -> None:
         lmp.world.reduce_contribute(key, np.asarray(values))
-        return key
 
     key = ("qeq_rr0", lmp.update.ntimestep)
     _reduce(key, [r1 @ r1, r2 @ r2, b1 @ b1, b2 @ b2, r1 @ z1, r2 @ z2])
@@ -478,8 +424,7 @@ def fused_cg_gen(
         # fused matrix traversal: one load of A feeds both products
         ap = yield from _dual_product(p1, p2)
         traversals += 1
-        ap1 = ap[:, 0]
-        ap2 = ap[:, 1]
+        ap1, ap2 = ap[:, 0], ap[:, 1]
 
         key = ("qeq_pap", lmp.update.ntimestep, it)
         _reduce(key, [p1 @ ap1, p2 @ ap2])
@@ -492,9 +437,7 @@ def fused_cg_gen(
         t += a2 * p2
         r1 -= a1 * ap1
         r2 -= a2 * ap2
-        if precond is not None:
-            z = precond.apply(np.column_stack((r1, r2)))
-            z1, z2 = z[:, 0], z[:, 1]
+        z1, z2 = _precondition(r1, r2)
 
         key = ("qeq_rr", lmp.update.ntimestep, it)
         _reduce(key, [r1 @ r1, r2 @ r2, r1 @ z1, r2 @ z2])
@@ -529,7 +472,6 @@ def equilibrate_charges_gen(
     *,
     tol: float = 1e-8,
     maxiter: int = 200,
-    precond=None,
     x0: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Iterator[None]:
     """Full QEq: dual solve + neutrality projection.
@@ -547,8 +489,7 @@ def equilibrate_charges_gen(
     b2 = -np.ones(n)
     sol: dict = {}
     yield from fused_cg_gen(
-        lmp, matrix, b1, b2, tol=tol, maxiter=maxiter, out=sol,
-        precond=precond, x0=x0,
+        lmp, matrix, b1, b2, tol=tol, maxiter=maxiter, out=sol, x0=x0,
     )
     key = ("qeq_neutral", lmp.update.ntimestep)
     lmp.world.reduce_contribute(key, np.array([sol["s"].sum(), sol["t"].sum()]))

@@ -165,16 +165,17 @@ class ReplicaBatch:
 
     # ------------------------------------------------------------ admission
     def add_replica(self, lmp) -> None:
-        """Validate a fully configured Lammps instance and run its own solo
+        """Validate a fully configured Lammps instance, then run its own solo
         setup: pair init, neighbor build, initial forces and the forced
-        step-0 thermo row — exactly ``run 0``'s prologue.  Members join
-        before the first :meth:`step`, which stacks them."""
+        step-0 thermo row — exactly ``run 0``'s prologue.  Every check runs
+        first (the pair tables and the ghost cutoff need only
+        ``pair.init()``), so a refused member is left as it was.  Members
+        join before the first :meth:`step`, which stacks them."""
         if self.atom is not None:
             raise LammpsError("replica members must join before the first step")
         sig = self._validate(lmp)
-        drain(lmp.verlet.setup_gen())
-        lmp.world.assert_drained()
-        sig += (lmp.comm_brick.cutghost,)
+        lmp.pair.init()
+        sig += (lmp.pair.max_cutoff() + lmp.neighbor.skin,)  # the ghost cutoff
         if self.members and sig != self._sig:
             raise LammpsError(
                 f"replica signature mismatch: batch runs {self._sig}, new member "
@@ -188,6 +189,8 @@ class ReplicaBatch:
                         f"replica {len(self.members)} differs from replica 0 in "
                         f"its {name}: replica members run copies of one script"
                     )
+        drain(lmp.verlet.setup_gen())
+        lmp.world.assert_drained()
         self.members.append(_Member(lmp=lmp, index=len(self.members)))
         self._sig = sig
 
@@ -320,8 +323,17 @@ class ReplicaBatch:
             nve_final(atom, lead.update)
         if ev and lead.thermo.should_output(step):
             for m in self.members:
+                self._require_finite(m)
+            for m in self.members:
                 self._sync_member(m)
                 drain(m.lmp.thermo.output_gen())
+
+    def _require_finite(self, m: _Member) -> None:
+        """The solo guard over member ``m``'s stacked owned rows, naming the
+        step, the replica and the atom tag."""
+        rows = slice(m.own_off, m.own_off + m.nlocal)
+        require_finite(self.atom.x[rows], self.atom.tag[rows],
+                       f"step {m.lmp.update.ntimestep}: replica {m.index}")
 
     def _force(self, ev: bool) -> None:
         """Stacked ``lj/cut``: the untallied pairwise pass, every member's
@@ -355,9 +367,7 @@ class ReplicaBatch:
         if due.any():
             for m in members:
                 if due[m.index]:
-                    rows = slice(m.own_off, m.own_off + m.nlocal)
-                    require_finite(atom.x[rows], atom.tag[rows],
-                                   f"step {m.lmp.update.ntimestep}: replica {m.index}")
+                    self._require_finite(m)
             drain(brick.exchange(atom, lambda x: wrap(x, self._lo, self._len, self._periodic)))
             # a box that is not due is back at its last build's (wrapped,
             # sorted) coordinates, so the sort leaves it as it is

@@ -32,6 +32,18 @@ class TestLostAndCorruptState:
         with pytest.raises(CommError, match="size changed"):
             drain(lmp.comm_brick.forward_comm(atom))
 
+    def test_exchange_refuses_differing_custom_fields(self):
+        """Every rank registers the same custom fields (a field is added on
+        every rank or on none): a rank that added one alone fails the next
+        exchange, which names the ranks and both sets."""
+        ens = make_melt(cells=3, nranks=2)
+        ens.command("run 0")
+        ens.ranks[1].atom.add_custom("marker", 1)
+        with pytest.raises(CommError, match=r"exchange: rank \d sends custom fields \[.*\], "
+                           r"rank \d holds \[.*\]") as err:
+            ens.command("run 20")
+        assert "marker" in str(err.value)
+
     def test_exploding_dynamics_surfaces_as_numbers_not_hangs(self):
         lmp = make_melt(cells=2)
         lmp.command("velocity all create 1e6 1")  # absurd temperature
@@ -91,6 +103,46 @@ class TestLostAndCorruptState:
             lmp.modify.add_fix(NaNAtStep8(lmp, "nan", "all", []))
         with pytest.raises(LammpsError, match=r"step 9: rank \d owns atom 4 at non-finite"):
             sim.command("run 30")
+
+    @pytest.mark.parametrize("target", ["1 rank", "2 ranks", "replica"])
+    def test_coordinate_turning_non_finite_between_rebuilds_is_refused_at_thermo(self, target):
+        """Under ``check no`` (a rebuild every 20 steps) a coordinate that
+        turns NaN after step 5 stops the run at the next thermo row, step
+        10, naming the rank or replica and the tag, not at step 20's
+        rebuild; no row is printed for step 10."""
+        from repro.core.fixes import Fix
+        from repro.replica import ReplicaBatch
+
+        policy = "neigh_modify every 20 delay 0 check no"
+        if target == "replica":
+            members = [make_melt(cells=2) for _ in range(3)]
+            batch = ReplicaBatch()
+            for m in members:
+                m.command(policy)
+                batch.add_replica(m)
+            batch.step(5)
+            m = batch.members[1]
+            rows = slice(m.own_off, m.own_off + m.nlocal)
+            batch.atom.x[rows][batch.atom.tag[rows] == 4] = np.nan
+            with pytest.raises(LammpsError, match=r"step 10: replica 1 owns atom 4 at non-finite"):
+                batch.step(25)
+            assert all([r.step for r in m.thermo.history] == [0] for m in members)
+            return
+
+        class NaNAtStep5(Fix):
+            def end_of_step(self) -> None:
+                atom = self.lmp.atom
+                if self.lmp.update.ntimestep == 5:
+                    atom.x[: atom.nlocal][atom.tag[: atom.nlocal] == 4] = np.nan
+
+        sim = make_melt(cells=3, nranks=2 if target == "2 ranks" else 1)
+        sim.command(policy)
+        ranks = getattr(sim, "ranks", [sim])
+        for lmp in ranks:
+            lmp.modify.add_fix(NaNAtStep5(lmp, "nan", "all", []))
+        with pytest.raises(LammpsError, match=r"step 10: rank \d owns atom 4 at non-finite"):
+            sim.command("run 30")
+        assert [r.step for r in ranks[0].thermo.history] == [0]
 
     def test_overflow_guard_on_neighbor_index_width(self):
         from repro.core import neighbor as nb

@@ -17,10 +17,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from conftest import gather_by_tag
 from repro.core import Ensemble, Lammps
 from repro.workloads.hns import setup_hns
 from repro.workloads.melt import setup_melt
@@ -45,12 +43,7 @@ SCENARIOS = {
 }
 
 
-#: the hns golden pins the cold-start plain CG, not the ``jacobi`` +
-#: ``qeq_extrap 2`` default; the default is held to it by charge below
-HNS_PINNED = "reaxff cutoff 5.0 qeq_precond none qeq_extrap none"
-
-
-def run_workload(name: str, nranks: int, hns_style: str = HNS_PINNED):
+def run_workload(name: str, nranks: int):
     cfg = WORKLOADS[name]
     target = Ensemble(nranks, device=None) if nranks > 1 else Lammps(device=None)
     if name == "melt":
@@ -58,7 +51,7 @@ def run_workload(name: str, nranks: int, hns_style: str = HNS_PINNED):
     elif name == "tantalum":
         setup_tantalum(target, cells=2, twojmax=4)
     else:
-        setup_hns(target, 1, 2, 2, pair_style=hns_style)
+        setup_hns(target, 1, 2, 2, pair_style="reaxff cutoff 5.0")
     target.command(f"thermo {cfg['thermo']}")
     target.command(f"run {cfg['steps']}")
     return target
@@ -94,21 +87,3 @@ def test_thermo_trace_matches_golden(stem, update_golden):
                 stem, got["step"], key,
             )
 
-
-def test_bare_reaxff_defaults_to_jacobi_extrap2():
-    lmp = Lammps(device=None)
-    setup_hns(lmp, 1, 2, 2, pair_style="reaxff")
-    assert (lmp.pair.qeq_precond, lmp.pair.qeq_extrap) == ("jacobi", "2")
-
-
-def test_default_qeq_charges_match_pinned_path():
-    """The default solver lands on the golden run's charges.  Both stop at a
-    relative residual of ``qeq_tol``; the charge error that leaves is that
-    times the conditioning of A, so the band is ten tolerances."""
-    default = run_workload("hns", 1, hns_style="reaxff cutoff 5.0")
-    pinned = run_workload("hns", 1)
-    assert sum(default.pair.qeq_iters_history) < sum(pinned.pair.qeq_iters_history)
-    np.testing.assert_allclose(
-        gather_by_tag(default, "q"), gather_by_tag(pinned, "q"),
-        rtol=0.0, atol=10 * pinned.pair.qeq_tol,
-    )

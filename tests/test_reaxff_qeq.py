@@ -1,12 +1,12 @@
-"""QEq solver acceleration: fusion, preconditioning, history extrapolation.
+"""QEq solver: fusion, Jacobi preconditioning, history extrapolation.
 
-Covers the rebuilt charge solve end to end: the enforced appendix-B
-overflow guards in the matrix build, bitwise dual-RHS-vs-two-single-RHS
-equivalence across rank counts and row-product bodies, preconditioned
-convergence at identical tolerance, the permutation/migration safety of the
-charge-history ring (custom per-atom fields), the packed two-vector forward
-exchange, golden iteration counts on HNS, and 1-vs-N-rank decomposition
-invariance of the fully accelerated configuration.
+Covers the one charge solve end to end: the enforced appendix-B overflow
+guards in the matrix build, bitwise dual-RHS-vs-two-single-RHS equivalence
+across rank counts and row-product bodies, the CG against a dense
+``numpy.linalg.solve`` of the same matrix, the ``pair_style`` options, the
+permutation/migration safety of the charge-history ring (custom per-atom
+fields), the packed two-vector forward exchange, golden iteration counts on
+HNS, and 1-vs-N-rank decomposition invariance.
 
 To rebless the golden iteration counts after an intentional solver change:
 
@@ -26,25 +26,35 @@ import pytest
 from conftest import SCATTERS, gather_by_tag
 from repro.core import Ensemble, Lammps
 from repro.core.comm_md import CommBrick
-from repro.core.errors import InputError, LammpsError, OverflowGuardError
+from repro.core.errors import InputError, OverflowGuardError
 from repro.reaxff.qeq import (
     HISTORY_DEPTH,
     build_qeq_matrix,
+    equilibrate_charges_gen,
     fused_cg_gen,
-    make_preconditioner,
 )
 from repro.workloads.hns import HNS_POSTAMBLE, hns_configuration, setup_hns
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def make_hns(nranks=1, precond="none", extrap="none", cells=(1, 2, 2), tol=None):
+def make_hns(nranks=1, cells=(1, 2, 2)):
     target = Ensemble(nranks) if nranks > 1 else Lammps()
     setup_hns(target, *cells, pair_style="reaxff cutoff 5.0")
     target.commands_string("neighbor 0.5 bin")
-    for lmp in target.ranks if hasattr(target, "ranks") else [target]:
-        lmp.pair.set_qeq_options(precond=precond, extrap=extrap, tol=tol)
     return target
+
+
+def folded_matrix(lmp):
+    """The one-rank solve's matrix at ``lmp``'s current state: ghost columns
+    read through their owners, as ``PairReaxFF`` builds it."""
+    atom, pair = lmp.atom, lmp.pair
+    species = pair.type_map[atom.type[: atom.nall]]
+    m = build_qeq_matrix(
+        atom.x[: atom.nall], species, lmp.neigh_list, pair.params,
+        lmp.update.units.qqr2e, lmp.comm_brick.replay.owners,
+    )
+    return m, pair.params.chi[species[: m.nlocal]]
 
 
 # ------------------------------------------------------- overflow guards
@@ -155,43 +165,59 @@ class TestFusedSpmv:
         assert stats["qeq_spmv_bytes"] == m.traversal_bytes() * stats["qeq_iterations"]
 
 
-# ------------------------------------------------------ preconditioning
+# ------------------------------------------------ preconditioning, options
 class TestPreconditioning:
+    """The Jacobi-preconditioned solve against a dense reference, and its
+    ``pair_style`` options: ``qeq_tol`` and ``cutoff``.  The preconditioner
+    and the seed are not options."""
+
+    #: the CG stops at a relative residual of ``qeq_tol``; on the (1, 2, 2)
+    #: box (cond(A) ~ 23) its s, t and q land within 2.5 tolerances of the
+    #: dense solve, so ten tolerances is the band
+    BAND = 10
+
     def test_preconditioned_charges_match_at_identical_tolerance(self):
-        cold = make_hns()
-        cold.run(3)
-        q_cold = gather_by_tag(cold, "q")
-        lmp = make_hns(precond="jacobi")
-        lmp.run(3)
-        np.testing.assert_allclose(gather_by_tag(lmp, "q"), q_cold, atol=1e-6)
-        assert sum(lmp.pair.qeq_iters_history) <= sum(cold.pair.qeq_iters_history)
-
-    def test_unknown_precond_rejected_at_setter(self):
+        """The run's last solve — unseeded after ``run 0``, seeded five
+        steps later — against ``numpy.linalg.solve`` of the folded matrix
+        at the same positions: ``s`` and ``t`` from the history ring's
+        newest slots, ``q`` from the atoms."""
         lmp = make_hns()
-        with pytest.raises(InputError, match="jacobi"):
-            lmp.pair.set_qeq_options(precond="jacobbi")
-
-    def test_unknown_precond_rejected_by_factory(self):
-        with pytest.raises(LammpsError, match="did you mean"):
-            make_preconditioner("jacobbi", None)
-
-    def test_unknown_extrap_rejected_at_setter(self):
-        lmp = make_hns()
-        with pytest.raises(InputError, match="qeq_extrap"):
-            lmp.pair.set_qeq_options(extrap="5")
+        for steps, seeded in ((0, False), (5, True)):
+            lmp.run(steps)
+            assert lmp.pair.last_stats["qeq_seeded"] is seeded
+            m, chi = folded_matrix(lmp)
+            n = m.nlocal
+            a = np.diag(m.diag)
+            np.add.at(a, (m._rows_flat, m._cols_flat), m._vals_flat)
+            s = np.linalg.solve(a, -chi)
+            t = np.linalg.solve(a, -np.ones(n))
+            q = s - t * (s.sum() / t.sum())
+            ring = lmp.atom.custom["qeq_hist"][:n]
+            atol = self.BAND * lmp.pair.qeq_tol
+            np.testing.assert_allclose(ring[:, 0], s, rtol=0.0, atol=atol)
+            np.testing.assert_allclose(ring[:, HISTORY_DEPTH], t, rtol=0.0, atol=atol)
+            np.testing.assert_allclose(lmp.atom.q[:n], q, rtol=0.0, atol=atol)
 
     def test_pair_style_args_parse_qeq_knobs(self):
         lmp = Lammps()
         setup_hns(
             lmp, 1, 2, 2,
-            pair_style="reaxff cutoff 5.0 qeq_precond jacobi qeq_extrap 2 "
-            "qeq_tol 1e-10",
+            pair_style="reaxff cutoff 5.0 qeq_tol 1e-10",
         )
-        assert lmp.pair.qeq_precond == "jacobi"
-        assert lmp.pair.qeq_extrap == "2"
         assert lmp.pair.qeq_tol == 1e-10
 
-    @pytest.mark.parametrize("key", ["qeq_precond", "qeq_extrap", "qeq_tol", "cutoff"])
+    def test_unknown_precond_rejected_at_setter(self):
+        """QEq runs one solver: ``PairReaxFF.settings``, the ``pair_style``
+        setter, refuses the retired preconditioner keyword."""
+        with pytest.raises(InputError, match="unknown option 'qeq_precond'"):
+            setup_hns(Lammps(), 1, 2, 2, pair_style="reaxff cutoff 5.0 qeq_precond jacobi")
+
+    def test_unknown_extrap_rejected_at_setter(self):
+        """... and the retired extrapolation keyword."""
+        with pytest.raises(InputError, match="unknown option 'qeq_extrap'"):
+            setup_hns(Lammps(), 1, 2, 2, pair_style="reaxff cutoff 5.0 qeq_extrap 2")
+
+    @pytest.mark.parametrize("key", ["qeq_tol", "cutoff"])
     def test_trailing_keyword_without_value_raises(self, key):
         """A trailing keyword names itself instead of running a default."""
         with pytest.raises(InputError, match=f"{key}.*needs a value"):
@@ -211,45 +237,47 @@ class TestPreconditioning:
 # ------------------------------------------------ history extrapolation
 class TestChargeHistory:
     def test_extrapolation_reduces_warm_iterations(self):
-        """The acceptance criterion: >= 1.5x fewer iterations once warm."""
-        cold = make_hns()
-        cold.run(8)
-        warm = make_hns(precond="jacobi", extrap="2")
-        warm.run(8)
-        # skip the first order+1 solves while the ring fills
-        mean_cold = np.mean(cold.pair.qeq_iters_history[3:])
-        mean_warm = np.mean(warm.pair.qeq_iters_history[3:])
-        assert mean_cold / mean_warm >= 1.5
+        """Every seeded solve takes fewer iterations than the run's first,
+        unseeded one, and >= 1.5x fewer once the ring has filled."""
+        lmp = make_hns()
+        lmp.run(8)
+        first, *seeded = lmp.pair.qeq_iters_history
+        assert max(seeded) < first
+        assert first / np.mean(seeded[HISTORY_DEPTH - 1 :]) >= 1.5
 
     def test_seeded_charges_match_cold_charges(self):
-        cold = make_hns()
-        cold.run(8)
-        warm = make_hns(precond="jacobi", extrap="2")
-        warm.run(8)
-        np.testing.assert_allclose(
-            gather_by_tag(warm, "q"), gather_by_tag(cold, "q"), atol=1e-6
-        )
+        """The run's last, seeded charges equal an unseeded solve of the
+        same matrix at the same tolerance."""
+        lmp = make_hns()
+        lmp.run(8)
+        assert lmp.pair.last_stats["qeq_seeded"] is True
+        m, chi = folded_matrix(lmp)
+        cold: dict = {}
+        for _ in equilibrate_charges_gen(lmp, m, chi, cold, tol=lmp.pair.qeq_tol):
+            pass
+        assert cold["seeded"] is False
+        np.testing.assert_allclose(lmp.atom.q[: m.nlocal], cold["q"], rtol=0.0, atol=1e-6)
 
     def test_history_rides_atom_sort(self):
         """The ring must permute with the atoms: seeds are a per-atom
         property, invariant (by tag) under a spatial reorder."""
-        lmp = make_hns(extrap="2")
+        lmp = make_hns()
         lmp.run(4)
         atom = lmp.atom
         hist = lmp.pair._qeq_history
         n = atom.nlocal
         tags0 = atom.tag[:n].copy()
-        s0, t0 = hist.seed(2)
+        s0, t0 = hist.seed()
         atom.clear_ghosts()
         perm = np.random.default_rng(3).permutation(n)
         atom.reorder_local(perm)
-        s1, t1 = hist.seed(2)
+        s1, t1 = hist.seed()
         order0, order1 = np.argsort(tags0), np.argsort(atom.tag[:n])
         assert np.array_equal(s0[order0], s1[order1])
         assert np.array_equal(t0[order0], t1[order1])
 
     def test_ring_depth_and_counts(self):
-        lmp = make_hns(extrap="2")
+        lmp = make_hns()
         lmp.run(1)  # setup solve + 1 step = 2 pushes
         cnt = lmp.atom.custom["qeq_hist_n"]
         assert cnt[: lmp.atom.nlocal, 0].max() == 2
@@ -271,7 +299,7 @@ class TestChargeHistory:
             )
 
     def test_seeding_engages_after_first_solve(self):
-        lmp = make_hns(extrap="2")
+        lmp = make_hns()
         lmp.run(0)
         assert lmp.pair.last_stats["qeq_seeded"] is False  # nothing to seed
         lmp.run(1)
@@ -298,28 +326,29 @@ class TestPackedForwardComm:
         matrix reads ghost columns through their owners and the CG stages
         and exchanges nothing; only the converged ``q`` is forwarded."""
         calls = _spy_halos(monkeypatch)
-        lmp = make_hns(extrap="2")
+        lmp = make_hns()
         lmp.command("run 2")
         assert len(lmp.pair.qeq_iters_history) == 3
         assert calls["forward_comm_fields"] == 0
         assert calls["forward_comm_field"] == 3
 
     def test_both_vectors_ride_one_exchange_per_iteration(self, monkeypatch):
-        """QEq comm rounds per CG iteration: exactly one packed exchange
-        (``forward_comm_fields``), not two single-field exchanges."""
+        """QEq comm rounds per CG iteration of the run's first, unseeded
+        solve: exactly one packed exchange (``forward_comm_fields``), not two
+        single-field exchanges."""
         calls = _spy_halos(monkeypatch)
         ens = make_hns(nranks=2, cells=(2, 2, 2))
-        ens.command("run 2")
+        ens.command("run 0")
         nranks = 2
-        iters = sum(ens.ranks[0].pair.qeq_iters_history)
-        nsolves = len(ens.ranks[0].pair.qeq_iters_history)
+        (iters,) = ens.ranks[0].pair.qeq_iters_history
+        assert ens.ranks[0].pair.last_stats["qeq_seeded"] is False
         assert calls["forward_comm_fields"] == nranks * iters
         # the only per-solve single-field broadcast left is the converged q
-        assert calls["forward_comm_field"] == nranks * nsolves
+        assert calls["forward_comm_field"] == nranks
 
     def test_seeded_solve_pays_one_extra_exchange(self, monkeypatch):
         calls = _spy_halos(monkeypatch)
-        ens = make_hns(nranks=2, cells=(2, 2, 2), extrap="2")
+        ens = make_hns(nranks=2, cells=(2, 2, 2))
         ens.command("run 2")
         pair = ens.ranks[0].pair
         iters = sum(pair.qeq_iters_history)
@@ -352,8 +381,8 @@ class TestPackedForwardComm:
         seeded = pair._qeq_solves - 1
         assert calls["forward_comm_fields"] == 2 * (iters + seeded)
 
-    @pytest.mark.parametrize("precond,seeded", [("none", False), ("jacobi", True)])
-    def test_folded_solve_equals_staged_exchange_bitwise(self, monkeypatch, precond, seeded):
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_folded_solve_equals_staged_exchange_bitwise(self, monkeypatch, seeded):
         """The same matrix and seed solved both ways: ghost columns read
         through their owners, and ghost copies staged through ``rho``/``fp``
         and replayed.  ``s``, ``t`` and the iteration count are identical."""
@@ -374,8 +403,7 @@ class TestPackedForwardComm:
             x0 = (atom.q[:n].copy(), np.full(n, 0.01)) if seeded else None
             sol: dict = {}
             for _ in fused_cg_gen(
-                lmp, m, -pair.params.chi[species[:n]], -np.ones(n), out=sol,
-                precond=make_preconditioner(precond, m), x0=x0,
+                lmp, m, -pair.params.chi[species[:n]], -np.ones(n), out=sol, x0=x0,
             ):
                 pass
             results.append(sol)
@@ -390,7 +418,7 @@ class TestPackedForwardComm:
         """The solver's own records hold its accounting: one history entry
         per solve, and a seeded solve's stream bytes include the extra
         seed-residual traversal."""
-        lmp = make_hns(precond="jacobi", extrap="2")
+        lmp = make_hns()
         lmp.run(2)
         pair, stats = lmp.pair, lmp.pair.last_stats
         assert pair._qeq_solves == len(pair.qeq_iters_history) == 3
@@ -404,21 +432,15 @@ class TestPackedForwardComm:
 # ---------------------------------------------------------------- golden
 class TestGoldenIterations:
     def test_hns_iteration_counts_match_golden(self, update_golden):
-        """The iterations-to-tolerance trajectory of the fully accelerated
-        configuration is pinned: any solver change that shifts convergence
-        shows up here immediately."""
-        lmp = make_hns(precond="jacobi", extrap="2")
+        """The solver's iterations-to-tolerance trajectory is pinned: any
+        change that shifts convergence shows up here immediately."""
+        lmp = make_hns()
         lmp.run(10)
         history = list(lmp.pair.qeq_iters_history)
         path = GOLDEN_DIR / "hns-qeq-iterations.json"
         if update_golden:
             GOLDEN_DIR.mkdir(exist_ok=True)
-            payload = {
-                "workload": "hns",
-                "qeq_precond": "jacobi",
-                "qeq_extrap": "2",
-                "iterations": history,
-            }
+            payload = {"workload": "hns", "iterations": history}
             path.write_text(json.dumps(payload, indent=2) + "\n")
             pytest.skip(f"rewrote {path.name}")
         golden = json.loads(path.read_text())
@@ -438,10 +460,10 @@ def state_digest(target) -> str:
 
 
 class TestDefaultPathFrozen:
-    """The default solver (``jacobi``, ``qeq_extrap 2``) bit for bit.
+    """The solver bit for bit.
 
-    ``tests/golden/hns.json`` pins only the ``none/none`` cold start, at
-    rel 1e-9.  These digests of ``run 20`` (thermo every 10 steps) were
+    ``tests/golden/hns.json`` pins the same path's thermo at rel 1e-9.
+    These digests of ``run 20`` (thermo every 10 steps) were
     recorded before the one-rank solve read ghost columns through their
     owners: the 1-rank digest holds that fold bitwise, the 2-rank digest
     holds the staged-exchange path unmoved.  The solver's bits follow the
@@ -468,15 +490,12 @@ class TestDefaultPathFrozen:
 class TestDistributed:
     @pytest.mark.parametrize("nranks", [2, 4])
     def test_accelerated_solver_decomposition_invariant(self, nranks):
-        """jacobi + extrap-2 across a migration-crossing run: 1 vs N ranks
-        agree on positions and charges (iteration counts may differ — the
+        """Across a migration-crossing run, 1 vs N ranks agree on positions and charges (iteration counts may differ — the
         seed residual history is decomposition-dependent only through
         round-off)."""
-        single = make_hns(precond="jacobi", extrap="2", cells=(2, 2, 2))
+        single = make_hns(cells=(2, 2, 2))
         single.command("run 12")
-        multi = make_hns(
-            nranks=nranks, precond="jacobi", extrap="2", cells=(2, 2, 2)
-        )
+        multi = make_hns(nranks=nranks, cells=(2, 2, 2))
         multi.command("run 12")
         np.testing.assert_allclose(
             gather_by_tag(multi, "x"), gather_by_tag(single, "x"), atol=1e-7
@@ -488,7 +507,7 @@ class TestDistributed:
     def test_ranks_stay_in_lockstep(self):
         """Every rank must make the identical seed/iterate decisions — the
         collective gate on the solve counter."""
-        multi = make_hns(nranks=2, precond="jacobi", extrap="2", cells=(2, 2, 2))
+        multi = make_hns(nranks=2, cells=(2, 2, 2))
         multi.command("run 12")
         histories = [r.pair.qeq_iters_history for r in multi.ranks]
         assert histories[0] == histories[1]

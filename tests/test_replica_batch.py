@@ -128,11 +128,28 @@ def test_add_after_the_first_step_raises():
     assert members[2].update.ntimestep == 0 and not members[2].thermo.history
 
 
+def test_refused_member_is_left_as_it_was():
+    """Every check runs before a member's setup: one refused for its
+    timestep keeps no thermo row, no neighbor build and no list."""
+    members = [_build(s) for s in _specs(2)]
+    members[1].command("timestep 0.004")
+    batch = _batch(members[:1])
+    with pytest.raises(LammpsError, match="differs from replica 0 in its timestep"):
+        batch.add_replica(members[1])
+    refused = members[1]
+    assert len(batch.members) == 1
+    assert refused.thermo.history == []
+    assert refused.neighbor.builds == 0
+    assert refused.neigh_list is None
+
+
 def test_failed_member_rebuild_stops_the_step():
     """A non-finite coordinate in one member's box stops ``step`` at its
     next rebuild, before the wrap, with the solo rebuild's error naming the
-    step, that replica and the atom tag; nobody steps on."""
-    members = [_build(s) for s in _specs(3)]
+    step, that replica and the atom tag; nobody steps on.  ``thermo 100``
+    puts no thermo row (whose guard would fire first) before the step-20
+    rebuild."""
+    members = [_build(s) for s in _specs(3, thermo=100)]
     batch = _batch(members)
     batch.step(5)
     m = batch.members[1]
